@@ -21,7 +21,8 @@ import numpy as np
 from . import engine
 from .comparison import beta, chi
 from .errors import DegenerateGeodesic, InvalidInput
-from .manifolds import Geodesic, ManifoldModel, Point, TangentVector
+from .manifolds import (COINCIDE_TOL, Geodesic, ManifoldModel, Point,
+                        TangentVector, _coords)
 from .walk import Schedule
 
 
@@ -56,6 +57,8 @@ class CouplingConfig:
             delta = 2.0 * self.alpha
         if delta > 0.0 and delta < self.alpha:
             raise InvalidInput("delta_couple must be >= alpha (or 0 to disable)")
+        if self.exit_radius is not None and self.exit_radius <= 1.0:
+            raise InvalidInput("exit radius must exceed 1")
         object.__setattr__(self, "delta_couple", float(delta))
         object.__setattr__(self, "start1", np.asarray(self.start1, dtype=float))
         object.__setattr__(self, "start2", np.asarray(self.start2, dtype=float))
@@ -114,38 +117,24 @@ def reflection_map(model: ManifoldModel, t: float, geodesic: Geodesic,
 def coupled_step(model: ManifoldModel, t: float, x1, x2, xi: np.ndarray,
                  alpha: float, kind: CouplingKind = CouplingKind.REFLECTION,
                  use_drift: bool = False, frac: float = 1.0):
-    """One synchronized transition of the pair.
+    """One synchronized transition of the pair: ``engine.reflect_step`` on
+    a block of one.
 
     Returns (new x1, new x2, lambda_star) with lambda_star the signed
     first-variation rate of the distance (zero for parallel transport).
-    Coincident inputs receive identical noise and move together.
+    Coincident inputs count as coupled and move together; their
+    lambda_star is the kernel's, 2 sqrt(m+2) xi_1 for reflection.
     """
-    c1 = x1.coords if isinstance(x1, Point) else np.asarray(x1, dtype=float)
-    c2 = x2.coords if isinstance(x2, Point) else np.asarray(x2, dtype=float)
+    X1, X2 = _coords(x1)[None, :], _coords(x2)[None, :]
     xi = np.asarray(xi, dtype=float)
     if float(np.linalg.norm(xi)) > 1.0 + 1e-12:
         raise InvalidInput("ball sample must satisfy |xi| <= 1")
-    X1, X2 = c1[None, :], c2[None, :]
-    lift1 = engine.noise_lift(model, t, X1, xi[None, :])
-    dist = model.distance(t, X1, X2)
-    on_diag = dist[0] < 1e-12
-    if on_diag:
-        lift2 = lift1
-        lam = 0.0
-    else:
-        v12 = model.log(t, X1, X2)
-        u0 = v12 / dist[:, None]
-        u1 = model.transport_along(t, X1, u0, dist, u0)
-        carried = model.transport_along(t, X1, u0, dist, lift1)
-        if kind is CouplingKind.REFLECTION:
-            lift2 = carried - 2.0 * model.inner(t, X2, carried, u1)[:, None] * u1
-            lam = float(2.0 * model.inner(t, X2, lift2, u1)[0])
-        else:
-            lift2 = carried
-            lam = 0.0
-    y1 = engine._advance(model, t, X1, lift1, alpha, use_drift, frac)[0]
-    y2 = engine._advance(model, t, X2, lift2, alpha, use_drift, frac)[0]
-    return Point(y1, model.model_id), Point(y2, model.model_id), lam
+    geo = model.connect(t, X1, X2)
+    y1, y2, lam, _ = engine.reflect_step(
+        model, t, X1, X2, xi[None, :], geo, geo[0] < COINCIDE_TOL, alpha,
+        frac, kind=kind.value, use_drift=use_drift)
+    return (Point(y1[0], model.model_id), Point(y2[0], model.model_id),
+            float(lam[0]))
 
 
 def run_coupled(model: ManifoldModel, config: CouplingConfig) -> CoupledPath:

@@ -1,11 +1,18 @@
-"""Vectorized path kernels.
+"""Vectorized path kernels and the transition functions they share.
 
-Each function advances a contiguous block of paths through the whole
-schedule with numpy operations of shape (block, ambient_dim), collecting
-online summaries (endpoints, exit steps, coupling times, domination and
-contraction diagnostics) and, for small blocks, full traces. Noise comes
-from per-path counter-based streams, so results do not depend on how paths
-are grouped into blocks or scheduled onto workers.
+The kernels advance a contiguous block of paths through the whole schedule
+with numpy operations of shape (block, ambient_dim), collecting online
+summaries and, for small blocks, full traces. Noise comes from per-path
+counter-based streams, so results do not depend on how paths are grouped
+into blocks or scheduled onto workers. ``walk_step`` and ``reflect_step``
+are the only transition functions; ``walk.step`` and
+``coupling.coupled_step`` call them on a block of one.
+
+A coupled step makes one pair-geometry call, ``model.connect``. Its
+distance is bit-identical to ``model.distance``, and the sphere builds its
+antipodal tie-break only on antipodal rows. Only the first lift is
+parallel-transported. A non-finite distance or endpoint raises
+SingularConfiguration instead of being counted.
 """
 
 from __future__ import annotations
@@ -13,6 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import rng
+from .errors import SingularConfiguration
 from .manifolds import ManifoldModel
 
 REFLECTION = "reflection"
@@ -36,14 +44,57 @@ def frame_coordinates(model: ManifoldModel, t: float, x: np.ndarray,
     return coords / np.sqrt(model.dim + 2.0)
 
 
-def _advance(model: ManifoldModel, t: float, x: np.ndarray, lift: np.ndarray,
-             alpha: float, use_drift: bool, frac: float) -> np.ndarray:
+def _advance(model: ManifoldModel, t: float, X: np.ndarray, lift: np.ndarray,
+             alpha: float, frac: float, use_drift: bool):
+    """Follow alpha lift + alpha^2 Z for ``frac`` of a step; returns the
+    landing points and the step vector."""
     w = alpha * lift
     if use_drift:
-        w = w + alpha ** 2 * model.drift(t, x)
-    if frac != 1.0:
-        w = frac * w
-    return model.exp(t, x, w)
+        w = w + alpha ** 2 * model.drift(t, X)
+    return model.exp(t, X, w if frac == 1.0 else frac * w), w
+
+
+def walk_step(model: ManifoldModel, t: float, X: np.ndarray, xi: np.ndarray,
+              alpha: float, frac: float = 1.0, use_drift: bool = False):
+    """One transition of a block of walks driven by the ball samples xi.
+
+    Returns (landing points, lift sqrt(m+2) Phi xi, step vector
+    alpha lift + alpha^2 Z). Only ``frac`` of the step's geodesic is
+    traversed (the final partial step).
+    """
+    lift = noise_lift(model, t, X, xi)
+    Xn, w = _advance(model, t, X, lift, alpha, frac, use_drift)
+    return Xn, lift, w
+
+
+def reflect_step(model: ManifoldModel, t: float, X1: np.ndarray,
+                 X2: np.ndarray, xi: np.ndarray, geo, coupled: np.ndarray,
+                 alpha: float, frac: float = 1.0, *, kind: str = REFLECTION,
+                 use_drift: bool = False):
+    """One synchronized transition of a block of pairs.
+
+    ``geo`` is ``model.connect(t, X1, X2)``. The first lift is transported
+    to X2 along the connecting geodesic and, for the reflection kind,
+    mirrored across the hyperplane orthogonal to the arrival direction;
+    rows flagged ``coupled`` reuse the first lift. Returns (next X1, next
+    X2, lambda*, lift2) with lambda* = 2 <lift2, arrival direction>, or
+    2 sqrt(m+2) xi_1 on coupled rows (the dominating process's noise),
+    and zero for parallel transport.
+    """
+    dist, u0, u1 = geo
+    lift1 = noise_lift(model, t, X1, xi)
+    lift2 = model.transport_along(t, X1, u0, dist, lift1)
+    if kind == REFLECTION:
+        lift2 = lift2 - 2.0 * model.inner(t, X2, lift2, u1)[:, None] * u1
+        lam = np.where(coupled, 2.0 * np.sqrt(model.dim + 2.0) * xi[:, 0],
+                       2.0 * model.inner(t, X2, lift2, u1))
+    else:
+        lam = np.zeros(len(X1))
+    lift2 = np.where(coupled[:, None], lift1, lift2)
+    # Both particles take one exp call on the stacked (2B, ambient) block.
+    Xn, _ = _advance(model, t, np.concatenate([X1, X2]),
+                     np.concatenate([lift1, lift2]), alpha, frac, use_drift)
+    return Xn[:len(X1)], Xn[len(X1):], lam, lift2
 
 
 def walk_chunk(model: ManifoldModel, sched, x0: np.ndarray, seed: int,
@@ -86,54 +137,39 @@ def walk_chunk(model: ManifoldModel, sched, x0: np.ndarray, seed: int,
 
     if want_trace:
         skeleton = np.empty((B, n_steps + 1, d))
-        skeleton[:, 0] = X
         step_vectors = np.empty((B, n_steps, d))
         rho_trace = np.empty((B, n_steps + 1)) if track_radial else None
-        if track_radial:
-            rho_trace[:, 0] = rho
 
-    for n in range(n_steps):
+    for n in range(n_steps + 1):
         t = float(times[n])
-        if track_exit or track_radial:
+        if track_radial:
+            d_o, toward_o, _ = model.connect(t, X, o)
+        elif track_exit:
             d_o = model.distance(t, o, X)
         if track_exit:
-            newly = (exit_step < 0) & (d_o > exit_radius - 1.0)
-            exit_step[newly] = n
+            exit_step[(exit_step < 0) & (d_o > exit_radius - 1.0)] = n
+        if track_radial:
+            violated |= (exit_step < 0) & (d_o > rho + margin)
+        if want_trace:
+            skeleton[:, n] = X
+            if track_radial:
+                rho_trace[:, n] = rho
+        if n == n_steps:
+            break
 
         xi = noise[:, n, :]
-        lift = noise_lift(model, t, X, xi)
-
+        Xn, lift, w = walk_step(model, t, X, xi, alpha, float(fracs[n]),
+                                use_drift)
         if track_radial:
-            active = exit_step < 0
-            violated |= active & (d_o > rho + margin)
-            to_o = model.log(t, X, o)
-            dist_safe = np.where(d_o < 1e-300, 1.0, d_o)
-            outward = -to_o / dist_safe[:, None]
-            lam = np.where(d_o >= r0,
-                           model.inner(t, X, lift, outward),
+            lam = np.where(d_o >= r0, -model.inner(t, X, lift, toward_o),
                            sqrt_m2 * xi[:, 0])
             rho = rho + float(fracs[n]) * (alpha * lam
                                            + alpha ** 2 * (phi(rho) + psi(rho)))
-            if want_trace:
-                rho_trace[:, n + 1] = rho
-
-        w = alpha * lift
-        if use_drift:
-            w = w + alpha ** 2 * model.drift(t, X)
-        X = model.exp(t, X, float(fracs[n]) * w)
-
+        X = Xn
+        if not np.isfinite(X).all():
+            raise SingularConfiguration(f"non-finite position at step {n + 1}")
         if want_trace:
-            skeleton[:, n + 1] = X
             step_vectors[:, n] = w
-
-    t_end = float(times[-1])
-    if track_exit or track_radial:
-        d_o = model.distance(t_end, o, X)
-    if track_exit:
-        newly = (exit_step < 0) & (d_o > exit_radius - 1.0)
-        exit_step[newly] = n_steps
-    if track_radial:
-        violated |= (exit_step < 0) & (d_o > rho + margin)
 
     out = {"end": X, "exit_step": exit_step}
     if track_radial:
@@ -175,7 +211,6 @@ def coupled_chunk(model: ManifoldModel, sched, x1: np.ndarray, x2: np.ndarray,
     alpha = sched.alpha
     t1_win = float(times[0])
     m, d = model.dim, model.ambient_dim
-    sqrt_m2 = np.sqrt(m + 2.0)
 
     noise = rng.walk_noise_block(seed, paths, n_steps, m)
     X1 = np.broadcast_to(np.asarray(x1, dtype=float), (B, d)).copy()
@@ -208,9 +243,10 @@ def coupled_chunk(model: ManifoldModel, sched, x1: np.ndarray, x2: np.ndarray,
         coupled_trace = np.zeros((B, n_steps + 1), dtype=bool)
         noise2 = np.empty((B, n_steps, m))
 
-    def observe(n: int, t: float) -> np.ndarray:
+    def observe(n: int, t: float, dist: np.ndarray) -> np.ndarray:
         """Coupling detection plus diagnostics at skeleton time t_n."""
-        dist = model.distance(t, X1, X2)
+        if not np.isfinite(dist).all():
+            raise SingularConfiguration(f"non-finite distance at step {n}")
         newly = ~coupled & (dist <= delta_couple)
         coupled[newly] = True
         couple_step[newly] = n
@@ -232,9 +268,10 @@ def coupled_chunk(model: ManifoldModel, sched, x1: np.ndarray, x2: np.ndarray,
             np.minimum(run_min, weighted, out=run_min)
         return dist
 
-    for n in range(n_steps):
+    for n in range(n_steps + 1):
         t = float(times[n])
-        dist = observe(n, t)
+        geo = model.connect(t, X1, X2)
+        dist = observe(n, t, geo[0])
         if track_exit:
             exited |= model.distance(t, o, X1) > exit_radius - 1.0
             exited |= model.distance(t, o, X2) > exit_radius - 1.0
@@ -245,43 +282,20 @@ def coupled_chunk(model: ManifoldModel, sched, x1: np.ndarray, x2: np.ndarray,
             skel2[:, n] = X2
             dist_trace[:, n] = dist
             coupled_trace[:, n] = coupled
+        if n == n_steps:
+            break
 
-        xi = noise[:, n, :]
-        lift1 = noise_lift(model, t, X1, xi)
-
-        v12 = model.log(t, X1, X2)
-        dist_safe = np.where(dist < 1e-300, 1.0, dist)
-        u0 = v12 / dist_safe[:, None]
-        u1 = model.transport_along(t, X1, u0, dist, u0)
-        carried = model.transport_along(t, X1, u0, dist, lift1)
-        if kind == REFLECTION:
-            lift2 = carried - 2.0 * model.inner(t, X2, carried, u1)[:, None] * u1
-            lam = 2.0 * model.inner(t, X2, lift2, u1)
-            lam = np.where(coupled, 2.0 * sqrt_m2 * xi[:, 0], lam)
-        else:
-            lift2 = carried
-            lam = np.zeros(B)
-        lift2 = np.where(coupled[:, None], lift1, lift2)
-
+        X1, X2n, lam, lift2 = reflect_step(
+            model, t, X1, X2, noise[:, n, :], geo, coupled, alpha,
+            float(fracs[n]), kind=kind, use_drift=use_drift)
         if track_dom:
             weight = float(fracs[n]) * np.exp(
                 k * (float(times[n + 1]) - t1_win) / 2.0)
             lam_sum += weight * lam
-
         if want_trace:
             lam_trace[:, n] = lam
             noise2[:, n] = frame_coordinates(model, t, X2, lift2)
-
-        frac = float(fracs[n])
-        X1n = _advance(model, t, X1, lift1, alpha, use_drift, frac)
-        X2n = _advance(model, t, X2, lift2, alpha, use_drift, frac)
-        X1 = X1n
         X2 = np.where(coupled[:, None], X1, X2n) if stick else X2n
-
-    t_end = float(times[-1])
-    dist = observe(n_steps, t_end)
-    if stick:
-        X2 = np.where(coupled[:, None], X1, X2)
 
     out = {
         "end1": X1, "end2": X2,
@@ -296,10 +310,6 @@ def coupled_chunk(model: ManifoldModel, sched, x1: np.ndarray, x2: np.ndarray,
     if contraction:
         out["contraction_max"] = contraction_max
     if want_trace:
-        skel1[:, n_steps] = X1
-        skel2[:, n_steps] = X2
-        dist_trace[:, n_steps] = dist
-        coupled_trace[:, n_steps] = coupled
         out.update({"skeleton1": skel1, "skeleton2": skel2,
                     "distance": dist_trace, "lambda_star": lam_trace,
                     "coupled": coupled_trace, "noise": noise,

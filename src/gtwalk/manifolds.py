@@ -26,8 +26,28 @@ POINT_TOL = 1e-9
 COINCIDE_TOL = 1e-12
 
 
+def _sum_columns(cols: list) -> np.ndarray:
+    """Sum of coordinate columns, bit-equal to np.sum over their stack.
+
+    numpy's reduce over a short last axis costs several times more than
+    adding the columns; below 8 columns it sums them in order.
+    """
+    if len(cols) >= 8:
+        return np.sum(np.stack(cols, axis=-1), axis=-1)
+    out = cols[0]
+    for c in cols[1:]:
+        out = out + c
+    return out
+
+
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.sum(a * b, axis=-1)
+    p = a * b
+    return _sum_columns([p[..., c] for c in range(p.shape[-1])])
+
+
+def _norm(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm over the last axis, equal to np.linalg.norm's."""
+    return np.sqrt(_dot(v, v))
 
 
 # ---------------------------------------------------------------------------
@@ -247,14 +267,19 @@ class ManifoldModel(abc.ABC):
             raise InvalidInput(f"time {t} outside window [{t1}, {t2}]")
 
     def connect(self, t: float, x: np.ndarray, y: np.ndarray):
-        """(u0, u1, dist): unit departure and arrival directions and distance
-        for the chosen minimal geodesic from x to y."""
-        v = self.log(t, x, y)
-        dist = self.norm(t, x, v)
+        """(dist, u0, u1) for the chosen minimal geodesic from x to y: the
+        distance and the g(t)-unit departure and arrival directions.
+
+        ``dist`` equals ``distance(t, x, y)`` bit for bit, so coupling
+        detection does not depend on which of the two a caller uses.
+        Coincident points get zero directions. Models override this with
+        one fused pass where that is cheaper.
+        """
+        dist = self.distance(t, x, y)
         safe = np.where(dist < 1e-300, 1.0, dist)
-        u0 = v / safe[..., None]
+        u0 = self.log(t, x, y) / safe[..., None]
         u1 = self.transport_along(t, x, u0, dist, u0)
-        return u0, u1, dist
+        return dist, u0, u1
 
     def random_tangent(self, t: float, x: np.ndarray,
                        rng: np.random.Generator) -> np.ndarray:
@@ -303,7 +328,13 @@ class Euclidean(ManifoldModel):
         return y - x
 
     def distance(self, t, x, y):
-        return np.linalg.norm(y - x, axis=-1)
+        return _norm(y - x)
+
+    def connect(self, t, x, y):
+        v = y - x
+        dist = _norm(v)
+        u0 = v / np.where(dist < 1e-300, 1.0, dist)[..., None]
+        return dist, u0, u0
 
     def transport_along(self, t, x, u, length, v):
         return np.broadcast_to(v, np.broadcast(x, v).shape).copy()
@@ -370,13 +401,13 @@ class RoundSphere(ManifoldModel):
     def exp(self, t, x, v):
         # constant conformal scaling leaves the exponential map unchanged
         r = self.radius
-        nv = np.linalg.norm(v, axis=-1)
+        nv = _norm(v)
         theta = nv / r
         small = theta < 1e-15
         safe = np.where(small, 1.0, nv)
         y = np.cos(theta)[..., None] * x + (r * np.sin(theta) / safe)[..., None] * v
-        y = y * (r / np.linalg.norm(y, axis=-1))[..., None]
-        return np.where(small[..., None], x, y)
+        y = y * (r / _norm(y))[..., None]
+        return np.where(small[..., None], x, y) if np.any(small) else y
 
     def _tiebreak_direction(self, xhat: np.ndarray) -> np.ndarray:
         """Unit tangent along the first ambient axis not parallel to x."""
@@ -388,31 +419,49 @@ class RoundSphere(ManifoldModel):
         return u / np.linalg.norm(u, axis=-1, keepdims=True)
 
     def _angle(self, x, y):
-        """Angle between x, y on the representation sphere; the chord form
-        keeps nearly coincident points exact where arccos loses digits."""
+        """Angle between x, y on the representation sphere and its clipped
+        cosine; the chord form keeps nearly coincident points exact where
+        arccos loses digits."""
         r = self.radius
         cosang = np.clip(_dot(x, y) / (r * r), -1.0, 1.0)
-        chord = np.linalg.norm(y - x, axis=-1)
+        chord = _norm(y - x)
         near = cosang > 0.5
         safe_ratio = np.clip(chord / (2.0 * r), 0.0, 1.0)
-        return np.where(near, 2.0 * np.arcsin(safe_ratio), np.arccos(cosang))
+        theta = np.where(near, 2.0 * np.arcsin(safe_ratio), np.arccos(cosang))
+        return theta, cosang
+
+    def _direction(self, x, y):
+        """(theta, xhat, e): the angle, x on the unit sphere and the unit
+        embedding direction of the chosen minimal geodesic from x to y.
+
+        The tie-break direction is built only for antipodal rows; rows at
+        angle 0 get e = 0.
+        """
+        theta, cosang = self._angle(x, y)
+        xhat = x / self.radius
+        w = y / self.radius - cosang[..., None] * xhat
+        wn = _norm(w)
+        antipodal = (wn < 1e-8) & (cosang < 0.0)
+        e = w / np.where((theta > 0.0) & (wn >= 1e-300), wn, np.inf)[..., None]
+        if np.any(antipodal):
+            e[antipodal] = self._tiebreak_direction(xhat[antipodal])
+        return theta, xhat, e
 
     def log(self, t, x, y):
-        r = self.radius
-        xhat, yhat = x / r, y / r
-        cosang = np.clip(_dot(xhat, yhat), -1.0, 1.0)
-        theta = self._angle(x, y)
-        w = yhat - cosang[..., None] * xhat
-        wn = np.linalg.norm(w, axis=-1)
-        antipodal = (wn < 1e-8) & (cosang < 0.0)
-        small = wn < 1e-300
-        safe = np.where(antipodal | small, 1.0, wn)
-        u = np.where(antipodal[..., None], self._tiebreak_direction(xhat),
-                     w / safe[..., None])
-        return (r * theta)[..., None] * u
+        theta, _, e = self._direction(x, y)
+        return (self.radius * theta)[..., None] * e
 
     def distance(self, t, x, y):
-        return np.sqrt(self._s2(t)) * self.radius * self._angle(x, y)
+        return np.sqrt(self._s2(t)) * self.radius * self._angle(x, y)[0]
+
+    def connect(self, t, x, y):
+        # One pass: the arrival direction is the rotated departure
+        # direction cos(theta) e - sin(theta) xhat, no transport needed.
+        theta, xhat, e = self._direction(x, y)
+        s = np.sqrt(self._s2(t))
+        dist = s * self.radius * theta
+        u1 = np.cos(theta)[..., None] * e - np.sin(theta)[..., None] * xhat
+        return dist, e / s, u1 / s
 
     def transport_along(self, t, x, u, length, v):
         r = self.radius
@@ -428,23 +477,33 @@ class RoundSphere(ManifoldModel):
         return a[..., None] * e_rot + w
 
     def frame(self, t, x):
-        r = self.radius
-        xhat = x / r
+        # Gram-Schmidt of the axis vectors other than the one x leans on
+        # most, in increasing axis order (decreasing for frame_variant 1).
+        # It works on coordinate columns, which numpy handles much faster
+        # than short rows; every entry sees the same operations in the same
+        # order as in a row-wise Gram-Schmidt.
+        d, m = self.ambient_dim, self.dim
+        xhat = x / self.radius
         drop = np.argmax(np.abs(xhat), axis=-1)
-        d = self.ambient_dim
-        order = np.argsort(np.where(np.arange(d) == drop[..., None], d, np.arange(d)),
-                           axis=-1)[..., :-1]
-        if self.frame_variant:
-            order = order[..., ::-1]
-        basis = np.eye(d)[order]  # (..., m, d) axis vectors to orthonormalize
-        out = np.empty_like(basis)
-        for i in range(self.dim):
-            w = basis[..., i, :]
-            w = w - _dot(w, xhat)[..., None] * xhat
-            for j in range(i):
-                w = w - _dot(w, out[..., j, :])[..., None] * out[..., j, :]
-            out[..., i, :] = w / np.linalg.norm(w, axis=-1, keepdims=True)
-        return out / np.sqrt(self._s2(t))
+        xh = [xhat[..., c] for c in range(d)]
+        s = np.sqrt(self._s2(t))
+        out = np.empty(x.shape[:-1] + (m, d))
+        done = []
+        for i in range(m):
+            j = m - 1 - i if self.frame_variant else i
+            below = drop <= j
+            k = j + below  # the j-th axis other than the dropped one
+            xk = np.where(below, xh[j + 1], xh[j])
+            w = [(k == c) - xk * xh[c] for c in range(d)]
+            for prev in done:
+                dot = _sum_columns([wc * pc for wc, pc in zip(w, prev)])
+                w = [wc - dot * pc for wc, pc in zip(w, prev)]
+            norm = np.sqrt(_sum_columns([wc * wc for wc in w]))
+            w = [wc / norm for wc in w]
+            done.append(w)
+            for c in range(d):
+                out[..., i, c] = w[c] / s
+        return out
 
     def constraint_residual(self, x):
         return np.abs(np.linalg.norm(x, axis=-1) - self.radius)
@@ -518,6 +577,11 @@ class ScaledMetric(ManifoldModel):
     def distance(self, t, x, y):
         return np.sqrt(self._sigma(t)) * self.base.distance(self._bt(), x, y)
 
+    def connect(self, t, x, y):
+        dist, u0, u1 = self.base.connect(self._bt(), x, y)
+        root = np.sqrt(self._sigma(t))
+        return root * dist, u0 / root, u1 / root
+
     def transport_along(self, t, x, u, length, v):
         root = np.sqrt(self._sigma(t))
         return self.base.transport_along(self._bt(), x, root * u,
@@ -584,27 +648,37 @@ class Hyperbolic(ManifoldModel):
         return np.where(small[..., None], x, self._reproject(y))
 
     def _separation(self, x, y):
-        """Hyperbolic distance; the arcsinh chord form is exact near
-        coincidence where arccosh(1 + eps) loses half the digits."""
+        """Hyperbolic distance and the clipped -<x, y>_L; the arcsinh chord
+        form is exact near coincidence where arccosh(1 + eps) loses half
+        the digits."""
         c = np.clip(-self._ldot(x, y), 1.0, None)
         diff = y - x
         chord_sq = np.maximum(self._ldot(diff, diff), 0.0)
         near = c < 1.5
-        return np.where(near, 2.0 * np.arcsinh(0.5 * np.sqrt(chord_sq)),
-                        np.arccosh(c))
+        theta = np.where(near, 2.0 * np.arcsinh(0.5 * np.sqrt(chord_sq)),
+                         np.arccosh(c))
+        return theta, c
 
-    def log(self, t, x, y):
-        c = np.clip(-self._ldot(x, y), 1.0, None)
-        theta = self._separation(x, y)
+    def _direction(self, x, y):
+        """(theta, e): distance and unit initial direction from x to y,
+        e = 0 for points at distance 0."""
+        theta, c = self._separation(x, y)
         w = y - c[..., None] * x
         wn = np.sqrt(np.maximum(self._ldot(w, w), 0.0))
-        small = wn < 1e-300
-        safe = np.where(small, 1.0, wn)
-        v = (theta / safe)[..., None] * w
-        return np.where(small[..., None], np.zeros_like(v), v)
+        e = w / np.where((theta > 0.0) & (wn >= 1e-300), wn, np.inf)[..., None]
+        return theta, e
+
+    def log(self, t, x, y):
+        theta, e = self._direction(x, y)
+        return theta[..., None] * e
 
     def distance(self, t, x, y):
-        return self._separation(x, y)
+        return self._separation(x, y)[0]
+
+    def connect(self, t, x, y):
+        theta, e = self._direction(x, y)
+        u1 = np.sinh(theta)[..., None] * x + np.cosh(theta)[..., None] * e
+        return theta, e, u1
 
     def transport_along(self, t, x, u, length, v):
         length = np.asarray(length, dtype=float)

@@ -32,7 +32,9 @@ def _coupling_config(config: ExperimentConfig, model: ManifoldModel,
         alpha=config["alpha"], t1=config["t1"], t2=config["t2"],
         seed=config["seed"], start1=x1, start2=x2, kind=kind,
         delta_couple=config["delta_couple"], k=config["k"],
-        use_drift=config["use_drift"])
+        stick_after_coupling=bool(config.get("stick", True)),
+        use_drift=config["use_drift"], origin=config.get("origin"),
+        exit_radius=config.get("exit_radius"))
 
 
 def _halfspace(f_spec: dict):
@@ -133,17 +135,23 @@ def _run_couple_kind(config, model, workers):
         res = engine.coupled_chunk(
             model, sched, cc.start1, cc.start2, cc.seed, paths,
             kind=cc.kind.value, delta_couple=cc.delta_couple,
-            stick=cc.stick_after_coupling, k=cc.k, use_drift=cc.use_drift)
+            stick=cc.stick_after_coupling, k=cc.k, use_drift=cc.use_drift,
+            origin=cc.origin, exit_radius=cc.exit_radius)
         return {"coupled": ~res["survival"],
-                "final_distance": res["final_distance"]}
+                "final_distance": res["final_distance"],
+                "exited": res.get("exited", np.zeros(len(paths), dtype=bool))}
 
     chunks = map_path_chunks(int(config["n_paths"]), fn, workers)
     coupled = np.concatenate([c["coupled"] for c in chunks])
     fd = np.concatenate([c["final_distance"] for c in chunks])
+    exited = np.concatenate([c["exited"] for c in chunks])
     est = McEstimate.from_bernoulli(int(np.count_nonzero(coupled)),
                                     len(coupled))
     params = {"alpha": config["alpha"], "delta_couple": cc.delta_couple,
               "coupling": config["coupling"],
+              "stick": cc.stick_after_coupling,
+              "exit_radius": cc.exit_radius,
+              "exit_fraction": float(np.mean(exited)),
               "mean_final_distance": float(np.mean(fd)),
               "n_paths": int(config["n_paths"]),
               "manifold": model.describe()}

@@ -111,7 +111,8 @@ def sample_unit_ball(dim: int, stream: np.random.Generator) -> np.ndarray:
 
 def step(model: ManifoldModel, t: float, x, xi: np.ndarray, alpha: float,
          use_drift: bool = False, frac: float = 1.0):
-    """One walk transition from x at time t driven by the ball sample xi.
+    """One walk transition from x at time t driven by the ball sample xi:
+    ``engine.walk_step`` on a block of one.
 
     Returns the landing point and the noise record. ``frac`` traverses only
     that fraction of the defining geodesic (the final partial step).
@@ -120,13 +121,10 @@ def step(model: ManifoldModel, t: float, x, xi: np.ndarray, alpha: float,
     xi = np.asarray(xi, dtype=float)
     if float(np.linalg.norm(xi)) > 1.0 + 1e-12:
         raise InvalidInput("ball sample must satisfy |xi| <= 1")
-    xt = engine.noise_lift(model, t, xc[None, :], xi[None, :])[0]
-    w = alpha * xt
-    if use_drift:
-        w = w + alpha ** 2 * model.drift(t, xc)
-    y = model.exp(t, xc, frac * w)
+    y, lift, _ = engine.walk_step(model, t, xc[None, :], xi[None, :], alpha,
+                                  frac, use_drift)
     base = Point(xc, model.model_id)
-    return Point(y, model.model_id), NoiseSample(xi, TangentVector(base, xt))
+    return Point(y[0], model.model_id), NoiseSample(xi, TangentVector(base, lift[0]))
 
 
 def run_walk(model: ManifoldModel, config: WalkConfig) -> WalkPath:

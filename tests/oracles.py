@@ -3,7 +3,9 @@
 Everything here deliberately avoids the library's own formulas: Gaussian
 masses come from quadrature of the density, sphere geodesics and transports
 from integrating the constrained ambient ODEs, and the wrapped Gaussian
-from its Fourier series.
+from its Fourier series. The one exception is the sphere frame reference,
+a row-wise Gram-Schmidt that the library's frame must reproduce bit for
+bit, because replayed noise depends on the frame.
 """
 
 import numpy as np
@@ -89,3 +91,28 @@ def wrapped_gaussian_cdf_fourier(theta: np.ndarray, mu: float, var: float,
 def finite_difference(fn, t: float, h: float = 1e-4) -> float:
     """Symmetric difference quotient."""
     return (fn(t + h) - fn(t - h)) / (2.0 * h)
+
+
+def sphere_frame_gram_schmidt(x: np.ndarray, radius: float, scale: float,
+                              frame_variant: int = 0) -> np.ndarray:
+    """Reference sphere frame, shape (..., m, m+1): Gram-Schmidt, row by
+    row, of the axis vectors other than the one x leans on most, in
+    increasing axis order (decreasing for frame_variant 1), divided by
+    sqrt(scale), the metric's conformal factor."""
+    xhat = x / radius
+    d = x.shape[-1]
+    drop = np.argmax(np.abs(xhat), axis=-1)
+    order = np.argsort(np.where(np.arange(d) == drop[..., None], d,
+                                np.arange(d)), axis=-1)[..., :-1]
+    if frame_variant:
+        order = order[..., ::-1]
+    basis = np.eye(d)[order]
+    out = np.empty_like(basis)
+    for i in range(d - 1):
+        w = basis[..., i, :]
+        w = w - np.sum(w * xhat, axis=-1)[..., None] * xhat
+        for j in range(i):
+            w = w - np.sum(w * out[..., j, :], axis=-1)[..., None] \
+                * out[..., j, :]
+        out[..., i, :] = w / np.linalg.norm(w, axis=-1, keepdims=True)
+    return out / np.sqrt(scale)

@@ -4,7 +4,7 @@ import pytest
 
 from gtwalk.cli import main, parse_manifold_spec
 from gtwalk.config import parse_config, parse_suite, resolve_start_points
-from gtwalk.errors import ConfigError
+from gtwalk.errors import ConfigError, InvalidInput
 from gtwalk.runner import run_document
 
 
@@ -218,3 +218,25 @@ def test_cli_couple_subcommand(capsys):
                  "--coupling", "parallel"])
     assert code == 0
     assert "[PASS] couple" in capsys.readouterr().out
+
+
+def test_couple_keys_take_effect():
+    """stick, exit_radius and origin each change the couple report."""
+    doc = {"kind": "couple", "manifold": {"kind": "euclidean", "dim": 2},
+           "alpha": 0.1, "t1": 0.0, "t2": 1.0, "seed": 3, "n_paths": 300,
+           "d0": 1.0}
+
+    def params(**extra):
+        _, [report] = run_document({**doc, **extra})
+        out = report.to_dict()["params"]
+        out.pop("config_hash")
+        return out
+
+    default = params()
+    assert default["exit_fraction"] == 0.0 and default["stick"] is True
+    loose = params(stick=False)
+    assert loose["mean_final_distance"] > default["mean_final_distance"]
+    assert params(exit_radius=1.5)["exit_fraction"] > 0.0
+    assert params(origin=[10.0, 0.0])["exit_fraction"] == 1.0
+    with pytest.raises(InvalidInput):
+        params(exit_radius=0.5)

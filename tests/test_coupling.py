@@ -10,8 +10,10 @@ from gtwalk import engine
 from gtwalk.coupling import (CouplingConfig, CouplingKind,
                              coupled_step, coupling_probability_bound,
                              dominating_process, reflection_map, run_coupled)
-from gtwalk.errors import DegenerateGeodesic, InvalidInput
-from gtwalk.manifolds import minimal_geodesic
+from gtwalk.errors import (DegenerateGeodesic, InvalidInput,
+                           SingularConfiguration)
+from gtwalk.manifolds import RoundSphere, minimal_geodesic
+from gtwalk.runner import run_document
 from gtwalk.walk import Schedule, step
 
 MODEL_NAMES = ["euclid2", "sphere2", "flow_sphere", "scaled_euclid2",
@@ -200,6 +202,87 @@ def test_lambda_star_zero_for_parallel(flow_sphere):
                   kind=CouplingKind.PARALLEL_TRANSPORT, delta_couple=0.0)
     path = run_coupled(flow_sphere, cfg)
     assert np.all(path.lambda_star_record == 0.0)
+
+
+@pytest.mark.parametrize("kind", list(CouplingKind))
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_coupled_step_is_a_kernel_step(request, name, kind):
+    """coupled_step reproduces a one-path coupled_chunk step by step, before
+    and after the pair couples, and for a pair that starts coincident."""
+    model = request.getfixturevalue(name)
+    t2 = model.time_window[1] - 0.03
+    separated = _config(model, alpha=0.1, t2=t2, kind=kind, seed=13,
+                        start_scale=0.2, delta_couple=0.15)
+    coincident = CouplingConfig(**{**separated.__dict__,
+                                   "start2": separated.start1})
+    for cfg in (separated, coincident):
+        path = run_coupled(model, cfg)
+        sched = path.schedule
+        for n in range(sched.n_steps):
+            y1, y2, lam = coupled_step(
+                model, float(sched.times[n]), path.skeleton1[n],
+                path.skeleton2[n], path.noise_record[n], cfg.alpha, kind,
+                frac=float(sched.fracs[n]))
+            assert np.array_equal(y1.coords, path.skeleton1[n + 1])
+            assert lam == path.lambda_star_record[n]
+            if path.coupled_flags[n + 1] and not path.coupled_flags[n]:
+                # declared coupled at n+1: the skeleton records X2 := X1
+                assert np.array_equal(path.skeleton2[n + 1],
+                                      path.skeleton1[n + 1])
+            else:
+                assert np.array_equal(y2.coords, path.skeleton2[n + 1])
+    assert run_coupled(model, coincident).coupling_time == cfg.t1
+    if kind is CouplingKind.REFLECTION:
+        assert math.isfinite(run_coupled(model, separated).coupling_time)
+
+
+def test_sphere_reflect_survival_count_is_pinned():
+    """Seed-7 survivors of the first 256 paths of the flow-sphere
+    reflection benchmark config. Reordered float work in the kernel shows
+    up here before it moves a benchmark reference."""
+    doc = {"kind": "verify-coupling-bound",
+           "manifold": {"kind": "sphere", "dim": 2, "radius_c0": 1.0,
+                        "flow": True},
+           "t1": 0.0, "t2": 0.5, "alpha": 0.02, "d0": 1.0,
+           "delta_couple": 0.04, "n_paths": 256, "seed": 7}
+    _, [report] = run_document(doc)
+    assert report.estimate.n == 256
+    assert report.estimate.mean * 256 == 128
+
+
+class _NanAfter(RoundSphere):
+    """Flow sphere whose exp puts NaN in one row from its k-th call on."""
+
+    def __init__(self, k: int):
+        super().__init__(2, 1.0, flow=True, time_window=(0.0, 0.5))
+        self.k, self.calls = k, 0
+
+    def exp(self, t, x, v):
+        self.calls += 1
+        y = super().exp(t, x, v)
+        if self.calls >= self.k and y.ndim == 2:
+            y[1] = np.nan
+        return y
+
+
+@pytest.mark.parametrize("coupled", [False, True])
+def test_non_finite_state_raises(coupled):
+    sched = Schedule(0.0, 0.5, 0.1)
+    for k, raises in ((3, True), (100, False)):
+        model = _NanAfter(k)
+        o = model.origin()
+        x2 = model.exp(0.0, o, np.array([0.5, 0.0, 0.0]))
+        model.calls = 0
+        if coupled:
+            run = lambda: engine.coupled_chunk(model, sched, o, x2, 1,
+                                               range(4), delta_couple=0.2)
+        else:
+            run = lambda: engine.walk_chunk(model, sched, o, 1, range(4))
+        if raises:
+            with pytest.raises(SingularConfiguration, match="step 3"):
+                run()
+        else:
+            run()
 
 
 # ---------------------------------------------------------------------------

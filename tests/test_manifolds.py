@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from conftest import random_point, random_tangent
-from oracles import sphere_geodesic_rk4, sphere_transport_ode
+from oracles import (sphere_frame_gram_schmidt, sphere_geodesic_rk4,
+                     sphere_transport_ode)
 
 from gtwalk.errors import DegenerateGeodesic, InvalidInput
-from gtwalk.manifolds import (Euclidean, Point,
+from gtwalk.manifolds import (Euclidean, ManifoldModel, Point, RoundSphere,
                               ScaledMetric, TangentVector,
                               curvature_condition_residual, distance,
                               estimate_kappa, exp, frame_at, make_model,
@@ -432,3 +433,100 @@ def test_hyperbolic_green_identities(hyperbolic2, rng):
     assert float(hyperbolic2.ricci(0.0, x, v)) == pytest.approx(
         -(hyperbolic2.dim - 1) * float(hyperbolic2.inner(0.0, x, v, v)),
         rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# connect and the sphere frame
+# ---------------------------------------------------------------------------
+
+def _unit_rows(rng, n, d, radius=1.0):
+    z = rng.normal(size=(n, d))
+    return radius * z / np.linalg.norm(z, axis=-1, keepdims=True)
+
+
+def _sphere_pairs(model, t, rng):
+    """Rows of four sorts: generic, antipodal, coincident and nearly
+    coincident (the chord branch of the angle)."""
+    r = model.radius
+    x = _unit_rows(rng, 40, model.ambient_dim, r)
+    y = _unit_rows(rng, 40, model.ambient_dim, r)
+    y[10:20] = -x[10:20]
+    y[20:30] = x[20:30]
+    for i in range(30, 40):
+        v = random_tangent(model, t, x[i], rng)
+        v *= 10.0 ** -rng.uniform(3, 7) / float(model.norm(t, x[i], v))
+        y[i] = model.exp(t, x[i], v)
+    return x, y
+
+
+CONNECT_MODELS = ALL_MODEL_NAMES + ["circle"]
+
+
+@pytest.mark.parametrize("name", CONNECT_MODELS)
+def test_connect_agrees_with_distance_log_and_transport(request, name, rng):
+    model = request.getfixturevalue(name)
+    t = model.time_window[0] + 0.3
+    if model.kind == "sphere":
+        x, y = _sphere_pairs(model, t, rng)
+    else:
+        x = np.stack([random_point(model, rng) for _ in range(40)])
+        y = np.stack([random_point(model, rng) for _ in range(40)])
+        y[:5] = x[:5]
+    dist, u0, u1 = model.connect(t, x, y)
+    assert np.array_equal(dist, model.distance(t, x, y))
+    assert np.allclose(u1, model.transport_along(t, x, u0, dist, u0),
+                       rtol=0, atol=1e-12)
+    moving = dist > 0
+    v = model.log(t, x, y)
+    assert np.allclose(u0[moving], v[moving] / dist[moving, None],
+                       rtol=0, atol=1e-12)
+    assert np.allclose(model.norm(t, x, u0)[moving], 1.0, atol=1e-12)
+    assert np.allclose(model.norm(t, y, u1)[moving], 1.0, atol=1e-12)
+    # the generic composition of distance, log and transport agrees
+    generic = ManifoldModel.connect(model, t, x, y)
+    assert np.array_equal(generic[0], dist)
+    assert np.allclose(generic[1], u0, rtol=0, atol=1e-12)
+    assert np.allclose(generic[2], u1, rtol=0, atol=1e-12)
+
+
+def test_sphere_connect_special_rows(rng):
+    for model in (RoundSphere(2, 1.0), RoundSphere(3, 2.5, flow=True)):
+        t = 0.4
+        x, y = _sphere_pairs(model, t, rng)
+        dist, u0, u1 = model.connect(t, x, y)
+        # antipodal rows take the tie-break that log takes (arccos near -1
+        # keeps only about 8 digits of the angle)
+        anti = slice(10, 20)
+        assert np.allclose(dist[anti], np.pi * np.sqrt(model.scale(t)),
+                           rtol=0, atol=1e-7)
+        v = model.log(t, x[anti], y[anti])
+        assert np.allclose(u0[anti], v / dist[anti, None], rtol=0, atol=1e-12)
+        assert np.allclose(model.exp(t, x[anti], v), y[anti], atol=1e-7)
+        assert np.allclose(np.sum(u0[anti] * x[anti], axis=-1), 0.0,
+                           atol=1e-12)
+        # coincident rows
+        assert np.all(dist[20:30] == 0.0)
+        assert np.all(u0[20:30] == 0.0) and np.all(u1[20:30] == 0.0)
+        # nearly coincident rows go through the chord branch
+        assert np.all((dist[30:40] > 0) & (dist[30:40] < 1e-2))
+        assert np.allclose(model.exp(t, x[30:40],
+                                     model.log(t, x[30:40], y[30:40])),
+                           y[30:40], atol=1e-12)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+@pytest.mark.parametrize("variant", [0, 1])
+def test_sphere_frame_equals_reference(dim, variant, rng):
+    for c0, flow in ((1.0, False), (2.5, True)):
+        model = RoundSphere(dim, c0, flow=flow, frame_variant=variant)
+        x = _unit_rows(rng, 200, dim + 1, model.radius)
+        # axis points and ties in the largest coordinate
+        d = dim + 1
+        x[:d] = model.radius * np.eye(d)
+        x[d:2 * d] = -model.radius * np.eye(d)
+        x[2 * d] = model.radius / np.sqrt(d)
+        for t in (0.0, 0.7):
+            ref = sphere_frame_gram_schmidt(x, model.radius,
+                                            model.scale(t) / c0, variant)
+            assert np.array_equal(model.frame(t, x), ref)
+            assert np.array_equal(model.frame(t, x[5]), ref[5])

@@ -135,6 +135,29 @@ def test_walk_markov_replay(flow_sphere):
         assert np.array_equal(p.coords, path.skeleton[n + 1])
 
 
+@pytest.mark.parametrize("drift", [False, True])
+def test_step_is_a_kernel_step(drift):
+    """walk.step reproduces a one-path walk_chunk, drift and the final
+    partial step included."""
+    model = Euclidean(2, (0.0, 1.0), drift=lambda t, x: -x) if drift \
+        else RoundSphere(3, 2.0, flow=True, time_window=(0.0, 1.0))
+    cfg = WalkConfig(alpha=0.1, t1=0.0, t2=0.97, seed=4,
+                     start=model.origin() + (0.3 if drift else 0.0),
+                     use_drift=drift)
+    path = run_walk(model, cfg)
+    sched = path.schedule
+    assert sched.fracs[-1] < 1.0
+    for n in range(sched.n_steps):
+        t = float(sched.times[n])
+        p, noise = step(model, t, path.skeleton[n], path.noise_record[n],
+                        cfg.alpha, use_drift=drift, frac=float(sched.fracs[n]))
+        assert np.array_equal(p.coords, path.skeleton[n + 1])
+        w = cfg.alpha * noise.xi_tilde.components
+        if drift:
+            w = w + cfg.alpha ** 2 * model.drift(t, path.skeleton[n])
+        assert np.array_equal(w, path.step_vectors[n])
+
+
 def test_walk_endpoint_variance(euclid1):
     sched = Schedule(0.0, 1.0, 0.05)
     ends = []
