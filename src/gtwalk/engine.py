@@ -273,8 +273,8 @@ def coupled_chunk(model: ManifoldModel, sched, x1: np.ndarray, x2: np.ndarray,
         geo = model.connect(t, X1, X2)
         dist = observe(n, t, geo[0])
         if track_exit:
-            exited |= model.distance(t, o, X1) > exit_radius - 1.0
-            exited |= model.distance(t, o, X2) > exit_radius - 1.0
+            out_o = model.distance(t, o, np.concatenate([X1, X2]))
+            exited |= (out_o > exit_radius - 1.0).reshape(2, B).any(axis=0)
         if stick:
             X2 = np.where(coupled[:, None], X1, X2)
         if want_trace:

@@ -42,6 +42,8 @@ def _sum_columns(cols: list) -> np.ndarray:
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     p = a * b
+    if p.shape[-1] >= 8:
+        return np.sum(p, axis=-1)
     return _sum_columns([p[..., c] for c in range(p.shape[-1])])
 
 
@@ -330,12 +332,6 @@ class Euclidean(ManifoldModel):
     def distance(self, t, x, y):
         return _norm(y - x)
 
-    def connect(self, t, x, y):
-        v = y - x
-        dist = _norm(v)
-        u0 = v / np.where(dist < 1e-300, 1.0, dist)[..., None]
-        return dist, u0, u0
-
     def transport_along(self, t, x, u, length, v):
         return np.broadcast_to(v, np.broadcast(x, v).shape).copy()
 
@@ -444,7 +440,9 @@ class RoundSphere(ManifoldModel):
         antipodal = (wn < 1e-8) & (cosang < 0.0)
         e = w / np.where((theta > 0.0) & (wn >= 1e-300), wn, np.inf)[..., None]
         if np.any(antipodal):
-            e[antipodal] = self._tiebreak_direction(xhat[antipodal])
+            # x may carry fewer batch axes than y
+            xb = np.broadcast_to(xhat, w.shape)
+            e[antipodal] = self._tiebreak_direction(xb[antipodal])
         return theta, xhat, e
 
     def log(self, t, x, y):
@@ -577,11 +575,6 @@ class ScaledMetric(ManifoldModel):
     def distance(self, t, x, y):
         return np.sqrt(self._sigma(t)) * self.base.distance(self._bt(), x, y)
 
-    def connect(self, t, x, y):
-        dist, u0, u1 = self.base.connect(self._bt(), x, y)
-        root = np.sqrt(self._sigma(t))
-        return root * dist, u0 / root, u1 / root
-
     def transport_along(self, t, x, u, length, v):
         root = np.sqrt(self._sigma(t))
         return self.base.transport_along(self._bt(), x, root * u,
@@ -648,37 +641,27 @@ class Hyperbolic(ManifoldModel):
         return np.where(small[..., None], x, self._reproject(y))
 
     def _separation(self, x, y):
-        """Hyperbolic distance and the clipped -<x, y>_L; the arcsinh chord
-        form is exact near coincidence where arccosh(1 + eps) loses half
-        the digits."""
+        """Hyperbolic distance; the arcsinh chord form is exact near
+        coincidence where arccosh(1 + eps) loses half the digits."""
         c = np.clip(-self._ldot(x, y), 1.0, None)
         diff = y - x
         chord_sq = np.maximum(self._ldot(diff, diff), 0.0)
         near = c < 1.5
-        theta = np.where(near, 2.0 * np.arcsinh(0.5 * np.sqrt(chord_sq)),
-                         np.arccosh(c))
-        return theta, c
-
-    def _direction(self, x, y):
-        """(theta, e): distance and unit initial direction from x to y,
-        e = 0 for points at distance 0."""
-        theta, c = self._separation(x, y)
-        w = y - c[..., None] * x
-        wn = np.sqrt(np.maximum(self._ldot(w, w), 0.0))
-        e = w / np.where((theta > 0.0) & (wn >= 1e-300), wn, np.inf)[..., None]
-        return theta, e
+        return np.where(near, 2.0 * np.arcsinh(0.5 * np.sqrt(chord_sq)),
+                        np.arccosh(c))
 
     def log(self, t, x, y):
-        theta, e = self._direction(x, y)
-        return theta[..., None] * e
+        c = np.clip(-self._ldot(x, y), 1.0, None)
+        theta = self._separation(x, y)
+        w = y - c[..., None] * x
+        wn = np.sqrt(np.maximum(self._ldot(w, w), 0.0))
+        small = wn < 1e-300
+        safe = np.where(small, 1.0, wn)
+        v = (theta / safe)[..., None] * w
+        return np.where(small[..., None], np.zeros_like(v), v)
 
     def distance(self, t, x, y):
-        return self._separation(x, y)[0]
-
-    def connect(self, t, x, y):
-        theta, e = self._direction(x, y)
-        u1 = np.sinh(theta)[..., None] * x + np.cosh(theta)[..., None] * e
-        return theta, e, u1
+        return self._separation(x, y)
 
     def transport_along(self, t, x, u, length, v):
         length = np.asarray(length, dtype=float)

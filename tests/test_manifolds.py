@@ -512,6 +512,14 @@ def test_sphere_connect_special_rows(rng):
         assert np.allclose(model.exp(t, x[30:40],
                                      model.log(t, x[30:40], y[30:40])),
                            y[30:40], atol=1e-12)
+        # one base point against the batch, with antipodal and coincident rows
+        ys = y.copy()
+        ys[10], ys[20] = -x[0], x[0]
+        rows = np.broadcast_to(x[0], ys.shape)
+        assert np.array_equal(model.log(t, x[0], ys), model.log(t, rows, ys))
+        for got, want in zip(model.connect(t, x[0], ys),
+                             model.connect(t, rows, ys)):
+            assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
