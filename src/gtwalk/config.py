@@ -24,7 +24,11 @@ EXPERIMENT_KINDS = (
     "radial-domination",
 )
 
-_COMMON_KEYS = {"kind", "manifold", "t1", "t2", "seed", "out", "n_dump"}
+# Kinds that simulate walk paths at one alpha; only these take n_dump.
+DUMP_KINDS = ("walk", "couple", "verify-coupling-bound", "verify-contraction",
+              "verify-gradient", "radial-domination")
+
+_COMMON_KEYS = {"kind", "manifold", "t1", "t2", "seed", "out"}
 _KEYS_BY_KIND = {
     "walk": {"alpha", "n_paths", "start", "origin", "exit_radius", "use_drift"},
     "couple": {"alpha", "n_paths", "start1", "start2", "d0", "delta_couple",
@@ -134,6 +138,8 @@ def parse_config(document: str | dict) -> ExperimentConfig:
         _fail("kind", f"unknown experiment kind {kind!r}")
 
     allowed = _COMMON_KEYS | _KEYS_BY_KIND[kind]
+    if kind in DUMP_KINDS:
+        allowed = allowed | {"n_dump"}
     extra = sorted(set(raw) - allowed)
     if extra:
         _fail(extra[0], f"unknown key for kind {kind!r}")

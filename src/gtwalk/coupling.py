@@ -137,16 +137,28 @@ def coupled_step(model: ManifoldModel, t: float, x1, x2, xi: np.ndarray,
             float(lam[0]))
 
 
+def coupled_block(model: ManifoldModel, cc: CouplingConfig, paths: range,
+                  **diagnostics) -> dict:
+    """``engine.coupled_chunk`` on ``paths`` with the settings of ``cc``.
+
+    The one place a CouplingConfig becomes kernel arguments; estimators map
+    ``partial(coupled_block, model, cc)`` over path chunks. ``diagnostics``
+    are the kernel's optional outputs (``contraction``,
+    ``domination_margin``, ``want_trace``).
+    """
+    return engine.coupled_chunk(
+        model, cc.schedule(), cc.start1, cc.start2, cc.seed, paths,
+        kind=cc.kind.value, delta_couple=cc.delta_couple,
+        stick=cc.stick_after_coupling, k=cc.k, use_drift=cc.use_drift,
+        origin=cc.origin, exit_radius=cc.exit_radius, **diagnostics)
+
+
 def run_coupled(model: ManifoldModel, config: CouplingConfig) -> CoupledPath:
     """Simulate one coupled pair over the full schedule."""
     sched = config.schedule()
-    res = engine.coupled_chunk(
-        model, sched, config.start1, config.start2, config.seed,
-        range(config.path_index, config.path_index + 1),
-        kind=config.kind.value, delta_couple=config.delta_couple,
-        stick=config.stick_after_coupling, k=config.k,
-        use_drift=config.use_drift, origin=config.origin,
-        exit_radius=config.exit_radius, want_trace=True)
+    res = coupled_block(model, config,
+                        range(config.path_index, config.path_index + 1),
+                        want_trace=True)
     step = int(res["couple_step"][0])
     coupling_time = math.inf if step < 0 else float(sched.times[step])
     return CoupledPath(model.model_id, sched, res["skeleton1"][0],

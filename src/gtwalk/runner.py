@@ -6,6 +6,7 @@ import csv
 import json
 import math
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -13,9 +14,9 @@ import numpy as np
 from . import __version__, engine
 from .comparison import (OUParams, RadialComparisonSpec, builtin_b,
                          feller_explosion_test, ou_survival_probability)
-from .config import (ExperimentConfig, RunManifest, resolve_start,
-                     resolve_start_points)
-from .coupling import CouplingConfig, CouplingKind, run_coupled
+from .config import (DUMP_KINDS, ExperimentConfig, RunManifest,
+                     resolve_start, resolve_start_points)
+from .coupling import CouplingConfig, CouplingKind, coupled_block, run_coupled
 from .errors import ConfigError
 from .manifolds import ManifoldModel
 from .stats import (McEstimate, VerificationReport, check_contraction,
@@ -106,20 +107,14 @@ def _run_walk_kind(config, model, workers):
     start = resolve_start(config, model)
     origin = np.asarray(config["origin"], dtype=float) \
         if config.get("origin") is not None else model.origin()
-
-    def fn(paths: range) -> dict:
-        res = engine.walk_chunk(model, sched, start, config["seed"], paths,
-                                use_drift=config["use_drift"], origin=origin,
-                                exit_radius=config["exit_radius"])
-        disp = model.distance(config["t2"], start, res["end"])
-        return {"disp": disp, "exited": res["exit_step"] >= 0}
-
-    chunks = map_path_chunks(int(config["n_paths"]), fn, workers)
-    disp = np.concatenate([c["disp"] for c in chunks])
-    exited = np.concatenate([c["exited"] for c in chunks])
-    est = McEstimate.from_samples(disp)
+    kernel = partial(engine.walk_chunk, model, sched, start, config["seed"],
+                     use_drift=config["use_drift"], origin=origin,
+                     exit_radius=config["exit_radius"])
+    res = map_path_chunks(int(config["n_paths"]), kernel, workers)
+    est = McEstimate.from_samples(
+        model.distance(config["t2"], start, res["end"]))
     params = {"alpha": config["alpha"], "n_paths": int(config["n_paths"]),
-              "exit_fraction": float(np.mean(exited)),
+              "exit_fraction": float(np.mean(res["exit_step"] >= 0)),
               "observable": "displacement-distance",
               "manifold": model.describe()}
     return _summary_report("walk", est, config["seed"], params)
@@ -129,30 +124,17 @@ def _run_couple_kind(config, model, workers):
     kind = CouplingKind.REFLECTION if config["coupling"] == "reflection" \
         else CouplingKind.PARALLEL_TRANSPORT
     cc = _coupling_config(config, model, kind)
-    sched = cc.schedule()
-
-    def fn(paths: range) -> dict:
-        res = engine.coupled_chunk(
-            model, sched, cc.start1, cc.start2, cc.seed, paths,
-            kind=cc.kind.value, delta_couple=cc.delta_couple,
-            stick=cc.stick_after_coupling, k=cc.k, use_drift=cc.use_drift,
-            origin=cc.origin, exit_radius=cc.exit_radius)
-        return {"coupled": ~res["survival"],
-                "final_distance": res["final_distance"],
-                "exited": res.get("exited", np.zeros(len(paths), dtype=bool))}
-
-    chunks = map_path_chunks(int(config["n_paths"]), fn, workers)
-    coupled = np.concatenate([c["coupled"] for c in chunks])
-    fd = np.concatenate([c["final_distance"] for c in chunks])
-    exited = np.concatenate([c["exited"] for c in chunks])
-    est = McEstimate.from_bernoulli(int(np.count_nonzero(coupled)),
-                                    len(coupled))
+    res = map_path_chunks(int(config["n_paths"]),
+                          partial(coupled_block, model, cc), workers)
+    est = McEstimate.from_bernoulli(int(np.count_nonzero(~res["survival"])),
+                                    len(res["survival"]))
     params = {"alpha": config["alpha"], "delta_couple": cc.delta_couple,
               "coupling": config["coupling"],
               "stick": cc.stick_after_coupling,
               "exit_radius": cc.exit_radius,
-              "exit_fraction": float(np.mean(exited)),
-              "mean_final_distance": float(np.mean(fd)),
+              "exit_fraction": float(np.mean(res["exited"]))
+              if "exited" in res else 0.0,
+              "mean_final_distance": float(np.mean(res["final_distance"])),
               "n_paths": int(config["n_paths"]),
               "manifold": model.describe()}
     return _summary_report("couple", est, config["seed"], params)
@@ -185,14 +167,14 @@ def _run_convergence(config, model, workers):
                           "(gauss or wrapped-gauss)")
 
     rows = convergence_diagnostic(
-        lambda a: model, t1, t2, start, alphas, int(config["n_paths"]),
+        model, t1, t2, start, alphas, int(config["n_paths"]),
         config["seed"], observable, cdf, support, workers)
     w1 = [row["w1"] for row in rows]
     trend_ok = all(w1[i + 1] <= w1[i] * 1.25 + 1e-12
                    for i in range(len(w1) - 1)) and w1[-1] <= w1[0] + 1e-12
     ks_ok = bool(rows[-1].get("ks_pass", True))
     est = McEstimate(n=int(config["n_paths"]), mean=w1[-1], stderr=0.0,
-                     ci95=(w1[-1], w1[-1]), sum1=w1[-1], sum2=w1[-1] ** 2)
+                     ci95=(w1[-1], w1[-1]))
     bound = w1[0] if (trend_ok and ks_ok) else -math.inf
     report = VerificationReport("convergence", est, bound, 0.0, {
         "params": {"alphas": alphas, "reference": reference, "rows": rows,
@@ -213,8 +195,7 @@ def _run_feller(config):
     ok = (result.verdict == expect) if expect \
         else (result.verdict != "inconclusive")
     est = McEstimate(n=1, mean=result.integral, stderr=0.0,
-                     ci95=(result.integral, result.integral),
-                     sum1=result.integral, sum2=result.integral ** 2)
+                     ci95=(result.integral, result.integral))
     bound = math.inf if ok else -math.inf
     return VerificationReport("feller-test", est, bound, 0.0, {
         "params": {"b": config["b"], "C": config["C"],
@@ -234,9 +215,7 @@ def _run_ou(config):
     deviation = abs(res.estimate - res.analytic)
     est = McEstimate(n=res.n_paths, mean=deviation, stderr=res.stderr,
                      ci95=(deviation - 1.96 * res.stderr,
-                           deviation + 1.96 * res.stderr),
-                     sum1=deviation * res.n_paths,
-                     sum2=deviation ** 2 * res.n_paths)
+                           deviation + 1.96 * res.stderr))
     report = VerificationReport("ou-survival", est, 0.0,
                                 2.0 * math.sqrt(h), {
         "params": {"a": params.a, "k": params.k, "h": h, "horizon": horizon,
@@ -257,16 +236,11 @@ def _run_radial(config, model, workers):
     rho0 = float(model.distance(config["t1"], origin, start)) + 3.0 * spec.r0
     radial = {"phi": spec.phi, "psi": spec.psi, "r0": spec.r0,
               "rho0": rho0, "margin": float(config["margin"])}
-
-    def fn(paths: range) -> dict:
-        res = engine.walk_chunk(model, sched, start, config["seed"], paths,
-                                origin=origin,
-                                exit_radius=float(config["exit_radius"]),
-                                radial=radial)
-        return {"violation": res["radial_violation"]}
-
-    chunks = map_path_chunks(int(config["n_paths"]), fn, workers)
-    violation = np.concatenate([c["violation"] for c in chunks])
+    kernel = partial(engine.walk_chunk, model, sched, start, config["seed"],
+                     origin=origin, exit_radius=float(config["exit_radius"]),
+                     radial=radial)
+    violation = map_path_chunks(int(config["n_paths"]), kernel,
+                                workers)["radial_violation"]
     est = McEstimate.from_bernoulli(int(np.count_nonzero(violation)),
                                     len(violation))
     return VerificationReport("radial-domination", est, 0.05, 0.0, {
@@ -306,9 +280,12 @@ def _write_artifacts(config: ExperimentConfig, model: ManifoldModel,
 def dump_paths(config: ExperimentConfig, model: ManifoldModel, count: int,
                out: Path) -> list[Path]:
     """Write per-path CSV dumps for the config's walk or coupling setup."""
+    kind = config.kind
+    if kind not in DUMP_KINDS:
+        raise ConfigError(f"n_dump: kind {kind!r} simulates no walk paths "
+                          "to dump")
     out.mkdir(parents=True, exist_ok=True)
     written = []
-    kind = config.kind
     coupled_kinds = ("couple", "verify-coupling-bound", "verify-contraction",
                      "verify-gradient")
     for idx in range(count):

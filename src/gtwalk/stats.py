@@ -1,17 +1,18 @@
 """Monte Carlo aggregation and statistical verification.
 
-Estimates carry their accumulated moments so partial results merge
-associatively; every bound comparison follows one policy, pass when
-estimate <= bound + 3 stderr + declared bias. Work is split into
-fixed-size path chunks reduced in index order, so reports are identical
-for any worker count.
+Every Monte Carlo experiment runs a kernel partial over fixed-size path
+chunks; the per-path results are concatenated in path order and reduced
+once, so reports are identical for any worker count. Every bound
+comparison follows one policy, pass when
+estimate <= bound + 3 stderr + declared bias.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -19,7 +20,8 @@ from scipy import special, stats as sp_stats
 
 from . import engine
 from .comparison import beta
-from .coupling import CouplingConfig, CouplingKind, coupling_probability_bound
+from .coupling import (CouplingConfig, CouplingKind, coupled_block,
+                       coupling_probability_bound)
 from .errors import InvalidInput
 from .manifolds import ManifoldModel
 from .walk import Schedule
@@ -33,18 +35,11 @@ CHUNK = 2048
 
 @dataclass
 class McEstimate:
-    """Sample mean with standard error and a 95% interval.
-
-    Carries first/second moment sums (repr-hidden) so that merging partial
-    estimates is exact and order-independent up to float associativity.
-    """
+    """Sample mean with standard error and a 95% interval."""
     n: int
     mean: float
     stderr: float
     ci95: tuple[float, float]
-    sum1: float = field(default=0.0, repr=False)
-    sum2: float = field(default=0.0, repr=False)
-    is_proportion: bool = field(default=False, repr=False)
 
     @classmethod
     def from_samples(cls, x: np.ndarray) -> "McEstimate":
@@ -63,17 +58,12 @@ class McEstimate:
             ci = _wilson_interval(s1, n)
         else:
             ci = (mean - 1.96 * stderr, mean + 1.96 * stderr)
-        return cls(n, mean, stderr, ci, s1, s2, proportion)
+        return cls(n, mean, stderr, ci)
 
     @classmethod
     def from_bernoulli(cls, successes: int, n: int) -> "McEstimate":
         return cls.from_sums(n, float(successes), float(successes),
                              proportion=True)
-
-    def merge(self, other: "McEstimate") -> "McEstimate":
-        return McEstimate.from_sums(self.n + other.n, self.sum1 + other.sum1,
-                                    self.sum2 + other.sum2,
-                                    self.is_proportion or other.is_proportion)
 
     def to_dict(self) -> dict:
         return {"n": self.n, "mean": self.mean, "stderr": self.stderr,
@@ -88,13 +78,6 @@ def _wilson_interval(successes: float, n: int, z: float = 1.96):
     return (max(center - half, 0.0), min(center + half, 1.0))
 
 
-def merge_estimates(parts: Sequence[McEstimate]) -> McEstimate:
-    out = parts[0]
-    for p in parts[1:]:
-        out = out.merge(p)
-    return out
-
-
 @dataclass
 class VerificationReport:
     """One verified bound: estimate against bound with the 3-stderr policy."""
@@ -105,13 +88,15 @@ class VerificationReport:
     metadata: dict
 
     @property
-    def passed(self) -> bool:
-        return self.estimate.mean <= self.bound + 3.0 * self.estimate.stderr \
-            + self.bias
+    def margin(self) -> float:
+        """bound + 3 stderr + declared bias - estimate; +-inf for the
+        sentinel bounds."""
+        return self.bound + 3.0 * self.estimate.stderr + self.bias \
+            - self.estimate.mean
 
     @property
-    def margin(self) -> float:
-        return self.bound + 3.0 * self.estimate.stderr - self.estimate.mean
+    def passed(self) -> bool:
+        return self.margin >= 0.0
 
     def to_dict(self) -> dict:
         return {
@@ -131,11 +116,14 @@ class VerificationReport:
 # ---------------------------------------------------------------------------
 
 def map_path_chunks(n_paths: int, fn: Callable[[range], dict],
-                    workers: int = 1, chunk: int = CHUNK) -> list[dict]:
-    """Apply fn to fixed path ranges; results returned in index order.
+                    workers: int = 1, chunk: int = CHUNK
+                    ) -> dict[str, np.ndarray]:
+    """Apply fn to fixed path ranges and concatenate its per-path arrays.
 
-    Chunk boundaries do not depend on the worker count, and each path's
-    randomness is keyed by its global index, so the reduced result is
+    ``fn`` is a kernel partial returning arrays whose first axis is the
+    path; the result maps each key to its arrays concatenated in path
+    order. Chunk boundaries do not depend on the worker count, and each
+    path's randomness is keyed by its global index, so the result is
     identical for any ``workers``.
     """
     if n_paths <= 0:
@@ -143,13 +131,11 @@ def map_path_chunks(n_paths: int, fn: Callable[[range], dict],
     ranges = [range(i, min(i + chunk, n_paths))
               for i in range(0, n_paths, chunk)]
     if workers <= 1 or len(ranges) == 1:
-        return [fn(r) for r in ranges]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, ranges))
-
-
-def _concat(results: list[dict], key: str) -> np.ndarray:
-    return np.concatenate([r[key] for r in results])
+        parts = [fn(r) for r in ranges]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(fn, ranges))
+    return {key: np.concatenate([p[key] for p in parts]) for key in parts[0]}
 
 
 # ---------------------------------------------------------------------------
@@ -165,18 +151,9 @@ def estimate_coupling_survival(model: ManifoldModel, config: CouplingConfig,
     against the normal-mass bound at d0 / (2 sqrt(beta(T - t1)))."""
     if config.kind is not CouplingKind.REFLECTION:
         raise InvalidInput("survival estimate requires the reflection kind")
-    sched = config.schedule()
     d0 = float(model.distance(config.t1, config.start1, config.start2))
-
-    def fn(paths: range) -> dict:
-        res = engine.coupled_chunk(
-            model, sched, config.start1, config.start2, config.seed, paths,
-            kind=config.kind.value, delta_couple=config.delta_couple,
-            stick=config.stick_after_coupling, k=config.k,
-            use_drift=config.use_drift)
-        return {"survival": res["survival"]}
-
-    survival = _concat(map_path_chunks(n_paths, fn, workers), "survival")
+    survival = map_path_chunks(n_paths, partial(coupled_block, model, config),
+                               workers)["survival"]
     est = McEstimate.from_bernoulli(int(np.count_nonzero(survival)),
                                     len(survival))
     bound = coupling_probability_bound(d0, config.k, config.t2 - config.t1)
@@ -200,20 +177,11 @@ def check_contraction(model: ManifoldModel, config: CouplingConfig,
     """
     if config.kind is not CouplingKind.PARALLEL_TRANSPORT:
         raise InvalidInput("contraction check requires the parallel kind")
-    sched = config.schedule()
-
-    def fn(paths: range) -> dict:
-        res = engine.coupled_chunk(
-            model, sched, config.start1, config.start2, config.seed, paths,
-            kind=config.kind.value, delta_couple=config.delta_couple,
-            stick=config.stick_after_coupling, k=config.k,
-            use_drift=config.use_drift, contraction=True)
-        return {"contraction_max": res["contraction_max"]}
-
-    maxima = _concat(map_path_chunks(n_paths, fn, workers), "contraction_max")
+    maxima = map_path_chunks(
+        n_paths, partial(coupled_block, model, config, contraction=True),
+        workers)["contraction_max"]
     worst = float(np.max(maxima))
-    est = McEstimate(n=n_paths, mean=worst, stderr=0.0, ci95=(worst, worst),
-                     sum1=worst * n_paths, sum2=worst * worst * n_paths)
+    est = McEstimate(n=n_paths, mean=worst, stderr=0.0, ci95=(worst, worst))
     bound = coefficient * config.alpha
     meta = {"params": {"alpha": config.alpha, "k": config.k,
                        "coefficient": coefficient, "n_paths": n_paths,
@@ -231,23 +199,13 @@ def check_gradient_estimate(model: ManifoldModel, config: CouplingConfig,
                             ) -> VerificationReport:
     """|E f(X1(T)) - E f(X2(T))| via the common-noise coupled pair, against
     d0 osc / sqrt(2 pi beta(T - t1))."""
-    sched = config.schedule()
     d0 = float(model.distance(config.t1, config.start1, config.start2))
-
-    def fn(paths: range) -> dict:
-        res = engine.coupled_chunk(
-            model, sched, config.start1, config.start2, config.seed, paths,
-            kind=config.kind.value, delta_couple=config.delta_couple,
-            stick=config.stick_after_coupling, k=config.k,
-            use_drift=config.use_drift)
-        diff = np.asarray(f(res["end1"]), dtype=float) \
-            - np.asarray(f(res["end2"]), dtype=float)
-        return {"diff": diff}
-
-    diffs = _concat(map_path_chunks(n_paths, fn, workers), "diff")
-    signed = McEstimate.from_samples(diffs)
+    res = map_path_chunks(n_paths, partial(coupled_block, model, config),
+                          workers)
+    signed = McEstimate.from_samples(np.asarray(f(res["end1"]), dtype=float)
+                                     - np.asarray(f(res["end2"]), dtype=float))
     est = McEstimate(n=signed.n, mean=abs(signed.mean), stderr=signed.stderr,
-                     ci95=signed.ci95, sum1=signed.sum1, sum2=signed.sum2)
+                     ci95=signed.ci95)
     horizon = config.t2 - config.t1
     bound = d0 * osc / math.sqrt(2.0 * math.pi * beta(horizon, config.k))
     meta = {"params": {"alpha": config.alpha, "delta_couple": config.delta_couple,
@@ -348,7 +306,7 @@ def circle_angles(points: np.ndarray) -> np.ndarray:
     return np.arctan2(points[..., 1], points[..., 0])
 
 
-def convergence_diagnostic(model_factory: Callable[[float], ManifoldModel],
+def convergence_diagnostic(model: ManifoldModel,
                            t1: float, t2: float, start: np.ndarray,
                            alphas: Sequence[float], n_paths: int, seed: int,
                            observable: Callable[[np.ndarray], np.ndarray],
@@ -364,14 +322,9 @@ def convergence_diagnostic(model_factory: Callable[[float], ManifoldModel],
         raise InvalidInput("alphas must be strictly decreasing")
     rows = []
     for alpha in alphas:
-        model = model_factory(alpha)
-        sched = Schedule(t1, t2, alpha)
-
-        def fn(paths: range) -> dict:
-            res = engine.walk_chunk(model, sched, start, seed, paths)
-            return {"end": res["end"]}
-
-        ends = _concat(map_path_chunks(n_paths, fn, workers), "end")
+        kernel = partial(engine.walk_chunk, model, Schedule(t1, t2, alpha),
+                         start, seed)
+        ends = map_path_chunks(n_paths, kernel, workers)["end"]
         samples = np.asarray(observable(ends), dtype=float)
         row = {"alpha": alpha, "n": len(samples)}
         if reference_cdf is not None:

@@ -64,19 +64,12 @@ class WalkConfig:
     seed: int
     start: np.ndarray
     use_drift: bool = False
-    origin: np.ndarray | None = None
-    exit_radius: float | None = None
     path_index: int = 0
 
     def __post_init__(self):
         if self.alpha <= 0 or self.alpha ** 2 >= self.t2 - self.t1:
             raise InvalidInput("need 0 < alpha^2 < t2 - t1")
-        if self.exit_radius is not None and self.exit_radius <= 1.0:
-            raise InvalidInput("exit radius must exceed 1")
         object.__setattr__(self, "start", np.asarray(self.start, dtype=float))
-        if self.origin is not None:
-            object.__setattr__(self, "origin",
-                               np.asarray(self.origin, dtype=float))
 
     def schedule(self) -> Schedule:
         return Schedule(self.t1, self.t2, self.alpha)

@@ -3,9 +3,10 @@ import json
 import pytest
 
 from gtwalk.cli import main, parse_manifold_spec
-from gtwalk.config import parse_config, parse_suite, resolve_start_points
+from gtwalk.config import (EXPERIMENT_KINDS, parse_config, parse_suite,
+                           resolve_start_points)
 from gtwalk.errors import ConfigError, InvalidInput
-from gtwalk.runner import run_document
+from gtwalk.runner import dump_paths, run_document
 
 
 MINIMAL_WALK = {"kind": "walk", "manifold": {"kind": "euclidean", "dim": 2},
@@ -240,3 +241,40 @@ def test_couple_keys_take_effect():
     assert params(origin=[10.0, 0.0])["exit_fraction"] == 1.0
     with pytest.raises(InvalidInput):
         params(exit_radius=0.5)
+
+
+# One small config per experiment kind, for the n_dump check.
+_EUCLID1 = {"manifold": {"kind": "euclidean", "dim": 1}, "t1": 0.0,
+            "t2": 1.0, "seed": 1}
+_PAIR = {"alpha": 0.2, "n_paths": 20, "d0": 0.5}
+_DUMP_DOCS = {
+    "walk": {"alpha": 0.2, "n_paths": 20},
+    "couple": _PAIR,
+    "verify-coupling-bound": _PAIR,
+    "verify-contraction": _PAIR,
+    "verify-gradient": {**_PAIR, "f": {"type": "halfspace", "normal": [1.0],
+                                       "offset": 0.0}},
+    "convergence": {"alphas": [0.4, 0.2], "n_paths": 100},
+    "feller-test": {"b": {"name": "zero"}},
+    "ou-survival": {"a": 1.0, "ou_h": 1e-3, "n_paths": 20},
+    "radial-domination": {"alpha": 0.2, "n_paths": 20, "b": {"name": "zero"}},
+}
+_PATH_KINDS = {"walk", "couple", "verify-coupling-bound", "verify-contraction",
+               "verify-gradient", "radial-domination"}
+
+
+@pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
+def test_n_dump_writes_paths_or_is_rejected(kind, tmp_path):
+    """Kinds that simulate paths dump them; the others reject n_dump, both
+    as a config key and in dump_paths."""
+    doc = {"kind": kind, **_EUCLID1, **_DUMP_DOCS[kind]}
+    cfg = parse_config(doc)
+    if kind in _PATH_KINDS:
+        run_document({**doc, "n_dump": 2}, out_dir=tmp_path / "run")
+        assert len(list((tmp_path / "run" / "paths").glob("*.csv"))) == 2
+        assert len(dump_paths(cfg, cfg.build_model(), 1, tmp_path / "d")) == 1
+    else:
+        with pytest.raises(ConfigError, match="n_dump"):
+            run_document({**doc, "n_dump": 2}, out_dir=tmp_path / "run")
+        with pytest.raises(ConfigError, match="n_dump"):
+            dump_paths(cfg, cfg.build_model(), 1, tmp_path / "d")

@@ -1,0 +1,106 @@
+"""Pinned reports: one small config of each Monte Carlo experiment kind.
+
+``golden_reports.json`` holds ``execute(cfg).to_dict()`` without
+``runtime_ms`` for every config below. Integers, booleans, strings and the
+Bernoulli means of the proportion kinds must match exactly; other floats
+match to a relative 1e-12. Reports must not depend on the worker count.
+
+Regenerate (only when an estimate is meant to change) with
+``PYTHONPATH=src python tests/test_golden_reports.py``.
+"""
+
+import json
+import math
+from pathlib import Path
+
+import pytest
+
+from gtwalk.config import parse_config
+from gtwalk.runner import execute
+
+GOLDEN = Path(__file__).with_name("golden_reports.json")
+FLOW_SPHERE = {"kind": "sphere", "dim": 2, "radius_c0": 1.0, "flow": True}
+
+CONFIGS = {
+    "walk-drift": {
+        "kind": "walk", "manifold": FLOW_SPHERE, "t1": 0.0, "t2": 0.5,
+        "alpha": 0.05, "n_paths": 600, "seed": 3, "use_drift": True},
+    "couple-reflection-flow-sphere": {
+        "kind": "couple", "manifold": FLOW_SPHERE, "t1": 0.0, "t2": 0.5,
+        "alpha": 0.05, "n_paths": 600, "seed": 4, "d0": 1.0},
+    "couple-parallel-flat-no-exit": {
+        "kind": "couple", "manifold": {"kind": "euclidean", "dim": 2},
+        "t1": 0.0, "t2": 1.0, "alpha": 0.1, "n_paths": 800, "seed": 5,
+        "d0": 1.0, "coupling": "parallel", "exit_radius": None},
+    "coupling-bound": {
+        "kind": "verify-coupling-bound",
+        "manifold": {"kind": "hyperbolic", "dim": 2}, "t1": 0.0, "t2": 0.5,
+        "alpha": 0.05, "n_paths": 600, "seed": 6, "d0": 1.0, "bias": 0.01},
+    "contraction-scaled": {
+        "kind": "verify-contraction",
+        "manifold": {"kind": "scaled", "k": 0.5,
+                     "base": {"kind": "hyperbolic", "dim": 2}},
+        "t1": 0.0, "t2": 0.5, "alpha": 0.05, "n_paths": 400, "seed": 7,
+        "d0": 1.0, "k": 0.5},
+    "gradient": {
+        "kind": "verify-gradient", "manifold": FLOW_SPHERE, "t1": 0.0,
+        "t2": 0.5, "alpha": 0.05, "n_paths": 600, "seed": 8, "d0": 0.5,
+        "f": {"type": "halfspace", "normal": [1.0, 0.0, 0.0], "offset": 0.0}},
+    "radial": {
+        "kind": "radial-domination", "manifold": FLOW_SPHERE, "t1": 0.0,
+        "t2": 0.5, "alpha": 0.05, "n_paths": 600, "seed": 9,
+        "b": {"name": "zero"}, "margin": 0.1},
+    "convergence": {
+        "kind": "convergence", "manifold": {"kind": "euclidean", "dim": 1},
+        "t1": 0.0, "t2": 1.0, "alphas": [0.4, 0.2], "n_paths": 1000,
+        "seed": 10},
+}
+
+# Kinds whose estimate is a success fraction: its mean is an exact ratio.
+PROPORTION_KINDS = ("couple", "verify-coupling-bound", "radial-domination")
+
+
+def report_dict(name: str, workers: int) -> dict:
+    out = execute(parse_config(CONFIGS[name]), workers=workers).to_dict()
+    out.pop("runtime_ms")
+    return out
+
+
+def assert_matches(got, want, path: str) -> None:
+    if isinstance(want, dict):
+        assert isinstance(got, dict) and set(got) == set(want), path
+        for key in want:
+            assert_matches(got[key], want[key], f"{path}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, (list, tuple)) and len(got) == len(want), path
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_matches(g, w, f"{path}[{i}]")
+    elif isinstance(want, float) and not isinstance(got, bool):
+        assert isinstance(got, (int, float)), path
+        if math.isinf(want) or want == 0.0:
+            assert got == want, path
+        else:
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0), path
+    else:
+        assert type(got) is type(want) and got == want, path
+
+
+@pytest.fixture(scope="module")
+def golden() -> dict:
+    return json.loads(GOLDEN.read_text())
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_golden_report(golden, name, workers):
+    got = report_dict(name, workers)
+    want = golden[name]
+    assert_matches(got, want, name)
+    if CONFIGS[name]["kind"] in PROPORTION_KINDS:
+        assert got["estimate"]["mean"] == want["estimate"]["mean"]
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text(json.dumps({name: report_dict(name, 1)
+                                  for name in sorted(CONFIGS)},
+                                 sort_keys=True, indent=2) + "\n")

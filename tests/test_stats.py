@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,8 +10,7 @@ from gtwalk.errors import InvalidInput
 from gtwalk.stats import (McEstimate, VerificationReport,
                           check_contraction, estimate_coupling_survival,
                           gaussian_cdf, ks_statistic, map_path_chunks,
-                          merge_estimates, wasserstein1_1d,
-                          wrapped_gaussian_cdf)
+                          wasserstein1_1d, wrapped_gaussian_cdf)
 from oracles import wrapped_gaussian_cdf_fourier
 
 
@@ -22,22 +23,6 @@ def test_estimate_basic_fields():
     assert e.n == 4 and e.mean == 2.5
     assert e.ci95[0] <= e.mean <= e.ci95[1]
     assert e.stderr >= 0.0
-
-
-def test_estimate_merge_associative():
-    rng = np.random.default_rng(0)
-    x = rng.normal(size=9000)
-    parts = [McEstimate.from_samples(x[i:i + 1000])
-             for i in range(0, 9000, 1000)]
-    left = merge_estimates(parts)
-    right = parts[0]
-    for p in parts[:0:-1]:
-        pass
-    right = merge_estimates(list(reversed(parts)))
-    full = McEstimate.from_samples(x)
-    assert left.mean == pytest.approx(right.mean, abs=1e-12)
-    assert left.stderr == pytest.approx(right.stderr, abs=1e-12)
-    assert left.mean == pytest.approx(full.mean, abs=1e-12)
 
 
 def test_wilson_interval_near_edges():
@@ -58,6 +43,15 @@ def test_report_pass_policy():
                                    {"seed": 1})
     assert not rep_tight.passed
     assert rep.margin == pytest.approx(0.41 + 3 * est.stderr - 0.40)
+    # The declared bias counts in both the margin and the flag.
+    short = 0.40 - 3 * est.stderr - 0.01
+    assert not VerificationReport("x", est, short, 0.0, {}).passed
+    rep_bias = VerificationReport("x", est, short, 0.02, {})
+    assert rep_bias.passed
+    assert rep_bias.margin == pytest.approx(0.01)
+    assert not VerificationReport("x", est, short, 0.005, {}).passed
+    assert VerificationReport("x", est, math.inf, 0.0, {}).margin == math.inf
+    assert not VerificationReport("x", est, -math.inf, 1.0, {}).passed
     d = rep.to_dict()
     assert set(d) == {"id", "params", "estimate", "bound", "pass",
                       "bias_terms", "seed", "runtime_ms"}
@@ -138,8 +132,8 @@ def test_map_chunks_worker_independent():
         gen = np.random.default_rng(1234)
         return {"ids": np.asarray(list(paths), dtype=float)}
 
-    a = np.concatenate([r["ids"] for r in map_path_chunks(5000, fn, 1, 512)])
-    b = np.concatenate([r["ids"] for r in map_path_chunks(5000, fn, 4, 512)])
+    a = map_path_chunks(5000, fn, 1, 512)["ids"]
+    b = map_path_chunks(5000, fn, 4, 512)["ids"]
     assert np.array_equal(a, b)
     with pytest.raises(InvalidInput):
         map_path_chunks(0, fn, 1)

@@ -48,9 +48,6 @@ def test_schedule_invariants(alpha, t1, span):
 def test_config_validation():
     with pytest.raises(InvalidInput):
         WalkConfig(alpha=2.0, t1=0.0, t2=1.0, seed=0, start=np.zeros(1))
-    with pytest.raises(InvalidInput):
-        WalkConfig(alpha=0.1, t1=0.0, t2=1.0, seed=0, start=np.zeros(1),
-                   exit_radius=0.5)
 
 
 # ---------------------------------------------------------------------------
