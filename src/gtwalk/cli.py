@@ -48,7 +48,9 @@ def parse_manifold_spec(spec: str) -> dict:
 def _common_flags(p: argparse.ArgumentParser):
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--threads", type=int, default=None,
-                   help="worker count (GTWALK_THREADS as fallback)")
+                   help="number of forked worker processes, capped at the "
+                        "path-chunk count; serial where fork is unavailable "
+                        "(GTWALK_THREADS as fallback)")
     p.add_argument("--out", type=str, default=None)
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--samples", type=int, default=None,

@@ -173,10 +173,22 @@ def parse_config(document: str | dict) -> ExperimentConfig:
         data["alpha"] = float(data["alpha"])
         _check_alpha(data["alpha"], t1, t2)
 
+    if kind == "couple" and float(data["k"]) != 0.0:
+        _fail("k", "couple checks no bound; k applies to the verify kinds")
+    if kind in ("walk", "radial-domination"):
+        radius = data["exit_radius"]
+        if radius is not None and float(radius) <= 1.0:
+            _fail("exit_radius", "must exceed 1 (or be null)")
+    if kind == "convergence":
+        convergence_reference(data["reference"], data["manifold"])
     if kind in ("couple", "verify-coupling-bound", "verify-contraction",
                 "verify-gradient"):
-        has_pair = "start1" in data and "start2" in data
-        if not has_pair and "d0" not in data:
+        starts = [key for key in ("start1", "start2") if key in data]
+        if "d0" in data and starts:
+            _fail(starts[0], "give start1/start2 or d0, not both")
+        if len(starts) == 1:
+            _fail(starts[0], "start1 and start2 go together")
+        if not starts and "d0" not in data:
             _fail("start1", "couple kinds need start1/start2 or d0")
         if "delta_couple" in data:
             delta = float(data["delta_couple"])
@@ -199,7 +211,30 @@ def parse_config(document: str | dict) -> ExperimentConfig:
     n_paths = data.get("n_paths")
     if n_paths is not None and int(n_paths) <= 0:
         _fail("n_paths", "must be positive")
+    if kind == "convergence" and int(n_paths) < 100:
+        _fail("n_paths", "convergence needs at least 100 for its KS test")
     return ExperimentConfig(kind, data)
+
+
+def convergence_reference(reference: Any, manifold: dict) -> str:
+    """The reference law of a convergence config: ``gauss`` (the first
+    coordinate on Euclidean space) or ``wrapped-gauss`` (the angle on the
+    circle). Null picks the one that fits a 1-dimensional manifold."""
+    kind, dim = manifold["kind"], manifold.get("dim")
+    fits = {"gauss": kind == "euclidean",
+            "wrapped-gauss": kind == "sphere" and dim == 1}
+    if reference is None:
+        if dim != 1 or not any(fits.values()):
+            _fail("reference", "required for this manifold "
+                  "(gauss or wrapped-gauss)")
+        return "gauss" if fits["gauss"] else "wrapped-gauss"
+    if reference not in fits:
+        _fail("reference", f"unknown reference {reference!r} "
+              "(gauss or wrapped-gauss)")
+    if not fits[reference]:
+        _fail("reference", f"{reference!r} does not fit a {kind} manifold "
+              f"of dim {dim}")
+    return reference
 
 
 def _check_alpha(alpha: float, t1: float, t2: float):

@@ -15,7 +15,8 @@ from . import __version__, engine
 from .comparison import (OUParams, RadialComparisonSpec, builtin_b,
                          feller_explosion_test, ou_survival_probability)
 from .config import (DUMP_KINDS, ExperimentConfig, RunManifest,
-                     resolve_start, resolve_start_points)
+                     convergence_reference, resolve_start,
+                     resolve_start_points)
 from .coupling import CouplingConfig, CouplingKind, coupled_block, run_coupled
 from .errors import ConfigError
 from .manifolds import ManifoldModel
@@ -145,26 +146,17 @@ def _run_convergence(config, model, workers):
     t1, t2 = config["t1"], config["t2"]
     start = resolve_start(config, model)
     horizon = t2 - t1
-    reference = config.get("reference")
-    desc = model.describe()
-    if reference is None:
-        if desc["kind"] == "euclidean" and desc["dim"] == 1:
-            reference = "gauss"
-        elif desc["kind"] == "sphere" and desc["dim"] == 1:
-            reference = "wrapped-gauss"
+    reference = convergence_reference(config["reference"], config["manifold"])
     if reference == "gauss":
         cdf = gaussian_cdf(float(start[0]), horizon)
         support = (float(start[0]) - 8 * math.sqrt(horizon),
                    float(start[0]) + 8 * math.sqrt(horizon))
         observable = lambda ends: ends[:, 0]
-    elif reference == "wrapped-gauss":
+    else:
         mu = float(np.arctan2(start[1], start[0]))
         cdf = wrapped_gaussian_cdf(mu, horizon)
         support = (-math.pi, math.pi)
         observable = circle_angles
-    else:
-        raise ConfigError("reference: required for this manifold "
-                          "(gauss or wrapped-gauss)")
 
     rows = convergence_diagnostic(
         model, t1, t2, start, alphas, int(config["n_paths"]),
@@ -237,7 +229,7 @@ def _run_radial(config, model, workers):
     radial = {"phi": spec.phi, "psi": spec.psi, "r0": spec.r0,
               "rho0": rho0, "margin": float(config["margin"])}
     kernel = partial(engine.walk_chunk, model, sched, start, config["seed"],
-                     origin=origin, exit_radius=float(config["exit_radius"]),
+                     origin=origin, exit_radius=config["exit_radius"],
                      radial=radial)
     violation = map_path_chunks(int(config["n_paths"]), kernel,
                                 workers)["radial_violation"]

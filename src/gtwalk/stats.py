@@ -1,16 +1,15 @@
 """Monte Carlo aggregation and statistical verification.
 
 Every Monte Carlo experiment runs a kernel partial over fixed-size path
-chunks; the per-path results are concatenated in path order and reduced
-once, so reports are identical for any worker count. Every bound
-comparison follows one policy, pass when
-estimate <= bound + 3 stderr + declared bias.
+chunks, in worker processes when more than one is asked for; the per-path
+results are concatenated in path order and reduced once, so reports are
+identical for any worker count. Every bound comparison follows one policy,
+pass when estimate <= bound + 3 stderr + declared bias.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Sequence
@@ -112,8 +111,31 @@ class VerificationReport:
 
 
 # ---------------------------------------------------------------------------
-# Thread-parallel map over fixed path chunks
+# Process-parallel map over fixed path chunks
 # ---------------------------------------------------------------------------
+
+# The chunk function of a pool worker, set in each worker by _install_task;
+# the calling process never sets it.
+_task: Callable[[range], dict] | None = None
+
+
+def _install_task(fn: Callable[[range], dict]) -> None:
+    global _task
+    _task = fn
+
+
+def _run_task(paths: range) -> dict:
+    return _task(paths)
+
+
+def _fork_context():
+    """The fork start method's context, or None where the platform has none."""
+    import multiprocessing  # only multi-worker maps pay for the import
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return None
+    return multiprocessing.get_context("fork")
+
 
 def map_path_chunks(n_paths: int, fn: Callable[[range], dict],
                     workers: int = 1, chunk: int = CHUNK
@@ -122,19 +144,28 @@ def map_path_chunks(n_paths: int, fn: Callable[[range], dict],
 
     ``fn`` is a kernel partial returning arrays whose first axis is the
     path; the result maps each key to its arrays concatenated in path
-    order. Chunk boundaries do not depend on the worker count, and each
-    path's randomness is keyed by its global index, so the result is
-    identical for any ``workers``.
+    order. With ``workers > 1`` and more than one chunk, the chunks run in
+    ``min(workers, chunks)`` worker processes started by fork and joined
+    before this returns. The workers inherit ``fn`` across the fork, so it
+    need not pickle; only the ranges go out and the per-chunk dicts come
+    back. Without fork the chunks run in this process. Chunk boundaries do
+    not depend on the worker count, and each path's randomness is keyed by
+    its global index, so the result is identical for any ``workers``.
     """
     if n_paths <= 0:
         raise InvalidInput("n_paths must be positive")
     ranges = [range(i, min(i + chunk, n_paths))
               for i in range(0, n_paths, chunk)]
-    if workers <= 1 or len(ranges) == 1:
+    processes = min(workers, len(ranges))
+    context = _fork_context() if processes > 1 else None
+    if context is None:
         parts = [fn(r) for r in ranges]
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(fn, ranges))
+        with context.Pool(processes, initializer=_install_task,
+                          initargs=(fn,)) as pool:
+            parts = pool.map(_run_task, ranges, chunksize=1)
+            pool.close()
+            pool.join()
     return {key: np.concatenate([p[key] for p in parts]) for key in parts[0]}
 
 

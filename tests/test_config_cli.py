@@ -3,8 +3,8 @@ import json
 import pytest
 
 from gtwalk.cli import main, parse_manifold_spec
-from gtwalk.config import (EXPERIMENT_KINDS, parse_config, parse_suite,
-                           resolve_start_points)
+from gtwalk.config import (_KEYS_BY_KIND, EXPERIMENT_KINDS, parse_config,
+                           parse_suite, resolve_start_points)
 from gtwalk.errors import ConfigError, InvalidInput
 from gtwalk.runner import dump_paths, run_document
 
@@ -278,3 +278,119 @@ def test_n_dump_writes_paths_or_is_rejected(kind, tmp_path):
             run_document({**doc, "n_dump": 2}, out_dir=tmp_path / "run")
         with pytest.raises(ConfigError, match="n_dump"):
             dump_paths(cfg, cfg.build_model(), 1, tmp_path / "d")
+
+
+_FLOW_SPHERE = {"kind": "sphere", "dim": 2, "radius_c0": 1.0, "flow": True}
+
+# A small config per kind and, for every key any kind takes, a valid value
+# unlike the config's own. The radial margin is negative so that the replay
+# flags paths and the exit check shows in the estimate.
+_KEY_BASES = {
+    "walk": {"manifold": {"kind": "euclidean", "dim": 2}, "alpha": 0.1,
+             "n_paths": 48},
+    "couple": {"manifold": {"kind": "euclidean", "dim": 2}, "alpha": 0.1,
+               "n_paths": 48, "d0": 1.0},
+    "verify-coupling-bound": {"manifold": {"kind": "euclidean", "dim": 2},
+                              "alpha": 0.1, "n_paths": 48, "d0": 1.0},
+    "verify-contraction": {"manifold": _FLOW_SPHERE, "t2": 0.5,
+                           "alpha": 0.1, "n_paths": 48, "d0": 1.0},
+    "verify-gradient": {"manifold": {"kind": "euclidean", "dim": 2},
+                        "alpha": 0.1, "n_paths": 48, "d0": 1.0,
+                        "f": {"type": "halfspace", "normal": [1.0, 0.0],
+                              "offset": 0.0}},
+    "convergence": {"manifold": {"kind": "euclidean", "dim": 1},
+                    "alphas": [0.4, 0.2], "n_paths": 100},
+    "feller-test": {"manifold": {"kind": "euclidean", "dim": 1},
+                    "b": {"name": "zero"}},
+    "ou-survival": {"manifold": {"kind": "euclidean", "dim": 1}, "a": 1.0,
+                    "ou_h": 1e-3, "n_paths": 1000},
+    "radial-domination": {"manifold": _FLOW_SPHERE, "t2": 0.5, "alpha": 0.1,
+                          "n_paths": 48, "b": {"name": "zero"},
+                          "margin": -1.0},
+}
+
+
+def _key_base(kind: str) -> dict:
+    return {"kind": kind, "t1": 0.0, "t2": 1.0, "seed": 2, **_KEY_BASES[kind]}
+
+
+def test_radial_exit_radius_null_skips_exit_check():
+    # On the unit sphere no path gets 7 away from the origin, so the
+    # default radius and no exit check give the same estimate.
+    base = _key_base("radial-domination")
+    _, [null] = run_document({**base, "exit_radius": None})
+    _, [default] = run_document(base)
+    assert null.estimate.mean == default.estimate.mean > 0.0
+
+
+@pytest.mark.parametrize("kind", ["walk", "radial-domination"])
+def test_exit_radius_at_most_one_rejected(kind):
+    for radius in (0.5, 1.0):
+        with pytest.raises(ConfigError, match="exit_radius"):
+            parse_config({**_key_base(kind), "exit_radius": radius})
+    assert parse_config({**_key_base(kind), "exit_radius": 1.5}) \
+        ["exit_radius"] == 1.5
+
+
+_KEY_VALUES = {
+    "alpha": 0.05, "n_paths": 32, "start": [6.9, 0.0], "origin": [7.5, 0.0],
+    "exit_radius": 1.5, "use_drift": True, "start1": [0.0, 0.0],
+    "start2": [1.0, 0.0], "d0": 0.5, "delta_couple": 1.0, "k": 0.5,
+    "coupling": "parallel", "stick": False, "bias": 0.01,
+    "contraction_coefficient": 2.0,
+    "f": {"type": "halfspace", "normal": [0.0, 1.0], "offset": 0.0},
+    "osc": 0.5, "alphas": [0.4, 0.1], "reference": "wrapped-gauss",
+    "b": {"name": "constant", "c": 1.0}, "C": 2.0, "y_max": 10.0,
+    "expect": "explodes", "a": 0.5, "ou_h": 1e-2, "c0": 2.0, "r0": 0.25,
+    "margin": 0.2,
+}
+_KEY_VALUES_BY_KIND = {
+    "convergence": {"start": [0.5], "n_paths": 120},
+    "ou-survival": {"n_paths": 1200},
+    "radial-domination": {"start": [0.0, 1.0, 0.0], "origin": [0.0, 1.0, 0.0]},
+}
+# Accepted keys that leave every report unchanged. No manifold built from a
+# config has a drift field, so use_drift changes no step (the golden
+# walk-drift report pins this). The convergence reference law is centred at
+# the start, so its statistics do not move with it.
+_NO_VISIBLE_EFFECT = {("convergence", "start")} | {
+    (kind, "use_drift") for kind in _KEYS_BY_KIND
+    if "use_drift" in _KEYS_BY_KIND[kind]}
+
+
+def _rounded(value):
+    """Floats to 9 significant digits, so rounding noise is no change."""
+    if isinstance(value, float):
+        return float(f"{value:.9g}")
+    if isinstance(value, dict):
+        return {k: _rounded(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_rounded(v) for v in value]
+    return value
+
+
+def _report_without_hash(doc: dict) -> dict:
+    _, [report] = run_document(doc)
+    out = report.to_dict()
+    out.pop("runtime_ms")
+    out["params"].pop("config_hash")
+    return _rounded(out)
+
+
+@pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
+def test_every_key_takes_effect_or_is_rejected(kind):
+    """Each key of _KEYS_BY_KIND, set to a valid non-default value, either
+    changes the report (or its params) or is rejected at parse."""
+    base = _key_base(kind)
+    reference = _report_without_hash(base)
+    for key in sorted(set().union(*_KEYS_BY_KIND.values())):
+        value = _KEY_VALUES_BY_KIND.get(kind, {}).get(key, _KEY_VALUES[key])
+        assert value != parse_config(base).get(key), key
+        doc = {**base, key: value}
+        try:
+            parse_config(doc)
+        except ConfigError as e:
+            assert str(e).startswith(f"{key}:"), (key, str(e))
+            continue
+        changed = _report_without_hash(doc) != reference
+        assert changed == ((kind, key) not in _NO_VISIBLE_EFFECT), key

@@ -1,4 +1,6 @@
 import math
+import multiprocessing
+import pickle
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gtwalk.coupling import CouplingConfig, CouplingKind
-from gtwalk.errors import InvalidInput
+from gtwalk.errors import InvalidInput, SingularConfiguration
 from gtwalk.stats import (McEstimate, VerificationReport,
                           check_contraction, estimate_coupling_survival,
                           gaussian_cdf, ks_statistic, map_path_chunks,
@@ -137,6 +139,50 @@ def test_map_chunks_worker_independent():
     assert np.array_equal(a, b)
     with pytest.raises(InvalidInput):
         map_path_chunks(0, fn, 1)
+
+
+def _fail_on_second_chunk(paths: range) -> dict:
+    if paths.start > 0:
+        raise SingularConfiguration(f"non-finite position in chunk {paths}")
+    return {"ids": np.asarray(paths)}
+
+
+def test_map_chunks_pool_reraises_worker_error():
+    with pytest.raises(SingularConfiguration,
+                       match=r"chunk range\(4, 8\)"):
+        map_path_chunks(8, _fail_on_second_chunk, 2, 4)
+    assert multiprocessing.active_children() == []
+
+
+def test_map_chunks_pool_runs_unpicklable_closure():
+    offset = np.arange(3.0)
+    fn = lambda paths: {"row": np.asarray(paths)[:, None] + offset}
+    with pytest.raises((pickle.PicklingError, AttributeError)):
+        pickle.dumps(fn)
+    got = map_path_chunks(10, fn, 2, 4)["row"]
+    assert np.array_equal(got, np.arange(10)[:, None] + offset)
+    assert multiprocessing.active_children() == []
+
+
+def test_map_chunks_more_workers_than_chunks():
+    fn = lambda paths: {"ids": np.asarray(paths)}
+    got = map_path_chunks(10, fn, 8, 4)["ids"]
+    assert np.array_equal(got, np.arange(10))
+    assert multiprocessing.active_children() == []
+
+
+def test_map_chunks_serial_without_fork(monkeypatch):
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                        lambda: ["spawn"])
+    seen = []
+
+    def fn(paths: range) -> dict:
+        seen.append(paths)
+        return {"ids": np.asarray(paths)}
+
+    got = map_path_chunks(10, fn, 2, 4)["ids"]
+    assert np.array_equal(got, np.arange(10))
+    assert seen == [range(0, 4), range(4, 8), range(8, 10)]
 
 
 def test_survival_report_deterministic_across_workers(euclid2):
