@@ -213,7 +213,26 @@ def parse_config(document: str | dict) -> ExperimentConfig:
         _fail("n_paths", "must be positive")
     if kind == "convergence" and int(n_paths) < 100:
         _fail("n_paths", "convergence needs at least 100 for its KS test")
+    _check_points(data)
     return ExperimentConfig(kind, data)
+
+
+def _check_points(data: dict) -> None:
+    """Reject a given start, start1/start2 or origin that is not one point
+    of the manifold's ambient coordinates."""
+    keys = [key for key in ("start", "start1", "start2", "origin")
+            if data.get(key) is not None]
+    if not keys:
+        return
+    model = make_model(data["manifold"], (data["t1"], data["t2"]))
+    for key in keys:
+        try:
+            shape = np.asarray(data[key], dtype=float).shape
+        except (TypeError, ValueError):
+            shape = None
+        if shape != (model.ambient_dim,):
+            _fail(key, f"must list {model.ambient_dim} coordinates, the "
+                  f"ambient dimension of {model.model_id}")
 
 
 def convergence_reference(reference: Any, manifold: dict) -> str:

@@ -4,8 +4,12 @@ The kernels advance a contiguous block of paths through the whole schedule
 with numpy operations of shape (block, ambient_dim), collecting online
 summaries and, for small blocks, full traces. Noise comes from per-path
 counter-based streams, so results do not depend on how paths are grouped
-into blocks or scheduled onto workers. ``walk_step`` and ``reflect_step``
-are the only transition functions; ``walk.step`` and
+into blocks or scheduled onto workers. The kernels read that noise
+step-major, ``noise[n]`` being step n of every path, and their traces give
+it back as (block, n_steps, dim). A step's tangent vector is
+``model.lift``: bit-equal to sqrt(m+2) times the frame contracted with the
+ball sample, but it need not build the frame. ``walk_step`` and
+``reflect_step`` are the only transition functions; ``walk.step`` and
 ``coupling.coupled_step`` call them on a block of one.
 
 A coupled step makes one pair-geometry call, ``model.connect``. Its
@@ -30,8 +34,7 @@ PARALLEL = "parallel"
 def noise_lift(model: ManifoldModel, t: float, x: np.ndarray,
                xi: np.ndarray) -> np.ndarray:
     """sqrt(m+2) Phi(t, x) xi for a block of points, shape (B, ambient)."""
-    fr = model.frame(t, x)  # (B, m, ambient)
-    return np.sqrt(model.dim + 2.0) * np.einsum("bj,bjd->bd", xi, fr)
+    return model.lift(t, x, xi)
 
 
 def frame_coordinates(model: ManifoldModel, t: float, x: np.ndarray,
@@ -157,7 +160,7 @@ def walk_chunk(model: ManifoldModel, sched, x0: np.ndarray, seed: int,
         if n == n_steps:
             break
 
-        xi = noise[:, n, :]
+        xi = noise[n]
         Xn, lift, w = walk_step(model, t, X, xi, alpha, float(fracs[n]),
                                 use_drift)
         if track_radial:
@@ -178,7 +181,7 @@ def walk_chunk(model: ManifoldModel, sched, x0: np.ndarray, seed: int,
     if want_trace:
         out["skeleton"] = skeleton
         out["step_vectors"] = step_vectors
-        out["noise"] = noise
+        out["noise"] = noise.transpose(1, 0, 2)
         if track_radial:
             out["rho_trace"] = rho_trace
     return out
@@ -286,7 +289,7 @@ def coupled_chunk(model: ManifoldModel, sched, x1: np.ndarray, x2: np.ndarray,
             break
 
         X1, X2n, lam, lift2 = reflect_step(
-            model, t, X1, X2, noise[:, n, :], geo, coupled, alpha,
+            model, t, X1, X2, noise[n], geo, coupled, alpha,
             float(fracs[n]), kind=kind, use_drift=use_drift)
         if track_dom:
             weight = float(fracs[n]) * np.exp(
@@ -312,6 +315,7 @@ def coupled_chunk(model: ManifoldModel, sched, x1: np.ndarray, x2: np.ndarray,
     if want_trace:
         out.update({"skeleton1": skel1, "skeleton2": skel2,
                     "distance": dist_trace, "lambda_star": lam_trace,
-                    "coupled": coupled_trace, "noise": noise,
+                    "coupled": coupled_trace,
+                    "noise": noise.transpose(1, 0, 2),
                     "noise2": noise2})
     return out

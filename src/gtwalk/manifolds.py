@@ -243,6 +243,16 @@ class ManifoldModel(abc.ABC):
     def frame(self, t: float, x: np.ndarray) -> np.ndarray:
         """Deterministic g(t)-orthonormal frame, shape (..., dim, ambient)."""
 
+    def lift(self, t: float, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
+        """sqrt(m+2) sum_j xi_j Phi_j(t, x): ball-sample coordinates xi
+        (..., dim) lifted to a tangent vector (..., ambient) with the frame.
+
+        Overrides skip building the frame but must equal this composition
+        bit for bit, so a walk does not depend on which one runs.
+        """
+        return np.sqrt(self.dim + 2.0) * np.einsum(
+            "...j,...jd->...d", xi, self.frame(t, x))
+
     # -- representation constraints ------------------------------------------
 
     def constraint_residual(self, x: np.ndarray) -> np.ndarray:
@@ -338,6 +348,10 @@ class Euclidean(ManifoldModel):
     def frame(self, t, x):
         eye = np.eye(self.dim)
         return np.broadcast_to(eye, x.shape[:-1] + eye.shape).copy()
+
+    def lift(self, t, x, xi):
+        # The frame is the identity.
+        return np.sqrt(self.dim + 2.0) * xi
 
 
 # ---------------------------------------------------------------------------
@@ -474,18 +488,20 @@ class RoundSphere(ManifoldModel):
         e_rot = np.cos(theta)[..., None] * e - np.sin(theta)[..., None] * xhat
         return a[..., None] * e_rot + w
 
-    def frame(self, t, x):
-        # Gram-Schmidt of the axis vectors other than the one x leans on
-        # most, in increasing axis order (decreasing for frame_variant 1).
-        # It works on coordinate columns, which numpy handles much faster
-        # than short rows; every entry sees the same operations in the same
-        # order as in a row-wise Gram-Schmidt.
+    def _gram_schmidt(self, x):
+        """The frame vectors in frame order, each as its list of coordinate
+        columns, unit on the representation sphere.
+
+        A Gram-Schmidt of the axis vectors other than the one x leans on
+        most, in increasing axis order (decreasing for frame_variant 1).
+        It works on coordinate columns, which numpy handles much faster
+        than short rows; every entry sees the same operations in the same
+        order as in a row-wise Gram-Schmidt.
+        """
         d, m = self.ambient_dim, self.dim
         xhat = x / self.radius
         drop = np.argmax(np.abs(xhat), axis=-1)
         xh = [xhat[..., c] for c in range(d)]
-        s = np.sqrt(self._s2(t))
-        out = np.empty(x.shape[:-1] + (m, d))
         done = []
         for i in range(m):
             j = m - 1 - i if self.frame_variant else i
@@ -499,9 +515,26 @@ class RoundSphere(ManifoldModel):
             norm = np.sqrt(_sum_columns([wc * wc for wc in w]))
             w = [wc / norm for wc in w]
             done.append(w)
-            for c in range(d):
-                out[..., i, c] = w[c] / s
+            yield w
+
+    def frame(self, t, x):
+        s = np.sqrt(self._s2(t))
+        out = np.empty(x.shape[:-1] + (self.dim, self.ambient_dim))
+        for i, w in enumerate(self._gram_schmidt(x)):
+            for c, wc in enumerate(w):
+                out[..., i, c] = wc / s
         return out
+
+    def lift(self, t, x, xi):
+        # Sums xi_i Phi_i column by column in frame order, as the base
+        # version's einsum does, without the (..., m, ambient) frame.
+        s = np.sqrt(self._s2(t))
+        acc = None
+        for i, w in enumerate(self._gram_schmidt(x)):
+            terms = [xi[..., i] * (wc / s) for wc in w]
+            acc = terms if acc is None else [
+                a + b for a, b in zip(acc, terms)]
+        return np.sqrt(self.dim + 2.0) * np.stack(acc, axis=-1)
 
     def constraint_residual(self, x):
         return np.abs(np.linalg.norm(x, axis=-1) - self.radius)

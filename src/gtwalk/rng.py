@@ -4,7 +4,8 @@ Every random draw in the package flows from a single master seed through
 Philox streams keyed by (seed, purpose, stream index). A path's noise is a
 pure function of (seed, purpose, path_index) with a fixed draw layout, so
 results are independent of worker count and of which paths run in the same
-batch, and any single step can be replayed by slicing.
+batch, and any single step can be replayed by slicing. Kernels take a
+block's noise step-major from ``walk_noise_block``.
 """
 
 from __future__ import annotations
@@ -18,6 +19,10 @@ PURPOSE_OU = 3
 PURPOSE_RADIAL = 4
 
 _INDEX_MASK = (1 << 56) - 1
+
+# Paths drawn together before one transposed write into a step-major block;
+# few enough that the reused buffers barely add to peak memory.
+_GROUP = 8
 
 
 def stream(seed: int, purpose: int, index: int) -> np.random.Generator:
@@ -52,8 +57,45 @@ def walk_noise(seed: int, path_index: int, n_steps: int, dim: int) -> np.ndarray
 
 
 def walk_noise_block(seed: int, paths: range, n_steps: int, dim: int) -> np.ndarray:
-    """Ball samples (len(paths), n_steps, dim) for a contiguous path block."""
-    out = np.empty((len(paths), n_steps, dim))
-    for i, p in enumerate(paths):
-        out[i] = walk_noise(seed, p, n_steps, dim)
+    """Ball samples for a contiguous path block, step-major: shape
+    (n_steps, len(paths), dim), so ``block[n]`` is step n of every path.
+
+    Path p's samples are ``walk_noise(seed, p, n_steps, dim)`` bit for bit.
+    Paths are drawn a few at a time into reused buffers, scaled there and
+    written into the block with one transposed copy per group.
+    """
+    B = len(paths)
+    out = np.empty((n_steps, B, dim))
+    z = np.empty((min(_GROUP, B), n_steps, dim))
+    u = np.empty((min(_GROUP, B), n_steps))
+    # One step of one path as a single element, so the transposed copy
+    # moves whole rows instead of striding over coordinates.
+    row = np.dtype((np.void, z.itemsize * dim))
+    for g0 in range(0, B, _GROUP):
+        zg, ug = z[:B - g0], u[:B - g0]
+        for zi, ui, p in zip(zg, ug, paths[g0:g0 + _GROUP]):
+            gen = stream(seed, PURPOSE_WALK, p)
+            gen.standard_normal(out=zi)
+            gen.random(out=ui)
+        _scale_to_ball(zg, ug)
+        out.view(row)[:, g0:g0 + len(zg), 0] = zg.view(row)[..., 0].T
     return out
+
+
+def _scale_to_ball(z: np.ndarray, u: np.ndarray) -> None:
+    """In place, the scaling of unit_ball_samples with the same bits: z
+    (..., dim) normals become ball samples, u (...) uniforms become the
+    radius-to-norm factors."""
+    dim = z.shape[-1]
+    if dim < 8:
+        # Adding squared columns in order is numpy's reduction below 8.
+        sq = z[..., 0] * z[..., 0]
+        for c in range(1, dim):
+            sq += z[..., c] * z[..., c]
+        norms = np.sqrt(sq, out=sq)
+    else:
+        norms = np.linalg.norm(z, axis=-1)
+    norms[norms < 1e-300] = 1.0
+    u **= 1.0 / dim
+    u /= norms
+    z *= u[..., None]

@@ -394,3 +394,24 @@ def test_every_key_takes_effect_or_is_rejected(kind):
             continue
         changed = _report_without_hash(doc) != reference
         assert changed == ((kind, key) not in _NO_VISIBLE_EFFECT), key
+
+
+# For each point key, a config of a kind that takes it, with a good point
+# and a point of the wrong length.
+_POINT_CASES = {
+    "start": ("convergence", {}, [0.5], [6.9, 0.0]),
+    "start1": ("couple", {"start2": [1.0, 0.0]}, [0.0, 0.0], [0.0, 0.0, 0.0]),
+    "start2": ("verify-coupling-bound", {"start1": [0.0, 0.0]}, [1.0, 0.0],
+               [1.0]),
+    "origin": ("radial-domination", {}, [0.0, 1.0, 0.0], [7.5, 0.0]),
+}
+
+
+@pytest.mark.parametrize("key", sorted(_POINT_CASES))
+def test_point_of_wrong_dimension_rejected(key):
+    kind, extra, good, bad = _POINT_CASES[key]
+    base = {k: v for k, v in _key_base(kind).items() if k != "d0"}
+    assert parse_config({**base, **extra, key: good})[key] == good
+    for value in (bad, [good], "north", [[0.0], [1.0, 2.0]]):
+        with pytest.raises(ConfigError, match=f"^{key}: must list"):
+            parse_config({**base, **extra, key: value})

@@ -11,6 +11,7 @@ from gtwalk.manifolds import (Euclidean, ManifoldModel, Point, RoundSphere,
                               curvature_condition_residual, distance,
                               estimate_kappa, exp, frame_at, make_model,
                               minimal_geodesic, parallel_transport)
+from gtwalk.numeric import NumericChart
 
 ALL_MODEL_NAMES = ["euclid2", "sphere2", "flow_sphere", "hyperbolic2",
                    "scaled_euclid2"]
@@ -538,3 +539,45 @@ def test_sphere_frame_equals_reference(dim, variant, rng):
                                             model.scale(t) / c0, variant)
             assert np.array_equal(model.frame(t, x), ref)
             assert np.array_equal(model.frame(t, x[5]), ref[5])
+
+
+# ---------------------------------------------------------------------------
+# lift
+# ---------------------------------------------------------------------------
+
+def _lift_via_frame(model, t, x, xi):
+    """The lift written out with the frame, as the kernels once did."""
+    return np.sqrt(model.dim + 2.0) * np.einsum("bj,bjd->bd", xi,
+                                                model.frame(t, x))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+@pytest.mark.parametrize("variant", [0, 1])
+@pytest.mark.parametrize("flow", [False, True])
+def test_sphere_lift_equals_frame_einsum(dim, variant, flow, rng):
+    model = RoundSphere(dim, 2.5, flow=flow, frame_variant=variant)
+    d = dim + 1
+    x = _unit_rows(rng, 200, d, model.radius)
+    x[:d] = model.radius * np.eye(d)
+    x[d:2 * d] = -model.radius * np.eye(d)
+    x[2 * d] = model.radius / np.sqrt(d)
+    xi = rng.uniform(-1.0, 1.0, (200, dim))
+    xi[0] = 0.0
+    for t in (0.0, 0.7):
+        want = _lift_via_frame(model, t, x, xi)
+        assert np.array_equal(model.lift(t, x, xi), want)
+        assert np.array_equal(model.lift(t, x[5], xi[5]), want[5])
+
+
+def test_lift_equals_frame_einsum_other_models(request, rng):
+    models = [request.getfixturevalue(name) for name in
+              ("euclid1", "euclid2", "hyperbolic2", "scaled_euclid2")]
+    models += [Euclidean(9), ScaledMetric(RoundSphere(2, 1.5), 0.8),
+               NumericChart(2, lambda t, u: (1.0 + t + u @ u) * np.eye(2))]
+    for model in models:
+        t = model.time_window[0] + 0.3
+        x = np.stack([random_point(model, rng) for _ in range(30)])
+        xi = rng.uniform(-1.0, 1.0, (30, model.dim))
+        xi[0] = 0.0
+        assert np.array_equal(model.lift(t, x, xi),
+                              _lift_via_frame(model, t, x, xi)), model.kind

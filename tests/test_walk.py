@@ -80,6 +80,33 @@ def test_sample_unit_ball_wrapper():
     assert x.shape == (3,) and np.linalg.norm(x) <= 1.0
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 8, 9])
+def test_noise_block_is_walk_noise_step_major(dim):
+    """Each path of the block is its walk_noise, bit for bit, for one path,
+    counts that are not a multiple of the draw group and blocks that do
+    not start at path 0."""
+    for paths in (range(1), range(11), range(5, 30), range(1000, 1003)):
+        block = rng.walk_noise_block(11, paths, 37, dim)
+        assert block.shape == (37, len(paths), dim)
+        want = np.stack([rng.walk_noise(11, p, 37, dim) for p in paths])
+        assert np.array_equal(block.transpose(1, 0, 2), want)
+
+
+def test_kernel_traces_keep_path_major_noise(euclid2, flow_sphere):
+    """Traced noise is (B, n_steps, m): path i's walk_noise."""
+    sched = Schedule(0.0, 0.5, 0.2)
+    paths = range(3, 8)
+    want = np.stack([rng.walk_noise(5, p, sched.n_steps, 2) for p in paths])
+    walk = engine.walk_chunk(flow_sphere, sched, flow_sphere.origin(), 5,
+                             paths, want_trace=True)
+    pair = engine.coupled_chunk(euclid2, sched, np.zeros(2),
+                                np.array([1.0, 0.0]), 5, paths,
+                                want_trace=True)
+    for res in (walk, pair):
+        assert res["noise"].shape == (len(paths), sched.n_steps, 2)
+        assert np.array_equal(res["noise"], want)
+
+
 # ---------------------------------------------------------------------------
 # step
 # ---------------------------------------------------------------------------
