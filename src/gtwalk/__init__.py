@@ -9,8 +9,8 @@ contraction and gradient bounds at desk scale.
 __version__ = "0.1.0"
 
 from .comparison import (OUParams, RadialComparisonSpec, beta, builtin_b,
-                         chi, feller_explosion_test, ou_survival_probability,
-                         simulate_ou, simulate_radial_comparison)
+                         chi, feller_explosion_test,
+                         simulate_radial_comparison)
 from .coupling import (CoupledPath, CouplingConfig, CouplingKind,
                        coupled_step, coupling_probability_bound,
                        dominating_process, reflection_map, run_coupled)
@@ -26,7 +26,7 @@ from .numeric import NumericChart
 from .stats import (KsResult, McEstimate, VerificationReport,
                     check_contraction, check_gradient_estimate,
                     convergence_diagnostic, estimate_coupling_survival,
-                    ks_statistic, wasserstein1_1d)
+                    ks_statistic, ou_survival_probability, wasserstein1_1d)
 from .variation import (GreenSolution, SampledField, VariationTerms,
                         coupled_variation_terms, dagger_field, dt_distance,
                         index_form, solve_green)

@@ -1,9 +1,13 @@
-"""One-dimensional comparison objects.
+"""One-dimensional comparison processes, one transition each.
 
-The Ornstein-Uhlenbeck process dU = -(k/2) U dt + 2 dB with its exact
-Gaussian transitions, the meeting-probability helpers chi and beta, the
-radial comparison process with drift phi + psi, and the integral test that
-decides explosion of the one-dimensional comparison diffusion.
+The Ornstein-Uhlenbeck process dU = -(k/2) U dt + 2 dB advances by its
+exact Gaussian transition in ``ou_chunk``; the radial comparison process
+with drift phi + psi advances by ``RadialComparisonSpec.step``, which
+``engine.walk_chunk`` and ``simulate_radial_comparison`` share. Both act on
+a block of paths at once. Also here: the meeting-probability helpers chi
+and beta, and the integral test that decides explosion of the
+one-dimensional comparison diffusion. The Monte Carlo estimate of the OU
+survival probability is ``stats.ou_survival_probability``.
 """
 
 from __future__ import annotations
@@ -19,6 +23,10 @@ from . import rng
 from .errors import InvalidInput
 
 _SMALL_K = 1e-8
+
+# Steps of OU noise drawn per pass; a stream read in slabs yields the same
+# normals as one read of the whole path.
+_OU_SLAB = 1024
 
 
 def chi(a):
@@ -45,10 +53,9 @@ def beta(t, k: float):
 
 @dataclass(frozen=True)
 class OUParams:
-    """Initial value, decay constant and start time of the OU process."""
+    """Initial value and decay constant of the OU process."""
     a: float
     k: float
-    t1: float = 0.0
 
     def __post_init__(self):
         if self.a < 0:
@@ -65,74 +72,29 @@ def _ou_transition(k: float, h: float) -> tuple[float, float]:
     return decay, math.sqrt(var)
 
 
-def simulate_ou(params: OUParams, h: float, horizon: float,
-                stream: np.random.Generator) -> np.ndarray:
-    """One OU path on the grid t1 + j h via exact Gaussian transitions."""
-    if h <= 0 or horizon <= 0:
-        raise InvalidInput("need positive step and horizon")
-    n = int(math.ceil(horizon / h - 1e-9))
-    decay, sd = _ou_transition(params.k, h)
-    path = np.empty(n + 1)
-    path[0] = params.a
-    shocks = sd * stream.standard_normal(n)
-    for j in range(n):
-        path[j + 1] = decay * path[j] + shocks[j]
-    return path
+def ou_chunk(params: OUParams, h: float, n_steps: int, seed: int,
+             paths: range) -> dict:
+    """A block of OU paths from ``params.a`` over n_steps exact transitions
+    of length h.
 
-
-@dataclass
-class OuSurvival:
-    """Monte Carlo estimate of P(inf U > 0) with its analytic value."""
-    n_paths: int
-    estimate: float
-    stderr: float
-    analytic: float
-    h: float
-
-    @property
-    def ci95(self) -> tuple[float, float]:
-        return (self.estimate - 1.96 * self.stderr,
-                self.estimate + 1.96 * self.stderr)
-
-
-def ou_survival_probability(params: OUParams, horizon: float, n_paths: int,
-                            h: float, seed: int = 0,
-                            chunk: int = 1024) -> OuSurvival:
-    """Fraction of discretized OU paths whose grid infimum stays positive.
-
-    The grid infimum underestimates barrier hits, so the estimate carries a
-    known O(sqrt h) positive bias; the analytic value is
-    chi(a / (2 sqrt(beta(horizon)))).
+    Path i is driven by the standard normals of
+    ``rng.stream(seed, PURPOSE_OU, i)``, read _OU_SLAB steps at a time so
+    the block's noise stays at len(paths) x _OU_SLAB floats. Returns each
+    path's value after the last step (``end``) and whether every value
+    after the start was positive (``alive``).
     """
-    if n_paths < 1000:
-        raise InvalidInput("need at least 1000 paths")
-    if params.a == 0.0:
-        return OuSurvival(n_paths, 0.0, 0.0,
-                          0.0, h)
-    n = int(math.ceil(horizon / h - 1e-9))
     decay, sd = _ou_transition(params.k, h)
-    survived = 0
-    done = 0
-    index = 0
-    while done < n_paths:
-        b = min(chunk, n_paths - done)
-        values = np.full(b, params.a)
-        alive = np.ones(b, dtype=bool)
-        streams = [rng.stream(seed, rng.PURPOSE_OU, index + i)
-                   for i in range(b)]
-        shocks = np.empty((b, n))
-        for i, s in enumerate(streams):
-            shocks[i] = s.standard_normal(n)
-        for j in range(n):
-            values = decay * values + sd * shocks[:, j]
-            alive &= values > 0.0
-        survived += int(np.count_nonzero(alive))
-        done += b
-        index += b
-    p = survived / n_paths
-    stderr = math.sqrt(max(p * (1.0 - p), 0.0) / n_paths)
-    analytic = chi(params.a / (2.0 * math.sqrt(beta(horizon, params.k))))
-    return OuSurvival(n_paths, p, stderr, analytic, h)
+    streams = [rng.stream(seed, rng.PURPOSE_OU, i) for i in paths]
+    u = np.full(len(paths), params.a)
+    alive = np.ones(len(paths), dtype=bool)
+    for s0 in range(0, n_steps, _OU_SLAB):
+        shocks = np.empty((len(paths), min(_OU_SLAB, n_steps - s0)))
+        for row, gen in zip(shocks, streams):
+            gen.standard_normal(out=row)
+        for z in shocks.T:
+            u = decay * u + sd * z
+            alive &= u > 0.0
+    return {"alive": alive, "end": u}
 
 
 # ---------------------------------------------------------------------------
@@ -162,22 +124,21 @@ class RadialComparisonSpec:
             raise InvalidInput("c0 and r0 must be positive")
 
     def b_integral(self, r) -> np.ndarray:
-        """int_0^r b by composite trapezoid on a fine grid."""
+        """int_0^r b by composite trapezoid on the grid j / 256.
+
+        The grid's nodes do not depend on r, only how far it reaches, so a
+        point's value does not depend on the points passed with it.
+        """
         r = np.asarray(r, dtype=float)
-        scalar = r.ndim == 0
-        rmax = float(np.max(r)) if r.size else 0.0
-        if rmax <= 0.0:
-            out = np.zeros_like(r)
-            return float(out) if scalar else out
-        n = max(64, int(rmax * 256))
-        grid = np.linspace(0.0, rmax, n + 1)
+        n = max(64, math.ceil(float(np.max(r, initial=0.0)) * 256))
+        grid = np.arange(n + 1) / 256.0
         vals = np.asarray(self.b(grid), dtype=float)
         if np.any(~np.isfinite(vals)) or np.any(vals < 0):
             raise InvalidInput("b must be finite and nonnegative")
         cum = np.concatenate([[0.0], np.cumsum(
             0.5 * (vals[1:] + vals[:-1]) * np.diff(grid))])
         out = np.interp(r, grid, cum)
-        return float(out) if scalar else out
+        return float(out) if out.ndim == 0 else out
 
     def phi(self, r) -> np.ndarray:
         return self.c0 + 0.5 * self.b_integral(r)
@@ -190,6 +151,12 @@ class RadialComparisonSpec:
                        np.where(s >= 2.0, 0.0, _cutoff_bridge(
                            np.clip(s - 1.0, 0.0, 1.0))))
         return float(out) if out.ndim == 0 else out
+
+    def step(self, rho, lam, alpha: float, frac: float):
+        """One transition of a block of radial comparison paths:
+        rho + frac (alpha lam + alpha^2 (phi(rho) + psi(rho)))."""
+        return rho + frac * (alpha * lam
+                             + alpha ** 2 * (self.phi(rho) + self.psi(rho)))
 
 
 def builtin_b(spec: dict) -> Callable[[np.ndarray], np.ndarray]:
@@ -217,46 +184,29 @@ def builtin_b(spec: dict) -> Callable[[np.ndarray], np.ndarray]:
 def simulate_radial_comparison(spec: RadialComparisonSpec, a0: float, *,
                                alpha: float | None = None,
                                lambdas: np.ndarray | None = None,
-                               fracs: np.ndarray | None = None,
-                               h: float | None = None,
-                               horizon: float | None = None,
-                               stream: np.random.Generator | None = None
-                               ) -> np.ndarray:
-    """The radial comparison path.
+                               fracs: np.ndarray | None = None) -> np.ndarray:
+    """Radial comparison paths from a0 driven by the lambda records.
 
-    Discrete mode (alpha + lambdas): the recursion
-    rho_{n+1} = rho_n + frac_n (alpha lambda_{n+1}
-                + alpha^2 (phi(rho_n) + psi(rho_n))).
-    Continuous mode (h + horizon + stream): Euler-Maruyama for
-    d rho = dB + (phi(rho) + psi(rho)) dt.
+    ``lambdas`` is (n,) for one path or (B, n) for B paths, and the result
+    is (n + 1,) or (B, n + 1): rho_0 = a0 and
+    rho_{i+1} = spec.step(rho_i, lambda_i, alpha, frac_i), every frac 1
+    unless ``fracs`` is given. Euler-Maruyama with step h for
+    d rho = dB + (phi(rho) + psi(rho)) dt is alpha = sqrt(h) with standard
+    normal lambdas.
     """
     if a0 <= 2.0 * spec.r0:
         raise InvalidInput("initial value must exceed 2 r0")
-    if (alpha is None) == (h is None):
-        raise InvalidInput("exactly one of alpha (discrete) or h (continuous)")
-    if alpha is not None:
-        if lambdas is None:
-            raise InvalidInput("discrete mode needs the lambda record")
-        lambdas = np.asarray(lambdas, dtype=float)
-        n = len(lambdas)
-        if fracs is None:
-            fracs = np.ones(n)
-        rho = np.empty(n + 1)
-        rho[0] = a0
-        for i in range(n):
-            drift = spec.phi(rho[i]) + spec.psi(rho[i])
-            rho[i + 1] = rho[i] + fracs[i] * (alpha * lambdas[i]
-                                              + alpha ** 2 * drift)
-        return rho
-    if horizon is None or stream is None:
-        raise InvalidInput("continuous mode needs horizon and stream")
-    n = int(math.ceil(horizon / h - 1e-9))
-    rho = np.empty(n + 1)
-    rho[0] = a0
-    shocks = math.sqrt(h) * stream.standard_normal(n)
+    if alpha is None or lambdas is None:
+        raise InvalidInput("need alpha and the lambda record")
+    lambdas = np.asarray(lambdas, dtype=float)
+    n = lambdas.shape[-1]
+    if fracs is None:
+        fracs = np.ones(n)
+    rho = np.empty(lambdas.shape[:-1] + (n + 1,))
+    rho[..., 0] = a0
     for i in range(n):
-        drift = spec.phi(rho[i]) + spec.psi(rho[i])
-        rho[i + 1] = rho[i] + shocks[i] + h * drift
+        rho[..., i + 1] = spec.step(rho[..., i], lambdas[..., i], alpha,
+                                    fracs[i])
     return rho
 
 

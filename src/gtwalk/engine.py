@@ -31,15 +31,9 @@ REFLECTION = "reflection"
 PARALLEL = "parallel"
 
 
-def noise_lift(model: ManifoldModel, t: float, x: np.ndarray,
-               xi: np.ndarray) -> np.ndarray:
-    """sqrt(m+2) Phi(t, x) xi for a block of points, shape (B, ambient)."""
-    return model.lift(t, x, xi)
-
-
 def frame_coordinates(model: ManifoldModel, t: float, x: np.ndarray,
                       v: np.ndarray) -> np.ndarray:
-    """Ball-sample coordinates of a lifted vector: inverse of noise_lift."""
+    """Ball-sample coordinates of a lifted vector: inverse of model.lift."""
     fr = model.frame(t, x)
     coords = np.empty((x.shape[0], model.dim))
     for j in range(model.dim):
@@ -65,7 +59,7 @@ def walk_step(model: ManifoldModel, t: float, X: np.ndarray, xi: np.ndarray,
     alpha lift + alpha^2 Z). Only ``frac`` of the step's geodesic is
     traversed (the final partial step).
     """
-    lift = noise_lift(model, t, X, xi)
+    lift = model.lift(t, X, xi)
     Xn, w = _advance(model, t, X, lift, alpha, frac, use_drift)
     return Xn, lift, w
 
@@ -85,7 +79,7 @@ def reflect_step(model: ManifoldModel, t: float, X1: np.ndarray,
     and zero for parallel transport.
     """
     dist, u0, u1 = geo
-    lift1 = noise_lift(model, t, X1, xi)
+    lift1 = model.lift(t, X1, xi)
     lift2 = model.transport_along(t, X1, u0, dist, lift1)
     if kind == REFLECTION:
         lift2 = lift2 - 2.0 * model.inner(t, X2, lift2, u1)[:, None] * u1
@@ -109,9 +103,9 @@ def walk_chunk(model: ManifoldModel, sched, x0: np.ndarray, seed: int,
     """Run a block of independent walks over the schedule.
 
     ``radial`` enables the one-dimensional comparison replay:
-    {"phi": callable, "psi": callable, "r0": float, "rho0": float,
-    "margin": float} tracks rho alongside each walk, driven by the walk's
-    own radial noise pairing, and flags paths whose radial distance exceeds
+    {"spec": RadialComparisonSpec, "rho0": float, "margin": float} tracks
+    rho alongside each walk by ``spec.step``, driven by the walk's own
+    radial noise pairing, and flags paths whose radial distance exceeds
     rho + margin before exit.
     """
     B = len(paths)
@@ -131,10 +125,9 @@ def walk_chunk(model: ManifoldModel, sched, x0: np.ndarray, seed: int,
     exit_step = np.full(B, -1, dtype=np.int64)
 
     if track_radial:
+        spec = radial["spec"]
         rho = np.full(B, float(radial["rho0"]))
-        r0 = float(radial["r0"])
         margin = float(radial["margin"])
-        phi, psi = radial["phi"], radial["psi"]
         violated = np.zeros(B, dtype=bool)
         sqrt_m2 = np.sqrt(m + 2.0)
 
@@ -164,10 +157,9 @@ def walk_chunk(model: ManifoldModel, sched, x0: np.ndarray, seed: int,
         Xn, lift, w = walk_step(model, t, X, xi, alpha, float(fracs[n]),
                                 use_drift)
         if track_radial:
-            lam = np.where(d_o >= r0, -model.inner(t, X, lift, toward_o),
+            lam = np.where(d_o >= spec.r0, -model.inner(t, X, lift, toward_o),
                            sqrt_m2 * xi[:, 0])
-            rho = rho + float(fracs[n]) * (alpha * lam
-                                           + alpha ** 2 * (phi(rho) + psi(rho)))
+            rho = spec.step(rho, lam, alpha, float(fracs[n]))
         X = Xn
         if not np.isfinite(X).all():
             raise SingularConfiguration(f"non-finite position at step {n + 1}")

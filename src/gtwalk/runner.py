@@ -13,7 +13,7 @@ import numpy as np
 
 from . import __version__, engine
 from .comparison import (OUParams, RadialComparisonSpec, builtin_b,
-                         feller_explosion_test, ou_survival_probability)
+                         feller_explosion_test)
 from .config import (DUMP_KINDS, ExperimentConfig, RunManifest,
                      convergence_reference, resolve_start,
                      resolve_start_points)
@@ -23,7 +23,8 @@ from .manifolds import ManifoldModel
 from .stats import (McEstimate, VerificationReport, check_contraction,
                     check_gradient_estimate, circle_angles,
                     convergence_diagnostic, estimate_coupling_survival,
-                    gaussian_cdf, map_path_chunks, wrapped_gaussian_cdf)
+                    gaussian_cdf, map_path_chunks, ou_survival_probability,
+                    wrapped_gaussian_cdf)
 from .walk import Schedule, WalkConfig, run_walk
 
 
@@ -88,7 +89,7 @@ def execute(config: ExperimentConfig, workers: int = 1,
     elif kind == "feller-test":
         report = _run_feller(config)
     elif kind == "ou-survival":
-        report = _run_ou(config)
+        report = _run_ou(config, workers)
     elif kind == "radial-domination":
         report = _run_radial(config, model, workers)
     else:  # pragma: no cover - parse_config guards this
@@ -197,13 +198,12 @@ def _run_feller(config):
         "seed": config["seed"]})
 
 
-def _run_ou(config):
+def _run_ou(config, workers):
     horizon = config["t2"] - config["t1"]
     h = float(config["ou_h"])
-    params = OUParams(a=float(config["a"]), k=float(config["k"]),
-                      t1=config["t1"])
+    params = OUParams(a=float(config["a"]), k=float(config["k"]))
     res = ou_survival_probability(params, horizon, int(config["n_paths"]), h,
-                                  seed=int(config["seed"]))
+                                  seed=int(config["seed"]), workers=workers)
     deviation = abs(res.estimate - res.analytic)
     est = McEstimate(n=res.n_paths, mean=deviation, stderr=res.stderr,
                      ci95=(deviation - 1.96 * res.stderr,
@@ -226,8 +226,7 @@ def _run_radial(config, model, workers):
                                 c0=float(config["c0"]),
                                 r0=float(config["r0"]))
     rho0 = float(model.distance(config["t1"], origin, start)) + 3.0 * spec.r0
-    radial = {"phi": spec.phi, "psi": spec.psi, "r0": spec.r0,
-              "rho0": rho0, "margin": float(config["margin"])}
+    radial = {"spec": spec, "rho0": rho0, "margin": float(config["margin"])}
     kernel = partial(engine.walk_chunk, model, sched, start, config["seed"],
                      origin=origin, exit_radius=config["exit_radius"],
                      radial=radial)

@@ -18,7 +18,7 @@ import numpy as np
 from scipy import special, stats as sp_stats
 
 from . import engine
-from .comparison import beta
+from .comparison import OUParams, beta, chi, ou_chunk
 from .coupling import (CouplingConfig, CouplingKind, coupled_block,
                        coupling_probability_bound)
 from .errors import InvalidInput
@@ -246,6 +246,38 @@ def check_gradient_estimate(model: ManifoldModel, config: CouplingConfig,
                        "manifold": model.describe()},
             "seed": config.seed}
     return VerificationReport(experiment_id, est, bound, 0.0, meta)
+
+
+@dataclass
+class OuSurvival:
+    """Monte Carlo estimate of P(inf U > 0) with its analytic value."""
+    n_paths: int
+    estimate: float
+    stderr: float
+    analytic: float
+    h: float
+
+
+def ou_survival_probability(params: OUParams, horizon: float, n_paths: int,
+                            h: float, seed: int = 0,
+                            workers: int = 1) -> OuSurvival:
+    """Fraction of discretized OU paths whose grid infimum stays positive.
+
+    The grid infimum underestimates barrier hits, so the estimate carries a
+    known O(sqrt h) positive bias; the analytic value is
+    chi(a / (2 sqrt(beta(horizon)))).
+    """
+    if n_paths < 1000:
+        raise InvalidInput("need at least 1000 paths")
+    if params.a == 0.0:
+        return OuSurvival(n_paths, 0.0, 0.0, 0.0, h)
+    n = int(math.ceil(horizon / h - 1e-9))
+    alive = map_path_chunks(n_paths, partial(ou_chunk, params, h, n, seed),
+                            workers)["alive"]
+    p = int(np.count_nonzero(alive)) / n_paths
+    stderr = math.sqrt(max(p * (1.0 - p), 0.0) / n_paths)
+    analytic = chi(params.a / (2.0 * math.sqrt(beta(horizon, params.k))))
+    return OuSurvival(n_paths, p, stderr, analytic, h)
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,7 @@ from oracles import gaussian_mass, normal_cdf, wrapped_gaussian_cdf_fourier
 
 from gtwalk import engine
 from gtwalk.comparison import (OUParams, RadialComparisonSpec, beta,
-                               builtin_b, feller_explosion_test,
-                               ou_survival_probability)
+                               builtin_b, feller_explosion_test)
 from gtwalk.coupling import CouplingConfig, CouplingKind, dominating_process, run_coupled
 from gtwalk.manifolds import (Euclidean, Hyperbolic, RoundSphere,
                               ScaledMetric, curvature_condition_residual,
@@ -26,8 +25,9 @@ from gtwalk.manifolds import (Euclidean, Hyperbolic, RoundSphere,
 from gtwalk.runner import run_document
 from gtwalk.stats import (check_contraction, check_gradient_estimate,
                           estimate_coupling_survival, gaussian_cdf,
-                          ks_statistic, reference_quantiles,
-                          wasserstein1_1d, wrapped_gaussian_cdf)
+                          ks_statistic, ou_survival_probability,
+                          reference_quantiles, wasserstein1_1d,
+                          wrapped_gaussian_cdf)
 from gtwalk.variation import dagger_field, dt_distance, index_form, solve_green
 from gtwalk.walk import Schedule
 
@@ -378,8 +378,7 @@ def test_criterion_10_domination():
     start = flow.exp(0.0, flow.origin(),
                      flow.frame(0.0, flow.origin())[0] * 0.3)
     rho0 = float(flow.distance(0.0, flow.origin(), start)) + 3.0 * spec.r0
-    radial = {"phi": spec.phi, "psi": spec.psi, "r0": spec.r0, "rho0": rho0,
-              "margin": 0.1}
+    radial = {"spec": spec, "rho0": rho0, "margin": 0.1}
     viol = []
     for lo in range(0, 4000, 2048):
         out = engine.walk_chunk(flow, sched, start, 1011,

@@ -10,10 +10,11 @@ from oracles import gaussian_mass
 from gtwalk import rng
 from gtwalk.comparison import (OUParams, RadialComparisonSpec, beta,
                                builtin_b, chi, feller_explosion_test,
-                               ou_survival_probability, simulate_ou,
-                               simulate_radial_comparison, _ou_transition)
+                               ou_chunk, simulate_radial_comparison,
+                               _ou_transition)
 from gtwalk.errors import InvalidInput
-from gtwalk.stats import gaussian_cdf, ks_statistic
+from gtwalk.stats import (CHUNK, gaussian_cdf, ks_statistic,
+                          ou_survival_probability)
 
 
 # ---------------------------------------------------------------------------
@@ -74,11 +75,7 @@ def test_ou_transition_variance_additivity():
 
 def test_ou_mean_path():
     k, a, T, h = 1.0, 2.0, 1.0, 0.01
-    ends = []
-    for i in range(4000):
-        path = simulate_ou(OUParams(a, k), h, T, rng.stream(8, rng.PURPOSE_OU, i))
-        ends.append(path[-1])
-    ends = np.asarray(ends)
+    ends = ou_chunk(OUParams(a, k), h, round(T / h), 8, range(4000))["end"]
     target = math.exp(-k * T / 2.0) * a
     se = ends.std(ddof=1) / math.sqrt(len(ends))
     assert abs(ends.mean() - target) <= 3 * se
@@ -86,12 +83,8 @@ def test_ou_mean_path():
 
 def test_ou_flat_variance():
     T, h = 1.0, 0.01
-    ends = []
-    for i in range(4000):
-        path = simulate_ou(OUParams(0.0, 0.0), h, T,
-                           rng.stream(9, rng.PURPOSE_OU, i))
-        ends.append(path[-1])
-    ends = np.asarray(ends)
+    ends = ou_chunk(OUParams(0.0, 0.0), h, round(T / h), 9,
+                    range(4000))["end"]
     se = math.sqrt(2.0 / len(ends)) * 4.0 * T
     assert abs(ends.var() - 4.0 * T) <= 3 * se
 
@@ -101,13 +94,9 @@ def test_ou_endpoint_distribution_ks():
     n = int(round(T / h))
     decay, sd = _ou_transition(k, h)
     var_total = sum(decay ** (2 * j) * sd ** 2 for j in range(n))
-    ends = []
-    for i in range(10_000):
-        path = simulate_ou(OUParams(a, k), h, T,
-                           rng.stream(10, rng.PURPOSE_OU, i))
-        ends.append(path[-1])
-    ks = ks_statistic(np.asarray(ends),
-                      gaussian_cdf(decay ** n * a, var_total), level=0.01)
+    ends = ou_chunk(OUParams(a, k), h, n, 10, range(10_000))["end"]
+    ks = ks_statistic(ends, gaussian_cdf(decay ** n * a, var_total),
+                      level=0.01)
     assert ks.passed
 
 
@@ -126,6 +115,16 @@ def test_ou_survival_monotone_in_start():
 def test_ou_survival_needs_paths():
     with pytest.raises(InvalidInput):
         ou_survival_probability(OUParams(1.0, 0.0), 1.0, 10, 1e-2)
+
+
+def test_ou_survival_same_for_any_worker_count():
+    """Three chunks in two worker processes give the one-process result."""
+    n_paths = 2 * CHUNK + 500
+    one = ou_survival_probability(OUParams(1.0, 0.5), 1.0, n_paths, 1e-2,
+                                  seed=17, workers=1)
+    two = ou_survival_probability(OUParams(1.0, 0.5), 1.0, n_paths, 1e-2,
+                                  seed=17, workers=2)
+    assert one == two
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +155,20 @@ def test_phi_properties():
     assert spec.phi(3.0) == pytest.approx(1.5 + 0.5 * 2.0 * 3.0, rel=1e-6)
 
 
+@pytest.mark.parametrize("b", [
+    {"name": "zero"}, {"name": "constant", "c": 2.0},
+    {"name": "linear", "slope": 1.0},
+    {"name": "table", "r": [0.0, 1.0, 3.0], "values": [0.0, 1.0, 4.0]}])
+def test_phi_does_not_depend_on_companion_points(b):
+    """phi of a point is bit-equal alone and inside any batch."""
+    spec = RadialComparisonSpec(builtin_b(b), c0=1.0, r0=0.5)
+    r = np.array([0.0, 0.1, 1.3, 2.71, 4.0])
+    with_far = np.append(r, 9.77)
+    batch, far = spec.phi(r), spec.phi(with_far)
+    for i, ri in enumerate(r):
+        assert spec.phi(ri) == batch[i] == far[i]
+
+
 def test_builtin_b_validation():
     with pytest.raises(InvalidInput):
         builtin_b({"name": "mystery"})
@@ -173,29 +186,40 @@ def test_radial_discrete_stays_above_floor():
     spec = RadialComparisonSpec(builtin_b({"name": "zero"}), c0=1.0, r0=0.5)
     alpha = 0.05
     n_steps = 400
-    lows = []
-    for i in range(1000):
-        gen = rng.stream(12, rng.PURPOSE_RADIAL, i)
-        xi = rng.unit_ball_samples(gen, n_steps, 2)
-        lam = math.sqrt(4.0) * xi[:, 0]
-        rho = simulate_radial_comparison(spec, 1.5, alpha=alpha, lambdas=lam)
-        lows.append(rho.min())
-    assert min(lows) > 2 * spec.r0
+    lam = np.stack([
+        math.sqrt(4.0) * rng.unit_ball_samples(
+            rng.stream(12, rng.PURPOSE_RADIAL, i), n_steps, 2)[:, 0]
+        for i in range(1000)])
+    rho = simulate_radial_comparison(spec, 1.5, alpha=alpha, lambdas=lam)
+    assert rho.min() > 2 * spec.r0
 
 
 def test_radial_continuous_drift_mean():
     """Away from the cutoff region the drift is exactly c0."""
     spec = RadialComparisonSpec(builtin_b({"name": "zero"}), c0=1.0, r0=0.5)
     h, T = 1e-3, 0.25
-    drifts = []
-    for i in range(400):
-        gen = rng.stream(13, rng.PURPOSE_RADIAL, i)
-        rho = simulate_radial_comparison(spec, 8.0, h=h, horizon=T,
-                                         stream=gen)
-        drifts.append(rho[-1] - rho[0])
-    drifts = np.asarray(drifts)
+    n = int(math.ceil(T / h - 1e-9))
+    z = np.stack([rng.stream(13, rng.PURPOSE_RADIAL, i).standard_normal(n)
+                  for i in range(400)])
+    rho = simulate_radial_comparison(spec, 8.0, alpha=math.sqrt(h),
+                                     lambdas=z)
+    drifts = rho[:, -1] - rho[:, 0]
     se = drifts.std(ddof=1) / math.sqrt(len(drifts))
     assert abs(drifts.mean() - spec.c0 * T) <= 3 * se
+
+
+def test_radial_batch_rows_are_single_paths():
+    """Each row of a batched call is the one-path call, bit for bit."""
+    spec = RadialComparisonSpec(builtin_b({"name": "linear"}), c0=1.0, r0=0.5)
+    lam = np.random.default_rng(3).normal(size=(6, 80))
+    fracs = np.append(np.ones(79), 0.4)
+    rho = simulate_radial_comparison(spec, 1.5, alpha=0.1, lambdas=lam,
+                                     fracs=fracs)
+    assert rho.shape == (6, 81)
+    for i in range(6):
+        single = simulate_radial_comparison(spec, 1.5, alpha=0.1,
+                                            lambdas=lam[i], fracs=fracs)
+        assert np.array_equal(single, rho[i])
 
 
 def test_radial_domain_validation():

@@ -54,6 +54,11 @@ CONFIGS = {
         "kind": "convergence", "manifold": {"kind": "euclidean", "dim": 1},
         "t1": 0.0, "t2": 1.0, "alphas": [0.4, 0.2], "n_paths": 1000,
         "seed": 10},
+    # More paths than stats.CHUNK, so the estimate spans three chunks.
+    "ou-survival": {
+        "kind": "ou-survival", "manifold": {"kind": "euclidean", "dim": 1},
+        "t1": 0.0, "t2": 1.0, "a": 1.0, "k": 0.5, "ou_h": 2e-3,
+        "n_paths": 5000, "seed": 11},
 }
 
 # Kinds whose estimate is a success fraction: its mean is an exact ratio.

@@ -326,7 +326,7 @@ def test_noise_lift_norm_identity(flow_sphere, rng):
         x = random_point(flow_sphere, rng)
         xi = rng.normal(size=2)
         xi /= max(np.linalg.norm(xi) * 1.001, 1.0)
-        lift = engine.noise_lift(flow_sphere, t, x[None, :], xi[None, :])[0]
+        lift = flow_sphere.lift(t, x[None, :], xi[None, :])[0]
         got = float(flow_sphere.norm(t, x, lift))
         assert got == pytest.approx(2.0 * np.linalg.norm(xi), abs=1e-9)
 
