@@ -19,11 +19,20 @@ from .manifolds import list_model_kinds
 from .runner import dump_paths, run_document
 
 
+def _number(text: str, convert, name: str):
+    """``convert(text)``, or a GtwalkError naming where the text came from."""
+    try:
+        return convert(text)
+    except ValueError:
+        raise GtwalkError(f"{name}: expected {convert.__name__}, "
+                          f"got {text!r}") from None
+
+
 def _threads(args) -> int:
     if args.threads is not None:
         return max(1, int(args.threads))
     env = os.environ.get("GTWALK_THREADS")
-    return max(1, int(env)) if env else 1
+    return max(1, _number(env, int, "GTWALK_THREADS")) if env else 1
 
 
 def parse_manifold_spec(spec: str) -> dict:
@@ -32,14 +41,14 @@ def parse_manifold_spec(spec: str) -> dict:
     kind = parts[0]
     desc: dict = {"kind": kind}
     if len(parts) > 1:
-        desc["dim"] = int(parts[1])
+        desc["dim"] = _number(parts[1], int, "--manifold dim")
     for opt in parts[2:]:
         if opt == "flow":
             desc["flow"] = True
         elif opt.startswith("c0="):
-            desc["radius_c0"] = float(opt[3:])
+            desc["radius_c0"] = _number(opt[3:], float, "--manifold c0")
         elif opt.startswith("k="):
-            desc["k"] = float(opt[2:])
+            desc["k"] = _number(opt[2:], float, "--manifold k")
         else:
             raise GtwalkError(f"unknown manifold option {opt!r}")
     return desc

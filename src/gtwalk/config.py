@@ -28,18 +28,22 @@ EXPERIMENT_KINDS = (
 DUMP_KINDS = ("walk", "couple", "verify-coupling-bound", "verify-contraction",
               "verify-gradient", "radial-domination")
 
+# Kinds that run a coupled pair; runner._coupling_config builds their
+# CouplingConfig.
+COUPLED_KINDS = ("couple", "verify-coupling-bound", "verify-contraction",
+                 "verify-gradient")
+
 _COMMON_KEYS = {"kind", "manifold", "t1", "t2", "seed", "out"}
 _KEYS_BY_KIND = {
-    "walk": {"alpha", "n_paths", "start", "origin", "exit_radius", "use_drift"},
+    "walk": {"alpha", "n_paths", "start", "origin", "exit_radius"},
     "couple": {"alpha", "n_paths", "start1", "start2", "d0", "delta_couple",
-               "k", "coupling", "stick", "use_drift", "origin", "exit_radius"},
+               "k", "coupling", "stick", "origin", "exit_radius"},
     "verify-coupling-bound": {"alpha", "n_paths", "start1", "start2", "d0",
-                              "delta_couple", "k", "bias", "use_drift"},
+                              "delta_couple", "k", "bias"},
     "verify-contraction": {"alpha", "n_paths", "start1", "start2", "d0",
-                           "delta_couple", "k", "contraction_coefficient",
-                           "use_drift"},
+                           "delta_couple", "k", "contraction_coefficient"},
     "verify-gradient": {"alpha", "n_paths", "start1", "start2", "d0",
-                        "delta_couple", "k", "f", "osc", "use_drift"},
+                        "delta_couple", "k", "f", "osc"},
     "convergence": {"alphas", "n_paths", "start", "reference"},
     "feller-test": {"b", "C", "y_max", "expect"},
     "ou-survival": {"a", "k", "ou_h", "n_paths"},
@@ -47,6 +51,14 @@ _KEYS_BY_KIND = {
                           "exit_radius", "b", "c0", "r0", "margin"},
 }
 _MANIFOLD_KEYS = {"kind", "dim", "radius_c0", "flow", "k", "base"}
+
+# Numeric keys by how they convert where used. The parser checks that they
+# convert but stores them as given, so config_hash does not move.
+_INT_KEYS = {"seed", "n_paths", "n_dump", "dim"}
+_FLOAT_KEYS = {"t1", "t2", "alpha", "exit_radius", "d0", "delta_couple", "k",
+               "bias", "contraction_coefficient", "osc", "C", "y_max", "c0",
+               "r0", "margin", "ou_h", "a", "radius_c0"}
+_NULLABLE_KEYS = {"exit_radius", "n_dump"}
 
 _DEFAULTS: dict[str, Any] = {
     "seed": 0,
@@ -56,7 +68,6 @@ _DEFAULTS: dict[str, Any] = {
     "k": 0.0,
     "coupling": "reflection",
     "stick": True,
-    "use_drift": False,
     "bias": 0.0,
     "contraction_coefficient": 5.0,
     "osc": 1.0,
@@ -99,6 +110,20 @@ def _fail(path: str, message: str):
     raise ConfigError(f"{path}: {message}")
 
 
+def _check_numbers(raw: dict, prefix: str = "") -> None:
+    """Reject a numeric key whose value does not convert."""
+    for key, value in raw.items():
+        convert = int if key in _INT_KEYS \
+            else float if key in _FLOAT_KEYS else None
+        if convert is None or (value is None and key in _NULLABLE_KEYS):
+            continue
+        try:
+            convert(value)
+        except (TypeError, ValueError, OverflowError):
+            what = "an integer" if convert is int else "a number"
+            _fail(prefix + key, f"must be {what}, not {value!r}")
+
+
 def _check_manifold(desc: Any) -> dict:
     if not isinstance(desc, dict):
         _fail("manifold", "must be an object with a 'kind' tag")
@@ -109,6 +134,9 @@ def _check_manifold(desc: Any) -> dict:
         _fail("manifold.kind", "missing")
     if desc["kind"] not in ("euclidean", "sphere", "scaled", "hyperbolic"):
         _fail("manifold.kind", f"unknown manifold kind {desc['kind']!r}")
+    if desc["kind"] != "scaled" and "dim" not in desc:
+        _fail("manifold.dim", "missing")
+    _check_numbers(desc, "manifold.")
     if desc["kind"] == "scaled" and "base" in desc:
         _check_manifold(desc["base"])
     return dict(desc)
@@ -147,6 +175,7 @@ def parse_config(document: str | dict) -> ExperimentConfig:
     for req in ("manifold", "t1", "t2"):
         if req not in raw:
             _fail(req, "missing")
+    _check_numbers(raw)
     data: dict[str, Any] = {"kind": kind}
     data["manifold"] = _check_manifold(raw["manifold"])
     t1, t2 = float(raw["t1"]), float(raw["t2"])
@@ -164,9 +193,12 @@ def parse_config(document: str | dict) -> ExperimentConfig:
         alphas = data.get("alphas")
         if not isinstance(alphas, list) or not alphas:
             _fail("alphas", "must be a nonempty list")
-        for a in alphas:
-            _check_alpha(float(a), t1, t2)
-        data["alphas"] = [float(a) for a in alphas]
+        try:
+            data["alphas"] = [float(a) for a in alphas]
+        except (TypeError, ValueError):
+            _fail("alphas", f"must list numbers, not {alphas!r}")
+        for a in data["alphas"]:
+            _check_alpha(a, t1, t2)
     elif kind not in ("feller-test", "ou-survival"):
         if "alpha" not in data:
             _fail("alpha", "missing")
@@ -175,14 +207,16 @@ def parse_config(document: str | dict) -> ExperimentConfig:
 
     if kind == "couple" and float(data["k"]) != 0.0:
         _fail("k", "couple checks no bound; k applies to the verify kinds")
+    if kind == "couple" and data["coupling"] not in ("reflection", "parallel"):
+        _fail("coupling", f"must be 'reflection' or 'parallel', not "
+              f"{data['coupling']!r}")
     if kind in ("walk", "radial-domination"):
         radius = data["exit_radius"]
         if radius is not None and float(radius) <= 1.0:
             _fail("exit_radius", "must exceed 1 (or be null)")
     if kind == "convergence":
         convergence_reference(data["reference"], data["manifold"])
-    if kind in ("couple", "verify-coupling-bound", "verify-contraction",
-                "verify-gradient"):
+    if kind in COUPLED_KINDS:
         starts = [key for key in ("start1", "start2") if key in data]
         if "d0" in data and starts:
             _fail(starts[0], "give start1/start2 or d0, not both")

@@ -44,7 +44,6 @@ class CouplingConfig:
     delta_couple: float | None = None   # default 2 alpha
     k: float = 0.0
     stick_after_coupling: bool = True
-    use_drift: bool = False
     origin: np.ndarray | None = None
     exit_radius: float | None = None
     path_index: int = 0
@@ -116,7 +115,7 @@ def reflection_map(model: ManifoldModel, t: float, geodesic: Geodesic,
 
 def coupled_step(model: ManifoldModel, t: float, x1, x2, xi: np.ndarray,
                  alpha: float, kind: CouplingKind = CouplingKind.REFLECTION,
-                 use_drift: bool = False, frac: float = 1.0):
+                 frac: float = 1.0):
     """One synchronized transition of the pair: ``engine.reflect_step`` on
     a block of one.
 
@@ -132,7 +131,7 @@ def coupled_step(model: ManifoldModel, t: float, x1, x2, xi: np.ndarray,
     geo = model.connect(t, X1, X2)
     y1, y2, lam, _ = engine.reflect_step(
         model, t, X1, X2, xi[None, :], geo, geo[0] < COINCIDE_TOL, alpha,
-        frac, kind=kind.value, use_drift=use_drift)
+        frac, kind=kind.value)
     return (Point(y1[0], model.model_id), Point(y2[0], model.model_id),
             float(lam[0]))
 
@@ -149,8 +148,8 @@ def coupled_block(model: ManifoldModel, cc: CouplingConfig, paths: range,
     return engine.coupled_chunk(
         model, cc.schedule(), cc.start1, cc.start2, cc.seed, paths,
         kind=cc.kind.value, delta_couple=cc.delta_couple,
-        stick=cc.stick_after_coupling, k=cc.k, use_drift=cc.use_drift,
-        origin=cc.origin, exit_radius=cc.exit_radius, **diagnostics)
+        stick=cc.stick_after_coupling, k=cc.k, origin=cc.origin,
+        exit_radius=cc.exit_radius, **diagnostics)
 
 
 def run_coupled(model: ManifoldModel, config: CouplingConfig) -> CoupledPath:

@@ -10,7 +10,8 @@ it back as (block, n_steps, dim). A step's tangent vector is
 ``model.lift``: bit-equal to sqrt(m+2) times the frame contracted with the
 ball sample, but it need not build the frame. ``walk_step`` and
 ``reflect_step`` are the only transition functions; ``walk.step`` and
-``coupling.coupled_step`` call them on a block of one.
+``coupling.coupled_step`` call them on a block of one. A step adds the
+drift alpha^2 Z exactly when ``model.has_drift``; no caller decides that.
 
 A coupled step makes one pair-geometry call, ``model.connect``. Its
 distance is bit-identical to ``model.distance``, and the sphere builds its
@@ -42,17 +43,17 @@ def frame_coordinates(model: ManifoldModel, t: float, x: np.ndarray,
 
 
 def _advance(model: ManifoldModel, t: float, X: np.ndarray, lift: np.ndarray,
-             alpha: float, frac: float, use_drift: bool):
+             alpha: float, frac: float):
     """Follow alpha lift + alpha^2 Z for ``frac`` of a step; returns the
     landing points and the step vector."""
     w = alpha * lift
-    if use_drift:
+    if model.has_drift:
         w = w + alpha ** 2 * model.drift(t, X)
     return model.exp(t, X, w if frac == 1.0 else frac * w), w
 
 
 def walk_step(model: ManifoldModel, t: float, X: np.ndarray, xi: np.ndarray,
-              alpha: float, frac: float = 1.0, use_drift: bool = False):
+              alpha: float, frac: float = 1.0):
     """One transition of a block of walks driven by the ball samples xi.
 
     Returns (landing points, lift sqrt(m+2) Phi xi, step vector
@@ -60,14 +61,13 @@ def walk_step(model: ManifoldModel, t: float, X: np.ndarray, xi: np.ndarray,
     traversed (the final partial step).
     """
     lift = model.lift(t, X, xi)
-    Xn, w = _advance(model, t, X, lift, alpha, frac, use_drift)
+    Xn, w = _advance(model, t, X, lift, alpha, frac)
     return Xn, lift, w
 
 
 def reflect_step(model: ManifoldModel, t: float, X1: np.ndarray,
                  X2: np.ndarray, xi: np.ndarray, geo, coupled: np.ndarray,
-                 alpha: float, frac: float = 1.0, *, kind: str = REFLECTION,
-                 use_drift: bool = False):
+                 alpha: float, frac: float = 1.0, *, kind: str = REFLECTION):
     """One synchronized transition of a block of pairs.
 
     ``geo`` is ``model.connect(t, X1, X2)``. The first lift is transported
@@ -90,13 +90,12 @@ def reflect_step(model: ManifoldModel, t: float, X1: np.ndarray,
     lift2 = np.where(coupled[:, None], lift1, lift2)
     # Both particles take one exp call on the stacked (2B, ambient) block.
     Xn, _ = _advance(model, t, np.concatenate([X1, X2]),
-                     np.concatenate([lift1, lift2]), alpha, frac, use_drift)
+                     np.concatenate([lift1, lift2]), alpha, frac)
     return Xn[:len(X1)], Xn[len(X1):], lam, lift2
 
 
 def walk_chunk(model: ManifoldModel, sched, x0: np.ndarray, seed: int,
-               paths: range, *, use_drift: bool = False,
-               origin: np.ndarray | None = None,
+               paths: range, *, origin: np.ndarray | None = None,
                exit_radius: float | None = None,
                radial: dict | None = None,
                want_trace: bool = False) -> dict:
@@ -154,8 +153,7 @@ def walk_chunk(model: ManifoldModel, sched, x0: np.ndarray, seed: int,
             break
 
         xi = noise[n]
-        Xn, lift, w = walk_step(model, t, X, xi, alpha, float(fracs[n]),
-                                use_drift)
+        Xn, lift, w = walk_step(model, t, X, xi, alpha, float(fracs[n]))
         if track_radial:
             lam = np.where(d_o >= spec.r0, -model.inner(t, X, lift, toward_o),
                            sqrt_m2 * xi[:, 0])
@@ -182,7 +180,7 @@ def walk_chunk(model: ManifoldModel, sched, x0: np.ndarray, seed: int,
 def coupled_chunk(model: ManifoldModel, sched, x1: np.ndarray, x2: np.ndarray,
                   seed: int, paths: range, *, kind: str = REFLECTION,
                   delta_couple: float = 0.0, stick: bool = True,
-                  k: float = 0.0, use_drift: bool = False,
+                  k: float = 0.0,
                   origin: np.ndarray | None = None,
                   exit_radius: float | None = None,
                   domination_margin: float | None = None,
@@ -282,7 +280,7 @@ def coupled_chunk(model: ManifoldModel, sched, x1: np.ndarray, x2: np.ndarray,
 
         X1, X2n, lam, lift2 = reflect_step(
             model, t, X1, X2, noise[n], geo, coupled, alpha,
-            float(fracs[n]), kind=kind, use_drift=use_drift)
+            float(fracs[n]), kind=kind)
         if track_dom:
             weight = float(fracs[n]) * np.exp(
                 k * (float(times[n + 1]) - t1_win) / 2.0)

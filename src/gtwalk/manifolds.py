@@ -263,10 +263,6 @@ class ManifoldModel(abc.ABC):
         """Inner product of v with the constraint gradient at x (0 = tangent)."""
         return np.zeros(x.shape[:-1])
 
-    def project_tangent(self, x: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """Tangential component of an ambient/chart vector w at x."""
-        return w
-
     def origin(self) -> np.ndarray:
         """Canonical reference point."""
         return np.zeros(self.ambient_dim)
@@ -292,13 +288,6 @@ class ManifoldModel(abc.ABC):
         u0 = self.log(t, x, y) / safe[..., None]
         u1 = self.transport_along(t, x, u0, dist, u0)
         return dist, u0, u1
-
-    def random_tangent(self, t: float, x: np.ndarray,
-                       rng: np.random.Generator) -> np.ndarray:
-        """A nonzero tangent vector with standard-normal frame coordinates."""
-        fr = self.frame(t, x)
-        z = rng.standard_normal(fr.shape[:-1])
-        return np.sum(z[..., None] * fr, axis=-2)
 
 
 # ---------------------------------------------------------------------------
@@ -542,10 +531,6 @@ class RoundSphere(ManifoldModel):
     def tangency_residual(self, x, v):
         return np.abs(_dot(x, v)) / self.radius
 
-    def project_tangent(self, x, w):
-        xhat = x / self.radius
-        return w - _dot(w, xhat)[..., None] * xhat
-
     def origin(self):
         o = np.zeros(self.ambient_dim)
         o[-1] = self.radius
@@ -621,9 +606,6 @@ class ScaledMetric(ManifoldModel):
 
     def tangency_residual(self, x, v):
         return self.base.tangency_residual(x, v)
-
-    def project_tangent(self, x, w):
-        return self.base.project_tangent(x, w)
 
     def origin(self):
         return self.base.origin()
@@ -720,9 +702,6 @@ class Hyperbolic(ManifoldModel):
 
     def tangency_residual(self, x, v):
         return np.abs(self._ldot(x, v))
-
-    def project_tangent(self, x, w):
-        return w + self._ldot(w, x)[..., None] * x
 
     def origin(self):
         o = np.zeros(self.ambient_dim)

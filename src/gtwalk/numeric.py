@@ -2,18 +2,20 @@
 
 Geodesics are integrated with fixed-step RK4 using Christoffel symbols from
 central finite differences of the metric; parallel transport integrates the
-transport equation along the cached trajectory. Minimal geodesics and
-distances between arbitrary points (boundary-value problems) are not
-supported here.
+transport equation along the cached trajectory. The math is pointwise;
+like every model, the public methods broadcast over leading axes, here by
+one call per point. Minimal geodesics and distances between arbitrary
+points (boundary-value problems) are not supported here.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidInput, UnsupportedOperation
+from .errors import InvalidInput
 from .manifolds import Geodesic, ManifoldModel
 
 FD_EPS = 1e-5        # metric finite-difference step
@@ -23,11 +25,30 @@ MAX_STEP = 0.05      # chart-length covered by one RK4 step
 MIN_STEPS = 20
 
 
+def _over_points(fn, *args, scalars: tuple = ()):
+    """The pointwise ``fn`` called once per point of the broadcast leading
+    axes of args, results stacked. Args at the ``scalars`` positions hold
+    one number per point, the others one (dim,) vector."""
+    arrays = [np.asarray(a, dtype=float) for a in args]
+    cores = [0 if i in scalars else 1 for i in range(len(arrays))]
+    lead = np.broadcast_shapes(*(a.shape[:a.ndim - c]
+                                 for a, c in zip(arrays, cores)))
+    if not lead:
+        return fn(*arrays)
+    rows = [np.broadcast_to(a, lead + a.shape[a.ndim - c:])
+            .reshape((-1,) + a.shape[a.ndim - c:])
+            for a, c in zip(arrays, cores)]
+    out = np.array([fn(*row) for row in zip(*rows)])
+    return out.reshape(lead + out.shape[1:])
+
+
 class NumericChart(ManifoldModel):
     """Chart R^m with metric from a callable ``metric(t, x) -> (m, m)``.
 
     Optional callables provide the metric time derivative and a drift field;
-    the time derivative falls back to a central difference in t.
+    the time derivative falls back to a central difference in t. Every
+    callable takes one point of shape (m,); the methods map them over
+    batches.
     """
 
     kind = "numeric-chart"
@@ -52,34 +73,25 @@ class NumericChart(ManifoldModel):
         return 0.5 * (g + g.T)
 
     def inner(self, t, x, u, v):
-        x, u, v = (np.asarray(a, dtype=float) for a in (x, u, v))
-        if x.ndim == 1:
-            return float(u @ self.metric_matrix(t, x) @ v)
-        out = np.empty(np.broadcast(x[..., 0], u[..., 0], v[..., 0]).shape)
-        xb, ub, vb = np.broadcast_arrays(x, u, v)
-        flat = out.reshape(-1)
-        for i, (xi, ui, vi) in enumerate(zip(
-                xb.reshape(-1, self.dim), ub.reshape(-1, self.dim),
-                vb.reshape(-1, self.dim))):
-            flat[i] = ui @ self.metric_matrix(t, xi) @ vi
-        return out
+        return _over_points(
+            lambda x, u, v: float(u @ self.metric_matrix(t, x) @ v), x, u, v)
 
     def metric_dt(self, t, x, u, v):
-        x = np.asarray(x, dtype=float)
-        if x.ndim > 1:
-            raise UnsupportedOperation("numeric-chart metric_dt is pointwise")
-        if self._metric_dt is not None:
-            g = np.asarray(self._metric_dt(t, x), dtype=float)
-        else:
-            h = FD_EPS_T
-            g = (self.metric_matrix(t + h, x) - self.metric_matrix(t - h, x)) / (2 * h)
-        u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
-        return float(u @ g @ v)
+        def at(x, u, v):
+            if self._metric_dt is not None:
+                g = np.asarray(self._metric_dt(t, x), dtype=float)
+            else:
+                h = FD_EPS_T
+                g = (self.metric_matrix(t + h, x)
+                     - self.metric_matrix(t - h, x)) / (2 * h)
+            return float(u @ g @ v)
+        return _over_points(at, x, u, v)
 
     def drift(self, t, x):
         if self._drift is None:
             return np.zeros_like(np.asarray(x, dtype=float))
-        return np.asarray(self._drift(t, np.asarray(x, dtype=float)), dtype=float)
+        return _over_points(
+            lambda x: np.asarray(self._drift(t, x), dtype=float), x)
 
     # -- Christoffel symbols and curvature ------------------------------------
 
@@ -106,9 +118,9 @@ class NumericChart(ManifoldModel):
         return np.einsum("ijk,j,k->i", gam, a, b)
 
     def curvature(self, t, x, u, v, w):
-        x = np.asarray(x, dtype=float)
-        if x.ndim > 1:
-            raise UnsupportedOperation("numeric-chart curvature is pointwise")
+        return _over_points(partial(self._curvature_at, t), x, u, v, w)
+
+    def _curvature_at(self, t, x, u, v, w):
         m = self.dim
         eps = FD_EPS_CURV
         dgam = np.empty((m, m, m, m))  # dgam[l] = d Gamma / d x_l
@@ -118,7 +130,6 @@ class NumericChart(ManifoldModel):
             dgam[l] = (self.christoffel(t, x + step)
                        - self.christoffel(t, x - step)) / (2 * eps)
         gam = self.christoffel(t, x)
-        u, v, w = (np.asarray(a, dtype=float) for a in (u, v, w))
         # R(u,v)w = (d_u Gamma)(v,w) - (d_v Gamma)(u,w) + Gamma(u, Gamma(v,w)) - Gamma(v, Gamma(u,w))
         du_gam = np.einsum("lijk,l->ijk", dgam, u)
         dv_gam = np.einsum("lijk,l->ijk", dgam, v)
@@ -131,14 +142,14 @@ class NumericChart(ManifoldModel):
         return out
 
     def ricci(self, t, x, v):
-        x = np.asarray(x, dtype=float)
-        v = np.asarray(v, dtype=float)
-        fr = self.frame(t, x)
-        total = 0.0
-        for a in range(self.dim):
-            r = self.curvature(t, x, fr[a], v, v)
-            total += self.inner(t, x, r, fr[a])
-        return total
+        def at(x, v):
+            fr = self.frame(t, x)
+            total = 0.0
+            for a in range(self.dim):
+                r = self.curvature(t, x, fr[a], v, v)
+                total += self.inner(t, x, r, fr[a])
+            return total
+        return _over_points(at, x, v)
 
     # -- geodesics -------------------------------------------------------------
 
@@ -171,16 +182,12 @@ class NumericChart(ManifoldModel):
         v = np.asarray(v, dtype=float)
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(v))):
             raise InvalidInput("exp: non-finite input")
-        if x.ndim == 1:
+
+        def at(x, v):
             if float(np.linalg.norm(v)) == 0.0:
                 return x.copy()
             return self._integrate(t, x, v)[1][-1]
-        xb, vb = np.broadcast_arrays(x, v)
-        out = np.empty_like(xb, dtype=float)
-        for i in range(xb.reshape(-1, self.dim).shape[0]):
-            out.reshape(-1, self.dim)[i] = self.exp(
-                t, xb.reshape(-1, self.dim)[i], vb.reshape(-1, self.dim)[i])
-        return out
+        return _over_points(at, x, v)
 
     def geodesic_from_exp(self, t: float, x: np.ndarray,
                           v: np.ndarray) -> Geodesic:
@@ -227,23 +234,17 @@ class NumericChart(ManifoldModel):
     def transport_along(self, t, x, u, length, v):
         # u is a g(t)-unit initial velocity; integrate the transport
         # equation jointly with the geodesic of length ``length``.
-        x = np.asarray(x, dtype=float)
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
-        if x.ndim > 1:
-            raise UnsupportedOperation("numeric-chart transport is pointwise")
-        L = float(length)
-        if L == 0.0:
-            return v.copy()
-        return self._integrate_with_transport(t, x, L * u, v)
+        def at(x, u, length, v):
+            L = float(length)
+            if L == 0.0:
+                return v.copy()
+            return self._integrate_with_transport(t, x, L * u, v)
+        return _over_points(at, x, u, length, v, scalars=(2,))
 
     def frame(self, t, x):
-        x = np.asarray(x, dtype=float)
-        if x.ndim > 1:
-            out = np.empty(x.shape[:-1] + (self.dim, self.dim))
-            for i, xi in enumerate(x.reshape(-1, self.dim)):
-                out.reshape(-1, self.dim, self.dim)[i] = self.frame(t, xi)
-            return out
+        return _over_points(partial(self._frame_at, t), x)
+
+    def _frame_at(self, t, x):
         g = self.metric_matrix(t, x)
         basis = np.eye(self.dim)
         out = np.empty((self.dim, self.dim))

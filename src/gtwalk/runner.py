@@ -14,8 +14,8 @@ import numpy as np
 from . import __version__, engine
 from .comparison import (OUParams, RadialComparisonSpec, builtin_b,
                          feller_explosion_test)
-from .config import (DUMP_KINDS, ExperimentConfig, RunManifest,
-                     convergence_reference, resolve_start,
+from .config import (COUPLED_KINDS, DUMP_KINDS, ExperimentConfig,
+                     RunManifest, convergence_reference, resolve_start,
                      resolve_start_points)
 from .coupling import CouplingConfig, CouplingKind, coupled_block, run_coupled
 from .errors import ConfigError
@@ -28,16 +28,22 @@ from .stats import (McEstimate, VerificationReport, check_contraction,
 from .walk import Schedule, WalkConfig, run_walk
 
 
-def _coupling_config(config: ExperimentConfig, model: ManifoldModel,
-                     kind: CouplingKind) -> CouplingConfig:
+def _coupling_config(config: ExperimentConfig,
+                     model: ManifoldModel) -> CouplingConfig:
+    """The CouplingConfig of a coupled kind: verify-contraction and a
+    ``couple`` config with ``coupling: parallel`` use parallel transport,
+    the rest reflection."""
     x1, x2 = resolve_start_points(config, model)
+    parallel = config.kind == "verify-contraction" \
+        or config.get("coupling") == "parallel"
     return CouplingConfig(
         alpha=config["alpha"], t1=config["t1"], t2=config["t2"],
-        seed=config["seed"], start1=x1, start2=x2, kind=kind,
+        seed=config["seed"], start1=x1, start2=x2,
+        kind=CouplingKind.PARALLEL_TRANSPORT if parallel
+        else CouplingKind.REFLECTION,
         delta_couple=config["delta_couple"], k=config["k"],
         stick_after_coupling=bool(config.get("stick", True)),
-        use_drift=config["use_drift"], origin=config.get("origin"),
-        exit_radius=config.get("exit_radius"))
+        origin=config.get("origin"), exit_radius=config.get("exit_radius"))
 
 
 def _halfspace(f_spec: dict):
@@ -69,18 +75,18 @@ def execute(config: ExperimentConfig, workers: int = 1,
     elif kind == "couple":
         report = _run_couple_kind(config, model, workers)
     elif kind == "verify-coupling-bound":
-        cc = _coupling_config(config, model, CouplingKind.REFLECTION)
+        cc = _coupling_config(config, model)
         report = estimate_coupling_survival(
             model, cc, int(config["n_paths"]), workers=workers,
             bias=float(config["bias"]), experiment_id=kind)
     elif kind == "verify-contraction":
-        cc = _coupling_config(config, model, CouplingKind.PARALLEL_TRANSPORT)
+        cc = _coupling_config(config, model)
         report = check_contraction(
             model, cc, int(config["n_paths"]),
             coefficient=float(config["contraction_coefficient"]),
             workers=workers, experiment_id=kind)
     elif kind == "verify-gradient":
-        cc = _coupling_config(config, model, CouplingKind.REFLECTION)
+        cc = _coupling_config(config, model)
         report = check_gradient_estimate(
             model, cc, _halfspace(config["f"]), float(config["osc"]),
             int(config["n_paths"]), workers=workers, experiment_id=kind)
@@ -110,8 +116,7 @@ def _run_walk_kind(config, model, workers):
     origin = np.asarray(config["origin"], dtype=float) \
         if config.get("origin") is not None else model.origin()
     kernel = partial(engine.walk_chunk, model, sched, start, config["seed"],
-                     use_drift=config["use_drift"], origin=origin,
-                     exit_radius=config["exit_radius"])
+                     origin=origin, exit_radius=config["exit_radius"])
     res = map_path_chunks(int(config["n_paths"]), kernel, workers)
     est = McEstimate.from_samples(
         model.distance(config["t2"], start, res["end"]))
@@ -123,9 +128,7 @@ def _run_walk_kind(config, model, workers):
 
 
 def _run_couple_kind(config, model, workers):
-    kind = CouplingKind.REFLECTION if config["coupling"] == "reflection" \
-        else CouplingKind.PARALLEL_TRANSPORT
-    cc = _coupling_config(config, model, kind)
+    cc = _coupling_config(config, model)
     res = map_path_chunks(int(config["n_paths"]),
                           partial(coupled_block, model, cc), workers)
     est = McEstimate.from_bernoulli(int(np.count_nonzero(~res["survival"])),
@@ -277,16 +280,10 @@ def dump_paths(config: ExperimentConfig, model: ManifoldModel, count: int,
                           "to dump")
     out.mkdir(parents=True, exist_ok=True)
     written = []
-    coupled_kinds = ("couple", "verify-coupling-bound", "verify-contraction",
-                     "verify-gradient")
     for idx in range(count):
-        if kind in coupled_kinds:
-            ck = CouplingKind.REFLECTION
-            if config.get("coupling") == "parallel" \
-                    or kind == "verify-contraction":
-                ck = CouplingKind.PARALLEL_TRANSPORT
-            cc = _coupling_config(config, model, ck)
-            cc = CouplingConfig(**{**cc.__dict__, "path_index": idx})
+        if kind in COUPLED_KINDS:
+            cc = CouplingConfig(**{**_coupling_config(config, model).__dict__,
+                                   "path_index": idx})
             path = run_coupled(model, cc)
             fname = out / f"coupled_{idx:04d}.csv"
             with fname.open("w", newline="") as fh:
@@ -309,7 +306,6 @@ def dump_paths(config: ExperimentConfig, model: ManifoldModel, count: int,
             wc = WalkConfig(alpha=config["alpha"], t1=config["t1"],
                             t2=config["t2"], seed=config["seed"],
                             start=resolve_start(config, model),
-                            use_drift=config.get("use_drift", False),
                             path_index=idx)
             path = run_walk(model, wc)
             fname = out / f"path_{idx:04d}.csv"

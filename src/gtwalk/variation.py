@@ -79,17 +79,6 @@ def _geodesic_points_velocities(model: ManifoldModel, geodesic: Geodesic,
     return pts, vels
 
 
-def _transport_steps(model: ManifoldModel, t: float, xs: np.ndarray,
-                     us: np.ndarray, lengths, vs: np.ndarray) -> np.ndarray:
-    """Batch transport with a scalar fallback for pointwise models."""
-    try:
-        return model.transport_along(t, xs, us, lengths, vs)
-    except UnsupportedOperation:
-        lengths = np.broadcast_to(np.asarray(lengths, dtype=float), xs.shape[:-1])
-        return np.stack([model.transport_along(t, x, u, float(L), v)
-                         for x, u, L, v in zip(xs, us, lengths, vs)])
-
-
 def solve_green(model: ManifoldModel, geodesic: Geodesic,
                 n_grid: int = DEFAULT_GRID) -> GreenSolution:
     """Integrate G'' = -Ric(gdot, gdot) G / (m - 1) along the geodesic.
@@ -175,26 +164,19 @@ def index_form(model: ManifoldModel, t: float, geodesic: Geodesic,
     h = grid[1] - grid[0]
     pts, vels = _geodesic_points_velocities(model, geodesic, grid)
 
-    fwd = _transport_steps(model, t, pts[:-1], vels[:-1], h, vals[:-1])
-    bwd = _transport_steps(model, t, pts[1:], -vels[1:], h, vals[1:])
-    fwd2 = _transport_steps(model, t, pts[:-2], vels[:-2], 2 * h, vals[:-2])
-    bwd2 = _transport_steps(model, t, pts[2:], -vels[2:], 2 * h, vals[2:])
+    fwd = model.transport_along(t, pts[:-1], vels[:-1], h, vals[:-1])
+    bwd = model.transport_along(t, pts[1:], -vels[1:], h, vals[1:])
+    fwd2 = model.transport_along(t, pts[:-2], vels[:-2], 2 * h, vals[:-2])
+    bwd2 = model.transport_along(t, pts[2:], -vels[2:], 2 * h, vals[2:])
 
     deriv = np.empty_like(vals)
     deriv[1:-1] = (bwd[1:] - fwd[:-1]) / (2 * h)
     deriv[0] = (-3 * vals[0] + 4 * bwd[0] - bwd2[0]) / (2 * h)
     deriv[-1] = (3 * vals[-1] - 4 * fwd[-1] + fwd2[-1]) / (2 * h)
 
-    try:
-        rv = model.curvature(t, pts, vals, vels, vels)
-        curv = model.inner(t, pts, rv, vals)
-        dd = model.inner(t, pts, deriv, deriv)
-    except UnsupportedOperation:
-        curv = np.array([float(model.inner(t, p, model.curvature(t, p, V, g, g), V))
-                         for p, V, g in zip(pts, vals, vels)])
-        dd = np.array([float(model.inner(t, p, D, D))
-                       for p, D in zip(pts, deriv)])
-    integrand = dd - curv
+    curv = model.inner(t, pts, model.curvature(t, pts, vals, vels, vels),
+                       vals)
+    integrand = model.inner(t, pts, deriv, deriv) - curv
     return float(np.trapezoid(integrand, grid))
 
 
@@ -206,10 +188,7 @@ def dt_distance(model: ManifoldModel, t: float, geodesic: Geodesic,
         raise DegenerateGeodesic("dt_distance: zero-length geodesic")
     grid = _uniform_grid(geodesic.length, n_grid)
     pts, vels = _geodesic_points_velocities(model, geodesic, grid)
-    try:
-        vals = model.metric_dt(t, pts, vels, vels)
-    except UnsupportedOperation:
-        vals = np.array([model.metric_dt(t, p, g, g) for p, g in zip(pts, vels)])
+    vals = model.metric_dt(t, pts, vels, vels)
     return 0.5 * float(np.trapezoid(vals, grid))
 
 

@@ -2,9 +2,10 @@
 
 The walk advances on the schedule t_n = (t1 + alpha^2 n) wedge t2. At each
 step a sample xi uniform on the unit ball is lifted through the orthonormal
-frame, scaled by sqrt(m+2) alpha, the drift is added at order alpha^2, and
-the exponential map is applied; between schedule times the defining geodesic
-is traversed at fraction (t - t_n)/alpha^2. Paths are reproducible bit for
+frame, scaled by sqrt(m+2) alpha, the model's drift field (if
+``model.has_drift``) is added at order alpha^2, and the exponential map is
+applied; between schedule times the defining geodesic is traversed at
+fraction (t - t_n)/alpha^2. Paths are reproducible bit for
 bit from (seed, path_index) and embarrassingly parallel.
 """
 
@@ -63,7 +64,6 @@ class WalkConfig:
     t2: float
     seed: int
     start: np.ndarray
-    use_drift: bool = False
     path_index: int = 0
 
     def __post_init__(self):
@@ -103,7 +103,7 @@ def sample_unit_ball(dim: int, stream: np.random.Generator) -> np.ndarray:
 
 
 def step(model: ManifoldModel, t: float, x, xi: np.ndarray, alpha: float,
-         use_drift: bool = False, frac: float = 1.0):
+         frac: float = 1.0):
     """One walk transition from x at time t driven by the ball sample xi:
     ``engine.walk_step`` on a block of one.
 
@@ -115,7 +115,7 @@ def step(model: ManifoldModel, t: float, x, xi: np.ndarray, alpha: float,
     if float(np.linalg.norm(xi)) > 1.0 + 1e-12:
         raise InvalidInput("ball sample must satisfy |xi| <= 1")
     y, lift, _ = engine.walk_step(model, t, xc[None, :], xi[None, :], alpha,
-                                  frac, use_drift)
+                                  frac)
     base = Point(xc, model.model_id)
     return Point(y[0], model.model_id), NoiseSample(xi, TangentVector(base, lift[0]))
 
@@ -125,7 +125,7 @@ def run_walk(model: ManifoldModel, config: WalkConfig) -> WalkPath:
     sched = config.schedule()
     res = engine.walk_chunk(model, sched, config.start, config.seed,
                             range(config.path_index, config.path_index + 1),
-                            use_drift=config.use_drift, want_trace=True)
+                            want_trace=True)
     return WalkPath(model.model_id, sched, res["skeleton"][0],
                     res["step_vectors"][0], res["noise"][0])
 
@@ -167,9 +167,6 @@ class SubordinatedPath:
             raise InvalidInput("time before window start")
         count = int(np.searchsorted(self.jump_times, t, side="right"))
         return min(count, self.cap_index)
-
-    def position(self, t: float) -> Point:
-        return self.base.point(self.index_at(t))
 
 
 def subordinated_walk(model: ManifoldModel,

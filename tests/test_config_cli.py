@@ -18,7 +18,6 @@ def test_minimal_walk_config_defaults():
     assert cfg["seed"] == 7
     assert cfg["exit_radius"] == 8.0
     assert cfg["n_paths"] == 1000
-    assert cfg["use_drift"] is False
 
 
 def test_unknown_manifold_kind_names_key():
@@ -334,7 +333,7 @@ def test_exit_radius_at_most_one_rejected(kind):
 
 _KEY_VALUES = {
     "alpha": 0.05, "n_paths": 32, "start": [6.9, 0.0], "origin": [7.5, 0.0],
-    "exit_radius": 1.5, "use_drift": True, "start1": [0.0, 0.0],
+    "exit_radius": 1.5, "start1": [0.0, 0.0],
     "start2": [1.0, 0.0], "d0": 0.5, "delta_couple": 1.0, "k": 0.5,
     "coupling": "parallel", "stick": False, "bias": 0.01,
     "contraction_coefficient": 2.0,
@@ -349,13 +348,10 @@ _KEY_VALUES_BY_KIND = {
     "ou-survival": {"n_paths": 1200},
     "radial-domination": {"start": [0.0, 1.0, 0.0], "origin": [0.0, 1.0, 0.0]},
 }
-# Accepted keys that leave every report unchanged. No manifold built from a
-# config has a drift field, so use_drift changes no step (the golden
-# walk-drift report pins this). The convergence reference law is centred at
-# the start, so its statistics do not move with it.
-_NO_VISIBLE_EFFECT = {("convergence", "start")} | {
-    (kind, "use_drift") for kind in _KEYS_BY_KIND
-    if "use_drift" in _KEYS_BY_KIND[kind]}
+# Accepted keys that leave every report unchanged. The convergence
+# reference law is centred at the start, so its statistics do not move
+# with it.
+_NO_VISIBLE_EFFECT = {("convergence", "start")}
 
 
 def _rounded(value):
@@ -394,6 +390,44 @@ def test_every_key_takes_effect_or_is_rejected(kind):
             continue
         changed = _report_without_hash(doc) != reference
         assert changed == ((kind, key) not in _NO_VISIBLE_EFFECT), key
+
+
+@pytest.mark.parametrize("kind", ["walk", "couple", "verify-coupling-bound",
+                                  "verify-contraction", "verify-gradient"])
+def test_use_drift_is_an_unknown_key(kind):
+    """A walk drifts exactly when its model has a drift field, so no
+    config key asks for drift."""
+    with pytest.raises(ConfigError, match="^use_drift: unknown key"):
+        parse_config({**_key_base(kind), "use_drift": True})
+
+
+def test_unknown_coupling_rejected():
+    with pytest.raises(ConfigError, match="^coupling: must be"):
+        parse_config({**_key_base("couple"), "coupling": "reflect"})
+
+
+@pytest.mark.parametrize("name, env, patch, argv", [
+    ("GTWALK_THREADS", "two", {}, None),
+    ("--manifold", None, {}, ["walk", "--manifold", "sphere:two"]),
+    ("t1", None, {"t1": "zero"}, None),
+    ("n_paths", None, {"n_paths": "many"}, None),
+    ("manifold.dim", None, {"manifold": {"kind": "sphere", "dim": "two"}},
+     None),
+    ("manifold.dim", None, {"manifold": {"kind": "sphere"}}, None),
+])
+def test_bad_outside_input_is_an_error_line(name, env, patch, argv, tmp_path,
+                                            monkeypatch, capsys):
+    """Malformed numbers from the environment, flags or a config file
+    exit 1 with one 'error:' line that names where they came from."""
+    doc = tmp_path / "cfg.json"
+    doc.write_text(json.dumps({**MINIMAL_WALK, "n_paths": 8, **patch}))
+    if env is None:
+        monkeypatch.delenv("GTWALK_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("GTWALK_THREADS", env)
+    assert main(argv or ["run", str(doc)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and name in err, err
 
 
 # For each point key, a config of a kind that takes it, with a good point

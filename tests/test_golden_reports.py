@@ -22,9 +22,9 @@ GOLDEN = Path(__file__).with_name("golden_reports.json")
 FLOW_SPHERE = {"kind": "sphere", "dim": 2, "radius_c0": 1.0, "flow": True}
 
 CONFIGS = {
-    "walk-drift": {
+    "walk": {
         "kind": "walk", "manifold": FLOW_SPHERE, "t1": 0.0, "t2": 0.5,
-        "alpha": 0.05, "n_paths": 600, "seed": 3, "use_drift": True},
+        "alpha": 0.05, "n_paths": 600, "seed": 3},
     "couple-reflection-flow-sphere": {
         "kind": "couple", "manifold": FLOW_SPHERE, "t1": 0.0, "t2": 0.5,
         "alpha": 0.05, "n_paths": 600, "seed": 4, "d0": 1.0},

@@ -117,6 +117,35 @@ def test_numeric_walk_stays_consistent(flat_chart):
     assert np.allclose(p_chart.skeleton, p_exact.skeleton, atol=1e-4)
 
 
+def test_numeric_chart_broadcasts_like_pointwise_calls():
+    """Batched calls equal the stacked pointwise calls bit for bit, with
+    one transport length per row."""
+    chart = NumericChart(2, stereographic_metric,
+                         drift=lambda t, x: np.array([-x[1], x[0]]))
+    rng = np.random.default_rng(5)
+    x, u, v, w = (rng.normal(size=(3, 2)) * 0.5 for _ in range(4))
+    lengths = np.array([0.0, 0.3, 0.7])
+    t = 0.2
+
+    def check(method, *args):
+        batched = getattr(chart, method)(t, *args)
+        rows = [getattr(chart, method)(t, *(a[r] for a in args))
+                for r in range(3)]
+        assert np.array_equal(batched, np.stack(rows)), method
+
+    check("metric_dt", x, u, v)
+    check("curvature", x, u, v, w)
+    check("ricci", x, v)
+    check("inner", x, u, v)
+    check("exp", x, 0.3 * u)
+    check("frame", x)
+    check("drift", x)
+    check("transport_along", x, u, lengths, v)
+    batched = chart.transport_along(t, x, u, 0.4, v)
+    assert np.array_equal(batched, np.stack(
+        [chart.transport_along(t, x[r], u[r], 0.4, v[r]) for r in range(3)]))
+
+
 def test_numeric_chart_frame_orthonormal(sphere_chart):
     u = np.array([0.4, 0.2])
     fr = sphere_chart.frame(0.0, u)

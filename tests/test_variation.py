@@ -8,6 +8,7 @@ from gtwalk.errors import (DegenerateGeodesic, InvalidInput,
                            SingularConfiguration, UnsupportedOperation)
 from gtwalk.manifolds import (Euclidean, Geodesic, ScaledMetric,
                               minimal_geodesic)
+from gtwalk.numeric import NumericChart
 from gtwalk.rng import stream, unit_ball_samples
 from gtwalk.variation import (SampledField, coupled_variation_terms,
                               dagger_field, dt_distance, index_form,
@@ -103,6 +104,20 @@ def test_index_form_sphere_dagger_is_cotangent(sphere2):
     assert got == pytest.approx(1.0 / np.tan(d), abs=1e-4)
 
 
+def test_index_form_on_numeric_chart_matches_euclidean(euclid2):
+    """The flat numeric chart gives Euclidean space's index form for the
+    same field and endpoints."""
+    chart = NumericChart(2, lambda t, x: np.eye(2))
+    x, v = np.array([0.2, -0.1]), np.array([1.5, 0.5])
+    g_chart = chart.geodesic_from_exp(0.0, x, v)
+    g_flat = _geodesic(euclid2, 0.0, x, v)
+    grid = np.linspace(0.0, g_flat.length, 64)
+    vals = np.stack([np.sin(grid), 0.5 * grid ** 2], axis=1)
+    got = index_form(chart, 0.0, g_chart, SampledField(g_chart, grid, vals))
+    want = index_form(euclid2, 0.0, g_flat, SampledField(g_flat, grid, vals))
+    assert got == pytest.approx(want, rel=1e-9)
+
+
 def test_index_form_grid_too_coarse(euclid2):
     g = _geodesic(euclid2, 0.0, np.zeros(2), np.array([1.0, 0.0]))
     with pytest.raises(InvalidInput):
@@ -184,6 +199,14 @@ def test_dt_distance_scaled_closed_form():
     g = _geodesic(model, t, np.zeros(2), np.array([1.5, 0.0]))
     assert dt_distance(model, t, g) \
         == pytest.approx(-(k / 2.0) * g.length, abs=1e-8)
+
+
+def test_dt_distance_numeric_chart_closed_form():
+    """g(t) = e^{-t} I shrinks every unit-speed geodesic at rate 1/2."""
+    chart = NumericChart(2, lambda t, x: np.exp(-t) * np.eye(2))
+    t = 0.4
+    g = chart.geodesic_from_exp(t, np.array([0.3, 0.1]), np.array([1.2, -0.4]))
+    assert dt_distance(chart, t, g) == pytest.approx(-0.5 * g.length, abs=1e-8)
 
 
 def test_dt_distance_flow_sphere_closed_form(flow_sphere):

@@ -166,15 +166,14 @@ def test_step_is_a_kernel_step(drift):
     model = Euclidean(2, (0.0, 1.0), drift=lambda t, x: -x) if drift \
         else RoundSphere(3, 2.0, flow=True, time_window=(0.0, 1.0))
     cfg = WalkConfig(alpha=0.1, t1=0.0, t2=0.97, seed=4,
-                     start=model.origin() + (0.3 if drift else 0.0),
-                     use_drift=drift)
+                     start=model.origin() + (0.3 if drift else 0.0))
     path = run_walk(model, cfg)
     sched = path.schedule
     assert sched.fracs[-1] < 1.0
     for n in range(sched.n_steps):
         t = float(sched.times[n])
         p, noise = step(model, t, path.skeleton[n], path.noise_record[n],
-                        cfg.alpha, use_drift=drift, frac=float(sched.fracs[n]))
+                        cfg.alpha, frac=float(sched.fracs[n]))
         assert np.array_equal(p.coords, path.skeleton[n + 1])
         w = cfg.alpha * noise.xi_tilde.components
         if drift:
@@ -336,8 +335,7 @@ def test_walk_with_drift_field():
     z = np.array([1.0, 0.0])
     model = Euclidean(2, drift=lambda t, x: np.broadcast_to(z, x.shape))
     sched = Schedule(0.0, 1.0, 0.1)
-    out = engine.walk_chunk(model, sched, np.zeros(2), 61, range(4000),
-                            use_drift=True)
+    out = engine.walk_chunk(model, sched, np.zeros(2), 61, range(4000))
     ends = out["end"]
     se = ends[:, 0].std(ddof=1) / math.sqrt(len(ends))
     assert abs(ends[:, 0].mean() - 1.0) <= 3 * se
