@@ -95,7 +95,7 @@ def _overrides_from(args, keys) -> dict:
     return {k: v for k, v in mapping.items() if v is not None}
 
 
-def main(argv: list[str] | None = None) -> int:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gtwalk",
         description="Geodesic random walks and couplings on time-dependent "
@@ -123,8 +123,17 @@ def main(argv: list[str] | None = None) -> int:
     p_dump.add_argument("config", type=str)
     p_dump.add_argument("--count", type=int, default=4)
     _common_flags(p_dump)
+    return parser
 
-    args = parser.parse_args(argv)
+
+# Built at import: argparse loads its translation machinery (and with it
+# the locale module) on the first parser, which would otherwise fall in
+# the first run.
+_PARSER = _build_parser()
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _PARSER.parse_args(argv)
 
     try:
         if args.command == "list-models":

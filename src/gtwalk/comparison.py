@@ -13,11 +13,10 @@ survival probability is ``stats.ou_survival_probability``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy import special
 
 from . import rng
 from .errors import InvalidInput
@@ -28,13 +27,16 @@ _SMALL_K = 1e-8
 # normals as one read of the whole path.
 _OU_SLAB = 1024
 
+# math.erf applied to each element, so an array entry equals the scalar call.
+_erf = np.vectorize(math.erf, otypes=[float])
+
 
 def chi(a):
     """Two-sided standard normal mass: P(|N(0,1)| <= a) = erf(a / sqrt 2)."""
     a = np.asarray(a, dtype=float)
     if np.any(a < 0):
         raise InvalidInput("chi is defined for nonnegative arguments")
-    out = special.erf(a / math.sqrt(2.0))
+    out = _erf(a / math.sqrt(2.0))
     return float(out) if out.ndim == 0 else out
 
 
@@ -118,6 +120,9 @@ class RadialComparisonSpec:
     b: Callable[[np.ndarray], np.ndarray]
     c0: float = 1.0
     r0: float = 0.5
+    # (grid j / 256, b on the grid, int_0^grid b), grown by b_integral.
+    _table: tuple | None = field(default=None, init=False, repr=False,
+                                 compare=False)
 
     def __post_init__(self):
         if self.c0 <= 0 or self.r0 <= 0:
@@ -127,18 +132,31 @@ class RadialComparisonSpec:
         """int_0^r b by composite trapezoid on the grid j / 256.
 
         The grid's nodes do not depend on r, only how far it reaches, so a
-        point's value does not depend on the points passed with it.
+        point's value does not depend on the points passed with it. The
+        spec keeps the table it has built and grows it only when r reaches
+        past it, with the bits of a table built afresh.
         """
         r = np.asarray(r, dtype=float)
         n = max(64, math.ceil(float(np.max(r, initial=0.0)) * 256))
-        grid = np.arange(n + 1) / 256.0
-        vals = np.asarray(self.b(grid), dtype=float)
-        if np.any(~np.isfinite(vals)) or np.any(vals < 0):
-            raise InvalidInput("b must be finite and nonnegative")
-        cum = np.concatenate([[0.0], np.cumsum(
-            0.5 * (vals[1:] + vals[:-1]) * np.diff(grid))])
+        if self._table is None or len(self._table[0]) <= n:
+            self._extend_table(n)
+        grid, _, cum = self._table
         out = np.interp(r, grid, cum)
         return float(out) if out.ndim == 0 else out
+
+    def _extend_table(self, n: int) -> None:
+        """Grow the table to the nodes j / 256 for j = 0..n, evaluating b
+        only at the new nodes."""
+        grid, vals = self._table[:2] if self._table else (np.empty(0),) * 2
+        new_grid = np.arange(len(grid), n + 1) / 256.0
+        new_vals = np.asarray(self.b(new_grid), dtype=float)
+        if np.any(~np.isfinite(new_vals)) or np.any(new_vals < 0):
+            raise InvalidInput("b must be finite and nonnegative")
+        grid = np.concatenate([grid, new_grid])
+        vals = np.concatenate([vals, new_vals])
+        cum = np.concatenate([[0.0], np.cumsum(
+            0.5 * (vals[1:] + vals[:-1]) * np.diff(grid))])
+        object.__setattr__(self, "_table", (grid, vals, cum))
 
     def phi(self, r) -> np.ndarray:
         return self.c0 + 0.5 * self.b_integral(r)

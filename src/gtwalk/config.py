@@ -59,6 +59,9 @@ _FLOAT_KEYS = {"t1", "t2", "alpha", "exit_radius", "d0", "delta_couple", "k",
                "bias", "contraction_coefficient", "osc", "C", "y_max", "c0",
                "r0", "margin", "ou_h", "a", "radius_c0"}
 _NULLABLE_KEYS = {"exit_radius", "n_dump"}
+# Switches, read with bool() where used; only JSON true/false is accepted,
+# since bool("false") is True.
+_BOOL_KEYS = {"flow", "stick"}
 
 _DEFAULTS: dict[str, Any] = {
     "seed": 0,
@@ -110,9 +113,12 @@ def _fail(path: str, message: str):
     raise ConfigError(f"{path}: {message}")
 
 
-def _check_numbers(raw: dict, prefix: str = "") -> None:
-    """Reject a numeric key whose value does not convert."""
+def _check_values(raw: dict, prefix: str = "") -> None:
+    """Reject a numeric key whose value does not convert and a switch
+    that is not a JSON boolean."""
     for key, value in raw.items():
+        if key in _BOOL_KEYS and not isinstance(value, bool):
+            _fail(prefix + key, f"must be true or false, not {value!r}")
         convert = int if key in _INT_KEYS \
             else float if key in _FLOAT_KEYS else None
         if convert is None or (value is None and key in _NULLABLE_KEYS):
@@ -136,7 +142,7 @@ def _check_manifold(desc: Any) -> dict:
         _fail("manifold.kind", f"unknown manifold kind {desc['kind']!r}")
     if desc["kind"] != "scaled" and "dim" not in desc:
         _fail("manifold.dim", "missing")
-    _check_numbers(desc, "manifold.")
+    _check_values(desc, "manifold.")
     if desc["kind"] == "scaled" and "base" in desc:
         _check_manifold(desc["base"])
     return dict(desc)
@@ -175,7 +181,7 @@ def parse_config(document: str | dict) -> ExperimentConfig:
     for req in ("manifold", "t1", "t2"):
         if req not in raw:
             _fail(req, "missing")
-    _check_numbers(raw)
+    _check_values(raw)
     data: dict[str, Any] = {"kind": kind}
     data["manifold"] = _check_manifold(raw["manifold"])
     t1, t2 = float(raw["t1"]), float(raw["t2"])

@@ -11,6 +11,9 @@ block's noise step-major from ``walk_noise_block``.
 from __future__ import annotations
 
 import numpy as np
+# numpy imports numpy.random on first attribute access; importing it here
+# puts that cost in ``import gtwalk`` rather than in the first kernel call.
+import numpy.random  # noqa: F401
 
 # Purpose tags keep logically distinct noise sources on disjoint streams.
 PURPOSE_WALK = 1

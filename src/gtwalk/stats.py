@@ -5,6 +5,9 @@ chunks, in worker processes when more than one is asked for; the per-path
 results are concatenated in path order and reduced once, so reports are
 identical for any worker count. Every bound comparison follows one policy,
 pass when estimate <= bound + 3 stderr + declared bias.
+
+Only the convergence diagnostics need scipy; they import ``scipy.special``
+when called, so importing this module loads numpy alone.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import special, stats as sp_stats
 
 from . import engine
 from .comparison import OUParams, beta, chi, ou_chunk
@@ -298,7 +300,12 @@ class KsResult:
 
 def ks_statistic(samples: np.ndarray, cdf: Callable[[np.ndarray], np.ndarray],
                  level: float = 0.01) -> KsResult:
-    """sup |F_emp - F| with the asymptotic Kolmogorov threshold at ``level``."""
+    """sup |F_emp - F| with the asymptotic Kolmogorov threshold at ``level``.
+
+    ``special.kolmogi(level)`` is ``scipy.stats.kstwobign.isf(level)``.
+    """
+    from scipy import special
+
     x = np.sort(np.asarray(samples, dtype=float))
     n = len(x)
     if n < 100:
@@ -307,7 +314,7 @@ def ks_statistic(samples: np.ndarray, cdf: Callable[[np.ndarray], np.ndarray],
     up = np.arange(1, n + 1) / n
     lo = np.arange(0, n) / n
     stat = float(max(np.max(up - F), np.max(F - lo)))
-    threshold = float(sp_stats.kstwobign.isf(level) / math.sqrt(n))
+    threshold = float(special.kolmogi(level) / math.sqrt(n))
     return KsResult(stat, threshold, level, n)
 
 
@@ -331,6 +338,8 @@ def wasserstein1_1d(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def gaussian_cdf(mean: float, var: float) -> Callable[[np.ndarray], np.ndarray]:
+    from scipy import special
+
     sd = math.sqrt(var)
     return lambda x: special.ndtr((np.asarray(x, dtype=float) - mean) / sd)
 
@@ -339,6 +348,8 @@ def wrapped_gaussian_cdf(mu: float, var: float,
                          n_wraps: int | None = None
                          ) -> Callable[[np.ndarray], np.ndarray]:
     """CDF on (-pi, pi] of a Gaussian wrapped around the circle."""
+    from scipy import special
+
     sd = math.sqrt(var)
     if n_wraps is None:
         n_wraps = int(math.ceil(4.0 * sd / (2 * math.pi))) + 3

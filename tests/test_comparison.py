@@ -169,6 +169,33 @@ def test_phi_does_not_depend_on_companion_points(b):
         assert spec.phi(ri) == batch[i] == far[i]
 
 
+@pytest.mark.parametrize("b", [
+    {"name": "zero"}, {"name": "constant", "c": 0.7}, {"name": "linear"},
+    {"name": "table", "r": [0.0, 1.0, 3.0], "values": [0.0, 2.0, 0.5]}])
+def test_phi_same_after_a_larger_r(b):
+    """phi and step give the same bits whether or not the spec has already
+    built its table further out."""
+    fresh = RadialComparisonSpec(builtin_b(b), c0=1.0, r0=0.5)
+    seen = RadialComparisonSpec(builtin_b(b), c0=1.0, r0=0.5)
+    seen.phi(np.array([0.2, 11.3]))
+    r = np.linspace(1.05, 4.5, 301)
+    lam = np.random.default_rng(2).standard_normal(r.shape)
+    assert np.array_equal(seen.phi(r), fresh.phi(r))
+    assert np.array_equal(seen.step(r, lam, 0.05, 0.5),
+                          fresh.step(r, lam, 0.05, 0.5))
+    assert seen.phi(2.71) == fresh.phi(2.71)
+
+
+def test_b_checked_where_the_table_grows():
+    """A b that goes negative only past the table's reach raises once r
+    reaches there."""
+    spec = RadialComparisonSpec(lambda r: np.where(r > 3.0, -1.0, 1.0))
+    assert spec.phi(2.5) == pytest.approx(1.0 + 0.5 * 2.5)
+    with pytest.raises(InvalidInput, match="nonnegative"):
+        spec.phi(np.array([1.0, 3.5]))
+    assert spec.phi(2.9) == pytest.approx(1.0 + 0.5 * 2.9)
+
+
 def test_builtin_b_validation():
     with pytest.raises(InvalidInput):
         builtin_b({"name": "mystery"})

@@ -406,6 +406,27 @@ def test_unknown_coupling_rejected():
         parse_config({**_key_base("couple"), "coupling": "reflect"})
 
 
+@pytest.mark.parametrize("value", ["false", 0, None])
+@pytest.mark.parametrize("key", ["flow", "stick"])
+def test_switch_must_be_a_json_boolean(key, value):
+    """bool("false") is True, so a switch that is not true/false would
+    turn on; the parser rejects it naming the key, also in a scaled
+    model's base."""
+    if key == "flow":
+        sphere = {"kind": "sphere", "dim": 2, "flow": value}
+        docs = [{**MINIMAL_WALK, "manifold": sphere},
+                {**MINIMAL_WALK, "manifold": {"kind": "scaled", "k": 0.5,
+                                              "base": sphere}}]
+        name = "manifold.flow"
+    else:
+        docs = [{**_key_base("couple"), "stick": value}]
+        name = "stick"
+    for doc in docs:
+        with pytest.raises(ConfigError,
+                           match=f"^{name}: must be true or false"):
+            parse_config(doc)
+
+
 @pytest.mark.parametrize("name, env, patch, argv", [
     ("GTWALK_THREADS", "two", {}, None),
     ("--manifold", None, {}, ["walk", "--manifold", "sphere:two"]),
