@@ -80,18 +80,11 @@ def _experiment_flags(p: argparse.ArgumentParser):
                    help="number of path CSVs to write")
 
 
-def _overrides_from(args, keys) -> dict:
-    mapping = {"alpha": args.alpha, "n_paths": args.samples,
-               "out": args.out}
-    if getattr(args, "manifold", None):
+def _overrides_from(args) -> dict:
+    """The config values that ``run``'s flags override."""
+    mapping = {"alpha": args.alpha, "n_paths": args.samples}
+    if args.manifold:
         mapping["manifold"] = parse_manifold_spec(args.manifold)
-    for name in ("t1", "t2", "d0", "k", "coupling"):
-        if name in keys and getattr(args, name, None) is not None:
-            mapping[name] = getattr(args, name)
-    if "delta_couple" in keys and getattr(args, "delta_couple", None) is not None:
-        mapping["delta_couple"] = args.delta_couple
-    if "n_dump" in keys and getattr(args, "dump", None) is not None:
-        mapping["n_dump"] = args.dump
     return {k: v for k, v in mapping.items() if v is not None}
 
 
@@ -122,7 +115,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_dump = sub.add_parser("dump-paths", help="write per-path CSV dumps")
     p_dump.add_argument("config", type=str)
     p_dump.add_argument("--count", type=int, default=4)
-    _common_flags(p_dump)
+    p_dump.add_argument("--seed", type=int, default=None)
+    p_dump.add_argument("--out", type=str, default=None)
     return parser
 
 
@@ -143,8 +137,7 @@ def main(argv: list[str] | None = None) -> int:
 
         if args.command == "run":
             document = Path(args.config).read_text()
-            overrides = _overrides_from(args, {"alpha", "n_paths"})
-            overrides.pop("out", None)
+            overrides = _overrides_from(args)
             manifest, reports = run_document(
                 document, workers=_threads(args), out_dir=args.out,
                 seed_override=args.seed, overrides=overrides or None)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from typing import Any
 
@@ -52,8 +53,9 @@ _KEYS_BY_KIND = {
 }
 _MANIFOLD_KEYS = {"kind", "dim", "radius_c0", "flow", "k", "base"}
 
-# Numeric keys by how they convert where used. The parser checks that they
-# convert but stores them as given, so config_hash does not move.
+# Numeric keys: integer keys take JSON integers, float keys finite JSON
+# numbers (bools and strings are neither). The parser stores them as given,
+# so config_hash does not move.
 _INT_KEYS = {"seed", "n_paths", "n_dump", "dim"}
 _FLOAT_KEYS = {"t1", "t2", "alpha", "exit_radius", "d0", "delta_couple", "k",
                "bias", "contraction_coefficient", "osc", "C", "y_max", "c0",
@@ -113,21 +115,29 @@ def _fail(path: str, message: str):
     raise ConfigError(f"{path}: {message}")
 
 
+def _is_number(value: Any) -> bool:
+    """A finite JSON number: an int or a float, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
 def _check_values(raw: dict, prefix: str = "") -> None:
-    """Reject a numeric key whose value does not convert and a switch
-    that is not a JSON boolean."""
+    """Reject a numeric key whose value is not a number of its type and a
+    switch that is not a JSON boolean."""
     for key, value in raw.items():
         if key in _BOOL_KEYS and not isinstance(value, bool):
             _fail(prefix + key, f"must be true or false, not {value!r}")
-        convert = int if key in _INT_KEYS \
-            else float if key in _FLOAT_KEYS else None
-        if convert is None or (value is None and key in _NULLABLE_KEYS):
+        if value is None and key in _NULLABLE_KEYS:
             continue
-        try:
-            convert(value)
-        except (TypeError, ValueError, OverflowError):
-            what = "an integer" if convert is int else "a number"
-            _fail(prefix + key, f"must be {what}, not {value!r}")
+        if key in _INT_KEYS and (isinstance(value, bool)
+                                 or not isinstance(value, int)):
+            _fail(prefix + key, f"must be an integer, not {value!r}")
+        if key in _FLOAT_KEYS and not _is_number(value):
+            _fail(prefix + key, f"must be a finite number, not {value!r}")
 
 
 def _check_manifold(desc: Any) -> dict:
@@ -199,10 +209,9 @@ def parse_config(document: str | dict) -> ExperimentConfig:
         alphas = data.get("alphas")
         if not isinstance(alphas, list) or not alphas:
             _fail("alphas", "must be a nonempty list")
-        try:
-            data["alphas"] = [float(a) for a in alphas]
-        except (TypeError, ValueError):
-            _fail("alphas", f"must list numbers, not {alphas!r}")
+        if not all(_is_number(a) for a in alphas):
+            _fail("alphas", f"must list finite numbers, not {alphas!r}")
+        data["alphas"] = [float(a) for a in alphas]
         for a in data["alphas"]:
             _check_alpha(a, t1, t2)
     elif kind not in ("feller-test", "ou-survival"):

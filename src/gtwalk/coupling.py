@@ -12,7 +12,6 @@ transition rule because the declaration time is a stopping time of the pair.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -20,15 +19,11 @@ import numpy as np
 
 from . import engine
 from .comparison import beta, chi
+from .engine import CouplingKind
 from .errors import DegenerateGeodesic, InvalidInput
 from .manifolds import (COINCIDE_TOL, Geodesic, ManifoldModel, Point,
                         TangentVector, _coords)
 from .walk import Schedule
-
-
-class CouplingKind(enum.Enum):
-    REFLECTION = "reflection"
-    PARALLEL_TRANSPORT = "parallel"
 
 
 @dataclass(frozen=True)
@@ -131,7 +126,7 @@ def coupled_step(model: ManifoldModel, t: float, x1, x2, xi: np.ndarray,
     geo = model.connect(t, X1, X2)
     y1, y2, lam, _ = engine.reflect_step(
         model, t, X1, X2, xi[None, :], geo, geo[0] < COINCIDE_TOL, alpha,
-        frac, kind=kind.value)
+        frac, kind=kind)
     return (Point(y1[0], model.model_id), Point(y2[0], model.model_id),
             float(lam[0]))
 
@@ -142,12 +137,11 @@ def coupled_block(model: ManifoldModel, cc: CouplingConfig, paths: range,
 
     The one place a CouplingConfig becomes kernel arguments; estimators map
     ``partial(coupled_block, model, cc)`` over path chunks. ``diagnostics``
-    are the kernel's optional outputs (``contraction``,
-    ``domination_margin``, ``want_trace``).
+    are the kernel's optional outputs (``contraction``, ``want_trace``).
     """
     return engine.coupled_chunk(
         model, cc.schedule(), cc.start1, cc.start2, cc.seed, paths,
-        kind=cc.kind.value, delta_couple=cc.delta_couple,
+        kind=cc.kind, delta_couple=cc.delta_couple,
         stick=cc.stick_after_coupling, k=cc.k, origin=cc.origin,
         exit_radius=cc.exit_radius, **diagnostics)
 
@@ -178,15 +172,17 @@ def coupling_probability_bound(d0: float, k: float, horizon: float) -> float:
     return float(chi(d0 / (2.0 * math.sqrt(beta(horizon, k)))))
 
 
-def dominating_process(coupled: CoupledPath, k: float) -> np.ndarray:
+def dominating_process(schedule: Schedule, distance: np.ndarray,
+                       lambda_star: np.ndarray, k: float) -> np.ndarray:
     """The one-dimensional dominating path at skeleton times, rebuilt from
-    the recorded lambda* values:
-    U_n = e^{-k (t_n - t1)/2} (d_0 + alpha sum_j w_j lambda*_j) with
-    w_j = frac_j e^{k (t_j - t1)/2}."""
-    sched = coupled.schedule
-    rel = sched.times - sched.t1
-    weights = sched.fracs * np.exp(k * rel[1:] / 2.0)
-    sums = np.concatenate([[0.0],
-                           np.cumsum(weights * coupled.lambda_star_record)])
-    return np.exp(-k * rel / 2.0) * (coupled.distance_process[0]
-                                     + sched.alpha * sums)
+    the recorded distances (..., n+1) and lambda* values (..., n):
+    U_n = e^{-k (t_n - t1)/2} (d_0 + alpha sum_{j<n} w_j lambda*_j) with
+    w_j = frac_j e^{k (t_{j+1} - t1)/2}. Leading axes are paths, so a
+    kernel trace (``distance``, ``lambda_star``) gives every path's U."""
+    rel = schedule.times - schedule.t1
+    weights = schedule.fracs * np.exp(k * rel[1:] / 2.0)
+    lam = np.asarray(lambda_star, dtype=float)
+    sums = np.cumsum(weights * lam, axis=-1)
+    sums = np.concatenate([np.zeros(lam.shape[:-1] + (1,)), sums], axis=-1)
+    d0 = np.asarray(distance, dtype=float)[..., :1]
+    return np.exp(-k * rel / 2.0) * (d0 + schedule.alpha * sums)

@@ -22,14 +22,18 @@ SingularConfiguration instead of being counted.
 
 from __future__ import annotations
 
+import enum
+
 import numpy as np
 
 from . import rng
 from .errors import SingularConfiguration
 from .manifolds import ManifoldModel
 
-REFLECTION = "reflection"
-PARALLEL = "parallel"
+
+class CouplingKind(enum.Enum):
+    REFLECTION = "reflection"
+    PARALLEL_TRANSPORT = "parallel"
 
 
 def frame_coordinates(model: ManifoldModel, t: float, x: np.ndarray,
@@ -67,7 +71,8 @@ def walk_step(model: ManifoldModel, t: float, X: np.ndarray, xi: np.ndarray,
 
 def reflect_step(model: ManifoldModel, t: float, X1: np.ndarray,
                  X2: np.ndarray, xi: np.ndarray, geo, coupled: np.ndarray,
-                 alpha: float, frac: float = 1.0, *, kind: str = REFLECTION):
+                 alpha: float, frac: float = 1.0, *,
+                 kind: CouplingKind = CouplingKind.REFLECTION):
     """One synchronized transition of a block of pairs.
 
     ``geo`` is ``model.connect(t, X1, X2)``. The first lift is transported
@@ -81,7 +86,7 @@ def reflect_step(model: ManifoldModel, t: float, X1: np.ndarray,
     dist, u0, u1 = geo
     lift1 = model.lift(t, X1, xi)
     lift2 = model.transport_along(t, X1, u0, dist, lift1)
-    if kind == REFLECTION:
+    if kind is CouplingKind.REFLECTION:
         lift2 = lift2 - 2.0 * model.inner(t, X2, lift2, u1)[:, None] * u1
         lam = np.where(coupled, 2.0 * np.sqrt(model.dim + 2.0) * xi[:, 0],
                        2.0 * model.inner(t, X2, lift2, u1))
@@ -167,7 +172,6 @@ def walk_chunk(model: ManifoldModel, sched, x0: np.ndarray, seed: int,
     out = {"end": X, "exit_step": exit_step}
     if track_radial:
         out["radial_violation"] = violated
-        out["rho_end"] = rho
     if want_trace:
         out["skeleton"] = skeleton
         out["step_vectors"] = step_vectors
@@ -178,12 +182,12 @@ def walk_chunk(model: ManifoldModel, sched, x0: np.ndarray, seed: int,
 
 
 def coupled_chunk(model: ManifoldModel, sched, x1: np.ndarray, x2: np.ndarray,
-                  seed: int, paths: range, *, kind: str = REFLECTION,
+                  seed: int, paths: range, *,
+                  kind: CouplingKind = CouplingKind.REFLECTION,
                   delta_couple: float = 0.0, stick: bool = True,
                   k: float = 0.0,
                   origin: np.ndarray | None = None,
                   exit_radius: float | None = None,
-                  domination_margin: float | None = None,
                   contraction: bool = False,
                   want_trace: bool = False) -> dict:
     """Run a block of coupled walks driven by one ball sample per step.
@@ -196,7 +200,8 @@ def coupled_chunk(model: ManifoldModel, sched, x1: np.ndarray, x2: np.ndarray,
 
     The recorded lambda* is the signed first-variation rate of the distance,
     2 <xi~2, gdot(dist)> = -2 <xi~1, gdot(0)>, so in flat space the distance
-    obeys d_{n+1} = |d_n + alpha lambda*| exactly.
+    obeys d_{n+1} = |d_n + alpha lambda*| exactly. The trace's ``distance``
+    and ``lambda_star`` give ``coupling.dominating_process``.
     """
     B = len(paths)
     times, fracs = sched.times, sched.fracs
@@ -218,12 +223,6 @@ def coupled_chunk(model: ManifoldModel, sched, x1: np.ndarray, x2: np.ndarray,
                        dtype=float)
         exited = np.zeros(B, dtype=bool)
 
-    track_dom = domination_margin is not None
-    if track_dom:
-        lam_sum = np.zeros(B)
-        dom_violated = np.zeros(B, dtype=bool)
-        a0 = np.empty(B)
-
     if contraction:
         run_min = np.full(B, np.inf)
         contraction_max = np.full(B, -np.inf)
@@ -236,8 +235,10 @@ def coupled_chunk(model: ManifoldModel, sched, x1: np.ndarray, x2: np.ndarray,
         coupled_trace = np.zeros((B, n_steps + 1), dtype=bool)
         noise2 = np.empty((B, n_steps, m))
 
-    def observe(n: int, t: float, dist: np.ndarray) -> np.ndarray:
-        """Coupling detection plus diagnostics at skeleton time t_n."""
+    for n in range(n_steps + 1):
+        t = float(times[n])
+        geo = model.connect(t, X1, X2)
+        dist = geo[0]
         if not np.isfinite(dist).all():
             raise SingularConfiguration(f"non-finite distance at step {n}")
         newly = ~coupled & (dist <= delta_couple)
@@ -245,26 +246,11 @@ def coupled_chunk(model: ManifoldModel, sched, x1: np.ndarray, x2: np.ndarray,
         couple_step[newly] = n
         if stick:
             dist = np.where(coupled, 0.0, dist)
-        if track_dom:
-            if n == 0:
-                a0[:] = dist
-            decay = np.exp(-k * (t - t1_win) / 2.0)
-            bound = decay * (a0 + alpha * lam_sum)
-            ok = ~coupled
-            if track_exit:
-                ok = ok & ~exited
-            dom_violated[ok & (dist > bound + domination_margin)] = True
         if contraction:
             weighted = np.exp(k * (t - t1_win) / 2.0) * dist
             np.maximum(contraction_max, weighted - run_min,
                        out=contraction_max)
             np.minimum(run_min, weighted, out=run_min)
-        return dist
-
-    for n in range(n_steps + 1):
-        t = float(times[n])
-        geo = model.connect(t, X1, X2)
-        dist = observe(n, t, geo[0])
         if track_exit:
             out_o = model.distance(t, o, np.concatenate([X1, X2]))
             exited |= (out_o > exit_radius - 1.0).reshape(2, B).any(axis=0)
@@ -281,14 +267,10 @@ def coupled_chunk(model: ManifoldModel, sched, x1: np.ndarray, x2: np.ndarray,
         X1, X2n, lam, lift2 = reflect_step(
             model, t, X1, X2, noise[n], geo, coupled, alpha,
             float(fracs[n]), kind=kind)
-        if track_dom:
-            weight = float(fracs[n]) * np.exp(
-                k * (float(times[n + 1]) - t1_win) / 2.0)
-            lam_sum += weight * lam
         if want_trace:
             lam_trace[:, n] = lam
             noise2[:, n] = frame_coordinates(model, t, X2, lift2)
-        X2 = np.where(coupled[:, None], X1, X2n) if stick else X2n
+        X2 = X2n
 
     out = {
         "end1": X1, "end2": X2,
@@ -296,8 +278,6 @@ def coupled_chunk(model: ManifoldModel, sched, x1: np.ndarray, x2: np.ndarray,
         "survival": couple_step < 0,
         "final_distance": dist,
     }
-    if track_dom:
-        out["dom_violation"] = dom_violated
     if track_exit:
         out["exited"] = exited
     if contraction:

@@ -419,14 +419,11 @@ class RoundSphere(ManifoldModel):
 
     def _angle(self, x, y):
         """Angle between x, y on the representation sphere and its clipped
-        cosine; the chord form keeps nearly coincident points exact where
-        arccos loses digits."""
+        cosine. 2 atan2(|y - x|, |y + x|) keeps full precision on the whole
+        range, near 0 and near pi, where arcsin and arccos lose digits."""
         r = self.radius
         cosang = np.clip(_dot(x, y) / (r * r), -1.0, 1.0)
-        chord = _norm(y - x)
-        near = cosang > 0.5
-        safe_ratio = np.clip(chord / (2.0 * r), 0.0, 1.0)
-        theta = np.where(near, 2.0 * np.arcsin(safe_ratio), np.arccos(cosang))
+        theta = 2.0 * np.arctan2(_norm(y - x), _norm(y + x))
         return theta, cosang
 
     def _direction(self, x, y):

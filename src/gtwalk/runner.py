@@ -181,10 +181,7 @@ def _run_convergence(config, model, workers):
 
 
 def _run_feller(config):
-    spec = RadialComparisonSpec(builtin_b(config["b"]),
-                                c0=float(config["c0"])
-                                if "c0" in config.data else 1.0,
-                                r0=0.5)
+    spec = RadialComparisonSpec(builtin_b(config["b"]), c0=1.0, r0=0.5)
     result = feller_explosion_test(spec, float(config["C"]),
                                    float(config["y_max"]))
     expect = config.get("expect")

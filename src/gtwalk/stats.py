@@ -44,27 +44,30 @@ class McEstimate:
 
     @classmethod
     def from_samples(cls, x: np.ndarray) -> "McEstimate":
+        """Normal interval; the variance is two-pass, so it does not cancel
+        when the mean is large against the spread."""
         x = np.asarray(x, dtype=float)
-        return cls.from_sums(len(x), float(np.sum(x)), float(np.sum(x * x)))
-
-    @classmethod
-    def from_sums(cls, n: int, s1: float, s2: float,
-                  proportion: bool = False) -> "McEstimate":
-        if n <= 0:
+        n = len(x)
+        if n == 0:
             raise InvalidInput("estimate needs at least one sample")
-        mean = s1 / n
-        var = max(s2 / n - mean * mean, 0.0)
-        stderr = math.sqrt(var / n)
-        if proportion and (mean < 0.1 or mean > 0.9):
-            ci = _wilson_interval(s1, n)
-        else:
-            ci = (mean - 1.96 * stderr, mean + 1.96 * stderr)
-        return cls(n, mean, stderr, ci)
+        mean = float(np.sum(x)) / n
+        stderr = math.sqrt(float(np.sum((x - mean) ** 2)) / n / n)
+        return cls(n, mean, stderr, (mean - 1.96 * stderr,
+                                     mean + 1.96 * stderr))
 
     @classmethod
     def from_bernoulli(cls, successes: int, n: int) -> "McEstimate":
-        return cls.from_sums(n, float(successes), float(successes),
-                             proportion=True)
+        """Closed-form variance p - p^2; Wilson interval outside
+        [0.1, 0.9]."""
+        if n <= 0:
+            raise InvalidInput("estimate needs at least one sample")
+        p = successes / n
+        stderr = math.sqrt((p - p * p) / n)
+        if p < 0.1 or p > 0.9:
+            ci = _wilson_interval(successes, n)
+        else:
+            ci = (p - 1.96 * stderr, p + 1.96 * stderr)
+        return cls(n, p, stderr, ci)
 
     def to_dict(self) -> dict:
         return {"n": self.n, "mean": self.mean, "stderr": self.stderr,

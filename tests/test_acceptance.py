@@ -346,7 +346,8 @@ def test_criterion_10_domination():
     for idx in range(8):
         path = run_coupled(euclid, CouplingConfig(
             **{**cfg.__dict__, "path_index": idx}))
-        U = dominating_process(path, 0.0)
+        U = dominating_process(path.schedule, path.distance_process,
+                               path.lambda_star_record, 0.0)
         stop = len(path.schedule.times) if math.isinf(path.coupling_time) \
             else int(np.searchsorted(path.schedule.times,
                                      path.coupling_time))
@@ -359,17 +360,20 @@ def test_criterion_10_domination():
         worst = max(worst, worst_dom)
     recursion_ok = worst <= 1e-10
 
-    # (b) pathwise domination on the flow sphere, margin 0.05
+    # (b) pathwise domination on the flow sphere, margin 0.05: a path
+    # violates if, before coupling, its distance ever exceeds U + margin
     flow = RoundSphere(2, 1.0, flow=True, time_window=(0.0, 0.5))
     x1, x2 = _pair_on(flow, 0.0, 1.0)
     sched = Schedule(0.0, 0.5, 0.02)
     viol = []
-    for lo in range(0, 4000, 2048):
+    for lo in range(0, 4000, 1000):
         out = engine.coupled_chunk(flow, sched, x1, x2, 1010,
-                                   range(lo, min(lo + 2048, 4000)),
-                                   delta_couple=0.04, k=0.0,
-                                   domination_margin=0.05, exit_radius=8.0)
-        viol.append(out["dom_violation"])
+                                   range(lo, lo + 1000), delta_couple=0.04,
+                                   k=0.0, want_trace=True)
+        U = dominating_process(sched, out["distance"], out["lambda_star"],
+                               0.0)
+        over = ~out["coupled"] & (out["distance"] > U + 0.05)
+        viol.append(over.any(axis=1))
     chain_fraction = float(np.mean(np.concatenate(viol)))
     chain_ok = chain_fraction < 0.05
 

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -189,6 +190,23 @@ def test_cli_dump_paths_format(tmp_path, capsys):
                  "--out", str(tmp_path / "wd")]) == 0
     header = (tmp_path / "wd" / "path_0000.csv").read_text().splitlines()[0]
     assert header == "n,t,coord_0,coord_1"
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--alpha", "0.1"), ("--samples", "5"), ("--manifold", "euclidean:2"),
+    ("--threads", "2")])
+def test_dump_paths_rejects_flags_it_would_ignore(flag, value, tmp_path,
+                                                  capsys):
+    """dump-paths takes only --count, --seed and --out; other flags are a
+    usage error instead of being silently ignored."""
+    doc = tmp_path / "walk.json"
+    doc.write_text(json.dumps(MINIMAL_WALK))
+    with pytest.raises(SystemExit) as exc:
+        main(["dump-paths", str(doc), flag, value,
+              "--out", str(tmp_path / "d")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
 
 
 def test_cli_flag_built_walk(capsys):
@@ -425,6 +443,45 @@ def test_switch_must_be_a_json_boolean(key, value):
         with pytest.raises(ConfigError,
                            match=f"^{name}: must be true or false"):
             parse_config(doc)
+
+
+@pytest.mark.parametrize("kind, key, value", [
+    ("walk", "seed", "7"),
+    ("walk", "seed", 7.0),
+    ("walk", "seed", True),
+    ("walk", "n_paths", 10.5),
+    ("walk", "n_dump", "2"),
+    ("walk", "exit_radius", "8"),
+    ("walk", "exit_radius", False),
+    ("walk", "t2", math.inf),
+    ("walk", "t1", math.nan),
+    ("walk", "alpha", "0.05"),
+    ("walk", "alpha", 10 ** 400),
+    ("walk", "manifold.dim", 2.5),
+    ("walk", "manifold.dim", "2"),
+    ("walk", "manifold.radius_c0", "2"),
+    ("couple", "d0", True),
+    ("convergence", "alphas", [0.4, "0.2"]),
+    ("convergence", "alphas", [0.4, True]),
+    ("convergence", "alphas", [0.4, math.inf]),
+])
+def test_numeric_value_must_be_a_number_of_its_type(kind, key, value):
+    """Integer keys take JSON integers and float keys finite JSON numbers;
+    strings, bools, and floats for integer keys fail naming the key."""
+    doc = _key_base(kind)
+    if key.startswith("manifold."):
+        doc["manifold"] = {"kind": "sphere", "dim": 2,
+                           key.split(".")[1]: value}
+    else:
+        doc[key] = value
+    with pytest.raises(ConfigError, match=f"^{key}: must "):
+        parse_config(doc)
+
+
+def test_numbers_are_stored_as_given():
+    cfg = parse_config({**MINIMAL_WALK, "exit_radius": 8, "n_dump": None})
+    assert isinstance(cfg.data["exit_radius"], int)
+    assert cfg.data["n_dump"] is None
 
 
 @pytest.mark.parametrize("name, env, patch, argv", [

@@ -314,7 +314,8 @@ def test_bound_rejects_negative(euclid2):
 def test_dominating_flat_recursion_equality(euclid2):
     cfg = _config(euclid2, alpha=0.05, seed=29, delta_couple=0.1)
     path = run_coupled(euclid2, cfg)
-    U = dominating_process(path, 0.0)
+    U = dominating_process(path.schedule, path.distance_process,
+                           path.lambda_star_record, 0.0)
     assert U[0] == path.distance_process[0]
     stop = len(path.schedule.times) if math.isinf(path.coupling_time) \
         else int(np.searchsorted(path.schedule.times, path.coupling_time))
@@ -331,7 +332,8 @@ def test_dominating_flat_recursion_equality(euclid2):
 def test_dominating_with_decay_weights(euclid2):
     cfg = _config(euclid2, alpha=0.1, seed=31, delta_couple=0.2, k=0.8)
     path = run_coupled(euclid2, cfg)
-    U = dominating_process(path, 0.8)
+    U = dominating_process(path.schedule, path.distance_process,
+                           path.lambda_star_record, 0.8)
     sched = path.schedule
     rel = sched.times - sched.t1
     manual = np.empty(len(rel))

@@ -447,7 +447,7 @@ def _unit_rows(rng, n, d, radius=1.0):
 
 def _sphere_pairs(model, t, rng):
     """Rows of four sorts: generic, antipodal, coincident and nearly
-    coincident (the chord branch of the angle)."""
+    coincident."""
     r = model.radius
     x = _unit_rows(rng, 40, model.ambient_dim, r)
     y = _unit_rows(rng, 40, model.ambient_dim, r)
@@ -495,20 +495,21 @@ def test_sphere_connect_special_rows(rng):
         t = 0.4
         x, y = _sphere_pairs(model, t, rng)
         dist, u0, u1 = model.connect(t, x, y)
-        # antipodal rows take the tie-break that log takes (arccos near -1
-        # keeps only about 8 digits of the angle)
+        # antipodal rows take the tie-break that log takes, at the full
+        # angle pi
         anti = slice(10, 20)
         assert np.allclose(dist[anti], np.pi * np.sqrt(model.scale(t)),
-                           rtol=0, atol=1e-7)
+                           rtol=0, atol=1e-12)
         v = model.log(t, x[anti], y[anti])
         assert np.allclose(u0[anti], v / dist[anti, None], rtol=0, atol=1e-12)
-        assert np.allclose(model.exp(t, x[anti], v), y[anti], atol=1e-7)
+        assert np.allclose(model.exp(t, x[anti], v), y[anti], rtol=0,
+                           atol=1e-12)
         assert np.allclose(np.sum(u0[anti] * x[anti], axis=-1), 0.0,
                            atol=1e-12)
         # coincident rows
         assert np.all(dist[20:30] == 0.0)
         assert np.all(u0[20:30] == 0.0) and np.all(u1[20:30] == 0.0)
-        # nearly coincident rows go through the chord branch
+        # nearly coincident rows
         assert np.all((dist[30:40] > 0) & (dist[30:40] < 1e-2))
         assert np.allclose(model.exp(t, x[30:40],
                                      model.log(t, x[30:40], y[30:40])),

@@ -27,6 +27,14 @@ def test_estimate_basic_fields():
     assert e.stderr >= 0.0
 
 
+def test_sample_variance_does_not_cancel():
+    # population variance 1.25 around a mean of 1e8; s2/n - mean^2 loses
+    # it to cancellation and gives stderr 0.707
+    e = McEstimate.from_samples(1e8 + np.array([0.0, 1.0, 2.0, 3.0]))
+    assert e.mean == 1e8 + 1.5
+    assert e.stderr == pytest.approx(math.sqrt(1.25 / 4), rel=1e-12)
+
+
 def test_wilson_interval_near_edges():
     e = McEstimate.from_bernoulli(1, 1000)
     assert e.ci95[0] >= 0.0 and e.ci95[1] > e.mean
