@@ -120,7 +120,8 @@ class RadialComparisonSpec:
     b: Callable[[np.ndarray], np.ndarray]
     c0: float = 1.0
     r0: float = 0.5
-    # (grid j / 256, b on the grid, int_0^grid b), grown by b_integral.
+    # (grid j / 256, b on the grid, int_0^grid b, slope of the integral on
+    # each gap [j, j + 1] / 256 then a trailing 0), grown by b_integral.
     _table: tuple | None = field(default=None, init=False, repr=False,
                                  compare=False)
 
@@ -135,13 +136,20 @@ class RadialComparisonSpec:
         point's value does not depend on the points passed with it. The
         spec keeps the table it has built and grows it only when r reaches
         past it, with the bits of a table built afresh.
+
+        The nodes are j / 256, so r's gap is j = floor(256 r) and no search
+        is needed. The value is np.interp's, bit for bit: slope_j
+        (r - grid_j) + cum_j, 0 below the grid, and the trailing zero slope
+        gives cum[-1] at the last node.
         """
         r = np.asarray(r, dtype=float)
         n = max(64, math.ceil(float(np.max(r, initial=0.0)) * 256))
         if self._table is None or len(self._table[0]) <= n:
             self._extend_table(n)
-        grid, _, cum = self._table
-        out = np.interp(r, grid, cum)
+        grid, _, cum, slopes = self._table
+        r = np.maximum(r, 0.0)
+        j = (256.0 * r).astype(np.intp)
+        out = slopes[j] * (r - grid[j]) + cum[j]
         return float(out) if out.ndim == 0 else out
 
     def _extend_table(self, n: int) -> None:
@@ -156,7 +164,8 @@ class RadialComparisonSpec:
         vals = np.concatenate([vals, new_vals])
         cum = np.concatenate([[0.0], np.cumsum(
             0.5 * (vals[1:] + vals[:-1]) * np.diff(grid))])
-        object.__setattr__(self, "_table", (grid, vals, cum))
+        slopes = np.append((cum[1:] - cum[:-1]) / (grid[1:] - grid[:-1]), 0.0)
+        object.__setattr__(self, "_table", (grid, vals, cum, slopes))
 
     def phi(self, r) -> np.ndarray:
         return self.c0 + 0.5 * self.b_integral(r)

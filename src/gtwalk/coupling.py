@@ -154,10 +154,17 @@ def run_coupled(model: ManifoldModel, config: CouplingConfig) -> CoupledPath:
                         want_trace=True)
     step = int(res["couple_step"][0])
     coupling_time = math.inf if step < 0 else float(sched.times[step])
-    return CoupledPath(model.model_id, sched, res["skeleton1"][0],
-                       res["skeleton2"][0], res["distance"][0],
-                       res["lambda_star"][0], res["coupled"][0],
-                       coupling_time, res["noise"][0], res["noise2"][0])
+    skel2, lift2 = res["skeleton2"][0], res["lift2"][0]
+    # The kernel traces the second particle's lifted noise; its ball
+    # coordinates need a frame per step, paid here for this one path.
+    noise2 = np.empty((sched.n_steps, model.dim))
+    for n in range(sched.n_steps):
+        noise2[n] = engine.frame_coordinates(
+            model, float(sched.times[n]), skel2[n:n + 1], lift2[n:n + 1])[0]
+    return CoupledPath(model.model_id, sched, res["skeleton1"][0], skel2,
+                       res["distance"][0], res["lambda_star"][0],
+                       res["coupled"][0], coupling_time, res["noise"][0],
+                       noise2)
 
 
 def coupling_probability_bound(d0: float, k: float, horizon: float) -> float:

@@ -17,7 +17,9 @@ A coupled step makes one pair-geometry call, ``model.connect``. Its
 distance is bit-identical to ``model.distance``, and the sphere builds its
 antipodal tie-break only on antipodal rows. Only the first lift is
 parallel-transported. A non-finite distance or endpoint raises
-SingularConfiguration instead of being counted.
+SingularConfiguration instead of being counted. The radial replay reads
+only the distance to the origin and the direction toward it, so it calls
+``model.depart``, which builds no arrival direction.
 """
 
 from __future__ import annotations
@@ -143,7 +145,7 @@ def walk_chunk(model: ManifoldModel, sched, x0: np.ndarray, seed: int,
     for n in range(n_steps + 1):
         t = float(times[n])
         if track_radial:
-            d_o, toward_o, _ = model.connect(t, X, o)
+            d_o, toward_o = model.depart(t, X, o)
         elif track_exit:
             d_o = model.distance(t, o, X)
         if track_exit:
@@ -201,7 +203,9 @@ def coupled_chunk(model: ManifoldModel, sched, x1: np.ndarray, x2: np.ndarray,
     The recorded lambda* is the signed first-variation rate of the distance,
     2 <xi~2, gdot(dist)> = -2 <xi~1, gdot(0)>, so in flat space the distance
     obeys d_{n+1} = |d_n + alpha lambda*| exactly. The trace's ``distance``
-    and ``lambda_star`` give ``coupling.dominating_process``.
+    and ``lambda_star`` give ``coupling.dominating_process``; its ``lift2``
+    is the second particle's tangent noise, which ``frame_coordinates``
+    turns into ball coordinates.
     """
     B = len(paths)
     times, fracs = sched.times, sched.fracs
@@ -233,7 +237,7 @@ def coupled_chunk(model: ManifoldModel, sched, x1: np.ndarray, x2: np.ndarray,
         dist_trace = np.empty((B, n_steps + 1))
         lam_trace = np.empty((B, n_steps))
         coupled_trace = np.zeros((B, n_steps + 1), dtype=bool)
-        noise2 = np.empty((B, n_steps, m))
+        lift2_trace = np.empty((B, n_steps, d))
 
     for n in range(n_steps + 1):
         t = float(times[n])
@@ -269,7 +273,7 @@ def coupled_chunk(model: ManifoldModel, sched, x1: np.ndarray, x2: np.ndarray,
             float(fracs[n]), kind=kind)
         if want_trace:
             lam_trace[:, n] = lam
-            noise2[:, n] = frame_coordinates(model, t, X2, lift2)
+            lift2_trace[:, n] = lift2
         X2 = X2n
 
     out = {
@@ -287,5 +291,5 @@ def coupled_chunk(model: ManifoldModel, sched, x1: np.ndarray, x2: np.ndarray,
                     "distance": dist_trace, "lambda_star": lam_trace,
                     "coupled": coupled_trace,
                     "noise": noise.transpose(1, 0, 2),
-                    "noise2": noise2})
+                    "lift2": lift2_trace})
     return out

@@ -274,6 +274,16 @@ class ManifoldModel(abc.ABC):
         if not (t1 - 1e-9 <= t <= t2 + 1e-9):
             raise InvalidInput(f"time {t} outside window [{t1}, {t2}]")
 
+    def depart(self, t: float, x: np.ndarray, y: np.ndarray):
+        """(dist, u0) for the chosen minimal geodesic from x to y: the
+        distance and the g(t)-unit departure direction, equal bit for bit
+        to the first two entries of ``connect``. For callers that never
+        read the arrival direction.
+        """
+        dist = self.distance(t, x, y)
+        safe = np.where(dist < 1e-300, 1.0, dist)
+        return dist, self.log(t, x, y) / safe[..., None]
+
     def connect(self, t: float, x: np.ndarray, y: np.ndarray):
         """(dist, u0, u1) for the chosen minimal geodesic from x to y: the
         distance and the g(t)-unit departure and arrival directions.
@@ -283,11 +293,8 @@ class ManifoldModel(abc.ABC):
         Coincident points get zero directions. Models override this with
         one fused pass where that is cheaper.
         """
-        dist = self.distance(t, x, y)
-        safe = np.where(dist < 1e-300, 1.0, dist)
-        u0 = self.log(t, x, y) / safe[..., None]
-        u1 = self.transport_along(t, x, u0, dist, u0)
-        return dist, u0, u1
+        dist, u0 = self.depart(t, x, y)
+        return dist, u0, self.transport_along(t, x, u0, dist, u0)
 
 
 # ---------------------------------------------------------------------------
@@ -451,6 +458,11 @@ class RoundSphere(ManifoldModel):
 
     def distance(self, t, x, y):
         return np.sqrt(self._s2(t)) * self.radius * self._angle(x, y)[0]
+
+    def depart(self, t, x, y):
+        theta, _, e = self._direction(x, y)
+        s = np.sqrt(self._s2(t))
+        return s * self.radius * theta, e / s
 
     def connect(self, t, x, y):
         # One pass: the arrival direction is the rotated departure

@@ -49,6 +49,13 @@ def rng():
     return np.random.default_rng(20240817)
 
 
+def same_bits(a, b) -> bool:
+    """Equal shape and equal bits: unlike np.array_equal, 0.0 and -0.0
+    differ."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def random_point(model, rng, spread=1.0):
     """A valid random point on the model."""
     kind = model.kind

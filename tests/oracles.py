@@ -3,9 +3,10 @@
 Everything here deliberately avoids the library's own formulas: Gaussian
 masses come from quadrature of the density, sphere geodesics and transports
 from integrating the constrained ambient ODEs, and the wrapped Gaussian
-from its Fourier series. The one exception is the sphere frame reference,
-a row-wise Gram-Schmidt that the library's frame must reproduce bit for
-bit, because replayed noise depends on the frame.
+from its Fourier series. The exceptions are references the library must
+reproduce bit for bit: the sphere frame, a row-wise Gram-Schmidt, because
+replayed noise depends on the frame, and the drift integral's lookup,
+numpy's own interpolation of the spec's trapezoid table.
 """
 
 import numpy as np
@@ -116,3 +117,11 @@ def sphere_frame_gram_schmidt(x: np.ndarray, radius: float, scale: float,
                 * out[..., j, :]
         out[..., i, :] = w / np.linalg.norm(w, axis=-1, keepdims=True)
     return out / np.sqrt(scale)
+
+
+def table_interp(r, grid: np.ndarray, cum: np.ndarray):
+    """int_0^r b read off a trapezoid table (nodes ``grid``, integrals
+    ``cum``) by np.interp's binary search and linear interpolation, which
+    RadialComparisonSpec.b_integral's bracket lookup must equal bit for
+    bit."""
+    return np.interp(r, grid, cum)

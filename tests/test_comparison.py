@@ -5,16 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import gaussian_mass
+from conftest import same_bits
+from oracles import gaussian_mass, table_interp
 
-from gtwalk import rng
+from gtwalk import engine, rng
 from gtwalk.comparison import (OUParams, RadialComparisonSpec, beta,
                                builtin_b, chi, feller_explosion_test,
                                ou_chunk, simulate_radial_comparison,
                                _ou_transition)
 from gtwalk.errors import InvalidInput
+from gtwalk.manifolds import Euclidean, RoundSphere
 from gtwalk.stats import (CHUNK, gaussian_cdf, ks_statistic,
                           ou_survival_probability)
+from gtwalk.walk import Schedule
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +189,74 @@ def test_phi_same_after_a_larger_r(b):
     assert seen.phi(2.71) == fresh.phi(2.71)
 
 
+B_PROFILES = [
+    {"name": "zero"}, {"name": "constant", "c": 0.7},
+    {"name": "linear", "slope": 1.3},
+    {"name": "table", "r": [0.0, 1.0, 3.0], "values": [0.0, 2.0, 0.5]}]
+
+
+def _assert_lookup_is_interp(spec, r) -> None:
+    """b_integral(r) against np.interp on the table the call left behind."""
+    got = spec.b_integral(r)
+    grid, _, cum, _ = spec._table
+    want = table_interp(r, grid, cum)
+    assert same_bits(got, want)
+    if np.ndim(r) == 0:
+        assert isinstance(got, float)
+
+
+def _near_node(j: int, ulps: int) -> float:
+    """The node j / 256 moved ``ulps`` floats up (or down if negative)."""
+    r = j / 256.0
+    for _ in range(abs(ulps)):
+        r = float(np.nextafter(r, math.copysign(np.inf, ulps)))
+    return r
+
+
+_RADII = st.one_of(st.floats(0.0, 12.0),
+                   st.builds(_near_node, st.integers(0, 3072),
+                             st.integers(-1, 1)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(profile=st.sampled_from(B_PROFILES),
+       first=st.lists(_RADII, max_size=6),
+       then=st.lists(_RADII, min_size=1, max_size=40))
+def test_b_integral_is_np_interp_bit_for_bit(profile, first, then):
+    """The bracket lookup equals np.interp on the spec's table, on and
+    beside nodes, at the last node, once the table grows past where an
+    earlier call built it, and for 0-d input."""
+    spec = RadialComparisonSpec(builtin_b(profile), c0=1.0, r0=0.5)
+    _assert_lookup_is_interp(spec, np.array(first, dtype=float))
+    _assert_lookup_is_interp(spec, np.array(then))
+    for r in then[:5]:
+        _assert_lookup_is_interp(spec, r)
+        _assert_lookup_is_interp(spec, np.float64(r))
+    grid, _, cum, _ = spec._table
+    assert spec.b_integral(grid[-1]) == cum[-1]
+    _assert_lookup_is_interp(spec, np.array([grid[-1], grid[-2], 0.0]))
+
+
+@pytest.mark.parametrize("b", B_PROFILES)
+def test_b_integral_at_nodes_and_table_ends(b):
+    spec = RadialComparisonSpec(builtin_b(b), c0=1.0, r0=0.5)
+    # 2.5 builds nodes j / 256 for j <= 640; the last is 2.5 itself
+    _assert_lookup_is_interp(spec, 2.5)
+    grid, _, cum, _ = spec._table
+    assert grid[-1] == 2.5 and spec.b_integral(2.5) == cum[-1]
+    nodes = np.arange(0, 641) / 256.0
+    _assert_lookup_is_interp(spec, nodes)
+    _assert_lookup_is_interp(spec, np.nextafter(nodes, np.inf))
+    _assert_lookup_is_interp(spec, np.nextafter(nodes[1:], 0.0))
+    # past the table: it grows, and its new last node reads cum[-1]
+    past = np.array([0.3, 7.0, 2.5, np.nextafter(7.0, 0.0)])
+    _assert_lookup_is_interp(spec, past)
+    grid, _, cum, _ = spec._table
+    assert grid[-1] == 7.0 and spec.b_integral(past)[1] == cum[-1]
+    # below the grid np.interp holds the first value
+    _assert_lookup_is_interp(spec, np.array([-1.0, -1e-300, -0.0, 0.0]))
+
+
 def test_b_checked_where_the_table_grows():
     """A b that goes negative only past the table's reach raises once r
     reaches there."""
@@ -206,6 +277,44 @@ def test_builtin_b_validation():
     table = builtin_b({"name": "table", "r": [0.0, 1.0, 2.0],
                        "values": [0.0, 1.0, 4.0]})
     assert table(1.5) == pytest.approx(2.5)
+
+
+@pytest.mark.parametrize("model", [
+    RoundSphere(2, 1.0, flow=True, time_window=(0.0, 1.0)), Euclidean(2)],
+    ids=["flow_sphere", "euclid2"])
+@pytest.mark.parametrize("b", B_PROFILES)
+def test_walk_chunk_rho_trace_is_the_connect_interp_replay(model, b):
+    """The kernel's traced comparison path and flags equal a replay built
+    step by step from connect, np.interp on the spec's table and the
+    traced skeleton and noise."""
+    sched = Schedule(0.0, 0.3, 0.05)
+    o = model.origin()
+    spec = RadialComparisonSpec(builtin_b(b), c0=1.0, r0=0.5)
+    B, margin = 200, -1.0
+    out = engine.walk_chunk(model, sched, o, 3, range(B), origin=o,
+                            radial={"spec": spec, "rho0": 1.5,
+                                    "margin": margin},
+                            want_trace=True)
+    # the table now reaches every rho the kernel looked up
+    grid, _, cum, _ = spec._table
+    rho = np.full(B, 1.5)
+    violated = np.zeros(B, dtype=bool)
+    for n in range(sched.n_steps + 1):
+        t, X = float(sched.times[n]), out["skeleton"][:, n]
+        d_o, toward_o, _ = model.connect(t, X, o)
+        violated |= d_o > rho + margin
+        assert same_bits(out["rho_trace"][:, n], rho)
+        if n == sched.n_steps:
+            break
+        xi = out["noise"][:, n]
+        lift = model.lift(t, X, xi)
+        lam = np.where(d_o >= spec.r0, -model.inner(t, X, lift, toward_o),
+                       math.sqrt(model.dim + 2.0) * xi[:, 0])
+        drift = spec.c0 + 0.5 * table_interp(rho, grid, cum) + spec.psi(rho)
+        rho = rho + float(sched.fracs[n]) * (sched.alpha * lam
+                                             + sched.alpha ** 2 * drift)
+    assert np.array_equal(out["radial_violation"], violated)
+    assert 0.0 < violated.mean() < 1.0
 
 
 def test_radial_discrete_stays_above_floor():

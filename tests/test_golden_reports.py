@@ -50,6 +50,14 @@ CONFIGS = {
         "kind": "radial-domination", "manifold": FLOW_SPHERE, "t1": 0.0,
         "t2": 0.5, "alpha": 0.05, "n_paths": 600, "seed": 9,
         "b": {"name": "zero"}, "margin": 0.1},
+    # A negative margin flags some paths but not all, so the report pins
+    # the radial replay itself.
+    "radial-flagged": {
+        "kind": "radial-domination", "manifold": FLOW_SPHERE, "t1": 0.0,
+        "t2": 0.5, "alpha": 0.05, "n_paths": 600, "seed": 12,
+        "b": {"name": "table", "r": [0.0, 1.0, 3.0],
+              "values": [0.0, 2.0, 0.5]},
+        "margin": -1.3},
     "convergence": {
         "kind": "convergence", "manifold": {"kind": "euclidean", "dim": 1},
         "t1": 0.0, "t2": 1.0, "alphas": [0.4, 0.2], "n_paths": 1000,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_point, random_tangent
+from conftest import random_point, random_tangent, same_bits
 from oracles import (sphere_frame_gram_schmidt, sphere_geodesic_rk4,
                      sphere_transport_ode)
 
@@ -488,6 +488,27 @@ def test_connect_agrees_with_distance_log_and_transport(request, name, rng):
     assert np.array_equal(generic[0], dist)
     assert np.allclose(generic[1], u0, rtol=0, atol=1e-12)
     assert np.allclose(generic[2], u1, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", CONNECT_MODELS)
+def test_depart_is_connect_without_arrival(request, name, rng):
+    """depart gives connect's distance and departure direction bit for
+    bit: on coincident rows, antipodal rows (on spheres), one point against
+    many and many points against one."""
+    model = request.getfixturevalue(name)
+    t = model.time_window[0] + 0.3
+    if model.kind == "sphere":
+        x, y = _sphere_pairs(model, t, rng)
+        y[0] = -x[0]
+    else:
+        x = np.stack([random_point(model, rng) for _ in range(40)])
+        y = np.stack([random_point(model, rng) for _ in range(40)])
+        y[:5] = x[:5]
+    y[1] = x[0]
+    for a, b in ((x, y), (x[0], y), (y, x[0])):
+        got, want = model.depart(t, a, b), model.connect(t, a, b)[:2]
+        assert len(got) == 2
+        assert all(same_bits(g, w) for g, w in zip(got, want))
 
 
 def test_sphere_connect_special_rows(rng):
