@@ -13,7 +13,7 @@ from .comparison import (OUParams, RadialComparisonSpec, beta, builtin_b,
                          simulate_radial_comparison)
 from .coupling import (CoupledPath, CouplingConfig, CouplingKind,
                        coupled_step, coupling_probability_bound,
-                       dominating_process, reflection_map, run_coupled)
+                       dominating_process, run_coupled)
 from .errors import (ConfigError, DegenerateGeodesic, GtwalkError,
                      InvalidInput, SingularConfiguration,
                      UnsupportedOperation)

@@ -4,7 +4,10 @@ Both couplings drive the pair with a single ball sample per step. The
 second particle receives the first's lifted noise parallel-transported
 along the connecting minimal geodesic; the reflection coupling additionally
 mirrors it across the hyperplane orthogonal to the geodesic's arrival
-direction. Discrete walks almost surely never meet exactly, so pairs are
+direction. That map is ``model.mirror``; on the closed-form models it is
+the reflection of the ambient space (Euclidean, or Minkowski on the
+hyperboloid) across the bisector of the two points, the classical mirror
+coupling. Discrete walks almost surely never meet exactly, so pairs are
 declared coupled at distance <= delta_couple and, by default, the second
 particle follows the first from then on, which preserves the marginal
 transition rule because the declaration time is a stopping time of the pair.
@@ -20,9 +23,8 @@ import numpy as np
 from . import engine
 from .comparison import beta, chi
 from .engine import CouplingKind
-from .errors import DegenerateGeodesic, InvalidInput
-from .manifolds import (COINCIDE_TOL, Geodesic, ManifoldModel, Point,
-                        TangentVector, _coords)
+from .errors import InvalidInput
+from .manifolds import COINCIDE_TOL, ManifoldModel, Point, _coords
 from .walk import Schedule
 
 
@@ -88,26 +90,6 @@ class CoupledPath:
     noise_record_2: np.ndarray
 
 
-def reflection_map(model: ManifoldModel, t: float, geodesic: Geodesic,
-                   v) -> TangentVector:
-    """Mirror map along a geodesic: parallel-transport v to the end, then
-    reflect across the hyperplane orthogonal to the arrival direction.
-
-    A g(t)-isometry from the start tangent space to the end tangent space.
-    """
-    if geodesic.length <= 0.0:
-        raise DegenerateGeodesic("reflection_map: zero-length geodesic")
-    vc = v.components if isinstance(v, TangentVector) else np.asarray(v, dtype=float)
-    if isinstance(v, TangentVector):
-        if not np.allclose(v.base.coords, geodesic.start.coords, atol=1e-9):
-            raise InvalidInput("reflection_map: v not based at geodesic start")
-    carried = geodesic.transport_from_start(vc, geodesic.length)
-    u1 = geodesic.velocity_coords(geodesic.length)
-    end = geodesic.end.coords
-    out = carried - 2.0 * float(model.inner(t, end, carried, u1)) * u1
-    return TangentVector(geodesic.end, out)
-
-
 def coupled_step(model: ManifoldModel, t: float, x1, x2, xi: np.ndarray,
                  alpha: float, kind: CouplingKind = CouplingKind.REFLECTION,
                  frac: float = 1.0):
@@ -123,7 +105,7 @@ def coupled_step(model: ManifoldModel, t: float, x1, x2, xi: np.ndarray,
     xi = np.asarray(xi, dtype=float)
     if float(np.linalg.norm(xi)) > 1.0 + 1e-12:
         raise InvalidInput("ball sample must satisfy |xi| <= 1")
-    geo = model.connect(t, X1, X2)
+    geo = model.depart(t, X1, X2)
     y1, y2, lam, _ = engine.reflect_step(
         model, t, X1, X2, xi[None, :], geo, geo[0] < COINCIDE_TOL, alpha,
         frac, kind=kind)

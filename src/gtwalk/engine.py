@@ -13,13 +13,17 @@ ball sample, but it need not build the frame. ``walk_step`` and
 ``coupling.coupled_step`` call them on a block of one. A step adds the
 drift alpha^2 Z exactly when ``model.has_drift``; no caller decides that.
 
-A coupled step makes one pair-geometry call, ``model.connect``. Its
-distance is bit-identical to ``model.distance``, and the sphere builds its
-antipodal tie-break only on antipodal rows. Only the first lift is
-parallel-transported. A non-finite distance or endpoint raises
-SingularConfiguration instead of being counted. The radial replay reads
-only the distance to the origin and the direction toward it, so it calls
-``model.depart``, which builds no arrival direction.
+A coupled step makes one pair-geometry call, ``model.depart``: the
+distance, bit-identical to ``model.distance``, and the unit departure
+direction u0; the sphere builds its antipodal tie-break only on antipodal
+rows. The reflection kind maps the first lift to the second particle with
+``model.mirror`` (on the closed-form models the reflection of the ambient
+space across the bisector of the pair, with no transport) and records
+lambda* = -2 <lift1, u0>; the parallel kind transports the first lift.
+Neither needs the arrival direction. A non-finite distance or endpoint
+raises SingularConfiguration instead of being counted. The radial replay
+reads only the distance to the origin and the direction toward it, so it
+calls ``model.depart`` too.
 """
 
 from __future__ import annotations
@@ -77,22 +81,23 @@ def reflect_step(model: ManifoldModel, t: float, X1: np.ndarray,
                  kind: CouplingKind = CouplingKind.REFLECTION):
     """One synchronized transition of a block of pairs.
 
-    ``geo`` is ``model.connect(t, X1, X2)``. The first lift is transported
-    to X2 along the connecting geodesic and, for the reflection kind,
-    mirrored across the hyperplane orthogonal to the arrival direction;
-    rows flagged ``coupled`` reuse the first lift. Returns (next X1, next
-    X2, lambda*, lift2) with lambda* = 2 <lift2, arrival direction>, or
-    2 sqrt(m+2) xi_1 on coupled rows (the dominating process's noise),
-    and zero for parallel transport.
+    ``geo`` is ``model.depart(t, X1, X2)``, the distance and the unit
+    departure direction u0. For the reflection kind the second lift is
+    ``model.mirror`` of the first; for parallel transport it is the first
+    lift transported to X2 along the connecting geodesic. Rows flagged
+    ``coupled`` reuse the first lift. Returns (next X1, next X2, lambda*,
+    lift2) with lambda* = -2 <lift1, u0> (equal to 2 <lift2, arrival
+    direction>), or 2 sqrt(m+2) xi_1 on coupled rows (the dominating
+    process's noise), and zero for parallel transport.
     """
-    dist, u0, u1 = geo
+    dist, u0 = geo
     lift1 = model.lift(t, X1, xi)
-    lift2 = model.transport_along(t, X1, u0, dist, lift1)
     if kind is CouplingKind.REFLECTION:
-        lift2 = lift2 - 2.0 * model.inner(t, X2, lift2, u1)[:, None] * u1
+        lift2 = model.mirror(t, X1, X2, geo, lift1)
         lam = np.where(coupled, 2.0 * np.sqrt(model.dim + 2.0) * xi[:, 0],
-                       2.0 * model.inner(t, X2, lift2, u1))
+                       -2.0 * model.inner(t, X1, lift1, u0))
     else:
+        lift2 = model.transport_along(t, X1, u0, dist, lift1)
         lam = np.zeros(len(X1))
     lift2 = np.where(coupled[:, None], lift1, lift2)
     # Both particles take one exp call on the stacked (2B, ambient) block.
@@ -194,9 +199,11 @@ def coupled_chunk(model: ManifoldModel, sched, x1: np.ndarray, x2: np.ndarray,
                   want_trace: bool = False) -> dict:
     """Run a block of coupled walks driven by one ball sample per step.
 
-    The second particle's noise is the first's, parallel-transported along
-    the connecting minimal geodesic and, for the reflection kind, mirrored
-    across the hyperplane orthogonal to its arrival direction. Pairs closer
+    The second particle's noise is the first's lift mapped to X2: by
+    ``model.mirror`` for the reflection kind (parallel transport along the
+    connecting minimal geodesic, then the mirror across the hyperplane
+    orthogonal to its arrival direction), by parallel transport alone for
+    the parallel kind. Pairs closer
     than ``delta_couple`` at a schedule time are declared coupled; with
     ``stick`` the second particle is replaced by the first from that time on.
 
@@ -241,7 +248,7 @@ def coupled_chunk(model: ManifoldModel, sched, x1: np.ndarray, x2: np.ndarray,
 
     for n in range(n_steps + 1):
         t = float(times[n])
-        geo = model.connect(t, X1, X2)
+        geo = model.depart(t, X1, X2)
         dist = geo[0]
         if not np.isfinite(dist).all():
             raise SingularConfiguration(f"non-finite distance at step {n}")

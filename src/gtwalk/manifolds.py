@@ -52,6 +52,15 @@ def _norm(v: np.ndarray) -> np.ndarray:
     return np.sqrt(_dot(v, v))
 
 
+def _reflect_across(v: np.ndarray, d: np.ndarray, dot) -> np.ndarray:
+    """v reflected across the hyperplane ``dot``-orthogonal to d:
+    v - 2 dot(v, n) n with n = d / sqrt(dot(d, d)). Rows where d has no
+    positive length (coincident points) return v."""
+    dn = np.sqrt(np.maximum(dot(d, d), 0.0))
+    n = d / np.where(dn > 0.0, dn, np.inf)[..., None]
+    return v - 2.0 * dot(v, n)[..., None] * n
+
+
 # ---------------------------------------------------------------------------
 # Typed wrappers
 # ---------------------------------------------------------------------------
@@ -290,11 +299,28 @@ class ManifoldModel(abc.ABC):
 
         ``dist`` equals ``distance(t, x, y)`` bit for bit, so coupling
         detection does not depend on which of the two a caller uses.
-        Coincident points get zero directions. Models override this with
-        one fused pass where that is cheaper.
+        Coincident points get zero directions.
         """
         dist, u0 = self.depart(t, x, y)
         return dist, u0, self.transport_along(t, x, u0, dist, u0)
+
+    def mirror(self, t: float, x: np.ndarray, y: np.ndarray, geo,
+               v: np.ndarray) -> np.ndarray:
+        """The reflection coupling's map from T_x to T_y: v parallel-
+        transported along the chosen minimal geodesic from x to y, then
+        mirrored across the hyperplane g(t)-orthogonal to the arrival
+        direction u1. ``geo`` is ``depart(t, x, y)``.
+
+        A g(t)-isometry that sends u0 to -u1, so
+        2 <mirror(v), u1> = -2 <v, u0>. Coincident points (zero
+        directions) return v. The closed-form models override it with the
+        reflection of the ambient space across the bisector of x and y,
+        which needs neither a transport nor u1.
+        """
+        dist, u0 = geo
+        carried = self.transport_along(t, x, u0, dist, v)
+        u1 = self.transport_along(t, x, u0, dist, u0)
+        return carried - 2.0 * self.inner(t, y, carried, u1)[..., None] * u1
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +366,11 @@ class Euclidean(ManifoldModel):
 
     def transport_along(self, t, x, u, length, v):
         return np.broadcast_to(v, np.broadcast(x, v).shape).copy()
+
+    def mirror(self, t, x, y, geo, v):
+        # The plain mirror across depart's unit direction; u1 = u0 here.
+        u0 = geo[1]
+        return v - 2.0 * _dot(v, u0)[..., None] * u0
 
     def frame(self, t, x):
         eye = np.eye(self.dim)
@@ -434,8 +465,8 @@ class RoundSphere(ManifoldModel):
         return theta, cosang
 
     def _direction(self, x, y):
-        """(theta, xhat, e): the angle, x on the unit sphere and the unit
-        embedding direction of the chosen minimal geodesic from x to y.
+        """(theta, e): the angle and the unit embedding direction of the
+        chosen minimal geodesic from x to y.
 
         The tie-break direction is built only for antipodal rows; rows at
         angle 0 get e = 0.
@@ -450,28 +481,19 @@ class RoundSphere(ManifoldModel):
             # x may carry fewer batch axes than y
             xb = np.broadcast_to(xhat, w.shape)
             e[antipodal] = self._tiebreak_direction(xb[antipodal])
-        return theta, xhat, e
+        return theta, e
 
     def log(self, t, x, y):
-        theta, _, e = self._direction(x, y)
+        theta, e = self._direction(x, y)
         return (self.radius * theta)[..., None] * e
 
     def distance(self, t, x, y):
         return np.sqrt(self._s2(t)) * self.radius * self._angle(x, y)[0]
 
     def depart(self, t, x, y):
-        theta, _, e = self._direction(x, y)
+        theta, e = self._direction(x, y)
         s = np.sqrt(self._s2(t))
         return s * self.radius * theta, e / s
-
-    def connect(self, t, x, y):
-        # One pass: the arrival direction is the rotated departure
-        # direction cos(theta) e - sin(theta) xhat, no transport needed.
-        theta, xhat, e = self._direction(x, y)
-        s = np.sqrt(self._s2(t))
-        dist = s * self.radius * theta
-        u1 = np.cos(theta)[..., None] * e - np.sin(theta)[..., None] * xhat
-        return dist, e / s, u1 / s
 
     def transport_along(self, t, x, u, length, v):
         r = self.radius
@@ -485,6 +507,13 @@ class RoundSphere(ManifoldModel):
         w = v - a[..., None] * e
         e_rot = np.cos(theta)[..., None] * e - np.sin(theta)[..., None] * xhat
         return a[..., None] * e_rot + w
+
+    def mirror(self, t, x, y, geo, v):
+        # The reflection of R^(m+1) across the bisector of x and y maps the
+        # sphere to itself and x to y; g(t) is a constant multiple of the
+        # ambient product, so it is a g(t)-isometry. On antipodal rows
+        # x - y is normal to T_x and v comes back unchanged.
+        return _reflect_across(v, x - y, _dot)
 
     def _gram_schmidt(self, x):
         """The frame vectors in frame order, each as its list of coordinate
@@ -607,6 +636,13 @@ class ScaledMetric(ManifoldModel):
         return self.base.transport_along(self._bt(), x, root * u,
                                          np.asarray(length) / root, v)
 
+    def mirror(self, t, x, y, geo, v):
+        # The base's mirror, given the base metric's distance and direction.
+        root = np.sqrt(self._sigma(t))
+        dist, u0 = geo
+        return self.base.mirror(self._bt(), x, y,
+                                (np.asarray(dist) / root, root * u0), v)
+
     def frame(self, t, x):
         return self.base.frame(self._bt(), x) / np.sqrt(self._sigma(t))
 
@@ -693,6 +729,12 @@ class Hyperbolic(ManifoldModel):
         w = v - a[..., None] * u
         u_rot = np.sinh(length)[..., None] * x + np.cosh(length)[..., None] * u
         return a[..., None] * u_rot + w
+
+    def mirror(self, t, x, y, geo, v):
+        # The Minkowski reflection across the bisector of x and y: x - y is
+        # spacelike, and the reflection is a Lorentz map of the upper sheet
+        # that sends x to y.
+        return _reflect_across(v, x - y, self._ldot)
 
     def frame(self, t, x):
         d = self.ambient_dim

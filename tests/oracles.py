@@ -6,11 +6,16 @@ from integrating the constrained ambient ODEs, and the wrapped Gaussian
 from its Fourier series. The exceptions are references the library must
 reproduce bit for bit: the sphere frame, a row-wise Gram-Schmidt, because
 replayed noise depends on the frame, and the drift integral's lookup,
-numpy's own interpolation of the spec's trapezoid table.
+numpy's own interpolation of the spec's trapezoid table. The reflection
+map follows the textbook definition through a model's parallel transport;
+``model.mirror``'s ambient reflections must agree with it.
 """
 
 import numpy as np
 from scipy.integrate import quad
+
+from gtwalk.errors import DegenerateGeodesic, InvalidInput
+from gtwalk.manifolds import Geodesic, ManifoldModel, TangentVector
 
 
 def gaussian_mass(a: float) -> float:
@@ -125,3 +130,23 @@ def table_interp(r, grid: np.ndarray, cum: np.ndarray):
     RadialComparisonSpec.b_integral's bracket lookup must equal bit for
     bit."""
     return np.interp(r, grid, cum)
+
+
+def reflection_map(model: ManifoldModel, t: float, geodesic: Geodesic,
+                   v) -> TangentVector:
+    """Mirror map along a geodesic: parallel-transport v to the end, then
+    reflect across the hyperplane orthogonal to the arrival direction.
+
+    A g(t)-isometry from the start tangent space to the end tangent space.
+    """
+    if geodesic.length <= 0.0:
+        raise DegenerateGeodesic("reflection_map: zero-length geodesic")
+    vc = v.components if isinstance(v, TangentVector) else np.asarray(v, dtype=float)
+    if isinstance(v, TangentVector):
+        if not np.allclose(v.base.coords, geodesic.start.coords, atol=1e-9):
+            raise InvalidInput("reflection_map: v not based at geodesic start")
+    carried = geodesic.transport_from_start(vc, geodesic.length)
+    u1 = geodesic.velocity_coords(geodesic.length)
+    end = geodesic.end.coords
+    out = carried - 2.0 * float(model.inner(t, end, carried, u1)) * u1
+    return TangentVector(geodesic.end, out)

@@ -4,15 +4,16 @@ import numpy as np
 import pytest
 
 from conftest import random_point, random_tangent
-from oracles import gaussian_mass
+from oracles import gaussian_mass, reflection_map
 
 from gtwalk import engine
+from gtwalk.comparison import RadialComparisonSpec, builtin_b
 from gtwalk.coupling import (CouplingConfig, CouplingKind,
                              coupled_step, coupling_probability_bound,
-                             dominating_process, reflection_map, run_coupled)
+                             dominating_process, run_coupled)
 from gtwalk.errors import (DegenerateGeodesic, InvalidInput,
                            SingularConfiguration)
-from gtwalk.manifolds import RoundSphere, minimal_geodesic
+from gtwalk.manifolds import ManifoldModel, RoundSphere, minimal_geodesic
 from gtwalk.runner import run_document
 from gtwalk.walk import Schedule, step
 
@@ -21,7 +22,7 @@ MODEL_NAMES = ["euclid2", "sphere2", "flow_sphere", "scaled_euclid2",
 
 
 # ---------------------------------------------------------------------------
-# reflection_map
+# reflection_map, the test oracle for model.mirror
 # ---------------------------------------------------------------------------
 
 def test_reflection_euclidean_components(euclid2):
@@ -81,6 +82,109 @@ def test_reflection_degenerate_raises(euclid2):
                           np.array([1.0, 0.0]))
     with pytest.raises(DegenerateGeodesic):
         reflection_map(euclid2, 0.0, degenerate, np.ones(2))
+
+
+# ---------------------------------------------------------------------------
+# model.mirror
+# ---------------------------------------------------------------------------
+
+def _mirror_rows(model, t, rng, n=60):
+    """Pairs x, y at distances up to about 2 (the last five coincident)
+    and a tangent vector v at each x."""
+    x = np.stack([random_point(model, rng) for _ in range(n)])
+    y = np.stack([model.exp(t, p, random_tangent(model, t, p, rng, scale=0.6))
+                  for p in x])
+    y[-5:] = x[-5:]
+    v = np.stack([random_tangent(model, t, p, rng) for p in x])
+    return x, y, v
+
+
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_mirror_matches_oracle(request, name, rng):
+    model = request.getfixturevalue(name)
+    t = model.time_window[0] + 0.2
+    x, y, v = _mirror_rows(model, t, rng)
+    got = model.mirror(t, x, y, model.depart(t, x, y), v)
+    for i in range(len(x) - 5):
+        want = reflection_map(model, t, minimal_geodesic(model, t, x[i], y[i]),
+                              v[i]).components
+        assert np.allclose(got[i], want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_mirror_is_a_tangent_isometry(request, name, rng):
+    model = request.getfixturevalue(name)
+    t = model.time_window[0] + 0.4
+    x, y, v = _mirror_rows(model, t, rng)
+    w = np.stack([random_tangent(model, t, p, rng) for p in x])
+    geo = model.depart(t, x, y)
+    mv, mw = model.mirror(t, x, y, geo, v), model.mirror(t, x, y, geo, w)
+    assert np.allclose(model.inner(t, y, mv, mw), model.inner(t, x, v, w),
+                       rtol=0, atol=1e-12)
+    assert np.all(model.tangency_residual(y, mv) <= 1e-12)
+
+
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_mirror_is_an_involution(request, name, rng):
+    """Mirroring from y back to x restores v."""
+    model = request.getfixturevalue(name)
+    t = model.time_window[0] + 0.3
+    x, y, v = _mirror_rows(model, t, rng)
+    there = model.mirror(t, x, y, model.depart(t, x, y), v)
+    back = model.mirror(t, y, x, model.depart(t, y, x), there)
+    assert np.allclose(back, v, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_mirror_sends_u0_to_minus_u1(request, name, rng):
+    """mirror(u0) = -u1, and the reflection kernel's lambda* formula
+    -2 <v, u0> at x equals 2 <mirror(v), u1> at y."""
+    model = request.getfixturevalue(name)
+    t = model.time_window[0] + 0.1
+    x, y, v = _mirror_rows(model, t, rng)
+    dist, u0, u1 = model.connect(t, x, y)
+    geo = (dist, u0)
+    assert np.allclose(model.mirror(t, x, y, geo, u0), -u1, rtol=0,
+                       atol=1e-12)
+    lam = 2.0 * model.inner(t, y, model.mirror(t, x, y, geo, v), u1)
+    assert np.allclose(lam, -2.0 * model.inner(t, x, v, u0), rtol=0,
+                       atol=1e-12)
+
+
+@pytest.mark.parametrize("model", [
+    RoundSphere(2, 1.0), RoundSphere(2, 1.0, flow=True),
+    RoundSphere(3, 2.5, flow=True)], ids=["sphere2", "flow_sphere", "sphere3"])
+def test_sphere_mirror_antipodal_and_coincident_rows(model, rng):
+    t = 0.4
+    x = np.stack([random_point(model, rng) for _ in range(20)])
+    v = np.stack([random_tangent(model, t, p, rng) for p in x])
+    # antipodal rows: x - y is normal to the sphere at x, so v is fixed,
+    # as it is by transport along the tie-break geodesic and its mirror
+    y = -x
+    geo = model.depart(t, x, y)
+    got = model.mirror(t, x, y, geo, v)
+    assert np.allclose(got, v, rtol=0, atol=1e-15)
+    assert np.allclose(got, ManifoldModel.mirror(model, t, x, y, geo, v),
+                       rtol=0, atol=1e-12)
+    # coincident rows
+    got = model.mirror(t, x, x, model.depart(t, x, x), v)
+    assert np.all(np.isfinite(got)) and np.array_equal(got, v)
+
+
+def test_hyperbolic_mirror_stays_tangent_far_out(hyperbolic2, rng):
+    """Pairs up to distance 4 from the origin: the Minkowski mirror keeps
+    its output tangent at y and its length."""
+    model, t = hyperbolic2, 0.0
+    o = model.origin()
+    for r in (1.0, 2.0, 3.0, 4.0):
+        for _ in range(20):
+            u = random_tangent(model, t, o, rng)
+            x = model.exp(t, o, r * u / model.norm(t, o, u))
+            y = model.exp(t, x, random_tangent(model, t, x, rng, scale=0.3))
+            v = random_tangent(model, t, x, rng)
+            out = model.mirror(t, x, y, model.depart(t, x, y), v)
+            assert model.tangency_residual(y, out) <= 1e-11
+            assert abs(model.norm(t, y, out) - model.norm(t, x, v)) <= 1e-11
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +338,59 @@ def test_coupled_step_is_a_kernel_step(request, name, kind):
     assert run_coupled(model, coincident).coupling_time == cfg.t1
     if kind is CouplingKind.REFLECTION:
         assert math.isfinite(run_coupled(model, separated).coupling_time)
+
+
+SPLIT = (1, 7, 249, 343)
+
+
+def _by_blocks(run) -> list:
+    """Outputs of ``run(paths)`` on one block of sum(SPLIT) paths and,
+    concatenated along the path axis, on the blocks of SPLIT."""
+    edges = np.cumsum((0,) + SPLIT)
+    parts = [run(range(lo, hi)) for lo, hi in zip(edges[:-1], edges[1:])]
+    split = {key: np.concatenate([p[key] for p in parts]) for key in parts[0]}
+    return run(range(edges[-1])), split
+
+
+@pytest.mark.parametrize("trace", [False, True])
+@pytest.mark.parametrize("kind", list(CouplingKind))
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_coupled_chunk_ignores_the_block_split(request, name, kind, trace):
+    """Every coupled_chunk output is the same, bit for bit, whether the
+    paths run as one block or as blocks of 1, 7, 249 and 343."""
+    model = request.getfixturevalue(name)
+    t1 = model.time_window[0]
+    sched = Schedule(t1, t1 + 0.1, 0.05)
+    o = model.origin()
+    e1 = model.frame(t1, o)[0]
+    x1, x2 = model.exp(t1, o, -0.1 * e1), model.exp(t1, o, 0.1 * e1)
+    whole, split = _by_blocks(lambda paths: engine.coupled_chunk(
+        model, sched, x1, x2, 19, paths, kind=kind, delta_couple=0.1, k=0.3,
+        exit_radius=1.3, contraction=True, want_trace=trace))
+    assert whole.keys() == split.keys()
+    for key in whole:
+        assert np.array_equal(whole[key], split[key]), key
+    if kind is CouplingKind.REFLECTION:
+        assert 0 < whole["survival"].mean() < 1
+
+
+@pytest.mark.parametrize("trace", [False, True])
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_walk_chunk_ignores_the_block_split(request, name, trace):
+    """The same for walk_chunk with the exit check and the radial replay."""
+    model = request.getfixturevalue(name)
+    t1 = model.time_window[0]
+    sched = Schedule(t1, t1 + 0.1, 0.05)
+    o = model.origin()
+    spec = RadialComparisonSpec(builtin_b({"name": "zero"}), c0=1.0, r0=0.5)
+    radial = {"spec": spec, "rho0": 1.5, "margin": -1.2}
+    whole, split = _by_blocks(lambda paths: engine.walk_chunk(
+        model, sched, o, 23, paths, origin=o, exit_radius=1.3, radial=radial,
+        want_trace=trace))
+    assert whole.keys() == split.keys()
+    for key in whole:
+        assert np.array_equal(whole[key], split[key]), key
+    assert 0 < whole["radial_violation"].mean() < 1
 
 
 def test_sphere_reflect_survival_count_is_pinned():
