@@ -94,22 +94,24 @@ def coupled_step(model: ManifoldModel, t: float, x1, x2, xi: np.ndarray,
                  alpha: float, kind: CouplingKind = CouplingKind.REFLECTION,
                  frac: float = 1.0):
     """One synchronized transition of the pair: ``engine.reflect_step`` on
-    a block of one.
+    a block of one, the pair stacked as its two rows.
 
     Returns (new x1, new x2, lambda_star) with lambda_star the signed
     first-variation rate of the distance (zero for parallel transport).
     Coincident inputs count as coupled and move together; their
     lambda_star is the kernel's, 2 sqrt(m+2) xi_1 for reflection.
     """
-    X1, X2 = _coords(x1)[None, :], _coords(x2)[None, :]
     xi = np.asarray(xi, dtype=float)
     if float(np.linalg.norm(xi)) > 1.0 + 1e-12:
         raise InvalidInput("ball sample must satisfy |xi| <= 1")
-    geo = model.depart(t, X1, X2)
-    y1, y2, lam, _ = engine.reflect_step(
-        model, t, X1, X2, xi[None, :], geo, geo[0] < COINCIDE_TOL, alpha,
-        frac, kind=kind)
-    return (Point(y1[0], model.model_id), Point(y2[0], model.model_id),
+    Z, xi = np.stack([_coords(x1), _coords(x2)]), xi[None, :]
+    geo = model.depart(t, Z[:1], Z[1:])
+    coupled = geo[0] < COINCIDE_TOL
+    Zn, lift = engine.reflect_step(model, t, Z, xi, geo, coupled, alpha,
+                                   frac, kind=kind)
+    lam = engine.lambda_star(model, t, Z[:1], xi, lift[:1], geo[1], coupled,
+                             kind)
+    return (Point(Zn[0], model.model_id), Point(Zn[1], model.model_id),
             float(lam[0]))
 
 

@@ -24,6 +24,17 @@ Neither needs the arrival direction. A non-finite distance or endpoint
 raises SingularConfiguration instead of being counted. The radial replay
 reads only the distance to the origin and the direction toward it, so it
 calls ``model.depart`` too.
+
+``coupled_chunk`` keeps the pair in one stacked (2B, ambient) state, X1
+and X2 being its halves, and ``reflect_step`` writes both lifts into one
+stacked buffer, so the drift and exp of both particles are one call each
+and no step concatenates or splits. A step does only the work its outputs
+read. lambda* (``lambda_star``) is computed only for the trace. The
+coupled-row selects run only once a row has coupled: the second lift
+becomes the first on coupled rows, and with ``stick`` X2 := X1 is written
+on newly coupled rows alone, since rows coupled earlier already equal X1
+bit for bit (the same lift through the same exp). ``walk_chunk`` keeps
+its not-yet-exited rows as a mask that changes only when a row exits.
 """
 
 from __future__ import annotations
@@ -52,6 +63,13 @@ def frame_coordinates(model: ManifoldModel, t: float, x: np.ndarray,
     return coords / np.sqrt(model.dim + 2.0)
 
 
+def _rows(a: np.ndarray) -> np.ndarray:
+    """The rows of a (B, d) float block with contiguous rows as B opaque
+    items, so a masked row copy is one loop over B instead of a broadcast
+    over d (several times faster at d = 2). A view: writes reach ``a``."""
+    return a.view(np.dtype((np.void, a.itemsize * a.shape[-1])))[..., 0]
+
+
 def _advance(model: ManifoldModel, t: float, X: np.ndarray, lift: np.ndarray,
              alpha: float, frac: float):
     """Follow alpha lift + alpha^2 Z for ``frac`` of a step; returns the
@@ -75,35 +93,47 @@ def walk_step(model: ManifoldModel, t: float, X: np.ndarray, xi: np.ndarray,
     return Xn, lift, w
 
 
-def reflect_step(model: ManifoldModel, t: float, X1: np.ndarray,
-                 X2: np.ndarray, xi: np.ndarray, geo, coupled: np.ndarray,
-                 alpha: float, frac: float = 1.0, *,
+def reflect_step(model: ManifoldModel, t: float, Z: np.ndarray,
+                 xi: np.ndarray, geo, coupled: np.ndarray, alpha: float,
+                 frac: float = 1.0, *,
                  kind: CouplingKind = CouplingKind.REFLECTION):
-    """One synchronized transition of a block of pairs.
+    """One synchronized transition of a block of B pairs.
 
+    ``Z`` is the stacked pair state (2B, ambient): X1 = Z[:B], X2 = Z[B:].
     ``geo`` is ``model.depart(t, X1, X2)``, the distance and the unit
     departure direction u0. For the reflection kind the second lift is
     ``model.mirror`` of the first; for parallel transport it is the first
     lift transported to X2 along the connecting geodesic. Rows flagged
-    ``coupled`` reuse the first lift. Returns (next X1, next X2, lambda*,
-    lift2) with lambda* = -2 <lift1, u0> (equal to 2 <lift2, arrival
-    direction>), or 2 sqrt(m+2) xi_1 on coupled rows (the dominating
-    process's noise), and zero for parallel transport.
+    ``coupled`` reuse the first lift. Both particles take one exp call on
+    the stacked block. Returns (next stacked state, stacked lifts
+    [lift1; lift2]); ``lambda_star`` gives the step's lambda*.
     """
-    dist, u0 = geo
-    lift1 = model.lift(t, X1, xi)
+    B = len(xi)
+    X1, X2 = Z[:B], Z[B:]
+    lift = np.empty(Z.shape)
+    lift1, lift2 = lift[:B], lift[B:]
+    lift1[...] = model.lift(t, X1, xi)
     if kind is CouplingKind.REFLECTION:
-        lift2 = model.mirror(t, X1, X2, geo, lift1)
-        lam = np.where(coupled, 2.0 * np.sqrt(model.dim + 2.0) * xi[:, 0],
-                       -2.0 * model.inner(t, X1, lift1, u0))
+        lift2[...] = model.mirror(t, X1, X2, geo, lift1)
     else:
-        lift2 = model.transport_along(t, X1, u0, dist, lift1)
-        lam = np.zeros(len(X1))
-    lift2 = np.where(coupled[:, None], lift1, lift2)
-    # Both particles take one exp call on the stacked (2B, ambient) block.
-    Xn, _ = _advance(model, t, np.concatenate([X1, X2]),
-                     np.concatenate([lift1, lift2]), alpha, frac)
-    return Xn[:len(X1)], Xn[len(X1):], lam, lift2
+        lift2[...] = model.transport_along(t, X1, geo[1], geo[0], lift1)
+    if coupled.any():
+        np.copyto(_rows(lift2), _rows(lift1), where=coupled)
+    Zn, _ = _advance(model, t, Z, lift, alpha, frac)
+    return Zn, lift
+
+
+def lambda_star(model: ManifoldModel, t: float, X1: np.ndarray,
+                xi: np.ndarray, lift1: np.ndarray, u0: np.ndarray,
+                coupled: np.ndarray, kind: CouplingKind) -> np.ndarray:
+    """lambda* of a ``reflect_step`` from X1 with first lift ``lift1``:
+    -2 <lift1, u0> (equal to 2 <lift2, arrival direction>), or
+    2 sqrt(m+2) xi_1 on coupled rows (the dominating process's noise), and
+    zero for parallel transport."""
+    if kind is not CouplingKind.REFLECTION:
+        return np.zeros(len(X1))
+    return np.where(coupled, 2.0 * np.sqrt(model.dim + 2.0) * xi[:, 0],
+                    -2.0 * model.inner(t, X1, lift1, u0))
 
 
 def walk_chunk(model: ManifoldModel, sched, x0: np.ndarray, seed: int,
@@ -134,6 +164,7 @@ def walk_chunk(model: ManifoldModel, sched, x0: np.ndarray, seed: int,
         o = np.asarray(origin if origin is not None else model.origin(),
                        dtype=float)
     exit_step = np.full(B, -1, dtype=np.int64)
+    live = np.ones(B, dtype=bool)   # exit_step < 0
 
     if track_radial:
         spec = radial["spec"]
@@ -154,9 +185,12 @@ def walk_chunk(model: ManifoldModel, sched, x0: np.ndarray, seed: int,
         elif track_exit:
             d_o = model.distance(t, o, X)
         if track_exit:
-            exit_step[(exit_step < 0) & (d_o > exit_radius - 1.0)] = n
+            hit = live & (d_o > exit_radius - 1.0)
+            if hit.any():
+                exit_step[hit] = n
+                live &= ~hit
         if track_radial:
-            violated |= (exit_step < 0) & (d_o > rho + margin)
+            violated |= live & (d_o > rho + margin)
         if want_trace:
             skeleton[:, n] = X
             if track_radial:
@@ -203,9 +237,9 @@ def coupled_chunk(model: ManifoldModel, sched, x1: np.ndarray, x2: np.ndarray,
     ``model.mirror`` for the reflection kind (parallel transport along the
     connecting minimal geodesic, then the mirror across the hyperplane
     orthogonal to its arrival direction), by parallel transport alone for
-    the parallel kind. Pairs closer
-    than ``delta_couple`` at a schedule time are declared coupled; with
-    ``stick`` the second particle is replaced by the first from that time on.
+    the parallel kind. Pairs closer than ``delta_couple`` at a schedule time
+    are declared coupled; with ``stick`` the second particle is replaced by
+    the first from that time on.
 
     The recorded lambda* is the signed first-variation rate of the distance,
     2 <xi~2, gdot(dist)> = -2 <xi~1, gdot(0)>, so in flat space the distance
@@ -218,18 +252,16 @@ def coupled_chunk(model: ManifoldModel, sched, x1: np.ndarray, x2: np.ndarray,
     times, fracs = sched.times, sched.fracs
     n_steps = len(fracs)
     alpha = sched.alpha
-    t1_win = float(times[0])
     m, d = model.dim, model.ambient_dim
 
     noise = rng.walk_noise_block(seed, paths, n_steps, m)
-    X1 = np.broadcast_to(np.asarray(x1, dtype=float), (B, d)).copy()
-    X2 = np.broadcast_to(np.asarray(x2, dtype=float), (B, d)).copy()
+    Z = np.empty((2 * B, d))
+    Z[:B], Z[B:] = x1, x2
 
     coupled = np.zeros(B, dtype=bool)
     couple_step = np.full(B, -1, dtype=np.int64)
 
-    track_exit = exit_radius is not None
-    if track_exit:
+    if exit_radius is not None:
         o = np.asarray(origin if origin is not None else model.origin(),
                        dtype=float)
         exited = np.zeros(B, dtype=bool)
@@ -248,25 +280,28 @@ def coupled_chunk(model: ManifoldModel, sched, x1: np.ndarray, x2: np.ndarray,
 
     for n in range(n_steps + 1):
         t = float(times[n])
+        X1, X2 = Z[:B], Z[B:]
         geo = model.depart(t, X1, X2)
         dist = geo[0]
         if not np.isfinite(dist).all():
             raise SingularConfiguration(f"non-finite distance at step {n}")
+        if exit_radius is not None:
+            out_o = model.distance(t, o, Z)
+            exited |= (out_o > exit_radius - 1.0).reshape(2, B).any(axis=0)
         newly = ~coupled & (dist <= delta_couple)
-        coupled[newly] = True
-        couple_step[newly] = n
+        if newly.any():
+            coupled |= newly
+            couple_step[newly] = n
+            if stick:
+                # Earlier coupled rows already equal X1: same lift, same exp.
+                np.copyto(_rows(X2), _rows(X1), where=newly)
         if stick:
             dist = np.where(coupled, 0.0, dist)
         if contraction:
-            weighted = np.exp(k * (t - t1_win) / 2.0) * dist
+            weighted = np.exp(k * (t - sched.t1) / 2.0) * dist
             np.maximum(contraction_max, weighted - run_min,
                        out=contraction_max)
             np.minimum(run_min, weighted, out=run_min)
-        if track_exit:
-            out_o = model.distance(t, o, np.concatenate([X1, X2]))
-            exited |= (out_o > exit_radius - 1.0).reshape(2, B).any(axis=0)
-        if stick:
-            X2 = np.where(coupled[:, None], X1, X2)
         if want_trace:
             skel1[:, n] = X1
             skel2[:, n] = X2
@@ -275,13 +310,12 @@ def coupled_chunk(model: ManifoldModel, sched, x1: np.ndarray, x2: np.ndarray,
         if n == n_steps:
             break
 
-        X1, X2n, lam, lift2 = reflect_step(
-            model, t, X1, X2, noise[n], geo, coupled, alpha,
-            float(fracs[n]), kind=kind)
+        Z, lift = reflect_step(model, t, Z, noise[n], geo, coupled, alpha,
+                               float(fracs[n]), kind=kind)
         if want_trace:
-            lam_trace[:, n] = lam
-            lift2_trace[:, n] = lift2
-        X2 = X2n
+            lam_trace[:, n] = lambda_star(model, t, X1, noise[n], lift[:B],
+                                          geo[1], coupled, kind)
+            lift2_trace[:, n] = lift[B:]
 
     out = {
         "end1": X1, "end2": X2,
@@ -289,7 +323,7 @@ def coupled_chunk(model: ManifoldModel, sched, x1: np.ndarray, x2: np.ndarray,
         "survival": couple_step < 0,
         "final_distance": dist,
     }
-    if track_exit:
+    if exit_radius is not None:
         out["exited"] = exited
     if contraction:
         out["contraction_max"] = contraction_max

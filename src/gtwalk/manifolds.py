@@ -285,24 +285,16 @@ class ManifoldModel(abc.ABC):
 
     def depart(self, t: float, x: np.ndarray, y: np.ndarray):
         """(dist, u0) for the chosen minimal geodesic from x to y: the
-        distance and the g(t)-unit departure direction, equal bit for bit
-        to the first two entries of ``connect``. For callers that never
-        read the arrival direction.
+        distance and the g(t)-unit departure direction.
+
+        ``dist`` equals ``distance(t, x, y)`` bit for bit, so coupling
+        detection does not depend on which of the two a caller uses.
+        Coincident points get u0 = 0. The arrival direction, where a caller
+        needs it, is ``transport_along(t, x, u0, dist, u0)``.
         """
         dist = self.distance(t, x, y)
         safe = np.where(dist < 1e-300, 1.0, dist)
         return dist, self.log(t, x, y) / safe[..., None]
-
-    def connect(self, t: float, x: np.ndarray, y: np.ndarray):
-        """(dist, u0, u1) for the chosen minimal geodesic from x to y: the
-        distance and the g(t)-unit departure and arrival directions.
-
-        ``dist`` equals ``distance(t, x, y)`` bit for bit, so coupling
-        detection does not depend on which of the two a caller uses.
-        Coincident points get zero directions.
-        """
-        dist, u0 = self.depart(t, x, y)
-        return dist, u0, self.transport_along(t, x, u0, dist, u0)
 
     def mirror(self, t: float, x: np.ndarray, y: np.ndarray, geo,
                v: np.ndarray) -> np.ndarray:
@@ -363,6 +355,12 @@ class Euclidean(ManifoldModel):
 
     def distance(self, t, x, y):
         return _norm(y - x)
+
+    def depart(self, t, x, y):
+        # The base version with y - x formed once.
+        v = y - x
+        dist = _norm(v)
+        return dist, v / np.where(dist < 1e-300, 1.0, dist)[..., None]
 
     def transport_along(self, t, x, u, length, v):
         return np.broadcast_to(v, np.broadcast(x, v).shape).copy()

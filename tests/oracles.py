@@ -6,15 +6,21 @@ from integrating the constrained ambient ODEs, and the wrapped Gaussian
 from its Fourier series. The exceptions are references the library must
 reproduce bit for bit: the sphere frame, a row-wise Gram-Schmidt, because
 replayed noise depends on the frame, and the drift integral's lookup,
-numpy's own interpolation of the spec's trapezoid table. The reflection
-map follows the textbook definition through a model's parallel transport;
-``model.mirror``'s ambient reflections must agree with it.
+numpy's own interpolation of the spec's trapezoid table, and the coupled
+kernel's reference loop, which rebuilds the stacked pair block and
+lambda* at every step in the operation order ``engine.coupled_chunk``
+must keep bit for bit. The reflection map follows the textbook definition
+through a model's parallel transport; ``model.mirror``'s ambient
+reflections must agree with it.
 """
 
 import numpy as np
 from scipy.integrate import quad
 
-from gtwalk.errors import DegenerateGeodesic, InvalidInput
+from gtwalk import rng
+from gtwalk.engine import CouplingKind
+from gtwalk.errors import (DegenerateGeodesic, InvalidInput,
+                           SingularConfiguration)
 from gtwalk.manifolds import Geodesic, ManifoldModel, TangentVector
 
 
@@ -150,3 +156,96 @@ def reflection_map(model: ManifoldModel, t: float, geodesic: Geodesic,
     end = geodesic.end.coords
     out = carried - 2.0 * float(model.inner(t, end, carried, u1)) * u1
     return TangentVector(geodesic.end, out)
+
+
+def reference_coupled_chunk(model: ManifoldModel, sched, x1, x2, seed: int,
+                            paths: range, *,
+                            kind: CouplingKind = CouplingKind.REFLECTION,
+                            delta_couple: float = 0.0, stick: bool = True,
+                            k: float = 0.0, origin=None, exit_radius=None,
+                            contraction: bool = False,
+                            want_trace: bool = False) -> dict:
+    """The coupled kernel as a plain loop: every step builds lambda*,
+    selects the coupled rows of X2 and of the second lift on every row,
+    and concatenates the pair into one (2B, ambient) block for the
+    drift and exp. ``engine.coupled_chunk`` must return the same outputs
+    bit for bit."""
+    B = len(paths)
+    times, fracs = sched.times, sched.fracs
+    n_steps = len(fracs)
+    alpha = sched.alpha
+    t1_win = float(times[0])
+    m, d = model.dim, model.ambient_dim
+
+    noise = rng.walk_noise_block(seed, paths, n_steps, m)
+    X1 = np.broadcast_to(np.asarray(x1, dtype=float), (B, d)).copy()
+    X2 = np.broadcast_to(np.asarray(x2, dtype=float), (B, d)).copy()
+    coupled = np.zeros(B, dtype=bool)
+    couple_step = np.full(B, -1, dtype=np.int64)
+    if exit_radius is not None:
+        o = np.asarray(origin if origin is not None else model.origin(),
+                       dtype=float)
+        exited = np.zeros(B, dtype=bool)
+    if contraction:
+        run_min = np.full(B, np.inf)
+        contraction_max = np.full(B, -np.inf)
+    trace = {"skeleton1": [], "skeleton2": [], "distance": [],
+             "lambda_star": [], "coupled": [], "lift2": []}
+
+    for n in range(n_steps + 1):
+        t = float(times[n])
+        dist, u0 = geo = model.depart(t, X1, X2)
+        if not np.isfinite(dist).all():
+            raise SingularConfiguration(f"non-finite distance at step {n}")
+        newly = ~coupled & (dist <= delta_couple)
+        coupled[newly] = True
+        couple_step[newly] = n
+        if stick:
+            dist = np.where(coupled, 0.0, dist)
+        if contraction:
+            weighted = np.exp(k * (t - t1_win) / 2.0) * dist
+            np.maximum(contraction_max, weighted - run_min,
+                       out=contraction_max)
+            np.minimum(run_min, weighted, out=run_min)
+        if exit_radius is not None:
+            out_o = model.distance(t, o, np.concatenate([X1, X2]))
+            exited |= (out_o > exit_radius - 1.0).reshape(2, B).any(axis=0)
+        if stick:
+            X2 = np.where(coupled[:, None], X1, X2)
+        for key, value in (("skeleton1", X1), ("skeleton2", X2),
+                           ("distance", dist), ("coupled", coupled.copy())):
+            trace[key].append(value)
+        if n == n_steps:
+            break
+
+        xi = noise[n]
+        lift1 = model.lift(t, X1, xi)
+        if kind is CouplingKind.REFLECTION:
+            lift2 = model.mirror(t, X1, X2, geo, lift1)
+            lam = np.where(coupled, 2.0 * np.sqrt(m + 2.0) * xi[:, 0],
+                           -2.0 * model.inner(t, X1, lift1, u0))
+        else:
+            lift2 = model.transport_along(t, X1, u0, geo[0], lift1)
+            lam = np.zeros(B)
+        lift2 = np.where(coupled[:, None], lift1, lift2)
+        X = np.concatenate([X1, X2])
+        w = alpha * np.concatenate([lift1, lift2])
+        if model.has_drift:
+            w = w + alpha ** 2 * model.drift(t, X)
+        frac = float(fracs[n])
+        X = model.exp(t, X, w if frac == 1.0 else frac * w)
+        X1, X2 = X[:B], X[B:]
+        trace["lambda_star"].append(lam)
+        trace["lift2"].append(lift2)
+
+    out = {"end1": X1, "end2": X2, "couple_step": couple_step,
+           "survival": couple_step < 0, "final_distance": dist}
+    if exit_radius is not None:
+        out["exited"] = exited
+    if contraction:
+        out["contraction_max"] = contraction_max
+    if want_trace:
+        out.update({key: np.stack(rows, axis=1)
+                    for key, rows in trace.items()})
+        out["noise"] = noise.transpose(1, 0, 2)
+    return out

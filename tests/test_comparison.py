@@ -285,7 +285,7 @@ def test_builtin_b_validation():
 @pytest.mark.parametrize("b", B_PROFILES)
 def test_walk_chunk_rho_trace_is_the_connect_interp_replay(model, b):
     """The kernel's traced comparison path and flags equal a replay built
-    step by step from connect, np.interp on the spec's table and the
+    step by step from depart, np.interp on the spec's table and the
     traced skeleton and noise."""
     sched = Schedule(0.0, 0.3, 0.05)
     o = model.origin()
@@ -301,7 +301,7 @@ def test_walk_chunk_rho_trace_is_the_connect_interp_replay(model, b):
     violated = np.zeros(B, dtype=bool)
     for n in range(sched.n_steps + 1):
         t, X = float(sched.times[n]), out["skeleton"][:, n]
-        d_o, toward_o, _ = model.connect(t, X, o)
+        d_o, toward_o = model.depart(t, X, o)
         violated |= d_o > rho + margin
         assert same_bits(out["rho_trace"][:, n], rho)
         if n == sched.n_steps:

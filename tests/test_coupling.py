@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_point, random_tangent
-from oracles import gaussian_mass, reflection_map
+from conftest import random_point, random_tangent, same_bits
+from oracles import gaussian_mass, reference_coupled_chunk, reflection_map
 
 from gtwalk import engine
 from gtwalk.comparison import RadialComparisonSpec, builtin_b
@@ -142,8 +142,8 @@ def test_mirror_sends_u0_to_minus_u1(request, name, rng):
     model = request.getfixturevalue(name)
     t = model.time_window[0] + 0.1
     x, y, v = _mirror_rows(model, t, rng)
-    dist, u0, u1 = model.connect(t, x, y)
-    geo = (dist, u0)
+    geo = dist, u0 = model.depart(t, x, y)
+    u1 = model.transport_along(t, x, u0, dist, u0)
     assert np.allclose(model.mirror(t, x, y, geo, u0), -u1, rtol=0,
                        atol=1e-12)
     lam = 2.0 * model.inner(t, y, model.mirror(t, x, y, geo, v), u1)
@@ -372,6 +372,37 @@ def test_coupled_chunk_ignores_the_block_split(request, name, kind, trace):
         assert np.array_equal(whole[key], split[key]), key
     if kind is CouplingKind.REFLECTION:
         assert 0 < whole["survival"].mean() < 1
+
+
+@pytest.mark.parametrize("stick", [False, True])
+@pytest.mark.parametrize("trace", [False, True])
+@pytest.mark.parametrize("kind", list(CouplingKind))
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_coupled_chunk_matches_reference_loop(request, name, kind, trace,
+                                              stick):
+    """Every coupled_chunk output has the bits of the reference loop's,
+    which builds lambda* and both coupled-row selects at every step and
+    concatenates the pair block, for a start pair that couples on some
+    paths and for a coincident one."""
+    model = request.getfixturevalue(name)
+    t1 = model.time_window[0]
+    sched = Schedule(t1, t1 + 0.1, 0.05)
+    o = model.origin()
+    e1 = model.frame(t1, o)[0]
+    x1, x2 = model.exp(t1, o, -0.1 * e1), model.exp(t1, o, 0.1 * e1)
+    for start2 in (x2, x1):
+        args = (model, sched, x1, start2, 19, range(5, 305))
+        options = dict(kind=kind, delta_couple=0.1, stick=stick, k=0.3,
+                       exit_radius=1.3, contraction=True, want_trace=trace)
+        got = engine.coupled_chunk(*args, **options)
+        want = reference_coupled_chunk(*args, **options)
+        assert got.keys() == want.keys()
+        for key in want:
+            assert same_bits(got[key], want[key]), key
+        if start2 is x1:
+            assert not got["survival"].any()
+        elif kind is CouplingKind.REFLECTION:
+            assert 0 < got["survival"].mean() < 1
 
 
 @pytest.mark.parametrize("trace", [False, True])

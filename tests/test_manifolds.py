@@ -437,7 +437,7 @@ def test_hyperbolic_green_identities(hyperbolic2, rng):
 
 
 # ---------------------------------------------------------------------------
-# connect and the sphere frame
+# pair geometry (depart and the arrival direction) and the sphere frame
 # ---------------------------------------------------------------------------
 
 def _unit_rows(rng, n, d, radius=1.0):
@@ -473,10 +473,9 @@ def test_connect_agrees_with_distance_log_and_transport(request, name, rng):
         x = np.stack([random_point(model, rng) for _ in range(40)])
         y = np.stack([random_point(model, rng) for _ in range(40)])
         y[:5] = x[:5]
-    dist, u0, u1 = model.connect(t, x, y)
+    dist, u0 = model.depart(t, x, y)
+    u1 = model.transport_along(t, x, u0, dist, u0)
     assert np.array_equal(dist, model.distance(t, x, y))
-    assert np.allclose(u1, model.transport_along(t, x, u0, dist, u0),
-                       rtol=0, atol=1e-12)
     moving = dist > 0
     v = model.log(t, x, y)
     assert np.allclose(u0[moving], v[moving] / dist[moving, None],
@@ -484,17 +483,19 @@ def test_connect_agrees_with_distance_log_and_transport(request, name, rng):
     assert np.allclose(model.norm(t, x, u0)[moving], 1.0, atol=1e-12)
     assert np.allclose(model.norm(t, y, u1)[moving], 1.0, atol=1e-12)
     # the generic composition of distance, log and transport agrees
-    generic = ManifoldModel.connect(model, t, x, y)
-    assert np.array_equal(generic[0], dist)
-    assert np.allclose(generic[1], u0, rtol=0, atol=1e-12)
-    assert np.allclose(generic[2], u1, rtol=0, atol=1e-12)
+    g_dist, g_u0 = ManifoldModel.depart(model, t, x, y)
+    assert np.array_equal(g_dist, dist)
+    assert np.allclose(g_u0, u0, rtol=0, atol=1e-12)
+    assert np.allclose(model.transport_along(t, x, g_u0, g_dist, g_u0), u1,
+                       rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("name", CONNECT_MODELS)
 def test_depart_is_connect_without_arrival(request, name, rng):
-    """depart gives connect's distance and departure direction bit for
-    bit: on coincident rows, antipodal rows (on spheres), one point against
-    many and many points against one."""
+    """depart gives distance's distance bit for bit, and the same bits
+    whether a side is one point or that point repeated on every row: on
+    coincident rows, antipodal rows (on spheres), one point against many
+    and many points against one."""
     model = request.getfixturevalue(name)
     t = model.time_window[0] + 0.3
     if model.kind == "sphere":
@@ -506,16 +507,34 @@ def test_depart_is_connect_without_arrival(request, name, rng):
         y[:5] = x[:5]
     y[1] = x[0]
     for a, b in ((x, y), (x[0], y), (y, x[0])):
-        got, want = model.depart(t, a, b), model.connect(t, a, b)[:2]
+        got = model.depart(t, a, b)
+        want = model.depart(t, *np.broadcast_arrays(a, b))
         assert len(got) == 2
+        assert same_bits(got[0], model.distance(t, a, b))
         assert all(same_bits(g, w) for g, w in zip(got, want))
+
+
+def test_euclidean_depart_is_the_base_depart(rng):
+    """Euclidean space forms y - x once; its depart keeps the bits of the
+    base version's distance and log, on coincident rows too."""
+    for model in (Euclidean(2), Euclidean(5)):
+        x = rng.normal(size=(50, model.dim))
+        y = rng.normal(size=(50, model.dim))
+        y[:5] = x[:5]
+        for a, b in ((x, y), (x[0], y), (y, x[0])):
+            got = model.depart(0.2, a, b)
+            want = ManifoldModel.depart(model, 0.2, a, b)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        dist, u0 = model.depart(0.2, x[:5], y[:5])
+        assert np.all(dist == 0.0) and np.all(u0 == 0.0)
 
 
 def test_sphere_connect_special_rows(rng):
     for model in (RoundSphere(2, 1.0), RoundSphere(3, 2.5, flow=True)):
         t = 0.4
         x, y = _sphere_pairs(model, t, rng)
-        dist, u0, u1 = model.connect(t, x, y)
+        dist, u0 = model.depart(t, x, y)
+        u1 = model.transport_along(t, x, u0, dist, u0)
         # antipodal rows take the tie-break that log takes, at the full
         # angle pi
         anti = slice(10, 20)
@@ -540,9 +559,12 @@ def test_sphere_connect_special_rows(rng):
         ys[10], ys[20] = -x[0], x[0]
         rows = np.broadcast_to(x[0], ys.shape)
         assert np.array_equal(model.log(t, x[0], ys), model.log(t, rows, ys))
-        for got, want in zip(model.connect(t, x[0], ys),
-                             model.connect(t, rows, ys)):
-            assert np.array_equal(got, want)
+        got, want = model.depart(t, x[0], ys), model.depart(t, rows, ys)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+        assert np.array_equal(
+            model.transport_along(t, x[0], got[1], got[0], got[1]),
+            model.transport_along(t, rows, want[1], want[0], want[1]))
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
