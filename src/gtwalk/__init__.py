@@ -17,11 +17,11 @@ from .coupling import (CoupledPath, CouplingConfig, CouplingKind,
 from .errors import (ConfigError, DegenerateGeodesic, GtwalkError,
                      InvalidInput, SingularConfiguration,
                      UnsupportedOperation)
-from .manifolds import (Euclidean, Frame, Geodesic, Hyperbolic,
-                        ManifoldModel, Point, RoundSphere, ScaledMetric,
-                        TangentVector, curvature_condition_residual,
-                        distance, estimate_kappa, exp, frame_at, make_model,
-                        minimal_geodesic, parallel_transport)
+from .manifolds import (Euclidean, Geodesic, Hyperbolic, ManifoldModel,
+                        Point, RoundSphere, ScaledMetric, TangentVector,
+                        curvature_condition_residual, distance,
+                        estimate_kappa, exp, make_model, minimal_geodesic,
+                        parallel_transport)
 from .numeric import NumericChart
 from .stats import (KsResult, McEstimate, VerificationReport,
                     check_contraction, check_gradient_estimate,
@@ -30,6 +30,5 @@ from .stats import (KsResult, McEstimate, VerificationReport,
 from .variation import (GreenSolution, SampledField, VariationTerms,
                         coupled_variation_terms, dagger_field, dt_distance,
                         index_form, solve_green)
-from .walk import (NoiseSample, Schedule, SubordinatedPath, WalkConfig,
-                   WalkPath, exit_time, interpolate, run_walk,
-                   sample_unit_ball, step, subordinated_walk)
+from .walk import (Schedule, SubordinatedPath, WalkConfig, WalkPath,
+                   interpolate, run_walk, step, subordinated_walk)

@@ -92,19 +92,6 @@ class TangentVector:
             raise InvalidInput("tangent vector shape differs from base point")
 
 
-@dataclass(frozen=True)
-class Frame:
-    """An orthonormal tangent frame at (time, base)."""
-    base: Point
-    time: float
-    vectors: tuple[TangentVector, ...]
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """(m, ambient_dim) array of frame vector components."""
-        return np.stack([v.components for v in self.vectors])
-
-
 class Geodesic:
     """Unit-speed geodesic segment for a fixed metric time.
 
@@ -812,16 +799,6 @@ def distance(model: ManifoldModel, t: float, x, y) -> float:
     """Geodesic distance for the metric g(t)."""
     model.check_time(t)
     return float(model.distance(t, _coords(x), _coords(y)))
-
-
-def frame_at(model: ManifoldModel, t: float, x) -> Frame:
-    """Deterministic g(t)-orthonormal frame at x."""
-    model.check_time(t)
-    xc = _coords(x)
-    mat = model.frame(t, xc)
-    base = Point(xc, model.model_id)
-    vectors = tuple(TangentVector(base, mat[i]) for i in range(model.dim))
-    return Frame(base, float(t), vectors)
 
 
 def curvature_condition_residual(model: ManifoldModel, t: float, x, v,

@@ -1,11 +1,12 @@
 """Numeric-chart manifold: user-supplied metric on a coordinate chart.
 
-Geodesics are integrated with fixed-step RK4 using Christoffel symbols from
-central finite differences of the metric; parallel transport integrates the
-transport equation along the cached trajectory. The math is pointwise;
-like every model, the public methods broadcast over leading axes, here by
-one call per point. Minimal geodesics and distances between arbitrary
-points (boundary-value problems) are not supported here.
+One fixed-step RK4 integrator, with Christoffel symbols from central finite
+differences of the metric, serves every geodesic operation: it integrates
+the geodesic equation alone for ``exp`` and the geodesic trace, and the
+joint geodesic and parallel-transport system for transport. The math is
+pointwise; like every model, the public methods broadcast over leading
+axes, here by one call per point. Minimal geodesics and distances between
+arbitrary points (boundary-value problems) are not supported here.
 """
 
 from __future__ import annotations
@@ -111,12 +112,6 @@ class NumericChart(ManifoldModel):
         term = dg + dg.transpose(1, 0, 2) - dg.transpose(1, 2, 0)
         return 0.5 * np.einsum("il,jkl->ijk", ginv, term)
 
-    def _gamma_apply(self, t: float, x: np.ndarray, a: np.ndarray,
-                     b: np.ndarray) -> np.ndarray:
-        """Gamma(a, b)^i = Gamma^i_{jk} a^j b^k."""
-        gam = self.christoffel(t, x)
-        return np.einsum("ijk,j,k->i", gam, a, b)
-
     def curvature(self, t, x, u, v, w):
         return _over_points(partial(self._curvature_at, t), x, u, v, w)
 
@@ -153,29 +148,35 @@ class NumericChart(ManifoldModel):
 
     # -- geodesics -------------------------------------------------------------
 
-    def _ode_rhs(self, t: float, x: np.ndarray, xdot: np.ndarray):
-        return xdot, -self._gamma_apply(t, x, xdot, xdot)
-
-    def _integrate(self, t: float, x0: np.ndarray, v0: np.ndarray,
-                   min_steps: int = MIN_STEPS):
-        """RK4 geodesic trace over affine parameter [0, 1]; returns
-        (tau grid, positions, velocities)."""
-        speed = float(np.linalg.norm(v0))
-        n = max(min_steps, int(np.ceil(speed / MAX_STEP)))
+    def _rk4(self, t: float, state: tuple,
+             min_steps: int = MIN_STEPS) -> np.ndarray:
+        """Fixed-step RK4 over affine parameter [0, 1] for ``state`` = (x, v),
+        the geodesic equation, or (x, v, w), jointly with the transport of
+        w along it: one Christoffel evaluation per stage and
+        max(min_steps, ceil(|v| / MAX_STEP)) steps. Returns the state at
+        every grid point, shape (n + 1, len(state), dim)."""
+        n = max(min_steps, int(np.ceil(float(np.linalg.norm(state[1]))
+                                       / MAX_STEP)))
         h = 1.0 / n
-        xs = np.empty((n + 1, self.dim))
-        vs = np.empty((n + 1, self.dim))
-        xs[0], vs[0] = x0, v0
-        x, v = np.array(x0, dtype=float), np.array(v0, dtype=float)
+
+        def rhs(s):
+            x, v, *w = s
+            gam = self.christoffel(t, x)
+            return (v, *(-np.einsum("ijk,j,k->i", gam, v, b)
+                         for b in (v, *w)))
+
+        s = tuple(np.array(a, dtype=float) for a in state)
+        trace = np.empty((n + 1, len(s), self.dim))
+        trace[0] = s
         for i in range(n):
-            k1x, k1v = self._ode_rhs(t, x, v)
-            k2x, k2v = self._ode_rhs(t, x + 0.5 * h * k1x, v + 0.5 * h * k1v)
-            k3x, k3v = self._ode_rhs(t, x + 0.5 * h * k2x, v + 0.5 * h * k2v)
-            k4x, k4v = self._ode_rhs(t, x + h * k3x, v + h * k3v)
-            x = x + (h / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
-            v = v + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
-            xs[i + 1], vs[i + 1] = x, v
-        return np.linspace(0.0, 1.0, n + 1), xs, vs
+            k1 = rhs(s)
+            k2 = rhs(tuple(a + 0.5 * h * b for a, b in zip(s, k1)))
+            k3 = rhs(tuple(a + 0.5 * h * b for a, b in zip(s, k2)))
+            k4 = rhs(tuple(a + h * b for a, b in zip(s, k3)))
+            s = tuple(a + (h / 6.0) * (b1 + 2 * b2 + 2 * b3 + b4)
+                      for a, b1, b2, b3, b4 in zip(s, k1, k2, k3, k4))
+            trace[i + 1] = s
+        return trace
 
     def exp(self, t, x, v):
         x = np.asarray(x, dtype=float)
@@ -186,7 +187,7 @@ class NumericChart(ManifoldModel):
         def at(x, v):
             if float(np.linalg.norm(v)) == 0.0:
                 return x.copy()
-            return self._integrate(t, x, v)[1][-1]
+            return self._rk4(t, (x, v))[-1, 0]
         return _over_points(at, x, v)
 
     def geodesic_from_exp(self, t: float, x: np.ndarray,
@@ -197,39 +198,10 @@ class NumericChart(ManifoldModel):
         v = np.asarray(v, dtype=float)
         length = float(np.sqrt(self.inner(t, x, v, v)))
         # denser trace than plain exp: samples are interpolated later
-        taus, xs, vs = self._integrate(t, x, v, min_steps=4 * MIN_STEPS)
-        return _NumericGeodesic(self, t, xs, vs, taus, length)
-
-    def _integrate_with_transport(self, t: float, x0: np.ndarray,
-                                  v0: np.ndarray, w0: np.ndarray) -> np.ndarray:
-        """RK4 on the joint geodesic + parallel-transport system; returns
-        the transported vector at affine parameter 1."""
-        speed = float(np.linalg.norm(v0))
-        n = max(MIN_STEPS, int(np.ceil(speed / MAX_STEP)))
-        h = 1.0 / n
-        x = np.array(x0, dtype=float)
-        v = np.array(v0, dtype=float)
-        w = np.array(w0, dtype=float)
-
-        def rhs(state):
-            xx, vv, ww = state
-            gam = self.christoffel(t, xx)
-            acc = -np.einsum("ijk,j,k->i", gam, vv, vv)
-            wdot = -np.einsum("ijk,j,k->i", gam, vv, ww)
-            return (vv, acc, wdot)
-
-        for _ in range(n):
-            s0 = (x, v, w)
-            k1 = rhs(s0)
-            s1 = tuple(a + 0.5 * h * b for a, b in zip(s0, k1))
-            k2 = rhs(s1)
-            s2 = tuple(a + 0.5 * h * b for a, b in zip(s0, k2))
-            k3 = rhs(s2)
-            s3 = tuple(a + h * b for a, b in zip(s0, k3))
-            k4 = rhs(s3)
-            x, v, w = (a + (h / 6.0) * (b1 + 2 * b2 + 2 * b3 + b4)
-                       for a, b1, b2, b3, b4 in zip(s0, k1, k2, k3, k4))
-        return w
+        trace = self._rk4(t, (x, v), min_steps=4 * MIN_STEPS)
+        taus = np.linspace(0.0, 1.0, len(trace))
+        return _NumericGeodesic(self, t, trace[:, 0], trace[:, 1], taus,
+                                length)
 
     def transport_along(self, t, x, u, length, v):
         # u is a g(t)-unit initial velocity; integrate the transport
@@ -238,7 +210,7 @@ class NumericChart(ManifoldModel):
             L = float(length)
             if L == 0.0:
                 return v.copy()
-            return self._integrate_with_transport(t, x, L * u, v)
+            return self._rk4(t, (x, L * u, v))[-1, 2]
         return _over_points(at, x, u, length, v, scalars=(2,))
 
     def frame(self, t, x):
@@ -298,5 +270,4 @@ class _NumericGeodesic(Geodesic):
         if u <= 0.0 or self.length == 0.0:
             return np.asarray(v, dtype=float).copy()
         scaled_v0 = (float(u) / self.length) * self._vs[0]
-        return model._integrate_with_transport(self.time, self._xs[0],
-                                               scaled_v0, np.asarray(v, dtype=float))
+        return model._rk4(self.time, (self._xs[0], scaled_v0, v))[-1, 2]

@@ -240,8 +240,11 @@ def check_gradient_estimate(model: ManifoldModel, config: CouplingConfig,
                           workers)
     signed = McEstimate.from_samples(np.asarray(f(res["end1"]), dtype=float)
                                      - np.asarray(f(res["end2"]), dtype=float))
+    lo, hi = signed.ci95
+    if lo < 0.0:   # the interval of |mean|: the signed interval under abs
+        lo, hi = (-hi, -lo) if hi <= 0.0 else (0.0, max(-lo, hi))
     est = McEstimate(n=signed.n, mean=abs(signed.mean), stderr=signed.stderr,
-                     ci95=signed.ci95)
+                     ci95=(lo, hi))
     horizon = config.t2 - config.t1
     bound = d0 * osc / math.sqrt(2.0 * math.pi * beta(horizon, config.k))
     meta = {"params": {"alpha": config.alpha, "delta_couple": config.delta_couple,

@@ -61,12 +61,6 @@ class VariationTerms:
     components: dict[str, float] = field(default_factory=dict)
     k: float = 0.0
 
-    def weighted_step_bound(self, d: float, alpha: float) -> float:
-        """One-step upper bound exp(k a^2/2) d + a lambda* + a^2 Lambda*."""
-        return float(np.exp(self.k * alpha ** 2 / 2.0) * d
-                     + alpha * self.lambda_star
-                     + alpha ** 2 * self.Lambda_star)
-
 
 def _uniform_grid(length: float, n_grid: int) -> np.ndarray:
     return np.linspace(0.0, length, n_grid)

@@ -58,7 +58,7 @@ class Schedule:
 
 @dataclass(frozen=True)
 class WalkConfig:
-    """Parameters of one walk: scale, window, seed, start and options."""
+    """Parameters of one walk: scale, window, seed and start."""
     alpha: float
     t1: float
     t2: float
@@ -75,13 +75,6 @@ class WalkConfig:
         return Schedule(self.t1, self.t2, self.alpha)
 
 
-@dataclass(frozen=True)
-class NoiseSample:
-    """One ball sample and its frame lift sqrt(m+2) Phi(x) xi."""
-    xi: np.ndarray
-    xi_tilde: TangentVector
-
-
 @dataclass
 class WalkPath:
     """Discrete skeleton of one walk plus the data to interpolate it."""
@@ -95,20 +88,14 @@ class WalkPath:
         return Point(self.skeleton[n], self.model_id)
 
 
-def sample_unit_ball(dim: int, stream: np.random.Generator) -> np.ndarray:
-    """One point uniform on the closed unit ball of R^dim."""
-    if dim < 1:
-        raise InvalidInput("dimension must be >= 1")
-    return rng.unit_ball_samples(stream, 1, dim)[0]
-
-
 def step(model: ManifoldModel, t: float, x, xi: np.ndarray, alpha: float,
          frac: float = 1.0):
     """One walk transition from x at time t driven by the ball sample xi:
     ``engine.walk_step`` on a block of one.
 
-    Returns the landing point and the noise record. ``frac`` traverses only
-    that fraction of the defining geodesic (the final partial step).
+    Returns the landing point and the lift sqrt(m+2) Phi(x) xi at x.
+    ``frac`` traverses only that fraction of the defining geodesic (the
+    final partial step).
     """
     xc = x.coords if isinstance(x, Point) else np.asarray(x, dtype=float)
     xi = np.asarray(xi, dtype=float)
@@ -116,8 +103,8 @@ def step(model: ManifoldModel, t: float, x, xi: np.ndarray, alpha: float,
         raise InvalidInput("ball sample must satisfy |xi| <= 1")
     y, lift, _ = engine.walk_step(model, t, xc[None, :], xi[None, :], alpha,
                                   frac)
-    base = Point(xc, model.model_id)
-    return Point(y[0], model.model_id), NoiseSample(xi, TangentVector(base, lift[0]))
+    return (Point(y[0], model.model_id),
+            TangentVector(Point(xc, model.model_id), lift[0]))
 
 
 def run_walk(model: ManifoldModel, config: WalkConfig) -> WalkPath:
@@ -139,19 +126,6 @@ def interpolate(model: ManifoldModel, path: WalkPath, t: float) -> Point:
     x = path.skeleton[n]
     return Point(model.exp(sched.times[n], x, frac * path.step_vectors[n]),
                  path.model_id)
-
-
-def exit_time(path: WalkPath, model: ManifoldModel, origin,
-              radius: float) -> float:
-    """First schedule time whose skeleton point is farther than radius - 1
-    from the origin; infinity if none."""
-    if radius <= 1.0:
-        raise InvalidInput("exit radius must exceed 1")
-    o = origin.coords if isinstance(origin, Point) else np.asarray(origin, dtype=float)
-    for n, t in enumerate(path.schedule.times):
-        if float(model.distance(t, o, path.skeleton[n])) > radius - 1.0:
-            return float(t)
-    return math.inf
 
 
 @dataclass

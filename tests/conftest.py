@@ -56,6 +56,13 @@ def same_bits(a, b) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def strip_runtime(report_dict: dict) -> dict:
+    """The report dict without ``runtime_ms``, the one field that differs
+    between identical runs; removed in place and the dict returned."""
+    report_dict.pop("runtime_ms")
+    return report_dict
+
+
 def random_point(model, rng, spread=1.0):
     """A valid random point on the model."""
     kind = model.kind

@@ -9,7 +9,10 @@ replayed noise depends on the frame, and the drift integral's lookup,
 numpy's own interpolation of the spec's trapezoid table, and the coupled
 kernel's reference loop, which rebuilds the stacked pair block and
 lambda* at every step in the operation order ``engine.coupled_chunk``
-must keep bit for bit. The reflection map follows the textbook definition
+must keep bit for bit, and the numeric chart's two hand-written RK4 loops,
+one for the geodesic and one for geodesic and transport together, whose
+results ``NumericChart``'s single integrator must keep bit for bit. The
+reflection map follows the textbook definition
 through a model's parallel transport; ``model.mirror``'s ambient
 reflections must agree with it.
 """
@@ -22,6 +25,7 @@ from gtwalk.engine import CouplingKind
 from gtwalk.errors import (DegenerateGeodesic, InvalidInput,
                            SingularConfiguration)
 from gtwalk.manifolds import Geodesic, ManifoldModel, TangentVector
+from gtwalk.numeric import MAX_STEP, MIN_STEPS
 
 
 def gaussian_mass(a: float) -> float:
@@ -249,3 +253,55 @@ def reference_coupled_chunk(model: ManifoldModel, sched, x1, x2, seed: int,
                     for key, rows in trace.items()})
         out["noise"] = noise.transpose(1, 0, 2)
     return out
+
+
+def reference_chart_geodesic(chart, t: float, x0, v0, min_steps: int):
+    """RK4 trace of the chart's geodesic equation over affine parameter
+    [0, 1], max(min_steps, ceil(|v0| / MAX_STEP)) steps: positions and
+    velocities, each (n + 1, dim)."""
+    n = max(min_steps, int(np.ceil(float(np.linalg.norm(v0)) / MAX_STEP)))
+    h = 1.0 / n
+
+    def rhs(x, xdot):
+        gam = chart.christoffel(t, x)
+        return xdot, -np.einsum("ijk,j,k->i", gam, xdot, xdot)
+
+    xs = np.empty((n + 1, chart.dim))
+    vs = np.empty((n + 1, chart.dim))
+    xs[0], vs[0] = x0, v0
+    x, v = np.array(x0, dtype=float), np.array(v0, dtype=float)
+    for i in range(n):
+        k1x, k1v = rhs(x, v)
+        k2x, k2v = rhs(x + 0.5 * h * k1x, v + 0.5 * h * k1v)
+        k3x, k3v = rhs(x + 0.5 * h * k2x, v + 0.5 * h * k2v)
+        k4x, k4v = rhs(x + h * k3x, v + h * k3v)
+        x = x + (h / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
+        v = v + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
+        xs[i + 1], vs[i + 1] = x, v
+    return xs, vs
+
+
+def reference_chart_transport(chart, t: float, x0, v0, w0):
+    """RK4 on the chart's joint geodesic and parallel-transport system
+    over affine parameter [0, 1], MIN_STEPS at least: w at parameter 1."""
+    n = max(MIN_STEPS, int(np.ceil(float(np.linalg.norm(v0)) / MAX_STEP)))
+    h = 1.0 / n
+    x = np.array(x0, dtype=float)
+    v = np.array(v0, dtype=float)
+    w = np.array(w0, dtype=float)
+
+    def rhs(state):
+        xx, vv, ww = state
+        gam = chart.christoffel(t, xx)
+        return (vv, -np.einsum("ijk,j,k->i", gam, vv, vv),
+                -np.einsum("ijk,j,k->i", gam, vv, ww))
+
+    for _ in range(n):
+        s0 = (x, v, w)
+        k1 = rhs(s0)
+        k2 = rhs(tuple(a + 0.5 * h * b for a, b in zip(s0, k1)))
+        k3 = rhs(tuple(a + 0.5 * h * b for a, b in zip(s0, k2)))
+        k4 = rhs(tuple(a + h * b for a, b in zip(s0, k3)))
+        x, v, w = (a + (h / 6.0) * (b1 + 2 * b2 + 2 * b3 + b4)
+                   for a, b1, b2, b3, b4 in zip(s0, k1, k2, k3, k4))
+    return w

@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_point, random_tangent
+from conftest import random_point, random_tangent, strip_runtime
 from oracles import gaussian_mass, normal_cdf, wrapped_gaussian_cdf_fourier
 
 from gtwalk import engine
@@ -425,8 +425,7 @@ def test_criterion_11_determinism(tmp_path):
             out = tmp_path / f"d{i}w{workers}"
             run_document(doc, workers=workers, out_dir=out)
             name = doc["kind"] + ".json"
-            data = json.loads((out / name).read_text())
-            data.pop("runtime_ms")
+            data = strip_runtime(json.loads((out / name).read_text()))
             texts.append(json.dumps(data, sort_keys=True))
         ok &= texts[0] == texts[1]
     _announce(11, "worker-count determinism", ok,

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from conftest import strip_runtime
 from gtwalk.cli import main, parse_manifold_spec
 from gtwalk.config import (_KEYS_BY_KIND, EXPERIMENT_KINDS, parse_config,
                            parse_suite, resolve_start_points)
@@ -128,10 +129,9 @@ def test_runner_writes_reports_and_manifest(tmp_path):
 def test_reports_byte_identical_across_workers(tmp_path):
     run_document(_verify_doc(), workers=1, out_dir=tmp_path / "w1")
     run_document(_verify_doc(), workers=4, out_dir=tmp_path / "w4")
-    a = json.loads((tmp_path / "w1" / "verify-coupling-bound.json").read_text())
-    b = json.loads((tmp_path / "w4" / "verify-coupling-bound.json").read_text())
-    a.pop("runtime_ms")
-    b.pop("runtime_ms")
+    a, b = (strip_runtime(json.loads(
+        (tmp_path / w / "verify-coupling-bound.json").read_text()))
+        for w in ("w1", "w4"))
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
@@ -385,8 +385,7 @@ def _rounded(value):
 
 def _report_without_hash(doc: dict) -> dict:
     _, [report] = run_document(doc)
-    out = report.to_dict()
-    out.pop("runtime_ms")
+    out = strip_runtime(report.to_dict())
     out["params"].pop("config_hash")
     return _rounded(out)
 

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import strip_runtime
 from gtwalk.config import parse_config
 from gtwalk.runner import execute
 
@@ -74,9 +75,8 @@ PROPORTION_KINDS = ("couple", "verify-coupling-bound", "radial-domination")
 
 
 def report_dict(name: str, workers: int) -> dict:
-    out = execute(parse_config(CONFIGS[name]), workers=workers).to_dict()
-    out.pop("runtime_ms")
-    return out
+    return strip_runtime(
+        execute(parse_config(CONFIGS[name]), workers=workers).to_dict())
 
 
 def assert_matches(got, want, path: str) -> None:

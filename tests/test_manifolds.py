@@ -9,7 +9,7 @@ from gtwalk.errors import DegenerateGeodesic, InvalidInput
 from gtwalk.manifolds import (Euclidean, ManifoldModel, Point, RoundSphere,
                               ScaledMetric, TangentVector,
                               curvature_condition_residual, distance,
-                              estimate_kappa, exp, frame_at, make_model,
+                              estimate_kappa, exp, make_model,
                               minimal_geodesic, parallel_transport)
 from gtwalk.numeric import NumericChart
 
@@ -246,8 +246,8 @@ def test_triangle_inequality(request, name, rng):
 # ---------------------------------------------------------------------------
 
 def test_frame_euclidean_is_standard_basis(euclid2):
-    fr = frame_at(euclid2, 0.0, np.array([0.3, -0.7]))
-    assert np.allclose(fr.matrix, np.eye(2), atol=0)
+    fr = euclid2.frame(0.0, np.array([0.3, -0.7]))
+    assert np.allclose(fr, np.eye(2), atol=0)
 
 
 def test_frame_scaled_metric_rescales():

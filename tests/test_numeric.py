@@ -3,13 +3,21 @@ import pytest
 
 from gtwalk.errors import UnsupportedOperation
 from gtwalk.manifolds import RoundSphere, minimal_geodesic, parallel_transport
-from gtwalk.numeric import NumericChart
+from gtwalk.numeric import MAX_STEP, MIN_STEPS, NumericChart
 from gtwalk.walk import WalkConfig, run_walk
+from oracles import reference_chart_geodesic, reference_chart_transport
 
 
 def stereographic_metric(t, u):
     f = 4.0 / (1.0 + float(u @ u)) ** 2
     return f * np.eye(2)
+
+
+def skew_metric(t, x):
+    """Non-diagonal and time-dependent; positive definite everywhere."""
+    c = 0.5 * np.sin(x[0] * x[1] + t)
+    return np.array([[2.0 + np.sin(x[0] + t), c],
+                     [c, 2.0 + 0.5 * np.cos(x[1]) + t]])
 
 
 def chart_to_sphere(u):
@@ -152,3 +160,44 @@ def test_numeric_chart_frame_orthonormal(sphere_chart):
     g = stereographic_metric(0.0, u)
     gram = fr @ g @ fr.T
     assert np.allclose(gram, np.eye(2), atol=1e-12)
+
+
+@pytest.mark.parametrize("metric, speeds", [
+    (stereographic_metric, (0.5, 1.6)),
+    (skew_metric, (0.5, 1.6, 4.5)),
+], ids=["sphere-chart", "skew-chart"])
+def test_numeric_integrator_keeps_the_reference_bits(metric, speeds):
+    """exp, transport_along, the geodesic_from_exp trace and
+    transport_from_start equal the hand-written RK4 loops bit for bit, at
+    chart speeds on both sides of MAX_STEP * MIN_STEPS (and, up to 4.5,
+    of the trace's denser threshold), so both branches of the step count
+    run."""
+    chart = NumericChart(2, metric)
+    assert min(speeds) < MAX_STEP * MIN_STEPS < max(speeds)
+    rng = np.random.default_rng(13)
+    for speed in speeds:
+        for _ in range(3):
+            t = float(rng.uniform(0.0, 1.0))
+            x = rng.normal(size=2) * 0.4
+            u = rng.normal(size=2)
+            u = u / np.linalg.norm(u)
+            v = speed * u
+            w = rng.normal(size=2)
+
+            want_xs, want_vs = reference_chart_geodesic(chart, t, x, v,
+                                                        MIN_STEPS)
+            assert np.array_equal(chart.exp(t, x, v), want_xs[-1])
+            assert np.array_equal(chart.transport_along(t, x, u, speed, w),
+                                  reference_chart_transport(chart, t, x,
+                                                            speed * u, w))
+
+            geo = chart.geodesic_from_exp(t, x, v)
+            want_xs, want_vs = reference_chart_geodesic(chart, t, x, v,
+                                                        4 * MIN_STEPS)
+            assert np.array_equal(geo._xs, want_xs)
+            assert np.array_equal(geo._vs, want_vs)
+            s = float(rng.uniform(0.3, 1.0)) * geo.length
+            assert np.array_equal(
+                geo.transport_from_start(w, s),
+                reference_chart_transport(chart, t, geo._xs[0],
+                                          (s / geo.length) * geo._vs[0], w))

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from gtwalk.coupling import CouplingConfig, CouplingKind
 from gtwalk.errors import InvalidInput, SingularConfiguration
 from gtwalk.stats import (McEstimate, VerificationReport,
-                          check_contraction, estimate_coupling_survival,
+                          check_contraction, check_gradient_estimate,
+                          estimate_coupling_survival,
                           gaussian_cdf, ks_statistic, map_path_chunks,
                           wasserstein1_1d, wrapped_gaussian_cdf)
 from oracles import wrapped_gaussian_cdf_fourier
@@ -213,6 +214,28 @@ def test_estimator_kind_validation(euclid2):
                            start1=np.zeros(2), start2=np.ones(2))
     with pytest.raises(InvalidInput):
         check_contraction(euclid2, cfg_r, 100)
+
+
+def test_gradient_report_is_the_same_for_f_and_one_minus_f(flow_sphere):
+    """|E f(X1) - E f(X2)| does not change when f becomes 1 - f, and
+    neither may its interval: the report gives the interval of |mean|,
+    which contains it, not the signed mean's."""
+    o = flow_sphere.origin()
+    e1 = flow_sphere.frame(0.0, o)[0]
+    cfg = CouplingConfig(alpha=0.05, t1=0.0, t2=0.5, seed=8,
+                         start1=flow_sphere.exp(0.0, o, -0.25 * e1),
+                         start2=flow_sphere.exp(0.0, o, 0.25 * e1))
+
+    def f(points):
+        return (points[:, 0] <= 0.0).astype(float)
+
+    reports = [check_gradient_estimate(flow_sphere, cfg, h, 1.0, 600)
+               for h in (f, lambda points: 1.0 - f(points))]
+    signed = [r.metadata["params"]["signed_mean"] for r in reports]
+    assert signed[0] == -signed[1] != 0.0
+    est = [r.estimate.to_dict() for r in reports]
+    assert est[0] == est[1]
+    assert est[0]["ci95"][0] <= est[0]["mean"] <= est[0]["ci95"][1]
 
 
 def test_convergence_diagnostic_requires_decreasing(euclid1):

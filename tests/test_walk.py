@@ -9,8 +9,8 @@ from gtwalk import engine, rng
 from gtwalk.errors import InvalidInput
 from gtwalk.manifolds import Euclidean, RoundSphere
 from gtwalk.stats import gaussian_cdf, ks_statistic
-from gtwalk.walk import (Schedule, WalkConfig, exit_time, interpolate,
-                         run_walk, sample_unit_ball, step, subordinated_walk)
+from gtwalk.walk import (Schedule, WalkConfig, interpolate, run_walk, step,
+                         subordinated_walk)
 
 
 # ---------------------------------------------------------------------------
@@ -51,7 +51,7 @@ def test_config_validation():
 
 
 # ---------------------------------------------------------------------------
-# sample_unit_ball
+# unit ball samples
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -74,9 +74,9 @@ def test_ball_moments(dim):
     assert np.max(np.abs(cov - target)) <= 3 * np.sqrt(1.0 / n)
 
 
-def test_sample_unit_ball_wrapper():
+def test_unit_ball_single_sample():
     gen = rng.stream(5, rng.PURPOSE_WALK, 2)
-    x = sample_unit_ball(3, gen)
+    x = rng.unit_ball_samples(gen, 1, 3)[0]
     assert x.shape == (3,) and np.linalg.norm(x) <= 1.0
 
 
@@ -112,14 +112,14 @@ def test_kernel_traces_keep_path_major_noise(euclid2, flow_sphere):
 # ---------------------------------------------------------------------------
 
 def test_step_zero_noise_stays(euclid2):
-    p, ns = step(euclid2, 0.0, np.array([0.4, -0.2]), np.zeros(2), 0.1)
+    p, _ = step(euclid2, 0.0, np.array([0.4, -0.2]), np.zeros(2), 0.1)
     assert np.array_equal(p.coords, [0.4, -0.2])
 
 
 def test_step_formula_m1(euclid1):
-    p, ns = step(euclid1, 0.0, np.zeros(1), np.array([0.5]), 0.1)
+    p, lift = step(euclid1, 0.0, np.zeros(1), np.array([0.5]), 0.1)
     assert p.coords[0] == pytest.approx(0.1 * math.sqrt(3.0) * 0.5, rel=1e-14)
-    assert ns.xi_tilde.components[0] == pytest.approx(math.sqrt(3.0) * 0.5)
+    assert lift.components[0] == pytest.approx(math.sqrt(3.0) * 0.5)
 
 
 def test_step_sphere_on_manifold(sphere2):
@@ -172,10 +172,10 @@ def test_step_is_a_kernel_step(drift):
     assert sched.fracs[-1] < 1.0
     for n in range(sched.n_steps):
         t = float(sched.times[n])
-        p, noise = step(model, t, path.skeleton[n], path.noise_record[n],
-                        cfg.alpha, frac=float(sched.fracs[n]))
+        p, lift = step(model, t, path.skeleton[n], path.noise_record[n],
+                       cfg.alpha, frac=float(sched.fracs[n]))
         assert np.array_equal(p.coords, path.skeleton[n + 1])
-        w = cfg.alpha * noise.xi_tilde.components
+        w = cfg.alpha * lift.components
         if drift:
             w = w + cfg.alpha ** 2 * model.drift(t, path.skeleton[n])
         assert np.array_equal(w, path.step_vectors[n])
@@ -249,20 +249,30 @@ def test_interpolate_euclidean_midpoint(euclid2):
 
 
 # ---------------------------------------------------------------------------
-# exit_time
+# exit time: the kernel's exit_step
 # ---------------------------------------------------------------------------
+
+def kernel_exit_time(model, cfg: WalkConfig, origin, radius: float) -> float:
+    """The schedule time of walk_chunk's exit_step for the walk of cfg;
+    infinity if the walk never exits."""
+    sched = cfg.schedule()
+    n = int(engine.walk_chunk(model, sched, cfg.start, cfg.seed,
+                              range(cfg.path_index, cfg.path_index + 1),
+                              origin=origin, exit_radius=radius)
+            ["exit_step"][0])
+    return math.inf if n < 0 else float(sched.times[n])
+
 
 def test_exit_time_confined_is_infinite(euclid2):
     cfg = WalkConfig(alpha=0.05, t1=0.0, t2=1.0, seed=13, start=np.zeros(2))
-    path = run_walk(euclid2, cfg)
-    assert exit_time(path, euclid2, np.zeros(2), 8.0) == math.inf
+    assert kernel_exit_time(euclid2, cfg, np.zeros(2), 8.0) == math.inf
 
 
 def test_exit_time_matches_definition(euclid1):
     cfg = WalkConfig(alpha=0.3, t1=0.0, t2=1.0, seed=3, start=np.zeros(1))
     path = run_walk(euclid1, cfg)
     R = 1.2
-    got = exit_time(path, euclid1, np.zeros(1), R)
+    got = kernel_exit_time(euclid1, cfg, np.zeros(1), R)
     crossing = [t for n, t in enumerate(path.schedule.times)
                 if abs(path.skeleton[n, 0]) > R - 1.0]
     assert got == (crossing[0] if crossing else math.inf)
@@ -353,10 +363,3 @@ def test_walk_each_coordinate_gaussian_2d(euclid2):
     for j in range(2):
         assert ks_statistic(ends[:, j], gaussian_cdf(0.0, 1.0),
                             level=0.01).passed
-
-
-def test_exit_time_radius_validation(euclid1):
-    cfg = WalkConfig(alpha=0.3, t1=0.0, t2=1.0, seed=3, start=np.zeros(1))
-    path = run_walk(euclid1, cfg)
-    with pytest.raises(InvalidInput):
-        exit_time(path, euclid1, np.zeros(1), 0.9)
