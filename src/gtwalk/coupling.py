@@ -116,18 +116,21 @@ def coupled_step(model: ManifoldModel, t: float, x1, x2, xi: np.ndarray,
 
 
 def coupled_block(model: ManifoldModel, cc: CouplingConfig, paths: range,
-                  **diagnostics) -> dict:
+                  records=None) -> dict:
     """``engine.coupled_chunk`` on ``paths`` with the settings of ``cc``.
 
     The one place a CouplingConfig becomes kernel arguments; estimators map
-    ``partial(coupled_block, model, cc)`` over path chunks. ``diagnostics``
-    are the kernel's optional outputs (``contraction``, ``want_trace``).
+    ``partial(coupled_block, model, cc, records=...)`` over path chunks.
+    ``records`` names the kernel outputs the caller reads, from
+    ``engine.COUPLED_RECORDS`` (None: the untraced ones); a caller that
+    reads only ``couple_step`` or ``survival`` lets pairs retire when they
+    couple.
     """
     return engine.coupled_chunk(
         model, cc.schedule(), cc.start1, cc.start2, cc.seed, paths,
         kind=cc.kind, delta_couple=cc.delta_couple,
         stick=cc.stick_after_coupling, k=cc.k, origin=cc.origin,
-        exit_radius=cc.exit_radius, **diagnostics)
+        exit_radius=cc.exit_radius, records=records)
 
 
 def run_coupled(model: ManifoldModel, config: CouplingConfig) -> CoupledPath:
@@ -135,7 +138,8 @@ def run_coupled(model: ManifoldModel, config: CouplingConfig) -> CoupledPath:
     sched = config.schedule()
     res = coupled_block(model, config,
                         range(config.path_index, config.path_index + 1),
-                        want_trace=True)
+                        records={"couple_step", "skeleton", "distance",
+                                 "lambda_star", "coupled", "noise", "lift2"})
     step = int(res["couple_step"][0])
     coupling_time = math.inf if step < 0 else float(sched.times[step])
     skel2, lift2 = res["skeleton2"][0], res["lift2"][0]

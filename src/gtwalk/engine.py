@@ -13,28 +13,38 @@ ball sample, but it need not build the frame. ``walk_step`` and
 ``coupling.coupled_step`` call them on a block of one. A step adds the
 drift alpha^2 Z exactly when ``model.has_drift``; no caller decides that.
 
-A coupled step makes one pair-geometry call, ``model.depart``: the
-distance, bit-identical to ``model.distance``, and the unit departure
-direction u0; the sphere builds its antipodal tie-break only on antipodal
-rows. The reflection kind maps the first lift to the second particle with
-``model.mirror`` (on the closed-form models the reflection of the ambient
-space across the bisector of the pair, with no transport) and records
-lambda* = -2 <lift1, u0>; the parallel kind transports the first lift.
-Neither needs the arrival direction. A non-finite distance or endpoint
-raises SingularConfiguration instead of being counted. The radial replay
-reads only the distance to the origin and the direction toward it, so it
-calls ``model.depart`` too.
+A coupled step makes one pair-geometry call. It is ``model.depart``, the
+distance and the unit departure direction u0, when u0 is read: by the
+parallel kind, which transports the first lift along the geodesic, or by
+the lambda* record. Otherwise it is ``model.distance``, which gives the
+same distance bit for bit. The reflection kind maps the first lift to the
+second particle with ``model.mirror(t, x, y, v)``; on the closed-form
+models that is the reflection of the ambient space across the bisector of
+the pair, with neither u0 nor a transport, and its lambda* is
+-2 <lift1, u0>. No step needs the arrival direction. A non-finite
+distance or endpoint raises SingularConfiguration instead of being
+counted. The radial replay reads only the distance to the origin and the
+direction toward it, so it calls ``model.depart`` too.
 
 ``coupled_chunk`` keeps the pair in one stacked (2B, ambient) state, X1
 and X2 being its halves, and ``reflect_step`` writes both lifts into one
 stacked buffer, so the drift and exp of both particles are one call each
 and no step concatenates or splits. A step does only the work its outputs
-read. lambda* (``lambda_star``) is computed only for the trace. The
-coupled-row selects run only once a row has coupled: the second lift
-becomes the first on coupled rows, and with ``stick`` X2 := X1 is written
-on newly coupled rows alone, since rows coupled earlier already equal X1
-bit for bit (the same lift through the same exp). ``walk_chunk`` keeps
-its not-yet-exited rows as a mask that changes only when a row exits.
+read: the caller names the records it reads (``records=``), and lambda*
+(``lambda_star``), the contraction weights, the exit check and each trace
+run only when asked for. The coupled-row selects run only once a row has
+coupled: the second lift becomes the first on coupled rows, and with
+``stick`` X2 := X1 is written on newly coupled rows alone, since rows
+coupled earlier already equal X1 bit for bit (the same lift through the
+same exp). When every record asked for is fixed at the coupling step
+(``couple_step``, ``survival``), a pair instead leaves the working block at
+the step where it couples: the stacked rows of the pairs still uncoupled
+(and, for the parallel kind, their u0) are gathered, one global row index
+writes ``couple_step`` and gathers the step's noise, and the loop stops
+once no pair is left. Each row's arithmetic does not depend on the other
+rows of its block, the contract that makes results independent of the
+block split, so retirement keeps every bit. ``walk_chunk`` keeps its
+not-yet-exited rows as a mask that changes only when a row exits.
 """
 
 from __future__ import annotations
@@ -44,13 +54,25 @@ import enum
 import numpy as np
 
 from . import rng
-from .errors import SingularConfiguration
+from .errors import InvalidInput, SingularConfiguration
 from .manifolds import ManifoldModel
 
 
 class CouplingKind(enum.Enum):
     REFLECTION = "reflection"
     PARALLEL_TRANSPORT = "parallel"
+
+
+# The outputs coupled_chunk can compute; "end" and "skeleton" each give one
+# array per particle.
+COUPLED_RECORDS = frozenset({
+    "couple_step", "survival", "end", "final_distance", "exited",
+    "contraction_max", "skeleton", "distance", "lambda_star", "coupled",
+    "noise", "lift2"})
+_UNTRACED = frozenset({"end", "couple_step", "survival", "final_distance"})
+# Records fixed at the step a pair couples: a run that reads no others
+# retires each pair from the working block at that step.
+_AT_COUPLING = frozenset({"couple_step", "survival"})
 
 
 def frame_coordinates(model: ManifoldModel, t: float, x: np.ndarray,
@@ -68,6 +90,12 @@ def _rows(a: np.ndarray) -> np.ndarray:
     items, so a masked row copy is one loop over B instead of a broadcast
     over d (several times faster at d = 2). A view: writes reach ``a``."""
     return a.view(np.dtype((np.void, a.itemsize * a.shape[-1])))[..., 0]
+
+
+def _kept_rows(a: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """The rows of a (B, d) float block where ``keep`` holds, as a new
+    block: one gather over B opaque rows (``_rows``)."""
+    return _rows(a)[keep].view(a.dtype).reshape(-1, a.shape[-1])
 
 
 def _advance(model: ManifoldModel, t: float, X: np.ndarray, lift: np.ndarray,
@@ -100,12 +128,12 @@ def reflect_step(model: ManifoldModel, t: float, Z: np.ndarray,
     """One synchronized transition of a block of B pairs.
 
     ``Z`` is the stacked pair state (2B, ambient): X1 = Z[:B], X2 = Z[B:].
-    ``geo`` is ``model.depart(t, X1, X2)``, the distance and the unit
-    departure direction u0. For the reflection kind the second lift is
-    ``model.mirror`` of the first; for parallel transport it is the first
-    lift transported to X2 along the connecting geodesic. Rows flagged
-    ``coupled`` reuse the first lift. Both particles take one exp call on
-    the stacked block. Returns (next stacked state, stacked lifts
+    For the reflection kind the second lift is ``model.mirror`` of the
+    first; for parallel transport it is the first lift transported to X2
+    along the connecting geodesic, which reads ``geo`` =
+    ``model.depart(t, X1, X2)`` (the reflection kind takes None). Rows
+    flagged ``coupled`` reuse the first lift. Both particles take one exp
+    call on the stacked block. Returns (next stacked state, stacked lifts
     [lift1; lift2]); ``lambda_star`` gives the step's lambda*.
     """
     B = len(xi)
@@ -114,7 +142,7 @@ def reflect_step(model: ManifoldModel, t: float, Z: np.ndarray,
     lift1, lift2 = lift[:B], lift[B:]
     lift1[...] = model.lift(t, X1, xi)
     if kind is CouplingKind.REFLECTION:
-        lift2[...] = model.mirror(t, X1, X2, geo, lift1)
+        lift2[...] = model.mirror(t, X1, X2, lift1)
     else:
         lift2[...] = model.transport_along(t, X1, geo[1], geo[0], lift1)
     if coupled.any():
@@ -222,6 +250,20 @@ def walk_chunk(model: ManifoldModel, sched, x0: np.ndarray, seed: int,
     return out
 
 
+def _coupled_records(records, exit_radius) -> frozenset:
+    """The validated record set of a ``coupled_chunk`` call; None gives
+    the untraced outputs, with ``exited`` when an exit radius is set."""
+    if records is None:
+        records = _UNTRACED | ({"exited"} if exit_radius is not None else set())
+    records = frozenset(records)
+    unknown = records - COUPLED_RECORDS
+    if unknown:
+        raise InvalidInput(f"unknown coupled_chunk records: {sorted(unknown)}")
+    if "exited" in records and exit_radius is None:
+        raise InvalidInput("record 'exited' needs exit_radius")
+    return records
+
+
 def coupled_chunk(model: ManifoldModel, sched, x1: np.ndarray, x2: np.ndarray,
                   seed: int, paths: range, *,
                   kind: CouplingKind = CouplingKind.REFLECTION,
@@ -229,8 +271,7 @@ def coupled_chunk(model: ManifoldModel, sched, x1: np.ndarray, x2: np.ndarray,
                   k: float = 0.0,
                   origin: np.ndarray | None = None,
                   exit_radius: float | None = None,
-                  contraction: bool = False,
-                  want_trace: bool = False) -> dict:
+                  records=None) -> dict:
     """Run a block of coupled walks driven by one ball sample per step.
 
     The second particle's noise is the first's lift mapped to X2: by
@@ -241,96 +282,138 @@ def coupled_chunk(model: ManifoldModel, sched, x1: np.ndarray, x2: np.ndarray,
     are declared coupled; with ``stick`` the second particle is replaced by
     the first from that time on.
 
+    ``records`` names the outputs to compute, from ``COUPLED_RECORDS``:
+    ``couple_step`` (-1 for pairs that never couple), ``survival``,
+    ``end`` (``end1`` and ``end2``), ``final_distance``, ``exited`` (needs
+    ``exit_radius``), ``contraction_max`` (the largest increase of
+    e^{k(t-t1)/2} d over skeleton times s <= t) and the per-step traces
+    ``skeleton`` (``skeleton1`` and ``skeleton2``), ``distance``,
+    ``lambda_star``, ``coupled``, ``noise`` and ``lift2``. None gives
+    ``end``, ``couple_step``, ``survival`` and ``final_distance``, plus
+    ``exited`` when ``exit_radius`` is set; an unknown name raises
+    InvalidInput. A run that asks only for ``couple_step`` and
+    ``survival`` retires each pair when it couples, and no check or step
+    reads that pair again.
+
     The recorded lambda* is the signed first-variation rate of the distance,
     2 <xi~2, gdot(dist)> = -2 <xi~1, gdot(0)>, so in flat space the distance
-    obeys d_{n+1} = |d_n + alpha lambda*| exactly. The trace's ``distance``
-    and ``lambda_star`` give ``coupling.dominating_process``; its ``lift2``
+    obeys d_{n+1} = |d_n + alpha lambda*| exactly. The ``distance`` and
+    ``lambda_star`` records give ``coupling.dominating_process``; ``lift2``
     is the second particle's tangent noise, which ``frame_coordinates``
     turns into ball coordinates.
     """
+    records = _coupled_records(records, exit_radius)
     B = len(paths)
     times, fracs = sched.times, sched.fracs
     n_steps = len(fracs)
     alpha = sched.alpha
     m, d = model.dim, model.ambient_dim
+    retire = records <= _AT_COUPLING
+    want_u0 = (kind is CouplingKind.PARALLEL_TRANSPORT
+               or "lambda_star" in records)
+    reads_distance = bool(records & {"final_distance", "contraction_max",
+                                     "distance"})
 
     noise = rng.walk_noise_block(seed, paths, n_steps, m)
     Z = np.empty((2 * B, d))
     Z[:B], Z[B:] = x1, x2
 
+    rows = np.arange(B)   # the path of each working row
+    xi_rows = np.empty((B, m))
     coupled = np.zeros(B, dtype=bool)
     couple_step = np.full(B, -1, dtype=np.int64)
 
-    if exit_radius is not None:
+    if "exited" in records:
         o = np.asarray(origin if origin is not None else model.origin(),
                        dtype=float)
         exited = np.zeros(B, dtype=bool)
-
-    if contraction:
+    if "contraction_max" in records:
         run_min = np.full(B, np.inf)
         contraction_max = np.full(B, -np.inf)
-
-    if want_trace:
-        skel1 = np.empty((B, n_steps + 1, d))
-        skel2 = np.empty((B, n_steps + 1, d))
-        dist_trace = np.empty((B, n_steps + 1))
-        lam_trace = np.empty((B, n_steps))
-        coupled_trace = np.zeros((B, n_steps + 1), dtype=bool)
-        lift2_trace = np.empty((B, n_steps, d))
+    trace = {}   # the per-step records, (B, time, ...)
+    if "skeleton" in records:
+        trace["skeleton1"] = np.empty((B, n_steps + 1, d))
+        trace["skeleton2"] = np.empty((B, n_steps + 1, d))
+    if "distance" in records:
+        trace["distance"] = np.empty((B, n_steps + 1))
+    if "lambda_star" in records:
+        trace["lambda_star"] = np.empty((B, n_steps))
+    if "coupled" in records:
+        trace["coupled"] = np.zeros((B, n_steps + 1), dtype=bool)
+    if "lift2" in records:
+        trace["lift2"] = np.empty((B, n_steps, d))
+    if "noise" in records:
+        trace["noise"] = noise.transpose(1, 0, 2)
 
     for n in range(n_steps + 1):
         t = float(times[n])
-        X1, X2 = Z[:B], Z[B:]
-        geo = model.depart(t, X1, X2)
-        dist = geo[0]
+        b = len(rows)
+        X1, X2 = Z[:b], Z[b:]
+        if want_u0:
+            geo = model.depart(t, X1, X2)
+            dist = geo[0]
+        else:
+            geo, dist = None, model.distance(t, X1, X2)
         if not np.isfinite(dist).all():
             raise SingularConfiguration(f"non-finite distance at step {n}")
-        if exit_radius is not None:
+        if "exited" in records:
             out_o = model.distance(t, o, Z)
             exited |= (out_o > exit_radius - 1.0).reshape(2, B).any(axis=0)
         newly = ~coupled & (dist <= delta_couple)
         if newly.any():
             coupled |= newly
-            couple_step[newly] = n
-            if stick:
+            couple_step[rows[newly]] = n
+            if retire:
+                keep = ~newly
+                rows, coupled = rows[keep], coupled[keep]
+                if not len(rows):
+                    break
+                Z = _kept_rows(Z, np.concatenate([keep, keep]))
+                if geo is not None:
+                    geo = (geo[0][keep], _kept_rows(geo[1], keep))
+            elif stick:
                 # Earlier coupled rows already equal X1: same lift, same exp.
                 np.copyto(_rows(X2), _rows(X1), where=newly)
-        if stick:
+        if stick and reads_distance:
             dist = np.where(coupled, 0.0, dist)
-        if contraction:
+        if "contraction_max" in records:
             weighted = np.exp(k * (t - sched.t1) / 2.0) * dist
             np.maximum(contraction_max, weighted - run_min,
                        out=contraction_max)
             np.minimum(run_min, weighted, out=run_min)
-        if want_trace:
-            skel1[:, n] = X1
-            skel2[:, n] = X2
-            dist_trace[:, n] = dist
-            coupled_trace[:, n] = coupled
+        if "skeleton" in records:
+            trace["skeleton1"][:, n] = X1
+            trace["skeleton2"][:, n] = X2
+        if "distance" in records:
+            trace["distance"][:, n] = dist
+        if "coupled" in records:
+            trace["coupled"][:, n] = coupled
         if n == n_steps:
             break
 
-        Z, lift = reflect_step(model, t, Z, noise[n], geo, coupled, alpha,
+        if len(rows) == B:
+            xi = noise[n]
+        else:   # gathered into one buffer: no allocation per step
+            xi = np.take(noise[n], rows, axis=0, out=xi_rows[:len(rows)])
+        Z, lift = reflect_step(model, t, Z, xi, geo, coupled, alpha,
                                float(fracs[n]), kind=kind)
-        if want_trace:
-            lam_trace[:, n] = lambda_star(model, t, X1, noise[n], lift[:B],
-                                          geo[1], coupled, kind)
-            lift2_trace[:, n] = lift[B:]
+        if "lambda_star" in records:
+            trace["lambda_star"][:, n] = lambda_star(
+                model, t, X1, xi, lift[:B], geo[1], coupled, kind)
+        if "lift2" in records:
+            trace["lift2"][:, n] = lift[B:]
 
-    out = {
-        "end1": X1, "end2": X2,
-        "couple_step": couple_step,
-        "survival": couple_step < 0,
-        "final_distance": dist,
-    }
-    if exit_radius is not None:
+    out = trace
+    if "end" in records:
+        out["end1"], out["end2"] = X1, X2
+    if "couple_step" in records:
+        out["couple_step"] = couple_step
+    if "survival" in records:
+        out["survival"] = couple_step < 0
+    if "final_distance" in records:
+        out["final_distance"] = dist
+    if "exited" in records:
         out["exited"] = exited
-    if contraction:
+    if "contraction_max" in records:
         out["contraction_max"] = contraction_max
-    if want_trace:
-        out.update({"skeleton1": skel1, "skeleton2": skel2,
-                    "distance": dist_trace, "lambda_star": lam_trace,
-                    "coupled": coupled_trace,
-                    "noise": noise.transpose(1, 0, 2),
-                    "lift2": lift2_trace})
     return out

@@ -283,20 +283,20 @@ class ManifoldModel(abc.ABC):
         safe = np.where(dist < 1e-300, 1.0, dist)
         return dist, self.log(t, x, y) / safe[..., None]
 
-    def mirror(self, t: float, x: np.ndarray, y: np.ndarray, geo,
+    def mirror(self, t: float, x: np.ndarray, y: np.ndarray,
                v: np.ndarray) -> np.ndarray:
         """The reflection coupling's map from T_x to T_y: v parallel-
         transported along the chosen minimal geodesic from x to y, then
         mirrored across the hyperplane g(t)-orthogonal to the arrival
-        direction u1. ``geo`` is ``depart(t, x, y)``.
+        direction u1.
 
         A g(t)-isometry that sends u0 to -u1, so
         2 <mirror(v), u1> = -2 <v, u0>. Coincident points (zero
         directions) return v. The closed-form models override it with the
         reflection of the ambient space across the bisector of x and y,
-        which needs neither a transport nor u1.
+        which needs neither ``depart``, nor a transport, nor u1.
         """
-        dist, u0 = geo
+        dist, u0 = self.depart(t, x, y)
         carried = self.transport_along(t, x, u0, dist, v)
         u1 = self.transport_along(t, x, u0, dist, u0)
         return carried - 2.0 * self.inner(t, y, carried, u1)[..., None] * u1
@@ -352,10 +352,9 @@ class Euclidean(ManifoldModel):
     def transport_along(self, t, x, u, length, v):
         return np.broadcast_to(v, np.broadcast(x, v).shape).copy()
 
-    def mirror(self, t, x, y, geo, v):
-        # The plain mirror across depart's unit direction; u1 = u0 here.
-        u0 = geo[1]
-        return v - 2.0 * _dot(v, u0)[..., None] * u0
+    def mirror(self, t, x, y, v):
+        # The plain mirror across the line through x and y; u1 = u0 here.
+        return _reflect_across(v, x - y, _dot)
 
     def frame(self, t, x):
         eye = np.eye(self.dim)
@@ -493,7 +492,7 @@ class RoundSphere(ManifoldModel):
         e_rot = np.cos(theta)[..., None] * e - np.sin(theta)[..., None] * xhat
         return a[..., None] * e_rot + w
 
-    def mirror(self, t, x, y, geo, v):
+    def mirror(self, t, x, y, v):
         # The reflection of R^(m+1) across the bisector of x and y maps the
         # sphere to itself and x to y; g(t) is a constant multiple of the
         # ambient product, so it is a g(t)-isometry. On antipodal rows
@@ -621,12 +620,9 @@ class ScaledMetric(ManifoldModel):
         return self.base.transport_along(self._bt(), x, root * u,
                                          np.asarray(length) / root, v)
 
-    def mirror(self, t, x, y, geo, v):
-        # The base's mirror, given the base metric's distance and direction.
-        root = np.sqrt(self._sigma(t))
-        dist, u0 = geo
-        return self.base.mirror(self._bt(), x, y,
-                                (np.asarray(dist) / root, root * u0), v)
+    def mirror(self, t, x, y, v):
+        # A constant rescaling of the base metric keeps its isometries.
+        return self.base.mirror(self._bt(), x, y, v)
 
     def frame(self, t, x):
         return self.base.frame(self._bt(), x) / np.sqrt(self._sigma(t))
@@ -715,7 +711,7 @@ class Hyperbolic(ManifoldModel):
         u_rot = np.sinh(length)[..., None] * x + np.cosh(length)[..., None] * u
         return a[..., None] * u_rot + w
 
-    def mirror(self, t, x, y, geo, v):
+    def mirror(self, t, x, y, v):
         # The Minkowski reflection across the bisector of x and y: x - y is
         # spacelike, and the reflection is a Lorentz map of the upper sheet
         # that sends x to y.

@@ -30,14 +30,19 @@ _GROUP = 8
 
 def stream(seed: int, purpose: int, index: int) -> np.random.Generator:
     """Generator for one (purpose, index) stream under a master seed."""
+    return np.random.Generator(np.random.Philox(key=_key(seed, purpose,
+                                                         index)))
+
+
+def _key(seed: int, purpose: int, index: int) -> np.ndarray:
+    """The Philox key of one (purpose, index) stream under a master seed."""
     if index < 0 or index > _INDEX_MASK:
         raise ValueError(f"stream index out of range: {index}")
-    key = np.array(
+    return np.array(
         [np.uint64(seed & 0xFFFFFFFFFFFFFFFF),
          np.uint64(((purpose & 0xFF) << 56) | index)],
         dtype=np.uint64,
     )
-    return np.random.Generator(np.random.Philox(key=key))
 
 
 def unit_ball_samples(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
@@ -74,10 +79,18 @@ def walk_noise_block(seed: int, paths: range, n_steps: int, dim: int) -> np.ndar
     # One step of one path as a single element, so the transposed copy
     # moves whole rows instead of striding over coordinates.
     row = np.dtype((np.void, z.itemsize * dim))
+    # One generator re-keyed per path: the state of a fresh
+    # Philox(key=(seed, PURPOSE_WALK << 56 | p)), without the entropy read
+    # that constructing one costs.
+    bitgen = np.random.Philox(key=_key(seed, PURPOSE_WALK, 0))
+    gen = np.random.Generator(bitgen)
+    state = bitgen.state
     for g0 in range(0, B, _GROUP):
         zg, ug = z[:B - g0], u[:B - g0]
         for zi, ui, p in zip(zg, ug, paths[g0:g0 + _GROUP]):
-            gen = stream(seed, PURPOSE_WALK, p)
+            state["state"] = {"counter": np.zeros(4, dtype=np.uint64),
+                              "key": _key(seed, PURPOSE_WALK, p)}
+            bitgen.state = state
             gen.standard_normal(out=zi)
             gen.random(out=ui)
         _scale_to_ball(zg, ug)

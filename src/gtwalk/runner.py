@@ -129,8 +129,12 @@ def _run_walk_kind(config, model, workers):
 
 def _run_couple_kind(config, model, workers):
     cc = _coupling_config(config, model)
+    records = {"survival", "final_distance"}
+    if cc.exit_radius is not None:
+        records.add("exited")
     res = map_path_chunks(int(config["n_paths"]),
-                          partial(coupled_block, model, cc), workers)
+                          partial(coupled_block, model, cc, records=records),
+                          workers)
     est = McEstimate.from_bernoulli(int(np.count_nonzero(~res["survival"])),
                                     len(res["survival"]))
     params = {"alpha": config["alpha"], "delta_couple": cc.delta_couple,

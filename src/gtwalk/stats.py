@@ -188,8 +188,9 @@ def estimate_coupling_survival(model: ManifoldModel, config: CouplingConfig,
     if config.kind is not CouplingKind.REFLECTION:
         raise InvalidInput("survival estimate requires the reflection kind")
     d0 = float(model.distance(config.t1, config.start1, config.start2))
-    survival = map_path_chunks(n_paths, partial(coupled_block, model, config),
-                               workers)["survival"]
+    survival = map_path_chunks(
+        n_paths, partial(coupled_block, model, config, records={"survival"}),
+        workers)["survival"]
     est = McEstimate.from_bernoulli(int(np.count_nonzero(survival)),
                                     len(survival))
     bound = coupling_probability_bound(d0, config.k, config.t2 - config.t1)
@@ -214,7 +215,8 @@ def check_contraction(model: ManifoldModel, config: CouplingConfig,
     if config.kind is not CouplingKind.PARALLEL_TRANSPORT:
         raise InvalidInput("contraction check requires the parallel kind")
     maxima = map_path_chunks(
-        n_paths, partial(coupled_block, model, config, contraction=True),
+        n_paths, partial(coupled_block, model, config,
+                         records={"contraction_max"}),
         workers)["contraction_max"]
     worst = float(np.max(maxima))
     est = McEstimate(n=n_paths, mean=worst, stderr=0.0, ci95=(worst, worst))
@@ -236,8 +238,9 @@ def check_gradient_estimate(model: ManifoldModel, config: CouplingConfig,
     """|E f(X1(T)) - E f(X2(T))| via the common-noise coupled pair, against
     d0 osc / sqrt(2 pi beta(T - t1))."""
     d0 = float(model.distance(config.t1, config.start1, config.start2))
-    res = map_path_chunks(n_paths, partial(coupled_block, model, config),
-                          workers)
+    res = map_path_chunks(
+        n_paths, partial(coupled_block, model, config, records={"end"}),
+        workers)
     signed = McEstimate.from_samples(np.asarray(f(res["end1"]), dtype=float)
                                      - np.asarray(f(res["end2"]), dtype=float))
     lo, hi = signed.ci95

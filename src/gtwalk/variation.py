@@ -59,7 +59,6 @@ class VariationTerms:
     lambda_star: float
     Lambda_star: float
     components: dict[str, float] = field(default_factory=dict)
-    k: float = 0.0
 
 
 def _uniform_grid(length: float, n_grid: int) -> np.ndarray:
@@ -187,7 +186,7 @@ def dt_distance(model: ManifoldModel, t: float, geodesic: Geodesic,
 
 
 def coupled_variation_terms(model: ManifoldModel, t: float,
-                            geodesic: Geodesic, xi1, k: float = 0.0,
+                            geodesic: Geodesic, xi1,
                             n_grid: int = DEFAULT_GRID) -> VariationTerms:
     """First- and second-variation coefficients for a coupled step.
 
@@ -226,4 +225,4 @@ def coupled_variation_terms(model: ManifoldModel, t: float,
                   "index_term": index_comp}
     return VariationTerms(lambda_star=lam,
                           Lambda_star=dt_comp + drift_comp + index_comp,
-                          components=components, k=k)
+                          components=components)

@@ -9,12 +9,13 @@ replayed noise depends on the frame, and the drift integral's lookup,
 numpy's own interpolation of the spec's trapezoid table, and the coupled
 kernel's reference loop, which rebuilds the stacked pair block and
 lambda* at every step in the operation order ``engine.coupled_chunk``
-must keep bit for bit, and the numeric chart's two hand-written RK4 loops,
-one for the geodesic and one for geodesic and transport together, whose
-results ``NumericChart``'s single integrator must keep bit for bit. The
-reflection map follows the textbook definition
-through a model's parallel transport; ``model.mirror``'s ambient
-reflections must agree with it.
+must keep bit for bit, the mirror as computed from ``depart``'s
+direction, and the numeric chart's two hand-written RK4 loops, one for
+the geodesic and one for geodesic and transport together, whose results
+``NumericChart``'s single integrator must keep bit for bit. The
+reflection map follows the textbook definition through a model's
+parallel transport; ``model.mirror``'s ambient reflections must agree
+with it.
 """
 
 import numpy as np
@@ -24,7 +25,8 @@ from gtwalk import rng
 from gtwalk.engine import CouplingKind
 from gtwalk.errors import (DegenerateGeodesic, InvalidInput,
                            SingularConfiguration)
-from gtwalk.manifolds import Geodesic, ManifoldModel, TangentVector
+from gtwalk.manifolds import (Euclidean, Geodesic, Hyperbolic, ManifoldModel,
+                              RoundSphere, ScaledMetric, TangentVector, _dot)
 from gtwalk.numeric import MAX_STEP, MIN_STEPS
 
 
@@ -162,18 +164,49 @@ def reflection_map(model: ManifoldModel, t: float, geodesic: Geodesic,
     return TangentVector(geodesic.end, out)
 
 
+def reference_mirror(model: ManifoldModel, t: float, x, y, v):
+    """The reflection kernel's mirror as it was when it took ``depart``'s
+    (dist, u0): Euclidean space mirrored across u0, the sphere and the
+    hyperboloid reflected across the bisector of x and y, ScaledMetric
+    handed its base the rescaled (dist, u0), and the other models
+    transported v and u0 and mirrored across u1. ``model.mirror`` must keep
+    these bits on every model except ScaledMetric, whose mirror is now its
+    base's."""
+    return _mirror_given_geo(model, t, x, y, model.depart(t, x, y), v)
+
+
+def _mirror_given_geo(model, t, x, y, geo, v):
+    dist, u0 = geo
+    if isinstance(model, ScaledMetric):
+        root = np.sqrt(model._sigma(t))
+        return _mirror_given_geo(model.base, model._bt(), x, y,
+                                 (np.asarray(dist) / root, root * u0), v)
+    if isinstance(model, Euclidean):
+        return v - 2.0 * _dot(v, u0)[..., None] * u0
+    if isinstance(model, (RoundSphere, Hyperbolic)):
+        dot = model._ldot if isinstance(model, Hyperbolic) else _dot
+        d = x - y
+        dn = np.sqrt(np.maximum(dot(d, d), 0.0))
+        n = d / np.where(dn > 0.0, dn, np.inf)[..., None]
+        return v - 2.0 * dot(v, n)[..., None] * n
+    carried = model.transport_along(t, x, u0, dist, v)
+    u1 = model.transport_along(t, x, u0, dist, u0)
+    return carried - 2.0 * model.inner(t, y, carried, u1)[..., None] * u1
+
+
 def reference_coupled_chunk(model: ManifoldModel, sched, x1, x2, seed: int,
                             paths: range, *,
                             kind: CouplingKind = CouplingKind.REFLECTION,
                             delta_couple: float = 0.0, stick: bool = True,
-                            k: float = 0.0, origin=None, exit_radius=None,
-                            contraction: bool = False,
-                            want_trace: bool = False) -> dict:
-    """The coupled kernel as a plain loop: every step builds lambda*,
-    selects the coupled rows of X2 and of the second lift on every row,
-    and concatenates the pair into one (2B, ambient) block for the
-    drift and exp. ``engine.coupled_chunk`` must return the same outputs
-    bit for bit."""
+                            k: float = 0.0, origin=None,
+                            exit_radius=None) -> dict:
+    """The coupled kernel as a plain loop over every pair and every step:
+    every step calls ``depart``, builds lambda*, the contraction weights
+    and the trace, selects the coupled rows of X2 and of the second lift
+    on every row, and concatenates the pair into one (2B, ambient) block
+    for the drift and exp. Returns every record (``exited`` when
+    ``exit_radius`` is set); each output of ``engine.coupled_chunk`` must
+    have the bits of the one here under the same name."""
     B = len(paths)
     times, fracs = sched.times, sched.fracs
     n_steps = len(fracs)
@@ -190,9 +223,8 @@ def reference_coupled_chunk(model: ManifoldModel, sched, x1, x2, seed: int,
         o = np.asarray(origin if origin is not None else model.origin(),
                        dtype=float)
         exited = np.zeros(B, dtype=bool)
-    if contraction:
-        run_min = np.full(B, np.inf)
-        contraction_max = np.full(B, -np.inf)
+    run_min = np.full(B, np.inf)
+    contraction_max = np.full(B, -np.inf)
     trace = {"skeleton1": [], "skeleton2": [], "distance": [],
              "lambda_star": [], "coupled": [], "lift2": []}
 
@@ -206,11 +238,9 @@ def reference_coupled_chunk(model: ManifoldModel, sched, x1, x2, seed: int,
         couple_step[newly] = n
         if stick:
             dist = np.where(coupled, 0.0, dist)
-        if contraction:
-            weighted = np.exp(k * (t - t1_win) / 2.0) * dist
-            np.maximum(contraction_max, weighted - run_min,
-                       out=contraction_max)
-            np.minimum(run_min, weighted, out=run_min)
+        weighted = np.exp(k * (t - t1_win) / 2.0) * dist
+        np.maximum(contraction_max, weighted - run_min, out=contraction_max)
+        np.minimum(run_min, weighted, out=run_min)
         if exit_radius is not None:
             out_o = model.distance(t, o, np.concatenate([X1, X2]))
             exited |= (out_o > exit_radius - 1.0).reshape(2, B).any(axis=0)
@@ -225,7 +255,7 @@ def reference_coupled_chunk(model: ManifoldModel, sched, x1, x2, seed: int,
         xi = noise[n]
         lift1 = model.lift(t, X1, xi)
         if kind is CouplingKind.REFLECTION:
-            lift2 = model.mirror(t, X1, X2, geo, lift1)
+            lift2 = model.mirror(t, X1, X2, lift1)
             lam = np.where(coupled, 2.0 * np.sqrt(m + 2.0) * xi[:, 0],
                            -2.0 * model.inner(t, X1, lift1, u0))
         else:
@@ -243,15 +273,12 @@ def reference_coupled_chunk(model: ManifoldModel, sched, x1, x2, seed: int,
         trace["lift2"].append(lift2)
 
     out = {"end1": X1, "end2": X2, "couple_step": couple_step,
-           "survival": couple_step < 0, "final_distance": dist}
+           "survival": couple_step < 0, "final_distance": dist,
+           "contraction_max": contraction_max,
+           "noise": noise.transpose(1, 0, 2)}
     if exit_radius is not None:
         out["exited"] = exited
-    if contraction:
-        out["contraction_max"] = contraction_max
-    if want_trace:
-        out.update({key: np.stack(rows, axis=1)
-                    for key, rows in trace.items()})
-        out["noise"] = noise.transpose(1, 0, 2)
+    out.update({key: np.stack(rows, axis=1) for key, rows in trace.items()})
     return out
 
 

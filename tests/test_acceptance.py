@@ -369,7 +369,8 @@ def test_criterion_10_domination():
     for lo in range(0, 4000, 1000):
         out = engine.coupled_chunk(flow, sched, x1, x2, 1010,
                                    range(lo, lo + 1000), delta_couple=0.04,
-                                   k=0.0, want_trace=True)
+                                   k=0.0, records={"distance", "lambda_star",
+                                                   "coupled"})
         U = dominating_process(sched, out["distance"], out["lambda_star"],
                                0.0)
         over = ~out["coupled"] & (out["distance"] > U + 0.05)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import random_point, random_tangent, same_bits
-from oracles import gaussian_mass, reference_coupled_chunk, reflection_map
+from oracles import (gaussian_mass, reference_coupled_chunk, reference_mirror,
+                     reflection_map)
 
 from gtwalk import engine
 from gtwalk.comparison import RadialComparisonSpec, builtin_b
@@ -13,7 +14,8 @@ from gtwalk.coupling import (CouplingConfig, CouplingKind,
                              dominating_process, run_coupled)
 from gtwalk.errors import (DegenerateGeodesic, InvalidInput,
                            SingularConfiguration)
-from gtwalk.manifolds import ManifoldModel, RoundSphere, minimal_geodesic
+from gtwalk.manifolds import (Euclidean, ManifoldModel, RoundSphere,
+                              ScaledMetric, minimal_geodesic)
 from gtwalk.runner import run_document
 from gtwalk.walk import Schedule, step
 
@@ -104,11 +106,30 @@ def test_mirror_matches_oracle(request, name, rng):
     model = request.getfixturevalue(name)
     t = model.time_window[0] + 0.2
     x, y, v = _mirror_rows(model, t, rng)
-    got = model.mirror(t, x, y, model.depart(t, x, y), v)
+    got = model.mirror(t, x, y, v)
     for i in range(len(x) - 5):
         want = reflection_map(model, t, minimal_geodesic(model, t, x[i], y[i]),
                               v[i]).components
         assert np.allclose(got[i], want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_mirror_keeps_the_reference_bits(request, name, rng):
+    """model.mirror, which calls no depart on the closed-form models, has
+    the bits of the mirror computed from depart's direction, coincident
+    rows included. The scaled metric now reflects with its base's mirror
+    alone, so there the two may differ by rounding; the test prints the
+    largest deviation."""
+    model = request.getfixturevalue(name)
+    t = model.time_window[0] + 0.2
+    x, y, v = _mirror_rows(model, t, rng, n=400)
+    got, want = model.mirror(t, x, y, v), reference_mirror(model, t, x, y, v)
+    if isinstance(model, ScaledMetric):
+        dev = float(np.max(np.abs(got - want)))
+        print(f"{name}: mirror deviates from the reference by {dev:.3g}")
+        assert dev <= 64 * np.finfo(float).eps * float(np.max(np.abs(v)))
+    else:
+        assert same_bits(got, want)
 
 
 @pytest.mark.parametrize("name", MODEL_NAMES)
@@ -117,8 +138,7 @@ def test_mirror_is_a_tangent_isometry(request, name, rng):
     t = model.time_window[0] + 0.4
     x, y, v = _mirror_rows(model, t, rng)
     w = np.stack([random_tangent(model, t, p, rng) for p in x])
-    geo = model.depart(t, x, y)
-    mv, mw = model.mirror(t, x, y, geo, v), model.mirror(t, x, y, geo, w)
+    mv, mw = model.mirror(t, x, y, v), model.mirror(t, x, y, w)
     assert np.allclose(model.inner(t, y, mv, mw), model.inner(t, x, v, w),
                        rtol=0, atol=1e-12)
     assert np.all(model.tangency_residual(y, mv) <= 1e-12)
@@ -130,8 +150,8 @@ def test_mirror_is_an_involution(request, name, rng):
     model = request.getfixturevalue(name)
     t = model.time_window[0] + 0.3
     x, y, v = _mirror_rows(model, t, rng)
-    there = model.mirror(t, x, y, model.depart(t, x, y), v)
-    back = model.mirror(t, y, x, model.depart(t, y, x), there)
+    there = model.mirror(t, x, y, v)
+    back = model.mirror(t, y, x, there)
     assert np.allclose(back, v, rtol=0, atol=1e-12)
 
 
@@ -142,11 +162,10 @@ def test_mirror_sends_u0_to_minus_u1(request, name, rng):
     model = request.getfixturevalue(name)
     t = model.time_window[0] + 0.1
     x, y, v = _mirror_rows(model, t, rng)
-    geo = dist, u0 = model.depart(t, x, y)
+    dist, u0 = model.depart(t, x, y)
     u1 = model.transport_along(t, x, u0, dist, u0)
-    assert np.allclose(model.mirror(t, x, y, geo, u0), -u1, rtol=0,
-                       atol=1e-12)
-    lam = 2.0 * model.inner(t, y, model.mirror(t, x, y, geo, v), u1)
+    assert np.allclose(model.mirror(t, x, y, u0), -u1, rtol=0, atol=1e-12)
+    lam = 2.0 * model.inner(t, y, model.mirror(t, x, y, v), u1)
     assert np.allclose(lam, -2.0 * model.inner(t, x, v, u0), rtol=0,
                        atol=1e-12)
 
@@ -161,13 +180,12 @@ def test_sphere_mirror_antipodal_and_coincident_rows(model, rng):
     # antipodal rows: x - y is normal to the sphere at x, so v is fixed,
     # as it is by transport along the tie-break geodesic and its mirror
     y = -x
-    geo = model.depart(t, x, y)
-    got = model.mirror(t, x, y, geo, v)
+    got = model.mirror(t, x, y, v)
     assert np.allclose(got, v, rtol=0, atol=1e-15)
-    assert np.allclose(got, ManifoldModel.mirror(model, t, x, y, geo, v),
+    assert np.allclose(got, ManifoldModel.mirror(model, t, x, y, v),
                        rtol=0, atol=1e-12)
     # coincident rows
-    got = model.mirror(t, x, x, model.depart(t, x, x), v)
+    got = model.mirror(t, x, x, v)
     assert np.all(np.isfinite(got)) and np.array_equal(got, v)
 
 
@@ -182,7 +200,7 @@ def test_hyperbolic_mirror_stays_tangent_far_out(hyperbolic2, rng):
             x = model.exp(t, o, r * u / model.norm(t, o, u))
             y = model.exp(t, x, random_tangent(model, t, x, rng, scale=0.3))
             v = random_tangent(model, t, x, rng)
-            out = model.mirror(t, x, y, model.depart(t, x, y), v)
+            out = model.mirror(t, x, y, v)
             assert model.tangency_residual(y, out) <= 1e-11
             assert abs(model.norm(t, y, out) - model.norm(t, x, v)) <= 1e-11
 
@@ -352,21 +370,34 @@ def _by_blocks(run) -> list:
     return run(range(edges[-1])), split
 
 
-@pytest.mark.parametrize("trace", [False, True])
+# Record sets of the kernel tests: the untraced default, every record, and
+# the set whose pairs retire when they couple.
+RECORDS = {"untraced": None, "all": engine.COUPLED_RECORDS,
+           "retiring": {"couple_step", "survival"}}
+# The output names each record gives.
+OUTPUTS = {"end": ("end1", "end2"), "skeleton": ("skeleton1", "skeleton2")}
+
+
+def _pair_near_origin(model, half: float = 0.1):
+    t1 = model.time_window[0]
+    o = model.origin()
+    e1 = model.frame(t1, o)[0]
+    return model.exp(t1, o, -half * e1), model.exp(t1, o, half * e1)
+
+
+@pytest.mark.parametrize("records", list(RECORDS))
 @pytest.mark.parametrize("kind", list(CouplingKind))
 @pytest.mark.parametrize("name", MODEL_NAMES)
-def test_coupled_chunk_ignores_the_block_split(request, name, kind, trace):
+def test_coupled_chunk_ignores_the_block_split(request, name, kind, records):
     """Every coupled_chunk output is the same, bit for bit, whether the
     paths run as one block or as blocks of 1, 7, 249 and 343."""
     model = request.getfixturevalue(name)
     t1 = model.time_window[0]
     sched = Schedule(t1, t1 + 0.1, 0.05)
-    o = model.origin()
-    e1 = model.frame(t1, o)[0]
-    x1, x2 = model.exp(t1, o, -0.1 * e1), model.exp(t1, o, 0.1 * e1)
+    x1, x2 = _pair_near_origin(model)
     whole, split = _by_blocks(lambda paths: engine.coupled_chunk(
         model, sched, x1, x2, 19, paths, kind=kind, delta_couple=0.1, k=0.3,
-        exit_radius=1.3, contraction=True, want_trace=trace))
+        exit_radius=1.3, records=RECORDS[records]))
     assert whole.keys() == split.keys()
     for key in whole:
         assert np.array_equal(whole[key], split[key]), key
@@ -375,34 +406,130 @@ def test_coupled_chunk_ignores_the_block_split(request, name, kind, trace):
 
 
 @pytest.mark.parametrize("stick", [False, True])
-@pytest.mark.parametrize("trace", [False, True])
+@pytest.mark.parametrize("records", list(RECORDS))
 @pytest.mark.parametrize("kind", list(CouplingKind))
 @pytest.mark.parametrize("name", MODEL_NAMES)
-def test_coupled_chunk_matches_reference_loop(request, name, kind, trace,
+def test_coupled_chunk_matches_reference_loop(request, name, kind, records,
                                               stick):
     """Every coupled_chunk output has the bits of the reference loop's,
-    which builds lambda* and both coupled-row selects at every step and
-    concatenates the pair block, for a start pair that couples on some
+    which computes every record and both coupled-row selects at every step
+    and concatenates the pair block, for a start pair that couples on some
     paths and for a coincident one."""
     model = request.getfixturevalue(name)
     t1 = model.time_window[0]
     sched = Schedule(t1, t1 + 0.1, 0.05)
-    o = model.origin()
-    e1 = model.frame(t1, o)[0]
-    x1, x2 = model.exp(t1, o, -0.1 * e1), model.exp(t1, o, 0.1 * e1)
+    x1, x2 = _pair_near_origin(model)
+    asked = RECORDS[records] or {"end", "couple_step", "survival",
+                                 "final_distance", "exited"}
     for start2 in (x2, x1):
         args = (model, sched, x1, start2, 19, range(5, 305))
         options = dict(kind=kind, delta_couple=0.1, stick=stick, k=0.3,
-                       exit_radius=1.3, contraction=True, want_trace=trace)
-        got = engine.coupled_chunk(*args, **options)
+                       exit_radius=1.3)
+        got = engine.coupled_chunk(*args, records=RECORDS[records], **options)
         want = reference_coupled_chunk(*args, **options)
-        assert got.keys() == want.keys()
-        for key in want:
+        assert set(got) == {out for rec in asked
+                            for out in OUTPUTS.get(rec, (rec,))}
+        for key in got:
             assert same_bits(got[key], want[key]), key
         if start2 is x1:
             assert not got["survival"].any()
         elif kind is CouplingKind.REFLECTION:
             assert 0 < got["survival"].mean() < 1
+
+
+@pytest.mark.parametrize("kind", list(CouplingKind))
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_each_record_alone_keeps_its_bits(request, name, kind):
+    """A run that asks for one record returns that record alone, with the
+    reference loop's bits."""
+    model = request.getfixturevalue(name)
+    t1 = model.time_window[0]
+    sched = Schedule(t1, t1 + 0.1, 0.05)
+    x1, x2 = _pair_near_origin(model)
+    args = (model, sched, x1, x2, 19, range(5, 105))
+    options = dict(kind=kind, delta_couple=0.1, k=0.3, exit_radius=1.3)
+    want = reference_coupled_chunk(*args, **options)
+    for record in sorted(engine.COUPLED_RECORDS):
+        got = engine.coupled_chunk(*args, records={record}, **options)
+        assert set(got) == set(OUTPUTS.get(record, (record,))), record
+        for key in got:
+            assert same_bits(got[key], want[key]), key
+
+
+@pytest.mark.parametrize("kind", list(CouplingKind))
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_retiring_run_keeps_couple_step_and_survival(request, name, kind):
+    """A run that reads only couple_step and survival retires each pair
+    when it couples; both records keep the bits of the full run's, with
+    and without stick, for a start pair that couples on some paths, one
+    that couples at step 0 (every pair retires before the first step) and
+    a delta_couple that couples most pairs early."""
+    model = request.getfixturevalue(name)
+    t1 = model.time_window[0]
+    sched = Schedule(t1, t1 + 0.1, 0.05)
+    x1, x2 = _pair_near_origin(model)
+    d0 = float(model.distance(t1, x1, x2))
+    for start2, delta, stick in ((x2, 0.1, True), (x2, 0.1, False),
+                                 (x1, 0.1, True), (x2, 0.97 * d0, True),
+                                 (x2, 0.97 * d0, False)):
+        args = (model, sched, x1, start2, 19, range(3, 403))
+        options = dict(kind=kind, delta_couple=delta, stick=stick, k=0.3)
+        full = engine.coupled_chunk(*args, records=engine.COUPLED_RECORDS
+                                    - {"exited"}, **options)
+        for records in ({"couple_step", "survival"}, {"survival"}):
+            got = engine.coupled_chunk(*args, records=records, **options)
+            for key in got:
+                assert np.array_equal(got[key], full[key]), key
+        if start2 is x1:
+            assert np.all(full["couple_step"] == 0)
+        elif kind is CouplingKind.REFLECTION and delta > 0.5 * d0:
+            assert np.mean(full["couple_step"] == 0) < 0.5
+            assert np.mean((full["couple_step"] >= 0)
+                           & (full["couple_step"] <= 8)) > 0.5
+
+
+class _CountingPlane(Euclidean):
+    """The plane, counting the rows of every exp call."""
+
+    def __init__(self):
+        super().__init__(2)
+        self.rows = []
+
+    def exp(self, t, x, v):
+        self.rows.append(len(x))
+        return super().exp(t, x, v)
+
+
+@pytest.mark.parametrize("stick", [False, True])
+@pytest.mark.parametrize("n_paths, survivors", [(16, 0), (64, 2)])
+def test_retired_pairs_take_no_further_steps(n_paths, survivors, stick):
+    """In a retiring run, step n moves only the pairs not coupled by
+    time t_n, and the loop stops once every pair has coupled."""
+    model = _CountingPlane()
+    sched = Schedule(0.0, 2.0, 0.1)
+    run = lambda records: engine.coupled_chunk(
+        model, sched, np.array([-0.1, 0.0]), np.array([0.1, 0.0]), 5,
+        range(n_paths), delta_couple=0.15, stick=stick, records=records)
+    step = run(None)["couple_step"]
+    model.rows.clear()
+    assert np.array_equal(run({"couple_step", "survival"})["couple_step"],
+                          step)
+    assert np.sum(step < 0) == survivors
+    live = [2 * int(np.sum((step < 0) | (step > n)))
+            for n in range(sched.n_steps)]
+    assert model.rows == [rows for rows in live if rows]
+    assert len(model.rows) == (sched.n_steps if survivors else np.max(step))
+
+
+def test_coupled_chunk_rejects_unknown_records(euclid2):
+    sched = Schedule(0.0, 0.1, 0.1)
+    run = lambda **kw: engine.coupled_chunk(
+        euclid2, sched, np.zeros(2), np.ones(2), 1, range(2), **kw)
+    with pytest.raises(InvalidInput, match="trace"):
+        run(records={"survival", "trace"})
+    with pytest.raises(InvalidInput, match="exit_radius"):
+        run(records={"exited"})
+    assert set(run(records={"exited"}, exit_radius=2.0)) == {"exited"}
 
 
 @pytest.mark.parametrize("trace", [False, True])

@@ -255,7 +255,7 @@ def test_variation_terms_breakdown_sums_exactly(flow_sphere, rng):
     y = flow_sphere.exp(t, x, random_tangent(flow_sphere, t, x, rng, 0.6))
     g = minimal_geodesic(flow_sphere, t, x, y)
     xi = random_tangent(flow_sphere, t, x, rng)
-    vt = coupled_variation_terms(flow_sphere, t, g, xi, k=0.0)
+    vt = coupled_variation_terms(flow_sphere, t, g, xi)
     assert vt.Lambda_star == sum(vt.components.values())
 
 
@@ -272,7 +272,7 @@ def test_variation_terms_scaled_mean_matches_drift_bound():
     samples = []
     for xi in xis:
         lift = np.sqrt(4.0) * (xi[0] * fr[0] + xi[1] * fr[1])
-        vt = coupled_variation_terms(model, t, g, lift, k=k)
+        vt = coupled_variation_terms(model, t, g, lift)
         samples.append(vt.Lambda_star)
     samples = np.asarray(samples)
     target = -(k / 2.0) * g.length

@@ -101,7 +101,7 @@ def test_kernel_traces_keep_path_major_noise(euclid2, flow_sphere):
                              paths, want_trace=True)
     pair = engine.coupled_chunk(euclid2, sched, np.zeros(2),
                                 np.array([1.0, 0.0]), 5, paths,
-                                want_trace=True)
+                                records={"noise"})
     for res in (walk, pair):
         assert res["noise"].shape == (len(paths), sched.n_steps, 2)
         assert np.array_equal(res["noise"], want)
