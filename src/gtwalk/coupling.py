@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -115,31 +116,35 @@ def coupled_step(model: ManifoldModel, t: float, x1, x2, xi: np.ndarray,
             float(lam[0]))
 
 
-def coupled_block(model: ManifoldModel, cc: CouplingConfig, paths: range,
-                  records=None) -> dict:
-    """``engine.coupled_chunk`` on ``paths`` with the settings of ``cc``.
+def coupled_kernel(model: ManifoldModel, cc: CouplingConfig,
+                   n_paths: int = 1) -> engine.PathKernel:
+    """``engine.coupled_chunk`` with the settings of ``cc``, and the params
+    every coupled kind reports for ``n_paths`` pairs.
 
     The one place a CouplingConfig becomes kernel arguments; estimators map
-    ``partial(coupled_block, model, cc, records=...)`` over path chunks.
-    ``records`` names the kernel outputs the caller reads, from
-    ``engine.COUPLED_RECORDS`` (None: the untraced ones); a caller that
-    reads only ``couple_step`` or ``survival`` lets pairs retire when they
-    couple.
+    its ``fn`` over path chunks with the records they read, from
+    ``engine.COUPLED_RECORDS``. A caller that reads only ``couple_step`` or
+    ``survival`` lets pairs retire when they couple.
     """
-    return engine.coupled_chunk(
-        model, cc.schedule(), cc.start1, cc.start2, cc.seed, paths,
-        kind=cc.kind, delta_couple=cc.delta_couple,
+    d0 = float(model.distance(cc.t1, cc.start1, cc.start2))
+    return engine.PathKernel(partial(
+        engine.coupled_chunk, model, cc.schedule(), cc.start1, cc.start2,
+        cc.seed, kind=cc.kind, delta_couple=cc.delta_couple,
         stick=cc.stick_after_coupling, k=cc.k, origin=cc.origin,
-        exit_radius=cc.exit_radius, records=records)
+        exit_radius=cc.exit_radius), {
+        "alpha": cc.alpha, "delta_couple": cc.delta_couple, "k": cc.k,
+        "d0": d0, "horizon": cc.t2 - cc.t1, "coupling": cc.kind.value,
+        "stick": cc.stick_after_coupling, "n_paths": n_paths,
+        "manifold": model.describe()}, cc.seed)
 
 
 def run_coupled(model: ManifoldModel, config: CouplingConfig) -> CoupledPath:
     """Simulate one coupled pair over the full schedule."""
     sched = config.schedule()
-    res = coupled_block(model, config,
-                        range(config.path_index, config.path_index + 1),
-                        records={"couple_step", "skeleton", "distance",
-                                 "lambda_star", "coupled", "noise", "lift2"})
+    res = coupled_kernel(model, config).fn(
+        range(config.path_index, config.path_index + 1),
+        records={"couple_step", "skeleton", "distance", "lambda_star",
+                 "coupled", "noise", "lift2"})
     step = int(res["couple_step"][0])
     coupling_time = math.inf if step < 0 else float(sched.times[step])
     skel2, lift2 = res["skeleton2"][0], res["lift2"][0]

@@ -44,12 +44,17 @@ writes ``couple_step`` and gathers the step's noise, and the loop stops
 once no pair is left. Each row's arithmetic does not depend on the other
 rows of its block, the contract that makes results independent of the
 block split, so retirement keeps every bit. ``walk_chunk`` keeps its
-not-yet-exited rows as a mask that changes only when a row exits.
+not-yet-exited rows as a mask that changes only when a row exits, and
+takes ``records=`` too; both kernels check the names with one helper.
+``PathKernel`` is a kernel partial with the params block its reports
+share; the estimators map its ``fn`` over path chunks with the records
+they read, looking the kernel up when they build it, never at import.
 """
 
 from __future__ import annotations
 
 import enum
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -69,10 +74,47 @@ COUPLED_RECORDS = frozenset({
     "couple_step", "survival", "end", "final_distance", "exited",
     "contraction_max", "skeleton", "distance", "lambda_star", "coupled",
     "noise", "lift2"})
-_UNTRACED = frozenset({"end", "couple_step", "survival", "final_distance"})
+_UNTRACED = frozenset({"end", "couple_step", "survival", "final_distance",
+                       "exited"})
+# The outputs walk_chunk can compute.
+WALK_RECORDS = frozenset({
+    "end", "exit_step", "radial_violation", "skeleton", "step_vectors",
+    "noise", "rho_trace"})
+_WALK_UNTRACED = frozenset({"end", "exit_step", "radial_violation"})
 # Records fixed at the step a pair couples: a run that reads no others
 # retires each pair from the working block at that step.
 _AT_COUPLING = frozenset({"couple_step", "survival"})
+
+
+class PathKernel(NamedTuple):
+    """A kernel partial, ``fn(paths, records=...)``, with the ``params``
+    block of the runs it makes (``n_paths`` among them) and their seed."""
+    fn: Callable[..., dict]
+    params: dict
+    seed: int
+
+
+def origin_point(model: ManifoldModel, origin) -> np.ndarray:
+    """The point the exit check and the radial replay measure from:
+    ``origin``, or the model's origin when it is None."""
+    return np.asarray(origin if origin is not None else model.origin(),
+                      dtype=float)
+
+
+def _checked_records(kernel: str, records, allowed: frozenset,
+                     untraced: frozenset, needs: dict) -> frozenset:
+    """The validated record set of a ``kernel`` call; None gives the
+    ``untraced`` records. ``needs`` maps a record to the (name, value) of
+    the setting it needs: a record whose setting is None, or an unknown
+    name, raises InvalidInput, and None leaves it out."""
+    unset = {name for name, (_, value) in needs.items() if value is None}
+    records = frozenset(untraced - unset if records is None else records)
+    if records - allowed:
+        raise InvalidInput(
+            f"unknown {kernel} records: {sorted(records - allowed)}")
+    for name in sorted(records & unset):
+        raise InvalidInput(f"record {name!r} needs {needs[name][0]}")
+    return records
 
 
 def frame_coordinates(model: ManifoldModel, t: float, x: np.ndarray,
@@ -168,7 +210,7 @@ def walk_chunk(model: ManifoldModel, sched, x0: np.ndarray, seed: int,
                paths: range, *, origin: np.ndarray | None = None,
                exit_radius: float | None = None,
                radial: dict | None = None,
-               want_trace: bool = False) -> dict:
+               records=None) -> dict:
     """Run a block of independent walks over the schedule.
 
     ``radial`` enables the one-dimensional comparison replay:
@@ -176,7 +218,20 @@ def walk_chunk(model: ManifoldModel, sched, x0: np.ndarray, seed: int,
     rho alongside each walk by ``spec.step``, driven by the walk's own
     radial noise pairing, and flags paths whose radial distance exceeds
     rho + margin before exit.
+
+    ``records`` names the outputs to compute, from ``WALK_RECORDS``:
+    ``end``, ``exit_step`` (-1 for paths that never exit; needs
+    ``exit_radius``), ``radial_violation`` and the per-step traces
+    ``skeleton``, ``step_vectors``, ``noise`` and ``rho_trace`` (needs
+    ``radial``, as does ``radial_violation``). None gives the first three
+    whose settings are given. The exit check runs whenever ``exit_radius``
+    is set, since it also ends the radial replay's check.
     """
+    records = _checked_records(
+        "walk_chunk", records, WALK_RECORDS, _WALK_UNTRACED,
+        {"exit_step": ("exit_radius", exit_radius),
+         "radial_violation": ("radial", radial),
+         "rho_trace": ("radial", radial)})
     B = len(paths)
     times, fracs = sched.times, sched.fracs
     n_steps = len(fracs)
@@ -189,8 +244,7 @@ def walk_chunk(model: ManifoldModel, sched, x0: np.ndarray, seed: int,
     track_exit = exit_radius is not None
     track_radial = radial is not None
     if track_exit or track_radial:
-        o = np.asarray(origin if origin is not None else model.origin(),
-                       dtype=float)
+        o = origin_point(model, origin)
     exit_step = np.full(B, -1, dtype=np.int64)
     live = np.ones(B, dtype=bool)   # exit_step < 0
 
@@ -201,10 +255,15 @@ def walk_chunk(model: ManifoldModel, sched, x0: np.ndarray, seed: int,
         violated = np.zeros(B, dtype=bool)
         sqrt_m2 = np.sqrt(m + 2.0)
 
-    if want_trace:
-        skeleton = np.empty((B, n_steps + 1, d))
-        step_vectors = np.empty((B, n_steps, d))
-        rho_trace = np.empty((B, n_steps + 1)) if track_radial else None
+    out = {}   # the records, (B, ...), filled in place
+    if "skeleton" in records:
+        out["skeleton"] = np.empty((B, n_steps + 1, d))
+    if "step_vectors" in records:
+        out["step_vectors"] = np.empty((B, n_steps, d))
+    if "rho_trace" in records:
+        out["rho_trace"] = np.empty((B, n_steps + 1))
+    if "noise" in records:
+        out["noise"] = noise.transpose(1, 0, 2)
 
     for n in range(n_steps + 1):
         t = float(times[n])
@@ -219,10 +278,10 @@ def walk_chunk(model: ManifoldModel, sched, x0: np.ndarray, seed: int,
                 live &= ~hit
         if track_radial:
             violated |= live & (d_o > rho + margin)
-        if want_trace:
-            skeleton[:, n] = X
-            if track_radial:
-                rho_trace[:, n] = rho
+        if "skeleton" in records:
+            out["skeleton"][:, n] = X
+        if "rho_trace" in records:
+            out["rho_trace"][:, n] = rho
         if n == n_steps:
             break
 
@@ -235,33 +294,16 @@ def walk_chunk(model: ManifoldModel, sched, x0: np.ndarray, seed: int,
         X = Xn
         if not np.isfinite(X).all():
             raise SingularConfiguration(f"non-finite position at step {n + 1}")
-        if want_trace:
-            step_vectors[:, n] = w
+        if "step_vectors" in records:
+            out["step_vectors"][:, n] = w
 
-    out = {"end": X, "exit_step": exit_step}
-    if track_radial:
+    if "end" in records:
+        out["end"] = X
+    if "exit_step" in records:
+        out["exit_step"] = exit_step
+    if "radial_violation" in records:
         out["radial_violation"] = violated
-    if want_trace:
-        out["skeleton"] = skeleton
-        out["step_vectors"] = step_vectors
-        out["noise"] = noise.transpose(1, 0, 2)
-        if track_radial:
-            out["rho_trace"] = rho_trace
     return out
-
-
-def _coupled_records(records, exit_radius) -> frozenset:
-    """The validated record set of a ``coupled_chunk`` call; None gives
-    the untraced outputs, with ``exited`` when an exit radius is set."""
-    if records is None:
-        records = _UNTRACED | ({"exited"} if exit_radius is not None else set())
-    records = frozenset(records)
-    unknown = records - COUPLED_RECORDS
-    if unknown:
-        raise InvalidInput(f"unknown coupled_chunk records: {sorted(unknown)}")
-    if "exited" in records and exit_radius is None:
-        raise InvalidInput("record 'exited' needs exit_radius")
-    return records
 
 
 def coupled_chunk(model: ManifoldModel, sched, x1: np.ndarray, x2: np.ndarray,
@@ -302,7 +344,9 @@ def coupled_chunk(model: ManifoldModel, sched, x1: np.ndarray, x2: np.ndarray,
     is the second particle's tangent noise, which ``frame_coordinates``
     turns into ball coordinates.
     """
-    records = _coupled_records(records, exit_radius)
+    records = _checked_records("coupled_chunk", records, COUPLED_RECORDS,
+                               _UNTRACED,
+                               {"exited": ("exit_radius", exit_radius)})
     B = len(paths)
     times, fracs = sched.times, sched.fracs
     n_steps = len(fracs)
@@ -323,27 +367,26 @@ def coupled_chunk(model: ManifoldModel, sched, x1: np.ndarray, x2: np.ndarray,
     coupled = np.zeros(B, dtype=bool)
     couple_step = np.full(B, -1, dtype=np.int64)
 
+    out = {}   # the records, (B, ...), filled in place
     if "exited" in records:
-        o = np.asarray(origin if origin is not None else model.origin(),
-                       dtype=float)
-        exited = np.zeros(B, dtype=bool)
+        o = origin_point(model, origin)
+        exited = out["exited"] = np.zeros(B, dtype=bool)
     if "contraction_max" in records:
         run_min = np.full(B, np.inf)
-        contraction_max = np.full(B, -np.inf)
-    trace = {}   # the per-step records, (B, time, ...)
+        contraction_max = out["contraction_max"] = np.full(B, -np.inf)
     if "skeleton" in records:
-        trace["skeleton1"] = np.empty((B, n_steps + 1, d))
-        trace["skeleton2"] = np.empty((B, n_steps + 1, d))
+        out["skeleton1"] = np.empty((B, n_steps + 1, d))
+        out["skeleton2"] = np.empty((B, n_steps + 1, d))
     if "distance" in records:
-        trace["distance"] = np.empty((B, n_steps + 1))
+        out["distance"] = np.empty((B, n_steps + 1))
     if "lambda_star" in records:
-        trace["lambda_star"] = np.empty((B, n_steps))
+        out["lambda_star"] = np.empty((B, n_steps))
     if "coupled" in records:
-        trace["coupled"] = np.zeros((B, n_steps + 1), dtype=bool)
+        out["coupled"] = np.zeros((B, n_steps + 1), dtype=bool)
     if "lift2" in records:
-        trace["lift2"] = np.empty((B, n_steps, d))
+        out["lift2"] = np.empty((B, n_steps, d))
     if "noise" in records:
-        trace["noise"] = noise.transpose(1, 0, 2)
+        out["noise"] = noise.transpose(1, 0, 2)
 
     for n in range(n_steps + 1):
         t = float(times[n])
@@ -382,12 +425,12 @@ def coupled_chunk(model: ManifoldModel, sched, x1: np.ndarray, x2: np.ndarray,
                        out=contraction_max)
             np.minimum(run_min, weighted, out=run_min)
         if "skeleton" in records:
-            trace["skeleton1"][:, n] = X1
-            trace["skeleton2"][:, n] = X2
+            out["skeleton1"][:, n] = X1
+            out["skeleton2"][:, n] = X2
         if "distance" in records:
-            trace["distance"][:, n] = dist
+            out["distance"][:, n] = dist
         if "coupled" in records:
-            trace["coupled"][:, n] = coupled
+            out["coupled"][:, n] = coupled
         if n == n_steps:
             break
 
@@ -398,12 +441,11 @@ def coupled_chunk(model: ManifoldModel, sched, x1: np.ndarray, x2: np.ndarray,
         Z, lift = reflect_step(model, t, Z, xi, geo, coupled, alpha,
                                float(fracs[n]), kind=kind)
         if "lambda_star" in records:
-            trace["lambda_star"][:, n] = lambda_star(
+            out["lambda_star"][:, n] = lambda_star(
                 model, t, X1, xi, lift[:B], geo[1], coupled, kind)
         if "lift2" in records:
-            trace["lift2"][:, n] = lift[B:]
+            out["lift2"][:, n] = lift[B:]
 
-    out = trace
     if "end" in records:
         out["end1"], out["end2"] = X1, X2
     if "couple_step" in records:
@@ -412,8 +454,4 @@ def coupled_chunk(model: ManifoldModel, sched, x1: np.ndarray, x2: np.ndarray,
         out["survival"] = couple_step < 0
     if "final_distance" in records:
         out["final_distance"] = dist
-    if "exited" in records:
-        out["exited"] = exited
-    if "contraction_max" in records:
-        out["contraction_max"] = contraction_max
     return out

@@ -6,7 +6,6 @@ import csv
 import json
 import math
 import time
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -17,15 +16,16 @@ from .comparison import (OUParams, RadialComparisonSpec, builtin_b,
 from .config import (COUPLED_KINDS, DUMP_KINDS, ExperimentConfig,
                      RunManifest, convergence_reference, resolve_start,
                      resolve_start_points)
-from .coupling import CouplingConfig, CouplingKind, coupled_block, run_coupled
+from .coupling import (CouplingConfig, CouplingKind, coupled_kernel,
+                       run_coupled)
 from .errors import ConfigError
 from .manifolds import ManifoldModel
 from .stats import (McEstimate, VerificationReport, check_contraction,
                     check_gradient_estimate, circle_angles,
                     convergence_diagnostic, estimate_coupling_survival,
-                    gaussian_cdf, map_path_chunks, ou_survival_probability,
-                    wrapped_gaussian_cdf)
-from .walk import Schedule, WalkConfig, run_walk
+                    gaussian_cdf, mc_report, ou_survival_probability,
+                    proportion, wrapped_gaussian_cdf)
+from .walk import Schedule, WalkConfig, run_walk, walk_kernel
 
 
 def _coupling_config(config: ExperimentConfig,
@@ -56,51 +56,12 @@ def _halfspace(f_spec: dict):
     return f
 
 
-def _summary_report(experiment_id: str, estimate: McEstimate, seed: int,
-                    params: dict) -> VerificationReport:
-    return VerificationReport(experiment_id, estimate, math.inf, 0.0,
-                              {"params": params, "seed": seed})
-
-
 def execute(config: ExperimentConfig, workers: int = 1,
             out_dir: str | Path | None = None) -> VerificationReport:
     """Run one experiment and return its report (artifacts to out_dir)."""
     model = config.build_model()
-    kind = config.kind
-    seed = int(config["seed"])
     start_time = time.perf_counter()
-
-    if kind == "walk":
-        report = _run_walk_kind(config, model, workers)
-    elif kind == "couple":
-        report = _run_couple_kind(config, model, workers)
-    elif kind == "verify-coupling-bound":
-        cc = _coupling_config(config, model)
-        report = estimate_coupling_survival(
-            model, cc, int(config["n_paths"]), workers=workers,
-            bias=float(config["bias"]), experiment_id=kind)
-    elif kind == "verify-contraction":
-        cc = _coupling_config(config, model)
-        report = check_contraction(
-            model, cc, int(config["n_paths"]),
-            coefficient=float(config["contraction_coefficient"]),
-            workers=workers, experiment_id=kind)
-    elif kind == "verify-gradient":
-        cc = _coupling_config(config, model)
-        report = check_gradient_estimate(
-            model, cc, _halfspace(config["f"]), float(config["osc"]),
-            int(config["n_paths"]), workers=workers, experiment_id=kind)
-    elif kind == "convergence":
-        report = _run_convergence(config, model, workers)
-    elif kind == "feller-test":
-        report = _run_feller(config)
-    elif kind == "ou-survival":
-        report = _run_ou(config, workers)
-    elif kind == "radial-domination":
-        report = _run_radial(config, model, workers)
-    else:  # pragma: no cover - parse_config guards this
-        raise ConfigError(f"kind: unhandled experiment kind {kind!r}")
-
+    report = _RUNS[config.kind](config, model, workers)
     report.metadata["runtime_ms"] = int(
         (time.perf_counter() - start_time) * 1000)
     report.metadata.setdefault("params", {})["config_hash"] = \
@@ -110,43 +71,55 @@ def execute(config: ExperimentConfig, workers: int = 1,
     return report
 
 
-def _run_walk_kind(config, model, workers):
-    sched = Schedule(config["t1"], config["t2"], config["alpha"])
+def _walk_kernel(config, model, start, radial=None) -> engine.PathKernel:
+    """The walk kernel of a ``walk`` or ``radial-domination`` config."""
+    return walk_kernel(model, Schedule(config["t1"], config["t2"],
+                                       config["alpha"]),
+                       start, config["seed"], int(config["n_paths"]),
+                       origin=config.get("origin"),
+                       exit_radius=config["exit_radius"], radial=radial)
+
+
+def _run_walk(config, model, workers):
     start = resolve_start(config, model)
-    origin = np.asarray(config["origin"], dtype=float) \
-        if config.get("origin") is not None else model.origin()
-    kernel = partial(engine.walk_chunk, model, sched, start, config["seed"],
-                     origin=origin, exit_radius=config["exit_radius"])
-    res = map_path_chunks(int(config["n_paths"]), kernel, workers)
-    est = McEstimate.from_samples(
-        model.distance(config["t2"], start, res["end"]))
-    params = {"alpha": config["alpha"], "n_paths": int(config["n_paths"]),
-              "exit_fraction": float(np.mean(res["exit_step"] >= 0)),
-              "observable": "displacement-distance",
-              "manifold": model.describe()}
-    return _summary_report("walk", est, config["seed"], params)
+    exits = config["exit_radius"] is not None
+    return mc_report(
+        "walk", _walk_kernel(config, model, start),
+        {"end"} | ({"exit_step"} if exits else set()),
+        lambda res: (McEstimate.from_samples(
+            model.distance(config["t2"], start, res["end"])), {
+            "exit_fraction": float(np.mean(res["exit_step"] >= 0))
+            if exits else None,
+            "observable": "displacement-distance"}),
+        bound=math.inf, workers=workers)
 
 
-def _run_couple_kind(config, model, workers):
+def _run_couple(config, model, workers):
     cc = _coupling_config(config, model)
-    records = {"survival", "final_distance"}
-    if cc.exit_radius is not None:
-        records.add("exited")
-    res = map_path_chunks(int(config["n_paths"]),
-                          partial(coupled_block, model, cc, records=records),
-                          workers)
-    est = McEstimate.from_bernoulli(int(np.count_nonzero(~res["survival"])),
-                                    len(res["survival"]))
-    params = {"alpha": config["alpha"], "delta_couple": cc.delta_couple,
-              "coupling": config["coupling"],
-              "stick": cc.stick_after_coupling,
-              "exit_radius": cc.exit_radius,
-              "exit_fraction": float(np.mean(res["exited"]))
-              if "exited" in res else 0.0,
-              "mean_final_distance": float(np.mean(res["final_distance"])),
-              "n_paths": int(config["n_paths"]),
-              "manifold": model.describe()}
-    return _summary_report("couple", est, config["seed"], params)
+    exits = cc.exit_radius is not None
+    return mc_report(
+        "couple", coupled_kernel(model, cc, int(config["n_paths"])),
+        {"survival", "final_distance"} | ({"exited"} if exits else set()),
+        lambda res: (proportion(~res["survival"]), {
+            "exit_radius": cc.exit_radius,
+            "exit_fraction": float(np.mean(res["exited"])) if exits else None,
+            "mean_final_distance": float(np.mean(res["final_distance"]))}),
+        bound=math.inf, workers=workers)
+
+
+def _run_verify(config, model, workers):
+    """A ``verify-*`` kind: its estimator on the config's coupled pair."""
+    cc, n_paths = _coupling_config(config, model), int(config["n_paths"])
+    options = {"workers": workers, "experiment_id": config.kind}
+    if config.kind == "verify-coupling-bound":
+        return estimate_coupling_survival(
+            model, cc, n_paths, bias=float(config["bias"]), **options)
+    if config.kind == "verify-contraction":
+        return check_contraction(
+            model, cc, n_paths,
+            coefficient=float(config["contraction_coefficient"]), **options)
+    return check_gradient_estimate(model, cc, _halfspace(config["f"]),
+                                   float(config["osc"]), n_paths, **options)
 
 
 def _run_convergence(config, model, workers):
@@ -184,7 +157,7 @@ def _run_convergence(config, model, workers):
     return report
 
 
-def _run_feller(config):
+def _run_feller(config, model, workers):
     spec = RadialComparisonSpec(builtin_b(config["b"]), c0=1.0, r0=0.5)
     result = feller_explosion_test(spec, float(config["C"]),
                                    float(config["y_max"]))
@@ -202,7 +175,7 @@ def _run_feller(config):
         "seed": config["seed"]})
 
 
-def _run_ou(config, workers):
+def _run_ou(config, model, workers):
     horizon = config["t2"] - config["t1"]
     h = float(config["ou_h"])
     params = OUParams(a=float(config["a"]), k=float(config["k"]))
@@ -222,28 +195,28 @@ def _run_ou(config, workers):
 
 
 def _run_radial(config, model, workers):
-    sched = Schedule(config["t1"], config["t2"], config["alpha"])
     start = resolve_start(config, model)
-    origin = np.asarray(config["origin"], dtype=float) \
-        if config.get("origin") is not None else model.origin()
     spec = RadialComparisonSpec(builtin_b(config["b"]),
                                 c0=float(config["c0"]),
                                 r0=float(config["r0"]))
+    origin = engine.origin_point(model, config.get("origin"))
     rho0 = float(model.distance(config["t1"], origin, start)) + 3.0 * spec.r0
     radial = {"spec": spec, "rho0": rho0, "margin": float(config["margin"])}
-    kernel = partial(engine.walk_chunk, model, sched, start, config["seed"],
-                     origin=origin, exit_radius=config["exit_radius"],
-                     radial=radial)
-    violation = map_path_chunks(int(config["n_paths"]), kernel,
-                                workers)["radial_violation"]
-    est = McEstimate.from_bernoulli(int(np.count_nonzero(violation)),
-                                    len(violation))
-    return VerificationReport("radial-domination", est, 0.05, 0.0, {
-        "params": {"alpha": config["alpha"], "margin": config["margin"],
-                   "c0": spec.c0, "r0": spec.r0, "rho0": rho0,
-                   "b": config["b"], "n_paths": int(config["n_paths"]),
-                   "manifold": model.describe()},
-        "seed": config["seed"]})
+    return mc_report(
+        "radial-domination", _walk_kernel(config, model, start, radial),
+        {"radial_violation"},
+        lambda res: (proportion(res["radial_violation"]), {
+            "margin": config["margin"], "c0": spec.c0, "r0": spec.r0,
+            "rho0": rho0, "b": config["b"]}),
+        bound=0.05, workers=workers)
+
+
+# The run of each experiment kind; parse_config admits no other kind.
+_RUNS = {"walk": _run_walk, "couple": _run_couple,
+         "verify-coupling-bound": _run_verify,
+         "verify-contraction": _run_verify, "verify-gradient": _run_verify,
+         "convergence": _run_convergence, "feller-test": _run_feller,
+         "ou-survival": _run_ou, "radial-domination": _run_radial}
 
 
 # ---------------------------------------------------------------------------

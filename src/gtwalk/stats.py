@@ -3,8 +3,12 @@
 Every Monte Carlo experiment runs a kernel partial over fixed-size path
 chunks, in worker processes when more than one is asked for; the per-path
 results are concatenated in path order and reduced once, so reports are
-identical for any worker count. Every bound comparison follows one policy,
-pass when estimate <= bound + 3 stderr + declared bias.
+identical for any worker count. The path-kernel experiments share one
+skeleton, ``mc_report``: an ``engine.PathKernel`` (``coupled_kernel`` or
+``walk_kernel``, each with the params block of its kinds), the records the
+experiment reads, and a reduction to the estimate and the params it adds.
+Every bound comparison follows one policy, pass when estimate <= bound +
+3 stderr + declared bias.
 
 Only the convergence diagnostics need scipy; they import ``scipy.special``
 when called, so importing this module loads numpy alone.
@@ -21,11 +25,11 @@ import numpy as np
 
 from . import engine
 from .comparison import OUParams, beta, chi, ou_chunk
-from .coupling import (CouplingConfig, CouplingKind, coupled_block,
+from .coupling import (CouplingConfig, CouplingKind, coupled_kernel,
                        coupling_probability_bound)
 from .errors import InvalidInput
 from .manifolds import ManifoldModel
-from .walk import Schedule
+from .walk import Schedule, walk_kernel
 
 CHUNK = 2048
 
@@ -175,6 +179,32 @@ def map_path_chunks(n_paths: int, fn: Callable[[range], dict],
 
 
 # ---------------------------------------------------------------------------
+# The estimator skeleton
+# ---------------------------------------------------------------------------
+
+def mc_report(experiment_id: str, kernel: engine.PathKernel, records,
+              reduce: Callable[[dict], tuple[McEstimate, dict]], *,
+              bound: float, bias: float = 0.0,
+              workers: int = 1) -> VerificationReport:
+    """Run ``kernel`` for the ``records`` the caller reads, reduce them
+    once and report.
+
+    ``reduce`` maps the records of every path, in path order, to the
+    estimate and the params the kind adds to the kernel's block.
+    """
+    estimate, extra = reduce(map_path_chunks(
+        kernel.params["n_paths"], partial(kernel.fn, records=records),
+        workers))
+    return VerificationReport(experiment_id, estimate, bound, bias, {
+        "params": {**kernel.params, **extra}, "seed": kernel.seed})
+
+
+def proportion(flags: np.ndarray) -> McEstimate:
+    """The fraction of True entries of a per-path flag array."""
+    return McEstimate.from_bernoulli(int(np.count_nonzero(flags)), len(flags))
+
+
+# ---------------------------------------------------------------------------
 # Verification estimators
 # ---------------------------------------------------------------------------
 
@@ -187,19 +217,12 @@ def estimate_coupling_survival(model: ManifoldModel, config: CouplingConfig,
     against the normal-mass bound at d0 / (2 sqrt(beta(T - t1)))."""
     if config.kind is not CouplingKind.REFLECTION:
         raise InvalidInput("survival estimate requires the reflection kind")
-    d0 = float(model.distance(config.t1, config.start1, config.start2))
-    survival = map_path_chunks(
-        n_paths, partial(coupled_block, model, config, records={"survival"}),
-        workers)["survival"]
-    est = McEstimate.from_bernoulli(int(np.count_nonzero(survival)),
-                                    len(survival))
-    bound = coupling_probability_bound(d0, config.k, config.t2 - config.t1)
-    meta = {"params": {"alpha": config.alpha, "delta_couple": config.delta_couple,
-                       "k": config.k, "d0": d0, "n_paths": n_paths,
-                       "horizon": config.t2 - config.t1,
-                       "manifold": model.describe()},
-            "seed": config.seed}
-    return VerificationReport(experiment_id, est, bound, bias, meta)
+    kernel = coupled_kernel(model, config, n_paths)
+    bound = coupling_probability_bound(kernel.params["d0"], config.k,
+                                       kernel.params["horizon"])
+    return mc_report(experiment_id, kernel, {"survival"},
+                     lambda res: (proportion(res["survival"]), {}),
+                     bound=bound, bias=bias, workers=workers)
 
 
 def check_contraction(model: ManifoldModel, config: CouplingConfig,
@@ -214,20 +237,18 @@ def check_contraction(model: ManifoldModel, config: CouplingConfig,
     """
     if config.kind is not CouplingKind.PARALLEL_TRANSPORT:
         raise InvalidInput("contraction check requires the parallel kind")
-    maxima = map_path_chunks(
-        n_paths, partial(coupled_block, model, config,
-                         records={"contraction_max"}),
-        workers)["contraction_max"]
-    worst = float(np.max(maxima))
-    est = McEstimate(n=n_paths, mean=worst, stderr=0.0, ci95=(worst, worst))
-    bound = coefficient * config.alpha
-    meta = {"params": {"alpha": config.alpha, "k": config.k,
-                       "coefficient": coefficient, "n_paths": n_paths,
-                       "statistic": "max",
-                       "per_path_mean": float(np.mean(maxima)),
-                       "manifold": model.describe()},
-            "seed": config.seed}
-    return VerificationReport(experiment_id, est, bound, 0.0, meta)
+
+    def reduce(res):
+        maxima = res["contraction_max"]
+        worst = float(np.max(maxima))
+        return (McEstimate(n=n_paths, mean=worst, stderr=0.0,
+                           ci95=(worst, worst)),
+                {"coefficient": coefficient, "statistic": "max",
+                 "per_path_mean": float(np.mean(maxima))})
+
+    return mc_report(experiment_id, coupled_kernel(model, config, n_paths),
+                     {"contraction_max"}, reduce,
+                     bound=coefficient * config.alpha, workers=workers)
 
 
 def check_gradient_estimate(model: ManifoldModel, config: CouplingConfig,
@@ -237,26 +258,23 @@ def check_gradient_estimate(model: ManifoldModel, config: CouplingConfig,
                             ) -> VerificationReport:
     """|E f(X1(T)) - E f(X2(T))| via the common-noise coupled pair, against
     d0 osc / sqrt(2 pi beta(T - t1))."""
-    d0 = float(model.distance(config.t1, config.start1, config.start2))
-    res = map_path_chunks(
-        n_paths, partial(coupled_block, model, config, records={"end"}),
-        workers)
-    signed = McEstimate.from_samples(np.asarray(f(res["end1"]), dtype=float)
-                                     - np.asarray(f(res["end2"]), dtype=float))
-    lo, hi = signed.ci95
-    if lo < 0.0:   # the interval of |mean|: the signed interval under abs
-        lo, hi = (-hi, -lo) if hi <= 0.0 else (0.0, max(-lo, hi))
-    est = McEstimate(n=signed.n, mean=abs(signed.mean), stderr=signed.stderr,
-                     ci95=(lo, hi))
-    horizon = config.t2 - config.t1
+    kernel = coupled_kernel(model, config, n_paths)
+    d0, horizon = kernel.params["d0"], kernel.params["horizon"]
+
+    def reduce(res):
+        signed = McEstimate.from_samples(
+            np.asarray(f(res["end1"]), dtype=float)
+            - np.asarray(f(res["end2"]), dtype=float))
+        lo, hi = signed.ci95
+        if lo < 0.0:   # the interval of |mean|: the signed interval under abs
+            lo, hi = (-hi, -lo) if hi <= 0.0 else (0.0, max(-lo, hi))
+        return (McEstimate(n=signed.n, mean=abs(signed.mean),
+                           stderr=signed.stderr, ci95=(lo, hi)),
+                {"osc": osc, "signed_mean": signed.mean})
+
     bound = d0 * osc / math.sqrt(2.0 * math.pi * beta(horizon, config.k))
-    meta = {"params": {"alpha": config.alpha, "delta_couple": config.delta_couple,
-                       "k": config.k, "d0": d0, "osc": osc,
-                       "n_paths": n_paths, "horizon": horizon,
-                       "signed_mean": signed.mean,
-                       "manifold": model.describe()},
-            "seed": config.seed}
-    return VerificationReport(experiment_id, est, bound, 0.0, meta)
+    return mc_report(experiment_id, kernel, {"end"}, reduce, bound=bound,
+                     workers=workers)
 
 
 @dataclass
@@ -405,9 +423,10 @@ def convergence_diagnostic(model: ManifoldModel,
         raise InvalidInput("alphas must be strictly decreasing")
     rows = []
     for alpha in alphas:
-        kernel = partial(engine.walk_chunk, model, Schedule(t1, t2, alpha),
-                         start, seed)
-        ends = map_path_chunks(n_paths, kernel, workers)["end"]
+        kernel = walk_kernel(model, Schedule(t1, t2, alpha), start, seed,
+                             n_paths)
+        ends = map_path_chunks(n_paths, partial(kernel.fn, records={"end"}),
+                               workers)["end"]
         samples = np.asarray(observable(ends), dtype=float)
         row = {"alpha": alpha, "n": len(samples)}
         if reference_cdf is not None:

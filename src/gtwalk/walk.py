@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -110,11 +111,26 @@ def step(model: ManifoldModel, t: float, x, xi: np.ndarray, alpha: float,
 def run_walk(model: ManifoldModel, config: WalkConfig) -> WalkPath:
     """Simulate one full walk; identical output for identical inputs."""
     sched = config.schedule()
+    # every record of a walk with no exit check and no radial replay
     res = engine.walk_chunk(model, sched, config.start, config.seed,
                             range(config.path_index, config.path_index + 1),
-                            want_trace=True)
+                            records={"end", "skeleton", "step_vectors",
+                                     "noise"})
     return WalkPath(model.model_id, sched, res["skeleton"][0],
                     res["step_vectors"][0], res["noise"][0])
+
+
+def walk_kernel(model: ManifoldModel, schedule: Schedule, start: np.ndarray,
+                seed: int, n_paths: int, *, origin: np.ndarray | None = None,
+                exit_radius: float | None = None,
+                radial: dict | None = None) -> engine.PathKernel:
+    """``engine.walk_chunk`` from ``start`` with these settings, and the
+    params every walk kind reports for ``n_paths`` paths."""
+    return engine.PathKernel(
+        partial(engine.walk_chunk, model, schedule, start, seed,
+                origin=origin, exit_radius=exit_radius, radial=radial),
+        {"alpha": schedule.alpha, "n_paths": n_paths,
+         "exit_radius": exit_radius, "manifold": model.describe()}, seed)
 
 
 def interpolate(model: ManifoldModel, path: WalkPath, t: float) -> Point:

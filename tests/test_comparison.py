@@ -294,7 +294,8 @@ def test_walk_chunk_rho_trace_is_the_connect_interp_replay(model, b):
     out = engine.walk_chunk(model, sched, o, 3, range(B), origin=o,
                             radial={"spec": spec, "rho0": 1.5,
                                     "margin": margin},
-                            want_trace=True)
+                            records={"skeleton", "noise", "rho_trace",
+                                     "radial_violation"})
     # the table now reaches every rho the kernel looked up
     grid, _, cum, _ = spec._table
     rho = np.full(B, 1.5)

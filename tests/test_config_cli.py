@@ -260,6 +260,19 @@ def test_couple_keys_take_effect():
         params(exit_radius=0.5)
 
 
+@pytest.mark.parametrize("kind", ["walk", "couple"])
+def test_exit_fraction_is_null_without_exit_check(kind):
+    """With exit_radius null no exit check runs, so the report gives no
+    exit fraction rather than a made-up 0."""
+    doc = {"kind": kind, "manifold": {"kind": "euclidean", "dim": 2},
+           "alpha": 0.1, "t1": 0.0, "t2": 1.0, "seed": 3, "n_paths": 50,
+           "exit_radius": None, **({"d0": 1.0} if kind == "couple" else {})}
+    _, [report] = run_document(doc)
+    params = report.to_dict()["params"]
+    assert params["exit_radius"] is None
+    assert params["exit_fraction"] is None
+
+
 # One small config per experiment kind, for the n_dump check.
 _EUCLID1 = {"manifold": {"kind": "euclidean", "dim": 1}, "t1": 0.0,
             "t2": 1.0, "seed": 1}

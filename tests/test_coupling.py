@@ -532,23 +532,64 @@ def test_coupled_chunk_rejects_unknown_records(euclid2):
     assert set(run(records={"exited"}, exit_radius=2.0)) == {"exited"}
 
 
-@pytest.mark.parametrize("trace", [False, True])
-@pytest.mark.parametrize("name", MODEL_NAMES)
-def test_walk_chunk_ignores_the_block_split(request, name, trace):
-    """The same for walk_chunk with the exit check and the radial replay."""
-    model = request.getfixturevalue(name)
+# Record sets of the walk kernel tests: the untraced default, every record,
+# and the one record the radial-domination kind reads.
+WALK_RECORDS = {"untraced": None, "all": engine.WALK_RECORDS,
+                "radial": {"radial_violation"}}
+
+
+def _walk_run(model):
+    """walk_chunk on ``model`` with the exit check and a radial replay that
+    flags some paths, as a function of the paths and the records."""
     t1 = model.time_window[0]
     sched = Schedule(t1, t1 + 0.1, 0.05)
     o = model.origin()
     spec = RadialComparisonSpec(builtin_b({"name": "zero"}), c0=1.0, r0=0.5)
     radial = {"spec": spec, "rho0": 1.5, "margin": -1.2}
-    whole, split = _by_blocks(lambda paths: engine.walk_chunk(
+    return lambda paths, records: engine.walk_chunk(
         model, sched, o, 23, paths, origin=o, exit_radius=1.3, radial=radial,
-        want_trace=trace))
+        records=records)
+
+
+@pytest.mark.parametrize("records", list(WALK_RECORDS))
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_walk_chunk_ignores_the_block_split(request, name, records):
+    """The same for walk_chunk with the exit check and the radial replay."""
+    run = _walk_run(request.getfixturevalue(name))
+    whole, split = _by_blocks(lambda paths: run(paths, WALK_RECORDS[records]))
     assert whole.keys() == split.keys()
     for key in whole:
         assert np.array_equal(whole[key], split[key]), key
     assert 0 < whole["radial_violation"].mean() < 1
+
+
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_each_walk_record_alone_keeps_its_bits(request, name):
+    """A walk_chunk run that asks for one record returns that record
+    alone, equal to the output of a run that asks for every record."""
+    run = _walk_run(request.getfixturevalue(name))
+    paths = range(5, 105)
+    full = run(paths, engine.WALK_RECORDS)
+    assert set(full) == engine.WALK_RECORDS
+    for record in sorted(engine.WALK_RECORDS):
+        got = run(paths, {record})
+        assert set(got) == {record}
+        assert np.array_equal(got[record], full[record]), record
+
+
+def test_walk_chunk_rejects_unknown_records(euclid2):
+    sched = Schedule(0.0, 0.1, 0.1)
+    run = lambda **kw: engine.walk_chunk(euclid2, sched, np.zeros(2), 1,
+                                         range(2), **kw)
+    with pytest.raises(InvalidInput, match="trace"):
+        run(records={"end", "trace"})
+    with pytest.raises(InvalidInput, match="exit_radius"):
+        run(records={"exit_step"})
+    for record in ("radial_violation", "rho_trace"):
+        with pytest.raises(InvalidInput, match="radial"):
+            run(records={record})
+    assert set(run()) == {"end"}
+    assert set(run(exit_radius=2.0)) == {"end", "exit_step"}
 
 
 def test_sphere_reflect_survival_count_is_pinned():

@@ -16,7 +16,8 @@ from pathlib import Path
 import pytest
 
 from conftest import strip_runtime
-from gtwalk.config import parse_config
+from gtwalk import engine, runner, stats
+from gtwalk.config import COUPLED_KINDS, parse_config
 from gtwalk.runner import execute
 
 GOLDEN = Path(__file__).with_name("golden_reports.json")
@@ -111,6 +112,37 @@ def test_golden_report(golden, name, workers):
     assert_matches(got, want, name)
     if CONFIGS[name]["kind"] in PROPORTION_KINDS:
         assert got["estimate"]["mean"] == want["estimate"]["mean"]
+
+
+# The kernel each config's kind maps over path chunks. ou-survival maps
+# comparison.ou_chunk, which no tracer wraps.
+KERNEL_OF = {name: "coupled_chunk" if cfg["kind"] in COUPLED_KINDS
+             else "walk_chunk"
+             for name, cfg in CONFIGS.items() if cfg["kind"] != "ou-survival"}
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_OF))
+def test_mapper_and_kernels_are_looked_up_at_call_time(monkeypatch, name):
+    """A tracer that replaces the module attributes after import, as the
+    benchmark's span recorder does, sees every chunk map and kernel call:
+    no estimator holds the mapper or a kernel captured at import."""
+    calls = {}
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] = calls.get(key, 0) + 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    mapper = counting("map", stats.map_path_chunks)
+    monkeypatch.setattr(stats, "map_path_chunks", mapper)
+    monkeypatch.setattr(runner, "map_path_chunks", mapper, raising=False)
+    for kernel in ("walk_chunk", "coupled_chunk"):
+        monkeypatch.setattr(engine, kernel,
+                            counting(kernel, getattr(engine, kernel)))
+    execute(parse_config(CONFIGS[name]), workers=1)
+    assert calls.get("map", 0) >= 1
+    assert calls.get(KERNEL_OF[name], 0) >= 1
 
 
 if __name__ == "__main__":

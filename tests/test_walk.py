@@ -98,7 +98,7 @@ def test_kernel_traces_keep_path_major_noise(euclid2, flow_sphere):
     paths = range(3, 8)
     want = np.stack([rng.walk_noise(5, p, sched.n_steps, 2) for p in paths])
     walk = engine.walk_chunk(flow_sphere, sched, flow_sphere.origin(), 5,
-                             paths, want_trace=True)
+                             paths, records={"noise"})
     pair = engine.coupled_chunk(euclid2, sched, np.zeros(2),
                                 np.array([1.0, 0.0]), 5, paths,
                                 records={"noise"})
