@@ -2,7 +2,8 @@
 
 Subcommands: run (config file), walk, couple, verify (flag-built configs),
 list-models, dump-paths. Flags mirror config keys and win over file values.
-Exit codes: 0 all checks passed, 2 a verification failed, 1 error.
+Exit codes: 0 every check passed (walk and couple check nothing), 2 a
+verification failed, 1 error.
 """
 
 from __future__ import annotations
@@ -136,31 +137,25 @@ def main(argv: list[str] | None = None) -> int:
             return 0
 
         if args.command == "run":
-            document = Path(args.config).read_text()
-            overrides = _overrides_from(args)
-            manifest, reports = run_document(
-                document, workers=_threads(args), out_dir=args.out,
-                seed_override=args.seed, overrides=overrides or None)
+            _, reports = run_document(
+                Path(args.config).read_text(),
+                overrides=_overrides_from(args) or None,
+                workers=_threads(args), out_dir=args.out,
+                seed_override=args.seed)
             return _report_outcome(reports)
 
         if args.command == "dump-paths":
-            document = Path(args.config).read_text()
-            configs = parse_suite(document)
             out = Path(args.out or "paths")
-            for cfg in configs:
+            for cfg in parse_suite(Path(args.config).read_text()):
                 if args.seed is not None:
                     cfg = parse_suite({**cfg.data, "seed": args.seed})[0]
-                model = cfg.build_model()
-                files = dump_paths(cfg, model, args.count, out)
-                for f in files:
+                for f in dump_paths(cfg, cfg.build_model(), args.count, out):
                     print(f)
             return 0
 
         # flag-built experiments
-        document = _document_from_flags(args)
-        manifest, reports = run_document(document, workers=_threads(args),
-                                         out_dir=args.out,
-                                         seed_override=None)
+        _, reports = run_document(_document_from_flags(args),
+                                  workers=_threads(args), out_dir=args.out)
         return _report_outcome(reports)
     except (GtwalkError, OSError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
@@ -171,51 +166,41 @@ def _document_from_flags(args) -> dict:
     if not args.manifold:
         raise GtwalkError("--manifold is required for flag-built experiments")
     doc: dict = {
+        "kind": f"verify-{args.check}" if args.command == "verify"
+        else args.command,
         "manifold": parse_manifold_spec(args.manifold),
         "t1": args.t1, "t2": args.t2,
         "alpha": args.alpha if args.alpha is not None else 0.05,
         "seed": args.seed if args.seed is not None else 0,
+        "n_paths": args.samples, "n_dump": args.dump,
     }
-    if args.samples is not None:
-        doc["n_paths"] = args.samples
-    if args.dump is not None:
-        doc["n_dump"] = args.dump
-    if args.command == "walk":
-        doc["kind"] = "walk"
-        return doc
-    if args.d0 is not None:
-        doc["d0"] = args.d0
-    else:
-        doc["d0"] = 1.0
-    if args.delta_couple is not None:
-        doc["delta_couple"] = args.delta_couple
-    if args.k is not None:
-        doc["k"] = args.k
-    if args.command == "couple":
-        doc["kind"] = "couple"
-        if args.coupling:
-            doc["coupling"] = args.coupling
-        return doc
-    doc["kind"] = {"coupling-bound": "verify-coupling-bound",
-                   "contraction": "verify-contraction",
-                   "gradient": "verify-gradient"}[args.check]
+    if args.command != "walk":
+        doc.update(d0=args.d0 if args.d0 is not None else 1.0,
+                   delta_couple=args.delta_couple, k=args.k,
+                   coupling=args.coupling if args.command == "couple"
+                   else None)
     if doc["kind"] == "verify-gradient":
-        dim = doc["manifold"].get("dim", 2)
-        normal = [0.0] * dim
+        normal = [0.0] * doc["manifold"].get("dim", 2)
         normal[0] = 1.0
         doc["f"] = {"type": "halfspace", "normal": normal, "offset": -0.5}
-    return doc
+    # an unset flag leaves its key to the config defaults
+    return {key: value for key, value in doc.items() if value is not None}
 
 
 def _report_outcome(reports) -> int:
-    all_pass = True
+    """Print one line per report: its decision, estimate and bound, or the
+    rule of a kind without them; 2 if any check failed, else 0."""
     for report in reports:
-        est = report.estimate
-        status = "PASS" if report.passed else "FAIL"
-        print(f"[{status}] {report.experiment_id}: estimate={est.mean:.6g} "
-              f"stderr={est.stderr:.3g} bound={report.bound:.6g}")
-        all_pass &= report.passed
-    return 0 if all_pass else 2
+        status = {True: "PASS", False: "FAIL", None: "NO CHECK"}[report.passed]
+        est, parts = report.estimate, []
+        if est is not None:
+            parts.append(f"estimate={est.mean:.6g} stderr={est.stderr:.3g}")
+        if report.bound is not None:
+            parts.append(f"bound={report.bound:.6g}")
+        if not parts and report.check:
+            parts.append(report.check["rule"])
+        print(f"[{status}] {report.experiment_id}: {' '.join(parts)}")
+    return 2 if any(report.passed is False for report in reports) else 0
 
 
 if __name__ == "__main__":

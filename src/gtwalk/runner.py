@@ -14,18 +14,18 @@ from . import __version__, engine
 from .comparison import (OUParams, RadialComparisonSpec, builtin_b,
                          feller_explosion_test)
 from .config import (COUPLED_KINDS, DUMP_KINDS, ExperimentConfig,
-                     RunManifest, convergence_reference, resolve_start,
-                     resolve_start_points)
-from .coupling import (CouplingConfig, CouplingKind, coupled_kernel,
-                       run_coupled)
+                     RunManifest, convergence_reference, parse_suite,
+                     resolve_start, resolve_start_points)
+from .coupling import CouplingConfig, CouplingKind, coupled_kernel
 from .errors import ConfigError
 from .manifolds import ManifoldModel
-from .stats import (McEstimate, VerificationReport, check_contraction,
-                    check_gradient_estimate, circle_angles,
-                    convergence_diagnostic, estimate_coupling_survival,
-                    gaussian_cdf, mc_report, ou_survival_probability,
-                    proportion, wrapped_gaussian_cdf)
-from .walk import Schedule, WalkConfig, run_walk, walk_kernel
+from .stats import (McEstimate, VerificationReport, bound_report,
+                    check_contraction, check_gradient_estimate,
+                    circle_angles, convergence_diagnostic,
+                    estimate_coupling_survival, gaussian_cdf, mc_report,
+                    ou_survival_probability, proportion,
+                    wrapped_gaussian_cdf)
+from .walk import Schedule, walk_kernel
 
 
 def _coupling_config(config: ExperimentConfig,
@@ -49,11 +49,7 @@ def _coupling_config(config: ExperimentConfig,
 def _halfspace(f_spec: dict):
     normal = np.asarray(f_spec["normal"], dtype=float)
     offset = float(f_spec["offset"])
-
-    def f(points: np.ndarray) -> np.ndarray:
-        return (points @ normal <= offset).astype(float)
-
-    return f
+    return lambda points: (points @ normal <= offset).astype(float)
 
 
 def execute(config: ExperimentConfig, workers: int = 1,
@@ -90,8 +86,7 @@ def _run_walk(config, model, workers):
             model.distance(config["t2"], start, res["end"])), {
             "exit_fraction": float(np.mean(res["exit_step"] >= 0))
             if exits else None,
-            "observable": "displacement-distance"}),
-        bound=math.inf, workers=workers)
+            "observable": "displacement-distance"}), workers=workers)
 
 
 def _run_couple(config, model, workers):
@@ -104,7 +99,7 @@ def _run_couple(config, model, workers):
             "exit_radius": cc.exit_radius,
             "exit_fraction": float(np.mean(res["exited"])) if exits else None,
             "mean_final_distance": float(np.mean(res["final_distance"]))}),
-        bound=math.inf, workers=workers)
+        workers=workers)
 
 
 def _run_verify(config, model, workers):
@@ -145,16 +140,15 @@ def _run_convergence(config, model, workers):
     w1 = [row["w1"] for row in rows]
     trend_ok = all(w1[i + 1] <= w1[i] * 1.25 + 1e-12
                    for i in range(len(w1) - 1)) and w1[-1] <= w1[0] + 1e-12
-    ks_ok = bool(rows[-1].get("ks_pass", True))
-    est = McEstimate(n=int(config["n_paths"]), mean=w1[-1], stderr=0.0,
-                     ci95=(w1[-1], w1[-1]))
-    bound = w1[0] if (trend_ok and ks_ok) else -math.inf
-    report = VerificationReport("convergence", est, bound, 0.0, {
+    return VerificationReport("convergence", None, {
         "params": {"alphas": alphas, "reference": reference, "rows": rows,
-                   "n_paths": int(config["n_paths"]),
+                   "trend_pass": trend_ok, "n_paths": int(config["n_paths"]),
                    "manifold": model.describe()},
-        "seed": config["seed"]})
-    return report
+        "seed": config["seed"]}, passed=trend_ok and rows[-1]["ks_pass"],
+        check={"statistic": "w1 to the reference at each alpha and the KS "
+                            "statistic at the last (params.rows)",
+               "rule": "each w1 <= 1.25 x the one before + 1e-12, the last "
+                       "w1 <= the first + 1e-12, and the last ks_pass"})
 
 
 def _run_feller(config, model, workers):
@@ -162,17 +156,25 @@ def _run_feller(config, model, workers):
     result = feller_explosion_test(spec, float(config["C"]),
                                    float(config["y_max"]))
     expect = config.get("expect")
-    ok = (result.verdict == expect) if expect \
-        else (result.verdict != "inconclusive")
-    est = McEstimate(n=1, mean=result.integral, stderr=0.0,
-                     ci95=(result.integral, result.integral))
-    bound = math.inf if ok else -math.inf
-    return VerificationReport("feller-test", est, bound, 0.0, {
+    # classify gives no exponent (inf or nan) when the outer integrand
+    # vanishes or the integral is not finite; the report says which.
+    integral = result.integral if math.isfinite(result.integral) else None
+    exponent = result.decay_exponent \
+        if math.isfinite(result.decay_exponent) else None
+    reason = ("the integral is not finite" if integral is None else
+              "the outer integrand reaches 0 before y_max" if exponent is None
+              else None)
+    return VerificationReport("feller-test", None, {
         "params": {"b": config["b"], "C": config["C"],
                    "y_max": config["y_max"], "verdict": result.verdict,
-                   "decay_exponent": result.decay_exponent,
-                   "expect": expect},
-        "seed": config["seed"]})
+                   "verdict_reason": reason, "integral": integral,
+                   "decay_exponent": exponent, "expect": expect},
+        "seed": config["seed"]},
+        passed=result.verdict == expect if expect
+        else result.verdict != "inconclusive",
+        check={"statistic": "verdict of the explosion integral test",
+               "rule": f"verdict == {expect!r}" if expect
+               else "verdict != 'inconclusive'"})
 
 
 def _run_ou(config, model, workers):
@@ -185,13 +187,13 @@ def _run_ou(config, model, workers):
     est = McEstimate(n=res.n_paths, mean=deviation, stderr=res.stderr,
                      ci95=(deviation - 1.96 * res.stderr,
                            deviation + 1.96 * res.stderr))
-    report = VerificationReport("ou-survival", est, 0.0,
-                                2.0 * math.sqrt(h), {
+    return bound_report("ou-survival", est, {
         "params": {"a": params.a, "k": params.k, "h": h, "horizon": horizon,
                    "estimate": res.estimate, "analytic": res.analytic,
                    "n_paths": res.n_paths},
-        "seed": config["seed"]})
-    return report
+        "seed": config["seed"]},
+        statistic="|survival estimate - analytic value|", bound=0.0,
+        bias=2.0 * math.sqrt(h))
 
 
 def _run_radial(config, model, workers):
@@ -207,8 +209,8 @@ def _run_radial(config, model, workers):
         {"radial_violation"},
         lambda res: (proportion(res["radial_violation"]), {
             "margin": config["margin"], "c0": spec.c0, "r0": spec.r0,
-            "rho0": rho0, "b": config["b"]}),
-        bound=0.05, workers=workers)
+            "rho0": rho0, "b": config["b"]}), bound=0.05, workers=workers,
+        statistic="fraction of paths that pass the comparison radius + margin")
 
 
 # The run of each experiment kind; parse_config admits no other kind.
@@ -223,23 +225,27 @@ _RUNS = {"walk": _run_walk, "couple": _run_couple,
 # Artifacts
 # ---------------------------------------------------------------------------
 
+def _json_text(document: dict) -> str:
+    """Strict JSON: a NaN or an infinity raises instead of being written."""
+    return json.dumps(document, sort_keys=True, indent=2,
+                      allow_nan=False) + "\n"
+
+
 def _write_artifacts(config: ExperimentConfig, model: ManifoldModel,
                      report: VerificationReport, out: Path) -> None:
     out.mkdir(parents=True, exist_ok=True)
     stem = report.experiment_id
-    (out / f"{stem}.json").write_text(
-        json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n")
+    (out / f"{stem}.json").write_text(_json_text(report.to_dict()))
+    est = report.estimate
+    cells = ([est.n, est.mean, est.stderr, *est.ci95] if est else [None] * 5) \
+        + [report.bound, report.passed, report.bias,
+           report.metadata.get("seed"), report.metadata.get("runtime_ms")]
     with (out / f"{stem}.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh)   # writes None as an empty cell
         writer.writerow(["id", "n", "mean", "stderr", "ci_lo", "ci_hi",
                          "bound", "pass", "bias", "seed", "runtime_ms"])
-        est = report.estimate
-        writer.writerow([report.experiment_id, est.n, repr(est.mean),
-                         repr(est.stderr), repr(est.ci95[0]),
-                         repr(est.ci95[1]), repr(report.bound),
-                         report.passed, repr(report.bias),
-                         report.metadata.get("seed"),
-                         report.metadata.get("runtime_ms")])
+        writer.writerow([stem] + [None if v is None else repr(v)
+                                  for v in cells])
     n_dump = int(config.get("n_dump", 0) or 0)
     if n_dump > 0:
         dump_paths(config, model, n_dump, out / "paths")
@@ -247,50 +253,47 @@ def _write_artifacts(config: ExperimentConfig, model: ManifoldModel,
 
 def dump_paths(config: ExperimentConfig, model: ManifoldModel, count: int,
                out: Path) -> list[Path]:
-    """Write per-path CSV dumps for the config's walk or coupling setup."""
+    """Write per-path CSV dumps for the config's walk or coupling setup.
+
+    One kernel call over paths 0..count-1 with only the records the CSV
+    writes; each path's records equal those of a run of that path alone.
+    """
     kind = config.kind
     if kind not in DUMP_KINDS:
         raise ConfigError(f"n_dump: kind {kind!r} simulates no walk paths "
                           "to dump")
     out.mkdir(parents=True, exist_ok=True)
+    d, paths = model.ambient_dim, range(count)
+    if kind in COUPLED_KINDS:
+        cc = _coupling_config(config, model)
+        times = cc.schedule().times
+        res = coupled_kernel(model, cc).fn(
+            paths, records={"skeleton", "distance", "lambda_star", "coupled"})
+        lam = np.pad(res["lambda_star"], ((0, 0), (1, 0)))   # 0 at n = 0
+        stem, header = "coupled", [f"x{i}_{j}" for i in "12" for j in range(d)]
+        header += ["dist", "lambda_star", "coupled"]
+        floats = np.concatenate([res["skeleton1"], res["skeleton2"],
+                                 res["distance"][..., None], lam[..., None]],
+                                axis=-1)
+        flags = res["coupled"][..., None]
+    else:
+        schedule = Schedule(config["t1"], config["t2"], config["alpha"])
+        times = schedule.times
+        floats = walk_kernel(model, schedule, resolve_start(config, model),
+                             config["seed"], count).fn(
+            paths, records={"skeleton"})["skeleton"]
+        stem, header = "path", [f"coord_{j}" for j in range(d)]
+        flags = floats[..., :0]
     written = []
-    for idx in range(count):
-        if kind in COUPLED_KINDS:
-            cc = CouplingConfig(**{**_coupling_config(config, model).__dict__,
-                                   "path_index": idx})
-            path = run_coupled(model, cc)
-            fname = out / f"coupled_{idx:04d}.csv"
-            with fname.open("w", newline="") as fh:
-                writer = csv.writer(fh)
-                d = model.ambient_dim
-                writer.writerow(
-                    ["n", "t"] + [f"x1_{j}" for j in range(d)]
-                    + [f"x2_{j}" for j in range(d)]
-                    + ["dist", "lambda_star", "coupled"])
-                times = path.schedule.times
-                for n in range(len(times)):
-                    lam = path.lambda_star_record[n - 1] if n > 0 else 0.0
-                    writer.writerow(
-                        [n, repr(float(times[n]))]
-                        + [repr(float(v)) for v in path.skeleton1[n]]
-                        + [repr(float(v)) for v in path.skeleton2[n]]
-                        + [repr(float(path.distance_process[n])),
-                           repr(float(lam)), int(path.coupled_flags[n])])
-        else:
-            wc = WalkConfig(alpha=config["alpha"], t1=config["t1"],
-                            t2=config["t2"], seed=config["seed"],
-                            start=resolve_start(config, model),
-                            path_index=idx)
-            path = run_walk(model, wc)
-            fname = out / f"path_{idx:04d}.csv"
-            with fname.open("w", newline="") as fh:
-                writer = csv.writer(fh)
-                d = model.ambient_dim
-                writer.writerow(["n", "t"]
-                                + [f"coord_{j}" for j in range(d)])
-                for n, t in enumerate(path.schedule.times):
-                    writer.writerow([n, repr(float(t))]
-                                    + [repr(float(v)) for v in path.skeleton[n]])
+    for idx in paths:
+        fname = out / f"{stem}_{idx:04d}.csv"
+        with fname.open("w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["n", "t"] + header)
+            for n, t in enumerate(times):
+                writer.writerow([n, repr(float(t))]
+                                + [repr(float(v)) for v in floats[idx, n]]
+                                + [int(v) for v in flags[idx, n]])
         written.append(fname)
     return written
 
@@ -300,34 +303,25 @@ def run_document(document: str | dict, workers: int = 1,
                  seed_override: int | None = None,
                  overrides: dict | None = None) -> tuple[RunManifest, list[VerificationReport]]:
     """Run a single-experiment or suite document; returns manifest+reports."""
-    from .config import parse_suite
-
     t0 = time.perf_counter()
     configs = parse_suite(document)
-    reports = []
-    names = []
-    for i, cfg in enumerate(configs):
-        if overrides:
-            merged = dict(cfg.data)
-            merged.update(overrides)
-            cfg = parse_suite(merged)[0]
-        if seed_override is not None:
-            merged = dict(cfg.data)
-            merged["seed"] = int(seed_override)
-            cfg = parse_suite(merged)[0]
+    replace = {**(overrides or {}), **({} if seed_override is None
+                                       else {"seed": int(seed_override)})}
+    reports, names = [], []
+    for cfg in configs:
+        if replace:
+            cfg = parse_suite({**cfg.data, **replace})[0]
         target = Path(out_dir) if out_dir is not None \
             else (Path(cfg.get("out")) if cfg.get("out") else None)
-        report = execute(cfg, workers=workers, out_dir=target)
-        reports.append(report)
-        names.append(f"{report.experiment_id}.json" if target else "")
+        reports.append(execute(cfg, workers=workers, out_dir=target))
+        if target:
+            names.append(f"{reports[-1].experiment_id}.json")
     manifest = RunManifest(__version__,
                            configs[0].config_hash() if len(configs) == 1
                            else "suite",
-                           time.perf_counter() - t0,
-                           [n for n in names if n])
+                           time.perf_counter() - t0, names)
     if out_dir is not None:
         p = Path(out_dir)
         p.mkdir(parents=True, exist_ok=True)
-        (p / "manifest.json").write_text(
-            json.dumps(manifest.to_dict(), sort_keys=True, indent=2) + "\n")
+        (p / "manifest.json").write_text(_json_text(manifest.to_dict()))
     return manifest, reports

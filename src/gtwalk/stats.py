@@ -7,8 +7,8 @@ identical for any worker count. The path-kernel experiments share one
 skeleton, ``mc_report``: an ``engine.PathKernel`` (``coupled_kernel`` or
 ``walk_kernel``, each with the params block of its kinds), the records the
 experiment reads, and a reduction to the estimate and the params it adds.
-Every bound comparison follows one policy, pass when estimate <= bound +
-3 stderr + declared bias.
+Every estimate-against-bound kind passes by one rule, ``bound_report``'s:
+estimate <= bound + 3 stderr + declared bias.
 
 Only the convergence diagnostics need scipy; they import ``scipy.special``
 when called, so importing this module loads numpy alone.
@@ -88,35 +88,47 @@ def _wilson_interval(successes: float, n: int, z: float = 1.96):
 
 @dataclass
 class VerificationReport:
-    """One verified bound: estimate against bound with the 3-stderr policy."""
+    """What one experiment measured and what its kind decided about it.
+
+    ``bound`` and ``passed`` are the kind's decision: a number and a flag
+    where an estimate is checked against a bound (``bound_report``), None
+    and a flag for ``convergence`` and ``feller-test``, None and None for
+    ``walk`` and ``couple``, which check nothing. ``check`` names the
+    statistic and the pass rule with its tolerance (None without a check);
+    ``estimate`` is None where a kind computes no sample mean.
+    """
     experiment_id: str
-    estimate: McEstimate
-    bound: float
-    bias: float
+    estimate: McEstimate | None
     metadata: dict
-
-    @property
-    def margin(self) -> float:
-        """bound + 3 stderr + declared bias - estimate; +-inf for the
-        sentinel bounds."""
-        return self.bound + 3.0 * self.estimate.stderr + self.bias \
-            - self.estimate.mean
-
-    @property
-    def passed(self) -> bool:
-        return self.margin >= 0.0
+    bound: float | None = None
+    passed: bool | None = None
+    check: dict | None = None
+    bias: float = 0.0
 
     def to_dict(self) -> dict:
         return {
             "id": self.experiment_id,
             "params": self.metadata.get("params", {}),
-            "estimate": self.estimate.to_dict(),
+            "estimate": self.estimate.to_dict() if self.estimate else None,
             "bound": self.bound,
             "pass": self.passed,
+            "check": self.check,
             "bias_terms": {"declared": self.bias},
             "seed": self.metadata.get("seed"),
             "runtime_ms": self.metadata.get("runtime_ms"),
         }
+
+
+def bound_report(experiment_id: str, estimate: McEstimate, metadata: dict,
+                 *, statistic: str, bound: float,
+                 bias: float = 0.0) -> VerificationReport:
+    """The report of an estimate checked against ``bound``: pass when
+    estimate <= bound + 3 stderr + declared bias."""
+    return VerificationReport(
+        experiment_id, estimate, metadata, bound,
+        bool(bound + 3.0 * estimate.stderr + bias >= estimate.mean),
+        {"statistic": statistic,
+         "rule": "estimate.mean <= bound + 3 stderr + declared bias"}, bias)
 
 
 # ---------------------------------------------------------------------------
@@ -184,19 +196,24 @@ def map_path_chunks(n_paths: int, fn: Callable[[range], dict],
 
 def mc_report(experiment_id: str, kernel: engine.PathKernel, records,
               reduce: Callable[[dict], tuple[McEstimate, dict]], *,
-              bound: float, bias: float = 0.0,
-              workers: int = 1) -> VerificationReport:
+              bound: float | None = None, statistic: str | None = None,
+              bias: float = 0.0, workers: int = 1) -> VerificationReport:
     """Run ``kernel`` for the ``records`` the caller reads, reduce them
     once and report.
 
     ``reduce`` maps the records of every path, in path order, to the
-    estimate and the params the kind adds to the kernel's block.
+    estimate and the params the kind adds to the kernel's block. The
+    estimate is checked against ``bound`` (``bound_report``) if one is
+    given.
     """
     estimate, extra = reduce(map_path_chunks(
         kernel.params["n_paths"], partial(kernel.fn, records=records),
         workers))
-    return VerificationReport(experiment_id, estimate, bound, bias, {
-        "params": {**kernel.params, **extra}, "seed": kernel.seed})
+    metadata = {"params": {**kernel.params, **extra}, "seed": kernel.seed}
+    if bound is None:
+        return VerificationReport(experiment_id, estimate, metadata)
+    return bound_report(experiment_id, estimate, metadata,
+                        statistic=statistic, bound=bound, bias=bias)
 
 
 def proportion(flags: np.ndarray) -> McEstimate:
@@ -222,7 +239,8 @@ def estimate_coupling_survival(model: ManifoldModel, config: CouplingConfig,
                                        kernel.params["horizon"])
     return mc_report(experiment_id, kernel, {"survival"},
                      lambda res: (proportion(res["survival"]), {}),
-                     bound=bound, bias=bias, workers=workers)
+                     bound=bound, bias=bias, workers=workers,
+                     statistic="fraction of pairs not coupled by t2")
 
 
 def check_contraction(model: ManifoldModel, config: CouplingConfig,
@@ -248,7 +266,8 @@ def check_contraction(model: ManifoldModel, config: CouplingConfig,
 
     return mc_report(experiment_id, coupled_kernel(model, config, n_paths),
                      {"contraction_max"}, reduce,
-                     bound=coefficient * config.alpha, workers=workers)
+                     bound=coefficient * config.alpha, workers=workers,
+                     statistic="largest rise of e^{k(t-t1)/2} d over paths")
 
 
 def check_gradient_estimate(model: ManifoldModel, config: CouplingConfig,
@@ -274,7 +293,8 @@ def check_gradient_estimate(model: ManifoldModel, config: CouplingConfig,
 
     bound = d0 * osc / math.sqrt(2.0 * math.pi * beta(horizon, config.k))
     return mc_report(experiment_id, kernel, {"end"}, reduce, bound=bound,
-                     workers=workers)
+                     workers=workers,
+                     statistic="|E f(X1(t2)) - E f(X2(t2))|")
 
 
 @dataclass

@@ -1,14 +1,21 @@
+import csv
+import dataclasses
+import io
 import json
 import math
 
 import pytest
 
 from conftest import strip_runtime
+from gtwalk import runner
 from gtwalk.cli import main, parse_manifold_spec
+from gtwalk.comparison import FellerResult
 from gtwalk.config import (_KEYS_BY_KIND, EXPERIMENT_KINDS, parse_config,
-                           parse_suite, resolve_start_points)
+                           parse_suite, resolve_start, resolve_start_points)
+from gtwalk.coupling import run_coupled
 from gtwalk.errors import ConfigError, InvalidInput
 from gtwalk.runner import dump_paths, run_document
+from gtwalk.walk import WalkConfig, run_walk
 
 
 MINIMAL_WALK = {"kind": "walk", "manifold": {"kind": "euclidean", "dim": 2},
@@ -122,8 +129,17 @@ def test_runner_writes_reports_and_manifest(tmp_path):
     assert report["estimate"]["n"] == 1500
     csv_text = (tmp_path / "verify-coupling-bound.csv").read_text()
     assert csv_text.splitlines()[0].startswith("id,n,mean,stderr")
+    cells = dict(zip(*(line.split(",") for line in csv_text.splitlines())))
+    assert (cells["bound"], cells["pass"]) == (repr(report["bound"]), "True")
     m = json.loads((tmp_path / "manifest.json").read_text())
     assert m["config_hash"] == manifest.config_hash
+
+    # A kind that checks nothing leaves the bound and pass cells empty.
+    run_document({**MINIMAL_WALK, "n_paths": 50}, out_dir=tmp_path / "walk")
+    lines = (tmp_path / "walk" / "walk.csv").read_text().splitlines()
+    cells = dict(zip(*(line.split(",") for line in lines)))
+    assert (cells["bound"], cells["pass"]) == ("", "")
+    assert cells["n"] == "50" and float(cells["mean"]) > 0.0
 
 
 def test_reports_byte_identical_across_workers(tmp_path):
@@ -192,6 +208,102 @@ def test_cli_dump_paths_format(tmp_path, capsys):
     assert header == "n,t,coord_0,coord_1"
 
 
+def _csv_bytes(rows) -> bytes:
+    text = io.StringIO(newline="")
+    csv.writer(text).writerows(rows)
+    return text.getvalue().encode()
+
+
+FLOW_SPHERE = {"kind": "sphere", "dim": 2, "radius_c0": 1.0, "flow": True}
+
+
+def test_dump_paths_bytes_match_single_path_runs(tmp_path):
+    """dump_paths runs its paths in one kernel call with only the records
+    it writes; each file holds the rows of that path's run_coupled or
+    run_walk, byte for byte."""
+    pair = parse_config({"kind": "couple", "manifold": FLOW_SPHERE,
+                         "alpha": 0.1, "t1": 0.0, "t2": 0.5, "seed": 2,
+                         "d0": 0.5})
+    model = pair.build_model()
+    files = dump_paths(pair, model, 3, tmp_path / "pair")
+    assert [f.name for f in files] == [f"coupled_{i:04d}.csv" for i in range(3)]
+    flags = []
+    for idx, fname in enumerate(files):
+        path = run_coupled(model, dataclasses.replace(
+            runner._coupling_config(pair, model), path_index=idx))
+        lam = [0.0, *path.lambda_star_record]
+        flags += list(path.coupled_flags)
+        assert fname.read_bytes() == _csv_bytes(
+            [["n", "t", "x1_0", "x1_1", "x1_2", "x2_0", "x2_1", "x2_2",
+              "dist", "lambda_star", "coupled"]]
+            + [[n, repr(float(t))]
+               + [repr(float(v)) for v in path.skeleton1[n]]
+               + [repr(float(v)) for v in path.skeleton2[n]]
+               + [repr(float(path.distance_process[n])), repr(float(lam[n])),
+                  int(path.coupled_flags[n])]
+               for n, t in enumerate(path.schedule.times)])
+    assert any(flags) and not all(flags)
+
+    walk = parse_config({**MINIMAL_WALK, "manifold": FLOW_SPHERE, "t2": 0.5})
+    model = walk.build_model()
+    files = dump_paths(walk, model, 2, tmp_path / "walk")
+    for idx, fname in enumerate(files):
+        path = run_walk(model, WalkConfig(
+            alpha=walk["alpha"], t1=walk["t1"], t2=walk["t2"],
+            seed=walk["seed"], start=resolve_start(walk, model),
+            path_index=idx))
+        assert fname.read_bytes() == _csv_bytes(
+            [["n", "t", "coord_0", "coord_1", "coord_2"]]
+            + [[n, repr(float(t))] + [repr(float(v)) for v in path.skeleton[n]]
+               for n, t in enumerate(path.schedule.times)])
+
+
+FELLER = {"kind": "feller-test", "manifold": {"kind": "euclidean", "dim": 1},
+          "t1": 0.0, "t2": 1.0, "b": {"name": "linear"}}
+
+
+@pytest.mark.parametrize("expect, code", [("explodes", 0), ("survives", 2),
+                                          (None, 0)])
+def test_feller_passes_on_its_verdict_rule(tmp_path, expect, code):
+    doc = tmp_path / "feller.json"
+    doc.write_text(json.dumps({**FELLER, "expect": expect}))
+    assert main(["run", str(doc), "--out", str(tmp_path / "out")]) == code
+    report = json.loads((tmp_path / "out" / "feller-test.json").read_text())
+    assert report["params"]["verdict"] == "explodes"
+    assert report["pass"] is (code == 0)
+    assert (report["estimate"], report["bound"]) == (None, None)
+    assert report["params"]["decay_exponent"] >= 1.15
+    assert report["params"]["verdict_reason"] is None
+
+
+@pytest.mark.parametrize("integral, exponent, reason", [
+    (2.5, math.inf, "the outer integrand reaches 0 before y_max"),
+    (math.inf, math.nan, "the integral is not finite")])
+def test_feller_non_finite_numbers_become_null(monkeypatch, tmp_path,
+                                                integral, exponent, reason):
+    """The report gives no number the test could not compute, and says
+    why; it stays strict JSON."""
+    monkeypatch.setattr(runner, "feller_explosion_test", lambda *args:
+                        FellerResult("explodes", integral, exponent, {}))
+    run_document({**FELLER, "expect": "explodes"}, out_dir=tmp_path)
+    params = json.loads((tmp_path / "feller-test.json").read_text())["params"]
+    assert params["decay_exponent"] is None
+    assert params["integral"] == (integral if math.isfinite(integral)
+                                  else None)
+    assert params["verdict_reason"] == reason
+
+
+def test_convergence_passes_on_its_trend_and_ks_flags():
+    _, [report] = run_document({
+        "kind": "convergence", "manifold": {"kind": "euclidean", "dim": 1},
+        "t1": 0.0, "t2": 1.0, "alphas": [0.4, 0.2], "n_paths": 400,
+        "seed": 10})
+    d = report.to_dict()
+    assert (d["estimate"], d["bound"]) == (None, None)
+    assert d["pass"] is (d["params"]["trend_pass"]
+                         and d["params"]["rows"][-1]["ks_pass"])
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--alpha", "0.1"), ("--samples", "5"), ("--manifold", "euclidean:2"),
     ("--threads", "2")])
@@ -212,7 +324,7 @@ def test_dump_paths_rejects_flags_it_would_ignore(flag, value, tmp_path,
 def test_cli_flag_built_walk(capsys):
     assert main(["walk", "--manifold", "euclidean:2", "--alpha", "0.1",
                  "--samples", "200", "--seed", "3"]) == 0
-    assert "[PASS] walk" in capsys.readouterr().out
+    assert "[NO CHECK] walk: estimate=" in capsys.readouterr().out
 
 
 def test_threads_env_fallback(tmp_path, monkeypatch):
@@ -235,7 +347,7 @@ def test_cli_couple_subcommand(capsys):
                  "--samples", "300", "--seed", "4", "--d0", "1.0",
                  "--coupling", "parallel"])
     assert code == 0
-    assert "[PASS] couple" in capsys.readouterr().out
+    assert "[NO CHECK] couple: estimate=" in capsys.readouterr().out
 
 
 def test_couple_keys_take_effect():

@@ -5,8 +5,15 @@
 Bernoulli means of the proportion kinds must match exactly; other floats
 match to a relative 1e-12. Reports must not depend on the worker count.
 
-Regenerate (only when an estimate is meant to change) with
-``PYTHONPATH=src python tests/test_golden_reports.py``.
+``PYTHONPATH=src python tests/test_golden_reports.py`` merges a fresh run
+into the file: it adds new keys, drops removed ones, takes changed values,
+and keeps every pinned value that the fresh one still matches within the
+tolerance above. A change of report format therefore cannot move a pinned
+float, not even by the 1-2 ulp that hosts differ by. To take a value that
+is meant to change by less than the tolerance, delete it from the file
+first.
+
+Every report and manifest is strict JSON: no NaN or infinity.
 """
 
 import json
@@ -145,7 +152,45 @@ def test_mapper_and_kernels_are_looked_up_at_call_time(monkeypatch, name):
     assert calls.get(KERNEL_OF[name], 0) >= 1
 
 
+def _refuse_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+FELLER = {"kind": "feller-test", "manifold": {"kind": "euclidean", "dim": 1},
+          "t1": 0.0, "t2": 1.0, "b": {"name": "linear"}, "expect": "explodes"}
+
+
+def test_reports_are_strict_json(tmp_path):
+    """Every written report and manifest parses without the NaN and
+    Infinity extensions, and no CSV cell is a non-finite number."""
+    for name, doc in [*CONFIGS.items(), ("feller", FELLER)]:
+        runner.run_document(doc, out_dir=tmp_path / name)
+    written = sorted(tmp_path.glob("*/*.json"))
+    assert len(written) == 2 * (len(CONFIGS) + 1)
+    for path in written:
+        json.loads(path.read_text(), parse_constant=_refuse_constant)
+    for path in tmp_path.glob("*/*.csv"):
+        cells = path.read_text().replace("\n", ",").split(",")
+        assert not {"inf", "-inf", "nan", "Infinity", "NaN"} & set(cells)
+
+
+def merged(old, new):
+    """``new`` with each value of ``old`` that it matches kept as pinned."""
+    if isinstance(new, dict) and isinstance(old, dict):
+        return {key: merged(old[key], value) if key in old else value
+                for key, value in new.items()}
+    if isinstance(new, list) and isinstance(old, list) \
+            and len(new) == len(old):
+        return [merged(o, n) for o, n in zip(old, new)]
+    try:
+        assert_matches(new, old, "")
+    except AssertionError:
+        return new
+    return old
+
+
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps({name: report_dict(name, 1)
-                                  for name in sorted(CONFIGS)},
-                                 sort_keys=True, indent=2) + "\n")
+    old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    new = {name: report_dict(name, 1) for name in sorted(CONFIGS)}
+    GOLDEN.write_text(json.dumps(merged(old, new), sort_keys=True, indent=2,
+                                 allow_nan=False) + "\n")

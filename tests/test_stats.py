@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from gtwalk.coupling import CouplingConfig, CouplingKind
 from gtwalk.errors import InvalidInput, SingularConfiguration
-from gtwalk.stats import (McEstimate, VerificationReport,
+from gtwalk.stats import (McEstimate, bound_report,
                           check_contraction, check_gradient_estimate,
                           estimate_coupling_survival,
                           gaussian_cdf, ks_statistic, map_path_chunks,
@@ -48,24 +48,27 @@ def test_wilson_interval_near_edges():
 
 def test_report_pass_policy():
     est = McEstimate.from_bernoulli(40, 100)
-    rep = VerificationReport("x", est, 0.41, 0.0, {"seed": 1})
-    assert rep.passed  # 0.40 <= 0.41 + 3 se
-    rep_tight = VerificationReport("x", est, 0.40 - 4 * est.stderr, 0.0,
-                                   {"seed": 1})
-    assert not rep_tight.passed
-    assert rep.margin == pytest.approx(0.41 + 3 * est.stderr - 0.40)
-    # The declared bias counts in both the margin and the flag.
+
+    def passed(bound, bias=0.0):
+        return bound_report("x", est, {"seed": 1}, statistic="s",
+                            bound=bound, bias=bias).passed
+
+    assert passed(0.41) is True  # 0.40 <= 0.41 + 3 se
+    assert passed(0.40 - 4 * est.stderr) is False
+    # The declared bias counts in the flag.
     short = 0.40 - 3 * est.stderr - 0.01
-    assert not VerificationReport("x", est, short, 0.0, {}).passed
-    rep_bias = VerificationReport("x", est, short, 0.02, {})
-    assert rep_bias.passed
-    assert rep_bias.margin == pytest.approx(0.01)
-    assert not VerificationReport("x", est, short, 0.005, {}).passed
-    assert VerificationReport("x", est, math.inf, 0.0, {}).margin == math.inf
-    assert not VerificationReport("x", est, -math.inf, 1.0, {}).passed
-    d = rep.to_dict()
-    assert set(d) == {"id", "params", "estimate", "bound", "pass",
+    assert not passed(short)
+    assert passed(short, bias=0.02)
+    assert not passed(short, bias=0.005)
+    d = bound_report("x", est, {"seed": 1}, statistic="s", bound=0.41,
+                     bias=0.01).to_dict()
+    assert set(d) == {"id", "params", "estimate", "bound", "pass", "check",
                       "bias_terms", "seed", "runtime_ms"}
+    assert (d["bound"], d["pass"], d["bias_terms"]) == (0.41, True,
+                                                        {"declared": 0.01})
+    assert d["check"] == {
+        "statistic": "s",
+        "rule": "estimate.mean <= bound + 3 stderr + declared bias"}
 
 
 # ---------------------------------------------------------------------------
