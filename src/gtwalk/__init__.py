@@ -26,7 +26,7 @@ from .numeric import NumericChart
 from .stats import (KsResult, McEstimate, VerificationReport,
                     check_contraction, check_gradient_estimate,
                     convergence_diagnostic, estimate_coupling_survival,
-                    ks_statistic, ou_survival_probability, wasserstein1_1d)
+                    ks_statistic, wasserstein1_1d)
 from .variation import (GreenSolution, SampledField, VariationTerms,
                         coupled_variation_terms, dagger_field, dt_distance,
                         index_form, solve_green)

@@ -4,21 +4,21 @@ The Ornstein-Uhlenbeck process dU = -(k/2) U dt + 2 dB advances by its
 exact Gaussian transition in ``ou_chunk``; the radial comparison process
 with drift phi + psi advances by ``RadialComparisonSpec.step``, which
 ``engine.walk_chunk`` and ``simulate_radial_comparison`` share. Both act on
-a block of paths at once. Also here: the meeting-probability helpers chi
-and beta, and the integral test that decides explosion of the
-one-dimensional comparison diffusion. The Monte Carlo estimate of the OU
-survival probability is ``stats.ou_survival_probability``.
+a block of paths at once; ``ou_kernel`` is the OU path kernel. Also here:
+the meeting-probability helpers chi and beta, and the integral test that
+decides explosion of the one-dimensional comparison diffusion.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
-from . import rng
+from . import engine, rng
 from .errors import InvalidInput
 
 _SMALL_K = 1e-8
@@ -26,6 +26,9 @@ _SMALL_K = 1e-8
 # Steps of OU noise drawn per pass; a stream read in slabs yields the same
 # normals as one read of the whole path.
 _OU_SLAB = 1024
+
+# The outputs ou_chunk can compute.
+OU_RECORDS = frozenset({"alive", "end"})
 
 # math.erf applied to each element, so an array entry equals the scalar call.
 _erf = np.vectorize(math.erf, otypes=[float])
@@ -75,20 +78,23 @@ def _ou_transition(k: float, h: float) -> tuple[float, float]:
 
 
 def ou_chunk(params: OUParams, h: float, n_steps: int, seed: int,
-             paths: range) -> dict:
+             paths: range, *, records=None) -> dict:
     """A block of OU paths from ``params.a`` over n_steps exact transitions
     of length h.
 
     Path i is driven by the standard normals of
     ``rng.stream(seed, PURPOSE_OU, i)``, read _OU_SLAB steps at a time so
-    the block's noise stays at len(paths) x _OU_SLAB floats. Returns each
-    path's value after the last step (``end``) and whether every value
-    after the start was positive (``alive``).
+    the block's noise stays at len(paths) x _OU_SLAB floats. ``records``
+    names the outputs, from ``OU_RECORDS`` (None gives both): each path's
+    value after the last step (``end``) and whether its start and every
+    value after it were positive (``alive``), so a path from a = 0 is dead.
     """
+    records = engine._checked_records("ou_chunk", records, OU_RECORDS,
+                                      OU_RECORDS, {})
     decay, sd = _ou_transition(params.k, h)
     streams = [rng.stream(seed, rng.PURPOSE_OU, i) for i in paths]
     u = np.full(len(paths), params.a)
-    alive = np.ones(len(paths), dtype=bool)
+    alive = np.full(len(paths), params.a > 0.0)
     for s0 in range(0, n_steps, _OU_SLAB):
         shocks = np.empty((len(paths), min(_OU_SLAB, n_steps - s0)))
         for row, gen in zip(shocks, streams):
@@ -96,7 +102,25 @@ def ou_chunk(params: OUParams, h: float, n_steps: int, seed: int,
         for z in shocks.T:
             u = decay * u + sd * z
             alive &= u > 0.0
-    return {"alive": alive, "end": u}
+    out = {"alive": alive, "end": u}
+    return {name: out[name] for name in records}
+
+
+def ou_kernel(params: OUParams, horizon: float, h: float, seed: int,
+              n_paths: int) -> engine.PathKernel:
+    """``ou_chunk`` over ceil(horizon / h) steps of length h (h > 0), and
+    the params of ``n_paths`` paths (at least 1000). The fraction of
+    ``alive`` paths misses barrier hits between steps, a known O(sqrt h)
+    positive bias against chi(a / (2 sqrt(beta(horizon, k))))."""
+    if not h > 0.0:
+        raise InvalidInput("OU step h must be positive")
+    if n_paths < 1000:
+        raise InvalidInput("OU survival needs at least 1000 paths")
+    n_steps = int(math.ceil(horizon / h - 1e-9))
+    return engine.PathKernel(
+        partial(ou_chunk, params, h, n_steps, seed),
+        {"a": params.a, "k": params.k, "h": h, "horizon": horizon,
+         "n_paths": n_paths}, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -214,6 +214,8 @@ def parse_config(document: str | dict) -> ExperimentConfig:
         data["alphas"] = [float(a) for a in alphas]
         for a in data["alphas"]:
             _check_alpha(a, t1, t2)
+        if any(a2 >= a1 for a1, a2 in zip(alphas, alphas[1:])):
+            _fail("alphas", "must be strictly decreasing")
     elif kind not in ("feller-test", "ou-survival"):
         if "alpha" not in data:
             _fail("alpha", "missing")
@@ -225,10 +227,9 @@ def parse_config(document: str | dict) -> ExperimentConfig:
     if kind == "couple" and data["coupling"] not in ("reflection", "parallel"):
         _fail("coupling", f"must be 'reflection' or 'parallel', not "
               f"{data['coupling']!r}")
-    if kind in ("walk", "radial-domination"):
-        radius = data["exit_radius"]
-        if radius is not None and float(radius) <= 1.0:
-            _fail("exit_radius", "must exceed 1 (or be null)")
+    radius = data.get("exit_radius")
+    if radius is not None and float(radius) <= 1.0:
+        _fail("exit_radius", "must exceed 1 (or be null)")
     if kind == "convergence":
         convergence_reference(data["reference"], data["manifold"])
     if kind in COUPLED_KINDS:
@@ -257,11 +258,14 @@ def parse_config(document: str | dict) -> ExperimentConfig:
         if "a" not in data:
             _fail("a", "missing")
         data["a"] = float(data["a"])
+        if float(data["ou_h"]) <= 0.0:
+            _fail("ou_h", "must be positive")
     n_paths = data.get("n_paths")
     if n_paths is not None and int(n_paths) <= 0:
         _fail("n_paths", "must be positive")
-    if kind == "convergence" and int(n_paths) < 100:
-        _fail("n_paths", "convergence needs at least 100 for its KS test")
+    least = {"convergence": 100, "ou-survival": 1000}.get(kind)
+    if least and int(n_paths) < least:
+        _fail("n_paths", f"{kind} needs at least {least} paths")
     _check_points(data)
     return ExperimentConfig(kind, data)
 

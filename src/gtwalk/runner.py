@@ -11,19 +11,18 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, engine
-from .comparison import (OUParams, RadialComparisonSpec, builtin_b,
-                         feller_explosion_test)
+from .comparison import (OUParams, RadialComparisonSpec, beta, builtin_b,
+                         chi, feller_explosion_test, ou_kernel)
 from .config import (COUPLED_KINDS, DUMP_KINDS, ExperimentConfig,
                      RunManifest, convergence_reference, parse_suite,
                      resolve_start, resolve_start_points)
 from .coupling import CouplingConfig, CouplingKind, coupled_kernel
 from .errors import ConfigError
 from .manifolds import ManifoldModel
-from .stats import (McEstimate, VerificationReport, bound_report,
-                    check_contraction, check_gradient_estimate,
-                    circle_angles, convergence_diagnostic,
-                    estimate_coupling_survival, gaussian_cdf, mc_report,
-                    ou_survival_probability, proportion,
+from .stats import (McEstimate, VerificationReport, check_contraction,
+                    check_gradient_estimate, circle_angles,
+                    convergence_diagnostic, estimate_coupling_survival,
+                    gaussian_cdf, mc_report, proportion,
                     wrapped_gaussian_cdf)
 from .walk import Schedule, walk_kernel
 
@@ -178,22 +177,20 @@ def _run_feller(config, model, workers):
 
 
 def _run_ou(config, model, workers):
-    horizon = config["t2"] - config["t1"]
-    h = float(config["ou_h"])
     params = OUParams(a=float(config["a"]), k=float(config["k"]))
-    res = ou_survival_probability(params, horizon, int(config["n_paths"]), h,
-                                  seed=int(config["seed"]), workers=workers)
-    deviation = abs(res.estimate - res.analytic)
-    est = McEstimate(n=res.n_paths, mean=deviation, stderr=res.stderr,
-                     ci95=(deviation - 1.96 * res.stderr,
-                           deviation + 1.96 * res.stderr))
-    return bound_report("ou-survival", est, {
-        "params": {"a": params.a, "k": params.k, "h": h, "horizon": horizon,
-                   "estimate": res.estimate, "analytic": res.analytic,
-                   "n_paths": res.n_paths},
-        "seed": config["seed"]},
-        statistic="|survival estimate - analytic value|", bound=0.0,
-        bias=2.0 * math.sqrt(h))
+    horizon, h = config["t2"] - config["t1"], float(config["ou_h"])
+    analytic = chi(params.a / (2.0 * math.sqrt(beta(horizon, params.k))))
+
+    def reduce(res):
+        survival = proportion(res["alive"])
+        return survival.abs_deviation(analytic), {
+            "estimate": survival.mean, "analytic": analytic}
+
+    return mc_report(
+        "ou-survival", ou_kernel(params, horizon, h, int(config["seed"]),
+                                 int(config["n_paths"])),
+        {"alive"}, reduce, bound=0.0, bias=2.0 * math.sqrt(h),
+        workers=workers, statistic="|survival estimate - analytic value|")
 
 
 def _run_radial(config, model, workers):

@@ -4,11 +4,13 @@ Every Monte Carlo experiment runs a kernel partial over fixed-size path
 chunks, in worker processes when more than one is asked for; the per-path
 results are concatenated in path order and reduced once, so reports are
 identical for any worker count. The path-kernel experiments share one
-skeleton, ``mc_report``: an ``engine.PathKernel`` (``coupled_kernel`` or
-``walk_kernel``, each with the params block of its kinds), the records the
-experiment reads, and a reduction to the estimate and the params it adds.
-Every estimate-against-bound kind passes by one rule, ``bound_report``'s:
-estimate <= bound + 3 stderr + declared bias.
+skeleton, ``mc_report``: an ``engine.PathKernel`` (``coupled_kernel``,
+``walk_kernel`` or ``comparison.ou_kernel``, each with the params block of
+its kinds), the records the experiment reads, and a reduction to the
+estimate and the params it adds. Every estimate-against-bound kind passes
+by one rule, ``bound_report``'s: estimate <= bound + 3 stderr + declared
+bias. An estimate of an absolute difference takes its interval from
+``McEstimate.abs_deviation``.
 
 Only the convergence diagnostics need scipy; they import ``scipy.special``
 when called, so importing this module loads numpy alone.
@@ -24,7 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import engine
-from .comparison import OUParams, beta, chi, ou_chunk
+from .comparison import beta
 from .coupling import (CouplingConfig, CouplingKind, coupled_kernel,
                        coupling_probability_bound)
 from .errors import InvalidInput
@@ -72,6 +74,16 @@ class McEstimate:
         else:
             ci = (p - 1.96 * stderr, p + 1.96 * stderr)
         return cls(n, p, stderr, ci)
+
+    def abs_deviation(self, target: float = 0.0) -> "McEstimate":
+        """The estimate of |mean - target| with the same stderr; its
+        interval is the normal interval of mean - target folded onto
+        [0, inf) under abs."""
+        dev = self.mean - target
+        lo, hi = dev - 1.96 * self.stderr, dev + 1.96 * self.stderr
+        if lo < 0.0:
+            lo, hi = (-hi, -lo) if hi <= 0.0 else (0.0, max(-lo, hi))
+        return McEstimate(self.n, abs(dev), self.stderr, (lo, hi))
 
     def to_dict(self) -> dict:
         return {"n": self.n, "mean": self.mean, "stderr": self.stderr,
@@ -284,49 +296,13 @@ def check_gradient_estimate(model: ManifoldModel, config: CouplingConfig,
         signed = McEstimate.from_samples(
             np.asarray(f(res["end1"]), dtype=float)
             - np.asarray(f(res["end2"]), dtype=float))
-        lo, hi = signed.ci95
-        if lo < 0.0:   # the interval of |mean|: the signed interval under abs
-            lo, hi = (-hi, -lo) if hi <= 0.0 else (0.0, max(-lo, hi))
-        return (McEstimate(n=signed.n, mean=abs(signed.mean),
-                           stderr=signed.stderr, ci95=(lo, hi)),
+        return (signed.abs_deviation(),
                 {"osc": osc, "signed_mean": signed.mean})
 
     bound = d0 * osc / math.sqrt(2.0 * math.pi * beta(horizon, config.k))
     return mc_report(experiment_id, kernel, {"end"}, reduce, bound=bound,
                      workers=workers,
                      statistic="|E f(X1(t2)) - E f(X2(t2))|")
-
-
-@dataclass
-class OuSurvival:
-    """Monte Carlo estimate of P(inf U > 0) with its analytic value."""
-    n_paths: int
-    estimate: float
-    stderr: float
-    analytic: float
-    h: float
-
-
-def ou_survival_probability(params: OUParams, horizon: float, n_paths: int,
-                            h: float, seed: int = 0,
-                            workers: int = 1) -> OuSurvival:
-    """Fraction of discretized OU paths whose grid infimum stays positive.
-
-    The grid infimum underestimates barrier hits, so the estimate carries a
-    known O(sqrt h) positive bias; the analytic value is
-    chi(a / (2 sqrt(beta(horizon)))).
-    """
-    if n_paths < 1000:
-        raise InvalidInput("need at least 1000 paths")
-    if params.a == 0.0:
-        return OuSurvival(n_paths, 0.0, 0.0, 0.0, h)
-    n = int(math.ceil(horizon / h - 1e-9))
-    alive = map_path_chunks(n_paths, partial(ou_chunk, params, h, n, seed),
-                            workers)["alive"]
-    p = int(np.count_nonzero(alive)) / n_paths
-    stderr = math.sqrt(max(p * (1.0 - p), 0.0) / n_paths)
-    analytic = chi(params.a / (2.0 * math.sqrt(beta(horizon, params.k))))
-    return OuSurvival(n_paths, p, stderr, analytic, h)
 
 
 # ---------------------------------------------------------------------------
@@ -431,13 +407,13 @@ def convergence_diagnostic(model: ManifoldModel,
                            t1: float, t2: float, start: np.ndarray,
                            alphas: Sequence[float], n_paths: int, seed: int,
                            observable: Callable[[np.ndarray], np.ndarray],
-                           reference_cdf: Callable[[np.ndarray], np.ndarray] | None,
+                           reference_cdf: Callable[[np.ndarray], np.ndarray],
                            reference_support: tuple[float, float],
-                           workers: int = 1, level: float = 0.01) -> list[dict]:
+                           workers: int = 1) -> list[dict]:
     """Per-alpha endpoint-law diagnostics against a reference distribution.
 
     Returns one row per alpha with the transport distance to the reference
-    quantiles and, when a reference CDF is supplied, the KS statistic.
+    quantiles and the KS statistic at level 0.01.
     """
     if any(a2 >= a1 for a1, a2 in zip(alphas, alphas[1:])):
         raise InvalidInput("alphas must be strictly decreasing")
@@ -448,14 +424,11 @@ def convergence_diagnostic(model: ManifoldModel,
         ends = map_path_chunks(n_paths, partial(kernel.fn, records={"end"}),
                                workers)["end"]
         samples = np.asarray(observable(ends), dtype=float)
-        row = {"alpha": alpha, "n": len(samples)}
-        if reference_cdf is not None:
-            ref_q = reference_quantiles(reference_cdf, len(samples),
-                                        *reference_support)
-            row["w1"] = wasserstein1_1d(samples, ref_q)
-            ks = ks_statistic(samples, reference_cdf, level)
-            row["ks_statistic"] = ks.statistic
-            row["ks_threshold"] = ks.threshold
-            row["ks_pass"] = ks.passed
-        rows.append(row)
+        ref_q = reference_quantiles(reference_cdf, len(samples),
+                                    *reference_support)
+        ks = ks_statistic(samples, reference_cdf)
+        rows.append({"alpha": alpha, "n": len(samples),
+                     "w1": wasserstein1_1d(samples, ref_q),
+                     "ks_statistic": ks.statistic,
+                     "ks_threshold": ks.threshold, "ks_pass": ks.passed})
     return rows

@@ -16,8 +16,8 @@ from conftest import random_point, random_tangent, strip_runtime
 from oracles import gaussian_mass, normal_cdf, wrapped_gaussian_cdf_fourier
 
 from gtwalk import engine
-from gtwalk.comparison import (OUParams, RadialComparisonSpec, beta,
-                               builtin_b, feller_explosion_test)
+from gtwalk.comparison import (RadialComparisonSpec, beta, builtin_b,
+                               feller_explosion_test)
 from gtwalk.coupling import CouplingConfig, CouplingKind, dominating_process, run_coupled
 from gtwalk.manifolds import (Euclidean, Hyperbolic, RoundSphere,
                               ScaledMetric, curvature_condition_residual,
@@ -25,8 +25,7 @@ from gtwalk.manifolds import (Euclidean, Hyperbolic, RoundSphere,
 from gtwalk.runner import run_document
 from gtwalk.stats import (check_contraction, check_gradient_estimate,
                           estimate_coupling_survival, gaussian_cdf,
-                          ks_statistic, ou_survival_probability,
-                          reference_quantiles, wasserstein1_1d,
+                          ks_statistic, reference_quantiles, wasserstein1_1d,
                           wrapped_gaussian_cdf)
 from gtwalk.variation import dagger_field, dt_distance, index_form, solve_green
 from gtwalk.walk import Schedule
@@ -245,14 +244,17 @@ def test_criterion_7_ou_identity():
     details = []
     ok = True
     for k in (0.0, 1.0):
-        res = ou_survival_probability(OUParams(1.0, k), 1.0, 10_000, h,
-                                      seed=707)
+        _, [report] = run_document({
+            "kind": "ou-survival", "manifold": {"kind": "euclidean", "dim": 1},
+            "t1": 0.0, "t2": 1.0, "a": 1.0, "k": k, "ou_h": h,
+            "n_paths": 10_000, "seed": 707})
+        params = report.metadata["params"]
         target = gaussian_mass(1.0 / (2.0 * math.sqrt(beta(1.0, k))))
-        assert res.analytic == pytest.approx(target, abs=1e-12)
-        allowance = 3.0 * res.stderr + 2.0 * math.sqrt(h)
-        dev = abs(res.estimate - target)
+        assert params["analytic"] == pytest.approx(target, abs=1e-12)
+        allowance = 3.0 * report.estimate.stderr + 2.0 * math.sqrt(h)
+        dev = abs(params["estimate"] - target)
         ok &= dev <= allowance
-        details.append(f"k={k}: est={res.estimate:.4f} "
+        details.append(f"k={k}: est={params['estimate']:.4f} "
                        f"target={target:.4f} dev={dev:.4f}<= {allowance:.4f}")
     _announce(7, "OU survival identity", ok, "; ".join(details))
     assert ok

@@ -5,18 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import same_bits
+from conftest import same_bits, strip_runtime
 from oracles import gaussian_mass, table_interp
 
 from gtwalk import engine, rng
 from gtwalk.comparison import (OUParams, RadialComparisonSpec, beta,
                                builtin_b, chi, feller_explosion_test,
-                               ou_chunk, simulate_radial_comparison,
-                               _ou_transition)
+                               ou_chunk, ou_kernel,
+                               simulate_radial_comparison, _ou_transition)
 from gtwalk.errors import InvalidInput
 from gtwalk.manifolds import Euclidean, RoundSphere
-from gtwalk.stats import (CHUNK, gaussian_cdf, ks_statistic,
-                          ou_survival_probability)
+from gtwalk.runner import run_document
+from gtwalk.stats import (CHUNK, gaussian_cdf, ks_statistic, mc_report,
+                          proportion)
 from gtwalk.walk import Schedule
 
 
@@ -103,30 +104,55 @@ def test_ou_endpoint_distribution_ks():
     assert ks.passed
 
 
+def _ou_doc(**extra):
+    return {"kind": "ou-survival", "manifold": {"kind": "euclidean",
+                                                "dim": 1},
+            "t1": 0.0, "t2": 1.0, "k": 0.0, **extra}
+
+
+def test_ou_chunk_zero_start_is_dead():
+    res = ou_chunk(OUParams(0.0, 0.0), 1e-2, 100, 3, range(50))
+    assert not np.any(res["alive"])
+    assert set(res) == {"alive", "end"}
+    assert set(ou_chunk(OUParams(0.0, 0.0), 1e-2, 100, 3, range(50),
+                        records={"alive"})) == {"alive"}
+
+
+def test_ou_chunk_rejects_unknown_records():
+    with pytest.raises(InvalidInput, match="ou_chunk"):
+        ou_chunk(OUParams(1.0, 0.0), 1e-2, 10, 0, range(4),
+                 records={"alive", "skeleton"})
+
+
 def test_ou_survival_zero_start():
-    res = ou_survival_probability(OUParams(0.0, 0.0), 1.0, 1000, 1e-2)
-    assert res.estimate == 0.0 and res.analytic == 0.0
+    _, [report] = run_document(_ou_doc(a=0.0, ou_h=1e-2, n_paths=1000))
+    params = report.to_dict()["params"]
+    assert params["estimate"] == 0.0 and params["analytic"] == 0.0
 
 
 def test_ou_survival_monotone_in_start():
-    values = [ou_survival_probability(OUParams(a, 0.0), 1.0, 2000, 1e-3,
-                                      seed=31).estimate
-              for a in (0.5, 1.0, 2.0)]
+    values = [mc_report("ou", ou_kernel(OUParams(a, 0.0), 1.0, 1e-3, 31, 2000),
+                        {"alive"}, lambda res: (proportion(res["alive"]), {})
+                        ).estimate.mean for a in (0.5, 1.0, 2.0)]
     assert values[0] < values[1] < values[2]
 
 
 def test_ou_survival_needs_paths():
     with pytest.raises(InvalidInput):
-        ou_survival_probability(OUParams(1.0, 0.0), 1.0, 10, 1e-2)
+        ou_kernel(OUParams(1.0, 0.0), 1.0, 1e-2, 0, 10)
+
+
+def test_ou_kernel_needs_positive_step():
+    for h in (0.0, -0.1):
+        with pytest.raises(InvalidInput, match="positive"):
+            ou_kernel(OUParams(1.0, 0.0), 1.0, h, 0, 1000)
 
 
 def test_ou_survival_same_for_any_worker_count():
-    """Three chunks in two worker processes give the one-process result."""
-    n_paths = 2 * CHUNK + 500
-    one = ou_survival_probability(OUParams(1.0, 0.5), 1.0, n_paths, 1e-2,
-                                  seed=17, workers=1)
-    two = ou_survival_probability(OUParams(1.0, 0.5), 1.0, n_paths, 1e-2,
-                                  seed=17, workers=2)
+    """Three chunks in two worker processes give the one-process report."""
+    doc = _ou_doc(a=1.0, k=0.5, ou_h=1e-2, n_paths=2 * CHUNK + 500, seed=17)
+    one, two = (strip_runtime(run_document(doc, workers=w)[1][0].to_dict())
+                for w in (1, 2))
     assert one == two
 
 

@@ -13,7 +13,7 @@ from gtwalk.comparison import FellerResult
 from gtwalk.config import (_KEYS_BY_KIND, EXPERIMENT_KINDS, parse_config,
                            parse_suite, resolve_start, resolve_start_points)
 from gtwalk.coupling import run_coupled
-from gtwalk.errors import ConfigError, InvalidInput
+from gtwalk.errors import ConfigError
 from gtwalk.runner import dump_paths, run_document
 from gtwalk.walk import WalkConfig, run_walk
 
@@ -368,7 +368,7 @@ def test_couple_keys_take_effect():
     assert loose["mean_final_distance"] > default["mean_final_distance"]
     assert params(exit_radius=1.5)["exit_fraction"] > 0.0
     assert params(origin=[10.0, 0.0])["exit_fraction"] == 1.0
-    with pytest.raises(InvalidInput):
+    with pytest.raises(ConfigError, match="^exit_radius: "):
         params(exit_radius=0.5)
 
 
@@ -398,7 +398,7 @@ _DUMP_DOCS = {
                                        "offset": 0.0}},
     "convergence": {"alphas": [0.4, 0.2], "n_paths": 100},
     "feller-test": {"b": {"name": "zero"}},
-    "ou-survival": {"a": 1.0, "ou_h": 1e-3, "n_paths": 20},
+    "ou-survival": {"a": 1.0, "ou_h": 1e-3, "n_paths": 1000},
     "radial-domination": {"alpha": 0.2, "n_paths": 20, "b": {"name": "zero"}},
 }
 _PATH_KINDS = {"walk", "couple", "verify-coupling-bound", "verify-contraction",
@@ -465,7 +465,7 @@ def test_radial_exit_radius_null_skips_exit_check():
     assert null.estimate.mean == default.estimate.mean > 0.0
 
 
-@pytest.mark.parametrize("kind", ["walk", "radial-domination"])
+@pytest.mark.parametrize("kind", ["walk", "couple", "radial-domination"])
 def test_exit_radius_at_most_one_rejected(kind):
     for radius in (0.5, 1.0):
         with pytest.raises(ConfigError, match="exit_radius"):
@@ -630,6 +630,26 @@ def test_bad_outside_input_is_an_error_line(name, env, patch, argv, tmp_path,
     assert main(argv or ["run", str(doc)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and name in err, err
+
+
+@pytest.mark.parametrize("kind, patch", [
+    ("ou-survival", {"ou_h": 0}),
+    ("ou-survival", {"ou_h": -0.1}),
+    ("ou-survival", {"n_paths": 999}),
+    ("couple", {"exit_radius": 1.0}),
+    ("convergence", {"alphas": [0.2, 0.4]}),
+    ("convergence", {"alphas": [0.2, 0.2]}),
+], ids=["ou_h-zero", "ou_h-negative", "ou-n_paths-999", "couple-exit_radius-1",
+        "alphas-rising", "alphas-equal"])
+def test_value_the_run_refuses_is_rejected_at_parse(kind, patch, tmp_path,
+                                                    capsys):
+    """A value the run would refuse or crash on exits 1 with one 'error:'
+    line that starts with its key."""
+    doc = tmp_path / "cfg.json"
+    doc.write_text(json.dumps({**_key_base(kind), **patch}))
+    assert main(["run", str(doc)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {next(iter(patch))}: "), err
 
 
 # For each point key, a config of a kind that takes it, with a good point

@@ -260,6 +260,14 @@ def _config(model, alpha=0.05, t2=1.0, kind=CouplingKind.REFLECTION,
                           start2=x2, kind=kind, **kw)
 
 
+def test_coupling_config_rejects_exit_radius_at_most_one():
+    for radius in (0.5, 1.0):
+        with pytest.raises(InvalidInput, match="exit radius"):
+            CouplingConfig(alpha=0.1, t1=0.0, t2=1.0, seed=1,
+                           start1=np.zeros(2), start2=np.ones(2),
+                           exit_radius=radius)
+
+
 def test_run_coupled_identical_starts(euclid2):
     cfg = CouplingConfig(alpha=0.1, t1=0.0, t2=1.0, seed=1,
                          start1=np.zeros(2), start2=np.zeros(2))

@@ -23,7 +23,7 @@ from pathlib import Path
 import pytest
 
 from conftest import strip_runtime
-from gtwalk import engine, runner, stats
+from gtwalk import comparison, engine, runner, stats
 from gtwalk.config import COUPLED_KINDS, parse_config
 from gtwalk.runner import execute
 
@@ -82,9 +82,9 @@ CONFIGS = {
 PROPORTION_KINDS = ("couple", "verify-coupling-bound", "radial-domination")
 
 
-def report_dict(name: str, workers: int) -> dict:
-    return strip_runtime(
-        execute(parse_config(CONFIGS[name]), workers=workers).to_dict())
+def report_dict(name: str, workers: int, **changes) -> dict:
+    return strip_runtime(execute(parse_config({**CONFIGS[name], **changes}),
+                                 workers=workers).to_dict())
 
 
 def assert_matches(got, want, path: str) -> None:
@@ -121,11 +121,17 @@ def test_golden_report(golden, name, workers):
         assert got["estimate"]["mean"] == want["estimate"]["mean"]
 
 
-# The kernel each config's kind maps over path chunks. ou-survival maps
-# comparison.ou_chunk, which no tracer wraps.
+def test_ou_survival_interval_is_of_the_absolute_deviation():
+    """At seed 2 the survival estimate is within one stderr of the analytic
+    value, so the interval of |estimate - analytic| starts at 0."""
+    est = report_dict("ou-survival", 1, seed=2)["estimate"]
+    assert 0.0 <= est["ci95"][0] <= est["mean"] <= est["ci95"][1]
+
+
+# The kernel each config's kind maps over path chunks.
 KERNEL_OF = {name: "coupled_chunk" if cfg["kind"] in COUPLED_KINDS
-             else "walk_chunk"
-             for name, cfg in CONFIGS.items() if cfg["kind"] != "ou-survival"}
+             else "ou_chunk" if cfg["kind"] == "ou-survival"
+             else "walk_chunk" for name, cfg in CONFIGS.items()}
 
 
 @pytest.mark.parametrize("name", sorted(KERNEL_OF))
@@ -147,6 +153,8 @@ def test_mapper_and_kernels_are_looked_up_at_call_time(monkeypatch, name):
     for kernel in ("walk_chunk", "coupled_chunk"):
         monkeypatch.setattr(engine, kernel,
                             counting(kernel, getattr(engine, kernel)))
+    monkeypatch.setattr(comparison, "ou_chunk",
+                        counting("ou_chunk", comparison.ou_chunk))
     execute(parse_config(CONFIGS[name]), workers=1)
     assert calls.get("map", 0) >= 1
     assert calls.get(KERNEL_OF[name], 0) >= 1

@@ -46,6 +46,24 @@ def test_wilson_interval_near_edges():
                                       mid.mean + 1.96 * mid.stderr))
 
 
+@pytest.mark.parametrize("mean, target, interval", [
+    (0.5, 0.0, (0.5 - 1.96 * 0.1, 0.5 + 1.96 * 0.1)),
+    (-0.5, 0.0, (0.5 - 1.96 * 0.1, 0.5 + 1.96 * 0.1)),
+    (0.05, 0.0, (0.0, 0.05 + 1.96 * 0.1)),
+    (-0.05, 0.0, (0.0, 0.05 + 1.96 * 0.1)),
+    (0.3, 0.8, (0.5 - 1.96 * 0.1, 0.5 + 1.96 * 0.1)),
+])
+def test_abs_deviation_folds_the_interval(mean, target, interval):
+    """The interval of |mean - target| is the normal interval of
+    mean - target under abs: never below 0, and it holds the estimate."""
+    est = McEstimate(100, mean, 0.1, (mean - 0.196, mean + 0.196))
+    dev = est.abs_deviation(target)
+    assert (dev.n, dev.stderr) == (100, 0.1)
+    assert dev.mean == pytest.approx(abs(mean - target), abs=1e-15)
+    assert dev.ci95 == pytest.approx(interval, abs=1e-15)
+    assert 0.0 <= dev.ci95[0] <= dev.mean <= dev.ci95[1]
+
+
 def test_report_pass_policy():
     est = McEstimate.from_bernoulli(40, 100)
 
