@@ -64,7 +64,8 @@ class OUParams:
 
     def __post_init__(self):
         if self.a < 0:
-            raise InvalidInput("OU initial value must be nonnegative")
+            raise InvalidInput("OU initial value must be nonnegative",
+                               key="a")
 
 
 def _ou_transition(k: float, h: float) -> tuple[float, float]:
@@ -78,9 +79,10 @@ def _ou_transition(k: float, h: float) -> tuple[float, float]:
 
 
 def ou_chunk(params: OUParams, h: float, n_steps: int, seed: int,
-             paths: range, *, records=None) -> dict:
+             paths: range, *, last: float | None = None,
+             records=None) -> dict:
     """A block of OU paths from ``params.a`` over n_steps exact transitions
-    of length h.
+    of length h, the last of length ``last`` when given.
 
     Path i is driven by the standard normals of
     ``rng.stream(seed, PURPOSE_OU, i)``, read _OU_SLAB steps at a time so
@@ -91,7 +93,8 @@ def ou_chunk(params: OUParams, h: float, n_steps: int, seed: int,
     """
     records = engine._checked_records("ou_chunk", records, OU_RECORDS,
                                       OU_RECORDS, {})
-    decay, sd = _ou_transition(params.k, h)
+    steps = [_ou_transition(params.k, h)] * (n_steps - 1) \
+        + [_ou_transition(params.k, h if last is None else last)]
     streams = [rng.stream(seed, rng.PURPOSE_OU, i) for i in paths]
     u = np.full(len(paths), params.a)
     alive = np.full(len(paths), params.a > 0.0)
@@ -99,7 +102,7 @@ def ou_chunk(params: OUParams, h: float, n_steps: int, seed: int,
         shocks = np.empty((len(paths), min(_OU_SLAB, n_steps - s0)))
         for row, gen in zip(shocks, streams):
             gen.standard_normal(out=row)
-        for z in shocks.T:
+        for z, (decay, sd) in zip(shocks.T, steps[s0:]):
             u = decay * u + sd * z
             alive &= u > 0.0
     out = {"alive": alive, "end": u}
@@ -108,17 +111,21 @@ def ou_chunk(params: OUParams, h: float, n_steps: int, seed: int,
 
 def ou_kernel(params: OUParams, horizon: float, h: float, seed: int,
               n_paths: int) -> engine.PathKernel:
-    """``ou_chunk`` over ceil(horizon / h) steps of length h (h > 0), and
-    the params of ``n_paths`` paths (at least 1000). The fraction of
-    ``alive`` paths misses barrier hits between steps, a known O(sqrt h)
-    positive bias against chi(a / (2 sqrt(beta(horizon, k))))."""
+    """``ou_chunk`` over ceil(horizon / h) steps of length h (h > 0), the
+    last one cut to end at the horizon as ``walk.Schedule`` cuts its last
+    step, and the params of ``n_paths`` paths (at least 1000). The
+    fraction of ``alive`` paths misses barrier hits between steps, a known
+    O(sqrt h) positive bias against chi(a / (2 sqrt(beta(horizon, k))))."""
     if not h > 0.0:
         raise InvalidInput("OU step h must be positive")
     if n_paths < 1000:
         raise InvalidInput("OU survival needs at least 1000 paths")
     n_steps = int(math.ceil(horizon / h - 1e-9))
+    # a whole step when h divides the horizon up to the rounding above
+    last = horizon - (n_steps - 1) * h
     return engine.PathKernel(
-        partial(ou_chunk, params, h, n_steps, seed),
+        partial(ou_chunk, params, h, n_steps, seed,
+                last=None if last > h * (1.0 - 1e-9) else last),
         {"a": params.a, "k": params.k, "h": h, "horizon": horizon,
          "n_paths": n_paths}, seed)
 
@@ -150,8 +157,9 @@ class RadialComparisonSpec:
                                  compare=False)
 
     def __post_init__(self):
-        if self.c0 <= 0 or self.r0 <= 0:
-            raise InvalidInput("c0 and r0 must be positive")
+        for key in ("c0", "r0"):
+            if getattr(self, key) <= 0:
+                raise InvalidInput(f"{key} must be positive", key=key)
 
     def b_integral(self, r) -> np.ndarray:
         """int_0^r b by composite trapezoid on the grid j / 256.
@@ -211,8 +219,14 @@ class RadialComparisonSpec:
 
 
 def builtin_b(spec: dict) -> Callable[[np.ndarray], np.ndarray]:
-    """Named drift profiles: zero, constant(c), linear, or a sampled table."""
+    """Named drift profiles: zero, constant(c), linear(slope = 1), or a
+    table sampled at points r, linearly interpolated; each nonnegative."""
+    if not isinstance(spec, dict):
+        raise InvalidInput(f"b must be an object with a 'name', not {spec!r}")
     name = spec.get("name")
+    for key in {"constant": ("c",), "table": ("r", "values")}.get(name, ()):
+        if key not in spec:
+            raise InvalidInput(f"{name} b needs {key!r}")
     if name == "zero":
         return lambda r: np.zeros_like(np.asarray(r, dtype=float))
     if name == "constant":
@@ -222,12 +236,17 @@ def builtin_b(spec: dict) -> Callable[[np.ndarray], np.ndarray]:
         return lambda r: np.full_like(np.asarray(r, dtype=float), c)
     if name == "linear":
         slope = float(spec.get("slope", 1.0))
+        if slope < 0:
+            raise InvalidInput("linear b must have a nonnegative slope")
         return lambda r: slope * np.asarray(r, dtype=float)
     if name == "table":
         xs = np.asarray(spec["r"], dtype=float)
         ys = np.asarray(spec["values"], dtype=float)
         if np.any(~np.isfinite(ys)) or np.any(ys < 0):
             raise InvalidInput("table values must be finite and nonnegative")
+        if xs.ndim != 1 or xs.shape != ys.shape:
+            raise InvalidInput("table r and values must be lists of one "
+                               "length")
         return lambda r: np.interp(np.asarray(r, dtype=float), xs, ys)
     raise InvalidInput(f"unknown b profile: {name!r}")
 

@@ -16,7 +16,8 @@ from typing import Any
 
 import numpy as np
 
-from .errors import ConfigError
+from .comparison import OUParams, RadialComparisonSpec, builtin_b
+from .errors import ConfigError, InvalidInput
 from .manifolds import ManifoldModel, make_model
 
 EXPERIMENT_KINDS = (
@@ -38,7 +39,7 @@ _COMMON_KEYS = {"kind", "manifold", "t1", "t2", "seed", "out"}
 _KEYS_BY_KIND = {
     "walk": {"alpha", "n_paths", "start", "origin", "exit_radius"},
     "couple": {"alpha", "n_paths", "start1", "start2", "d0", "delta_couple",
-               "k", "coupling", "stick", "origin", "exit_radius"},
+               "k", "coupling", "origin", "exit_radius"},
     "verify-coupling-bound": {"alpha", "n_paths", "start1", "start2", "d0",
                               "delta_couple", "k", "bias"},
     "verify-contraction": {"alpha", "n_paths", "start1", "start2", "d0",
@@ -51,7 +52,10 @@ _KEYS_BY_KIND = {
     "radial-domination": {"alpha", "n_paths", "start", "origin",
                           "exit_radius", "b", "c0", "r0", "margin"},
 }
-_MANIFOLD_KEYS = {"kind", "dim", "radius_c0", "flow", "k", "base"}
+# The keys of each manifold kind besides "kind". A scaled metric takes a
+# base model or the dim of a Euclidean base.
+_MANIFOLD_KEYS = {"euclidean": {"dim"}, "sphere": {"dim", "radius_c0", "flow"},
+                  "hyperbolic": {"dim"}, "scaled": {"k", "base", "dim"}}
 
 # Numeric keys: integer keys take JSON integers, float keys finite JSON
 # numbers (bools and strings are neither). The parser stores them as given,
@@ -63,7 +67,7 @@ _FLOAT_KEYS = {"t1", "t2", "alpha", "exit_radius", "d0", "delta_couple", "k",
 _NULLABLE_KEYS = {"exit_radius", "n_dump"}
 # Switches, read with bool() where used; only JSON true/false is accepted,
 # since bool("false") is True.
-_BOOL_KEYS = {"flow", "stick"}
+_BOOL_KEYS = {"flow"}
 
 _DEFAULTS: dict[str, Any] = {
     "seed": 0,
@@ -72,7 +76,6 @@ _DEFAULTS: dict[str, Any] = {
     "exit_radius": 8.0,
     "k": 0.0,
     "coupling": "reflection",
-    "stick": True,
     "bias": 0.0,
     "contraction_coefficient": 5.0,
     "osc": 1.0,
@@ -140,22 +143,40 @@ def _check_values(raw: dict, prefix: str = "") -> None:
             _fail(prefix + key, f"must be a finite number, not {value!r}")
 
 
-def _check_manifold(desc: Any) -> dict:
+def _built(key: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, a constructor that holds the rules of its
+    values; an InvalidInput it raises fails naming ``key``, or
+    ``key.<parameter>`` when the error names its parameter."""
+    try:
+        return make(*args, **kwargs)
+    except InvalidInput as e:
+        _fail(".".join(filter(None, (key, e.key))), str(e))
+
+
+def _check_manifold(desc: Any, window: tuple[float, float],
+                    prefix: str = "manifold") -> ManifoldModel:
+    """The model of a manifold descriptor, each fault naming its key."""
     if not isinstance(desc, dict):
-        _fail("manifold", "must be an object with a 'kind' tag")
-    extra = set(desc) - _MANIFOLD_KEYS
+        _fail(prefix, "must be an object with a 'kind' tag")
+    kind = desc.get("kind")
+    if kind is None:
+        _fail(f"{prefix}.kind", "missing")
+    if not isinstance(kind, str) or kind not in _MANIFOLD_KEYS:
+        _fail(f"{prefix}.kind", f"unknown manifold kind {kind!r}")
+    extra = set(desc) - _MANIFOLD_KEYS[kind] - {"kind"}
     if extra:
-        _fail(f"manifold.{sorted(extra)[0]}", "unknown key")
-    if "kind" not in desc:
-        _fail("manifold.kind", "missing")
-    if desc["kind"] not in ("euclidean", "sphere", "scaled", "hyperbolic"):
-        _fail("manifold.kind", f"unknown manifold kind {desc['kind']!r}")
-    if desc["kind"] != "scaled" and "dim" not in desc:
-        _fail("manifold.dim", "missing")
-    _check_values(desc, "manifold.")
-    if desc["kind"] == "scaled" and "base" in desc:
-        _check_manifold(desc["base"])
-    return dict(desc)
+        _fail(f"{prefix}.{sorted(extra)[0]}",
+              f"unknown key for manifold kind {kind!r}")
+    if kind != "scaled" and "dim" not in desc:
+        _fail(f"{prefix}.dim", "missing")
+    if kind == "scaled" and "k" not in desc:
+        _fail(f"{prefix}.k", "missing")
+    if kind == "scaled" and "base" in desc and "dim" in desc:
+        _fail(f"{prefix}.dim", "give a scaled metric dim or base, not both")
+    _check_values(desc, prefix + ".")
+    if kind == "scaled" and "base" in desc:
+        _check_manifold(desc["base"], window, f"{prefix}.base")
+    return _built(prefix, make_model, desc, window)
 
 
 def parse_config(document: str | dict) -> ExperimentConfig:
@@ -192,12 +213,12 @@ def parse_config(document: str | dict) -> ExperimentConfig:
         if req not in raw:
             _fail(req, "missing")
     _check_values(raw)
-    data: dict[str, Any] = {"kind": kind}
-    data["manifold"] = _check_manifold(raw["manifold"])
     t1, t2 = float(raw["t1"]), float(raw["t2"])
     if not t1 < t2:
         _fail("t2", "must exceed t1")
-    data["t1"], data["t2"] = t1, t2
+    model = _check_manifold(raw["manifold"], (t1, t2))
+    data: dict[str, Any] = {"kind": kind, "manifold": dict(raw["manifold"]),
+                            "t1": t1, "t2": t2}
 
     for key in sorted(allowed - {"kind", "manifold", "t1", "t2"}):
         if key in raw:
@@ -254,10 +275,21 @@ def parse_config(document: str | dict) -> ExperimentConfig:
     if kind in ("feller-test", "radial-domination"):
         if "b" not in data:
             _fail("b", "missing")
+        b = _built("b", builtin_b, data["b"])
+    if kind == "feller-test":
+        # feller_explosion_test's rules
+        if float(data["C"]) <= 0.0:
+            _fail("C", "must be positive")
+        if float(data["y_max"]) < 10.0:
+            _fail("y_max", "must be at least 10")
+    if kind == "radial-domination":
+        _built("", RadialComparisonSpec, b, c0=float(data["c0"]),
+               r0=float(data["r0"]))
     if kind == "ou-survival":
         if "a" not in data:
             _fail("a", "missing")
         data["a"] = float(data["a"])
+        _built("", OUParams, data["a"], float(data["k"]))
         if float(data["ou_h"]) <= 0.0:
             _fail("ou_h", "must be positive")
     n_paths = data.get("n_paths")
@@ -266,19 +298,16 @@ def parse_config(document: str | dict) -> ExperimentConfig:
     least = {"convergence": 100, "ou-survival": 1000}.get(kind)
     if least and int(n_paths) < least:
         _fail("n_paths", f"{kind} needs at least {least} paths")
-    _check_points(data)
+    _check_points(data, model)
     return ExperimentConfig(kind, data)
 
 
-def _check_points(data: dict) -> None:
+def _check_points(data: dict, model: ManifoldModel) -> None:
     """Reject a given start, start1/start2 or origin that is not one point
     of the manifold's ambient coordinates."""
-    keys = [key for key in ("start", "start1", "start2", "origin")
-            if data.get(key) is not None]
-    if not keys:
-        return
-    model = make_model(data["manifold"], (data["t1"], data["t2"]))
-    for key in keys:
+    for key in ("start", "start1", "start2", "origin"):
+        if data.get(key) is None:
+            continue
         try:
             shape = np.asarray(data[key], dtype=float).shape
         except (TypeError, ValueError):

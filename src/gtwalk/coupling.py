@@ -8,9 +8,9 @@ direction. That map is ``model.mirror``; on the closed-form models it is
 the reflection of the ambient space (Euclidean, or Minkowski on the
 hyperboloid) across the bisector of the two points, the classical mirror
 coupling. Discrete walks almost surely never meet exactly, so pairs are
-declared coupled at distance <= delta_couple and, by default, the second
-particle follows the first from then on, which preserves the marginal
-transition rule because the declaration time is a stopping time of the pair.
+declared coupled at distance <= delta_couple and the second particle
+follows the first from then on, which preserves the marginal transition
+rule because the declaration time is a stopping time of the pair.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ class CouplingConfig:
     kind: CouplingKind = CouplingKind.REFLECTION
     delta_couple: float | None = None   # default 2 alpha
     k: float = 0.0
-    stick_after_coupling: bool = True
     origin: np.ndarray | None = None
     exit_radius: float | None = None
     path_index: int = 0
@@ -123,19 +122,17 @@ def coupled_kernel(model: ManifoldModel, cc: CouplingConfig,
 
     The one place a CouplingConfig becomes kernel arguments; estimators map
     its ``fn`` over path chunks with the records they read, from
-    ``engine.COUPLED_RECORDS``. A caller that reads only ``couple_step`` or
-    ``survival`` lets pairs retire when they couple.
+    ``engine.COUPLED_RECORDS``. A caller that reads only ``couple_step``
+    lets pairs retire when they couple.
     """
     d0 = float(model.distance(cc.t1, cc.start1, cc.start2))
     return engine.PathKernel(partial(
         engine.coupled_chunk, model, cc.schedule(), cc.start1, cc.start2,
-        cc.seed, kind=cc.kind, delta_couple=cc.delta_couple,
-        stick=cc.stick_after_coupling, k=cc.k, origin=cc.origin,
-        exit_radius=cc.exit_radius), {
+        cc.seed, kind=cc.kind, delta_couple=cc.delta_couple, k=cc.k,
+        origin=cc.origin, exit_radius=cc.exit_radius), {
         "alpha": cc.alpha, "delta_couple": cc.delta_couple, "k": cc.k,
         "d0": d0, "horizon": cc.t2 - cc.t1, "coupling": cc.kind.value,
-        "stick": cc.stick_after_coupling, "n_paths": n_paths,
-        "manifold": model.describe()}, cc.seed)
+        "n_paths": n_paths, "manifold": model.describe()}, cc.seed)
 
 
 def run_coupled(model: ManifoldModel, config: CouplingConfig) -> CoupledPath:
@@ -144,7 +141,7 @@ def run_coupled(model: ManifoldModel, config: CouplingConfig) -> CoupledPath:
     res = coupled_kernel(model, config).fn(
         range(config.path_index, config.path_index + 1),
         records={"couple_step", "skeleton", "distance", "lambda_star",
-                 "coupled", "noise", "lift2"})
+                 "noise", "lift2"})
     step = int(res["couple_step"][0])
     coupling_time = math.inf if step < 0 else float(sched.times[step])
     skel2, lift2 = res["skeleton2"][0], res["lift2"][0]
@@ -156,8 +153,9 @@ def run_coupled(model: ManifoldModel, config: CouplingConfig) -> CoupledPath:
             model, float(sched.times[n]), skel2[n:n + 1], lift2[n:n + 1])[0]
     return CoupledPath(model.model_id, sched, res["skeleton1"][0], skel2,
                        res["distance"][0], res["lambda_star"][0],
-                       res["coupled"][0], coupling_time, res["noise"][0],
-                       noise2)
+                       engine.coupled_flags(res["couple_step"],
+                                            sched.n_steps)[0],
+                       coupling_time, res["noise"][0], noise2)
 
 
 def coupling_probability_bound(d0: float, k: float, horizon: float) -> float:

@@ -32,13 +32,14 @@ stacked buffer, so the drift and exp of both particles are one call each
 and no step concatenates or splits. A step does only the work its outputs
 read: the caller names the records it reads (``records=``), and lambda*
 (``lambda_star``), the contraction weights, the exit check and each trace
-run only when asked for. The coupled-row selects run only once a row has
-coupled: the second lift becomes the first on coupled rows, and with
-``stick`` X2 := X1 is written on newly coupled rows alone, since rows
-coupled earlier already equal X1 bit for bit (the same lift through the
-same exp). When every record asked for is fixed at the coupling step
-(``couple_step``, ``survival``), a pair instead leaves the working block at
-the step where it couples: the stacked rows of the pairs still uncoupled
+run only when asked for. A pair declared coupled moves as one particle
+from then on: the second lift becomes the first on coupled rows, and
+X2 := X1 is written on newly coupled rows alone, since rows coupled
+earlier already equal X1 bit for bit (the same lift through the same exp);
+neither select runs before a row has coupled. ``couple_step`` is the one
+coupling record (``coupled_flags`` gives its per-step flags). When it is
+the only record asked for, a pair instead leaves the working block at the
+step where it couples: the stacked rows of the pairs still uncoupled
 (and, for the parallel kind, their u0) are gathered, one global row index
 writes ``couple_step`` and gathers the step's noise, and the loop stops
 once no pair is left. Each row's arithmetic does not depend on the other
@@ -71,11 +72,9 @@ class CouplingKind(enum.Enum):
 # The outputs coupled_chunk can compute; "end" and "skeleton" each give one
 # array per particle.
 COUPLED_RECORDS = frozenset({
-    "couple_step", "survival", "end", "final_distance", "exited",
-    "contraction_max", "skeleton", "distance", "lambda_star", "coupled",
-    "noise", "lift2"})
-_UNTRACED = frozenset({"end", "couple_step", "survival", "final_distance",
-                       "exited"})
+    "couple_step", "end", "final_distance", "exited", "contraction_max",
+    "skeleton", "distance", "lambda_star", "noise", "lift2"})
+_UNTRACED = frozenset({"end", "couple_step", "final_distance", "exited"})
 # The outputs walk_chunk can compute.
 WALK_RECORDS = frozenset({
     "end", "exit_step", "radial_violation", "skeleton", "step_vectors",
@@ -83,7 +82,14 @@ WALK_RECORDS = frozenset({
 _WALK_UNTRACED = frozenset({"end", "exit_step", "radial_violation"})
 # Records fixed at the step a pair couples: a run that reads no others
 # retires each pair from the working block at that step.
-_AT_COUPLING = frozenset({"couple_step", "survival"})
+_AT_COUPLING = frozenset({"couple_step"})
+
+
+def coupled_flags(couple_step: np.ndarray, n_steps: int) -> np.ndarray:
+    """The (B, n_steps + 1) flags a ``couple_step`` record gives: a pair is
+    coupled at step n when 0 <= couple_step <= n."""
+    step = np.asarray(couple_step)[:, None]
+    return (step >= 0) & (np.arange(n_steps + 1) >= step)
 
 
 class PathKernel(NamedTuple):
@@ -309,8 +315,7 @@ def walk_chunk(model: ManifoldModel, sched, x0: np.ndarray, seed: int,
 def coupled_chunk(model: ManifoldModel, sched, x1: np.ndarray, x2: np.ndarray,
                   seed: int, paths: range, *,
                   kind: CouplingKind = CouplingKind.REFLECTION,
-                  delta_couple: float = 0.0, stick: bool = True,
-                  k: float = 0.0,
+                  delta_couple: float = 0.0, k: float = 0.0,
                   origin: np.ndarray | None = None,
                   exit_radius: float | None = None,
                   records=None) -> dict:
@@ -321,20 +326,19 @@ def coupled_chunk(model: ManifoldModel, sched, x1: np.ndarray, x2: np.ndarray,
     connecting minimal geodesic, then the mirror across the hyperplane
     orthogonal to its arrival direction), by parallel transport alone for
     the parallel kind. Pairs closer than ``delta_couple`` at a schedule time
-    are declared coupled; with ``stick`` the second particle is replaced by
-    the first from that time on.
+    are declared coupled, and the second particle is replaced by the first
+    from that time on.
 
     ``records`` names the outputs to compute, from ``COUPLED_RECORDS``:
-    ``couple_step`` (-1 for pairs that never couple), ``survival``,
-    ``end`` (``end1`` and ``end2``), ``final_distance``, ``exited`` (needs
-    ``exit_radius``), ``contraction_max`` (the largest increase of
-    e^{k(t-t1)/2} d over skeleton times s <= t) and the per-step traces
-    ``skeleton`` (``skeleton1`` and ``skeleton2``), ``distance``,
-    ``lambda_star``, ``coupled``, ``noise`` and ``lift2``. None gives
-    ``end``, ``couple_step``, ``survival`` and ``final_distance``, plus
-    ``exited`` when ``exit_radius`` is set; an unknown name raises
-    InvalidInput. A run that asks only for ``couple_step`` and
-    ``survival`` retires each pair when it couples, and no check or step
+    ``couple_step`` (-1 for pairs that never couple), ``end`` (``end1`` and
+    ``end2``), ``final_distance``, ``exited`` (needs ``exit_radius``),
+    ``contraction_max`` (the largest increase of e^{k(t-t1)/2} d over
+    skeleton times s <= t) and the per-step traces ``skeleton``
+    (``skeleton1`` and ``skeleton2``), ``distance``, ``lambda_star``,
+    ``noise`` and ``lift2``. None gives ``end``, ``couple_step`` and
+    ``final_distance``, plus ``exited`` when ``exit_radius`` is set; an
+    unknown name raises InvalidInput. A run that asks only for
+    ``couple_step`` retires each pair when it couples, and no check or step
     reads that pair again.
 
     The recorded lambda* is the signed first-variation rate of the distance,
@@ -381,8 +385,6 @@ def coupled_chunk(model: ManifoldModel, sched, x1: np.ndarray, x2: np.ndarray,
         out["distance"] = np.empty((B, n_steps + 1))
     if "lambda_star" in records:
         out["lambda_star"] = np.empty((B, n_steps))
-    if "coupled" in records:
-        out["coupled"] = np.zeros((B, n_steps + 1), dtype=bool)
     if "lift2" in records:
         out["lift2"] = np.empty((B, n_steps, d))
     if "noise" in records:
@@ -414,10 +416,10 @@ def coupled_chunk(model: ManifoldModel, sched, x1: np.ndarray, x2: np.ndarray,
                 Z = _kept_rows(Z, np.concatenate([keep, keep]))
                 if geo is not None:
                     geo = (geo[0][keep], _kept_rows(geo[1], keep))
-            elif stick:
+            else:
                 # Earlier coupled rows already equal X1: same lift, same exp.
                 np.copyto(_rows(X2), _rows(X1), where=newly)
-        if stick and reads_distance:
+        if reads_distance:
             dist = np.where(coupled, 0.0, dist)
         if "contraction_max" in records:
             weighted = np.exp(k * (t - sched.t1) / 2.0) * dist
@@ -429,8 +431,6 @@ def coupled_chunk(model: ManifoldModel, sched, x1: np.ndarray, x2: np.ndarray,
             out["skeleton2"][:, n] = X2
         if "distance" in records:
             out["distance"][:, n] = dist
-        if "coupled" in records:
-            out["coupled"][:, n] = coupled
         if n == n_steps:
             break
 
@@ -450,8 +450,6 @@ def coupled_chunk(model: ManifoldModel, sched, x1: np.ndarray, x2: np.ndarray,
         out["end1"], out["end2"] = X1, X2
     if "couple_step" in records:
         out["couple_step"] = couple_step
-    if "survival" in records:
-        out["survival"] = couple_step < 0
     if "final_distance" in records:
         out["final_distance"] = dist
     return out

@@ -6,7 +6,13 @@ class GtwalkError(Exception):
 
 
 class InvalidInput(GtwalkError, ValueError):
-    """Bad argument: non-finite coordinates, base-point mismatch, etc."""
+    """Bad argument: non-finite coordinates, base-point mismatch, etc.;
+    ``key`` names the refused parameter where a config key of that name
+    sets it, so the config parser can name the key."""
+
+    def __init__(self, message: str = "", key: str | None = None):
+        super().__init__(message)
+        self.key = key
 
 
 class DegenerateGeodesic(GtwalkError, ValueError):

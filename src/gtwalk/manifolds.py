@@ -164,7 +164,7 @@ class ManifoldModel(abc.ABC):
     def __init__(self, dim: int, ambient_dim: int,
                  time_window: tuple[float, float] = (0.0, 1.0)):
         if dim < 1:
-            raise InvalidInput("dimension must be >= 1")
+            raise InvalidInput("dimension must be >= 1", key="dim")
         t1, t2 = float(time_window[0]), float(time_window[1])
         if not t1 < t2:
             raise InvalidInput("time window must satisfy t1 < t2")
@@ -384,7 +384,7 @@ class RoundSphere(ManifoldModel):
                  time_window=(0.0, 1.0), frame_variant: int = 0):
         super().__init__(dim, dim + 1, time_window)
         if c0 <= 0:
-            raise InvalidInput("c0 must be positive")
+            raise InvalidInput("c0 must be positive", key="radius_c0")
         self.c0 = float(c0)
         self.flow = bool(flow)
         self.radius = float(np.sqrt(c0))
@@ -574,7 +574,8 @@ class ScaledMetric(ManifoldModel):
 
     def __init__(self, base: ManifoldModel, k: float, time_window=(0.0, 1.0)):
         if isinstance(base, RoundSphere) and base.flow:
-            raise InvalidInput("scaled metric requires a static base model")
+            raise InvalidInput("scaled metric requires a static base model",
+                               key="base")
         super().__init__(base.dim, base.ambient_dim, time_window)
         self.base = base
         self.k = float(k)

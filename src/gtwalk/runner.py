@@ -41,7 +41,6 @@ def _coupling_config(config: ExperimentConfig,
         kind=CouplingKind.PARALLEL_TRANSPORT if parallel
         else CouplingKind.REFLECTION,
         delta_couple=config["delta_couple"], k=config["k"],
-        stick_after_coupling=bool(config.get("stick", True)),
         origin=config.get("origin"), exit_radius=config.get("exit_radius"))
 
 
@@ -93,8 +92,8 @@ def _run_couple(config, model, workers):
     exits = cc.exit_radius is not None
     return mc_report(
         "couple", coupled_kernel(model, cc, int(config["n_paths"])),
-        {"survival", "final_distance"} | ({"exited"} if exits else set()),
-        lambda res: (proportion(~res["survival"]), {
+        {"couple_step", "final_distance"} | ({"exited"} if exits else set()),
+        lambda res: (proportion(res["couple_step"] >= 0), {
             "exit_radius": cc.exit_radius,
             "exit_fraction": float(np.mean(res["exited"])) if exits else None,
             "mean_final_distance": float(np.mean(res["final_distance"]))}),
@@ -265,14 +264,16 @@ def dump_paths(config: ExperimentConfig, model: ManifoldModel, count: int,
         cc = _coupling_config(config, model)
         times = cc.schedule().times
         res = coupled_kernel(model, cc).fn(
-            paths, records={"skeleton", "distance", "lambda_star", "coupled"})
+            paths, records={"skeleton", "distance", "lambda_star",
+                            "couple_step"})
         lam = np.pad(res["lambda_star"], ((0, 0), (1, 0)))   # 0 at n = 0
         stem, header = "coupled", [f"x{i}_{j}" for i in "12" for j in range(d)]
         header += ["dist", "lambda_star", "coupled"]
         floats = np.concatenate([res["skeleton1"], res["skeleton2"],
                                  res["distance"][..., None], lam[..., None]],
                                 axis=-1)
-        flags = res["coupled"][..., None]
+        flags = engine.coupled_flags(res["couple_step"],
+                                     len(times) - 1)[..., None]
     else:
         schedule = Schedule(config["t1"], config["t2"], config["alpha"])
         times = schedule.times

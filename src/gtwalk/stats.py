@@ -249,8 +249,8 @@ def estimate_coupling_survival(model: ManifoldModel, config: CouplingConfig,
     kernel = coupled_kernel(model, config, n_paths)
     bound = coupling_probability_bound(kernel.params["d0"], config.k,
                                        kernel.params["horizon"])
-    return mc_report(experiment_id, kernel, {"survival"},
-                     lambda res: (proportion(res["survival"]), {}),
+    return mc_report(experiment_id, kernel, {"couple_step"},
+                     lambda res: (proportion(res["couple_step"] < 0), {}),
                      bound=bound, bias=bias, workers=workers,
                      statistic="fraction of pairs not coupled by t2")
 

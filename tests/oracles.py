@@ -197,9 +197,8 @@ def _mirror_given_geo(model, t, x, y, geo, v):
 def reference_coupled_chunk(model: ManifoldModel, sched, x1, x2, seed: int,
                             paths: range, *,
                             kind: CouplingKind = CouplingKind.REFLECTION,
-                            delta_couple: float = 0.0, stick: bool = True,
-                            k: float = 0.0, origin=None,
-                            exit_radius=None) -> dict:
+                            delta_couple: float = 0.0, k: float = 0.0,
+                            origin=None, exit_radius=None) -> dict:
     """The coupled kernel as a plain loop over every pair and every step:
     every step calls ``depart``, builds lambda*, the contraction weights
     and the trace, selects the coupled rows of X2 and of the second lift
@@ -226,7 +225,7 @@ def reference_coupled_chunk(model: ManifoldModel, sched, x1, x2, seed: int,
     run_min = np.full(B, np.inf)
     contraction_max = np.full(B, -np.inf)
     trace = {"skeleton1": [], "skeleton2": [], "distance": [],
-             "lambda_star": [], "coupled": [], "lift2": []}
+             "lambda_star": [], "lift2": []}
 
     for n in range(n_steps + 1):
         t = float(times[n])
@@ -236,18 +235,16 @@ def reference_coupled_chunk(model: ManifoldModel, sched, x1, x2, seed: int,
         newly = ~coupled & (dist <= delta_couple)
         coupled[newly] = True
         couple_step[newly] = n
-        if stick:
-            dist = np.where(coupled, 0.0, dist)
+        dist = np.where(coupled, 0.0, dist)
         weighted = np.exp(k * (t - t1_win) / 2.0) * dist
         np.maximum(contraction_max, weighted - run_min, out=contraction_max)
         np.minimum(run_min, weighted, out=run_min)
         if exit_radius is not None:
             out_o = model.distance(t, o, np.concatenate([X1, X2]))
             exited |= (out_o > exit_radius - 1.0).reshape(2, B).any(axis=0)
-        if stick:
-            X2 = np.where(coupled[:, None], X1, X2)
+        X2 = np.where(coupled[:, None], X1, X2)
         for key, value in (("skeleton1", X1), ("skeleton2", X2),
-                           ("distance", dist), ("coupled", coupled.copy())):
+                           ("distance", dist)):
             trace[key].append(value)
         if n == n_steps:
             break
@@ -273,7 +270,7 @@ def reference_coupled_chunk(model: ManifoldModel, sched, x1, x2, seed: int,
         trace["lift2"].append(lift2)
 
     out = {"end1": X1, "end2": X2, "couple_step": couple_step,
-           "survival": couple_step < 0, "final_distance": dist,
+           "final_distance": dist,
            "contraction_max": contraction_max,
            "noise": noise.transpose(1, 0, 2)}
     if exit_radius is not None:

@@ -372,10 +372,11 @@ def test_criterion_10_domination():
         out = engine.coupled_chunk(flow, sched, x1, x2, 1010,
                                    range(lo, lo + 1000), delta_couple=0.04,
                                    k=0.0, records={"distance", "lambda_star",
-                                                   "coupled"})
+                                                   "couple_step"})
         U = dominating_process(sched, out["distance"], out["lambda_star"],
                                0.0)
-        over = ~out["coupled"] & (out["distance"] > U + 0.05)
+        coupled = engine.coupled_flags(out["couple_step"], sched.n_steps)
+        over = ~coupled & (out["distance"] > U + 0.05)
         viol.append(over.any(axis=1))
     chain_fraction = float(np.mean(np.concatenate(viol)))
     chain_ok = chain_fraction < 0.05

@@ -104,6 +104,30 @@ def test_ou_endpoint_distribution_ks():
     assert ks.passed
 
 
+def test_ou_kernel_stops_at_the_horizon():
+    """With ou_h 0.3 on a horizon of 1 the last step is 0.1 long, so the
+    end values follow the exact OU law at the horizon. (Four whole steps
+    reach time 1.2, whose law this sample size tells apart.)"""
+    k, a = 0.5, 1.0
+    ends = ou_kernel(OUParams(a, k), 1.0, 0.3, 12, 20_000).fn(
+        range(20_000), records={"end"})["end"]
+    law = gaussian_cdf(a * math.exp(-k / 2.0), 4.0 * -math.expm1(-k) / k)
+    assert ks_statistic(ends, law, level=0.01).passed
+
+
+@pytest.mark.bits
+@pytest.mark.parametrize("h, n_steps", [(0.25, 4), (0.002, 500),
+                                        (1e-4, 10_000)])
+def test_ou_kernel_whole_steps_keep_their_bits(h, n_steps):
+    """Where h divides the horizon every step is whole: the kernel gives
+    the bits of n_steps transitions of length h."""
+    params = OUParams(1.0, 0.5)
+    got = ou_kernel(params, 1.0, h, 5, 1000).fn(range(40))
+    want = ou_chunk(params, h, n_steps, 5, range(40))
+    for key in want:
+        assert same_bits(got[key], want[key]), key
+
+
 def _ou_doc(**extra):
     return {"kind": "ou-survival", "manifold": {"kind": "euclidean",
                                                 "dim": 1},
@@ -198,6 +222,7 @@ def test_phi_does_not_depend_on_companion_points(b):
         assert spec.phi(ri) == batch[i] == far[i]
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("b", [
     {"name": "zero"}, {"name": "constant", "c": 0.7}, {"name": "linear"},
     {"name": "table", "r": [0.0, 1.0, 3.0], "values": [0.0, 2.0, 0.5]}])
@@ -244,6 +269,7 @@ _RADII = st.one_of(st.floats(0.0, 12.0),
                              st.integers(-1, 1)))
 
 
+@pytest.mark.bits
 @settings(max_examples=150, deadline=None)
 @given(profile=st.sampled_from(B_PROFILES),
        first=st.lists(_RADII, max_size=6),
@@ -305,6 +331,7 @@ def test_builtin_b_validation():
     assert table(1.5) == pytest.approx(2.5)
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("model", [
     RoundSphere(2, 1.0, flow=True, time_window=(0.0, 1.0)), Euclidean(2)],
     ids=["flow_sphere", "euclid2"])
@@ -371,6 +398,7 @@ def test_radial_continuous_drift_mean():
     assert abs(drifts.mean() - spec.c0 * T) <= 3 * se
 
 
+@pytest.mark.bits
 def test_radial_batch_rows_are_single_paths():
     """Each row of a batched call is the one-path call, bit for bit."""
     spec = RadialComparisonSpec(builtin_b({"name": "linear"}), c0=1.0, r0=0.5)

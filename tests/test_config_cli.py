@@ -351,7 +351,7 @@ def test_cli_couple_subcommand(capsys):
 
 
 def test_couple_keys_take_effect():
-    """stick, exit_radius and origin each change the couple report."""
+    """exit_radius and origin each change the couple report."""
     doc = {"kind": "couple", "manifold": {"kind": "euclidean", "dim": 2},
            "alpha": 0.1, "t1": 0.0, "t2": 1.0, "seed": 3, "n_paths": 300,
            "d0": 1.0}
@@ -363,9 +363,7 @@ def test_couple_keys_take_effect():
         return out
 
     default = params()
-    assert default["exit_fraction"] == 0.0 and default["stick"] is True
-    loose = params(stick=False)
-    assert loose["mean_final_distance"] > default["mean_final_distance"]
+    assert default["exit_fraction"] == 0.0
     assert params(exit_radius=1.5)["exit_fraction"] > 0.0
     assert params(origin=[10.0, 0.0])["exit_fraction"] == 1.0
     with pytest.raises(ConfigError, match="^exit_radius: "):
@@ -478,7 +476,7 @@ _KEY_VALUES = {
     "alpha": 0.05, "n_paths": 32, "start": [6.9, 0.0], "origin": [7.5, 0.0],
     "exit_radius": 1.5, "start1": [0.0, 0.0],
     "start2": [1.0, 0.0], "d0": 0.5, "delta_couple": 1.0, "k": 0.5,
-    "coupling": "parallel", "stick": False, "bias": 0.01,
+    "coupling": "parallel", "bias": 0.01,
     "contraction_coefficient": 2.0,
     "f": {"type": "halfspace", "normal": [0.0, 1.0], "offset": 0.0},
     "osc": 0.5, "alphas": [0.4, 0.1], "reference": "wrapped-gauss",
@@ -543,27 +541,29 @@ def test_use_drift_is_an_unknown_key(kind):
         parse_config({**_key_base(kind), "use_drift": True})
 
 
+@pytest.mark.parametrize("value", [True, False])
+def test_stick_is_an_unknown_key(value):
+    """A coupled pair always moves as one particle from its coupling step
+    on, so no config key switches that off."""
+    with pytest.raises(ConfigError, match="^stick: unknown key"):
+        parse_config({**_key_base("couple"), "stick": value})
+
+
 def test_unknown_coupling_rejected():
     with pytest.raises(ConfigError, match="^coupling: must be"):
         parse_config({**_key_base("couple"), "coupling": "reflect"})
 
 
 @pytest.mark.parametrize("value", ["false", 0, None])
-@pytest.mark.parametrize("key", ["flow", "stick"])
-def test_switch_must_be_a_json_boolean(key, value):
+def test_switch_must_be_a_json_boolean(value):
     """bool("false") is True, so a switch that is not true/false would
     turn on; the parser rejects it naming the key, also in a scaled
     model's base."""
-    if key == "flow":
-        sphere = {"kind": "sphere", "dim": 2, "flow": value}
-        docs = [{**MINIMAL_WALK, "manifold": sphere},
-                {**MINIMAL_WALK, "manifold": {"kind": "scaled", "k": 0.5,
-                                              "base": sphere}}]
-        name = "manifold.flow"
-    else:
-        docs = [{**_key_base("couple"), "stick": value}]
-        name = "stick"
-    for doc in docs:
+    sphere = {"kind": "sphere", "dim": 2, "flow": value}
+    for doc, name in (({**MINIMAL_WALK, "manifold": sphere}, "manifold.flow"),
+                      ({**MINIMAL_WALK, "manifold": {
+                          "kind": "scaled", "k": 0.5, "base": sphere}},
+                       "manifold.base.flow")):
         with pytest.raises(ConfigError,
                            match=f"^{name}: must be true or false"):
             parse_config(doc)
@@ -632,24 +632,57 @@ def test_bad_outside_input_is_an_error_line(name, env, patch, argv, tmp_path,
     assert err.startswith("error:") and name in err, err
 
 
-@pytest.mark.parametrize("kind, patch", [
-    ("ou-survival", {"ou_h": 0}),
-    ("ou-survival", {"ou_h": -0.1}),
-    ("ou-survival", {"n_paths": 999}),
-    ("couple", {"exit_radius": 1.0}),
-    ("convergence", {"alphas": [0.2, 0.4]}),
-    ("convergence", {"alphas": [0.2, 0.2]}),
+_FLOW_BASE = {"kind": "scaled", "k": 0.5, "base": _FLOW_SPHERE}
+
+
+@pytest.mark.parametrize("kind, patch, key", [
+    ("ou-survival", {"ou_h": 0}, "ou_h"),
+    ("ou-survival", {"ou_h": -0.1}, "ou_h"),
+    ("ou-survival", {"n_paths": 999}, "n_paths"),
+    ("couple", {"exit_radius": 1.0}, "exit_radius"),
+    ("convergence", {"alphas": [0.2, 0.4]}, "alphas"),
+    ("convergence", {"alphas": [0.2, 0.2]}, "alphas"),
+    ("ou-survival", {"a": -1.0}, "a"),
+    ("walk", {"manifold": {"kind": "sphere", "dim": 2, "radius_c0": -1.0}},
+     "manifold.radius_c0"),
+    ("walk", {"manifold": {"kind": "euclidean", "dim": 0}}, "manifold.dim"),
+    ("walk", {"manifold": {"kind": "scaled", "k": 0.5, "base": {
+        "kind": "hyperbolic", "dim": 0}}}, "manifold.base.dim"),
+    ("radial-domination", {"manifold": _FLOW_BASE}, "manifold.base"),
+    ("walk", {"manifold": {"kind": "scaled", "dim": 2}}, "manifold.k"),
+    ("walk", {"manifold": {"kind": "euclidean", "dim": 2, "flow": True}},
+     "manifold.flow"),
+    ("walk", {"manifold": {"kind": "scaled", "k": 0.5, "dim": 3, "base": {
+        "kind": "euclidean", "dim": 2}}}, "manifold.dim"),
+    ("feller-test", {"b": {"name": "nope"}}, "b"),
+    ("feller-test", {"b": "zero"}, "b"),
+    ("radial-domination", {"b": {"name": "constant", "c": -2.0}}, "b"),
+    ("feller-test", {"b": {"name": "constant"}}, "b"),
+    ("radial-domination", {"b": {"name": "table", "r": [0.0, 1.0]}}, "b"),
+    ("radial-domination", {"b": {"name": "table", "r": [0.0, 1.0],
+                                 "values": [1.0]}}, "b"),
+    ("feller-test", {"b": {"name": "linear", "slope": -1.0}}, "b"),
+    ("feller-test", {"C": -1.0}, "C"),
+    ("feller-test", {"y_max": 5.0}, "y_max"),
+    ("radial-domination", {"r0": -1.0}, "r0"),
+    ("radial-domination", {"c0": 0.0}, "c0"),
 ], ids=["ou_h-zero", "ou_h-negative", "ou-n_paths-999", "couple-exit_radius-1",
-        "alphas-rising", "alphas-equal"])
-def test_value_the_run_refuses_is_rejected_at_parse(kind, patch, tmp_path,
-                                                    capsys):
-    """A value the run would refuse or crash on exits 1 with one 'error:'
-    line that starts with its key."""
+        "alphas-rising", "alphas-equal", "ou-a-negative", "radius_c0-negative",
+        "dim-zero", "base-dim-zero", "scaled-flow-base", "scaled-no-k",
+        "euclidean-flow", "scaled-dim-and-base", "b-unknown-name",
+        "b-not-an-object", "b-constant-negative", "b-constant-no-c",
+        "b-table-no-values", "b-table-lengths", "b-linear-negative",
+        "feller-C-negative", "feller-y_max-5", "radial-r0-negative",
+        "radial-c0-zero"])
+def test_value_the_run_refuses_is_rejected_at_parse(kind, patch, key,
+                                                    tmp_path, capsys):
+    """A value the run would refuse, crash on or ignore exits 1 with one
+    'error:' line that starts with its key."""
     doc = tmp_path / "cfg.json"
     doc.write_text(json.dumps({**_key_base(kind), **patch}))
     assert main(["run", str(doc)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {next(iter(patch))}: "), err
+    assert err.startswith(f"error: {key}: "), err
 
 
 # For each point key, a config of a kind that takes it, with a good point

@@ -113,6 +113,7 @@ def test_mirror_matches_oracle(request, name, rng):
         assert np.allclose(got[i], want, rtol=0, atol=1e-12)
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("name", MODEL_NAMES)
 def test_mirror_keeps_the_reference_bits(request, name, rng):
     """model.mirror, which calls no depart on the closed-form models, has
@@ -278,6 +279,7 @@ def test_run_coupled_identical_starts(euclid2):
     assert np.all(path.coupled_flags)
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("name", MODEL_NAMES)
 def test_run_coupled_marginal_replay(request, name):
     """Replaying either coordinate's noise through the single-walk step
@@ -316,6 +318,33 @@ def test_run_coupled_sticks_and_stays(euclid2):
     assert np.all(np.diff(flags.astype(int)) >= 0)
 
 
+@pytest.mark.bits
+@pytest.mark.parametrize("kind", list(CouplingKind))
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_coupled_pairs_stick_on_every_model(request, name, kind):
+    """From its couple_step on, a pair is one particle: skeleton2 equals
+    skeleton1 bit for bit and the distance record is 0.0, for pairs that
+    couple after the start and for a coincident start pair."""
+    model = request.getfixturevalue(name)
+    t1 = model.time_window[0]
+    sched = Schedule(t1, t1 + 0.1, 0.05)
+    x1, x2 = _pair_near_origin(model)
+    d0 = float(model.distance(t1, x1, x2))
+    for start2, delta in ((x2, 0.97 * d0), (x1, 0.1)):
+        res = engine.coupled_chunk(
+            model, sched, x1, start2, 19, range(200), kind=kind,
+            delta_couple=delta, records={"couple_step", "skeleton",
+                                         "distance"})
+        flags = engine.coupled_flags(res["couple_step"], sched.n_steps)
+        assert same_bits(res["skeleton2"][flags], res["skeleton1"][flags])
+        assert same_bits(res["distance"][flags], np.zeros(flags.sum()))
+        assert np.all(res["distance"][~flags] > delta)
+        if start2 is x1:
+            assert np.all(res["couple_step"] == 0)
+        elif kind is CouplingKind.REFLECTION:
+            assert np.any(res["couple_step"] > 0)
+
+
 def test_run_coupled_parallel_scaled_metric_identity(scaled_euclid2):
     """Conformal flat model: the weighted distance is exactly constant."""
     cfg = _config(scaled_euclid2, alpha=0.02, seed=3,
@@ -334,6 +363,7 @@ def test_lambda_star_zero_for_parallel(flow_sphere):
     assert np.all(path.lambda_star_record == 0.0)
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("kind", list(CouplingKind))
 @pytest.mark.parametrize("name", MODEL_NAMES)
 def test_coupled_step_is_a_kernel_step(request, name, kind):
@@ -381,7 +411,7 @@ def _by_blocks(run) -> list:
 # Record sets of the kernel tests: the untraced default, every record, and
 # the set whose pairs retire when they couple.
 RECORDS = {"untraced": None, "all": engine.COUPLED_RECORDS,
-           "retiring": {"couple_step", "survival"}}
+           "retiring": {"couple_step"}}
 # The output names each record gives.
 OUTPUTS = {"end": ("end1", "end2"), "skeleton": ("skeleton1", "skeleton2")}
 
@@ -393,6 +423,7 @@ def _pair_near_origin(model, half: float = 0.1):
     return model.exp(t1, o, -half * e1), model.exp(t1, o, half * e1)
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("records", list(RECORDS))
 @pytest.mark.parametrize("kind", list(CouplingKind))
 @pytest.mark.parametrize("name", MODEL_NAMES)
@@ -410,15 +441,14 @@ def test_coupled_chunk_ignores_the_block_split(request, name, kind, records):
     for key in whole:
         assert np.array_equal(whole[key], split[key]), key
     if kind is CouplingKind.REFLECTION:
-        assert 0 < whole["survival"].mean() < 1
+        assert 0 < np.mean(whole["couple_step"] < 0) < 1
 
 
-@pytest.mark.parametrize("stick", [False, True])
+@pytest.mark.bits
 @pytest.mark.parametrize("records", list(RECORDS))
 @pytest.mark.parametrize("kind", list(CouplingKind))
 @pytest.mark.parametrize("name", MODEL_NAMES)
-def test_coupled_chunk_matches_reference_loop(request, name, kind, records,
-                                              stick):
+def test_coupled_chunk_matches_reference_loop(request, name, kind, records):
     """Every coupled_chunk output has the bits of the reference loop's,
     which computes every record and both coupled-row selects at every step
     and concatenates the pair block, for a start pair that couples on some
@@ -427,12 +457,11 @@ def test_coupled_chunk_matches_reference_loop(request, name, kind, records,
     t1 = model.time_window[0]
     sched = Schedule(t1, t1 + 0.1, 0.05)
     x1, x2 = _pair_near_origin(model)
-    asked = RECORDS[records] or {"end", "couple_step", "survival",
-                                 "final_distance", "exited"}
+    asked = RECORDS[records] or {"end", "couple_step", "final_distance",
+                                 "exited"}
     for start2 in (x2, x1):
         args = (model, sched, x1, start2, 19, range(5, 305))
-        options = dict(kind=kind, delta_couple=0.1, stick=stick, k=0.3,
-                       exit_radius=1.3)
+        options = dict(kind=kind, delta_couple=0.1, k=0.3, exit_radius=1.3)
         got = engine.coupled_chunk(*args, records=RECORDS[records], **options)
         want = reference_coupled_chunk(*args, **options)
         assert set(got) == {out for rec in asked
@@ -440,11 +469,12 @@ def test_coupled_chunk_matches_reference_loop(request, name, kind, records,
         for key in got:
             assert same_bits(got[key], want[key]), key
         if start2 is x1:
-            assert not got["survival"].any()
+            assert np.all(got["couple_step"] == 0)
         elif kind is CouplingKind.REFLECTION:
-            assert 0 < got["survival"].mean() < 1
+            assert 0 < np.mean(got["couple_step"] < 0) < 1
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("kind", list(CouplingKind))
 @pytest.mark.parametrize("name", MODEL_NAMES)
 def test_each_record_alone_keeps_its_bits(request, name, kind):
@@ -464,30 +494,28 @@ def test_each_record_alone_keeps_its_bits(request, name, kind):
             assert same_bits(got[key], want[key]), key
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("kind", list(CouplingKind))
 @pytest.mark.parametrize("name", MODEL_NAMES)
-def test_retiring_run_keeps_couple_step_and_survival(request, name, kind):
-    """A run that reads only couple_step and survival retires each pair
-    when it couples; both records keep the bits of the full run's, with
-    and without stick, for a start pair that couples on some paths, one
-    that couples at step 0 (every pair retires before the first step) and
-    a delta_couple that couples most pairs early."""
+def test_retiring_run_keeps_couple_step(request, name, kind):
+    """A run that reads only couple_step retires each pair when it
+    couples; the record keeps the bits of the full run's, for a start pair
+    that couples on some paths, one that couples at step 0 (every pair
+    retires before the first step) and a delta_couple that couples most
+    pairs early."""
     model = request.getfixturevalue(name)
     t1 = model.time_window[0]
     sched = Schedule(t1, t1 + 0.1, 0.05)
     x1, x2 = _pair_near_origin(model)
     d0 = float(model.distance(t1, x1, x2))
-    for start2, delta, stick in ((x2, 0.1, True), (x2, 0.1, False),
-                                 (x1, 0.1, True), (x2, 0.97 * d0, True),
-                                 (x2, 0.97 * d0, False)):
+    for start2, delta in ((x2, 0.1), (x1, 0.1), (x2, 0.97 * d0)):
         args = (model, sched, x1, start2, 19, range(3, 403))
-        options = dict(kind=kind, delta_couple=delta, stick=stick, k=0.3)
+        options = dict(kind=kind, delta_couple=delta, k=0.3)
         full = engine.coupled_chunk(*args, records=engine.COUPLED_RECORDS
                                     - {"exited"}, **options)
-        for records in ({"couple_step", "survival"}, {"survival"}):
-            got = engine.coupled_chunk(*args, records=records, **options)
-            for key in got:
-                assert np.array_equal(got[key], full[key]), key
+        got = engine.coupled_chunk(*args, records={"couple_step"}, **options)
+        assert set(got) == {"couple_step"}
+        assert np.array_equal(got["couple_step"], full["couple_step"])
         if start2 is x1:
             assert np.all(full["couple_step"] == 0)
         elif kind is CouplingKind.REFLECTION and delta > 0.5 * d0:
@@ -508,20 +536,19 @@ class _CountingPlane(Euclidean):
         return super().exp(t, x, v)
 
 
-@pytest.mark.parametrize("stick", [False, True])
+@pytest.mark.bits
 @pytest.mark.parametrize("n_paths, survivors", [(16, 0), (64, 2)])
-def test_retired_pairs_take_no_further_steps(n_paths, survivors, stick):
+def test_retired_pairs_take_no_further_steps(n_paths, survivors):
     """In a retiring run, step n moves only the pairs not coupled by
     time t_n, and the loop stops once every pair has coupled."""
     model = _CountingPlane()
     sched = Schedule(0.0, 2.0, 0.1)
     run = lambda records: engine.coupled_chunk(
         model, sched, np.array([-0.1, 0.0]), np.array([0.1, 0.0]), 5,
-        range(n_paths), delta_couple=0.15, stick=stick, records=records)
+        range(n_paths), delta_couple=0.15, records=records)
     step = run(None)["couple_step"]
     model.rows.clear()
-    assert np.array_equal(run({"couple_step", "survival"})["couple_step"],
-                          step)
+    assert np.array_equal(run({"couple_step"})["couple_step"], step)
     assert np.sum(step < 0) == survivors
     live = [2 * int(np.sum((step < 0) | (step > n)))
             for n in range(sched.n_steps)]
@@ -534,7 +561,7 @@ def test_coupled_chunk_rejects_unknown_records(euclid2):
     run = lambda **kw: engine.coupled_chunk(
         euclid2, sched, np.zeros(2), np.ones(2), 1, range(2), **kw)
     with pytest.raises(InvalidInput, match="trace"):
-        run(records={"survival", "trace"})
+        run(records={"couple_step", "trace"})
     with pytest.raises(InvalidInput, match="exit_radius"):
         run(records={"exited"})
     assert set(run(records={"exited"}, exit_radius=2.0)) == {"exited"}
@@ -559,6 +586,7 @@ def _walk_run(model):
         records=records)
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("records", list(WALK_RECORDS))
 @pytest.mark.parametrize("name", MODEL_NAMES)
 def test_walk_chunk_ignores_the_block_split(request, name, records):
@@ -571,6 +599,7 @@ def test_walk_chunk_ignores_the_block_split(request, name, records):
     assert 0 < whole["radial_violation"].mean() < 1
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("name", MODEL_NAMES)
 def test_each_walk_record_alone_keeps_its_bits(request, name):
     """A walk_chunk run that asks for one record returns that record
@@ -600,6 +629,7 @@ def test_walk_chunk_rejects_unknown_records(euclid2):
     assert set(run(exit_radius=2.0)) == {"end", "exit_step"}
 
 
+@pytest.mark.bits
 def test_sphere_reflect_survival_count_is_pinned():
     """Seed-7 survivors of the first 256 paths of the flow-sphere
     reflection benchmark config. Reordered float work in the kernel shows
@@ -718,7 +748,7 @@ def test_survival_matches_mirror_law(euclid2):
     out = engine.coupled_chunk(euclid2, sched, np.array([-0.5, 0.0]),
                                np.array([0.5, 0.0]), 53, range(4096),
                                delta_couple=0.1)
-    est = float(out["survival"].mean())
+    est = float(np.mean(out["couple_step"] < 0))
     target = gaussian_mass(0.5)
     assert abs(est - target) <= 3 * math.sqrt(target * (1 - target) / 4096) \
         + 0.05

@@ -463,6 +463,7 @@ def _sphere_pairs(model, t, rng):
 CONNECT_MODELS = ALL_MODEL_NAMES + ["circle"]
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("name", CONNECT_MODELS)
 def test_connect_agrees_with_distance_log_and_transport(request, name, rng):
     model = request.getfixturevalue(name)
@@ -490,6 +491,7 @@ def test_connect_agrees_with_distance_log_and_transport(request, name, rng):
                        rtol=0, atol=1e-12)
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("name", CONNECT_MODELS)
 def test_depart_is_connect_without_arrival(request, name, rng):
     """depart gives distance's distance bit for bit, and the same bits
@@ -514,6 +516,7 @@ def test_depart_is_connect_without_arrival(request, name, rng):
         assert all(same_bits(g, w) for g, w in zip(got, want))
 
 
+@pytest.mark.bits
 def test_euclidean_depart_is_the_base_depart(rng):
     """Euclidean space forms y - x once; its depart keeps the bits of the
     base version's distance and log, on coincident rows too."""
@@ -567,6 +570,7 @@ def test_sphere_connect_special_rows(rng):
             model.transport_along(t, rows, want[1], want[0], want[1]))
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
 @pytest.mark.parametrize("variant", [0, 1])
 def test_sphere_frame_equals_reference(dim, variant, rng):
@@ -595,6 +599,7 @@ def _lift_via_frame(model, t, x, xi):
                                                 model.frame(t, x))
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
 @pytest.mark.parametrize("variant", [0, 1])
 @pytest.mark.parametrize("flow", [False, True])
@@ -613,6 +618,7 @@ def test_sphere_lift_equals_frame_einsum(dim, variant, flow, rng):
         assert np.array_equal(model.lift(t, x[5], xi[5]), want[5])
 
 
+@pytest.mark.bits
 def test_lift_equals_frame_einsum_other_models(request, rng):
     models = [request.getfixturevalue(name) for name in
               ("euclid1", "euclid2", "hyperbolic2", "scaled_euclid2")]

@@ -125,6 +125,7 @@ def test_numeric_walk_stays_consistent(flat_chart):
     assert np.allclose(p_chart.skeleton, p_exact.skeleton, atol=1e-4)
 
 
+@pytest.mark.bits
 def test_numeric_chart_broadcasts_like_pointwise_calls():
     """Batched calls equal the stacked pointwise calls bit for bit, with
     one transport length per row."""
@@ -162,6 +163,7 @@ def test_numeric_chart_frame_orthonormal(sphere_chart):
     assert np.allclose(gram, np.eye(2), atol=1e-12)
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("metric, speeds", [
     (stereographic_metric, (0.5, 1.6)),
     (skew_metric, (0.5, 1.6, 4.5)),

@@ -72,6 +72,7 @@ def test_run_imports_nothing_after_start_up(tmp_path):
     assert new_modules == []
 
 
+@pytest.mark.bits
 def test_chi_matches_scipy_erf():
     a = np.linspace(0.0, 10.0, 100001)
     got = chi(a)

@@ -80,6 +80,7 @@ def test_unit_ball_single_sample():
     assert x.shape == (3,) and np.linalg.norm(x) <= 1.0
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("dim", [1, 2, 3, 4, 8, 9])
 def test_noise_block_is_walk_noise_step_major(dim):
     """Each path of the block is its walk_noise, bit for bit, for one path,
@@ -92,6 +93,7 @@ def test_noise_block_is_walk_noise_step_major(dim):
         assert np.array_equal(block.transpose(1, 0, 2), want)
 
 
+@pytest.mark.bits
 def test_kernel_traces_keep_path_major_noise(euclid2, flow_sphere):
     """Traced noise is (B, n_steps, m): path i's walk_noise."""
     sched = Schedule(0.0, 0.5, 0.2)
@@ -146,6 +148,7 @@ def test_walk_shapes_and_determinism(euclid2):
     assert np.array_equal(path.noise_record, again.noise_record)
 
 
+@pytest.mark.bits
 def test_walk_markov_replay(flow_sphere):
     """Each skeleton point is exactly the step applied to its predecessor."""
     cfg = WalkConfig(alpha=0.1, t1=0.0, t2=0.5, seed=11,
@@ -159,6 +162,7 @@ def test_walk_markov_replay(flow_sphere):
         assert np.array_equal(p.coords, path.skeleton[n + 1])
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("drift", [False, True])
 def test_step_is_a_kernel_step(drift):
     """walk.step reproduces a one-path walk_chunk, drift and the final
@@ -230,6 +234,7 @@ def test_frame_section_independence_of_summaries(circle):
 # interpolate
 # ---------------------------------------------------------------------------
 
+@pytest.mark.bits
 def test_interpolate_at_schedule_times(euclid2):
     cfg = WalkConfig(alpha=0.2, t1=0.0, t2=1.0, seed=5, start=np.zeros(2))
     path = run_walk(euclid2, cfg)
