@@ -117,9 +117,9 @@ def ou_kernel(params: OUParams, horizon: float, h: float, seed: int,
     fraction of ``alive`` paths misses barrier hits between steps, a known
     O(sqrt h) positive bias against chi(a / (2 sqrt(beta(horizon, k))))."""
     if not h > 0.0:
-        raise InvalidInput("OU step h must be positive")
+        raise InvalidInput("OU step h must be positive", key="ou_h")
     if n_paths < 1000:
-        raise InvalidInput("OU survival needs at least 1000 paths")
+        raise InvalidInput("OU survival needs >= 1000 paths", key="n_paths")
     n_steps = int(math.ceil(horizon / h - 1e-9))
     # a whole step when h divides the horizon up to the rounding above
     last = horizon - (n_steps - 1) * h
@@ -220,13 +220,20 @@ class RadialComparisonSpec:
 
 def builtin_b(spec: dict) -> Callable[[np.ndarray], np.ndarray]:
     """Named drift profiles: zero, constant(c), linear(slope = 1), or a
-    table sampled at points r, linearly interpolated; each nonnegative."""
+    table sampled at strictly increasing points r, linearly interpolated;
+    each nonnegative. A key the profile does not read is refused."""
     if not isinstance(spec, dict):
         raise InvalidInput(f"b must be an object with a 'name', not {spec!r}")
     name = spec.get("name")
-    for key in {"constant": ("c",), "table": ("r", "values")}.get(name, ()):
-        if key not in spec:
-            raise InvalidInput(f"{name} b needs {key!r}")
+    # the keys each profile reads; all but linear's slope are required
+    reads = {"zero": (), "constant": ("c",), "linear": ("slope",),
+             "table": ("r", "values")}
+    if not isinstance(name, str) or name not in reads:
+        raise InvalidInput(f"unknown b profile: {name!r}")
+    for key in sorted(set(spec) - {"name", *reads[name]}):
+        raise InvalidInput(f"{name} b takes no key {key!r}")
+    for key in sorted(set(reads[name]) - set(spec) - {"slope"}):
+        raise InvalidInput(f"{name} b needs {key!r}")
     if name == "zero":
         return lambda r: np.zeros_like(np.asarray(r, dtype=float))
     if name == "constant":
@@ -239,16 +246,15 @@ def builtin_b(spec: dict) -> Callable[[np.ndarray], np.ndarray]:
         if slope < 0:
             raise InvalidInput("linear b must have a nonnegative slope")
         return lambda r: slope * np.asarray(r, dtype=float)
-    if name == "table":
-        xs = np.asarray(spec["r"], dtype=float)
-        ys = np.asarray(spec["values"], dtype=float)
-        if np.any(~np.isfinite(ys)) or np.any(ys < 0):
-            raise InvalidInput("table values must be finite and nonnegative")
-        if xs.ndim != 1 or xs.shape != ys.shape:
-            raise InvalidInput("table r and values must be lists of one "
-                               "length")
-        return lambda r: np.interp(np.asarray(r, dtype=float), xs, ys)
-    raise InvalidInput(f"unknown b profile: {name!r}")
+    xs = np.asarray(spec["r"], dtype=float)
+    ys = np.asarray(spec["values"], dtype=float)
+    if np.any(~np.isfinite(ys)) or np.any(ys < 0):
+        raise InvalidInput("table values must be finite and nonnegative")
+    if xs.ndim != 1 or xs.shape != ys.shape:
+        raise InvalidInput("table r and values must be lists of one length")
+    if not np.all(np.diff(xs) > 0):
+        raise InvalidInput("table r must be strictly increasing")
+    return lambda r: np.interp(np.asarray(r, dtype=float), xs, ys)
 
 
 def simulate_radial_comparison(spec: RadialComparisonSpec, a0: float, *,
@@ -327,6 +333,14 @@ def _feller_integral(bb: Callable[[np.ndarray], np.ndarray], y_max: float,
     return J, ys, f
 
 
+def check_feller_range(C: float, y_max: float) -> None:
+    """The explosion test needs C > 0 and an outer range y_max >= 10."""
+    if not C > 0:
+        raise InvalidInput("C must be positive", key="C")
+    if not y_max >= 10.0:
+        raise InvalidInput("y_max must be at least 10", key="y_max")
+
+
 def feller_explosion_test(spec_or_b, C: float, y_max: float = 20.0,
                           n_grid: int = 4000) -> FellerResult:
     """Decide whether the comparison diffusion with drift (C + int_0^y b)/2
@@ -338,10 +352,7 @@ def feller_explosion_test(spec_or_b, C: float, y_max: float = 20.0,
     p >= 1.15 explodes, in between inconclusive), with a half-step
     quadrature stability check.
     """
-    if C <= 0:
-        raise InvalidInput("C must be positive")
-    if y_max < 10.0:
-        raise InvalidInput("y_max must be at least 10")
+    check_feller_range(C, y_max)
     if isinstance(spec_or_b, RadialComparisonSpec):
         spec = spec_or_b
     else:

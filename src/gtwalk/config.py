@@ -16,7 +16,10 @@ from typing import Any
 
 import numpy as np
 
-from .comparison import OUParams, RadialComparisonSpec, builtin_b
+from . import engine, stats, walk
+from .comparison import (OUParams, RadialComparisonSpec, builtin_b,
+                         check_feller_range, ou_kernel)
+from .coupling import CouplingConfig, CouplingKind
 from .errors import ConfigError, InvalidInput
 from .manifolds import ManifoldModel, make_model
 
@@ -30,7 +33,7 @@ EXPERIMENT_KINDS = (
 DUMP_KINDS = ("walk", "couple", "verify-coupling-bound", "verify-contraction",
               "verify-gradient", "radial-domination")
 
-# Kinds that run a coupled pair; runner._coupling_config builds their
+# Kinds that run a coupled pair; coupling_config builds their
 # CouplingConfig.
 COUPLED_KINDS = ("couple", "verify-coupling-bound", "verify-contraction",
                  "verify-gradient")
@@ -183,8 +186,9 @@ def parse_config(document: str | dict) -> ExperimentConfig:
     """Validate a config document and apply defaults.
 
     Accepts JSON text or an already-decoded mapping. Unknown keys, missing
-    required keys and schedule-invalid alphas raise ConfigError naming the
-    key path.
+    required keys and every value the run would refuse raise ConfigError
+    naming the key path; a value rule is checked by building the library
+    object that holds it (``_built``).
     """
     if isinstance(document, str):
         try:
@@ -233,24 +237,19 @@ def parse_config(document: str | dict) -> ExperimentConfig:
         if not all(_is_number(a) for a in alphas):
             _fail("alphas", f"must list finite numbers, not {alphas!r}")
         data["alphas"] = [float(a) for a in alphas]
-        for a in data["alphas"]:
-            _check_alpha(a, t1, t2)
-        if any(a2 >= a1 for a1, a2 in zip(alphas, alphas[1:])):
-            _fail("alphas", "must be strictly decreasing")
+        _built("", stats.alpha_schedules, t1, t2, data["alphas"])
     elif kind not in ("feller-test", "ou-survival"):
         if "alpha" not in data:
             _fail("alpha", "missing")
         data["alpha"] = float(data["alpha"])
-        _check_alpha(data["alpha"], t1, t2)
+        _built("", walk.Schedule, t1, t2, data["alpha"])
 
     if kind == "couple" and float(data["k"]) != 0.0:
         _fail("k", "couple checks no bound; k applies to the verify kinds")
     if kind == "couple" and data["coupling"] not in ("reflection", "parallel"):
         _fail("coupling", f"must be 'reflection' or 'parallel', not "
               f"{data['coupling']!r}")
-    radius = data.get("exit_radius")
-    if radius is not None and float(radius) <= 1.0:
-        _fail("exit_radius", "must exceed 1 (or be null)")
+    _built("", engine.check_exit_radius, data.get("exit_radius"))
     if kind == "convergence":
         convergence_reference(data["reference"], data["manifold"])
     if kind in COUPLED_KINDS:
@@ -261,12 +260,6 @@ def parse_config(document: str | dict) -> ExperimentConfig:
             _fail(starts[0], "start1 and start2 go together")
         if not starts and "d0" not in data:
             _fail("start1", "couple kinds need start1/start2 or d0")
-        if "delta_couple" in data:
-            delta = float(data["delta_couple"])
-            if delta > 0 and delta < data["alpha"]:
-                _fail("delta_couple", "must be at least alpha (or 0)")
-        else:
-            data["delta_couple"] = 2.0 * data["alpha"]
     if kind == "verify-gradient":
         f = data.get("f")
         if not isinstance(f, dict) or f.get("type") != "halfspace" \
@@ -277,11 +270,7 @@ def parse_config(document: str | dict) -> ExperimentConfig:
             _fail("b", "missing")
         b = _built("b", builtin_b, data["b"])
     if kind == "feller-test":
-        # feller_explosion_test's rules
-        if float(data["C"]) <= 0.0:
-            _fail("C", "must be positive")
-        if float(data["y_max"]) < 10.0:
-            _fail("y_max", "must be at least 10")
+        _built("", check_feller_range, float(data["C"]), float(data["y_max"]))
     if kind == "radial-domination":
         _built("", RadialComparisonSpec, b, c0=float(data["c0"]),
                r0=float(data["r0"]))
@@ -289,17 +278,21 @@ def parse_config(document: str | dict) -> ExperimentConfig:
         if "a" not in data:
             _fail("a", "missing")
         data["a"] = float(data["a"])
-        _built("", OUParams, data["a"], float(data["k"]))
-        if float(data["ou_h"]) <= 0.0:
-            _fail("ou_h", "must be positive")
+        params = _built("", OUParams, data["a"], float(data["k"]))
+        _built("", ou_kernel, params, t2 - t1, float(data["ou_h"]),
+               data["seed"], int(data["n_paths"]))
     n_paths = data.get("n_paths")
     if n_paths is not None and int(n_paths) <= 0:
         _fail("n_paths", "must be positive")
-    least = {"convergence": 100, "ou-survival": 1000}.get(kind)
-    if least and int(n_paths) < least:
-        _fail("n_paths", f"{kind} needs at least {least} paths")
+    if kind == "convergence" and int(n_paths) < 100:
+        _fail("n_paths", "convergence needs at least 100 paths")
     _check_points(data, model)
-    return ExperimentConfig(kind, data)
+    cfg = ExperimentConfig(kind, data)
+    if kind in COUPLED_KINDS:
+        # the run's CouplingConfig holds delta_couple's rule and default
+        cc = _built("", coupling_config, cfg, model)
+        data.setdefault("delta_couple", cc.delta_couple)
+    return cfg
 
 
 def _check_points(data: dict, model: ManifoldModel) -> None:
@@ -338,13 +331,6 @@ def convergence_reference(reference: Any, manifold: dict) -> str:
     return reference
 
 
-def _check_alpha(alpha: float, t1: float, t2: float):
-    if alpha <= 0:
-        _fail("alpha", "must be positive")
-    if alpha ** 2 >= t2 - t1:
-        _fail("alpha", f"alpha^2 = {alpha ** 2} must be < t2 - t1 = {t2 - t1}")
-
-
 def parse_suite(document: str | dict) -> list[ExperimentConfig]:
     """A single experiment or a {'experiments': [...]} list document."""
     if isinstance(document, str):
@@ -380,6 +366,23 @@ def resolve_start(config: ExperimentConfig, model: ManifoldModel) -> np.ndarray:
     if config.get("start") is not None:
         return np.asarray(config["start"], dtype=float)
     return model.origin()
+
+
+def coupling_config(config: ExperimentConfig,
+                    model: ManifoldModel) -> CouplingConfig:
+    """The CouplingConfig of a coupled kind: verify-contraction and a
+    ``couple`` config with ``coupling: parallel`` use parallel transport,
+    the rest reflection."""
+    x1, x2 = resolve_start_points(config, model)
+    parallel = config.kind == "verify-contraction" \
+        or config.get("coupling") == "parallel"
+    return CouplingConfig(
+        alpha=config["alpha"], t1=config["t1"], t2=config["t2"],
+        seed=config["seed"], start1=x1, start2=x2,
+        kind=CouplingKind.PARALLEL_TRANSPORT if parallel
+        else CouplingKind.REFLECTION,
+        delta_couple=config.get("delta_couple"), k=config["k"],
+        origin=config.get("origin"), exit_radius=config.get("exit_radius"))
 
 
 @dataclass

@@ -46,15 +46,13 @@ class CouplingConfig:
     path_index: int = 0
 
     def __post_init__(self):
-        if self.alpha <= 0 or self.alpha ** 2 >= self.t2 - self.t1:
-            raise InvalidInput("need 0 < alpha^2 < t2 - t1")
-        delta = self.delta_couple
-        if delta is None:
-            delta = 2.0 * self.alpha
+        self.schedule()   # refuses an alpha outside the window
+        delta = 2.0 * self.alpha if self.delta_couple is None \
+            else self.delta_couple
         if delta > 0.0 and delta < self.alpha:
-            raise InvalidInput("delta_couple must be >= alpha (or 0 to disable)")
-        if self.exit_radius is not None and self.exit_radius <= 1.0:
-            raise InvalidInput("exit radius must exceed 1")
+            raise InvalidInput("delta_couple must be >= alpha (or 0 to "
+                               "disable)", key="delta_couple")
+        engine.check_exit_radius(self.exit_radius)
         object.__setattr__(self, "delta_couple", float(delta))
         object.__setattr__(self, "start1", np.asarray(self.start1, dtype=float))
         object.__setattr__(self, "start2", np.asarray(self.start2, dtype=float))

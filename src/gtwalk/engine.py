@@ -107,6 +107,12 @@ def origin_point(model: ManifoldModel, origin) -> np.ndarray:
                       dtype=float)
 
 
+def check_exit_radius(radius: float | None) -> None:
+    """The exit check's radius must exceed 1; None runs no exit check."""
+    if radius is not None and not radius > 1.0:
+        raise InvalidInput("exit radius must exceed 1", key="exit_radius")
+
+
 def _checked_records(kernel: str, records, allowed: frozenset,
                      untraced: frozenset, needs: dict) -> frozenset:
     """The validated record set of a ``kernel`` call; None gives the

@@ -14,9 +14,9 @@ from . import __version__, engine
 from .comparison import (OUParams, RadialComparisonSpec, beta, builtin_b,
                          chi, feller_explosion_test, ou_kernel)
 from .config import (COUPLED_KINDS, DUMP_KINDS, ExperimentConfig,
-                     RunManifest, convergence_reference, parse_suite,
-                     resolve_start, resolve_start_points)
-from .coupling import CouplingConfig, CouplingKind, coupled_kernel
+                     RunManifest, convergence_reference, coupling_config,
+                     parse_suite, resolve_start)
+from .coupling import coupled_kernel
 from .errors import ConfigError
 from .manifolds import ManifoldModel
 from .stats import (McEstimate, VerificationReport, check_contraction,
@@ -25,23 +25,6 @@ from .stats import (McEstimate, VerificationReport, check_contraction,
                     gaussian_cdf, mc_report, proportion,
                     wrapped_gaussian_cdf)
 from .walk import Schedule, walk_kernel
-
-
-def _coupling_config(config: ExperimentConfig,
-                     model: ManifoldModel) -> CouplingConfig:
-    """The CouplingConfig of a coupled kind: verify-contraction and a
-    ``couple`` config with ``coupling: parallel`` use parallel transport,
-    the rest reflection."""
-    x1, x2 = resolve_start_points(config, model)
-    parallel = config.kind == "verify-contraction" \
-        or config.get("coupling") == "parallel"
-    return CouplingConfig(
-        alpha=config["alpha"], t1=config["t1"], t2=config["t2"],
-        seed=config["seed"], start1=x1, start2=x2,
-        kind=CouplingKind.PARALLEL_TRANSPORT if parallel
-        else CouplingKind.REFLECTION,
-        delta_couple=config["delta_couple"], k=config["k"],
-        origin=config.get("origin"), exit_radius=config.get("exit_radius"))
 
 
 def _halfspace(f_spec: dict):
@@ -88,7 +71,7 @@ def _run_walk(config, model, workers):
 
 
 def _run_couple(config, model, workers):
-    cc = _coupling_config(config, model)
+    cc = coupling_config(config, model)
     exits = cc.exit_radius is not None
     return mc_report(
         "couple", coupled_kernel(model, cc, int(config["n_paths"])),
@@ -102,7 +85,7 @@ def _run_couple(config, model, workers):
 
 def _run_verify(config, model, workers):
     """A ``verify-*`` kind: its estimator on the config's coupled pair."""
-    cc, n_paths = _coupling_config(config, model), int(config["n_paths"])
+    cc, n_paths = coupling_config(config, model), int(config["n_paths"])
     options = {"workers": workers, "experiment_id": config.kind}
     if config.kind == "verify-coupling-bound":
         return estimate_coupling_survival(
@@ -150,8 +133,7 @@ def _run_convergence(config, model, workers):
 
 
 def _run_feller(config, model, workers):
-    spec = RadialComparisonSpec(builtin_b(config["b"]), c0=1.0, r0=0.5)
-    result = feller_explosion_test(spec, float(config["C"]),
+    result = feller_explosion_test(builtin_b(config["b"]), float(config["C"]),
                                    float(config["y_max"]))
     expect = config.get("expect")
     # classify gives no exponent (inf or nan) when the outer integrand
@@ -261,7 +243,7 @@ def dump_paths(config: ExperimentConfig, model: ManifoldModel, count: int,
     out.mkdir(parents=True, exist_ok=True)
     d, paths = model.ambient_dim, range(count)
     if kind in COUPLED_KINDS:
-        cc = _coupling_config(config, model)
+        cc = coupling_config(config, model)
         times = cc.schedule().times
         res = coupled_kernel(model, cc).fn(
             paths, records={"skeleton", "distance", "lambda_star",

@@ -103,9 +103,10 @@ class VerificationReport:
     """What one experiment measured and what its kind decided about it.
 
     ``bound`` and ``passed`` are the kind's decision: a number and a flag
-    where an estimate is checked against a bound (``bound_report``), None
-    and a flag for ``convergence`` and ``feller-test``, None and None for
-    ``walk`` and ``couple``, which check nothing. ``check`` names the
+    where an estimate is checked against a bound (``bound_report``) and
+    for ``verify-contraction``'s maximum, None and a flag for
+    ``convergence`` and ``feller-test``, None and None for ``walk`` and
+    ``couple``, which check nothing. ``check`` names the
     statistic and the pass rule with its tolerance (None without a check);
     ``estimate`` is None where a kind computes no sample mean.
     """
@@ -207,7 +208,7 @@ def map_path_chunks(n_paths: int, fn: Callable[[range], dict],
 # ---------------------------------------------------------------------------
 
 def mc_report(experiment_id: str, kernel: engine.PathKernel, records,
-              reduce: Callable[[dict], tuple[McEstimate, dict]], *,
+              reduce: Callable[[dict], tuple[McEstimate | None, dict]], *,
               bound: float | None = None, statistic: str | None = None,
               bias: float = 0.0, workers: int = 1) -> VerificationReport:
     """Run ``kernel`` for the ``records`` the caller reads, reduce them
@@ -262,24 +263,27 @@ def check_contraction(model: ManifoldModel, config: CouplingConfig,
     """Largest increase of e^{k(t-t1)/2} d_{g(t)} over skeleton pairs s <= t,
     across all paths, against coefficient * alpha.
 
-    The reported estimate's mean is the max statistic (stderr zero); the
-    per-path maxima distribution is recorded in metadata.
+    A maximum is no sample mean, so the report has no estimate: it gives
+    the maximum as ``params.max_rise`` and the mean of the per-path maxima
+    as ``params.per_path_mean``, and passes when max_rise <= bound.
     """
     if config.kind is not CouplingKind.PARALLEL_TRANSPORT:
         raise InvalidInput("contraction check requires the parallel kind")
 
     def reduce(res):
         maxima = res["contraction_max"]
-        worst = float(np.max(maxima))
-        return (McEstimate(n=n_paths, mean=worst, stderr=0.0,
-                           ci95=(worst, worst)),
-                {"coefficient": coefficient, "statistic": "max",
-                 "per_path_mean": float(np.mean(maxima))})
+        return None, {"coefficient": coefficient,
+                      "max_rise": float(np.max(maxima)),
+                      "per_path_mean": float(np.mean(maxima))}
 
-    return mc_report(experiment_id, coupled_kernel(model, config, n_paths),
-                     {"contraction_max"}, reduce,
-                     bound=coefficient * config.alpha, workers=workers,
-                     statistic="largest rise of e^{k(t-t1)/2} d over paths")
+    report = mc_report(experiment_id, coupled_kernel(model, config, n_paths),
+                       {"contraction_max"}, reduce, workers=workers)
+    report.bound = coefficient * config.alpha
+    report.passed = report.metadata["params"]["max_rise"] <= report.bound
+    report.check = {
+        "statistic": "largest rise of e^{k(t-t1)/2} d over paths",
+        "rule": "params.max_rise <= bound"}
+    return report
 
 
 def check_gradient_estimate(model: ManifoldModel, config: CouplingConfig,
@@ -403,6 +407,14 @@ def circle_angles(points: np.ndarray) -> np.ndarray:
     return np.arctan2(points[..., 1], points[..., 0])
 
 
+def alpha_schedules(t1: float, t2: float, alphas) -> list[Schedule]:
+    """The schedule of each of ``alphas``, which must strictly decrease."""
+    schedules = [Schedule(t1, t2, alpha) for alpha in alphas]
+    if any(a2 >= a1 for a1, a2 in zip(alphas, alphas[1:])):
+        raise InvalidInput("alphas must be strictly decreasing", key="alphas")
+    return schedules
+
+
 def convergence_diagnostic(model: ManifoldModel,
                            t1: float, t2: float, start: np.ndarray,
                            alphas: Sequence[float], n_paths: int, seed: int,
@@ -415,19 +427,16 @@ def convergence_diagnostic(model: ManifoldModel,
     Returns one row per alpha with the transport distance to the reference
     quantiles and the KS statistic at level 0.01.
     """
-    if any(a2 >= a1 for a1, a2 in zip(alphas, alphas[1:])):
-        raise InvalidInput("alphas must be strictly decreasing")
     rows = []
-    for alpha in alphas:
-        kernel = walk_kernel(model, Schedule(t1, t2, alpha), start, seed,
-                             n_paths)
+    for schedule in alpha_schedules(t1, t2, alphas):
+        kernel = walk_kernel(model, schedule, start, seed, n_paths)
         ends = map_path_chunks(n_paths, partial(kernel.fn, records={"end"}),
                                workers)["end"]
         samples = np.asarray(observable(ends), dtype=float)
         ref_q = reference_quantiles(reference_cdf, len(samples),
                                     *reference_support)
         ks = ks_statistic(samples, reference_cdf)
-        rows.append({"alpha": alpha, "n": len(samples),
+        rows.append({"alpha": schedule.alpha, "n": len(samples),
                      "w1": wasserstein1_1d(samples, ref_q),
                      "ks_statistic": ks.statistic,
                      "ks_threshold": ks.threshold, "ks_pass": ks.passed})

@@ -26,10 +26,9 @@ class Schedule:
     """The step times (t1 + alpha^2 n) wedge t2 and their step fractions."""
 
     def __init__(self, t1: float, t2: float, alpha: float):
-        if alpha <= 0:
-            raise InvalidInput("alpha must be positive")
-        if not alpha ** 2 < t2 - t1:
-            raise InvalidInput("alpha^2 must be smaller than t2 - t1")
+        if not (alpha > 0 and alpha ** 2 < t2 - t1):
+            raise InvalidInput(f"need 0 < alpha and alpha^2 < t2 - t1 = "
+                               f"{t2 - t1}, not alpha = {alpha}", key="alpha")
         self.t1, self.t2, self.alpha = float(t1), float(t2), float(alpha)
         n_steps = int(math.ceil((t2 - t1) / alpha ** 2 - 1e-9))
         times = t1 + alpha ** 2 * np.arange(n_steps + 1)
@@ -68,8 +67,7 @@ class WalkConfig:
     path_index: int = 0
 
     def __post_init__(self):
-        if self.alpha <= 0 or self.alpha ** 2 >= self.t2 - self.t1:
-            raise InvalidInput("need 0 < alpha^2 < t2 - t1")
+        self.schedule()   # refuses an alpha outside the window
         object.__setattr__(self, "start", np.asarray(self.start, dtype=float))
 
     def schedule(self) -> Schedule:
@@ -126,6 +124,7 @@ def walk_kernel(model: ManifoldModel, schedule: Schedule, start: np.ndarray,
                 radial: dict | None = None) -> engine.PathKernel:
     """``engine.walk_chunk`` from ``start`` with these settings, and the
     params every walk kind reports for ``n_paths`` paths."""
+    engine.check_exit_radius(exit_radius)
     return engine.PathKernel(
         partial(engine.walk_chunk, model, schedule, start, seed,
                 origin=origin, exit_radius=exit_radius, radial=radial),

@@ -331,6 +331,26 @@ def test_builtin_b_validation():
     assert table(1.5) == pytest.approx(2.5)
 
 
+@pytest.mark.parametrize("spec, words", [
+    ({"name": "zero", "c": 5.0}, "zero b takes no key 'c'"),
+    ({"name": "constant", "c": 1.0, "slope": 2.0},
+     "constant b takes no key 'slope'"),
+    ({"name": "linear", "values": [1.0]}, "linear b takes no key 'values'"),
+    ({"name": "table", "r": [0.0, 1.0], "values": [1.0, 2.0], "c": 1.0},
+     "table b takes no key 'c'"),
+    ({"name": "table", "r": [2.0, 1.0, 0.0], "values": [0.0, 1.0, 2.0]},
+     "strictly increasing"),
+    ({"name": "table", "r": [0.0, 1.0, 1.0], "values": [0.0, 1.0, 2.0]},
+     "strictly increasing"),
+    ({"name": ["zero"]}, "unknown b profile"),
+])
+def test_builtin_b_refuses_unread_keys_and_unsorted_tables(spec, words):
+    """A key the profile does not read would take no effect, and np.interp
+    gives no defined value on a table whose r does not increase."""
+    with pytest.raises(InvalidInput, match=words):
+        builtin_b(spec)
+
+
 @pytest.mark.bits
 @pytest.mark.parametrize("model", [
     RoundSphere(2, 1.0, flow=True, time_window=(0.0, 1.0)), Euclidean(2)],

@@ -9,13 +9,16 @@ import pytest
 from conftest import strip_runtime
 from gtwalk import runner
 from gtwalk.cli import main, parse_manifold_spec
-from gtwalk.comparison import FellerResult
-from gtwalk.config import (_KEYS_BY_KIND, EXPERIMENT_KINDS, parse_config,
-                           parse_suite, resolve_start, resolve_start_points)
-from gtwalk.coupling import run_coupled
-from gtwalk.errors import ConfigError
+from gtwalk.comparison import (FellerResult, OUParams, builtin_b,
+                               feller_explosion_test, ou_kernel)
+from gtwalk.config import (_KEYS_BY_KIND, EXPERIMENT_KINDS, coupling_config,
+                           parse_config, parse_suite, resolve_start,
+                           resolve_start_points)
+from gtwalk.coupling import CouplingConfig, run_coupled
+from gtwalk.errors import ConfigError, InvalidInput
 from gtwalk.runner import dump_paths, run_document
-from gtwalk.walk import WalkConfig, run_walk
+from gtwalk.stats import convergence_diagnostic
+from gtwalk.walk import Schedule, WalkConfig, run_walk, walk_kernel
 
 
 MINIMAL_WALK = {"kind": "walk", "manifold": {"kind": "euclidean", "dim": 2},
@@ -230,7 +233,7 @@ def test_dump_paths_bytes_match_single_path_runs(tmp_path):
     flags = []
     for idx, fname in enumerate(files):
         path = run_coupled(model, dataclasses.replace(
-            runner._coupling_config(pair, model), path_index=idx))
+            coupling_config(pair, model), path_index=idx))
         lam = [0.0, *path.lambda_star_record]
         flags += list(path.coupled_flags)
         assert fname.read_bytes() == _csv_bytes(
@@ -662,6 +665,9 @@ _FLOW_BASE = {"kind": "scaled", "k": 0.5, "base": _FLOW_SPHERE}
     ("radial-domination", {"b": {"name": "table", "r": [0.0, 1.0],
                                  "values": [1.0]}}, "b"),
     ("feller-test", {"b": {"name": "linear", "slope": -1.0}}, "b"),
+    ("feller-test", {"b": {"name": "zero", "c": 5.0}}, "b"),
+    ("radial-domination", {"b": {"name": "table", "r": [2.0, 1.0, 0.0],
+                                 "values": [0.0, 1.0, 2.0]}}, "b"),
     ("feller-test", {"C": -1.0}, "C"),
     ("feller-test", {"y_max": 5.0}, "y_max"),
     ("radial-domination", {"r0": -1.0}, "r0"),
@@ -672,6 +678,7 @@ _FLOW_BASE = {"kind": "scaled", "k": 0.5, "base": _FLOW_SPHERE}
         "euclidean-flow", "scaled-dim-and-base", "b-unknown-name",
         "b-not-an-object", "b-constant-negative", "b-constant-no-c",
         "b-table-no-values", "b-table-lengths", "b-linear-negative",
+        "b-zero-unread-key", "b-table-unsorted",
         "feller-C-negative", "feller-y_max-5", "radial-r0-negative",
         "radial-c0-zero"])
 def test_value_the_run_refuses_is_rejected_at_parse(kind, patch, key,
@@ -683,6 +690,65 @@ def test_value_the_run_refuses_is_rejected_at_parse(kind, patch, key,
     assert main(["run", str(doc)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {key}: "), err
+
+
+def _coupling(**changes):
+    return CouplingConfig(**{"alpha": 0.1, "t1": 0.0, "t2": 1.0, "seed": 2,
+                             "start1": [0.0, 0.0], "start2": [1.0, 0.0],
+                             **changes})
+
+
+# Each value rule, written once in the library: the key it refuses, a call
+# of the library object that holds it with a refused value, and a config of
+# that value. The library calls raise before any work.
+_RULES = [
+    ("alpha", lambda: Schedule(0.0, 1.0, 2.0), "walk", {"alpha": 2.0}),
+    ("alpha", lambda: Schedule(0.0, 1.0, -0.1), "walk", {"alpha": -0.1}),
+    ("alpha", lambda: WalkConfig(2.0, 0.0, 1.0, 2, [0.0, 0.0]), "walk",
+     {"alpha": 2.0}),
+    ("alpha", lambda: _coupling(alpha=2.0), "couple", {"alpha": 2.0}),
+    ("alpha", lambda: Schedule(0.0, 1.0, 2.0), "convergence",
+     {"alphas": [2.0, 0.1]}),
+    ("alphas", lambda: convergence_diagnostic(
+        None, 0.0, 1.0, None, [0.2, 0.4], 100, 2, None, None, None),
+     "convergence", {"alphas": [0.2, 0.4]}),
+    ("delta_couple", lambda: _coupling(delta_couple=0.05), "couple",
+     {"delta_couple": 0.05}),
+    ("delta_couple", lambda: _coupling(delta_couple=0.05),
+     "verify-gradient", {"delta_couple": 0.05}),
+    ("exit_radius", lambda: walk_kernel(None, None, None, 2, 48,
+                                        exit_radius=1.0), "walk",
+     {"exit_radius": 1.0}),
+    ("exit_radius", lambda: _coupling(exit_radius=0.5), "couple",
+     {"exit_radius": 0.5}),
+    ("exit_radius", lambda: walk_kernel(None, None, None, 2, 48,
+                                        exit_radius=1.0),
+     "radial-domination", {"exit_radius": 1.0}),
+    ("ou_h", lambda: ou_kernel(OUParams(1.0, 0.0), 1.0, 0.0, 2, 1000),
+     "ou-survival", {"ou_h": 0.0}),
+    ("n_paths", lambda: ou_kernel(OUParams(1.0, 0.0), 1.0, 1e-3, 2, 999),
+     "ou-survival", {"n_paths": 999}),
+    ("C", lambda: feller_explosion_test(builtin_b({"name": "zero"}), -1.0),
+     "feller-test", {"C": -1.0}),
+    ("y_max", lambda: feller_explosion_test(builtin_b({"name": "zero"}), 1.0,
+                                            5.0), "feller-test",
+     {"y_max": 5.0}),
+]
+
+
+@pytest.mark.parametrize("key, library, kind, patch", _RULES,
+                         ids=[f"{rule[2]}-{rule[0]}-{i}"
+                              for i, rule in enumerate(_RULES)])
+def test_parser_prints_the_library_rule(key, library, kind, patch):
+    """The parser states no value rule of its own: it builds the library
+    object that holds the rule, and its error is that object's, prefixed
+    with the key the object names."""
+    with pytest.raises(InvalidInput) as refused:
+        library()
+    assert refused.value.key == key
+    with pytest.raises(ConfigError) as rejected:
+        parse_config({**_key_base(kind), **patch})
+    assert str(rejected.value) == f"{key}: {refused.value}"
 
 
 # For each point key, a config of a kind that takes it, with a good point
