@@ -30,5 +30,5 @@ from .stats import (KsResult, McEstimate, VerificationReport,
 from .variation import (GreenSolution, SampledField, VariationTerms,
                         coupled_variation_terms, dagger_field, dt_distance,
                         index_form, solve_green)
-from .walk import (Schedule, SubordinatedPath, WalkConfig, WalkPath,
-                   interpolate, run_walk, step, subordinated_walk)
+from .walk import (Schedule, WalkConfig, WalkPath, interpolate, run_walk,
+                   step)

@@ -1,7 +1,11 @@
 """Command-line interface.
 
 Subcommands: run (config file), walk, couple, verify (flag-built configs),
-list-models, dump-paths. Flags mirror config keys and win over file values.
+list-models, dump-paths. Flags mirror config keys and win over file values:
+--alpha, --samples, --seed and --manifold edit each experiment of the
+document as written before it is parsed (``config.parse_suite``), so a
+derived default such as delta_couple = 2 alpha follows the new alpha, and
+the run, its report and manifest.json describe the config that ran.
 Exit codes: 0 every check passed (walk and couple check nothing), 2 a
 verification failed, 1 error.
 """
@@ -81,12 +85,19 @@ def _experiment_flags(p: argparse.ArgumentParser):
                    help="number of path CSVs to write")
 
 
+# The config key each override flag sets.
+_OVERRIDE_KEYS = {"alpha": "alpha", "samples": "n_paths", "seed": "seed",
+                  "manifold": "manifold"}
+
+
 def _overrides_from(args) -> dict:
-    """The config values that ``run``'s flags override."""
-    mapping = {"alpha": args.alpha, "n_paths": args.samples}
-    if args.manifold:
-        mapping["manifold"] = parse_manifold_spec(args.manifold)
-    return {k: v for k, v in mapping.items() if v is not None}
+    """The config values given by those of --alpha, --samples, --seed and
+    --manifold that the subcommand has and the user set."""
+    values = {key: getattr(args, flag, None)
+              for flag, key in _OVERRIDE_KEYS.items()}
+    if values["manifold"] is not None:
+        values["manifold"] = parse_manifold_spec(values["manifold"])
+    return {key: value for key, value in values.items() if value is not None}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -138,17 +149,14 @@ def main(argv: list[str] | None = None) -> int:
 
         if args.command == "run":
             _, reports = run_document(
-                Path(args.config).read_text(),
-                overrides=_overrides_from(args) or None,
-                workers=_threads(args), out_dir=args.out,
-                seed_override=args.seed)
+                Path(args.config).read_text(), overrides=_overrides_from(args),
+                workers=_threads(args), out_dir=args.out)
             return _report_outcome(reports)
 
         if args.command == "dump-paths":
             out = Path(args.out or "paths")
-            for cfg in parse_suite(Path(args.config).read_text()):
-                if args.seed is not None:
-                    cfg = parse_suite({**cfg.data, "seed": args.seed})[0]
+            for cfg in parse_suite(Path(args.config).read_text(),
+                                   _overrides_from(args)):
                 for f in dump_paths(cfg, cfg.build_model(), args.count, out):
                     print(f)
             return 0
@@ -168,11 +176,8 @@ def _document_from_flags(args) -> dict:
     doc: dict = {
         "kind": f"verify-{args.check}" if args.command == "verify"
         else args.command,
-        "manifold": parse_manifold_spec(args.manifold),
-        "t1": args.t1, "t2": args.t2,
-        "alpha": args.alpha if args.alpha is not None else 0.05,
-        "seed": args.seed if args.seed is not None else 0,
-        "n_paths": args.samples, "n_dump": args.dump,
+        "t1": args.t1, "t2": args.t2, "alpha": 0.05, "n_dump": args.dump,
+        **_overrides_from(args),
     }
     if args.command != "walk":
         doc.update(d0=args.d0 if args.d0 is not None else 1.0,

@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from . import engine, rng
-from .errors import InvalidInput
+from .errors import InvalidInput, is_number
 
 _SMALL_K = 1e-8
 
@@ -221,7 +221,8 @@ class RadialComparisonSpec:
 def builtin_b(spec: dict) -> Callable[[np.ndarray], np.ndarray]:
     """Named drift profiles: zero, constant(c), linear(slope = 1), or a
     table sampled at strictly increasing points r, linearly interpolated;
-    each nonnegative. A key the profile does not read is refused."""
+    each nonnegative. Each number is a finite JSON number (``is_number``),
+    and a key the profile does not read is refused."""
     if not isinstance(spec, dict):
         raise InvalidInput(f"b must be an object with a 'name', not {spec!r}")
     name = spec.get("name")
@@ -234,6 +235,16 @@ def builtin_b(spec: dict) -> Callable[[np.ndarray], np.ndarray]:
         raise InvalidInput(f"{name} b takes no key {key!r}")
     for key in sorted(set(reads[name]) - set(spec) - {"slope"}):
         raise InvalidInput(f"{name} b needs {key!r}")
+    for key in sorted(set(reads[name]) & set(spec)):
+        value = spec[key]
+        if key in ("r", "values"):
+            if not (isinstance(value, list) and value
+                    and all(is_number(v) for v in value)):
+                raise InvalidInput(f"{key} must be a nonempty list of finite "
+                                   f"numbers, not {value!r}", key=key)
+        elif not is_number(value):
+            raise InvalidInput(f"{key} must be a finite number, not "
+                               f"{value!r}", key=key)
     if name == "zero":
         return lambda r: np.zeros_like(np.asarray(r, dtype=float))
     if name == "constant":
@@ -248,9 +259,9 @@ def builtin_b(spec: dict) -> Callable[[np.ndarray], np.ndarray]:
         return lambda r: slope * np.asarray(r, dtype=float)
     xs = np.asarray(spec["r"], dtype=float)
     ys = np.asarray(spec["values"], dtype=float)
-    if np.any(~np.isfinite(ys)) or np.any(ys < 0):
-        raise InvalidInput("table values must be finite and nonnegative")
-    if xs.ndim != 1 or xs.shape != ys.shape:
+    if np.any(ys < 0):
+        raise InvalidInput("table values must be nonnegative")
+    if xs.shape != ys.shape:
         raise InvalidInput("table r and values must be lists of one length")
     if not np.all(np.diff(xs) > 0):
         raise InvalidInput("table r must be strictly increasing")

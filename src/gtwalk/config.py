@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import dataclass
 from typing import Any
 
@@ -20,7 +19,7 @@ from . import engine, stats, walk
 from .comparison import (OUParams, RadialComparisonSpec, builtin_b,
                          check_feller_range, ou_kernel)
 from .coupling import CouplingConfig, CouplingKind
-from .errors import ConfigError, InvalidInput
+from .errors import ConfigError, InvalidInput, is_number
 from .manifolds import ManifoldModel, make_model
 
 EXPERIMENT_KINDS = (
@@ -121,16 +120,6 @@ def _fail(path: str, message: str):
     raise ConfigError(f"{path}: {message}")
 
 
-def _is_number(value: Any) -> bool:
-    """A finite JSON number: an int or a float, not a bool."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an int beyond the float range
-        return False
-
-
 def _check_values(raw: dict, prefix: str = "") -> None:
     """Reject a numeric key whose value is not a number of its type and a
     switch that is not a JSON boolean."""
@@ -142,7 +131,7 @@ def _check_values(raw: dict, prefix: str = "") -> None:
         if key in _INT_KEYS and (isinstance(value, bool)
                                  or not isinstance(value, int)):
             _fail(prefix + key, f"must be an integer, not {value!r}")
-        if key in _FLOAT_KEYS and not _is_number(value):
+        if key in _FLOAT_KEYS and not is_number(value):
             _fail(prefix + key, f"must be a finite number, not {value!r}")
 
 
@@ -182,21 +171,13 @@ def _check_manifold(desc: Any, window: tuple[float, float],
     return _built(prefix, make_model, desc, window)
 
 
-def parse_config(document: str | dict) -> ExperimentConfig:
-    """Validate a config document and apply defaults.
+def parse_config(raw: dict) -> ExperimentConfig:
+    """Validate one experiment's decoded document and apply defaults.
 
-    Accepts JSON text or an already-decoded mapping. Unknown keys, missing
-    required keys and every value the run would refuse raise ConfigError
-    naming the key path; a value rule is checked by building the library
-    object that holds it (``_built``).
+    Unknown keys, missing required keys and every value the run would
+    refuse raise ConfigError naming the key path; a value rule is checked
+    by building the library object that holds it (``_built``).
     """
-    if isinstance(document, str):
-        try:
-            raw = json.loads(document)
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"config: invalid JSON ({e})") from None
-    else:
-        raw = dict(document)
     if not isinstance(raw, dict):
         _fail("config", "top level must be an object")
 
@@ -234,7 +215,7 @@ def parse_config(document: str | dict) -> ExperimentConfig:
         alphas = data.get("alphas")
         if not isinstance(alphas, list) or not alphas:
             _fail("alphas", "must be a nonempty list")
-        if not all(_is_number(a) for a in alphas):
+        if not all(is_number(a) for a in alphas):
             _fail("alphas", f"must list finite numbers, not {alphas!r}")
         data["alphas"] = [float(a) for a in alphas]
         _built("", stats.alpha_schedules, t1, t2, data["alphas"])
@@ -263,8 +244,10 @@ def parse_config(document: str | dict) -> ExperimentConfig:
     if kind == "verify-gradient":
         f = data.get("f")
         if not isinstance(f, dict) or f.get("type") != "halfspace" \
-                or "normal" not in f or "offset" not in f:
+                or set(f) != {"type", "normal", "offset"}:
             _fail("f", "needs {'type': 'halfspace', 'normal': [...], 'offset': h}")
+        if not is_number(f["offset"]):
+            _fail("f.offset", f"must be a finite number, not {f['offset']!r}")
     if kind in ("feller-test", "radial-domination"):
         if "b" not in data:
             _fail("b", "missing")
@@ -281,11 +264,10 @@ def parse_config(document: str | dict) -> ExperimentConfig:
         params = _built("", OUParams, data["a"], float(data["k"]))
         _built("", ou_kernel, params, t2 - t1, float(data["ou_h"]),
                data["seed"], int(data["n_paths"]))
-    n_paths = data.get("n_paths")
-    if n_paths is not None and int(n_paths) <= 0:
-        _fail("n_paths", "must be positive")
-    if kind == "convergence" and int(n_paths) < 100:
-        _fail("n_paths", "convergence needs at least 100 paths")
+    if "n_paths" in data:
+        _built("", stats.path_ranges, data["n_paths"])
+    if kind == "convergence":
+        _built("", stats.check_ks_size, data["n_paths"])
     _check_points(data, model)
     cfg = ExperimentConfig(kind, data)
     if kind in COUPLED_KINDS:
@@ -296,13 +278,15 @@ def parse_config(document: str | dict) -> ExperimentConfig:
 
 
 def _check_points(data: dict, model: ManifoldModel) -> None:
-    """Reject a given start, start1/start2 or origin that is not one point
-    of the manifold's ambient coordinates."""
-    for key in ("start", "start1", "start2", "origin"):
-        if data.get(key) is None:
-            continue
+    """Reject a given start, start1/start2, origin or halfspace normal that
+    is not one vector of the manifold's ambient coordinates."""
+    points = {key: data[key] for key in ("start", "start1", "start2", "origin")
+              if data.get(key) is not None}
+    if data["kind"] == "verify-gradient":
+        points["f.normal"] = data["f"]["normal"]
+    for key, point in points.items():
         try:
-            shape = np.asarray(data[key], dtype=float).shape
+            shape = np.asarray(point, dtype=float).shape
         except (TypeError, ValueError):
             shape = None
         if shape != (model.ambient_dim,):
@@ -331,8 +315,15 @@ def convergence_reference(reference: Any, manifold: dict) -> str:
     return reference
 
 
-def parse_suite(document: str | dict) -> list[ExperimentConfig]:
-    """A single experiment or a {'experiments': [...]} list document."""
+def parse_suite(document: str | dict,
+                overrides: dict | None = None) -> list[ExperimentConfig]:
+    """The configs of a single experiment or a {'experiments': [...]} list
+    document, given as JSON text or decoded.
+
+    ``overrides`` are merged into each experiment as written before it is
+    parsed, so a derived default (``delta_couple`` = 2 alpha) follows an
+    overridden value and the config hash is that of the config that runs.
+    """
     if isinstance(document, str):
         try:
             raw = json.loads(document)
@@ -340,12 +331,17 @@ def parse_suite(document: str | dict) -> list[ExperimentConfig]:
             raise ConfigError(f"config: invalid JSON ({e})") from None
     else:
         raw = document
+    items = [raw]
     if isinstance(raw, dict) and "experiments" in raw:
         extra = set(raw) - {"experiments"}
         if extra:
             _fail(sorted(extra)[0], "unknown key beside 'experiments'")
-        return [parse_config(item) for item in raw["experiments"]]
-    return [parse_config(raw)]
+        items = raw["experiments"]
+        if not isinstance(items, list):
+            _fail("experiments", "must be a list of experiments")
+    return [parse_config({**item, **overrides}
+                         if overrides and isinstance(item, dict) else item)
+            for item in items]
 
 
 def resolve_start_points(config: ExperimentConfig, model: ManifoldModel):

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the number rule of the
+values their checks refuse."""
+
+import math
 
 
 class GtwalkError(Exception):
@@ -29,3 +32,13 @@ class SingularConfiguration(GtwalkError, ArithmeticError):
 
 class ConfigError(GtwalkError, ValueError):
     """Experiment configuration is malformed; message names the key path."""
+
+
+def is_number(value) -> bool:
+    """A finite JSON number: an int or a float, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False

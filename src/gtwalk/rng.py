@@ -16,8 +16,8 @@ import numpy as np
 import numpy.random  # noqa: F401
 
 # Purpose tags keep logically distinct noise sources on disjoint streams.
+# Tag 2 is retired; the others keep their values, so no stream moves.
 PURPOSE_WALK = 1
-PURPOSE_SUBORDINATION = 2
 PURPOSE_OU = 3
 PURPOSE_RADIAL = 4
 

@@ -280,17 +280,13 @@ def dump_paths(config: ExperimentConfig, model: ManifoldModel, count: int,
 
 def run_document(document: str | dict, workers: int = 1,
                  out_dir: str | Path | None = None,
-                 seed_override: int | None = None,
                  overrides: dict | None = None) -> tuple[RunManifest, list[VerificationReport]]:
-    """Run a single-experiment or suite document; returns manifest+reports."""
+    """Run a single-experiment or suite document, ``overrides`` merged into
+    each experiment as written (``parse_suite``); returns manifest+reports."""
     t0 = time.perf_counter()
-    configs = parse_suite(document)
-    replace = {**(overrides or {}), **({} if seed_override is None
-                                       else {"seed": int(seed_override)})}
+    configs = parse_suite(document, overrides)
     reports, names = [], []
     for cfg in configs:
-        if replace:
-            cfg = parse_suite({**cfg.data, **replace})[0]
         target = Path(out_dir) if out_dir is not None \
             else (Path(cfg.get("out")) if cfg.get("out") else None)
         reports.append(execute(cfg, workers=workers, out_dir=target))

@@ -171,6 +171,16 @@ def _fork_context():
     return multiprocessing.get_context("fork")
 
 
+def path_ranges(n_paths: int, chunk: int = CHUNK) -> list[range]:
+    """The fixed path chunks of a run of ``n_paths`` paths, which must be
+    positive."""
+    if n_paths <= 0:
+        raise InvalidInput(f"n_paths must be positive, not {n_paths}",
+                           key="n_paths")
+    return [range(i, min(i + chunk, n_paths))
+            for i in range(0, n_paths, chunk)]
+
+
 def map_path_chunks(n_paths: int, fn: Callable[[range], dict],
                     workers: int = 1, chunk: int = CHUNK
                     ) -> dict[str, np.ndarray]:
@@ -186,10 +196,7 @@ def map_path_chunks(n_paths: int, fn: Callable[[range], dict],
     not depend on the worker count, and each path's randomness is keyed by
     its global index, so the result is identical for any ``workers``.
     """
-    if n_paths <= 0:
-        raise InvalidInput("n_paths must be positive")
-    ranges = [range(i, min(i + chunk, n_paths))
-              for i in range(0, n_paths, chunk)]
+    ranges = path_ranges(n_paths, chunk)
     processes = min(workers, len(ranges))
     context = _fork_context() if processes > 1 else None
     if context is None:
@@ -325,6 +332,14 @@ class KsResult:
         return self.statistic <= self.threshold
 
 
+def check_ks_size(n: int) -> None:
+    """Refuse fewer than 100 samples for the asymptotic KS threshold; a
+    run draws one sample per path, so the error names ``n_paths``."""
+    if n < 100:
+        raise InvalidInput(f"the KS test needs at least 100 samples, not {n}",
+                           key="n_paths")
+
+
 def ks_statistic(samples: np.ndarray, cdf: Callable[[np.ndarray], np.ndarray],
                  level: float = 0.01) -> KsResult:
     """sup |F_emp - F| with the asymptotic Kolmogorov threshold at ``level``.
@@ -335,8 +350,7 @@ def ks_statistic(samples: np.ndarray, cdf: Callable[[np.ndarray], np.ndarray],
 
     x = np.sort(np.asarray(samples, dtype=float))
     n = len(x)
-    if n < 100:
-        raise InvalidInput("ks_statistic needs at least 100 samples")
+    check_ks_size(n)
     F = np.clip(np.asarray(cdf(x), dtype=float), 0.0, 1.0)
     up = np.arange(1, n + 1) / n
     lo = np.arange(0, n) / n

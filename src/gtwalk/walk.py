@@ -17,7 +17,7 @@ from functools import partial
 
 import numpy as np
 
-from . import engine, rng
+from . import engine
 from .errors import InvalidInput
 from .manifolds import ManifoldModel, Point, TangentVector
 
@@ -40,12 +40,6 @@ class Schedule:
     def n_steps(self) -> int:
         """Total number of steps, the final possibly partial."""
         return len(self.times) - 1
-
-    @property
-    def full_steps(self) -> int:
-        """Number of whole alpha^2 steps before the horizon truncates."""
-        n = self.n_steps
-        return n if self.fracs[-1] > 1.0 - 1e-12 else n - 1
 
     def locate(self, t: float) -> tuple[int, float]:
         """Step index n with t in [t_n, t_n+1] and the fraction (t-t_n)/a^2."""
@@ -142,39 +136,3 @@ def interpolate(model: ManifoldModel, path: WalkPath, t: float) -> Point:
     return Point(model.exp(sched.times[n], x, frac * path.step_vectors[n]),
                  path.model_id)
 
-
-@dataclass
-class SubordinatedPath:
-    """A walk evaluated at the jump times of an independent Poisson clock."""
-    base: WalkPath
-    jump_times: np.ndarray   # absolute times of clock jumps within the window
-    cap_index: int           # largest skeleton index the clock may reach
-
-    def index_at(self, t: float) -> int:
-        sched = self.base.schedule
-        if t < sched.t1 - 1e-12:
-            raise InvalidInput("time before window start")
-        count = int(np.searchsorted(self.jump_times, t, side="right"))
-        return min(count, self.cap_index)
-
-
-def subordinated_walk(model: ManifoldModel,
-                      config: WalkConfig) -> SubordinatedPath:
-    """Time-change the walk by a Poisson clock of intensity alpha^-2,
-    capped at the last full step of the schedule."""
-    path = run_walk(model, config)
-    sched = path.schedule
-    stream = rng.stream(config.seed, rng.PURPOSE_SUBORDINATION,
-                        config.path_index)
-    horizon = sched.t2 - sched.t1
-    gaps = []
-    total = 0.0
-    while total <= horizon:
-        block = stream.exponential(config.alpha ** 2, size=256)
-        for g in block:
-            total += g
-            if total > horizon:
-                break
-            gaps.append(total)
-    jump_times = sched.t1 + np.asarray(gaps)
-    return SubordinatedPath(path, jump_times, sched.full_steps)

@@ -1,10 +1,14 @@
+import contextlib
 import csv
 import dataclasses
 import io
 import json
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import strip_runtime
 from gtwalk import runner
@@ -17,7 +21,7 @@ from gtwalk.config import (_KEYS_BY_KIND, EXPERIMENT_KINDS, coupling_config,
 from gtwalk.coupling import CouplingConfig, run_coupled
 from gtwalk.errors import ConfigError, InvalidInput
 from gtwalk.runner import dump_paths, run_document
-from gtwalk.stats import convergence_diagnostic
+from gtwalk.stats import convergence_diagnostic, ks_statistic, map_path_chunks
 from gtwalk.walk import Schedule, WalkConfig, run_walk, walk_kernel
 
 
@@ -101,6 +105,8 @@ def test_parse_suite_list():
     assert len(configs) == 2 and configs[1]["seed"] == 8
     with pytest.raises(ConfigError):
         parse_suite({"experiments": [], "extra": 1})
+    with pytest.raises(ConfigError, match="^experiments: "):
+        parse_suite({"experiments": 3})
 
 
 def test_manifold_spec_grammar():
@@ -672,6 +678,14 @@ _FLOW_BASE = {"kind": "scaled", "k": 0.5, "base": _FLOW_SPHERE}
     ("feller-test", {"y_max": 5.0}, "y_max"),
     ("radial-domination", {"r0": -1.0}, "r0"),
     ("radial-domination", {"c0": 0.0}, "c0"),
+    ("verify-gradient", {"f": {"type": "halfspace", "normal": [1.0],
+                               "offset": 0.0}}, "f.normal"),
+    ("verify-gradient", {"f": {"type": "halfspace", "normal": None,
+                               "offset": 0.0}}, "f.normal"),
+    ("verify-gradient", {"f": {"type": "halfspace", "normal": [1.0, 0.0],
+                               "offset": "0.5"}}, "f.offset"),
+    ("verify-gradient", {"f": {"type": "halfspace", "normal": [1.0, 0.0],
+                               "offset": 0.0, "scale": 2.0}}, "f"),
 ], ids=["ou_h-zero", "ou_h-negative", "ou-n_paths-999", "couple-exit_radius-1",
         "alphas-rising", "alphas-equal", "ou-a-negative", "radius_c0-negative",
         "dim-zero", "base-dim-zero", "scaled-flow-base", "scaled-no-k",
@@ -680,7 +694,8 @@ _FLOW_BASE = {"kind": "scaled", "k": 0.5, "base": _FLOW_SPHERE}
         "b-table-no-values", "b-table-lengths", "b-linear-negative",
         "b-zero-unread-key", "b-table-unsorted",
         "feller-C-negative", "feller-y_max-5", "radial-r0-negative",
-        "radial-c0-zero"])
+        "radial-c0-zero", "f-normal-length", "f-normal-null",
+        "f-offset-string", "f-unread-key"])
 def test_value_the_run_refuses_is_rejected_at_parse(kind, patch, key,
                                                     tmp_path, capsys):
     """A value the run would refuse, crash on or ignore exits 1 with one
@@ -733,6 +748,11 @@ _RULES = [
     ("y_max", lambda: feller_explosion_test(builtin_b({"name": "zero"}), 1.0,
                                             5.0), "feller-test",
      {"y_max": 5.0}),
+    ("n_paths", lambda: map_path_chunks(0, None), "walk", {"n_paths": 0}),
+    ("n_paths", lambda: map_path_chunks(0, None), "convergence",
+     {"n_paths": 0}),
+    ("n_paths", lambda: ks_statistic(np.zeros(50), None), "convergence",
+     {"n_paths": 50}),
 ]
 
 
@@ -770,3 +790,84 @@ def test_point_of_wrong_dimension_rejected(key):
     for value in (bad, [good], "north", [[0.0], [1.0, 2.0]]):
         with pytest.raises(ConfigError, match=f"^{key}: must list"):
             parse_config({**base, **extra, key: value})
+
+
+# Each number a drift profile reads, in a profile that reads it.
+_PROFILE_NUMBERS = {
+    "c": {"name": "constant", "c": 1.0},
+    "slope": {"name": "linear", "slope": 1.0},
+    "r": {"name": "table", "r": [0.0, 1.0, 2.0], "values": [0.0, 1.0, 2.0]},
+    "values": {"name": "table", "r": [0.0, 1.0, 2.0],
+               "values": [0.0, 1.0, 2.0]},
+}
+
+
+@pytest.mark.parametrize("bad", ["x", "2", True, None, math.nan, math.inf],
+                         ids=["x", "string-2", "true", "null", "NaN",
+                              "Infinity"])
+@pytest.mark.parametrize("key", sorted(_PROFILE_NUMBERS))
+def test_drift_profile_numbers_are_finite_json_numbers(key, bad):
+    """builtin_b types its numbers as the parser types numeric keys: a
+    string, a bool, null, NaN or an infinity is refused naming b.<key>,
+    alone or as a table entry, instead of being converted by float()."""
+    profile = _PROFILE_NUMBERS[key]
+    listed = isinstance(profile[key], list)
+    doc = {**_key_base("feller-test"), "b": profile}
+    assert parse_config(doc)["b"] == profile
+    for value in ([0.0, bad, 2.0], bad) if listed else (bad,):
+        with pytest.raises(ConfigError, match=rf"^b\.{key}: {key} must "):
+            parse_config({**doc, "b": {**profile, key: value}})
+
+
+# The value flags of `run`, the key each sets and the values drawn for it.
+# Every flag but --seed has values some kinds refuse: alpha^2 >= t2 - t1
+# (1.5, drawn first), too few paths for any run, the KS test or OU
+# survival, and manifolds of another dimension or kind than the config's
+# points, normal and reference need.
+_RUN_FLAGS = {
+    "--alpha": ("alpha", st.just(1.5) | st.floats(0.12, 0.7)),
+    "--seed": ("seed", st.integers(0, 2 ** 32)),
+    "--samples": ("n_paths", st.sampled_from([0, 120, 1000])),
+    "--manifold": ("manifold", st.sampled_from(
+        ["euclidean:1", "euclidean:2", "sphere:2:flow", "hyperbolic:2"])),
+}
+
+
+def _cli_run(doc: dict, flags: list[str], out) -> tuple:
+    """``gtwalk run`` on ``doc`` with ``flags``: the exit code, then the
+    error line of a refused run or the report without runtime and the
+    manifest's config hash."""
+    (out / "cfg.json").write_text(json.dumps(doc))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        rc = main(["run", str(out / "cfg.json"), *flags,
+                   "--out", str(out / "run")])
+    if rc == 1:
+        return rc, err.getvalue()
+    report = json.loads((out / "run" / f"{doc['kind']}.json").read_text())
+    manifest = json.loads((out / "run" / "manifest.json").read_text())
+    return rc, strip_runtime(report), manifest["config_hash"]
+
+
+@pytest.mark.parametrize("flag", sorted(_RUN_FLAGS))
+@pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
+@settings(max_examples=3, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_run_flag_edits_the_document_as_written(kind, flag, data,
+                                                tmp_path_factory):
+    """`run doc --flag v` is the run of the document with v written into
+    it: the same report, config hash included, and manifest hash, or the
+    same error line. A derived default, such as delta_couple = 2 alpha in
+    the coupled kinds, follows the flag."""
+    key, values = _RUN_FLAGS[flag]
+    value = data.draw(values, label=flag)
+    base = _key_base(kind)
+    written = value if key != "manifold" else parse_manifold_spec(value)
+    flagged = _cli_run(base, [flag, str(value)],
+                       tmp_path_factory.mktemp("flag"))
+    edited = _cli_run({**base, key: written}, [],
+                      tmp_path_factory.mktemp("edited"))
+    assert flagged == edited
+    if flagged[0] != 1:
+        assert flagged[2] == flagged[1]["params"]["config_hash"]

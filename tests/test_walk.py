@@ -9,8 +9,7 @@ from gtwalk import engine, rng
 from gtwalk.errors import InvalidInput
 from gtwalk.manifolds import Euclidean, RoundSphere
 from gtwalk.stats import gaussian_cdf, ks_statistic
-from gtwalk.walk import (Schedule, WalkConfig, interpolate, run_walk, step,
-                         subordinated_walk)
+from gtwalk.walk import Schedule, WalkConfig, interpolate, run_walk, step
 
 
 # ---------------------------------------------------------------------------
@@ -19,14 +18,14 @@ from gtwalk.walk import (Schedule, WalkConfig, interpolate, run_walk, step,
 
 def test_schedule_integer_split():
     s = Schedule(0.0, 1.0, 0.1)
-    assert s.n_steps == 100 and s.full_steps == 100
+    assert s.n_steps == 100
     assert np.allclose(np.diff(s.times), 0.01)
     assert s.times[-1] == 1.0
 
 
 def test_schedule_partial_final_step():
     s = Schedule(0.0, 1.0, math.sqrt(0.3))
-    assert s.n_steps == 4 and s.full_steps == 3
+    assert s.n_steps == 4
     assert s.times[-1] == 1.0
     assert s.fracs[-1] == pytest.approx(0.1 / 0.3)
     assert np.all(np.diff(s.times) > 0)
@@ -292,40 +291,6 @@ def test_exit_probability_decreases_in_radius(euclid2):
         fractions.append(float(np.mean(out["exit_step"] >= 0)))
     assert fractions[0] >= fractions[1] >= fractions[2]
     assert fractions[2] <= 0.01
-
-
-# ---------------------------------------------------------------------------
-# subordination
-# ---------------------------------------------------------------------------
-
-def test_subordination_cap_and_piecewise(euclid1):
-    cfg = WalkConfig(alpha=0.5, t1=0.0, t2=1.0, seed=17, start=np.zeros(1))
-    sub = subordinated_walk(euclid1, cfg)
-    sched = sub.base.schedule
-    for t in np.linspace(0.0, 1.0, 41):
-        idx = sub.index_at(float(t))
-        assert 0 <= idx <= sched.full_steps
-    # piecewise constant between jumps
-    jumps = sub.jump_times
-    if len(jumps) >= 2:
-        mid = 0.5 * (jumps[0] + jumps[1])
-        assert sub.index_at(float(mid)) == sub.index_at(float(jumps[0]))
-
-
-def test_subordination_jump_count_mean(euclid1):
-    alpha = 0.25
-    expected = (1.0 - 0.0) / alpha ** 2
-    counts = []
-    for i in range(2000):
-        cfg = WalkConfig(alpha=alpha, t1=0.0, t2=1.0, seed=99, start=np.zeros(1),
-                         path_index=i)
-        sub = subordinated_walk(euclid1, cfg)
-        counts.append(min(len(sub.jump_times), sub.cap_index))
-    counts = np.asarray(counts, dtype=float)
-    se = counts.std(ddof=1) / math.sqrt(len(counts))
-    capped_mean = float(np.minimum(np.random.default_rng(0).poisson(
-        expected, 200_000), sub.cap_index).mean())
-    assert abs(counts.mean() - capped_mean) <= 3 * se
 
 
 # ---------------------------------------------------------------------------
