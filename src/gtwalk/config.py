@@ -15,7 +15,7 @@ from typing import Any
 
 import numpy as np
 
-from . import engine, stats, walk
+from . import engine, rng, stats, walk
 from .comparison import (OUParams, RadialComparisonSpec, builtin_b,
                          check_feller_range, ou_kernel)
 from .coupling import CouplingConfig, CouplingKind
@@ -230,6 +230,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if kind == "couple" and data["coupling"] not in ("reflection", "parallel"):
         _fail("coupling", f"must be 'reflection' or 'parallel', not "
               f"{data['coupling']!r}")
+    _built("", rng.check_seed, data["seed"])
     _built("", engine.check_exit_radius, data.get("exit_radius"))
     if kind == "convergence":
         convergence_reference(data["reference"], data["manifold"])
@@ -279,19 +280,17 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
 def _check_points(data: dict, model: ManifoldModel) -> None:
     """Reject a given start, start1/start2, origin or halfspace normal that
-    is not one vector of the manifold's ambient coordinates."""
+    is not a list of the manifold's ambient coordinates, each a finite
+    JSON number (``is_number``)."""
     points = {key: data[key] for key in ("start", "start1", "start2", "origin")
               if data.get(key) is not None}
     if data["kind"] == "verify-gradient":
         points["f.normal"] = data["f"]["normal"]
     for key, point in points.items():
-        try:
-            shape = np.asarray(point, dtype=float).shape
-        except (TypeError, ValueError):
-            shape = None
-        if shape != (model.ambient_dim,):
-            _fail(key, f"must list {model.ambient_dim} coordinates, the "
-                  f"ambient dimension of {model.model_id}")
+        if not (isinstance(point, list) and len(point) == model.ambient_dim
+                and all(is_number(c) for c in point)):
+            _fail(key, f"must list {model.ambient_dim} finite numbers, the "
+                  f"ambient coordinates of {model.model_id}, not {point!r}")
 
 
 def convergence_reference(reference: Any, manifold: dict) -> str:

@@ -6,12 +6,18 @@ summaries and, for small blocks, full traces. Noise comes from per-path
 counter-based streams, so results do not depend on how paths are grouped
 into blocks or scheduled onto workers. The kernels read that noise
 step-major, ``noise[n]`` being step n of every path, and their traces give
-it back as (block, n_steps, dim). A step's tangent vector is
-``model.lift``: bit-equal to sqrt(m+2) times the frame contracted with the
-ball sample, but it need not build the frame. ``walk_step`` and
-``reflect_step`` are the only transition functions; ``walk.step`` and
-``coupling.coupled_step`` call them on a block of one. A step adds the
-drift alpha^2 Z exactly when ``model.has_drift``; no caller decides that.
+it back as (block, n_steps, dim).
+
+Every block a kernel steps is stored coordinate-major, one contiguous row
+per coordinate, and the models get its (block, ambient_dim) view
+(``_block``), with the bits of a C-ordered block. Records leave
+C-contiguous, except the ``noise`` trace, a view of the block. A step's
+tangent vector is ``model.lift``: bit-equal to sqrt(m+2) times the frame
+contracted with the ball sample, but it need not build the frame.
+``walk_step`` and ``reflect_step`` are the only transition functions;
+``walk.step`` and ``coupling.coupled_step`` call them on a block of one. A
+step adds the drift alpha^2 Z exactly when ``model.has_drift``; no caller
+decides that.
 
 A coupled step makes one pair-geometry call. It is ``model.depart``, the
 distance and the unit departure direction u0, when u0 is read: by the
@@ -139,17 +145,9 @@ def frame_coordinates(model: ManifoldModel, t: float, x: np.ndarray,
     return coords / np.sqrt(model.dim + 2.0)
 
 
-def _rows(a: np.ndarray) -> np.ndarray:
-    """The rows of a (B, d) float block with contiguous rows as B opaque
-    items, so a masked row copy is one loop over B instead of a broadcast
-    over d (several times faster at d = 2). A view: writes reach ``a``."""
-    return a.view(np.dtype((np.void, a.itemsize * a.shape[-1])))[..., 0]
-
-
-def _kept_rows(a: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """The rows of a (B, d) float block where ``keep`` holds, as a new
-    block: one gather over B opaque rows (``_rows``)."""
-    return _rows(a)[keep].view(a.dtype).reshape(-1, a.shape[-1])
+def _block(B: int, d: int) -> np.ndarray:
+    """An empty (B, d) block stored coordinate-major."""
+    return np.empty((d, B)).T
 
 
 def _advance(model: ManifoldModel, t: float, X: np.ndarray, lift: np.ndarray,
@@ -192,7 +190,7 @@ def reflect_step(model: ManifoldModel, t: float, Z: np.ndarray,
     """
     B = len(xi)
     X1, X2 = Z[:B], Z[B:]
-    lift = np.empty(Z.shape)
+    lift = _block(*Z.shape)
     lift1, lift2 = lift[:B], lift[B:]
     lift1[...] = model.lift(t, X1, xi)
     if kind is CouplingKind.REFLECTION:
@@ -200,7 +198,7 @@ def reflect_step(model: ManifoldModel, t: float, Z: np.ndarray,
     else:
         lift2[...] = model.transport_along(t, X1, geo[1], geo[0], lift1)
     if coupled.any():
-        np.copyto(_rows(lift2), _rows(lift1), where=coupled)
+        np.copyto(lift2.T, lift1.T, where=coupled)
     Zn, _ = _advance(model, t, Z, lift, alpha, frac)
     return Zn, lift
 
@@ -251,7 +249,8 @@ def walk_chunk(model: ManifoldModel, sched, x0: np.ndarray, seed: int,
     m, d = model.dim, model.ambient_dim
 
     noise = rng.walk_noise_block(seed, paths, n_steps, m)
-    X = np.broadcast_to(np.asarray(x0, dtype=float), (B, d)).copy()
+    X = _block(B, d)
+    X[...] = x0
 
     track_exit = exit_radius is not None
     track_radial = radial is not None
@@ -310,7 +309,7 @@ def walk_chunk(model: ManifoldModel, sched, x0: np.ndarray, seed: int,
             out["step_vectors"][:, n] = w
 
     if "end" in records:
-        out["end"] = X
+        out["end"] = np.ascontiguousarray(X)
     if "exit_step" in records:
         out["exit_step"] = exit_step
     if "radial_violation" in records:
@@ -369,11 +368,11 @@ def coupled_chunk(model: ManifoldModel, sched, x1: np.ndarray, x2: np.ndarray,
                                      "distance"})
 
     noise = rng.walk_noise_block(seed, paths, n_steps, m)
-    Z = np.empty((2 * B, d))
+    Z = _block(2 * B, d)
     Z[:B], Z[B:] = x1, x2
 
     rows = np.arange(B)   # the path of each working row
-    xi_rows = np.empty((B, m))
+    xi_rows = np.empty(m * B)   # the gathered noise, (m, rows) from the front
     coupled = np.zeros(B, dtype=bool)
     couple_step = np.full(B, -1, dtype=np.int64)
 
@@ -415,16 +414,17 @@ def coupled_chunk(model: ManifoldModel, sched, x1: np.ndarray, x2: np.ndarray,
             coupled |= newly
             couple_step[rows[newly]] = n
             if retire:
-                keep = ~newly
-                rows, coupled = rows[keep], coupled[keep]
+                kept = np.flatnonzero(~newly)
+                rows, coupled = rows[kept], coupled[kept]
                 if not len(rows):
                     break
-                Z = _kept_rows(Z, np.concatenate([keep, keep]))
+                Z = Z.T.take(np.concatenate([kept, kept + b]), axis=1).T
+                xi_kept = xi_rows[:m * len(kept)].reshape(m, -1)
                 if geo is not None:
-                    geo = (geo[0][keep], _kept_rows(geo[1], keep))
+                    geo = (geo[0][kept], geo[1].T.take(kept, axis=1).T)
             else:
                 # Earlier coupled rows already equal X1: same lift, same exp.
-                np.copyto(_rows(X2), _rows(X1), where=newly)
+                np.copyto(X2.T, X1.T, where=newly)
         if reads_distance:
             dist = np.where(coupled, 0.0, dist)
         if "contraction_max" in records:
@@ -443,7 +443,7 @@ def coupled_chunk(model: ManifoldModel, sched, x1: np.ndarray, x2: np.ndarray,
         if len(rows) == B:
             xi = noise[n]
         else:   # gathered into one buffer: no allocation per step
-            xi = np.take(noise[n], rows, axis=0, out=xi_rows[:len(rows)])
+            xi = noise[n].T.take(rows, axis=1, out=xi_kept, mode="clip").T
         Z, lift = reflect_step(model, t, Z, xi, geo, coupled, alpha,
                                float(fracs[n]), kind=kind)
         if "lambda_star" in records:
@@ -453,7 +453,7 @@ def coupled_chunk(model: ManifoldModel, sched, x1: np.ndarray, x2: np.ndarray,
             out["lift2"][:, n] = lift[B:]
 
     if "end" in records:
-        out["end1"], out["end2"] = X1, X2
+        out["end1"], out["end2"] = map(np.ascontiguousarray, (X1, X2))
     if "couple_step" in records:
         out["couple_step"] = couple_step
     if "final_distance" in records:

@@ -5,8 +5,8 @@ growing metric scale, constant-conformal rescalings, hyperbolic space) plus a
 numeric-chart fallback defined elsewhere. Points live in embedding
 coordinates for spheres and the hyperboloid, chart coordinates otherwise.
 All model methods accept arrays with shape (..., ambient_dim) and broadcast
-over leading axes; the dataclass wrappers below are the typed single-point
-API used at module boundaries.
+over leading axes, in any memory layout (``_lead``); the dataclass wrappers
+below are the typed single-point API used at module boundaries.
 
 Evaluators are pure and immutable after construction; concurrent reads are
 safe.
@@ -26,39 +26,49 @@ POINT_TOL = 1e-9
 COINCIDE_TOL = 1e-12
 
 
-def _sum_columns(cols: list) -> np.ndarray:
-    """Sum of coordinate columns, bit-equal to np.sum over their stack.
+def _lead(*arrays: np.ndarray) -> list:
+    """The coordinate-leading views (d, ...) of (..., d) arrays, batch axes
+    aligned as the arrays broadcast: for a block stored coordinate-major,
+    one contiguous row per coordinate, so a vector operation is one call."""
+    nd = max([a.ndim for a in arrays])
+    return [a.T if a.ndim == nd == 2 else
+            (a.T if a.ndim <= 2 else np.moveaxis(a, -1, 0)).reshape(
+                a.shape[-1:] + (1,) * (nd - a.ndim) + a.shape[:-1])
+            for a in arrays]
 
-    numpy's reduce over a short last axis costs several times more than
-    adding the columns; below 8 columns it sums them in order.
-    """
-    if len(cols) >= 8:
-        return np.sum(np.stack(cols, axis=-1), axis=-1)
-    out = cols[0]
-    for c in cols[1:]:
-        out = out + c
+
+def _trail(a: np.ndarray) -> np.ndarray:
+    """The (..., d) view of a coordinate-leading array: _lead's inverse."""
+    return a.T if a.ndim <= 2 else np.moveaxis(a, 0, -1)
+
+
+def _cdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Euclidean product of coordinate-leading arrays with the bits of
+    np.sum over the C-ordered product's last axis: rows added in order below
+    8 coordinates, numpy's pairwise sum of contiguous rows from 8."""
+    p = a * b
+    if len(p) >= 8:
+        return np.sum(np.ascontiguousarray(_trail(p)), axis=-1)
+    out = p[0]
+    for row in p[1:]:
+        out += row
     return out
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    p = a * b
-    if p.shape[-1] >= 8:
-        return np.sum(p, axis=-1)
-    return _sum_columns([p[..., c] for c in range(p.shape[-1])])
+    return _cdot(*_lead(a, b))
 
 
-def _norm(v: np.ndarray) -> np.ndarray:
-    """Euclidean norm over the last axis, equal to np.linalg.norm's."""
-    return np.sqrt(_dot(v, v))
-
-
-def _reflect_across(v: np.ndarray, d: np.ndarray, dot) -> np.ndarray:
-    """v reflected across the hyperplane ``dot``-orthogonal to d:
-    v - 2 dot(v, n) n with n = d / sqrt(dot(d, d)). Rows where d has no
-    positive length (coincident points) return v."""
+def _reflect_across(v: np.ndarray, x: np.ndarray, y: np.ndarray,
+                    dot) -> np.ndarray:
+    """v reflected across the hyperplane ``dot``-orthogonal (a product of
+    coordinate-leading arrays) to d = x - y: v - 2 dot(v, n) n with
+    n = d / sqrt(dot(d, d)); v where d has no positive length."""
+    v, x, y = _lead(v, x, y)
+    d = x - y
     dn = np.sqrt(np.maximum(dot(d, d), 0.0))
-    n = d / np.where(dn > 0.0, dn, np.inf)[..., None]
-    return v - 2.0 * dot(v, n)[..., None] * n
+    n = d / np.where(dn > 0.0, dn, np.inf)
+    return _trail(v - 2.0 * dot(v, n) * n)
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +291,7 @@ class ManifoldModel(abc.ABC):
         """
         dist = self.distance(t, x, y)
         safe = np.where(dist < 1e-300, 1.0, dist)
-        return dist, self.log(t, x, y) / safe[..., None]
+        return dist, _trail(_lead(self.log(t, x, y))[0] / safe)
 
     def mirror(self, t: float, x: np.ndarray, y: np.ndarray,
                v: np.ndarray) -> np.ndarray:
@@ -341,20 +351,15 @@ class Euclidean(ManifoldModel):
         return y - x
 
     def distance(self, t, x, y):
-        return _norm(y - x)
-
-    def depart(self, t, x, y):
-        # The base version with y - x formed once.
         v = y - x
-        dist = _norm(v)
-        return dist, v / np.where(dist < 1e-300, 1.0, dist)[..., None]
+        return np.sqrt(_dot(v, v))
 
     def transport_along(self, t, x, u, length, v):
         return np.broadcast_to(v, np.broadcast(x, v).shape).copy()
 
     def mirror(self, t, x, y, v):
         # The plain mirror across the line through x and y; u1 = u0 here.
-        return _reflect_across(v, x - y, _dot)
+        return _reflect_across(v, x, y, _cdot)
 
     def frame(self, t, x):
         eye = np.eye(self.dim)
@@ -422,13 +427,14 @@ class RoundSphere(ManifoldModel):
     def exp(self, t, x, v):
         # constant conformal scaling leaves the exponential map unchanged
         r = self.radius
-        nv = _norm(v)
+        x, v = _lead(x, v)
+        nv = np.sqrt(_cdot(v, v))
         theta = nv / r
         small = theta < 1e-15
-        safe = np.where(small, 1.0, nv)
-        y = np.cos(theta)[..., None] * x + (r * np.sin(theta) / safe)[..., None] * v
-        y = y * (r / _norm(y))[..., None]
-        return np.where(small[..., None], x, y) if np.any(small) else y
+        y = np.cos(theta) * x
+        y += (r * np.sin(theta) / np.where(small, 1.0, nv)) * v
+        y *= r / np.sqrt(_cdot(y, y))
+        return _trail(np.where(small, x, y) if small.any() else y)
 
     def _tiebreak_direction(self, xhat: np.ndarray) -> np.ndarray:
         """Unit tangent along the first ambient axis not parallel to x."""
@@ -440,112 +446,113 @@ class RoundSphere(ManifoldModel):
         return u / np.linalg.norm(u, axis=-1, keepdims=True)
 
     def _angle(self, x, y):
-        """Angle between x, y on the representation sphere and its clipped
-        cosine. 2 atan2(|y - x|, |y + x|) keeps full precision on the whole
-        range, near 0 and near pi, where arcsin and arccos lose digits."""
-        r = self.radius
-        cosang = np.clip(_dot(x, y) / (r * r), -1.0, 1.0)
-        theta = 2.0 * np.arctan2(_norm(y - x), _norm(y + x))
-        return theta, cosang
+        """The angle between coordinate-leading x and y on the representation
+        sphere: 2 atan2(|y - x|, |y + x|) keeps full precision near 0 and
+        near pi, where arcsin and arccos lose digits."""
+        d, s = y - x, y + x
+        return 2.0 * np.arctan2(np.sqrt(_cdot(d, d)), np.sqrt(_cdot(s, s)))
 
     def _direction(self, x, y):
-        """(theta, e): the angle and the unit embedding direction of the
-        chosen minimal geodesic from x to y.
+        """(theta, e): the angle and the unit embedding direction, both
+        coordinate-leading, of the chosen minimal geodesic from x to y.
 
         The tie-break direction is built only for antipodal rows; rows at
         angle 0 get e = 0.
         """
-        theta, cosang = self._angle(x, y)
-        xhat = x / self.radius
-        w = y / self.radius - cosang[..., None] * xhat
-        wn = _norm(w)
+        r = self.radius
+        theta = self._angle(x, y)
+        # np.clip's bits, without its dispatch
+        cosang = np.minimum(np.maximum(_cdot(x, y) / (r * r), -1.0), 1.0)
+        xhat = x / r
+        w = y / r - cosang * xhat
+        wn = np.sqrt(_cdot(w, w))
         antipodal = (wn < 1e-8) & (cosang < 0.0)
-        e = w / np.where((theta > 0.0) & (wn >= 1e-300), wn, np.inf)[..., None]
-        if np.any(antipodal):
+        e = w / np.where((theta > 0.0) & (wn >= 1e-300), wn, np.inf)
+        if antipodal.any():
             # x may carry fewer batch axes than y
-            xb = np.broadcast_to(xhat, w.shape)
-            e[antipodal] = self._tiebreak_direction(xb[antipodal])
+            xb = _trail(np.broadcast_to(xhat, w.shape))
+            _trail(e)[antipodal] = self._tiebreak_direction(xb[antipodal])
         return theta, e
 
     def log(self, t, x, y):
-        theta, e = self._direction(x, y)
-        return (self.radius * theta)[..., None] * e
+        theta, e = self._direction(*_lead(x, y))
+        return _trail((self.radius * theta) * e)
 
     def distance(self, t, x, y):
-        return np.sqrt(self._s2(t)) * self.radius * self._angle(x, y)[0]
+        return np.sqrt(self._s2(t)) * self.radius * self._angle(*_lead(x, y))
 
     def depart(self, t, x, y):
-        theta, e = self._direction(x, y)
+        theta, e = self._direction(*_lead(x, y))
         s = np.sqrt(self._s2(t))
-        return s * self.radius * theta, e / s
+        return s * self.radius * theta, _trail(e / s)
 
     def transport_along(self, t, x, u, length, v):
         r = self.radius
         s = np.sqrt(self._s2(t))
-        length = np.asarray(length, dtype=float)
+        # length with a coordinate axis of one, so it broadcasts as a row
+        x, u, v, length = _lead(x, u, v, np.asarray(length, float)[..., None])
         # embedding-unit direction and rotation angle
         e = s * u
         theta = (length / s) / r
         xhat = x / r
-        a = _dot(v, e)
-        w = v - a[..., None] * e
-        e_rot = np.cos(theta)[..., None] * e - np.sin(theta)[..., None] * xhat
-        return a[..., None] * e_rot + w
+        a = _cdot(v, e)
+        w = v - a * e
+        e_rot = np.cos(theta) * e - np.sin(theta) * xhat
+        return _trail(a * e_rot + w)
 
     def mirror(self, t, x, y, v):
         # The reflection of R^(m+1) across the bisector of x and y maps the
         # sphere to itself and x to y; g(t) is a constant multiple of the
         # ambient product, so it is a g(t)-isometry. On antipodal rows
         # x - y is normal to T_x and v comes back unchanged.
-        return _reflect_across(v, x - y, _dot)
+        return _reflect_across(v, x, y, _cdot)
 
     def _gram_schmidt(self, x):
-        """The frame vectors in frame order, each as its list of coordinate
-        columns, unit on the representation sphere.
+        """The frame vectors of coordinate-leading x in frame order, each
+        coordinate-leading and unit on the representation sphere.
 
         A Gram-Schmidt of the axis vectors other than the one x leans on
         most, in increasing axis order (decreasing for frame_variant 1).
-        It works on coordinate columns, which numpy handles much faster
-        than short rows; every entry sees the same operations in the same
-        order as in a row-wise Gram-Schmidt.
+        Every entry sees the same operations in the same order as in a
+        row-wise Gram-Schmidt.
         """
         d, m = self.ambient_dim, self.dim
         xhat = x / self.radius
-        drop = np.argmax(np.abs(xhat), axis=-1)
-        xh = [xhat[..., c] for c in range(d)]
+        # The axis x leans on most (np.argmax's first maximum) is at most j
+        # where the largest |xhat| up to j reaches the largest after j.
+        mag = np.abs(xhat)
+        head, tail = [mag[0]], [mag[-1]]
+        for c in range(1, d - 1):
+            head.append(np.maximum(head[-1], mag[c]))
+            tail.insert(0, np.maximum(tail[0], mag[-1 - c]))
         done = []
         for i in range(m):
             j = m - 1 - i if self.frame_variant else i
-            below = drop <= j
-            k = j + below  # the j-th axis other than the dropped one
-            xk = np.where(below, xh[j + 1], xh[j])
-            w = [(k == c) - xk * xh[c] for c in range(d)]
+            below = head[j] >= tail[j]
+            # e_k - x_k xhat for k = j + below, the j-th axis not dropped
+            w = np.zeros(xhat.shape)
+            w[j], w[j + 1] = ~below, below
+            w -= np.where(below, xhat[j + 1], xhat[j]) * xhat
             for prev in done:
-                dot = _sum_columns([wc * pc for wc, pc in zip(w, prev)])
-                w = [wc - dot * pc for wc, pc in zip(w, prev)]
-            norm = np.sqrt(_sum_columns([wc * wc for wc in w]))
-            w = [wc / norm for wc in w]
+                w -= _cdot(w, prev) * prev
+            w /= np.sqrt(_cdot(w, w))
             done.append(w)
             yield w
 
     def frame(self, t, x):
         s = np.sqrt(self._s2(t))
         out = np.empty(x.shape[:-1] + (self.dim, self.ambient_dim))
-        for i, w in enumerate(self._gram_schmidt(x)):
-            for c, wc in enumerate(w):
-                out[..., i, c] = wc / s
+        for i, w in enumerate(self._gram_schmidt(*_lead(x))):
+            out[..., i, :] = _trail(w / s)
         return out
 
     def lift(self, t, x, xi):
-        # Sums xi_i Phi_i column by column in frame order, as the base
-        # version's einsum does, without the (..., m, ambient) frame.
+        # Sums xi_i Phi_i in frame order, as the base version's einsum
+        # does, without the (..., m, ambient) frame.
         s = np.sqrt(self._s2(t))
-        acc = None
-        for i, w in enumerate(self._gram_schmidt(x)):
-            terms = [xi[..., i] * (wc / s) for wc in w]
-            acc = terms if acc is None else [
-                a + b for a, b in zip(acc, terms)]
-        return np.sqrt(self.dim + 2.0) * np.stack(acc, axis=-1)
+        x, xi = _lead(x, xi)
+        terms = [xi[i] * (w / s) for i, w in enumerate(self._gram_schmidt(x))]
+        return _trail(np.sqrt(self.dim + 2.0) * sum(terms[1:], terms[0]))
 
     def constraint_residual(self, x):
         return np.abs(np.linalg.norm(x, axis=-1) - self.radius)
@@ -655,8 +662,12 @@ class Hyperbolic(ManifoldModel):
         super().__init__(dim, dim + 1, time_window)
 
     @staticmethod
-    def _ldot(u, v):
-        return _dot(u[..., 1:], v[..., 1:]) - u[..., 0] * v[..., 0]
+    def _lorentz(u, v):
+        """<u, v>_L of coordinate-leading u and v."""
+        return _cdot(u[1:], v[1:]) - u[0] * v[0]
+
+    def _ldot(self, u, v):
+        return self._lorentz(*_lead(u, v))
 
     def inner(self, t, x, u, v):
         return self._ldot(u, v)
@@ -716,7 +727,7 @@ class Hyperbolic(ManifoldModel):
         # The Minkowski reflection across the bisector of x and y: x - y is
         # spacelike, and the reflection is a Lorentz map of the upper sheet
         # that sends x to y.
-        return _reflect_across(v, x - y, self._ldot)
+        return _reflect_across(v, x, y, self._lorentz)
 
     def frame(self, t, x):
         d = self.ambient_dim

@@ -29,15 +29,16 @@ MIN_STEPS = 20
 def _over_points(fn, *args, scalars: tuple = ()):
     """The pointwise ``fn`` called once per point of the broadcast leading
     axes of args, results stacked. Args at the ``scalars`` positions hold
-    one number per point, the others one (dim,) vector."""
+    one number per point, the others one (dim,) vector, as a contiguous
+    row: a per-point ``@`` may sum a strided row in another order."""
     arrays = [np.asarray(a, dtype=float) for a in args]
     cores = [0 if i in scalars else 1 for i in range(len(arrays))]
     lead = np.broadcast_shapes(*(a.shape[:a.ndim - c]
                                  for a, c in zip(arrays, cores)))
     if not lead:
         return fn(*arrays)
-    rows = [np.broadcast_to(a, lead + a.shape[a.ndim - c:])
-            .reshape((-1,) + a.shape[a.ndim - c:])
+    rows = [np.ascontiguousarray(np.broadcast_to(a, lead + a.shape[a.ndim - c:])
+                                 .reshape((-1,) + a.shape[a.ndim - c:]))
             for a, c in zip(arrays, cores)]
     out = np.array([fn(*row) for row in zip(*rows)])
     return out.reshape(lead + out.shape[1:])

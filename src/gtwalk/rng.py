@@ -15,6 +15,8 @@ import numpy as np
 # puts that cost in ``import gtwalk`` rather than in the first kernel call.
 import numpy.random  # noqa: F401
 
+from .errors import InvalidInput
+
 # Purpose tags keep logically distinct noise sources on disjoint streams.
 # Tag 2 is retired; the others keep their values, so no stream moves.
 PURPOSE_WALK = 1
@@ -34,13 +36,19 @@ def stream(seed: int, purpose: int, index: int) -> np.random.Generator:
                                                          index)))
 
 
+def check_seed(seed: int) -> None:
+    """A master seed is a Philox key word, an integer in [0, 2^64)."""
+    if not 0 <= seed < 1 << 64:
+        raise InvalidInput(f"seed must be in [0, 2^64), not {seed}", "seed")
+
+
 def _key(seed: int, purpose: int, index: int) -> np.ndarray:
     """The Philox key of one (purpose, index) stream under a master seed."""
+    check_seed(seed)
     if index < 0 or index > _INDEX_MASK:
         raise ValueError(f"stream index out of range: {index}")
     return np.array(
-        [np.uint64(seed & 0xFFFFFFFFFFFFFFFF),
-         np.uint64(((purpose & 0xFF) << 56) | index)],
+        [np.uint64(seed), np.uint64(((purpose & 0xFF) << 56) | index)],
         dtype=np.uint64,
     )
 
@@ -67,18 +75,16 @@ def walk_noise(seed: int, path_index: int, n_steps: int, dim: int) -> np.ndarray
 def walk_noise_block(seed: int, paths: range, n_steps: int, dim: int) -> np.ndarray:
     """Ball samples for a contiguous path block, step-major: shape
     (n_steps, len(paths), dim), so ``block[n]`` is step n of every path.
+    It is stored coordinate-major: ``block[n].T`` is contiguous rows.
 
     Path p's samples are ``walk_noise(seed, p, n_steps, dim)`` bit for bit.
     Paths are drawn a few at a time into reused buffers, scaled there and
     written into the block with one transposed copy per group.
     """
     B = len(paths)
-    out = np.empty((n_steps, B, dim))
+    out = np.empty((n_steps, dim, B))
     z = np.empty((min(_GROUP, B), n_steps, dim))
     u = np.empty((min(_GROUP, B), n_steps))
-    # One step of one path as a single element, so the transposed copy
-    # moves whole rows instead of striding over coordinates.
-    row = np.dtype((np.void, z.itemsize * dim))
     # One generator re-keyed per path: the state of a fresh
     # Philox(key=(seed, PURPOSE_WALK << 56 | p)), without the entropy read
     # that constructing one costs.
@@ -94,8 +100,8 @@ def walk_noise_block(seed: int, paths: range, n_steps: int, dim: int) -> np.ndar
             gen.standard_normal(out=zi)
             gen.random(out=ui)
         _scale_to_ball(zg, ug)
-        out.view(row)[:, g0:g0 + len(zg), 0] = zg.view(row)[..., 0].T
-    return out
+        out[..., g0:g0 + len(zg)] = zg.transpose(1, 2, 0)
+    return out.transpose(0, 2, 1)
 
 
 def _scale_to_ball(z: np.ndarray, u: np.ndarray) -> None:
@@ -114,4 +120,5 @@ def _scale_to_ball(z: np.ndarray, u: np.ndarray) -> None:
     norms[norms < 1e-300] = 1.0
     u **= 1.0 / dim
     u /= norms
-    z *= u[..., None]
+    for c in range(dim):   # a column at a time: no broadcast over dim
+        z[..., c] *= u

@@ -9,8 +9,9 @@ replayed noise depends on the frame, and the drift integral's lookup,
 numpy's own interpolation of the spec's trapezoid table, and the coupled
 kernel's reference loop, which rebuilds the stacked pair block and
 lambda* at every step in the operation order ``engine.coupled_chunk``
-must keep bit for bit, the mirror as computed from ``depart``'s
-direction, and the numeric chart's two hand-written RK4 loops, one for
+must keep bit for bit, the walk kernel's reference loop, which steps
+C-ordered blocks where ``engine.walk_chunk`` steps coordinate-major ones,
+the mirror as computed from ``depart``'s direction, and the numeric chart's two hand-written RK4 loops, one for
 the geodesic and one for geodesic and transport together, whose results
 ``NumericChart``'s single integrator must keep bit for bit. The
 reflection map follows the textbook definition through a model's
@@ -276,6 +277,72 @@ def reference_coupled_chunk(model: ManifoldModel, sched, x1, x2, seed: int,
     if exit_radius is not None:
         out["exited"] = exited
     out.update({key: np.stack(rows, axis=1) for key, rows in trace.items()})
+    return out
+
+
+def reference_walk_chunk(model: ManifoldModel, sched, x0, seed: int,
+                         paths: range, *, origin=None, exit_radius=None,
+                         radial=None) -> dict:
+    """The walk kernel as a plain loop over C-ordered (B, ambient) blocks:
+    each step measures from the origin (``depart`` with a radial replay,
+    ``distance`` without), runs the exit check and the violation flags,
+    lifts the step's noise, moves rho by ``spec.step`` and takes the exp.
+    Returns every record whose setting is given; each output of
+    ``engine.walk_chunk`` must have the bits of the one here under the same
+    name."""
+    B = len(paths)
+    times, fracs = sched.times, sched.fracs
+    n_steps = len(fracs)
+    alpha = sched.alpha
+    noise = np.ascontiguousarray(
+        rng.walk_noise_block(seed, paths, n_steps, model.dim))
+    X = np.broadcast_to(np.asarray(x0, dtype=float),
+                        (B, model.ambient_dim)).copy()
+    o = np.asarray(origin if origin is not None else model.origin(),
+                   dtype=float)
+    exit_step = np.full(B, -1, dtype=np.int64)
+    if radial is not None:
+        spec, margin = radial["spec"], radial["margin"]
+        rho = np.full(B, float(radial["rho0"]))
+        violated = np.zeros(B, dtype=bool)
+    trace = {"skeleton": [], "step_vectors": [], "rho_trace": []}
+
+    for n in range(n_steps + 1):
+        t = float(times[n])
+        if radial is not None:
+            d_o, toward = model.depart(t, X, o)
+        elif exit_radius is not None:
+            d_o = model.distance(t, o, X)
+        if exit_radius is not None:
+            exit_step[(exit_step < 0) & (d_o > exit_radius - 1.0)] = n
+        if radial is not None:
+            violated |= (exit_step < 0) & (d_o > rho + margin)
+            trace["rho_trace"].append(rho)
+        trace["skeleton"].append(X)
+        if n == n_steps:
+            break
+
+        xi = noise[n]
+        frac = float(fracs[n])
+        lift = model.lift(t, X, xi)
+        w = alpha * lift
+        if model.has_drift:
+            w = w + alpha ** 2 * model.drift(t, X)
+        if radial is not None:
+            lam = np.where(d_o >= spec.r0, -model.inner(t, X, lift, toward),
+                           np.sqrt(model.dim + 2.0) * xi[:, 0])
+            rho = spec.step(rho, lam, alpha, frac)
+        X = model.exp(t, X, w if frac == 1.0 else frac * w)
+        trace["step_vectors"].append(w)
+
+    out = {"end": X, "noise": noise.transpose(1, 0, 2),
+           "skeleton": np.stack(trace["skeleton"], axis=1),
+           "step_vectors": np.stack(trace["step_vectors"], axis=1)}
+    if exit_radius is not None:
+        out["exit_step"] = exit_step
+    if radial is not None:
+        out["radial_violation"] = violated
+        out["rho_trace"] = np.stack(trace["rho_trace"], axis=1)
     return out
 
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import strip_runtime
-from gtwalk import runner
+from gtwalk import rng, runner
 from gtwalk.cli import main, parse_manifold_spec
 from gtwalk.comparison import (FellerResult, OUParams, builtin_b,
                                feller_explosion_test, ou_kernel)
@@ -753,7 +753,21 @@ _RULES = [
      {"n_paths": 0}),
     ("n_paths", lambda: ks_statistic(np.zeros(50), None), "convergence",
      {"n_paths": 50}),
+    ("seed", lambda: rng.check_seed(-1), "walk", {"seed": -1}),
+    ("seed", lambda: rng.check_seed(2 ** 64), "couple", {"seed": 2 ** 64}),
 ]
+
+
+def test_seed_takes_every_key_word():
+    """A seed is one Philox key word: 2^64 - 1 is accepted and runs, and
+    the stream key refuses the seeds beyond it instead of wrapping them."""
+    top = 2 ** 64 - 1
+    assert parse_config({**_key_base("walk"), "seed": top})["seed"] == top
+    assert rng.walk_noise(top, 0, 3, 2).shape == (3, 2)
+    for seed in (-1, 2 ** 64):
+        with pytest.raises(InvalidInput, match="seed") as refused:
+            rng.stream(seed, rng.PURPOSE_WALK, 0)
+        assert refused.value.key == "seed"
 
 
 @pytest.mark.parametrize("key, library, kind, patch", _RULES,
@@ -790,6 +804,29 @@ def test_point_of_wrong_dimension_rejected(key):
     for value in (bad, [good], "north", [[0.0], [1.0, 2.0]]):
         with pytest.raises(ConfigError, match=f"^{key}: must list"):
             parse_config({**base, **extra, key: value})
+
+
+def _with_point(key: str, point) -> dict:
+    """A config of a kind that takes the point ``key``, set to ``point``."""
+    if key == "f.normal":
+        doc = _key_base("verify-gradient")
+        return {**doc, "f": {**doc["f"], "normal": point}}
+    kind, extra, _, _ = _POINT_CASES[key]
+    base = {k: v for k, v in _key_base(kind).items() if k != "d0"}
+    return {**base, **extra, key: point}
+
+
+@pytest.mark.parametrize("bad", ["0.5", math.nan, math.inf, True, None],
+                         ids=["string", "NaN", "Infinity", "true", "null"])
+@pytest.mark.parametrize("key", sorted(_POINT_CASES) + ["f.normal"])
+def test_point_coordinates_are_finite_json_numbers(key, bad):
+    """Each coordinate of a point is typed as the numeric keys are: a
+    string, NaN, an infinity, a bool or null is refused naming the key,
+    instead of being converted by float()."""
+    good = _POINT_CASES[key][2] if key in _POINT_CASES else [1.0, 0.0]
+    parse_config(_with_point(key, good))
+    with pytest.raises(ConfigError, match=rf"^{key}: must list"):
+        parse_config(_with_point(key, [bad] + good[1:]))
 
 
 # Each number a drift profile reads, in a profile that reads it.

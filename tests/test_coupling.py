@@ -5,7 +5,7 @@ import pytest
 
 from conftest import random_point, random_tangent, same_bits
 from oracles import (gaussian_mass, reference_coupled_chunk, reference_mirror,
-                     reflection_map)
+                     reference_walk_chunk, reflection_map)
 
 from gtwalk import engine
 from gtwalk.comparison import RadialComparisonSpec, builtin_b
@@ -573,17 +573,23 @@ WALK_RECORDS = {"untraced": None, "all": engine.WALK_RECORDS,
                 "radial": {"radial_violation"}}
 
 
-def _walk_run(model):
-    """walk_chunk on ``model`` with the exit check and a radial replay that
-    flags some paths, as a function of the paths and the records."""
+def _walk_settings(model):
+    """The schedule, start and settings of a walk_chunk run on ``model``
+    with the exit check and a radial replay that flags some paths."""
     t1 = model.time_window[0]
-    sched = Schedule(t1, t1 + 0.1, 0.05)
     o = model.origin()
     spec = RadialComparisonSpec(builtin_b({"name": "zero"}), c0=1.0, r0=0.5)
-    radial = {"spec": spec, "rho0": 1.5, "margin": -1.2}
+    return Schedule(t1, t1 + 0.1, 0.05), o, dict(
+        origin=o, exit_radius=1.3,
+        radial={"spec": spec, "rho0": 1.5, "margin": -1.2})
+
+
+def _walk_run(model):
+    """walk_chunk with ``_walk_settings``, as a function of the paths and
+    the records."""
+    sched, o, options = _walk_settings(model)
     return lambda paths, records: engine.walk_chunk(
-        model, sched, o, 23, paths, origin=o, exit_radius=1.3, radial=radial,
-        records=records)
+        model, sched, o, 23, paths, records=records, **options)
 
 
 @pytest.mark.bits
@@ -612,6 +618,34 @@ def test_each_walk_record_alone_keeps_its_bits(request, name):
         got = run(paths, {record})
         assert set(got) == {record}
         assert np.array_equal(got[record], full[record]), record
+
+
+@pytest.mark.bits
+@pytest.mark.parametrize("records", list(WALK_RECORDS))
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_walk_chunk_matches_reference_loop(request, name, records):
+    """Every walk_chunk output has the bits of the reference loop's, which
+    steps C-ordered blocks: the exit check, the radial replay with a
+    negative margin that flags some paths before they exit, and every
+    trace. The untraced runs also drop each setting in turn, so a replay
+    measures by depart alone and an exit check by distance alone."""
+    model = request.getfixturevalue(name)
+    sched, o, options = _walk_settings(model)
+    paths = range(7, 307)
+    runs = [(options, WALK_RECORDS[records])]
+    if records == "untraced":
+        runs += [({**options, alone: None}, None)
+                 for alone in ("exit_radius", "radial")]
+    for settings, asked in runs:
+        got = engine.walk_chunk(model, sched, o, 23, paths, records=asked,
+                                **settings)
+        want = reference_walk_chunk(model, sched, o, 23, paths, **settings)
+        assert set(got) <= set(want)
+        for key in got:
+            assert same_bits(got[key], want[key]), key
+        if settings is options:
+            assert 0 < want["radial_violation"].mean() < 1
+            assert 0 < np.mean(want["exit_step"] >= 0) < 1
 
 
 def test_walk_chunk_rejects_unknown_records(euclid2):

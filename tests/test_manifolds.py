@@ -6,8 +6,8 @@ from oracles import (sphere_frame_gram_schmidt, sphere_geodesic_rk4,
                      sphere_transport_ode)
 
 from gtwalk.errors import DegenerateGeodesic, InvalidInput
-from gtwalk.manifolds import (Euclidean, ManifoldModel, Point, RoundSphere,
-                              ScaledMetric, TangentVector,
+from gtwalk.manifolds import (Euclidean, Hyperbolic, ManifoldModel, Point,
+                              RoundSphere, ScaledMetric, TangentVector, _dot,
                               curvature_condition_residual, distance,
                               estimate_kappa, exp, make_model,
                               minimal_geodesic, parallel_transport)
@@ -631,3 +631,84 @@ def test_lift_equals_frame_einsum_other_models(request, rng):
         xi[0] = 0.0
         assert np.array_equal(model.lift(t, x, xi),
                               _lift_via_frame(model, t, x, xi)), model.kind
+
+
+def _coordinate_major(a: np.ndarray) -> np.ndarray:
+    """The same (..., d) block, stored coordinate-major as the kernels
+    store theirs."""
+    return np.moveaxis(np.ascontiguousarray(np.moveaxis(a, -1, 0)), 0, -1)
+
+
+def _chart_metric(t, x):
+    """Non-diagonal, time-dependent and positive definite in any dim."""
+    d = len(x)
+    off = 0.2 * np.sin(np.add.outer(x, x) + t) / d
+    return (2.0 + t + np.tanh(x)) * np.eye(d) + off
+
+
+@pytest.mark.bits
+@pytest.mark.parametrize("d", [1, 2, 3, 7, 8, 9, 16, 33])
+def test_coordinate_sums_have_np_sum_bits(d, rng):
+    """The models' dot product has the bits of np.sum over the last axis
+    of the C-ordered product in either layout: the coordinates added in
+    order below 8, numpy's pairwise sum from 8."""
+    a, b = rng.normal(size=(2, 50, d))
+    want = np.sum(a * b, axis=-1)
+    for layout in (np.asarray, _coordinate_major):
+        assert same_bits(_dot(layout(a), layout(b)), want)
+
+
+# Models the layout contract adds to ALL_MODEL_NAMES: numeric charts, and
+# models of 8 or more ambient coordinates, whose coordinate sums are
+# numpy's pairwise sums.
+_LAYOUT_MODELS = {
+    "chart2": lambda: NumericChart(2, _chart_metric, time_window=(0.0, 1.0)),
+    "chart8": lambda: NumericChart(8, _chart_metric, time_window=(0.0, 1.0)),
+    "sphere8": lambda: RoundSphere(8, 2.0, flow=True),
+    "hyperbolic8": lambda: Hyperbolic(8),
+}
+
+
+@pytest.mark.bits
+@pytest.mark.parametrize("name", ALL_MODEL_NAMES + sorted(_LAYOUT_MODELS))
+def test_model_methods_keep_their_bits_in_either_layout(request, name, rng):
+    """Every model method the kernels call gives the same bits on a
+    C-ordered block and on the same block stored coordinate-major, with
+    coincident rows, antipodal rows on the sphere and zero vectors. The
+    numeric chart has no log, so no depart, distance or mirror."""
+    model = (_LAYOUT_MODELS[name]() if name in _LAYOUT_MODELS
+             else request.getfixturevalue(name))
+    t = model.time_window[0] + 0.3
+    n = 12 if model.kind == "numeric-chart" else 40
+    x = np.stack([random_point(model, rng, 0.5) for _ in range(n)])
+    y = np.stack([random_point(model, rng, 0.5) for _ in range(n)])
+    y[:3] = x[:3]
+    if model.kind == "sphere":
+        y[3:6] = -x[3:6]
+    v = np.stack([random_tangent(model, t, p, rng, 0.8) for p in x])
+    v[6:8] = 0.0
+    xi = rng.uniform(-1.0, 1.0, (n, model.dim))
+    xi[8:10] = 0.0
+    w = rng.normal(size=(n, model.ambient_dim))
+    unit = model.frame(t, x)[:, 0]
+    length = np.linspace(0.0, 1.5, n)
+    calls = {
+        "lift": lambda x, y, v, w, xi, u: model.lift(t, x, xi),
+        "exp": lambda x, y, v, w, xi, u: model.exp(t, x, v),
+        "inner": lambda x, y, v, w, xi, u: model.inner(t, x, v, w),
+        "frame": lambda x, y, v, w, xi, u: model.frame(t, x),
+        "transport_along": lambda x, y, v, w, xi, u: model.transport_along(
+            t, x, u, length, v),
+    }
+    if model.kind != "numeric-chart":
+        calls.update({
+            "depart": lambda x, y, v, w, xi, u: model.depart(t, x, y),
+            "distance": lambda x, y, v, w, xi, u: model.distance(t, x, y),
+            "mirror": lambda x, y, v, w, xi, u: model.mirror(t, x, y, v)})
+    blocks = (x, y, v, w, xi, unit)
+    for method, call in calls.items():
+        want = call(*blocks)
+        got = call(*map(_coordinate_major, blocks))
+        for w, g in zip(*((want, got) if isinstance(want, tuple)
+                          else ((want,), (got,)))):
+            assert same_bits(g, w), method
