@@ -18,7 +18,7 @@ import os
 import sys
 from pathlib import Path
 
-from .config import parse_suite
+from . import config
 from .errors import GtwalkError
 from .manifolds import list_model_kinds
 from .runner import dump_paths, run_document
@@ -155,8 +155,8 @@ def main(argv: list[str] | None = None) -> int:
 
         if args.command == "dump-paths":
             out = Path(args.out or "paths")
-            for cfg in parse_suite(Path(args.config).read_text(),
-                                   _overrides_from(args)):
+            for cfg in config.parse_suite(Path(args.config).read_text(),
+                                          _overrides_from(args)):
                 for f in dump_paths(cfg, cfg.build_model(), args.count, out):
                     print(f)
             return 0

@@ -151,10 +151,13 @@ class RadialComparisonSpec:
     b: Callable[[np.ndarray], np.ndarray]
     c0: float = 1.0
     r0: float = 0.5
-    # (grid j / 256, b on the grid, int_0^grid b, slope of the integral on
-    # each gap [j, j + 1] / 256 then a trailing 0), grown by b_integral.
-    _table: tuple | None = field(default=None, init=False, repr=False,
-                                 compare=False)
+    # Rows grid j / 256, b on the grid, int_0^grid b and the integral's
+    # slope on each gap then a trailing 0, grown by b_integral: the first
+    # columns of a zeroed buffer that at least doubles when full.
+    _table: np.ndarray = field(default_factory=lambda: np.zeros((4, 0)),
+                               init=False, repr=False, compare=False)
+    _buffer: np.ndarray = field(default_factory=lambda: np.zeros((4, 0)),
+                                init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for key in ("c0", "r0"):
@@ -176,7 +179,7 @@ class RadialComparisonSpec:
         """
         r = np.asarray(r, dtype=float)
         n = max(64, math.ceil(float(np.max(r, initial=0.0)) * 256))
-        if self._table is None or len(self._table[0]) <= n:
+        if self._table.shape[1] <= n:
             self._extend_table(n)
         grid, _, cum, slopes = self._table
         r = np.maximum(r, 0.0)
@@ -186,18 +189,26 @@ class RadialComparisonSpec:
 
     def _extend_table(self, n: int) -> None:
         """Grow the table to the nodes j / 256 for j = 0..n, evaluating b
-        only at the new nodes."""
-        grid, vals = self._table[:2] if self._table else (np.empty(0),) * 2
-        new_grid = np.arange(len(grid), n + 1) / 256.0
+        only at the new nodes; np.cumsum adds in order, so continuing the
+        integral from its last value keeps the bits of a fresh table."""
+        old = self._table.shape[1]
+        new_grid = np.arange(old, n + 1) / 256.0
         new_vals = np.asarray(self.b(new_grid), dtype=float)
         if np.any(~np.isfinite(new_vals)) or np.any(new_vals < 0):
             raise InvalidInput("b must be finite and nonnegative")
-        grid = np.concatenate([grid, new_grid])
-        vals = np.concatenate([vals, new_vals])
-        cum = np.concatenate([[0.0], np.cumsum(
-            0.5 * (vals[1:] + vals[:-1]) * np.diff(grid))])
-        slopes = np.append((cum[1:] - cum[:-1]) / (grid[1:] - grid[:-1]), 0.0)
-        object.__setattr__(self, "_table", (grid, vals, cum, slopes))
+        buffer = self._buffer
+        if buffer.shape[1] <= n:
+            buffer = np.zeros((4, max(n + 1, 2 * old)))
+            buffer[:, :old] = self._table
+            object.__setattr__(self, "_buffer", buffer)
+        grid, vals, cum, slopes = buffer
+        grid[old:n + 1], vals[old:n + 1] = new_grid, new_vals
+        s = max(old, 1)  # cum[0] = 0
+        gaps = np.diff(grid[s - 1:n + 1])
+        cum[s:n + 1] = 0.5 * (vals[s:n + 1] + vals[s - 1:n]) * gaps
+        np.cumsum(cum[s - 1:n + 1], out=cum[s - 1:n + 1])
+        slopes[s - 1:n] = np.diff(cum[s - 1:n + 1]) / gaps
+        object.__setattr__(self, "_table", buffer[:, :n + 1])
 
     def phi(self, r) -> np.ndarray:
         return self.c0 + 0.5 * self.b_integral(r)

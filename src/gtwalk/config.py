@@ -19,7 +19,7 @@ from . import engine, rng, stats, walk
 from .comparison import (OUParams, RadialComparisonSpec, builtin_b,
                          check_feller_range, ou_kernel)
 from .coupling import CouplingConfig, CouplingKind
-from .errors import ConfigError, InvalidInput, is_number
+from .errors import ConfigError, InvalidInput, check_json_type, is_number
 from .manifolds import ManifoldModel, make_model
 
 EXPERIMENT_KINDS = (
@@ -54,22 +54,14 @@ _KEYS_BY_KIND = {
     "radial-domination": {"alpha", "n_paths", "start", "origin",
                           "exit_radius", "b", "c0", "r0", "margin"},
 }
-# The keys of each manifold kind besides "kind". A scaled metric takes a
-# base model or the dim of a Euclidean base.
-_MANIFOLD_KEYS = {"euclidean": {"dim"}, "sphere": {"dim", "radius_c0", "flow"},
-                  "hyperbolic": {"dim"}, "scaled": {"k", "base", "dim"}}
-
 # Numeric keys: integer keys take JSON integers, float keys finite JSON
 # numbers (bools and strings are neither). The parser stores them as given,
 # so config_hash does not move.
-_INT_KEYS = {"seed", "n_paths", "n_dump", "dim"}
+_INT_KEYS = {"seed", "n_paths", "n_dump"}
 _FLOAT_KEYS = {"t1", "t2", "alpha", "exit_radius", "d0", "delta_couple", "k",
                "bias", "contraction_coefficient", "osc", "C", "y_max", "c0",
-               "r0", "margin", "ou_h", "a", "radius_c0"}
+               "r0", "margin", "ou_h", "a"}
 _NULLABLE_KEYS = {"exit_radius", "n_dump"}
-# Switches, read with bool() where used; only JSON true/false is accepted,
-# since bool("false") is True.
-_BOOL_KEYS = {"flow"}
 
 _DEFAULTS: dict[str, Any] = {
     "seed": 0,
@@ -120,21 +112,6 @@ def _fail(path: str, message: str):
     raise ConfigError(f"{path}: {message}")
 
 
-def _check_values(raw: dict, prefix: str = "") -> None:
-    """Reject a numeric key whose value is not a number of its type and a
-    switch that is not a JSON boolean."""
-    for key, value in raw.items():
-        if key in _BOOL_KEYS and not isinstance(value, bool):
-            _fail(prefix + key, f"must be true or false, not {value!r}")
-        if value is None and key in _NULLABLE_KEYS:
-            continue
-        if key in _INT_KEYS and (isinstance(value, bool)
-                                 or not isinstance(value, int)):
-            _fail(prefix + key, f"must be an integer, not {value!r}")
-        if key in _FLOAT_KEYS and not is_number(value):
-            _fail(prefix + key, f"must be a finite number, not {value!r}")
-
-
 def _built(key: str, make, *args, **kwargs):
     """``make(*args, **kwargs)``, a constructor that holds the rules of its
     values; an InvalidInput it raises fails naming ``key``, or
@@ -143,32 +120,6 @@ def _built(key: str, make, *args, **kwargs):
         return make(*args, **kwargs)
     except InvalidInput as e:
         _fail(".".join(filter(None, (key, e.key))), str(e))
-
-
-def _check_manifold(desc: Any, window: tuple[float, float],
-                    prefix: str = "manifold") -> ManifoldModel:
-    """The model of a manifold descriptor, each fault naming its key."""
-    if not isinstance(desc, dict):
-        _fail(prefix, "must be an object with a 'kind' tag")
-    kind = desc.get("kind")
-    if kind is None:
-        _fail(f"{prefix}.kind", "missing")
-    if not isinstance(kind, str) or kind not in _MANIFOLD_KEYS:
-        _fail(f"{prefix}.kind", f"unknown manifold kind {kind!r}")
-    extra = set(desc) - _MANIFOLD_KEYS[kind] - {"kind"}
-    if extra:
-        _fail(f"{prefix}.{sorted(extra)[0]}",
-              f"unknown key for manifold kind {kind!r}")
-    if kind != "scaled" and "dim" not in desc:
-        _fail(f"{prefix}.dim", "missing")
-    if kind == "scaled" and "k" not in desc:
-        _fail(f"{prefix}.k", "missing")
-    if kind == "scaled" and "base" in desc and "dim" in desc:
-        _fail(f"{prefix}.dim", "give a scaled metric dim or base, not both")
-    _check_values(desc, prefix + ".")
-    if kind == "scaled" and "base" in desc:
-        _check_manifold(desc["base"], window, f"{prefix}.base")
-    return _built(prefix, make_model, desc, window)
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
@@ -197,11 +148,15 @@ def parse_config(raw: dict) -> ExperimentConfig:
     for req in ("manifold", "t1", "t2"):
         if req not in raw:
             _fail(req, "missing")
-    _check_values(raw)
+    for key, value in raw.items():
+        number = int if key in _INT_KEYS else float if key in _FLOAT_KEYS \
+            else None
+        if number and not (value is None and key in _NULLABLE_KEYS):
+            _built("", check_json_type, key, value, number)
     t1, t2 = float(raw["t1"]), float(raw["t2"])
     if not t1 < t2:
         _fail("t2", "must exceed t1")
-    model = _check_manifold(raw["manifold"], (t1, t2))
+    model = _built("manifold", make_model, raw["manifold"], (t1, t2))
     data: dict[str, Any] = {"kind": kind, "manifold": dict(raw["manifold"]),
                             "t1": t1, "t2": t2}
 

@@ -42,3 +42,15 @@ def is_number(value) -> bool:
         return math.isfinite(value)
     except OverflowError:  # an int beyond the float range
         return False
+
+
+def check_json_type(key: str, value, kind: type) -> None:
+    """Refuse a value not of JSON type ``kind``, naming ``key``: int takes
+    an integer, float a finite number (``is_number``) and bool true or
+    false; a bool is no number, and bool("false") is True."""
+    ok, what = {int: (isinstance(value, int) and not isinstance(value, bool),
+                      "an integer"),
+                float: (is_number(value), "a finite number"),
+                bool: (isinstance(value, bool), "true or false")}[kind]
+    if not ok:
+        raise InvalidInput(f"must be {what}, not {value!r}", key=key)

@@ -20,7 +20,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DegenerateGeodesic, InvalidInput, UnsupportedOperation
+from .errors import (DegenerateGeodesic, InvalidInput, UnsupportedOperation,
+                     check_json_type)
 
 POINT_TOL = 1e-9
 COINCIDE_TOL = 1e-12
@@ -866,38 +867,55 @@ def estimate_kappa(model: ManifoldModel, t: float, s: float,
 # Descriptor factory
 # ---------------------------------------------------------------------------
 
+# The manifold kinds a config can name: each key besides "kind" with its
+# JSON type and default (_REQUIRED if it must be given), and the constructor,
+# called with the keys' values in this order and the time window. A scaled
+# metric's base is a nested descriptor; without one its base is Euclidean.
+_REQUIRED = object()
+_KINDS: dict[str, tuple[dict, Callable]] = {
+    "euclidean": ({"dim": (int, _REQUIRED)}, Euclidean),
+    "sphere": ({"dim": (int, _REQUIRED), "radius_c0": (float, 1.0),
+                "flow": (bool, False)}, RoundSphere),
+    "scaled": ({"k": (float, _REQUIRED), "base": (dict, None), "dim": (int, 2)},
+               lambda k, base, dim, w: ScaledMetric(
+                   base or Euclidean(dim, w), k, w)),
+    "hyperbolic": ({"dim": (int, _REQUIRED)}, Hyperbolic),
+}
+
+
 def make_model(desc: dict, time_window: tuple[float, float]) -> ManifoldModel:
-    """Build a model from a config descriptor: kind tag plus parameters."""
-    from .numeric import NumericChart  # local import to avoid a cycle
-
-    d = dict(desc)
-    kind = d.pop("kind", None)
-    if kind == "euclidean":
-        return Euclidean(int(d.pop("dim")), time_window, **_no_extra(d, "euclidean"))
-    if kind == "sphere":
-        dim = int(d.pop("dim"))
-        c0 = float(d.pop("radius_c0", 1.0))
-        flow = bool(d.pop("flow", False))
-        _no_extra(d, "sphere")
-        return RoundSphere(dim, c0, flow, time_window)
-    if kind == "hyperbolic":
-        dim = int(d.pop("dim"))
-        _no_extra(d, "hyperbolic")
-        return Hyperbolic(dim, time_window)
-    if kind == "scaled":
-        k = float(d.pop("k"))
-        base_desc = d.pop("base", {"kind": "euclidean", "dim": d.pop("dim", 2)})
-        _no_extra(d, "scaled")
-        base = make_model(base_desc, time_window)
-        return ScaledMetric(base, k, time_window)
-    raise InvalidInput(f"unknown manifold kind: {kind!r}")
-
-
-def _no_extra(d: dict, kind: str) -> dict:
-    if d:
-        raise InvalidInput(f"unknown manifold parameter(s) for {kind}: {sorted(d)}")
-    return {}
+    """Build a model from a config descriptor: a kind tag plus that kind's
+    keys. A fault raises InvalidInput naming its key, ``base.<key>`` inside
+    a scaled metric's base."""
+    if not isinstance(desc, dict):
+        raise InvalidInput("must be an object with a 'kind' tag")
+    kind = desc.get("kind")
+    if kind is None:
+        raise InvalidInput("missing", key="kind")
+    if not isinstance(kind, str) or kind not in _KINDS:
+        raise InvalidInput(f"unknown manifold kind {kind!r}", key="kind")
+    keys, build = _KINDS[kind]
+    for key in sorted(set(desc) - set(keys) - {"kind"}):
+        raise InvalidInput(f"unknown key for manifold kind {kind!r}", key=key)
+    for key, (_, default) in keys.items():
+        if default is _REQUIRED and key not in desc:
+            raise InvalidInput("missing", key=key)
+    if kind == "scaled" and "base" in desc and "dim" in desc:
+        raise InvalidInput("give a scaled metric dim or base, not both",
+                           key="dim")
+    for key, value in desc.items():
+        if key != "kind" and keys[key][0] is not dict:
+            check_json_type(key, value, keys[key][0])
+    values = {key: desc.get(key, default) for key, (_, default) in keys.items()}
+    if "base" in desc:
+        try:
+            values["base"] = make_model(desc["base"], time_window)
+        except InvalidInput as e:
+            raise InvalidInput(str(e), key=".".join(
+                filter(None, ("base", e.key)))) from None
+    return build(*values.values(), time_window)
 
 
 def list_model_kinds() -> list[str]:
-    return ["euclidean", "sphere", "scaled", "hyperbolic", "numeric-chart"]
+    """The manifold kinds a config can name."""
+    return list(_KINDS)

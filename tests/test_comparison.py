@@ -319,6 +319,24 @@ def test_b_checked_where_the_table_grows():
     assert spec.phi(2.9) == pytest.approx(1.0 + 0.5 * 2.9)
 
 
+def test_table_growth_is_amortized():
+    """A radius creeping past the table's end one node at a time grows it
+    in place: its storage is reallocated at most 10 times on the way from
+    the first table to 64, and each value keeps the bits of a table built
+    afresh."""
+    spec = RadialComparisonSpec(builtin_b({"name": "linear", "slope": 1.3}))
+    grid, reallocations = None, 0
+    for j in range(1, 64 * 256 + 1):
+        spec.b_integral(j / 256.0)
+        if grid is not None and not np.shares_memory(grid, spec._table[0]):
+            reallocations += 1
+        grid = spec._table[0]
+    assert grid[-1] == 64.0 and reallocations <= 10
+    fresh = RadialComparisonSpec(spec.b)
+    fresh.b_integral(64.0)
+    assert same_bits(fresh._table, spec._table)
+
+
 def test_builtin_b_validation():
     with pytest.raises(InvalidInput):
         builtin_b({"name": "mystery"})

@@ -20,6 +20,7 @@ from gtwalk.config import (_KEYS_BY_KIND, EXPERIMENT_KINDS, coupling_config,
                            resolve_start_points)
 from gtwalk.coupling import CouplingConfig, run_coupled
 from gtwalk.errors import ConfigError, InvalidInput
+from gtwalk.manifolds import list_model_kinds, make_model
 from gtwalk.runner import dump_paths, run_document
 from gtwalk.stats import convergence_diagnostic, ks_statistic, map_path_chunks
 from gtwalk.walk import Schedule, WalkConfig, run_walk, walk_kernel
@@ -191,9 +192,28 @@ def test_cli_seed_flag_overrides(tmp_path):
 
 
 def test_cli_list_models(capsys):
+    """list-models prints the kinds a config can name, one a line."""
     assert main(["list-models"]) == 0
-    out = capsys.readouterr().out
-    assert "sphere" in out and "euclidean" in out
+    assert capsys.readouterr().out.split() == [
+        "euclidean", "sphere", "scaled", "hyperbolic"]
+
+
+@pytest.mark.parametrize("command", ["run", "dump-paths"])
+def test_cli_parses_through_the_config_module(command, tmp_path,
+                                              monkeypatch, capsys):
+    """The CLI calls config.parse_suite through its module, so a wrapper
+    installed there (the layer tracer's) sees the CLI's own parse."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return parse_suite(*args, **kwargs)
+
+    monkeypatch.setattr("gtwalk.config.parse_suite", counting)
+    doc = tmp_path / "cfg.json"
+    doc.write_text(json.dumps({**MINIMAL_WALK, "n_paths": 8}))
+    assert main([command, str(doc), "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == 1
 
 
 def test_cli_dump_paths_format(tmp_path, capsys):
@@ -563,7 +583,10 @@ def test_unknown_coupling_rejected():
         parse_config({**_key_base("couple"), "coupling": "reflect"})
 
 
-@pytest.mark.parametrize("value", ["false", 0, None])
+_NOT_BOOLS = ["false", 0, None]
+
+
+@pytest.mark.parametrize("value", _NOT_BOOLS)
 def test_switch_must_be_a_json_boolean(value):
     """bool("false") is True, so a switch that is not true/false would
     turn on; the parser rejects it naming the key, also in a scaled
@@ -578,7 +601,7 @@ def test_switch_must_be_a_json_boolean(value):
             parse_config(doc)
 
 
-@pytest.mark.parametrize("kind, key, value", [
+_NOT_NUMBERS = [
     ("walk", "seed", "7"),
     ("walk", "seed", 7.0),
     ("walk", "seed", True),
@@ -597,7 +620,10 @@ def test_switch_must_be_a_json_boolean(value):
     ("convergence", "alphas", [0.4, "0.2"]),
     ("convergence", "alphas", [0.4, True]),
     ("convergence", "alphas", [0.4, math.inf]),
-])
+]
+
+
+@pytest.mark.parametrize("kind, key, value", _NOT_NUMBERS)
 def test_numeric_value_must_be_a_number_of_its_type(kind, key, value):
     """Integer keys take JSON integers and float keys finite JSON numbers;
     strings, bools, and floats for integer keys fail naming the key."""
@@ -644,7 +670,7 @@ def test_bad_outside_input_is_an_error_line(name, env, patch, argv, tmp_path,
 _FLOW_BASE = {"kind": "scaled", "k": 0.5, "base": _FLOW_SPHERE}
 
 
-@pytest.mark.parametrize("kind, patch, key", [
+_REFUSED = [
     ("ou-survival", {"ou_h": 0}, "ou_h"),
     ("ou-survival", {"ou_h": -0.1}, "ou_h"),
     ("ou-survival", {"n_paths": 999}, "n_paths"),
@@ -686,7 +712,11 @@ _FLOW_BASE = {"kind": "scaled", "k": 0.5, "base": _FLOW_SPHERE}
                                "offset": "0.5"}}, "f.offset"),
     ("verify-gradient", {"f": {"type": "halfspace", "normal": [1.0, 0.0],
                                "offset": 0.0, "scale": 2.0}}, "f"),
-], ids=["ou_h-zero", "ou_h-negative", "ou-n_paths-999", "couple-exit_radius-1",
+]
+
+
+@pytest.mark.parametrize("kind, patch, key", _REFUSED, ids=[
+        "ou_h-zero", "ou_h-negative", "ou-n_paths-999", "couple-exit_radius-1",
         "alphas-rising", "alphas-equal", "ou-a-negative", "radius_c0-negative",
         "dim-zero", "base-dim-zero", "scaled-flow-base", "scaled-no-k",
         "euclidean-flow", "scaled-dim-and-base", "b-unknown-name",
@@ -705,6 +735,52 @@ def test_value_the_run_refuses_is_rejected_at_parse(kind, patch, key,
     assert main(["run", str(doc)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {key}: "), err
+
+
+# The descriptors the parser refuses in the tests above, and the key each
+# fault names.
+_BAD_DESCRIPTORS = [
+    *[(patch["manifold"], key) for _, patch, key in _REFUSED
+      if "manifold" in patch],
+    *[({"kind": "sphere", "dim": 2, key.split(".")[1]: value}, key)
+      for _, key, value in _NOT_NUMBERS if key.startswith("manifold.")],
+    *[({"kind": "sphere", "dim": 2, "flow": value}, "manifold.flow")
+      for value in _NOT_BOOLS],
+    *[({"kind": "scaled", "k": 0.5, "base": {
+        "kind": "sphere", "dim": 2, "flow": value}}, "manifold.base.flow")
+      for value in _NOT_BOOLS],
+    (["sphere", 2], "manifold"),
+    ({"dim": 2}, "manifold.kind"),
+    ({"kind": "sphere"}, "manifold.dim"),
+    ({"kind": "scaled", "base": {"kind": "euclidean", "dim": 2}},
+     "manifold.k"),
+    ({"kind": "euclidean", "dim": True}, "manifold.dim"),
+    ({"kind": "scaled", "k": 0.5, "dim": 2, "base": {
+        "kind": "sphere", "dim": 2}}, "manifold.dim"),
+    ({"kind": "scaled", "k": 0.5, "base": "sphere"}, "manifold.base"),
+    ({"kind": "torus", "dim": 2}, "manifold.kind"),
+    ({"kind": "sphere", "dim": 2, "bogus": 1}, "manifold.bogus"),
+]
+
+
+@pytest.mark.parametrize("desc, key", _BAD_DESCRIPTORS)
+def test_make_model_refuses_what_the_parser_refuses(desc, key):
+    """make_model holds the descriptor's rules: alone it refuses what the
+    parser refuses, its InvalidInput keyed by the parser's path without
+    'manifold.', and the parser's line is that key and its message."""
+    with pytest.raises(ConfigError) as parsed:
+        parse_config({**MINIMAL_WALK, "manifold": desc})
+    with pytest.raises(InvalidInput) as built:
+        make_model(desc, (0.0, 1.0))
+    assert ".".join(filter(None, ("manifold", built.value.key))) == key
+    assert str(parsed.value) == f"{key}: {built.value}"
+
+
+@pytest.mark.parametrize("kind", list_model_kinds())
+def test_each_listed_model_kind_parses(kind):
+    desc = {"kind": kind, **({"k": 0.5} if kind == "scaled" else {"dim": 2})}
+    model = parse_config({**MINIMAL_WALK, "manifold": desc}).build_model()
+    assert model.kind == kind
 
 
 def _coupling(**changes):
