@@ -30,5 +30,4 @@ from .stats import (KsResult, McEstimate, VerificationReport,
 from .variation import (GreenSolution, SampledField, VariationTerms,
                         coupled_variation_terms, dagger_field, dt_distance,
                         index_form, solve_green)
-from .walk import (Schedule, WalkConfig, WalkPath, interpolate, run_walk,
-                   step)
+from .walk import Schedule, WalkConfig, WalkPath, run_walk, step

@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import config
 from .errors import GtwalkError
-from .manifolds import list_model_kinds
+from .manifolds import list_model_kinds, make_model
 from .runner import dump_paths, run_document
 
 
@@ -185,11 +185,22 @@ def _document_from_flags(args) -> dict:
                    coupling=args.coupling if args.command == "couple"
                    else None)
     if doc["kind"] == "verify-gradient":
-        normal = [0.0] * doc["manifold"].get("dim", 2)
-        normal[0] = 1.0
-        doc["f"] = {"type": "halfspace", "normal": normal, "offset": -0.5}
+        doc["f"] = {"type": "halfspace", "normal": _first_axis(doc),
+                    "offset": -0.5}
     # an unset flag leaves its key to the config defaults
     return {key: value for key, value in doc.items() if value is not None}
+
+
+def _first_axis(doc: dict) -> list | None:
+    """The first frame vector at the origin at t1, the axis a d0 pair is
+    separated along (``config.resolve_start_points``), in ambient
+    coordinates; None if the manifold does not build, which the parser
+    then reports under its key."""
+    try:
+        model = make_model(doc["manifold"], (doc["t1"], doc["t2"]))
+    except GtwalkError:
+        return None
+    return model.frame(doc["t1"], model.origin())[0].tolist()
 
 
 def _report_outcome(reports) -> int:

@@ -281,7 +281,7 @@ def parse_suite(document: str | dict,
     if isinstance(document, str):
         try:
             raw = json.loads(document)
-        except json.JSONDecodeError as e:
+        except ValueError as e:   # also an integer beyond int's digit limit
             raise ConfigError(f"config: invalid JSON ({e})") from None
     else:
         raw = document

@@ -24,6 +24,9 @@ from .errors import (DegenerateGeodesic, InvalidInput, UnsupportedOperation,
                      check_json_type)
 
 POINT_TOL = 1e-9
+# Largest model dimension. A sphere's frame costs dim^3 per path-step, about
+# 4 ms on the 100-sphere, so larger models are beyond desk scale.
+MAX_DIM = 100
 COINCIDE_TOL = 1e-12
 
 
@@ -106,7 +109,7 @@ class TangentVector:
 class Geodesic:
     """Unit-speed geodesic segment for a fixed metric time.
 
-    ``sample(u)`` and ``velocity(u)`` take the arclength parameter
+    ``sample(u)`` and ``velocity_coords(u)`` take the arclength parameter
     u in [0, length] measured in the metric at ``time``.
     """
 
@@ -144,9 +147,6 @@ class Geodesic:
             self.time, self._start, self._initial_velocity, float(u),
             self._initial_velocity)
 
-    def velocity(self, u: float) -> TangentVector:
-        return TangentVector(self.sample(u), self.velocity_coords(u))
-
     def transport_from_start(self, v: np.ndarray, u: float) -> np.ndarray:
         """Parallel transport of v (at start) to sample(u)."""
         return self.model.transport_along(self.time, self._start,
@@ -174,8 +174,9 @@ class ManifoldModel(abc.ABC):
 
     def __init__(self, dim: int, ambient_dim: int,
                  time_window: tuple[float, float] = (0.0, 1.0)):
-        if dim < 1:
-            raise InvalidInput("dimension must be >= 1", key="dim")
+        if not 1 <= dim <= MAX_DIM:
+            raise InvalidInput(f"dimension must be from 1 to {MAX_DIM}",
+                               key="dim")
         t1, t2 = float(time_window[0]), float(time_window[1])
         if not t1 < t2:
             raise InvalidInput("time window must satisfy t1 < t2")

@@ -47,22 +47,19 @@ def _over_points(fn, *args, scalars: tuple = ()):
 class NumericChart(ManifoldModel):
     """Chart R^m with metric from a callable ``metric(t, x) -> (m, m)``.
 
-    Optional callables provide the metric time derivative and a drift field;
-    the time derivative falls back to a central difference in t. Every
-    callable takes one point of shape (m,); the methods map them over
-    batches.
+    An optional callable provides a drift field; the metric time derivative
+    is a central difference in t. Every callable takes one point of shape
+    (m,); the methods map them over batches.
     """
 
     kind = "numeric-chart"
 
     def __init__(self, dim: int,
                  metric: Callable[[float, np.ndarray], np.ndarray],
-                 metric_dt: Callable[[float, np.ndarray], np.ndarray] | None = None,
                  drift: Callable[[float, np.ndarray], np.ndarray] | None = None,
                  time_window=(0.0, 1.0)):
         super().__init__(dim, dim, time_window)
         self._metric = metric
-        self._metric_dt = metric_dt
         self._drift = drift
         self.has_drift = drift is not None
 
@@ -80,12 +77,9 @@ class NumericChart(ManifoldModel):
 
     def metric_dt(self, t, x, u, v):
         def at(x, u, v):
-            if self._metric_dt is not None:
-                g = np.asarray(self._metric_dt(t, x), dtype=float)
-            else:
-                h = FD_EPS_T
-                g = (self.metric_matrix(t + h, x)
-                     - self.metric_matrix(t - h, x)) / (2 * h)
+            h = FD_EPS_T
+            g = (self.metric_matrix(t + h, x)
+                 - self.metric_matrix(t - h, x)) / (2 * h)
             return float(u @ g @ v)
         return _over_points(at, x, u, v)
 
@@ -227,9 +221,6 @@ class NumericChart(ManifoldModel):
                 w = w - (out[j] @ g @ w) * out[j]
             out[i] = w / np.sqrt(w @ g @ w)
         return out
-
-    def describe(self) -> dict:
-        return {"kind": self.kind, "dim": self.dim}
 
 
 class _NumericGeodesic(Geodesic):

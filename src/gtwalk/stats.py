@@ -90,8 +90,8 @@ class McEstimate:
                 "ci95": [self.ci95[0], self.ci95[1]]}
 
 
-def _wilson_interval(successes: float, n: int, z: float = 1.96):
-    p = successes / n
+def _wilson_interval(successes: float, n: int):
+    p, z = successes / n, 1.96
     denom = 1.0 + z * z / n
     center = (p + z * z / (2 * n)) / denom
     half = z * math.sqrt(p * (1 - p) / n + z * z / (4 * n * n)) / denom
@@ -385,15 +385,14 @@ def gaussian_cdf(mean: float, var: float) -> Callable[[np.ndarray], np.ndarray]:
     return lambda x: special.ndtr((np.asarray(x, dtype=float) - mean) / sd)
 
 
-def wrapped_gaussian_cdf(mu: float, var: float,
-                         n_wraps: int | None = None
+def wrapped_gaussian_cdf(mu: float, var: float
                          ) -> Callable[[np.ndarray], np.ndarray]:
-    """CDF on (-pi, pi] of a Gaussian wrapped around the circle."""
+    """CDF on (-pi, pi] of a Gaussian wrapped around the circle, summed
+    over enough wraps to cover 4 standard deviations and 3 more."""
     from scipy import special
 
     sd = math.sqrt(var)
-    if n_wraps is None:
-        n_wraps = int(math.ceil(4.0 * sd / (2 * math.pi))) + 3
+    n_wraps = int(math.ceil(4.0 * sd / (2 * math.pi))) + 3
 
     def cdf(theta):
         theta = np.asarray(theta, dtype=float)

@@ -4,8 +4,8 @@ The walk advances on the schedule t_n = (t1 + alpha^2 n) wedge t2. At each
 step a sample xi uniform on the unit ball is lifted through the orthonormal
 frame, scaled by sqrt(m+2) alpha, the model's drift field (if
 ``model.has_drift``) is added at order alpha^2, and the exponential map is
-applied; between schedule times the defining geodesic is traversed at
-fraction (t - t_n)/alpha^2. Paths are reproducible bit for
+applied; the final step, possibly partial, traverses its defining geodesic
+only to the fraction (t2 - t_n)/alpha^2. Paths are reproducible bit for
 bit from (seed, path_index) and embarrassingly parallel.
 """
 
@@ -41,14 +41,6 @@ class Schedule:
         """Total number of steps, the final possibly partial."""
         return len(self.times) - 1
 
-    def locate(self, t: float) -> tuple[int, float]:
-        """Step index n with t in [t_n, t_n+1] and the fraction (t-t_n)/a^2."""
-        if not (self.t1 - 1e-12 <= t <= self.t2 + 1e-12):
-            raise InvalidInput(f"time {t} outside [{self.t1}, {self.t2}]")
-        n = int(np.searchsorted(self.times, t, side="right")) - 1
-        n = min(max(n, 0), self.n_steps - 1)
-        return n, (t - self.times[n]) / self.alpha ** 2
-
 
 @dataclass(frozen=True)
 class WalkConfig:
@@ -70,15 +62,12 @@ class WalkConfig:
 
 @dataclass
 class WalkPath:
-    """Discrete skeleton of one walk plus the data to interpolate it."""
+    """Discrete skeleton of one walk, its step vectors and its noise."""
     model_id: str
     schedule: Schedule
     skeleton: np.ndarray        # (n_steps + 1, ambient_dim)
     step_vectors: np.ndarray    # (n_steps, ambient_dim), alpha xi~ + alpha^2 Z
     noise_record: np.ndarray    # (n_steps, dim) ball samples
-
-    def point(self, n: int) -> Point:
-        return Point(self.skeleton[n], self.model_id)
 
 
 def step(model: ManifoldModel, t: float, x, xi: np.ndarray, alpha: float,
@@ -124,15 +113,4 @@ def walk_kernel(model: ManifoldModel, schedule: Schedule, start: np.ndarray,
                 origin=origin, exit_radius=exit_radius, radial=radial),
         {"alpha": schedule.alpha, "n_paths": n_paths,
          "exit_radius": exit_radius, "manifold": model.describe()}, seed)
-
-
-def interpolate(model: ManifoldModel, path: WalkPath, t: float) -> Point:
-    """The continuously interpolated walk position at time t."""
-    sched = path.schedule
-    n, frac = sched.locate(t)
-    if frac <= 0.0:
-        return path.point(n)
-    x = path.skeleton[n]
-    return Point(model.exp(sched.times[n], x, frac * path.step_vectors[n]),
-                 path.model_id)
 

@@ -12,14 +12,15 @@ from hypothesis import strategies as st
 
 from conftest import strip_runtime
 from gtwalk import rng, runner
-from gtwalk.cli import main, parse_manifold_spec
+from gtwalk.cli import (_PARSER, _document_from_flags, main,
+                        parse_manifold_spec)
 from gtwalk.comparison import (FellerResult, OUParams, builtin_b,
                                feller_explosion_test, ou_kernel)
 from gtwalk.config import (_KEYS_BY_KIND, EXPERIMENT_KINDS, coupling_config,
                            parse_config, parse_suite, resolve_start,
                            resolve_start_points)
 from gtwalk.coupling import CouplingConfig, run_coupled
-from gtwalk.errors import ConfigError, InvalidInput
+from gtwalk.errors import ConfigError, GtwalkError, InvalidInput
 from gtwalk.manifolds import list_model_kinds, make_model
 from gtwalk.runner import dump_paths, run_document
 from gtwalk.stats import convergence_diagnostic, ks_statistic, map_path_chunks
@@ -117,6 +118,11 @@ def test_manifold_spec_grammar():
                                                     "dim": 2, "flow": True}
     assert parse_manifold_spec("scaled:2:k=1.5") == {"kind": "scaled",
                                                      "dim": 2, "k": 1.5}
+    assert parse_manifold_spec("sphere:2:c0=2.0") == {"kind": "sphere",
+                                                      "dim": 2,
+                                                      "radius_c0": 2.0}
+    with pytest.raises(GtwalkError, match="^unknown manifold option 'r=2'"):
+        parse_manifold_spec("sphere:2:r=2")
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +337,45 @@ def test_convergence_passes_on_its_trend_and_ks_flags():
     assert (d["estimate"], d["bound"]) == (None, None)
     assert d["pass"] is (d["params"]["trend_pass"]
                          and d["params"]["rows"][-1]["ks_pass"])
+
+
+def test_convergence_on_the_circle_uses_the_wrapped_gaussian(tmp_path):
+    """On sphere:1 a null reference picks the wrapped Gaussian law of the
+    angle; its report has one row per alpha and, over two path chunks, is
+    the same at 1 and 2 workers."""
+    doc = {"kind": "convergence", "manifold": {"kind": "sphere", "dim": 1},
+           "t1": 0.0, "t2": 1.0, "alphas": [0.4, 0.2], "n_paths": 2100,
+           "seed": 4}
+    texts = []
+    for workers in (1, 2):
+        _, [report] = run_document(doc, workers=workers,
+                                   out_dir=tmp_path / f"w{workers}")
+        texts.append(json.dumps(strip_runtime(json.loads(
+            (tmp_path / f"w{workers}" / "convergence.json").read_text()))))
+    assert texts[0] == texts[1]
+    params = report.to_dict()["params"]
+    assert params["reference"] == "wrapped-gauss"
+    assert [row["alpha"] for row in params["rows"]] == [0.4, 0.2]
+    assert all(row["n"] == 2100 for row in params["rows"])
+
+
+@pytest.mark.parametrize("kind", list_model_kinds())
+def test_cli_gradient_runs_on_each_listed_kind(kind, capsys):
+    """The flag-built gradient check's halfspace normal is the axis d0
+    separates the pair along, a unit vector of the ambient coordinates."""
+    spec = f"{kind}:2" + (":k=0.5" if kind == "scaled" else "")
+    argv = ["verify", "gradient", "--manifold", spec, "--alpha", "0.2",
+            "--samples", "200", "--seed", "3"]
+    cfg = parse_config(_document_from_flags(_PARSER.parse_args(argv)))
+    normal, model = np.array(cfg["f"]["normal"]), cfg.build_model()
+    x1, x2 = resolve_start_points(cfg, model)
+    assert normal.shape == (model.ambient_dim,)
+    assert float(normal @ normal) == pytest.approx(1.0)
+    assert float(normal @ (x2 - x1)) > 0.0
+    if kind == "euclidean":
+        assert normal.tolist() == [1.0, 0.0]
+    assert main(argv) in (0, 2)
+    assert capsys.readouterr().out.startswith("[")
 
 
 @pytest.mark.parametrize("flag, value", [
@@ -651,6 +696,10 @@ def test_numbers_are_stored_as_given():
     ("manifold.dim", None, {"manifold": {"kind": "sphere", "dim": "two"}},
      None),
     ("manifold.dim", None, {"manifold": {"kind": "sphere"}}, None),
+    ("manifold.dim", None, {}, ["verify", "gradient", "--manifold",
+                                "sphere:0"]),
+    ("t2", None, {}, ["verify", "gradient", "--manifold", "sphere:2",
+                      "--t1", "1.0"]),
 ])
 def test_bad_outside_input_is_an_error_line(name, env, patch, argv, tmp_path,
                                             monkeypatch, capsys):
@@ -668,6 +717,7 @@ def test_bad_outside_input_is_an_error_line(name, env, patch, argv, tmp_path,
 
 
 _FLOW_BASE = {"kind": "scaled", "k": 0.5, "base": _FLOW_SPHERE}
+_DROP = object()   # a _REFUSED patch value that removes the key
 
 
 _REFUSED = [
@@ -712,6 +762,23 @@ _REFUSED = [
                                "offset": "0.5"}}, "f.offset"),
     ("verify-gradient", {"f": {"type": "halfspace", "normal": [1.0, 0.0],
                                "offset": 0.0, "scale": 2.0}}, "f"),
+    ("walk", {"manifold": {"kind": "euclidean", "dim": 10 ** 400}},
+     "manifold.dim"),
+    ("walk", {"manifold": {"kind": "sphere", "dim": 10 ** 13}},
+     "manifold.dim"),
+    ("walk", "[1, 2]", "config"),
+    ("walk", {"kind": _DROP}, "kind"),
+    ("walk", {"kind": "stroll"}, "kind"),
+    ("walk", {"t1": _DROP}, "t1"),
+    ("walk", {"t2": 0.0}, "t2"),
+    ("convergence", {"alphas": []}, "alphas"),
+    ("walk", {"alpha": _DROP}, "alpha"),
+    ("couple", {"d0": _DROP, "start1": [0.0, 0.0]}, "start1"),
+    ("feller-test", {"b": _DROP}, "b"),
+    ("ou-survival", {"a": _DROP}, "a"),
+    ("convergence", {"reference": "uniform"}, "reference"),
+    ("walk", "{", "config"),
+    ("walk", '{"kind": "walk", "t1": 1%s}' % ("0" * 5000), "config"),
 ]
 
 
@@ -725,13 +792,19 @@ _REFUSED = [
         "b-zero-unread-key", "b-table-unsorted",
         "feller-C-negative", "feller-y_max-5", "radial-r0-negative",
         "radial-c0-zero", "f-normal-length", "f-normal-null",
-        "f-offset-string", "f-unread-key"])
+        "f-offset-string", "f-unread-key", "dim-1e400", "dim-1e13",
+        "top-level-list", "no-kind", "kind-unknown", "no-t1", "t2-at-t1",
+        "alphas-empty", "no-alpha", "start1-alone", "feller-no-b",
+        "ou-no-a", "reference-unknown", "json-invalid", "json-int-digits"])
 def test_value_the_run_refuses_is_rejected_at_parse(kind, patch, key,
                                                     tmp_path, capsys):
     """A value the run would refuse, crash on or ignore exits 1 with one
-    'error:' line that starts with its key."""
+    'error:' line that starts with its key. A patch is the config's keys to
+    set (_DROP removes one) or the whole file's text."""
     doc = tmp_path / "cfg.json"
-    doc.write_text(json.dumps({**_key_base(kind), **patch}))
+    doc.write_text(patch if isinstance(patch, str) else json.dumps(
+        {k: v for k, v in {**_key_base(kind), **patch}.items()
+         if v is not _DROP}))
     assert main(["run", str(doc)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {key}: "), err
@@ -741,7 +814,7 @@ def test_value_the_run_refuses_is_rejected_at_parse(kind, patch, key,
 # fault names.
 _BAD_DESCRIPTORS = [
     *[(patch["manifold"], key) for _, patch, key in _REFUSED
-      if "manifold" in patch],
+      if isinstance(patch, dict) and "manifold" in patch],
     *[({"kind": "sphere", "dim": 2, key.split(".")[1]: value}, key)
       for _, key, value in _NOT_NUMBERS if key.startswith("manifold.")],
     *[({"kind": "sphere", "dim": 2, "flow": value}, "manifold.flow")

@@ -9,7 +9,7 @@ from gtwalk import engine, rng
 from gtwalk.errors import InvalidInput
 from gtwalk.manifolds import Euclidean, RoundSphere
 from gtwalk.stats import gaussian_cdf, ks_statistic
-from gtwalk.walk import Schedule, WalkConfig, interpolate, run_walk, step
+from gtwalk.walk import Schedule, WalkConfig, run_walk, step
 
 
 # ---------------------------------------------------------------------------
@@ -210,9 +210,6 @@ def test_walk_embedding_constraint(flow_sphere):
     path = run_walk(flow_sphere, cfg)
     assert float(np.max(flow_sphere.constraint_residual(path.skeleton))) \
         <= 1e-9
-    for t in np.linspace(0.0, 0.5, 23):
-        p = interpolate(flow_sphere, path, float(t))
-        assert float(flow_sphere.constraint_residual(p.coords)) <= 1e-9
 
 
 def test_frame_section_independence_of_summaries(circle):
@@ -227,29 +224,6 @@ def test_frame_section_independence_of_summaries(circle):
     se = np.sqrt(ang_a.var() / len(ang_a) + ang_b.var() / len(ang_b))
     assert abs(ang_a.mean() - ang_b.mean()) <= 4 * se
     assert abs(ang_a.var() - ang_b.var()) <= 4 * np.sqrt(2.0 / 4000) * ang_a.var() + 0.05
-
-
-# ---------------------------------------------------------------------------
-# interpolate
-# ---------------------------------------------------------------------------
-
-@pytest.mark.bits
-def test_interpolate_at_schedule_times(euclid2):
-    cfg = WalkConfig(alpha=0.2, t1=0.0, t2=1.0, seed=5, start=np.zeros(2))
-    path = run_walk(euclid2, cfg)
-    for n, t in enumerate(path.schedule.times):
-        assert np.array_equal(interpolate(euclid2, path, float(t)).coords,
-                              path.skeleton[n])
-
-
-def test_interpolate_euclidean_midpoint(euclid2):
-    cfg = WalkConfig(alpha=0.2, t1=0.0, t2=1.0, seed=5, start=np.zeros(2))
-    path = run_walk(euclid2, cfg)
-    times = path.schedule.times
-    mid = 0.5 * (times[3] + times[4])
-    got = interpolate(euclid2, path, float(mid)).coords
-    assert np.allclose(got, 0.5 * (path.skeleton[3] + path.skeleton[4]),
-                       atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
