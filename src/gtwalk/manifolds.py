@@ -24,8 +24,8 @@ from .errors import (DegenerateGeodesic, InvalidInput, UnsupportedOperation,
                      check_json_type)
 
 POINT_TOL = 1e-9
-# Largest model dimension. A sphere's frame costs dim^3 per path-step, about
-# 4 ms on the 100-sphere, so larger models are beyond desk scale.
+# Largest model dimension, set by the sphere's Gram-Schmidt frame: it costs
+# dim^3 per path-step, about 4 ms on the 100-sphere.
 MAX_DIM = 100
 COINCIDE_TOL = 1e-12
 
@@ -683,47 +683,45 @@ class Hyperbolic(ManifoldModel):
     def curvature(self, t, x, u, v, w):
         return -(self._ldot(v, w)[..., None] * u - self._ldot(u, w)[..., None] * v)
 
-    def _reproject(self, y):
-        spatial = y[..., 1:]
-        y0 = np.sqrt(1.0 + _dot(spatial, spatial))
-        return np.concatenate([y0[..., None], spatial], axis=-1)
-
     def exp(self, t, x, v):
-        nv = np.sqrt(np.maximum(self._ldot(v, v), 0.0))
+        x, v = _lead(x, v)
+        nv = np.sqrt(np.maximum(self._lorentz(v, v), 0.0))
         small = nv < 1e-15
-        safe = np.where(small, 1.0, nv)
-        y = np.cosh(nv)[..., None] * x + (np.sinh(nv) / safe)[..., None] * v
-        return np.where(small[..., None], x, self._reproject(y))
+        y = np.cosh(nv) * x
+        y += (np.sinh(nv) / np.where(small, 1.0, nv)) * v
+        # back onto the hyperboloid through x_0
+        y[0] = np.sqrt(1.0 + _cdot(y[1:], y[1:]))
+        return _trail(np.where(small, x, y) if small.any() else y)
 
     def _separation(self, x, y):
-        """Hyperbolic distance; the arcsinh chord form is exact near
-        coincidence where arccosh(1 + eps) loses half the digits."""
-        c = np.clip(-self._ldot(x, y), 1.0, None)
-        diff = y - x
-        chord_sq = np.maximum(self._ldot(diff, diff), 0.0)
-        near = c < 1.5
-        return np.where(near, 2.0 * np.arcsinh(0.5 * np.sqrt(chord_sq)),
-                        np.arccosh(c))
+        """(c, theta) of coordinate-leading x and y: c = max(-<x, y>_L, 1),
+        with np.clip's bits, and theta the distance, whose arcsinh chord
+        form is exact near coincidence where arccosh(1 + eps) loses half the
+        digits."""
+        c = np.maximum(-self._lorentz(x, y), 1.0)
+        d = y - x
+        chord = np.sqrt(np.maximum(self._lorentz(d, d), 0.0))
+        return c, np.where(c < 1.5, 2.0 * np.arcsinh(0.5 * chord), np.arccosh(c))
 
     def log(self, t, x, y):
-        c = np.clip(-self._ldot(x, y), 1.0, None)
-        theta = self._separation(x, y)
-        w = y - c[..., None] * x
-        wn = np.sqrt(np.maximum(self._ldot(w, w), 0.0))
+        x, y = _lead(x, y)
+        c, theta = self._separation(x, y)
+        w = y - c * x
+        wn = np.sqrt(np.maximum(self._lorentz(w, w), 0.0))
         small = wn < 1e-300
-        safe = np.where(small, 1.0, wn)
-        v = (theta / safe)[..., None] * w
-        return np.where(small[..., None], np.zeros_like(v), v)
+        v = (theta / np.where(small, 1.0, wn)) * w
+        return _trail(np.where(small, 0.0, v))
 
     def distance(self, t, x, y):
-        return self._separation(x, y)
+        return self._separation(*_lead(x, y))[1]
 
     def transport_along(self, t, x, u, length, v):
-        length = np.asarray(length, dtype=float)
-        a = self._ldot(v, u)
-        w = v - a[..., None] * u
-        u_rot = np.sinh(length)[..., None] * x + np.cosh(length)[..., None] * u
-        return a[..., None] * u_rot + w
+        # length with a coordinate axis of one, so it broadcasts as a row
+        x, u, v, length = _lead(x, u, v, np.asarray(length, float)[..., None])
+        a = self._lorentz(v, u)
+        w = v - a * u
+        u_rot = np.sinh(length) * x + np.cosh(length) * u
+        return _trail(a * u_rot + w)
 
     def mirror(self, t, x, y, v):
         # The Minkowski reflection across the bisector of x and y: x - y is
@@ -732,15 +730,13 @@ class Hyperbolic(ManifoldModel):
         return _reflect_across(v, x, y, self._lorentz)
 
     def frame(self, t, x):
-        d = self.ambient_dim
-        basis = np.broadcast_to(np.eye(d)[1:], x.shape[:-1] + (self.dim, d)).copy()
-        out = np.empty_like(basis)
-        for i in range(self.dim):
-            w = basis[..., i, :]
-            w = w + self._ldot(w, x)[..., None] * x  # Lorentz projection
-            for j in range(i):
-                w = w - self._ldot(w, out[..., j, :])[..., None] * out[..., j, :]
-            out[..., i, :] = w / np.sqrt(self._ldot(w, w))[..., None]
+        # The boost from the origin, Phi_i = e_i + x_i / (1 + x_0) (x + e_0):
+        # Lorentz-orthonormal and tangent at x by algebra, with no square
+        # root, and exactly e_i at the origin.
+        bent = np.array(x, dtype=float)
+        bent[..., 0] += 1.0
+        out = (bent[..., 1:] / bent[..., :1])[..., None] * bent[..., None, :]
+        out[..., np.arange(self.dim), np.arange(1, self.ambient_dim)] += 1.0
         return out
 
     def constraint_residual(self, x):

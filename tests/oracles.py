@@ -16,7 +16,9 @@ the geodesic and one for geodesic and transport together, whose results
 ``NumericChart``'s single integrator must keep bit for bit. The
 reflection map follows the textbook definition through a model's
 parallel transport; ``model.mirror``'s ambient reflections must agree
-with it.
+with it. The hyperboloid frame's Gram-Schmidt is the frame the walk once
+used: the closed-form frame must equal it up to a rotation, which keeps
+the law of a step.
 """
 
 import numpy as np
@@ -135,6 +137,25 @@ def sphere_frame_gram_schmidt(x: np.ndarray, radius: float, scale: float,
                 * out[..., j, :]
         out[..., i, :] = w / np.linalg.norm(w, axis=-1, keepdims=True)
     return out / np.sqrt(scale)
+
+
+def hyperboloid_frame_gram_schmidt(x: np.ndarray) -> np.ndarray:
+    """Reference hyperboloid frame, shape (..., m, m+1): Gram-Schmidt in the
+    Lorentz product of the spatial axis vectors, each first projected onto
+    T_x. Its normalization takes the square root of a Lorentz norm that
+    cancels far from the origin, so it is a reference only near it."""
+    def ldot(u, v):
+        return np.sum(u[..., 1:] * v[..., 1:], axis=-1) - u[..., 0] * v[..., 0]
+
+    d = x.shape[-1]
+    basis = np.broadcast_to(np.eye(d)[1:], x.shape[:-1] + (d - 1, d))
+    out = np.empty(basis.shape)
+    for i in range(d - 1):
+        w = basis[..., i, :] + ldot(basis[..., i, :], x)[..., None] * x
+        for j in range(i):
+            w = w - ldot(w, out[..., j, :])[..., None] * out[..., j, :]
+        out[..., i, :] = w / np.sqrt(ldot(w, w))[..., None]
+    return out
 
 
 def table_interp(r, grid: np.ndarray, cum: np.ndarray):

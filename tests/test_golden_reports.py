@@ -11,7 +11,11 @@ and keeps every pinned value that the fresh one still matches within the
 tolerance above. A change of report format therefore cannot move a pinned
 float, not even by the 1-2 ulp that hosts differ by. To take a value that
 is meant to change by less than the tolerance, delete it from the file
-first.
+first. It prints each value it takes, ``path: old -> new``, and for an
+estimate whose mean moved the two-sample z = (new - old) /
+sqrt(se_old^2 + se_new^2) beside whether the new mean lies in the old
+ci95. An independent realization of the same law leaves the old ci95 about
+17% of the time (P(|N(0, 2)| > 1.96)), so z is the figure to judge by.
 
 Every report and manifest is strict JSON: no NaN or infinity.
 """
@@ -197,8 +201,59 @@ def merged(old, new):
     return old
 
 
+_ABSENT = object()
+
+
+def _show(value) -> str:
+    return "(absent)" if value is _ABSENT else json.dumps(value)
+
+
+def taken(old, new, path=""):
+    """A line for each value that ``new`` (as ``merged`` returns it) takes
+    over ``old``, and for each estimate, a dict with a mean, a stderr and a
+    ci95, whose mean moved, its two-sample z."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        for key in sorted(set(old) | set(new)):
+            yield from taken(old.get(key, _ABSENT), new.get(key, _ABSENT),
+                             f"{path}.{key}" if path else key)
+        if {"mean", "stderr", "ci95"} <= set(old) & set(new) \
+                and old["mean"] != new["mean"]:
+            se = math.hypot(old["stderr"], new["stderr"])
+            z = (new["mean"] - old["mean"]) / se if se > 0 else math.inf
+            lo, hi = old["ci95"]
+            where = "in" if lo <= new["mean"] <= hi else "outside"
+            yield f"{path}: z = {z:+.2f}, new mean {where} the old ci95"
+    elif isinstance(old, list) and isinstance(new, list) \
+            and len(old) == len(new):
+        for i, (o, n) in enumerate(zip(old, new)):
+            yield from taken(o, n, f"{path}[{i}]")
+    elif type(old) is not type(new) or old != new:
+        yield f"{path}: {_show(old)} -> {_show(new)}"
+
+
+def test_regeneration_prints_each_value_it_takes(golden):
+    """The regenerator's table has one line per value taken, the moved
+    estimate's z, and nothing for a run that matches the pinned file."""
+    new = json.loads(json.dumps(golden))
+    est = new["coupling-bound"]["estimate"]
+    est["mean"], est["stderr"] = 0.45, 0.02
+    new["walk"]["params"]["added"] = [1]
+    lines = list(taken(golden, merged(golden, new)))
+    old_est = golden["coupling-bound"]["estimate"]
+    z = (0.45 - old_est["mean"]) / math.hypot(old_est["stderr"], 0.02)
+    assert lines == [
+        f"coupling-bound.estimate.mean: {old_est['mean']} -> 0.45",
+        f"coupling-bound.estimate.stderr: {old_est['stderr']} -> 0.02",
+        f"coupling-bound.estimate: z = {z:+.2f}, new mean outside the old "
+        "ci95",
+        "walk.params.added: (absent) -> [1]"]
+    assert list(taken(golden, merged(golden, golden))) == []
+
+
 if __name__ == "__main__":
     old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
-    new = {name: report_dict(name, 1) for name in sorted(CONFIGS)}
-    GOLDEN.write_text(json.dumps(merged(old, new), sort_keys=True, indent=2,
+    new = merged(old, {name: report_dict(name, 1) for name in sorted(CONFIGS)})
+    lines = list(taken(old, new))
+    print("\n".join(lines) if lines else "no value changed")
+    GOLDEN.write_text(json.dumps(new, sort_keys=True, indent=2,
                                  allow_nan=False) + "\n")

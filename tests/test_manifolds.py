@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_point, random_tangent, same_bits
-from oracles import (sphere_frame_gram_schmidt, sphere_geodesic_rk4,
+from oracles import (hyperboloid_frame_gram_schmidt,
+                     sphere_frame_gram_schmidt, sphere_geodesic_rk4,
                      sphere_transport_ode)
 
 from gtwalk.errors import DegenerateGeodesic, InvalidInput
@@ -268,6 +271,72 @@ def test_frame_gram_identity(request, name, rng):
                           for j in range(model.dim)]
                          for i in range(model.dim)])
         assert np.allclose(gram, np.eye(model.dim), atol=1e-9)
+
+
+def _lorentz_products(a, b):
+    """<a_i, b_j>_L of the rows of (..., n, d) blocks, shape (..., n, n)."""
+    return (np.einsum("...ik,...jk->...ij", a[..., 1:], b[..., 1:])
+            - a[..., :, None, 0] * b[..., None, :, 0])
+
+
+def _hyperboloid_points(model, r, u):
+    """exp from the origin along the spatial directions u (rows, any
+    length) for distances r."""
+    u = u / np.linalg.norm(u, axis=-1, keepdims=True)
+    v = np.concatenate([np.zeros(u.shape[:-1] + (1,)), r[..., None] * u], -1)
+    return model.exp(0.0, model.origin(), v)
+
+
+@pytest.mark.bits
+@pytest.mark.parametrize("model", [Hyperbolic(1), Hyperbolic(3),
+                                   ScaledMetric(Hyperbolic(2), 0.0)])
+def test_hyperboloid_frame_is_the_axes_at_the_origin(model):
+    """The boost frame at the origin is e_1..e_m bit for bit, the frame the
+    Gram-Schmidt gave there, so start points built from it keep theirs."""
+    assert same_bits(model.frame(0.0, model.origin()),
+                     np.eye(model.ambient_dim)[1:])
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 8, 100])
+def test_hyperboloid_frame_is_a_rotation_of_gram_schmidt(dim, rng):
+    """Out to distance 4 the boost frame is the reference Gram-Schmidt
+    frame times an orthogonal matrix: Q_ij = <boost_i, gs_j>_L has
+    QQ^T = I within 1e-10 and Q gs = boost within 1e-9 (measured: 3e-12
+    and 5e-11). A ball sample lifted through either frame is then the
+    same uniform ball in T_x, so the law of a step is the frame's
+    Gram-Schmidt law."""
+    model = Hyperbolic(dim)
+    n = 200 if dim < 100 else 30
+    r = rng.uniform(0.0, 4.0, n)
+    r[:2] = 0.0, 4.0
+    x = _hyperboloid_points(model, r, rng.normal(size=(n, dim)))
+    boost, gs = model.frame(0.0, x), hyperboloid_frame_gram_schmidt(x)
+    q = _lorentz_products(boost, gs)
+    assert np.abs(q @ np.swapaxes(q, -1, -2) - np.eye(dim)).max() <= 1e-10
+    assert np.abs(q @ gs - boost).max() <= 1e-9
+
+
+@pytest.mark.parametrize("dim", [2, 100])
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_hyperboloid_frame_is_orthonormal_far_out(dim, data):
+    """The boost frame's Lorentz Gram error and tangency error stay within
+    16 cosh(r)^2 eps at distance r from the origin, out to r = 10, and at
+    r = 14, where the Gram-Schmidt went NaN. Measured: at most 8 at small
+    r in dim 100 (the Gram's own sum of 100 products), 3 elsewhere; the
+    Gram-Schmidt reached about 1e4 at r = 10."""
+    model = Hyperbolic(dim)
+    r = data.draw(st.floats(0.0, 10.0) | st.just(14.0), label="r")
+    u = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=dim,
+                                    max_size=dim), label="u"))
+    assume(np.linalg.norm(u) > 1e-3)
+    x = _hyperboloid_points(model, np.asarray(r), u)
+    fr = model.frame(0.0, x)
+    assert np.all(np.isfinite(fr))
+    bound = 16.0 * np.cosh(r) ** 2 * np.finfo(float).eps
+    gram = _lorentz_products(fr, fr)
+    assert np.abs(gram - np.eye(dim)).max() <= bound
+    assert np.abs(fr[:, 1:] @ x[1:] - fr[:, 0] * x[0]).max() <= bound
 
 
 # ---------------------------------------------------------------------------
