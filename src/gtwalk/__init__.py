@@ -19,9 +19,8 @@ from .errors import (ConfigError, DegenerateGeodesic, GtwalkError,
                      UnsupportedOperation)
 from .manifolds import (Euclidean, Geodesic, Hyperbolic, ManifoldModel,
                         Point, RoundSphere, ScaledMetric, TangentVector,
-                        curvature_condition_residual, distance,
-                        estimate_kappa, exp, make_model, minimal_geodesic,
-                        parallel_transport)
+                        curvature_condition_residual, distance, exp,
+                        make_model, minimal_geodesic, parallel_transport)
 from .numeric import NumericChart
 from .stats import (KsResult, McEstimate, VerificationReport,
                     check_contraction, check_gradient_estimate,

@@ -178,7 +178,7 @@ class RadialComparisonSpec:
         gives cum[-1] at the last node.
         """
         r = np.asarray(r, dtype=float)
-        n = max(64, math.ceil(float(np.max(r, initial=0.0)) * 256))
+        n = max(64, math.ceil(float(r.max(initial=0.0)) * 256))
         if self._table.shape[1] <= n:
             self._extend_table(n)
         grid, _, cum, slopes = self._table
@@ -217,9 +217,10 @@ class RadialComparisonSpec:
         r = np.asarray(r, dtype=float)
         s = r - 2.0 * self.r0
         s = np.maximum(s, 1e-9)
-        out = np.where(s <= 1.0, 2.0 / s,
-                       np.where(s >= 2.0, 0.0, _cutoff_bridge(
-                           np.clip(s - 1.0, 0.0, 1.0))))
+        # The bridge is +0.0 at its clipped end, so s >= 2 needs no branch;
+        # np.clip's bits, without its dispatch.
+        out = np.where(s <= 1.0, 2.0 / s, _cutoff_bridge(
+            np.minimum(np.maximum(s - 1.0, 0.0), 1.0)))
         return float(out) if out.ndim == 0 else out
 
     def step(self, rho, lam, alpha: float, frac: float):

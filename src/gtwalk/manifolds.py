@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -835,29 +835,6 @@ def curvature_condition_residual(model: ManifoldModel, t: float, x, v,
         dz = (z_plus - z_minus) / (2.0 * eps)
         drift_term = float(model.inner(t, xc, dz, vc)) * nv
     return ric + k * gvv - dtg - 2.0 * drift_term
-
-
-def estimate_kappa(model: ManifoldModel, t: float, s: float,
-                   sample_points: Sequence) -> float:
-    """Smallest kappa with e^{-2 kappa |t-s|} g(s) <= g(t) <= e^{2 kappa |t-s|} g(s)
-    over the sampled points (sup of |log ratio| / (2 |t-s|) over directions)."""
-    model.check_time(t)
-    model.check_time(s)
-    if t == s:
-        return 0.0
-    worst = 0.0
-    for p in sample_points:
-        xc = _coords(p)
-        fr = model.frame(s, xc)  # g(s)-orthonormal basis rows
-        m = model.dim
-        gram = np.empty((m, m))
-        for i in range(m):
-            for j in range(i, m):
-                gram[i, j] = gram[j, i] = float(
-                    model.inner(t, xc, fr[i], fr[j]))
-        eigs = np.linalg.eigvalsh(gram)
-        worst = max(worst, float(np.max(np.abs(np.log(eigs)))))
-    return worst / (2.0 * abs(t - s))
 
 
 # ---------------------------------------------------------------------------

@@ -199,6 +199,36 @@ def test_psi_shape():
     assert q.max() < 10.0
 
 
+@pytest.mark.bits
+def test_psi_keeps_the_two_select_bits_at_its_branch_ends():
+    """psi's one select has the bits of the form that also sent s >= 2 to
+    0.0, on both sides of s = 1 and s = 2, at +-inf, NaN and the 1e-9
+    floor, at r = +-0.0, for arrays and for scalars. With r0 the smallest
+    subnormal, r - 2 r0 rounds to r, so s is r itself."""
+    def two_select(spec, r):
+        s = np.maximum(np.asarray(r, dtype=float) - 2.0 * spec.r0, 1e-9)
+        c = np.clip(s - 1.0, 0.0, 1.0)
+        return np.where(s <= 1.0, 2.0 / s,
+                        np.where(s >= 2.0, 0.0,
+                                 2.0 * (c - 1.0) ** 2 * (c + 1.0)))
+
+    ends = [1.0, 2.0, np.inf, -np.inf]
+    s = np.array(ends + [np.nextafter(e, d) for e in ends[:2]
+                         for d in (-np.inf, np.inf)]
+                 + [np.nan, 1e-9, 1.5, 3.0])
+    tiny = float(np.nextafter(0.0, 1.0))
+    radii = np.random.default_rng(5).uniform(-1.0, 5.0, 1000)
+    radii[:2] = -0.0, 0.0
+    for r0, r in ((tiny, s), (0.5, s + 1.0), (0.5, radii), (0.25, radii)):
+        spec = RadialComparisonSpec(builtin_b({"name": "zero"}), r0=r0)
+        assert same_bits(spec.psi(r), two_select(spec, r))
+        for ri in r[:12]:
+            got = spec.psi(float(ri))
+            assert isinstance(got, float)
+            assert same_bits(got, two_select(spec, ri))
+    assert same_bits(s - 2.0 * tiny, s)
+
+
 def test_phi_properties():
     spec = RadialComparisonSpec(builtin_b({"name": "constant", "c": 2.0}),
                                 c0=1.5, r0=0.5)

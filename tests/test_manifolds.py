@@ -11,9 +11,9 @@ from oracles import (hyperboloid_frame_gram_schmidt,
 from gtwalk.errors import DegenerateGeodesic, InvalidInput
 from gtwalk.manifolds import (Euclidean, Hyperbolic, ManifoldModel, Point,
                               RoundSphere, ScaledMetric, TangentVector, _dot,
-                              curvature_condition_residual, distance,
-                              estimate_kappa, exp, make_model,
-                              minimal_geodesic, parallel_transport)
+                              curvature_condition_residual, distance, exp,
+                              make_model, minimal_geodesic,
+                              parallel_transport)
 from gtwalk.numeric import NumericChart
 
 ALL_MODEL_NAMES = ["euclid2", "sphere2", "flow_sphere", "hyperbolic2",
@@ -339,6 +339,56 @@ def test_hyperboloid_frame_is_orthonormal_far_out(dim, data):
     assert np.abs(fr[:, 1:] @ x[1:] - fr[:, 0] * x[0]).max() <= bound
 
 
+def _sphere_directions(d):
+    """Nonzero vectors of R^d: a signed coordinate axis, a pole (the last
+    axis, the origin's), two largest |z_i| tied with the rest below them,
+    or any direction."""
+    sign = st.sampled_from([-1.0, 1.0])
+    coords = st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d)
+
+    def tied(ij, si, sj, rest):
+        z = 0.999 * np.array(rest)
+        z[ij] = si, sj
+        return z
+
+    return st.one_of(
+        st.builds(lambda k, s: s * np.eye(d)[k], st.integers(0, d - 1), sign),
+        st.builds(lambda s: s * np.eye(d)[-1], sign),
+        st.builds(tied, st.lists(st.integers(0, d - 1), min_size=2,
+                                 max_size=2, unique=True), sign, sign, coords),
+        coords.map(np.array).filter(lambda z: np.linalg.norm(z) > 1e-3))
+
+
+@pytest.mark.parametrize("frame_variant", [0, 1])
+@pytest.mark.parametrize("flow", [False, True])
+@pytest.mark.parametrize("dim, examples", [(2, 60), (100, 4)])
+def test_sphere_frame_is_orthonormal_and_tangent(dim, examples, flow,
+                                                 frame_variant):
+    """The sphere frame's g(t) Gram error and the cosines between its
+    vectors and x stay within 16 eps on the axes, at the poles and where
+    the two largest |x_i| tie, the edge of _gram_schmidt's running-maxima
+    scan. Measured: at most 4.5 eps and 6.3 eps. A dim-100 frame costs tens
+    of ms a call, so that dim frames a few blocks of up to 4 rows."""
+    @settings(max_examples=examples, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def check(data):
+        c0 = data.draw(st.sampled_from([1.0, 0.3, 4.0]), label="c0")
+        t = data.draw(st.floats(0.0, 1.0), label="t")
+        z = np.array(data.draw(st.lists(_sphere_directions(dim + 1),
+                                        min_size=1, max_size=4), label="z"))
+        model = RoundSphere(dim, c0, flow=flow, frame_variant=frame_variant)
+        x = model.radius * z / np.linalg.norm(z, axis=-1, keepdims=True)
+        fr = model.frame(t, x)
+        bound = 16.0 * np.finfo(float).eps
+        gram = model.inner(t, x, fr[:, :, None, :], fr[:, None, :, :])
+        assert np.abs(gram - np.eye(dim)).max() <= bound
+        cosines = model.inner(t, x, fr, x[:, None, :]) \
+            / model.norm(t, x, x)[:, None]
+        assert np.abs(cosines).max() <= bound
+
+    check()
+
+
 # ---------------------------------------------------------------------------
 # metric positivity, roundtrips, flow equality
 # ---------------------------------------------------------------------------
@@ -424,40 +474,6 @@ def test_residual_rejects_zero_vector(euclid2):
     with pytest.raises(InvalidInput):
         curvature_condition_residual(euclid2, 0.0, np.zeros(2), np.zeros(2),
                                      0.0)
-
-
-# ---------------------------------------------------------------------------
-# estimate_kappa
-# ---------------------------------------------------------------------------
-
-def test_kappa_static_zero(sphere2, rng):
-    pts = [random_point(sphere2, rng) for _ in range(20)]
-    assert estimate_kappa(sphere2, 0.1, 0.9, pts) == 0.0 or \
-        estimate_kappa(sphere2, 0.1, 0.9, pts) <= 1e-12
-
-
-def test_kappa_scaled_exact(rng):
-    for k in (0.5, 2.0, -1.5):
-        model = ScaledMetric(Euclidean(2), k, (0.0, 1.0))
-        pts = [random_point(model, rng) for _ in range(5)]
-        assert estimate_kappa(model, 0.2, 0.7, pts) \
-            == pytest.approx(abs(k) / 2.0, rel=1e-9)
-
-
-def test_kappa_flow_sphere(flow_sphere, rng):
-    t, s = 0.05, 0.1
-    pts = [random_point(flow_sphere, rng) for _ in range(5)]
-    got = estimate_kappa(flow_sphere, t, s, pts)
-    expected = abs(np.log(flow_sphere.scale(t) / flow_sphere.scale(s))) \
-        / (2.0 * abs(t - s))
-    assert got == pytest.approx(expected, rel=1e-9)
-    mid_c = flow_sphere.scale(0.5 * (t + s))
-    assert got == pytest.approx((flow_sphere.dim - 1) / (2.0 * mid_c),
-                                rel=0.02)
-
-
-def test_kappa_equal_times(euclid2):
-    assert estimate_kappa(euclid2, 0.3, 0.3, [np.zeros(2)]) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -565,8 +581,8 @@ def test_connect_agrees_with_distance_log_and_transport(request, name, rng):
 def test_depart_is_connect_without_arrival(request, name, rng):
     """depart gives distance's distance bit for bit, and the same bits
     whether a side is one point or that point repeated on every row: on
-    coincident rows, antipodal rows (on spheres), one point against many
-    and many points against one."""
+    coincident rows, rows 1e-12 to 1e-3 apart, antipodal rows (on
+    spheres), one point against many and many points against one."""
     model = request.getfixturevalue(name)
     t = model.time_window[0] + 0.3
     if model.kind == "sphere":
@@ -576,6 +592,12 @@ def test_depart_is_connect_without_arrival(request, name, rng):
         x = np.stack([random_point(model, rng) for _ in range(40)])
         y = np.stack([random_point(model, rng) for _ in range(40)])
         y[:5] = x[:5]
+    near = np.random.default_rng(12)
+    seps = np.logspace(-12, -3, 19)
+    v = np.stack([random_tangent(model, t, p, near) for p in x[:19]])
+    v *= (seps / model.norm(t, x[:19], v))[:, None]
+    x = np.concatenate([x, x[:19]])
+    y = np.concatenate([y, model.exp(t, x[:19], v)])
     y[1] = x[0]
     for a, b in ((x, y), (x[0], y), (y, x[0])):
         got = model.depart(t, a, b)
