@@ -319,7 +319,6 @@ class FellerResult:
     verdict: str                 # "survives" | "explodes" | "inconclusive"
     integral: float              # value at y_max
     decay_exponent: float        # fitted decay rate of the outer integrand
-    details: dict
 
     @property
     def explodes(self) -> bool:
@@ -364,7 +363,7 @@ def check_feller_range(C: float, y_max: float) -> None:
         raise InvalidInput("y_max must be at least 10", key="y_max")
 
 
-def feller_explosion_test(spec_or_b, C: float,
+def feller_explosion_test(b: Callable[[np.ndarray], np.ndarray], C: float,
                           y_max: float = 20.0) -> FellerResult:
     """Decide whether the comparison diffusion with drift (C + int_0^y b)/2
     reaches infinity in finite time.
@@ -376,10 +375,7 @@ def feller_explosion_test(spec_or_b, C: float,
     with a check at half as many.
     """
     check_feller_range(C, y_max)
-    if isinstance(spec_or_b, RadialComparisonSpec):
-        spec = spec_or_b
-    else:
-        spec = RadialComparisonSpec(b=spec_or_b, c0=1.0, r0=0.5)
+    spec = RadialComparisonSpec(b=b, c0=1.0, r0=0.5)
 
     def bb(y):
         return C + spec.b_integral(y)
@@ -402,9 +398,6 @@ def feller_explosion_test(spec_or_b, C: float,
         return "inconclusive", J, p
 
     verdict, J, p = classify(4000)
-    verdict_half, J_half, p_half = classify(2000)
-    details = {"integral_half_step": J_half, "decay_exponent_half": p_half,
-               "y_max": y_max}
-    if verdict_half != verdict:
-        return FellerResult("inconclusive", J, p, details)
-    return FellerResult(verdict, J, p, details)
+    if classify(2000)[0] != verdict:
+        verdict = "inconclusive"
+    return FellerResult(verdict, J, p)

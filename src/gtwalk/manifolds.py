@@ -1,7 +1,8 @@
 """Time-dependent Riemannian geometry on model manifolds.
 
 Closed-form models (Euclidean space, round spheres with an optional linearly
-growing metric scale, constant-conformal rescalings, hyperbolic space) plus a
+growing metric scale, constant-conformal rescalings, hyperbolic space), all
+space forms whose metric methods the base class states once, plus a
 numeric-chart fallback defined elsewhere. Points live in embedding
 coordinates for spheres and the hyperboloid, chart coordinates otherwise.
 All model methods accept arrays with shape (..., ambient_dim) and broadcast
@@ -194,28 +195,46 @@ class ManifoldModel(abc.ABC):
         return {"kind": self.kind, "dim": self.dim}
 
     # -- metric ------------------------------------------------------------
+    #
+    # A closed-form model is a space form: g(t) is _factor(t) times a fixed
+    # ambient product ``_product`` of coordinate-leading arrays, on a
+    # representation of constant curvature 1 / ``_r2`` (the signed squared
+    # curvature radius, inf when flat). Ricci and the curvature operator do
+    # not see a constant factor. A model with no such product (``_product``
+    # None) overrides these methods and has no ``mirror``.
 
-    @abc.abstractmethod
+    _product: Callable | None = None
+    _r2: float
+
+    def _factor(self, t: float) -> float:
+        return 1.0
+
+    def _factor_dt(self, t: float) -> float:
+        return 0.0
+
     def inner(self, t: float, x: np.ndarray, u: np.ndarray,
               v: np.ndarray) -> np.ndarray:
         """g(t)(u, v) at x."""
+        return self._factor(t) * self._product(*_lead(u, v))
 
     def norm(self, t: float, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         return np.sqrt(np.maximum(self.inner(t, x, v, v), 0.0))
 
-    @abc.abstractmethod
     def metric_dt(self, t: float, x: np.ndarray, u: np.ndarray,
                   v: np.ndarray) -> np.ndarray:
         """(d/dt) g(t)(u, v) at x."""
+        return self._factor_dt(t) * self._product(*_lead(u, v))
 
-    @abc.abstractmethod
     def ricci(self, t: float, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Ric_{g(t)}(v, v) at x."""
+        return ((self.dim - 1) / self._r2) * self._product(*_lead(v, v))
 
-    @abc.abstractmethod
     def curvature(self, t: float, x: np.ndarray, u: np.ndarray, v: np.ndarray,
                   w: np.ndarray) -> np.ndarray:
         """R(u, v)w at x for the metric g(t)."""
+        dot = self._product
+        return (dot(*_lead(v, w))[..., None] * u
+                - dot(*_lead(u, w))[..., None] * v) / self._r2
 
     # -- drift field (zero unless a model opts in) ---------------------------
 
@@ -297,21 +316,19 @@ class ManifoldModel(abc.ABC):
 
     def mirror(self, t: float, x: np.ndarray, y: np.ndarray,
                v: np.ndarray) -> np.ndarray:
-        """The reflection coupling's map from T_x to T_y: v parallel-
-        transported along the chosen minimal geodesic from x to y, then
-        mirrored across the hyperplane g(t)-orthogonal to the arrival
-        direction u1.
+        """The reflection coupling's map from T_x to T_y: v transported
+        along the chosen minimal geodesic and mirrored across the hyperplane
+        g(t)-orthogonal to the arrival direction u1, so it sends u0 to -u1.
 
-        A g(t)-isometry that sends u0 to -u1, so
-        2 <mirror(v), u1> = -2 <v, u0>. Coincident points (zero
-        directions) return v. The closed-form models override it with the
-        reflection of the ambient space across the bisector of x and y,
-        which needs neither ``depart``, nor a transport, nor u1.
+        On a space form that is the reflection of the ambient space across
+        the ``_product``-bisector of x and y, which maps the representation
+        to itself and x to y, with no ``depart``, transport or u1.
+        Coincident rows return v, and so do antipodal rows on the sphere,
+        where x - y is normal to T_x.
         """
-        dist, u0 = self.depart(t, x, y)
-        carried = self.transport_along(t, x, u0, dist, v)
-        u1 = self.transport_along(t, x, u0, dist, u0)
-        return carried - 2.0 * self.inner(t, y, carried, u1)[..., None] * u1
+        if self._product is None:
+            raise UnsupportedOperation(f"{self.kind}: no closed-form mirror")
+        return _reflect_across(v, x, y, self._product)
 
 
 # ---------------------------------------------------------------------------
@@ -322,24 +339,14 @@ class Euclidean(ManifoldModel):
     """Flat R^m with the standard static metric."""
 
     kind = "euclidean"
+    _product = staticmethod(_cdot)
+    _r2 = np.inf
 
     def __init__(self, dim: int, time_window=(0.0, 1.0),
                  drift: Callable[[float, np.ndarray], np.ndarray] | None = None):
         super().__init__(dim, dim, time_window)
         self._drift = drift
         self.has_drift = drift is not None
-
-    def inner(self, t, x, u, v):
-        return _dot(u, v)
-
-    def metric_dt(self, t, x, u, v):
-        return np.zeros(np.broadcast(u[..., 0], v[..., 0]).shape)
-
-    def ricci(self, t, x, v):
-        return np.zeros(v.shape[:-1])
-
-    def curvature(self, t, x, u, v, w):
-        return np.zeros(np.broadcast(u, v, w).shape)
 
     def drift(self, t, x):
         if self._drift is None:
@@ -358,10 +365,6 @@ class Euclidean(ManifoldModel):
 
     def transport_along(self, t, x, u, length, v):
         return np.broadcast_to(v, np.broadcast(x, v).shape).copy()
-
-    def mirror(self, t, x, y, v):
-        # The plain mirror across the line through x and y; u1 = u0 here.
-        return _reflect_across(v, x, y, _cdot)
 
     def frame(self, t, x):
         eye = np.eye(self.dim)
@@ -386,13 +389,14 @@ class RoundSphere(ManifoldModel):
     """
 
     kind = "sphere"
+    _product = staticmethod(_cdot)
 
     def __init__(self, dim: int, c0: float = 1.0, flow: bool = False,
                  time_window=(0.0, 1.0), frame_variant: int = 0):
         super().__init__(dim, dim + 1, time_window)
         if c0 <= 0:
             raise InvalidInput("c0 must be positive", key="radius_c0")
-        self.c0 = float(c0)
+        self.c0 = self._r2 = float(c0)
         self.flow = bool(flow)
         self.radius = float(np.sqrt(c0))
         self.frame_variant = int(frame_variant)
@@ -410,21 +414,12 @@ class RoundSphere(ManifoldModel):
     def scale_dt(self, t: float) -> float:
         return float(self.dim - 1) if self.flow else 0.0
 
-    def _s2(self, t: float) -> float:
+    def _factor(self, t: float) -> float:
         # conformal factor relative to the representation sphere
         return self.scale(t) / self.c0
 
-    def inner(self, t, x, u, v):
-        return self._s2(t) * _dot(u, v)
-
-    def metric_dt(self, t, x, u, v):
-        return (self.scale_dt(t) / self.c0) * _dot(u, v)
-
-    def ricci(self, t, x, v):
-        return ((self.dim - 1) / self.c0) * _dot(v, v)
-
-    def curvature(self, t, x, u, v, w):
-        return (_dot(v, w)[..., None] * u - _dot(u, w)[..., None] * v) / self.c0
+    def _factor_dt(self, t: float) -> float:
+        return self.scale_dt(t) / self.c0
 
     def exp(self, t, x, v):
         # constant conformal scaling leaves the exponential map unchanged
@@ -481,16 +476,17 @@ class RoundSphere(ManifoldModel):
         return _trail((self.radius * theta) * e)
 
     def distance(self, t, x, y):
-        return np.sqrt(self._s2(t)) * self.radius * self._angle(*_lead(x, y))
+        s = np.sqrt(self._factor(t))
+        return s * self.radius * self._angle(*_lead(x, y))
 
     def depart(self, t, x, y):
         theta, e = self._direction(*_lead(x, y))
-        s = np.sqrt(self._s2(t))
+        s = np.sqrt(self._factor(t))
         return s * self.radius * theta, _trail(e / s)
 
     def transport_along(self, t, x, u, length, v):
         r = self.radius
-        s = np.sqrt(self._s2(t))
+        s = np.sqrt(self._factor(t))
         # length with a coordinate axis of one, so it broadcasts as a row
         x, u, v, length = _lead(x, u, v, np.asarray(length, float)[..., None])
         # embedding-unit direction and rotation angle
@@ -502,13 +498,6 @@ class RoundSphere(ManifoldModel):
         e_rot = np.cos(theta) * e - np.sin(theta) * xhat
         return _trail(a * e_rot + w)
 
-    def mirror(self, t, x, y, v):
-        # The reflection of R^(m+1) across the bisector of x and y maps the
-        # sphere to itself and x to y; g(t) is a constant multiple of the
-        # ambient product, so it is a g(t)-isometry. On antipodal rows
-        # x - y is normal to T_x and v comes back unchanged.
-        return _reflect_across(v, x, y, _cdot)
-
     def _gram_schmidt(self, x):
         """The frame vectors of coordinate-leading x in frame order, each
         coordinate-leading and unit on the representation sphere.
@@ -518,19 +507,19 @@ class RoundSphere(ManifoldModel):
         Every entry sees the same operations in the same order as in a
         row-wise Gram-Schmidt.
         """
-        d, m = self.ambient_dim, self.dim
+        m = self.dim
         xhat = x / self.radius
         # The axis x leans on most (np.argmax's first maximum) is at most j
-        # where the largest |xhat| up to j reaches the largest after j.
-        mag = np.abs(xhat)
-        head, tail = [mag[0]], [mag[-1]]
-        for c in range(1, d - 1):
-            head.append(np.maximum(head[-1], mag[c]))
-            tail.insert(0, np.maximum(tail[0], mag[-1 - c]))
+        # where the running maximum of |xhat| up to j is the largest of all.
+        # np.argmax over the coordinate axis would loop over the rows, 3 to
+        # 7 times slower at m = 2.
+        head = list(np.abs(xhat))
+        for c in range(1, len(head)):
+            head[c] = np.maximum(head[c - 1], head[c])
         done = []
         for i in range(m):
             j = m - 1 - i if self.frame_variant else i
-            below = head[j] >= tail[j]
+            below = head[j] == head[-1]
             # e_k - x_k xhat for k = j + below, the j-th axis not dropped
             w = np.zeros(xhat.shape)
             w[j], w[j + 1] = ~below, below
@@ -542,7 +531,7 @@ class RoundSphere(ManifoldModel):
             yield w
 
     def frame(self, t, x):
-        s = np.sqrt(self._s2(t))
+        s = np.sqrt(self._factor(t))
         out = np.empty(x.shape[:-1] + (self.dim, self.ambient_dim))
         for i, w in enumerate(self._gram_schmidt(*_lead(x))):
             out[..., i, :] = _trail(w / s)
@@ -551,7 +540,7 @@ class RoundSphere(ManifoldModel):
     def lift(self, t, x, xi):
         # Sums xi_i Phi_i in frame order, as the base version's einsum
         # does, without the (..., m, ambient) frame.
-        s = np.sqrt(self._s2(t))
+        s = np.sqrt(self._factor(t))
         x, xi = _lead(x, xi)
         terms = [xi[i] * (w / s) for i, w in enumerate(self._gram_schmidt(x))]
         return _trail(np.sqrt(self.dim + 2.0) * sum(terms[1:], terms[0]))
@@ -573,21 +562,25 @@ class RoundSphere(ManifoldModel):
 # ---------------------------------------------------------------------------
 
 class ScaledMetric(ManifoldModel):
-    """g(t) = exp(-k (t - t1)) g_base for a static base model.
+    """g(t) = exp(-k (t - t1)) g_base for a static space form g_base.
 
-    Geodesics, transports and curvature operators agree with the base;
-    norms, distances and frames pick up the conformal factor.
+    Geodesics, transports, curvature operators and the mirror agree with
+    the base; norms, distances and frames pick up the conformal factor. The
+    base's own time factor would be lost, so a flow sphere, a scaled metric
+    and a model with no ambient product are refused as bases.
     """
 
     kind = "scaled"
 
     def __init__(self, base: ManifoldModel, k: float, time_window=(0.0, 1.0)):
-        if isinstance(base, RoundSphere) and base.flow:
-            raise InvalidInput("scaled metric requires a static base model",
-                               key="base")
+        if (base._product is None or isinstance(base, ScaledMetric)
+                or isinstance(base, RoundSphere) and base.flow):
+            raise InvalidInput("scaled metric requires a static space form "
+                               "as its base", key="base")
         super().__init__(base.dim, base.ambient_dim, time_window)
         self.base = base
         self.k = float(k)
+        self._product, self._r2 = base._product, base._r2
 
     def describe(self) -> dict:
         return {"kind": self.kind, "dim": self.dim, "k": self.k,
@@ -597,24 +590,15 @@ class ScaledMetric(ManifoldModel):
     def model_id(self) -> str:
         return f"scaled[{self.base.model_id}]:k={self.k}"
 
-    def _sigma(self, t: float) -> float:
+    def _factor(self, t: float) -> float:
         return float(np.exp(-self.k * (t - self.time_window[0])))
+
+    def _factor_dt(self, t: float) -> float:
+        return -self.k * self._factor(t)
 
     def _bt(self) -> float:
         # any fixed time is valid for the static base
         return self.base.time_window[0]
-
-    def inner(self, t, x, u, v):
-        return self._sigma(t) * self.base.inner(self._bt(), x, u, v)
-
-    def metric_dt(self, t, x, u, v):
-        return -self.k * self.inner(t, x, u, v)
-
-    def ricci(self, t, x, v):
-        return self.base.ricci(self._bt(), x, v)
-
-    def curvature(self, t, x, u, v, w):
-        return self.base.curvature(self._bt(), x, u, v, w)
 
     def exp(self, t, x, v):
         return self.base.exp(self._bt(), x, v)
@@ -623,19 +607,15 @@ class ScaledMetric(ManifoldModel):
         return self.base.log(self._bt(), x, y)
 
     def distance(self, t, x, y):
-        return np.sqrt(self._sigma(t)) * self.base.distance(self._bt(), x, y)
+        return np.sqrt(self._factor(t)) * self.base.distance(self._bt(), x, y)
 
     def transport_along(self, t, x, u, length, v):
-        root = np.sqrt(self._sigma(t))
+        root = np.sqrt(self._factor(t))
         return self.base.transport_along(self._bt(), x, root * u,
                                          np.asarray(length) / root, v)
 
-    def mirror(self, t, x, y, v):
-        # A constant rescaling of the base metric keeps its isometries.
-        return self.base.mirror(self._bt(), x, y, v)
-
     def frame(self, t, x):
-        return self.base.frame(self._bt(), x) / np.sqrt(self._sigma(t))
+        return self.base.frame(self._bt(), x) / np.sqrt(self._factor(t))
 
     def constraint_residual(self, x):
         return self.base.constraint_residual(x)
@@ -668,20 +648,12 @@ class Hyperbolic(ManifoldModel):
         """<u, v>_L of coordinate-leading u and v."""
         return _cdot(u[1:], v[1:]) - u[0] * v[0]
 
+    # x - y is spacelike, so mirror is a Lorentz map of the upper sheet
+    _product = _lorentz
+    _r2 = -1.0
+
     def _ldot(self, u, v):
         return self._lorentz(*_lead(u, v))
-
-    def inner(self, t, x, u, v):
-        return self._ldot(u, v)
-
-    def metric_dt(self, t, x, u, v):
-        return np.zeros(np.broadcast(u[..., 0], v[..., 0]).shape)
-
-    def ricci(self, t, x, v):
-        return -(self.dim - 1) * self._ldot(v, v)
-
-    def curvature(self, t, x, u, v, w):
-        return -(self._ldot(v, w)[..., None] * u - self._ldot(u, w)[..., None] * v)
 
     def exp(self, t, x, v):
         x, v = _lead(x, v)
@@ -703,17 +675,26 @@ class Hyperbolic(ManifoldModel):
         chord = np.sqrt(np.maximum(self._lorentz(d, d), 0.0))
         return c, np.where(c < 1.5, 2.0 * np.arcsinh(0.5 * chord), np.arccosh(c))
 
-    def log(self, t, x, y):
-        x, y = _lead(x, y)
+    def _log(self, x, y):
+        """(theta, v) of coordinate-leading x and y: the distance and log's
+        coordinate-leading velocity, from one ``_separation``."""
         c, theta = self._separation(x, y)
         w = y - c * x
         wn = np.sqrt(np.maximum(self._lorentz(w, w), 0.0))
         small = wn < 1e-300
         v = (theta / np.where(small, 1.0, wn)) * w
-        return _trail(np.where(small, 0.0, v))
+        return theta, np.where(small, 0.0, v)
+
+    def log(self, t, x, y):
+        return _trail(self._log(*_lead(x, y))[1])
 
     def distance(self, t, x, y):
         return self._separation(*_lead(x, y))[1]
+
+    def depart(self, t, x, y):
+        # the base composition's bits, with one _separation
+        theta, v = self._log(*_lead(x, y))
+        return theta, _trail(v / np.where(theta < 1e-300, 1.0, theta))
 
     def transport_along(self, t, x, u, length, v):
         # length with a coordinate axis of one, so it broadcasts as a row
@@ -722,12 +703,6 @@ class Hyperbolic(ManifoldModel):
         w = v - a * u
         u_rot = np.sinh(length) * x + np.cosh(length) * u
         return _trail(a * u_rot + w)
-
-    def mirror(self, t, x, y, v):
-        # The Minkowski reflection across the bisector of x and y: x - y is
-        # spacelike, and the reflection is a Lorentz map of the upper sheet
-        # that sends x to y.
-        return _reflect_across(v, x, y, self._lorentz)
 
     def frame(self, t, x):
         # The boost from the origin, Phi_i = e_i + x_i / (1 + x_0) (x + e_0):

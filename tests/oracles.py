@@ -14,7 +14,8 @@ C-ordered blocks where ``engine.walk_chunk`` steps coordinate-major ones,
 the mirror as computed from ``depart``'s direction, and the numeric chart's two hand-written RK4 loops, one for
 the geodesic and one for geodesic and transport together, whose results
 ``NumericChart``'s single integrator must keep bit for bit. The
-reflection map follows the textbook definition through a model's
+reflection map, on a geodesic and on arrays of pairs
+(``transport_mirror``), follows the textbook definition through a model's
 parallel transport; ``model.mirror``'s ambient reflections must agree
 with it. The hyperboloid frame's Gram-Schmidt is the frame the walk once
 used: the closed-form frame must equal it up to a rotation, which keeps
@@ -200,7 +201,7 @@ def reference_mirror(model: ManifoldModel, t: float, x, y, v):
 def _mirror_given_geo(model, t, x, y, geo, v):
     dist, u0 = geo
     if isinstance(model, ScaledMetric):
-        root = np.sqrt(model._sigma(t))
+        root = np.sqrt(model._factor(t))
         return _mirror_given_geo(model.base, model._bt(), x, y,
                                  (np.asarray(dist) / root, root * u0), v)
     if isinstance(model, Euclidean):
@@ -211,6 +212,19 @@ def _mirror_given_geo(model, t, x, y, geo, v):
         dn = np.sqrt(np.maximum(dot(d, d), 0.0))
         n = d / np.where(dn > 0.0, dn, np.inf)[..., None]
         return v - 2.0 * dot(v, n)[..., None] * n
+    return _transport_then_reflect(model, t, x, y, geo, v)
+
+
+def transport_mirror(model: ManifoldModel, t: float, x, y, v):
+    """The mirror by its definition, which ``ManifoldModel.mirror`` once
+    computed for every model: v parallel-transported along ``depart``'s
+    geodesic from x to y, then mirrored across the hyperplane
+    g(t)-orthogonal to the arrival direction u1."""
+    return _transport_then_reflect(model, t, x, y, model.depart(t, x, y), v)
+
+
+def _transport_then_reflect(model, t, x, y, geo, v):
+    dist, u0 = geo
     carried = model.transport_along(t, x, u0, dist, v)
     u1 = model.transport_along(t, x, u0, dist, u0)
     return carried - 2.0 * model.inner(t, y, carried, u1)[..., None] * u1

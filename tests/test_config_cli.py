@@ -319,7 +319,7 @@ def test_feller_non_finite_numbers_become_null(monkeypatch, tmp_path,
     """The report gives no number the test could not compute, and says
     why; it stays strict JSON."""
     monkeypatch.setattr(runner, "feller_explosion_test", lambda *args:
-                        FellerResult("explodes", integral, exponent, {}))
+                        FellerResult("explodes", integral, exponent))
     run_document({**FELLER, "expect": "explodes"}, out_dir=tmp_path)
     params = json.loads((tmp_path / "feller-test.json").read_text())["params"]
     assert params["decay_exponent"] is None
@@ -734,6 +734,8 @@ _REFUSED = [
     ("walk", {"manifold": {"kind": "scaled", "k": 0.5, "base": {
         "kind": "hyperbolic", "dim": 0}}}, "manifold.base.dim"),
     ("radial-domination", {"manifold": _FLOW_BASE}, "manifold.base"),
+    ("walk", {"manifold": {"kind": "scaled", "k": 1.0, "base": {
+        "kind": "scaled", "k": 5.0, "dim": 2}}}, "manifold.base"),
     ("walk", {"manifold": {"kind": "scaled", "dim": 2}}, "manifold.k"),
     ("walk", {"manifold": {"kind": "euclidean", "dim": 2, "flow": True}},
      "manifold.flow"),
@@ -785,9 +787,10 @@ _REFUSED = [
 @pytest.mark.parametrize("kind, patch, key", _REFUSED, ids=[
         "ou_h-zero", "ou_h-negative", "ou-n_paths-999", "couple-exit_radius-1",
         "alphas-rising", "alphas-equal", "ou-a-negative", "radius_c0-negative",
-        "dim-zero", "base-dim-zero", "scaled-flow-base", "scaled-no-k",
-        "euclidean-flow", "scaled-dim-and-base", "b-unknown-name",
-        "b-not-an-object", "b-constant-negative", "b-constant-no-c",
+        "dim-zero", "base-dim-zero", "scaled-flow-base", "scaled-scaled-base",
+        "scaled-no-k", "euclidean-flow", "scaled-dim-and-base",
+        "b-unknown-name", "b-not-an-object", "b-constant-negative",
+        "b-constant-no-c",
         "b-table-no-values", "b-table-lengths", "b-linear-negative",
         "b-zero-unread-key", "b-table-unsorted",
         "feller-C-negative", "feller-y_max-5", "radial-r0-negative",

@@ -8,7 +8,8 @@ from oracles import (hyperboloid_frame_gram_schmidt,
                      sphere_frame_gram_schmidt, sphere_geodesic_rk4,
                      sphere_transport_ode)
 
-from gtwalk.errors import DegenerateGeodesic, InvalidInput
+from gtwalk.errors import (DegenerateGeodesic, InvalidInput,
+                           UnsupportedOperation)
 from gtwalk.manifolds import (Euclidean, Hyperbolic, ManifoldModel, Point,
                               RoundSphere, ScaledMetric, TangentVector, _dot,
                               curvature_condition_residual, distance, exp,
@@ -433,6 +434,107 @@ def test_backward_flow_sphere_equality(flow_sphere, rng):
         assert abs(dtg - ric) <= 1e-8 * max(1.0, abs(ric))
 
 
+def _ambient_mirror(dot):
+    """v reflected across the dot-bisector of x and y, in (..., d) rows."""
+    def mirror(x, y, v):
+        d = x - y
+        dn = np.sqrt(np.maximum(dot(d, d), 0.0))
+        n = d / np.where(dn > 0.0, dn, np.inf)[..., None]
+        return v - 2.0 * dot(v, n)[..., None] * n
+    return mirror
+
+
+def _per_model_formulas(model, t):
+    """inner, metric_dt, ricci, curvature and mirror as each closed-form
+    class once wrote them out, before the space-form base class stated them
+    once from a product, a curvature radius and a time factor."""
+    if isinstance(model, ScaledMetric):
+        base = _per_model_formulas(model.base, model.base.time_window[0])
+        sigma = float(np.exp(-model.k * (t - model.time_window[0])))
+
+        def inner(u, v):
+            return sigma * base["inner"](u, v)
+        return {**base, "inner": inner,
+                "metric_dt": lambda u, v: -model.k * inner(u, v)}
+    m = model.dim
+    if isinstance(model, Euclidean):
+        return {
+            "inner": _dot,
+            "metric_dt": lambda u, v: np.zeros(
+                np.broadcast(u[..., 0], v[..., 0]).shape),
+            "ricci": lambda v: np.zeros(v.shape[:-1]),
+            "curvature": lambda u, v, w: np.zeros(np.broadcast(u, v, w).shape),
+            "mirror": _ambient_mirror(_dot)}
+    if isinstance(model, RoundSphere):
+        c0 = model.c0
+        return {
+            "inner": lambda u, v: (model.scale(t) / c0) * _dot(u, v),
+            "metric_dt": lambda u, v: (model.scale_dt(t) / c0) * _dot(u, v),
+            "ricci": lambda v: ((m - 1) / c0) * _dot(v, v),
+            "curvature": lambda u, v, w: (_dot(v, w)[..., None] * u
+                                          - _dot(u, w)[..., None] * v) / c0,
+            "mirror": _ambient_mirror(_dot)}
+
+    def ldot(a, b):
+        return _dot(a[..., 1:], b[..., 1:]) - a[..., 0] * b[..., 0]
+    return {
+        "inner": ldot,
+        "metric_dt": lambda u, v: np.zeros(
+            np.broadcast(u[..., 0], v[..., 0]).shape),
+        "ricci": lambda v: -(m - 1) * ldot(v, v),
+        "curvature": lambda u, v, w: -(ldot(v, w)[..., None] * u
+                                       - ldot(u, w)[..., None] * v),
+        "mirror": _ambient_mirror(ldot)}
+
+
+# Closed-form models besides the fixtures: scaled metrics over the other
+# static space forms, and 9 ambient coordinates, whose coordinate sums are
+# numpy's pairwise sums.
+_SPACE_FORMS = {
+    "scaled_sphere3": lambda: ScaledMetric(RoundSphere(3, 2.5), 0.7),
+    "scaled_hyperbolic2": lambda: ScaledMetric(Hyperbolic(2), -1.5),
+    "flow_sphere8": lambda: RoundSphere(8, 2.0, flow=True),
+    "hyperbolic8": lambda: Hyperbolic(8),
+}
+
+
+@pytest.mark.bits
+@pytest.mark.parametrize("name", ["euclid1", "euclid2", "sphere2",
+                                  "flow_sphere", "circle", "hyperbolic2",
+                                  "scaled_euclid2", *_SPACE_FORMS])
+def test_space_form_metric_keeps_the_per_model_bits(request, name, rng):
+    """inner and mirror keep the bits of each model's own formula, and so
+    do ricci and curvature where they are not identically zero; the plane's
+    zeros may be -0.0, and the scaled metric's metric_dt is (-k sigma) p
+    where it was -k (sigma p)."""
+    model = (_SPACE_FORMS[name]() if name in _SPACE_FORMS
+             else request.getfixturevalue(name))
+    t = model.time_window[0] + 0.3
+    x = np.stack([random_point(model, rng) for _ in range(40)])
+    y = np.stack([random_point(model, rng) for _ in range(40)])
+    y[:3] = x[:3]
+    if model.kind == "sphere":
+        y[3:6] = -x[3:6]
+    u, v = (np.stack([random_tangent(model, t, p, rng) for p in x])
+            for _ in range(2))
+    w = rng.normal(size=x.shape)
+    old = _per_model_formulas(model, t)
+    got = {"inner": (model.inner(t, x, u, v), old["inner"](u, v)),
+           "mirror": (model.mirror(t, x, y, v), old["mirror"](x, y, v)),
+           "ricci": (model.ricci(t, x, v), old["ricci"](v)),
+           "curvature": (model.curvature(t, x, u, v, w),
+                         old["curvature"](u, v, w))}
+    flat = model._r2 == np.inf
+    for method, (new, want) in got.items():
+        if flat and method in ("ricci", "curvature"):
+            assert np.array_equal(new, want) and not np.any(want), method
+        else:
+            assert same_bits(new, want), method
+    new, want = model.metric_dt(t, x, u, v), old["metric_dt"](u, v)
+    assert new.shape == want.shape
+    assert np.allclose(new, want, rtol=4 * np.finfo(float).eps, atol=0)
+
+
 # ---------------------------------------------------------------------------
 # curvature condition residual
 # ---------------------------------------------------------------------------
@@ -512,6 +614,21 @@ def test_make_model_descriptors():
         make_model({"kind": "sphere", "dim": 2, "bogus": 1}, (0.0, 1.0))
 
 
+def test_scaled_metric_refuses_a_base_that_is_not_a_static_space_form():
+    """Its factor replaces the base's, so a flow sphere or a scaled metric
+    would lose its time dependence, and a numeric chart has no ambient
+    product to scale or to mirror with."""
+    chart = NumericChart(2, _chart_metric)
+    for base in (RoundSphere(2, flow=True), ScaledMetric(Euclidean(2), 5.0),
+                 chart):
+        with pytest.raises(InvalidInput) as refused:
+            ScaledMetric(base, 1.0)
+        assert refused.value.key == "base"
+    x = np.zeros((3, 2))
+    with pytest.raises(UnsupportedOperation):
+        chart.mirror(0.0, x, x + 1.0, x)
+
+
 def test_hyperbolic_green_identities(hyperbolic2, rng):
     """Curvature -1: Ric(v,v) = -(m-1)|v|^2 and distances via arccosh."""
     x = random_point(hyperbolic2, rng)
@@ -568,10 +685,12 @@ def test_connect_agrees_with_distance_log_and_transport(request, name, rng):
                        rtol=0, atol=1e-12)
     assert np.allclose(model.norm(t, x, u0)[moving], 1.0, atol=1e-12)
     assert np.allclose(model.norm(t, y, u1)[moving], 1.0, atol=1e-12)
-    # the generic composition of distance, log and transport agrees
+    # the generic composition of distance, log and transport agrees, bit
+    # for bit on the hyperboloid, whose depart shares log's separation
     g_dist, g_u0 = ManifoldModel.depart(model, t, x, y)
     assert np.array_equal(g_dist, dist)
     assert np.allclose(g_u0, u0, rtol=0, atol=1e-12)
+    assert model.kind != "hyperbolic" or same_bits(g_u0, u0)
     assert np.allclose(model.transport_along(t, x, g_u0, g_dist, g_u0), u1,
                        rtol=0, atol=1e-12)
 
@@ -582,7 +701,8 @@ def test_depart_is_connect_without_arrival(request, name, rng):
     """depart gives distance's distance bit for bit, and the same bits
     whether a side is one point or that point repeated on every row: on
     coincident rows, rows 1e-12 to 1e-3 apart, antipodal rows (on
-    spheres), one point against many and many points against one."""
+    spheres), one point against many and many points against one.
+    Coincident rows get distance 0 and direction 0."""
     model = request.getfixturevalue(name)
     t = model.time_window[0] + 0.3
     if model.kind == "sphere":
@@ -605,22 +725,9 @@ def test_depart_is_connect_without_arrival(request, name, rng):
         assert len(got) == 2
         assert same_bits(got[0], model.distance(t, a, b))
         assert all(same_bits(g, w) for g, w in zip(got, want))
-
-
-@pytest.mark.bits
-def test_euclidean_depart_is_the_base_depart(rng):
-    """Euclidean space forms y - x once; its depart keeps the bits of the
-    base version's distance and log, on coincident rows too."""
-    for model in (Euclidean(2), Euclidean(5)):
-        x = rng.normal(size=(50, model.dim))
-        y = rng.normal(size=(50, model.dim))
-        y[:5] = x[:5]
-        for a, b in ((x, y), (x[0], y), (y, x[0])):
-            got = model.depart(0.2, a, b)
-            want = ManifoldModel.depart(model, 0.2, a, b)
-            assert all(np.array_equal(g, w) for g, w in zip(got, want))
-        dist, u0 = model.depart(0.2, x[:5], y[:5])
-        assert np.all(dist == 0.0) and np.all(u0 == 0.0)
+        same = np.all(a == b, axis=-1)
+        assert same.sum() >= 1
+        assert np.all(got[0][same] == 0.0) and np.all(got[1][same] == 0.0)
 
 
 def test_sphere_connect_special_rows(rng):
