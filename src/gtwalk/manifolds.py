@@ -2,12 +2,18 @@
 
 Closed-form models (Euclidean space, round spheres with an optional linearly
 growing metric scale, constant-conformal rescalings, hyperbolic space), all
-space forms whose metric methods the base class states once, plus a
-numeric-chart fallback defined elsewhere. Points live in embedding
-coordinates for spheres and the hyperboloid, chart coordinates otherwise.
-All model methods accept arrays with shape (..., ambient_dim) and broadcast
-over leading axes, in any memory layout (``_lead``); the dataclass wrappers
-below are the typed single-point API used at module boundaries.
+space forms: each states its geometry at factor 1 in a few hooks, and the
+base class states the metric methods and the geodesic maps of g(t) once,
+applying the time factor in one place. A constant-conformal rescaling is a
+time factor over its base's hooks. The sphere keeps its own distance,
+depart and lift, whose bits the seeded walks replay: the first two round
+the factor in apart from the base's composition, and the lift skips the
+frame tensor. The numeric-chart fallback is defined elsewhere. Points live
+in embedding coordinates for spheres and the hyperboloid, chart coordinates
+otherwise. All model methods accept arrays with shape (..., ambient_dim)
+and broadcast over leading axes, in any memory layout (``_lead``); the
+dataclass wrappers below are the typed single-point API used at module
+boundaries.
 
 Evaluators are pure and immutable after construction; concurrent reads are
 safe.
@@ -244,10 +250,21 @@ class ManifoldModel(abc.ABC):
         return np.zeros_like(x)
 
     # -- maps ---------------------------------------------------------------
+    #
+    # A closed-form model states its geodesics at factor 1, in hooks on
+    # coordinate-leading arrays: ``_log(x, y)`` is (d, v), the distance and
+    # the log velocity; ``_transport(x, e, length, v)`` carries v along the
+    # geodesic with unit velocity e for arclength ``length``; ``_frame(x)``
+    # is an orthonormal frame (..., dim, ambient). A constant factor moves
+    # no geodesic, so exp and log take none, and the maps below scale
+    # lengths by s = sqrt(_factor(t)) in this one place.
 
     @abc.abstractmethod
     def exp(self, t: float, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Exponential map of g(t) at x."""
+
+    def _log(self, x: np.ndarray, y: np.ndarray):
+        raise UnsupportedOperation(f"{self.kind}: no closed-form log")
 
     def log(self, t: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Initial velocity of the chosen minimal geodesic from x to y.
@@ -255,20 +272,23 @@ class ManifoldModel(abc.ABC):
         Satisfies exp(t, x, log(t, x, y)) = y and |log|_{g(t)} = distance.
         Deterministic tie-break at the cut locus where applicable.
         """
-        raise UnsupportedOperation(f"{self.kind}: no closed-form log")
+        return _trail(self._log(*_lead(x, y))[1])
 
     def distance(self, t: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         raise UnsupportedOperation(f"{self.kind}: no closed-form distance")
 
-    @abc.abstractmethod
     def transport_along(self, t: float, x: np.ndarray, u: np.ndarray,
                         length, v: np.ndarray) -> np.ndarray:
         """Parallel transport of v from x along the geodesic with g(t)-unit
         initial velocity u, for g(t)-arclength ``length``."""
+        s = np.sqrt(self._factor(t))
+        # length with a coordinate axis of one, so it broadcasts as a row
+        x, u, v, length = _lead(x, u, v, np.asarray(length, float)[..., None])
+        return _trail(self._transport(x, s * u, length / s, v))
 
-    @abc.abstractmethod
     def frame(self, t: float, x: np.ndarray) -> np.ndarray:
         """Deterministic g(t)-orthonormal frame, shape (..., dim, ambient)."""
+        return self._frame(*_lead(x)) / np.sqrt(self._factor(t))
 
     def lift(self, t: float, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
         """sqrt(m+2) sum_j xi_j Phi_j(t, x): ball-sample coordinates xi
@@ -310,9 +330,9 @@ class ManifoldModel(abc.ABC):
         Coincident points get u0 = 0. The arrival direction, where a caller
         needs it, is ``transport_along(t, x, u0, dist, u0)``.
         """
-        dist = self.distance(t, x, y)
-        safe = np.where(dist < 1e-300, 1.0, dist)
-        return dist, _trail(_lead(self.log(t, x, y))[0] / safe)
+        d, v = self._log(*_lead(x, y))
+        dist = np.sqrt(self._factor(t)) * d
+        return dist, _trail(v / np.where(dist < 1e-300, 1.0, dist))
 
     def mirror(self, t: float, x: np.ndarray, y: np.ndarray,
                v: np.ndarray) -> np.ndarray:
@@ -356,19 +376,20 @@ class Euclidean(ManifoldModel):
     def exp(self, t, x, v):
         return x + v
 
-    def log(self, t, x, y):
-        return y - x
+    def _log(self, x, y):
+        v = y - x
+        return np.sqrt(_cdot(v, v)), v
 
     def distance(self, t, x, y):
         v = y - x
         return np.sqrt(_dot(v, v))
 
-    def transport_along(self, t, x, u, length, v):
+    def _transport(self, x, e, length, v):
         return np.broadcast_to(v, np.broadcast(x, v).shape).copy()
 
-    def frame(self, t, x):
+    def _frame(self, x):
         eye = np.eye(self.dim)
-        return np.broadcast_to(eye, x.shape[:-1] + eye.shape).copy()
+        return np.broadcast_to(eye, x.shape[1:] + eye.shape)
 
     def lift(self, t, x, xi):
         # The frame is the identity.
@@ -471,9 +492,14 @@ class RoundSphere(ManifoldModel):
             _trail(e)[antipodal] = self._tiebreak_direction(xb[antipodal])
         return theta, e
 
-    def log(self, t, x, y):
-        theta, e = self._direction(*_lead(x, y))
-        return _trail((self.radius * theta) * e)
+    def _log(self, x, y):
+        theta, e = self._direction(x, y)
+        d = self.radius * theta
+        return d, d * e
+
+    # distance and depart scale the angle by s * radius, which the base's
+    # s * (radius * angle) would round differently, and depart's direction
+    # is e / s, which log / dist would round twice.
 
     def distance(self, t, x, y):
         s = np.sqrt(self._factor(t))
@@ -484,19 +510,12 @@ class RoundSphere(ManifoldModel):
         s = np.sqrt(self._factor(t))
         return s * self.radius * theta, _trail(e / s)
 
-    def transport_along(self, t, x, u, length, v):
-        r = self.radius
-        s = np.sqrt(self._factor(t))
-        # length with a coordinate axis of one, so it broadcasts as a row
-        x, u, v, length = _lead(x, u, v, np.asarray(length, float)[..., None])
-        # embedding-unit direction and rotation angle
-        e = s * u
-        theta = (length / s) / r
-        xhat = x / r
+    def _transport(self, x, e, length, v):
+        # rotation by the angle length / radius in the plane of x and e
+        theta = length / self.radius
         a = _cdot(v, e)
         w = v - a * e
-        e_rot = np.cos(theta) * e - np.sin(theta) * xhat
-        return _trail(a * e_rot + w)
+        return a * (np.cos(theta) * e - np.sin(theta) * (x / self.radius)) + w
 
     def _gram_schmidt(self, x):
         """The frame vectors of coordinate-leading x in frame order, each
@@ -530,11 +549,10 @@ class RoundSphere(ManifoldModel):
             done.append(w)
             yield w
 
-    def frame(self, t, x):
-        s = np.sqrt(self._factor(t))
-        out = np.empty(x.shape[:-1] + (self.dim, self.ambient_dim))
-        for i, w in enumerate(self._gram_schmidt(*_lead(x))):
-            out[..., i, :] = _trail(w / s)
+    def _frame(self, x):
+        out = np.empty(x.shape[1:] + (self.dim, self.ambient_dim))
+        for i, w in enumerate(self._gram_schmidt(x)):
+            out[..., i, :] = _trail(w)
         return out
 
     def lift(self, t, x, xi):
@@ -564,10 +582,11 @@ class RoundSphere(ManifoldModel):
 class ScaledMetric(ManifoldModel):
     """g(t) = exp(-k (t - t1)) g_base for a static space form g_base.
 
-    Geodesics, transports, curvature operators and the mirror agree with
-    the base; norms, distances and frames pick up the conformal factor. The
-    base's own time factor would be lost, so a flow sphere, a scaled metric
-    and a model with no ambient product are refused as bases.
+    The time factor over the base's hooks: geodesics, the mirror and the
+    curvature operator are the base's, and the base class scales norms,
+    distances, transports and frames by the factor. The base's own time
+    factor would be lost, so a flow sphere, a scaled metric and a model
+    with no ambient product are refused as bases.
     """
 
     kind = "scaled"
@@ -581,6 +600,8 @@ class ScaledMetric(ManifoldModel):
         self.base = base
         self.k = float(k)
         self._product, self._r2 = base._product, base._r2
+        self._log, self._transport = base._log, base._transport
+        self._frame = base._frame
 
     def describe(self) -> dict:
         return {"kind": self.kind, "dim": self.dim, "k": self.k,
@@ -603,19 +624,8 @@ class ScaledMetric(ManifoldModel):
     def exp(self, t, x, v):
         return self.base.exp(self._bt(), x, v)
 
-    def log(self, t, x, y):
-        return self.base.log(self._bt(), x, y)
-
     def distance(self, t, x, y):
         return np.sqrt(self._factor(t)) * self.base.distance(self._bt(), x, y)
-
-    def transport_along(self, t, x, u, length, v):
-        root = np.sqrt(self._factor(t))
-        return self.base.transport_along(self._bt(), x, root * u,
-                                         np.asarray(length) / root, v)
-
-    def frame(self, t, x):
-        return self.base.frame(self._bt(), x) / np.sqrt(self._factor(t))
 
     def constraint_residual(self, x):
         return self.base.constraint_residual(x)
@@ -676,8 +686,6 @@ class Hyperbolic(ManifoldModel):
         return c, np.where(c < 1.5, 2.0 * np.arcsinh(0.5 * chord), np.arccosh(c))
 
     def _log(self, x, y):
-        """(theta, v) of coordinate-leading x and y: the distance and log's
-        coordinate-leading velocity, from one ``_separation``."""
         c, theta = self._separation(x, y)
         w = y - c * x
         wn = np.sqrt(np.maximum(self._lorentz(w, w), 0.0))
@@ -685,32 +693,22 @@ class Hyperbolic(ManifoldModel):
         v = (theta / np.where(small, 1.0, wn)) * w
         return theta, np.where(small, 0.0, v)
 
-    def log(self, t, x, y):
-        return _trail(self._log(*_lead(x, y))[1])
-
     def distance(self, t, x, y):
         return self._separation(*_lead(x, y))[1]
 
-    def depart(self, t, x, y):
-        # the base composition's bits, with one _separation
-        theta, v = self._log(*_lead(x, y))
-        return theta, _trail(v / np.where(theta < 1e-300, 1.0, theta))
-
-    def transport_along(self, t, x, u, length, v):
-        # length with a coordinate axis of one, so it broadcasts as a row
-        x, u, v, length = _lead(x, u, v, np.asarray(length, float)[..., None])
+    def _transport(self, x, u, length, v):
         a = self._lorentz(v, u)
         w = v - a * u
-        u_rot = np.sinh(length) * x + np.cosh(length) * u
-        return _trail(a * u_rot + w)
+        return a * (np.sinh(length) * x + np.cosh(length) * u) + w
 
-    def frame(self, t, x):
+    def _frame(self, x):
         # The boost from the origin, Phi_i = e_i + x_i / (1 + x_0) (x + e_0):
         # Lorentz-orthonormal and tangent at x by algebra, with no square
         # root, and exactly e_i at the origin.
         bent = np.array(x, dtype=float)
-        bent[..., 0] += 1.0
-        out = (bent[..., 1:] / bent[..., :1])[..., None] * bent[..., None, :]
+        bent[0] += 1.0
+        lean = _trail(bent[1:] / bent[0])
+        out = lean[..., None] * _trail(bent)[..., None, :]
         out[..., np.arange(self.dim), np.arange(1, self.ambient_dim)] += 1.0
         return out
 

@@ -10,10 +10,10 @@ from oracles import (hyperboloid_frame_gram_schmidt,
 
 from gtwalk.errors import (DegenerateGeodesic, InvalidInput,
                            UnsupportedOperation)
-from gtwalk.manifolds import (Euclidean, Hyperbolic, ManifoldModel, Point,
-                              RoundSphere, ScaledMetric, TangentVector, _dot,
-                              curvature_condition_residual, distance, exp,
-                              make_model, minimal_geodesic,
+from gtwalk.manifolds import (Euclidean, Hyperbolic, Point, RoundSphere,
+                              ScaledMetric, TangentVector, _dot, _lead,
+                              _trail, curvature_condition_residual, distance,
+                              exp, make_model, minimal_geodesic,
                               parallel_transport)
 from gtwalk.numeric import NumericChart
 
@@ -535,6 +535,151 @@ def test_space_form_metric_keeps_the_per_model_bits(request, name, rng):
     assert np.allclose(new, want, rtol=4 * np.finfo(float).eps, atol=0)
 
 
+def _over(dist, v):
+    """(dist, v / dist) with coincident rows' zero direction, as the base
+    class composed depart from distance and log."""
+    return dist, v / np.where(dist < 1e-300, 1.0, dist)[..., None]
+
+
+def _per_model_maps(model, t):
+    """log, depart, transport_along and frame as each closed-form class
+    once wrote them out, before the base class applied the time factor
+    once over factor-free hooks. The sphere's angle, direction and frame
+    helpers are shared: those did not change."""
+    if isinstance(model, ScaledMetric):
+        bt = model.base.time_window[0]
+        base = _per_model_maps(model.base, bt)
+        root = np.sqrt(float(np.exp(-model.k * (t - model.time_window[0]))))
+        return {
+            "log": base["log"],
+            "depart": lambda x, y: _over(
+                root * model.base.distance(bt, x, y), base["log"](x, y)),
+            "transport_along": lambda x, u, length, v: base[
+                "transport_along"](x, root * u, np.asarray(length) / root, v),
+            "frame": lambda x: base["frame"](x) / root}
+    if isinstance(model, Euclidean):
+        def frame(x):
+            eye = np.eye(model.dim)
+            return np.broadcast_to(eye, x.shape[:-1] + eye.shape).copy()
+        return {
+            "log": lambda x, y: y - x,
+            "depart": lambda x, y: _over(np.sqrt(_dot(y - x, y - x)), y - x),
+            "transport_along": lambda x, u, length, v: np.broadcast_to(
+                v, np.broadcast(x, v).shape).copy(),
+            "frame": frame}
+    if isinstance(model, RoundSphere):
+        r, s = model.radius, np.sqrt(model.scale(t) / model.c0)
+
+        def log(x, y):
+            theta, e = model._direction(*_lead(x, y))
+            return _trail((r * theta) * e)
+
+        def depart(x, y):
+            theta, e = model._direction(*_lead(x, y))
+            return s * r * theta, _trail(e / s)
+
+        def transport_along(x, u, length, v):
+            length = np.asarray(length, float)[..., None]
+            e = s * u
+            theta = (length / s) / r
+            a = _dot(v, e)[..., None]
+            e_rot = np.cos(theta) * e - np.sin(theta) * (x / r)
+            return a * e_rot + (v - a * e)
+        return {"log": log, "depart": depart,
+                "transport_along": transport_along,
+                "frame": lambda x: sphere_frame_gram_schmidt(
+                    x, r, model.scale(t) / model.c0, model.frame_variant)}
+
+    def ldot(a, b):
+        return _dot(a[..., 1:], b[..., 1:]) - a[..., 0] * b[..., 0]
+
+    def log_pair(x, y):
+        c = np.maximum(-ldot(x, y), 1.0)
+        chord = np.sqrt(np.maximum(ldot(y - x, y - x), 0.0))
+        theta = np.where(c < 1.5, 2.0 * np.arcsinh(0.5 * chord),
+                         np.arccosh(c))
+        w = y - c[..., None] * x
+        wn = np.sqrt(np.maximum(ldot(w, w), 0.0))
+        small = (wn < 1e-300)[..., None]
+        v = (theta / np.where(wn < 1e-300, 1.0, wn))[..., None] * w
+        return theta, np.where(small, 0.0, v)
+
+    def transport_along(x, u, length, v):
+        length = np.asarray(length, float)[..., None]
+        a = ldot(v, u)[..., None]
+        u_rot = np.sinh(length) * x + np.cosh(length) * u
+        return a * u_rot + (v - a * u)
+
+    def frame(x):
+        bent = np.array(x, dtype=float)
+        bent[..., 0] += 1.0
+        out = (bent[..., 1:] / bent[..., :1])[..., None] * bent[..., None, :]
+        out[..., np.arange(model.dim), np.arange(1, model.ambient_dim)] += 1.0
+        return out
+    return {"log": lambda x, y: log_pair(x, y)[1],
+            "depart": lambda x, y: _over(*log_pair(x, y)),
+            "transport_along": transport_along, "frame": frame}
+
+
+# The models whose maps the factor now reaches through the base class: the
+# fixtures, a flow sphere of radius other than 1 (whose s * radius * angle
+# rounds apart from s * (radius * angle)), and a scaled metric over each
+# static space form.
+_MAP_MODELS = {
+    "flow_sphere3": lambda: RoundSphere(3, 2.5, flow=True),
+    "scaled_sphere3": lambda: ScaledMetric(RoundSphere(3, 2.5), 0.7),
+    "scaled_hyperbolic2": lambda: ScaledMetric(Hyperbolic(2), -1.5),
+}
+
+
+@pytest.mark.bits
+@pytest.mark.parametrize("name", ["euclid2", "sphere2", "flow_sphere",
+                                  "hyperbolic2", "scaled_euclid2",
+                                  *_MAP_MODELS])
+def test_maps_keep_the_per_model_bits(request, monkeypatch, name, rng):
+    """log, depart, transport_along and frame keep the bits of each model's
+    own formula at t = 0 and 0.7, on random rows, coincident rows, rows
+    1e-12 to 1e-3 apart and (on spheres) antipodal rows, and for one point
+    against a batch. The scaled hyperboloid's depart separates each pair
+    once, not once for the distance and again for the direction, as the
+    hyperboloid's does."""
+    model = (_MAP_MODELS[name]() if name in _MAP_MODELS
+             else request.getfixturevalue(name))
+    separations = []
+    separation = Hyperbolic._separation
+
+    def counted(self, x, y):
+        separations.append(len(x))
+        return separation(self, x, y)
+    monkeypatch.setattr(Hyperbolic, "_separation", counted)
+    for t in (0.0, 0.7):
+        x = np.stack([random_point(model, rng) for _ in range(40)])
+        y = np.stack([random_point(model, rng) for _ in range(40)])
+        y[:3] = x[:3]
+        v = np.stack([random_tangent(model, t, p, rng) for p in x[3:22]])
+        v *= (np.logspace(-12, -3, 19) / model.norm(t, x[3:22], v))[:, None]
+        y[3:22] = model.exp(t, x[3:22], v)
+        if "sphere" in name:
+            y[22:25] = -x[22:25]
+        old = _per_model_maps(model, t)
+        u = old["depart"](x, y)[1]
+        u[:3] = model.frame(t, x[:3])[:, 0]
+        length = rng.uniform(0.0, 2.0, 40)
+        w = np.stack([random_tangent(model, t, p, rng) for p in x])
+        for a, b in ((x, y), (x[5], y)):
+            assert same_bits(model.log(t, a, b), old["log"](a, b))
+            for new, want in zip(model.depart(t, a, b), old["depart"](a, b)):
+                assert same_bits(new, want)
+        for args in ((x, u, length, w), (x, u, 0.8, w), (x[5], u[5], 0.8, w)):
+            assert same_bits(model.transport_along(t, *args),
+                             old["transport_along"](*args))
+        assert same_bits(model.frame(t, x), old["frame"](x))
+        assert same_bits(model.frame(t, x[5]), old["frame"](x[5]))
+    separations.clear()
+    model.depart(0.3, x, y)
+    assert len(separations) == ("hyperbolic" in name)
+
+
 # ---------------------------------------------------------------------------
 # curvature condition residual
 # ---------------------------------------------------------------------------
@@ -685,12 +830,12 @@ def test_connect_agrees_with_distance_log_and_transport(request, name, rng):
                        rtol=0, atol=1e-12)
     assert np.allclose(model.norm(t, x, u0)[moving], 1.0, atol=1e-12)
     assert np.allclose(model.norm(t, y, u1)[moving], 1.0, atol=1e-12)
-    # the generic composition of distance, log and transport agrees, bit
-    # for bit on the hyperboloid, whose depart shares log's separation
-    g_dist, g_u0 = ManifoldModel.depart(model, t, x, y)
+    # the composition of distance, log and transport agrees, bit for bit
+    # off the sphere, whose depart divides its direction by s once
+    g_dist, g_u0 = _over(model.distance(t, x, y), v)
     assert np.array_equal(g_dist, dist)
     assert np.allclose(g_u0, u0, rtol=0, atol=1e-12)
-    assert model.kind != "hyperbolic" or same_bits(g_u0, u0)
+    assert model.kind == "sphere" or same_bits(g_u0, u0)
     assert np.allclose(model.transport_along(t, x, g_u0, g_dist, g_u0), u1,
                        rtol=0, atol=1e-12)
 
@@ -728,6 +873,77 @@ def test_depart_is_connect_without_arrival(request, name, rng):
         same = np.all(a == b, axis=-1)
         assert same.sum() >= 1
         assert np.all(got[0][same] == 0.0) and np.all(got[1][same] == 0.0)
+
+
+# The closed-form fixtures and a scaled metric over each static space form.
+_PROPERTY_MODELS = {
+    "euclid2": lambda: Euclidean(2),
+    "sphere2": lambda: RoundSphere(2, 1.0),
+    "flow_sphere": lambda: RoundSphere(2, 1.0, flow=True),
+    "circle": lambda: RoundSphere(1, 1.0),
+    "hyperbolic2": lambda: Hyperbolic(2),
+    "scaled_euclid2": lambda: ScaledMetric(Euclidean(2), 1.0),
+    "scaled_sphere3": lambda: ScaledMetric(RoundSphere(3, 2.5), 0.7),
+    "scaled_hyperbolic2": lambda: ScaledMetric(Hyperbolic(2), -1.5),
+}
+
+
+@pytest.mark.parametrize("name", _PROPERTY_MODELS)
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_maps_stated_once_are_geodesic(name, data):
+    """On drawn pairs x, y = exp(t, x, sep u) with g(t)-unit u and sep 0,
+    1e-12 to 1e-3 or 1e-3 to 3 (to 0.9 pi on spheres): depart's distance is
+    distance's bit for bit; coincident points give 0 and a zero direction;
+    exp(t, x, log(t, x, y)) returns y; and u1 = transport_along(t, x, u0,
+    dist, u0) is g(t)-unit and tangent at y. Points are anywhere on the
+    sphere, coordinates in [-10, 10] on the plane and spatial coordinates
+    in [-3, 3] on the hyperboloid.
+
+    The errors, measured over 3000 draws per model: |exp(log) - y| over
+    max(1, |y|) 8.6e-16 off the hyperboloid and 2.7e-14 on it, |norm - 1|
+    1.4e-15 and 4.6e-13, and the tangency residual times min(dist, 1)
+    1.2e-15 and 9.1e-13; the tolerances are 1e-14 and 4e-12. The residual
+    is scaled by the distance because y's rounding tilts the direction of
+    a pair dist apart by about eps / dist.
+    """
+    model = _PROPERTY_MODELS[name]()
+    base = getattr(model, "base", model)
+    t = data.draw(st.floats(*model.time_window))
+    coords = np.array(data.draw(st.lists(
+        st.floats(-10.0, 10.0) if base.kind == "euclidean"
+        else st.floats(-3.0, 3.0), min_size=base.ambient_dim,
+        max_size=base.ambient_dim)))
+    if base.kind == "sphere":
+        assume(np.linalg.norm(coords) > 0.1)
+        x = base.radius * coords / np.linalg.norm(coords)
+        cap = 0.9 * np.pi * base.radius * np.sqrt(model._factor(t))
+    elif base.kind == "hyperbolic":
+        x = np.concatenate([[np.sqrt(1.0 + coords[1:] @ coords[1:])],
+                            coords[1:]])
+        cap = 3.0
+    else:
+        x, cap = coords, 3.0
+    xi = np.array(data.draw(st.lists(st.floats(-1.0, 1.0),
+                                     min_size=model.dim, max_size=model.dim)))
+    assume(np.linalg.norm(xi) > 0.1)
+    u = xi @ model.frame(t, x) / np.linalg.norm(xi)
+    sep = data.draw(st.one_of(
+        st.just(0.0), st.floats(-12.0, -3.0).map(lambda e: 10.0 ** e),
+        st.floats(1e-3, cap)))
+    y = model.exp(t, x, sep * u)
+
+    dist, u0 = model.depart(t, x, y)
+    assert same_bits(dist, model.distance(t, x, y))
+    d0, z0 = model.depart(t, x, x)
+    assert d0 == 0.0 and not np.any(z0)
+    tol = 4e-12 if base.kind == "hyperbolic" else 1e-14
+    back = model.exp(t, x, model.log(t, x, y))
+    assert np.max(np.abs(back - y)) <= tol * max(1.0, np.max(np.abs(y)))
+    if dist > 0.0:
+        u1 = model.transport_along(t, x, u0, dist, u0)
+        assert abs(model.norm(t, y, u1) - 1.0) <= tol
+        assert model.tangency_residual(y, u1) * min(dist, 1.0) <= tol
 
 
 def test_sphere_connect_special_rows(rng):
