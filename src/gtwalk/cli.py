@@ -118,8 +118,9 @@ def _build_parser() -> argparse.ArgumentParser:
     _experiment_flags(p_couple)
 
     p_verify = sub.add_parser("verify", help="bound verification from flags")
-    p_verify.add_argument("check", choices=["coupling-bound", "contraction",
-                                            "gradient"])
+    p_verify.add_argument("check", choices=[
+        kind.removeprefix("verify-") for kind in config.EXPERIMENT_KINDS
+        if kind.startswith("verify-")])
     _experiment_flags(p_verify)
 
     sub.add_parser("list-models", help="list manifold kinds")

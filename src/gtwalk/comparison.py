@@ -281,8 +281,7 @@ def builtin_b(spec: dict) -> Callable[[np.ndarray], np.ndarray]:
 
 
 def simulate_radial_comparison(spec: RadialComparisonSpec, a0: float, *,
-                               alpha: float | None = None,
-                               lambdas: np.ndarray | None = None,
+                               alpha: float, lambdas: np.ndarray,
                                fracs: np.ndarray | None = None) -> np.ndarray:
     """Radial comparison paths from a0 driven by the lambda records.
 
@@ -295,8 +294,6 @@ def simulate_radial_comparison(spec: RadialComparisonSpec, a0: float, *,
     """
     if a0 <= 2.0 * spec.r0:
         raise InvalidInput("initial value must exceed 2 r0")
-    if alpha is None or lambdas is None:
-        raise InvalidInput("need alpha and the lambda record")
     lambdas = np.asarray(lambdas, dtype=float)
     n = lambdas.shape[-1]
     if fracs is None:

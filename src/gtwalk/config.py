@@ -22,21 +22,6 @@ from .coupling import CouplingConfig, CouplingKind
 from .errors import ConfigError, InvalidInput, check_json_type, is_number
 from .manifolds import ManifoldModel, make_model
 
-EXPERIMENT_KINDS = (
-    "walk", "couple", "verify-coupling-bound", "verify-contraction",
-    "verify-gradient", "convergence", "feller-test", "ou-survival",
-    "radial-domination",
-)
-
-# Kinds that simulate walk paths at one alpha; only these take n_dump.
-DUMP_KINDS = ("walk", "couple", "verify-coupling-bound", "verify-contraction",
-              "verify-gradient", "radial-domination")
-
-# Kinds that run a coupled pair; coupling_config builds their
-# CouplingConfig.
-COUPLED_KINDS = ("couple", "verify-coupling-bound", "verify-contraction",
-                 "verify-gradient")
-
 _COMMON_KEYS = {"kind", "manifold", "t1", "t2", "seed", "out"}
 _KEYS_BY_KIND = {
     "walk": {"alpha", "n_paths", "start", "origin", "exit_radius"},
@@ -54,6 +39,11 @@ _KEYS_BY_KIND = {
     "radial-domination": {"alpha", "n_paths", "start", "origin",
                           "exit_radius", "b", "c0", "r0", "margin"},
 }
+EXPERIMENT_KINDS = tuple(_KEYS_BY_KIND)
+# Kinds that simulate walk paths at one alpha; only these take n_dump.
+DUMP_KINDS = tuple(k for k, keys in _KEYS_BY_KIND.items() if "alpha" in keys)
+# Kinds that run a coupled pair, built by coupling_config.
+COUPLED_KINDS = tuple(k for k, keys in _KEYS_BY_KIND.items() if "d0" in keys)
 # Numeric keys: integer keys take JSON integers, float keys finite JSON
 # numbers (bools and strings are neither). The parser stores them as given,
 # so config_hash does not move.
@@ -174,7 +164,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
             _fail("alphas", f"must list finite numbers, not {alphas!r}")
         data["alphas"] = [float(a) for a in alphas]
         _built("", stats.alpha_schedules, t1, t2, data["alphas"])
-    elif kind not in ("feller-test", "ou-survival"):
+    elif "alpha" in allowed:
         if "alpha" not in data:
             _fail("alpha", "missing")
         data["alpha"] = float(data["alpha"])
@@ -186,7 +176,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
         _fail("coupling", f"must be 'reflection' or 'parallel', not "
               f"{data['coupling']!r}")
     _built("", rng.check_seed, data["seed"])
-    _built("", engine.check_exit_radius, data.get("exit_radius"))
+    _built("", engine.check_exit_radius, data.get("exit_radius"),
+           None if kind == "radial-domination" else data.get("origin"))
     if kind == "convergence":
         convergence_reference(data["reference"], data["manifold"])
     if kind in COUPLED_KINDS:
@@ -204,7 +195,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
             _fail("f", "needs {'type': 'halfspace', 'normal': [...], 'offset': h}")
         if not is_number(f["offset"]):
             _fail("f.offset", f"must be a finite number, not {f['offset']!r}")
-    if kind in ("feller-test", "radial-domination"):
+    if "b" in allowed:
         if "b" not in data:
             _fail("b", "missing")
         b = _built("b", builtin_b, data["b"])
@@ -220,6 +211,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
         params = _built("", OUParams, data["a"], float(data["k"]))
         _built("", ou_kernel, params, t2 - t1, float(data["ou_h"]),
                data["seed"], int(data["n_paths"]))
+    if data.get("n_dump"):   # 0 and null dump nothing
+        check_dump(kind, data["n_dump"])
     if "n_paths" in data:
         _built("", stats.path_ranges, data["n_paths"])
     if kind == "convergence":
@@ -231,6 +224,14 @@ def parse_config(raw: dict) -> ExperimentConfig:
         cc = _built("", coupling_config, cfg, model)
         data.setdefault("delta_couple", cc.delta_couple)
     return cfg
+
+
+def check_dump(kind: str, count: int) -> None:
+    """The rules of a path dump, of n_dump or dump-paths --count paths."""
+    if kind not in DUMP_KINDS:
+        _fail("n_dump", f"kind {kind!r} simulates no walk paths to dump")
+    if count < 1:
+        _fail("n_dump", f"a dump writes at least 1 path, not {count}")
 
 
 def _check_points(data: dict, model: ManifoldModel) -> None:

@@ -26,7 +26,7 @@ from .comparison import beta, chi
 from .engine import CouplingKind
 from .errors import InvalidInput
 from .manifolds import COINCIDE_TOL, ManifoldModel, Point, _coords
-from .walk import Schedule
+from .walk import Schedule, _ball_sample
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,7 @@ class CouplingConfig:
         if delta > 0.0 and delta < self.alpha:
             raise InvalidInput("delta_couple must be >= alpha (or 0 to "
                                "disable)", key="delta_couple")
-        engine.check_exit_radius(self.exit_radius)
+        engine.check_exit_radius(self.exit_radius, self.origin)
         object.__setattr__(self, "delta_couple", float(delta))
         object.__setattr__(self, "start1", np.asarray(self.start1, dtype=float))
         object.__setattr__(self, "start2", np.asarray(self.start2, dtype=float))
@@ -99,10 +99,7 @@ def coupled_step(model: ManifoldModel, t: float, x1, x2, xi: np.ndarray,
     Coincident inputs count as coupled and move together; their
     lambda_star is the kernel's, 2 sqrt(m+2) xi_1 for reflection.
     """
-    xi = np.asarray(xi, dtype=float)
-    if float(np.linalg.norm(xi)) > 1.0 + 1e-12:
-        raise InvalidInput("ball sample must satisfy |xi| <= 1")
-    Z, xi = np.stack([_coords(x1), _coords(x2)]), xi[None, :]
+    Z, xi = np.stack([_coords(x1), _coords(x2)]), _ball_sample(xi)[None, :]
     geo = model.depart(t, Z[:1], Z[1:])
     coupled = geo[0] < COINCIDE_TOL
     Zn, lift = engine.reflect_step(model, t, Z, xi, geo, coupled, alpha,

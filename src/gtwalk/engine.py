@@ -113,10 +113,13 @@ def origin_point(model: ManifoldModel, origin) -> np.ndarray:
                       dtype=float)
 
 
-def check_exit_radius(radius: float | None) -> None:
-    """The exit check's radius must exceed 1; None runs no exit check."""
+def check_exit_radius(radius: float | None, origin=None) -> None:
+    """The exit check's radius must exceed 1; None runs no exit check, so
+    an ``origin`` read by the exit check alone is refused."""
     if radius is not None and not radius > 1.0:
         raise InvalidInput("exit radius must exceed 1", key="exit_radius")
+    if radius is None and origin is not None:
+        raise InvalidInput("does nothing without an exit_radius", key="origin")
 
 
 def _checked_records(kernel: str, records, allowed: frozenset,

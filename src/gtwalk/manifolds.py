@@ -413,14 +413,13 @@ class RoundSphere(ManifoldModel):
     _product = staticmethod(_cdot)
 
     def __init__(self, dim: int, c0: float = 1.0, flow: bool = False,
-                 time_window=(0.0, 1.0), frame_variant: int = 0):
+                 time_window=(0.0, 1.0)):
         super().__init__(dim, dim + 1, time_window)
         if c0 <= 0:
             raise InvalidInput("c0 must be positive", key="radius_c0")
         self.c0 = self._r2 = float(c0)
         self.flow = bool(flow)
         self.radius = float(np.sqrt(c0))
-        self.frame_variant = int(frame_variant)
 
     def describe(self) -> dict:
         return {"kind": self.kind, "dim": self.dim, "radius_c0": self.c0,
@@ -522,7 +521,7 @@ class RoundSphere(ManifoldModel):
         coordinate-leading and unit on the representation sphere.
 
         A Gram-Schmidt of the axis vectors other than the one x leans on
-        most, in increasing axis order (decreasing for frame_variant 1).
+        most, in increasing axis order.
         Every entry sees the same operations in the same order as in a
         row-wise Gram-Schmidt.
         """
@@ -537,12 +536,11 @@ class RoundSphere(ManifoldModel):
             head[c] = np.maximum(head[c - 1], head[c])
         done = []
         for i in range(m):
-            j = m - 1 - i if self.frame_variant else i
-            below = head[j] == head[-1]
-            # e_k - x_k xhat for k = j + below, the j-th axis not dropped
+            below = head[i] == head[-1]
+            # e_k - x_k xhat for k = i + below, the i-th axis not dropped
             w = np.zeros(xhat.shape)
-            w[j], w[j + 1] = ~below, below
-            w -= np.where(below, xhat[j + 1], xhat[j]) * xhat
+            w[i], w[i + 1] = ~below, below
+            w -= np.where(below, xhat[i + 1], xhat[i]) * xhat
             for prev in done:
                 w -= _cdot(w, prev) * prev
             w /= np.sqrt(_cdot(w, w))
@@ -617,15 +615,11 @@ class ScaledMetric(ManifoldModel):
     def _factor_dt(self, t: float) -> float:
         return -self.k * self._factor(t)
 
-    def _bt(self) -> float:
-        # any fixed time is valid for the static base
-        return self.base.time_window[0]
-
     def exp(self, t, x, v):
-        return self.base.exp(self._bt(), x, v)
+        return self.base.exp(t, x, v)
 
     def distance(self, t, x, y):
-        return np.sqrt(self._factor(t)) * self.base.distance(self._bt(), x, y)
+        return np.sqrt(self._factor(t)) * self.base.distance(t, x, y)
 
     def constraint_residual(self, x):
         return self.base.constraint_residual(x)
@@ -732,19 +726,23 @@ def _coords(p) -> np.ndarray:
     return p.coords if isinstance(p, Point) else np.asarray(p, dtype=float)
 
 
-def _components(v) -> np.ndarray:
-    return v.components if isinstance(v, TangentVector) else np.asarray(v, dtype=float)
+def _components(v, at=None, refusal: str = "") -> np.ndarray:
+    """The components of v; a TangentVector based off ``at`` is refused."""
+    if not isinstance(v, TangentVector):
+        return np.asarray(v, dtype=float)
+    if at is not None and not np.allclose(v.base.coords, at, atol=POINT_TOL):
+        raise InvalidInput(refusal)
+    return v.components
 
 
 def exp(model: ManifoldModel, t: float, x, v) -> Point:
     """Exponential map of g(t): follow the geodesic with initial velocity v."""
     model.check_time(t)
-    xc, vc = _coords(x), _components(v)
+    xc = _coords(x)
+    vc = _components(v, xc if isinstance(x, Point) else None,
+                     "exp: tangent vector not based at x")
     if not (np.all(np.isfinite(xc)) and np.all(np.isfinite(vc))):
         raise InvalidInput("exp: non-finite input")
-    if isinstance(v, TangentVector) and isinstance(x, Point):
-        if not np.allclose(v.base.coords, xc, atol=POINT_TOL):
-            raise InvalidInput("exp: tangent vector not based at x")
     return Point(model.exp(t, xc, vc), model.model_id)
 
 
@@ -766,10 +764,8 @@ def minimal_geodesic(model: ManifoldModel, t: float, x, y) -> Geodesic:
 def parallel_transport(model: ManifoldModel, geodesic: Geodesic,
                        v) -> TangentVector:
     """Parallel transport of v from geodesic.start to geodesic.end."""
-    vc = _components(v)
-    if isinstance(v, TangentVector):
-        if not np.allclose(v.base.coords, geodesic.start.coords, atol=POINT_TOL):
-            raise InvalidInput("parallel_transport: v not based at geodesic start")
+    vc = _components(v, geodesic.start.coords,
+                     "parallel_transport: v not based at geodesic start")
     out = geodesic.transport_from_start(vc, geodesic.length)
     return TangentVector(geodesic.end, out)
 

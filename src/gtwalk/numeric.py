@@ -91,17 +91,16 @@ class NumericChart(ManifoldModel):
 
     # -- Christoffel symbols and curvature ------------------------------------
 
-    def christoffel(self, t: float, x: np.ndarray,
-                    eps: float = FD_EPS) -> np.ndarray:
+    def christoffel(self, t: float, x: np.ndarray) -> np.ndarray:
         """Gamma^i_{jk} at (t, x) via central differences of the metric."""
         m = self.dim
         x = np.asarray(x, dtype=float)
         dg = np.empty((m, m, m))  # dg[l, j, k] = d g_jk / d x_l
         for l in range(m):
             step = np.zeros(m)
-            step[l] = eps
+            step[l] = FD_EPS
             dg[l] = (self.metric_matrix(t, x + step)
-                     - self.metric_matrix(t, x - step)) / (2 * eps)
+                     - self.metric_matrix(t, x - step)) / (2 * FD_EPS)
         ginv = np.linalg.inv(self.metric_matrix(t, x))
         # term[j, k, l] = d_j g_kl + d_k g_jl - d_l g_jk
         term = dg + dg.transpose(1, 0, 2) - dg.transpose(1, 2, 0)
@@ -112,13 +111,12 @@ class NumericChart(ManifoldModel):
 
     def _curvature_at(self, t, x, u, v, w):
         m = self.dim
-        eps = FD_EPS_CURV
         dgam = np.empty((m, m, m, m))  # dgam[l] = d Gamma / d x_l
         for l in range(m):
             step = np.zeros(m)
-            step[l] = eps
+            step[l] = FD_EPS_CURV
             dgam[l] = (self.christoffel(t, x + step)
-                       - self.christoffel(t, x - step)) / (2 * eps)
+                       - self.christoffel(t, x - step)) / (2 * FD_EPS_CURV)
         gam = self.christoffel(t, x)
         # R(u,v)w = (d_u Gamma)(v,w) - (d_v Gamma)(u,w) + Gamma(u, Gamma(v,w)) - Gamma(v, Gamma(u,w))
         du_gam = np.einsum("lijk,l->ijk", dgam, u)

@@ -13,11 +13,10 @@ import numpy as np
 from . import __version__, config as _config, engine
 from .comparison import (OUParams, RadialComparisonSpec, beta, builtin_b,
                          chi, feller_explosion_test, ou_kernel)
-from .config import (COUPLED_KINDS, DUMP_KINDS, ExperimentConfig,
-                     RunManifest, convergence_reference, coupling_config,
+from .config import (COUPLED_KINDS, ExperimentConfig, RunManifest,
+                     check_dump, convergence_reference, coupling_config,
                      resolve_start)
 from .coupling import coupled_kernel
-from .errors import ConfigError
 from .manifolds import ManifoldModel
 from .stats import (McEstimate, VerificationReport, check_contraction,
                     check_gradient_estimate, circle_angles,
@@ -193,8 +192,7 @@ def _run_radial(config, model, workers):
 
 # The run of each experiment kind; parse_config admits no other kind.
 _RUNS = {"walk": _run_walk, "couple": _run_couple,
-         "verify-coupling-bound": _run_verify,
-         "verify-contraction": _run_verify, "verify-gradient": _run_verify,
+         **{k: _run_verify for k in COUPLED_KINDS if k != "couple"},
          "convergence": _run_convergence, "feller-test": _run_feller,
          "ou-survival": _run_ou, "radial-domination": _run_radial}
 
@@ -224,9 +222,8 @@ def _write_artifacts(config: ExperimentConfig, model: ManifoldModel,
                          "bound", "pass", "bias", "seed", "runtime_ms"])
         writer.writerow([stem] + [None if v is None else repr(v)
                                   for v in cells])
-    n_dump = int(config.get("n_dump", 0) or 0)
-    if n_dump > 0:
-        dump_paths(config, model, n_dump, out / "paths")
+    if config.get("n_dump"):   # 0 and null dump nothing
+        dump_paths(config, model, config["n_dump"], out / "paths")
 
 
 def dump_paths(config: ExperimentConfig, model: ManifoldModel, count: int,
@@ -237,9 +234,7 @@ def dump_paths(config: ExperimentConfig, model: ManifoldModel, count: int,
     writes; each path's records equal those of a run of that path alone.
     """
     kind = config.kind
-    if kind not in DUMP_KINDS:
-        raise ConfigError(f"n_dump: kind {kind!r} simulates no walk paths "
-                          "to dump")
+    check_dump(kind, count)
     out.mkdir(parents=True, exist_ok=True)
     d, paths = model.ambient_dim, range(count)
     if kind in COUPLED_KINDS:

@@ -34,6 +34,7 @@ from .manifolds import ManifoldModel
 from .walk import Schedule, walk_kernel
 
 CHUNK = 2048
+QUANTILE_GRID = 20001   # nodes of reference_quantiles' CDF table
 
 
 # ---------------------------------------------------------------------------
@@ -407,9 +408,9 @@ def wrapped_gaussian_cdf(mu: float, var: float
 
 
 def reference_quantiles(cdf: Callable[[np.ndarray], np.ndarray], n: int,
-                        lo: float, hi: float, grid: int = 20001) -> np.ndarray:
+                        lo: float, hi: float) -> np.ndarray:
     """Quantiles at midpoint levels by inverting a CDF on a dense grid."""
-    xs = np.linspace(lo, hi, grid)
+    xs = np.linspace(lo, hi, QUANTILE_GRID)
     Fs = np.asarray(cdf(xs), dtype=float)
     q = (np.arange(n) + 0.5) / n
     return np.interp(q, Fs, xs)

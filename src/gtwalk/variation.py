@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import (DegenerateGeodesic, InvalidInput, SingularConfiguration,
                      UnsupportedOperation)
-from .manifolds import Geodesic, ManifoldModel, TangentVector
+from .manifolds import Geodesic, ManifoldModel, _components
 
 DEFAULT_GRID = 64
 MIN_GRID = 16
@@ -121,10 +121,8 @@ def dagger_field(green: GreenSolution, model: ManifoldModel,
     Vanishes at u = 0 and equals v at u = L.
     """
     geo = green.geodesic
-    vc = v.components if isinstance(v, TangentVector) else np.asarray(v, dtype=float)
-    if isinstance(v, TangentVector):
-        if not np.allclose(v.base.coords, geo.end.coords, atol=1e-9):
-            raise InvalidInput("dagger_field: v must be based at the geodesic end")
+    vc = _components(v, geo.end.coords,
+                     "dagger_field: v must be based at the geodesic end")
     if green.end_value <= 0.0:
         raise SingularConfiguration("dagger_field: G(length) <= 0")
     rev = geo.reversed()
@@ -197,10 +195,8 @@ def coupled_variation_terms(model: ManifoldModel, t: float,
     """
     if geodesic.length <= 0.0:
         raise DegenerateGeodesic("coupled_variation_terms: zero-length geodesic")
-    xic = xi1.components if isinstance(xi1, TangentVector) else np.asarray(xi1, dtype=float)
-    if isinstance(xi1, TangentVector):
-        if not np.allclose(xi1.base.coords, geodesic.start.coords, atol=1e-9):
-            raise InvalidInput("coupled_variation_terms: xi1 not based at start")
+    xic = _components(xi1, geodesic.start.coords,
+                      "coupled_variation_terms: xi1 not based at start")
     start = geodesic.start.coords
     u0 = geodesic.initial_velocity.components
     lam = 2.0 * float(model.inner(t, start, xic, u0))

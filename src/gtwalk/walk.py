@@ -19,7 +19,7 @@ import numpy as np
 
 from . import engine
 from .errors import InvalidInput
-from .manifolds import ManifoldModel, Point, TangentVector
+from .manifolds import ManifoldModel, Point, TangentVector, _coords
 
 
 class Schedule:
@@ -70,6 +70,14 @@ class WalkPath:
     noise_record: np.ndarray    # (n_steps, dim) ball samples
 
 
+def _ball_sample(xi) -> np.ndarray:
+    """xi as an array, refused unless |xi| <= 1 up to rounding."""
+    xi = np.asarray(xi, dtype=float)
+    if float(np.linalg.norm(xi)) > 1.0 + 1e-12:
+        raise InvalidInput("ball sample must satisfy |xi| <= 1")
+    return xi
+
+
 def step(model: ManifoldModel, t: float, x, xi: np.ndarray, alpha: float,
          frac: float = 1.0):
     """One walk transition from x at time t driven by the ball sample xi:
@@ -79,10 +87,7 @@ def step(model: ManifoldModel, t: float, x, xi: np.ndarray, alpha: float,
     ``frac`` traverses only that fraction of the defining geodesic (the
     final partial step).
     """
-    xc = x.coords if isinstance(x, Point) else np.asarray(x, dtype=float)
-    xi = np.asarray(xi, dtype=float)
-    if float(np.linalg.norm(xi)) > 1.0 + 1e-12:
-        raise InvalidInput("ball sample must satisfy |xi| <= 1")
+    xc, xi = _coords(x), _ball_sample(xi)
     y, lift, _ = engine.walk_step(model, t, xc[None, :], xi[None, :], alpha,
                                   frac)
     return (Point(y[0], model.model_id),
@@ -107,7 +112,7 @@ def walk_kernel(model: ManifoldModel, schedule: Schedule, start: np.ndarray,
                 radial: dict | None = None) -> engine.PathKernel:
     """``engine.walk_chunk`` from ``start`` with these settings, and the
     params every walk kind reports for ``n_paths`` paths."""
-    engine.check_exit_radius(exit_radius)
+    engine.check_exit_radius(exit_radius, None if radial else origin)
     return engine.PathKernel(
         partial(engine.walk_chunk, model, schedule, start, seed,
                 origin=origin, exit_radius=exit_radius, radial=radial),

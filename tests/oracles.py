@@ -5,7 +5,8 @@ masses come from quadrature of the density, sphere geodesics and transports
 from integrating the constrained ambient ODEs, and the wrapped Gaussian
 from its Fourier series. The exceptions are references the library must
 reproduce bit for bit: the sphere frame, a row-wise Gram-Schmidt, because
-replayed noise depends on the frame, and the drift integral's lookup,
+replayed noise depends on the frame (its decreasing-axis order is a second
+section, which the frame-independence test walks with), and the drift integral's lookup,
 numpy's own interpolation of the spec's trapezoid table, and the coupled
 kernel's reference loop, which rebuilds the stacked pair block and
 lambda* at every step in the operation order ``engine.coupled_chunk``
@@ -202,7 +203,7 @@ def _mirror_given_geo(model, t, x, y, geo, v):
     dist, u0 = geo
     if isinstance(model, ScaledMetric):
         root = np.sqrt(model._factor(t))
-        return _mirror_given_geo(model.base, model._bt(), x, y,
+        return _mirror_given_geo(model.base, t, x, y,
                                  (np.asarray(dist) / root, root * u0), v)
     if isinstance(model, Euclidean):
         return v - 2.0 * _dot(v, u0)[..., None] * u0

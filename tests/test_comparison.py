@@ -485,7 +485,7 @@ def test_radial_domain_validation():
     spec = RadialComparisonSpec(builtin_b({"name": "zero"}), c0=1.0, r0=0.5)
     with pytest.raises(InvalidInput):
         simulate_radial_comparison(spec, 0.9, alpha=0.1, lambdas=np.zeros(5))
-    with pytest.raises(InvalidInput):
+    with pytest.raises(TypeError, match="alpha"):   # both are required
         simulate_radial_comparison(spec, 2.0)
 
 

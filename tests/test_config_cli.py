@@ -528,6 +528,50 @@ def _key_base(kind: str) -> dict:
     return {"kind": kind, "t1": 0.0, "t2": 1.0, "seed": 2, **_KEY_BASES[kind]}
 
 
+def test_origin_without_exit_check_is_refused_by_the_library():
+    """Only the exit check reads a walk's or a pair's origin, so with
+    exit_radius None the kernels' builders refuse an origin; the radial
+    replay reads it, so radial-domination keeps it."""
+    plane = make_model({"kind": "euclidean", "dim": 2}, (0.0, 1.0))
+    o = np.array([5.0, 5.0])
+    with pytest.raises(InvalidInput, match="exit_radius") as e:
+        walk_kernel(plane, Schedule(0.0, 1.0, 0.1), np.zeros(2), 1, 8,
+                    origin=o)
+    assert e.value.key == "origin"
+    with pytest.raises(InvalidInput, match="exit_radius") as e:
+        CouplingConfig(alpha=0.1, t1=0.0, t2=1.0, seed=1, start1=np.zeros(2),
+                       start2=np.ones(2), origin=o)
+    assert e.value.key == "origin"
+    base = {**_key_base("radial-domination"), "exit_radius": None}
+    far = [0.0, 1.0, 0.0]
+    _, [near] = run_document(base)
+    _, [moved] = run_document({**base, "origin": far})
+    assert moved.metadata["params"]["rho0"] != near.metadata["params"]["rho0"]
+
+
+@pytest.mark.parametrize("count", ["0", "-2"])
+def test_dump_paths_count_below_one_is_refused(count, tmp_path, capsys):
+    """A dump of no paths would exit 0 and write nothing; dump-paths and
+    dump_paths refuse it with n_dump's rule."""
+    doc = tmp_path / "cfg.json"
+    doc.write_text(json.dumps(MINIMAL_WALK))
+    assert main(["dump-paths", str(doc), "--count", count,
+                 "--out", str(tmp_path / "d")]) == 1
+    assert capsys.readouterr().err == \
+        f"error: n_dump: a dump writes at least 1 path, not {count}\n"
+    assert not (tmp_path / "d").exists()
+    cfg = parse_config(MINIMAL_WALK)
+    with pytest.raises(ConfigError, match="^n_dump: "):
+        dump_paths(cfg, cfg.build_model(), int(count), tmp_path / "d")
+
+
+def test_n_dump_zero_or_null_dumps_nothing(tmp_path):
+    for n_dump in (0, None):
+        run_document({**MINIMAL_WALK, "n_paths": 8, "n_dump": n_dump},
+                     out_dir=tmp_path)
+        assert not (tmp_path / "paths").exists()
+
+
 def test_radial_exit_radius_null_skips_exit_check():
     # On the unit sphere no path gets 7 away from the origin, so the
     # default radius and no exit check give the same estimate.
@@ -781,6 +825,10 @@ _REFUSED = [
     ("convergence", {"reference": "uniform"}, "reference"),
     ("walk", "{", "config"),
     ("walk", '{"kind": "walk", "t1": 1%s}' % ("0" * 5000), "config"),
+    ("walk", {"n_dump": -3}, "n_dump"),
+    ("verify-coupling-bound", {"n_dump": -1}, "n_dump"),
+    ("walk", {"exit_radius": None, "origin": [5.0, 5.0]}, "origin"),
+    ("couple", {"exit_radius": None, "origin": [5.0, 5.0]}, "origin"),
 ]
 
 
@@ -798,7 +846,9 @@ _REFUSED = [
         "f-offset-string", "f-unread-key", "dim-1e400", "dim-1e13",
         "top-level-list", "no-kind", "kind-unknown", "no-t1", "t2-at-t1",
         "alphas-empty", "no-alpha", "start1-alone", "feller-no-b",
-        "ou-no-a", "reference-unknown", "json-invalid", "json-int-digits"])
+        "ou-no-a", "reference-unknown", "json-invalid", "json-int-digits",
+        "walk-n_dump-negative", "verify-n_dump-negative",
+        "walk-origin-without-exit", "couple-origin-without-exit"])
 def test_value_the_run_refuses_is_rejected_at_parse(kind, patch, key,
                                                     tmp_path, capsys):
     """A value the run would refuse, crash on or ignore exits 1 with one

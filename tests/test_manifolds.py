@@ -360,11 +360,9 @@ def _sphere_directions(d):
         coords.map(np.array).filter(lambda z: np.linalg.norm(z) > 1e-3))
 
 
-@pytest.mark.parametrize("frame_variant", [0, 1])
 @pytest.mark.parametrize("flow", [False, True])
 @pytest.mark.parametrize("dim, examples", [(2, 60), (100, 4)])
-def test_sphere_frame_is_orthonormal_and_tangent(dim, examples, flow,
-                                                 frame_variant):
+def test_sphere_frame_is_orthonormal_and_tangent(dim, examples, flow):
     """The sphere frame's g(t) Gram error and the cosines between its
     vectors and x stay within 16 eps on the axes, at the poles and where
     the two largest |x_i| tie, the edge of _gram_schmidt's running-maxima
@@ -377,7 +375,7 @@ def test_sphere_frame_is_orthonormal_and_tangent(dim, examples, flow,
         t = data.draw(st.floats(0.0, 1.0), label="t")
         z = np.array(data.draw(st.lists(_sphere_directions(dim + 1),
                                         min_size=1, max_size=4), label="z"))
-        model = RoundSphere(dim, c0, flow=flow, frame_variant=frame_variant)
+        model = RoundSphere(dim, c0, flow=flow)
         x = model.radius * z / np.linalg.norm(z, axis=-1, keepdims=True)
         fr = model.frame(t, x)
         bound = 16.0 * np.finfo(float).eps
@@ -588,7 +586,7 @@ def _per_model_maps(model, t):
         return {"log": log, "depart": depart,
                 "transport_along": transport_along,
                 "frame": lambda x: sphere_frame_gram_schmidt(
-                    x, r, model.scale(t) / model.c0, model.frame_variant)}
+                    x, r, model.scale(t) / model.c0)}
 
     def ldot(a, b):
         return _dot(a[..., 1:], b[..., 1:]) - a[..., 0] * b[..., 0]
@@ -986,10 +984,9 @@ def test_sphere_connect_special_rows(rng):
 
 @pytest.mark.bits
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
-@pytest.mark.parametrize("variant", [0, 1])
-def test_sphere_frame_equals_reference(dim, variant, rng):
+def test_sphere_frame_equals_reference(dim, rng):
     for c0, flow in ((1.0, False), (2.5, True)):
-        model = RoundSphere(dim, c0, flow=flow, frame_variant=variant)
+        model = RoundSphere(dim, c0, flow=flow)
         x = _unit_rows(rng, 200, dim + 1, model.radius)
         # axis points and ties in the largest coordinate
         d = dim + 1
@@ -998,7 +995,7 @@ def test_sphere_frame_equals_reference(dim, variant, rng):
         x[2 * d] = model.radius / np.sqrt(d)
         for t in (0.0, 0.7):
             ref = sphere_frame_gram_schmidt(x, model.radius,
-                                            model.scale(t) / c0, variant)
+                                            model.scale(t) / c0)
             assert np.array_equal(model.frame(t, x), ref)
             assert np.array_equal(model.frame(t, x[5]), ref[5])
 
@@ -1015,10 +1012,9 @@ def _lift_via_frame(model, t, x, xi):
 
 @pytest.mark.bits
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
-@pytest.mark.parametrize("variant", [0, 1])
 @pytest.mark.parametrize("flow", [False, True])
-def test_sphere_lift_equals_frame_einsum(dim, variant, flow, rng):
-    model = RoundSphere(dim, 2.5, flow=flow, frame_variant=variant)
+def test_sphere_lift_equals_frame_einsum(dim, flow, rng):
+    model = RoundSphere(dim, 2.5, flow=flow)
     d = dim + 1
     x = _unit_rows(rng, 200, d, model.radius)
     x[:d] = model.radius * np.eye(d)
