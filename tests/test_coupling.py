@@ -735,6 +735,20 @@ def test_bound_rejects_negative(euclid2):
         coupling_probability_bound(-1.0, 0.0, 1.0)
 
 
+@pytest.mark.parametrize("caller", ["step", "coupled_step"])
+def test_ball_sample_rule_is_shared(caller, euclid2):
+    """A single walk step and a single coupled step read one rule for
+    their ball sample: |xi| up to 1 + 1e-12 is taken, beyond it refused."""
+    run = {
+        "step": lambda xi: step(euclid2, 0.0, np.zeros(2), xi, 0.1),
+        "coupled_step": lambda xi: coupled_step(
+            euclid2, 0.0, np.zeros(2), np.array([1.0, 0.0]), xi, 0.1),
+    }[caller]
+    run(np.array([0.0, 1.0 + 1e-13]))
+    with pytest.raises(InvalidInput, match=r"\|xi\| <= 1"):
+        run(np.array([0.0, 1.0 + 1e-11]))
+
+
 # ---------------------------------------------------------------------------
 # dominating process
 # ---------------------------------------------------------------------------

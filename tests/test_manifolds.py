@@ -10,12 +10,14 @@ from oracles import (hyperboloid_frame_gram_schmidt,
 
 from gtwalk.errors import (DegenerateGeodesic, InvalidInput,
                            UnsupportedOperation)
-from gtwalk.manifolds import (Euclidean, Hyperbolic, Point, RoundSphere,
-                              ScaledMetric, TangentVector, _dot, _lead,
-                              _trail, curvature_condition_residual, distance,
-                              exp, make_model, minimal_geodesic,
+from gtwalk.manifolds import (POINT_TOL, Euclidean, Hyperbolic, Point,
+                              RoundSphere, ScaledMetric, TangentVector, _dot,
+                              _lead, _trail, curvature_condition_residual,
+                              distance, exp, make_model, minimal_geodesic,
                               parallel_transport)
 from gtwalk.numeric import NumericChart
+from gtwalk.variation import (coupled_variation_terms, dagger_field,
+                              solve_green)
 
 ALL_MODEL_NAMES = ["euclid2", "sphere2", "flow_sphere", "hyperbolic2",
                    "scaled_euclid2"]
@@ -194,6 +196,38 @@ def test_transport_base_mismatch_raises(euclid2):
         parallel_transport(euclid2, g, bad)
 
 
+@pytest.mark.parametrize("caller", ["exp", "parallel_transport",
+                                    "dagger_field", "coupled_variation_terms"])
+def test_vector_based_past_point_tol_is_refused(caller, euclid2):
+    """The single-point maps share one base check: a TangentVector based
+    within POINT_TOL of the point a map acts at, or a plain array, is
+    taken, and one based 2 POINT_TOL off is refused with the map's own
+    message. The offset is along a zero coordinate, where np.allclose's
+    relative term adds nothing."""
+    x, y = np.zeros(2), np.array([1.0, 0.0])
+    g = minimal_geodesic(euclid2, 0.0, x, y)
+    at, call = {
+        "exp": (x, lambda v: exp(euclid2, 0.0, Point(x, euclid2.model_id),
+                                 v)),
+        "parallel_transport": (x, lambda v: parallel_transport(euclid2, g,
+                                                               v)),
+        "dagger_field": (y, lambda v: dagger_field(
+            solve_green(euclid2, g, 16), euclid2, v)),
+        "coupled_variation_terms": (x, lambda v: coupled_variation_terms(
+            euclid2, 0.0, g, v)),
+    }[caller]
+    w = np.array([0.0, 1.0])
+
+    def based(offset):
+        return TangentVector(Point(at + np.array([0.0, offset]),
+                                   euclid2.model_id), w)
+
+    call(w)
+    call(based(0.5 * POINT_TOL))
+    with pytest.raises(InvalidInput, match=f"^{caller}: "):
+        call(based(2.0 * POINT_TOL))
+
+
 # ---------------------------------------------------------------------------
 # distance
 # ---------------------------------------------------------------------------
@@ -360,14 +394,18 @@ def _sphere_directions(d):
         coords.map(np.array).filter(lambda z: np.linalg.norm(z) > 1e-3))
 
 
+@pytest.mark.parametrize("frame_variant", [0, 1])
 @pytest.mark.parametrize("flow", [False, True])
 @pytest.mark.parametrize("dim, examples", [(2, 60), (100, 4)])
-def test_sphere_frame_is_orthonormal_and_tangent(dim, examples, flow):
+def test_sphere_frame_is_orthonormal_and_tangent(dim, examples, flow,
+                                                 frame_variant):
     """The sphere frame's g(t) Gram error and the cosines between its
     vectors and x stay within 16 eps on the axes, at the poles and where
     the two largest |x_i| tie, the edge of _gram_schmidt's running-maxima
     scan. Measured: at most 4.5 eps and 6.3 eps. A dim-100 frame costs tens
-    of ms a call, so that dim frames a few blocks of up to 4 rows."""
+    of ms a call, so that dim frames a few blocks of up to 4 rows.
+    frame_variant 1 checks the decreasing-axis section that the
+    frame-independence test walks with, on the same rows."""
     @settings(max_examples=examples, derandomize=True, deadline=None)
     @given(data=st.data())
     def check(data):
@@ -377,7 +415,8 @@ def test_sphere_frame_is_orthonormal_and_tangent(dim, examples, flow):
                                         min_size=1, max_size=4), label="z"))
         model = RoundSphere(dim, c0, flow=flow)
         x = model.radius * z / np.linalg.norm(z, axis=-1, keepdims=True)
-        fr = model.frame(t, x)
+        fr = model.frame(t, x) if frame_variant == 0 else \
+            sphere_frame_gram_schmidt(x, model.radius, model.scale(t) / c0, 1)
         bound = 16.0 * np.finfo(float).eps
         gram = model.inner(t, x, fr[:, :, None, :], fr[:, None, :, :])
         assert np.abs(gram - np.eye(dim)).max() <= bound
