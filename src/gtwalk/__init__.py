@@ -9,8 +9,7 @@ contraction and gradient bounds at desk scale.
 __version__ = "0.1.0"
 
 from .comparison import (OUParams, RadialComparisonSpec, beta, builtin_b,
-                         chi, feller_explosion_test,
-                         simulate_radial_comparison)
+                         chi, feller_explosion_test)
 from .coupling import (CoupledPath, CouplingConfig, CouplingKind,
                        coupled_step, coupling_probability_bound,
                        dominating_process, run_coupled)

@@ -3,8 +3,8 @@
 The Ornstein-Uhlenbeck process dU = -(k/2) U dt + 2 dB advances by its
 exact Gaussian transition in ``ou_chunk``; the radial comparison process
 with drift phi + psi advances by ``RadialComparisonSpec.step``, which
-``engine.walk_chunk`` and ``simulate_radial_comparison`` share. Both act on
-a block of paths at once; ``ou_kernel`` is the OU path kernel. Also here:
+``engine.walk_chunk`` calls for the radial replay. Both act on a block of
+paths at once; ``ou_kernel`` is the OU path kernel. Also here:
 the meeting-probability helpers chi and beta, and the integral test that
 decides explosion of the one-dimensional comparison diffusion.
 """
@@ -278,32 +278,6 @@ def builtin_b(spec: dict) -> Callable[[np.ndarray], np.ndarray]:
     if not np.all(np.diff(xs) > 0):
         raise InvalidInput("table r must be strictly increasing")
     return lambda r: np.interp(np.asarray(r, dtype=float), xs, ys)
-
-
-def simulate_radial_comparison(spec: RadialComparisonSpec, a0: float, *,
-                               alpha: float, lambdas: np.ndarray,
-                               fracs: np.ndarray | None = None) -> np.ndarray:
-    """Radial comparison paths from a0 driven by the lambda records.
-
-    ``lambdas`` is (n,) for one path or (B, n) for B paths, and the result
-    is (n + 1,) or (B, n + 1): rho_0 = a0 and
-    rho_{i+1} = spec.step(rho_i, lambda_i, alpha, frac_i), every frac 1
-    unless ``fracs`` is given. Euler-Maruyama with step h for
-    d rho = dB + (phi(rho) + psi(rho)) dt is alpha = sqrt(h) with standard
-    normal lambdas.
-    """
-    if a0 <= 2.0 * spec.r0:
-        raise InvalidInput("initial value must exceed 2 r0")
-    lambdas = np.asarray(lambdas, dtype=float)
-    n = lambdas.shape[-1]
-    if fracs is None:
-        fracs = np.ones(n)
-    rho = np.empty(lambdas.shape[:-1] + (n + 1,))
-    rho[..., 0] = a0
-    for i in range(n):
-        rho[..., i + 1] = spec.step(rho[..., i], lambdas[..., i], alpha,
-                                    fracs[i])
-    return rho
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,13 @@ applying the time factor in one place. A constant-conformal rescaling is a
 time factor over its base's hooks. The sphere keeps its own distance,
 depart and lift, whose bits the seeded walks replay: the first two round
 the factor in apart from the base's composition, and the lift skips the
-frame tensor. The numeric-chart fallback is defined elsewhere. Points live
-in embedding coordinates for spheres and the hyperboloid, chart coordinates
-otherwise. All model methods accept arrays with shape (..., ambient_dim)
-and broadcast over leading axes, in any memory layout (``_lead``); the
-dataclass wrappers below are the typed single-point API used at module
-boundaries.
+frame tensor. Its frame is a Gram-Schmidt of the axes in closed form, a
+constant number of array operations per frame vector. The numeric-chart
+fallback is defined elsewhere. Points live in embedding coordinates for
+spheres and the hyperboloid, chart coordinates otherwise. All model
+methods accept arrays with shape (..., ambient_dim) and broadcast over
+leading axes, in any memory layout (``_lead``); the dataclass wrappers
+below are the typed single-point API used at module boundaries.
 
 Evaluators are pure and immutable after construction; concurrent reads are
 safe.
@@ -31,8 +32,9 @@ from .errors import (DegenerateGeodesic, InvalidInput, UnsupportedOperation,
                      check_json_type)
 
 POINT_TOL = 1e-9
-# Largest model dimension, set by the sphere's Gram-Schmidt frame: it costs
-# dim^3 per path-step, about 4 ms on the 100-sphere.
+# Largest model dimension: the largest the tests check. No map needs it;
+# the sphere's frame costs dim^2 per path-step, so a 100-sphere walk of 256
+# paths and 13 steps takes about 0.3 s.
 MAX_DIM = 100
 COINCIDE_TOL = 1e-12
 
@@ -517,34 +519,34 @@ class RoundSphere(ManifoldModel):
         return a * (np.cos(theta) * e - np.sin(theta) * (x / self.radius)) + w
 
     def _gram_schmidt(self, x):
-        """The frame vectors of coordinate-leading x in frame order, each
-        coordinate-leading and unit on the representation sphere.
-
-        A Gram-Schmidt of the axis vectors other than the one x leans on
-        most, in increasing axis order.
-        Every entry sees the same operations in the same order as in a
-        row-wise Gram-Schmidt.
-        """
+        """The unit frame vectors at coordinate-leading x, coordinate-leading
+        and in frame order: the Gram-Schmidt, in closed form, of the axes
+        other than the one x leans on most, in increasing order. With
+        y = x / radius, vector i is g (e_k - (y_k / |a|^2) a) for the i-th
+        kept axis k, a the part of y on the axes not yet used (the dropped
+        one stays in it) and g = |a| / |a - y_k e_k|. Zeros are +0."""
         m = self.dim
-        xhat = x / self.radius
-        # The axis x leans on most (np.argmax's first maximum) is at most j
-        # where the running maximum of |xhat| up to j is the largest of all.
-        # np.argmax over the coordinate axis would loop over the rows, 3 to
-        # 7 times slower at m = 2.
-        head = list(np.abs(xhat))
-        for c in range(1, len(head)):
-            head[c] = np.maximum(head[c - 1], head[c])
-        done = []
+        y = x / self.radius
+        head = np.abs(y)  # the dropped axis is the first top of its maxima
+        for c in range(m):
+            head[c + 1] = np.maximum(head[c], head[c + 1])
+        past = (head[:m] == head[m]) * 1.0  # 1: dropped axis <= i, k = i + 1
+        yk = np.where(past, y[1:], y[:-1])
+        t = np.empty(y.shape)  # |a|^2: suffix sums of the kept squares
+        t[m] = head[m] * head[m]
+        for i in range(m - 1, -1, -1):
+            t[i] = yk[i] * yk[i] + t[i + 1]
+        g = np.sqrt(t[:m] / t[1:])
+        h = g * yk / t[:m]
+        stay = 1.0 - past
+        on_i, on_next = stay * g, past * g
+        a = y
         for i in range(m):
-            below = head[i] == head[-1]
-            # e_k - x_k xhat for k = i + below, the i-th axis not dropped
-            w = np.zeros(xhat.shape)
-            w[i], w[i + 1] = ~below, below
-            w -= np.where(below, xhat[i + 1], xhat[i]) * xhat
-            for prev in done:
-                w -= _cdot(w, prev) * prev
-            w /= np.sqrt(_cdot(w, w))
-            done.append(w)
+            w = np.subtract(0.0, h[i] * a)
+            w[i] += on_i[i]
+            w[i + 1] += on_next[i]
+            a[i] *= past[i]  # row k leaves a
+            a[i + 1] *= stay[i]
             yield w
 
     def _frame(self, x):
@@ -727,10 +729,12 @@ def _coords(p) -> np.ndarray:
 
 
 def _components(v, at=None, refusal: str = "") -> np.ndarray:
-    """The components of v; a TangentVector based off ``at`` is refused."""
+    """The components of v; a TangentVector based more than POINT_TOL off
+    ``at`` in some coordinate is refused."""
     if not isinstance(v, TangentVector):
         return np.asarray(v, dtype=float)
-    if at is not None and not np.allclose(v.base.coords, at, atol=POINT_TOL):
+    if at is not None and not np.allclose(v.base.coords, at, rtol=0.0,
+                                          atol=POINT_TOL):
         raise InvalidInput(refusal)
     return v.components
 

@@ -11,8 +11,7 @@ from oracles import gaussian_mass, table_interp
 from gtwalk import engine, rng
 from gtwalk.comparison import (OUParams, RadialComparisonSpec, beta,
                                builtin_b, chi, feller_explosion_test,
-                               ou_chunk, ou_kernel,
-                               simulate_radial_comparison, _ou_transition)
+                               ou_chunk, ou_kernel, _ou_transition)
 from gtwalk.errors import InvalidInput
 from gtwalk.manifolds import Euclidean, RoundSphere
 from gtwalk.runner import run_document
@@ -448,8 +447,10 @@ def test_radial_discrete_stays_above_floor():
         math.sqrt(4.0) * rng.unit_ball_samples(
             rng.stream(12, rng.PURPOSE_RADIAL, i), n_steps, 2)[:, 0]
         for i in range(1000)])
-    rho = simulate_radial_comparison(spec, 1.5, alpha=alpha, lambdas=lam)
-    assert rho.min() > 2 * spec.r0
+    rho = np.full(len(lam), 1.5)
+    for i in range(n_steps):
+        rho = spec.step(rho, lam[:, i], alpha, 1.0)
+        assert rho.min() > 2 * spec.r0
 
 
 def test_radial_continuous_drift_mean():
@@ -459,34 +460,28 @@ def test_radial_continuous_drift_mean():
     n = int(math.ceil(T / h - 1e-9))
     z = np.stack([rng.stream(13, rng.PURPOSE_RADIAL, i).standard_normal(n)
                   for i in range(400)])
-    rho = simulate_radial_comparison(spec, 8.0, alpha=math.sqrt(h),
-                                     lambdas=z)
-    drifts = rho[:, -1] - rho[:, 0]
+    rho = np.full(len(z), 8.0)
+    for i in range(n):
+        rho = spec.step(rho, z[:, i], math.sqrt(h), 1.0)
+    drifts = rho - 8.0
     se = drifts.std(ddof=1) / math.sqrt(len(drifts))
     assert abs(drifts.mean() - spec.c0 * T) <= 3 * se
 
 
 @pytest.mark.bits
 def test_radial_batch_rows_are_single_paths():
-    """Each row of a batched call is the one-path call, bit for bit."""
+    """Each row of a stepped block is its path stepped alone, bit for
+    bit, so retiring rows from the engine's block moves no radial path."""
     spec = RadialComparisonSpec(builtin_b({"name": "linear"}), c0=1.0, r0=0.5)
     lam = np.random.default_rng(3).normal(size=(6, 80))
     fracs = np.append(np.ones(79), 0.4)
-    rho = simulate_radial_comparison(spec, 1.5, alpha=0.1, lambdas=lam,
-                                     fracs=fracs)
-    assert rho.shape == (6, 81)
-    for i in range(6):
-        single = simulate_radial_comparison(spec, 1.5, alpha=0.1,
-                                            lambdas=lam[i], fracs=fracs)
-        assert np.array_equal(single, rho[i])
-
-
-def test_radial_domain_validation():
-    spec = RadialComparisonSpec(builtin_b({"name": "zero"}), c0=1.0, r0=0.5)
-    with pytest.raises(InvalidInput):
-        simulate_radial_comparison(spec, 0.9, alpha=0.1, lambdas=np.zeros(5))
-    with pytest.raises(TypeError, match="alpha"):   # both are required
-        simulate_radial_comparison(spec, 2.0)
+    rho = np.full(6, 1.5)
+    single = np.full(6, 1.5)
+    for i in range(80):
+        rho = spec.step(rho, lam[:, i], 0.1, fracs[i])
+        single = np.array([spec.step(single[j:j + 1], lam[j, i:i + 1], 0.1,
+                                     fracs[i])[0] for j in range(6)])
+        assert same_bits(single, rho)
 
 
 # ---------------------------------------------------------------------------

@@ -362,7 +362,8 @@ def test_convergence_on_the_circle_uses_the_wrapped_gaussian(tmp_path):
 @pytest.mark.parametrize("kind", list_model_kinds())
 def test_cli_gradient_runs_on_each_listed_kind(kind, capsys):
     """The flag-built gradient check's halfspace normal is the axis d0
-    separates the pair along, a unit vector of the ambient coordinates."""
+    separates the pair along, a unit vector of the ambient coordinates:
+    on the sphere the first frame vector at the north pole, zeros +0.0."""
     spec = f"{kind}:2" + (":k=0.5" if kind == "scaled" else "")
     argv = ["verify", "gradient", "--manifold", spec, "--alpha", "0.2",
             "--samples", "200", "--seed", "3"]
@@ -374,6 +375,10 @@ def test_cli_gradient_runs_on_each_listed_kind(kind, capsys):
     assert float(normal @ (x2 - x1)) > 0.0
     if kind == "euclidean":
         assert normal.tolist() == [1.0, 0.0]
+    if kind == "sphere":
+        # a -0.0 would be written into the config and move its hash
+        assert normal.tolist() == [1.0, 0.0, 0.0]
+        assert not np.signbit(normal).any()
     assert main(argv) in (0, 2)
     assert capsys.readouterr().out.startswith("[")
 

@@ -202,9 +202,9 @@ def test_vector_based_past_point_tol_is_refused(caller, euclid2):
     """The single-point maps share one base check: a TangentVector based
     within POINT_TOL of the point a map acts at, or a plain array, is
     taken, and one based 2 POINT_TOL off is refused with the map's own
-    message. The offset is along a zero coordinate, where np.allclose's
-    relative term adds nothing."""
-    x, y = np.zeros(2), np.array([1.0, 0.0])
+    message, along a zero coordinate and along one of 1 or 2, where
+    np.allclose's default relative term would add 1e-5 |x_i| and take it."""
+    x, y = np.array([1.0, 0.0]), np.array([2.0, 0.0])
     g = minimal_geodesic(euclid2, 0.0, x, y)
     at, call = {
         "exp": (x, lambda v: exp(euclid2, 0.0, Point(x, euclid2.model_id),
@@ -218,14 +218,16 @@ def test_vector_based_past_point_tol_is_refused(caller, euclid2):
     }[caller]
     w = np.array([0.0, 1.0])
 
-    def based(offset):
-        return TangentVector(Point(at + np.array([0.0, offset]),
+    def based(offset, axis=1):
+        return TangentVector(Point(at + offset * np.eye(2)[axis],
                                    euclid2.model_id), w)
 
     call(w)
     call(based(0.5 * POINT_TOL))
-    with pytest.raises(InvalidInput, match=f"^{caller}: "):
-        call(based(2.0 * POINT_TOL))
+    call(based(0.5 * POINT_TOL, axis=0))
+    for axis in (1, 0):
+        with pytest.raises(InvalidInput, match=f"^{caller}: "):
+            call(based(2.0 * POINT_TOL, axis))
 
 
 # ---------------------------------------------------------------------------
@@ -402,10 +404,11 @@ def test_sphere_frame_is_orthonormal_and_tangent(dim, examples, flow,
     """The sphere frame's g(t) Gram error and the cosines between its
     vectors and x stay within 16 eps on the axes, at the poles and where
     the two largest |x_i| tie, the edge of _gram_schmidt's running-maxima
-    scan. Measured: at most 4.5 eps and 6.3 eps. A dim-100 frame costs tens
-    of ms a call, so that dim frames a few blocks of up to 4 rows.
-    frame_variant 1 checks the decreasing-axis section that the
-    frame-independence test walks with, on the same rows."""
+    scan. Measured on these examples: at most 3 eps and 0.9 eps (the
+    Gram-Schmidt it replaced: 4 eps and 2 eps). The reference Gram-Schmidt
+    costs tens of ms a call at dim 100, so that dim frames a few blocks of
+    up to 4 rows. frame_variant 1 checks the decreasing-axis section that
+    the frame-independence test walks with, on the same rows."""
     @settings(max_examples=examples, derandomize=True, deadline=None)
     @given(data=st.data())
     def check(data):
@@ -581,8 +584,9 @@ def _over(dist, v):
 def _per_model_maps(model, t):
     """log, depart, transport_along and frame as each closed-form class
     once wrote them out, before the base class applied the time factor
-    once over factor-free hooks. The sphere's angle, direction and frame
-    helpers are shared: those did not change."""
+    once over factor-free hooks. The sphere's angle and direction helpers
+    are shared: those did not change. Its frame is the closed form's
+    row-wise copy, _sphere_frame_closed_form."""
     if isinstance(model, ScaledMetric):
         bt = model.base.time_window[0]
         base = _per_model_maps(model.base, bt)
@@ -624,7 +628,7 @@ def _per_model_maps(model, t):
             return a * e_rot + (v - a * e)
         return {"log": log, "depart": depart,
                 "transport_along": transport_along,
-                "frame": lambda x: sphere_frame_gram_schmidt(
+                "frame": lambda x: _sphere_frame_closed_form(
                     x, r, model.scale(t) / model.c0)}
 
     def ldot(a, b):
@@ -1021,22 +1025,75 @@ def test_sphere_connect_special_rows(rng):
             model.transport_along(t, rows, want[1], want[0], want[1]))
 
 
+def _sphere_frame_closed_form(x, radius, scale):
+    """The sphere frame, shape (..., m, m+1), written out row by row with
+    the float operations of RoundSphere._gram_schmidt in their order: with
+    y = x / radius and k the i-th axis other than np.argmax(|y|), vector i
+    is g (e_k - (y_k / t_i) a) / sqrt(scale). Here a is y with the axes
+    kept before k set to 0, t_i = |a|^2 is summed from the last kept axis
+    up, seeded with the dropped axis's square, and g = sqrt(t_i / t_{i+1})."""
+    y = x / radius
+    m = y.shape[-1] - 1
+    drop = np.argmax(np.abs(y), axis=-1)[..., None]
+    kept = np.arange(m) + (np.arange(m) >= drop)
+    yk = np.take_along_axis(y, kept, -1)
+    yd = np.take_along_axis(y, drop, -1)[..., 0]
+    t = np.empty(y.shape)
+    t[..., m] = yd * yd
+    for i in range(m - 1, -1, -1):
+        t[..., i] = yk[..., i] * yk[..., i] + t[..., i + 1]
+    g = np.sqrt(t[..., :m] / t[..., 1:])
+    h = g * yk / t[..., :m]
+    out = np.empty(y.shape[:-1] + (m, m + 1))
+    for i in range(m):
+        used = (np.arange(m + 1) == kept[..., :i, None]).any(axis=-2)
+        w = 0.0 - h[..., i, None] * np.where(used, 0.0, y)
+        k = kept[..., i, None]
+        np.put_along_axis(w, k, np.take_along_axis(w, k, -1)
+                          + g[..., i, None], -1)
+        out[..., i, :] = w
+    return out / np.sqrt(scale)
+
+
 @pytest.mark.bits
-@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 100])
 def test_sphere_frame_equals_reference(dim, rng):
+    """The frame is its closed form's row-wise copy bit for bit. It is the
+    same section as the reference Gram-Schmidt, rounded apart: each entry
+    within 4 eps / sqrt(factor) of it, 16 at dim 100 (1 / sqrt(factor) is
+    the size of the largest entries). Measured: 2.0 eps at dims 1 to 4 and
+    6.2 eps at dim 100. Rows: random, the axes, their negatives and a tie
+    of every |x_i|."""
     for c0, flow in ((1.0, False), (2.5, True)):
         model = RoundSphere(dim, c0, flow=flow)
-        x = _unit_rows(rng, 200, dim + 1, model.radius)
-        # axis points and ties in the largest coordinate
         d = dim + 1
+        x = _unit_rows(rng, max(200, 2 * d + 1), d, model.radius)
         x[:d] = model.radius * np.eye(d)
         x[d:2 * d] = -model.radius * np.eye(d)
         x[2 * d] = model.radius / np.sqrt(d)
         for t in (0.0, 0.7):
-            ref = sphere_frame_gram_schmidt(x, model.radius,
-                                            model.scale(t) / c0)
-            assert np.array_equal(model.frame(t, x), ref)
-            assert np.array_equal(model.frame(t, x[5]), ref[5])
+            scale = model.scale(t) / c0
+            fr = model.frame(t, x)
+            assert same_bits(fr, _sphere_frame_closed_form(x, model.radius,
+                                                           scale))
+            assert same_bits(model.frame(t, x[5]), fr[5])
+            gs = sphere_frame_gram_schmidt(x, model.radius, scale)
+            bound = (4.0 if dim < 100 else 16.0) * np.finfo(float).eps
+            assert np.abs(fr - gs).max() * np.sqrt(scale) <= bound
+
+
+@pytest.mark.bits
+@pytest.mark.parametrize("model", [RoundSphere(2), RoundSphere(2, flow=True),
+                                   ScaledMetric(RoundSphere(2), 0.8)],
+                         ids=["static", "flow", "scaled"])
+def test_sphere_frame_at_the_origin_keeps_its_bits(model):
+    """At the origin (the north pole) the frame is e_1, e_2 over
+    sqrt(factor), zeros +0.0 included, as the Gram-Schmidt gave: d0 start
+    points and a flag-built gradient check's normal are built from it."""
+    for t in (0.0, 0.6):
+        want = np.eye(3)[:2] / np.sqrt(model._factor(t))
+        assert same_bits(model.frame(t, model.origin()), want)
+        assert not np.signbit(want).any()
 
 
 # ---------------------------------------------------------------------------
