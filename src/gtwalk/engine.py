@@ -30,7 +30,9 @@ the pair, with neither u0 nor a transport, and its lambda* is
 -2 <lift1, u0>. No step needs the arrival direction. A non-finite
 distance or endpoint raises SingularConfiguration instead of being
 counted. The radial replay reads only the distance to the origin and the
-direction toward it, so it calls ``model.depart`` too.
+rate at which the lift moves the walker toward it, so it calls
+``model.toward``: the distance bit for bit and a field whose product with
+the lift is that rate, with no direction field.
 
 ``coupled_chunk`` keeps the pair in one stacked (2B, ambient) state, X1
 and X2 being its halves, and ``reflect_step`` writes both lifts into one
@@ -282,7 +284,7 @@ def walk_chunk(model: ManifoldModel, sched, x0: np.ndarray, seed: int,
     for n in range(n_steps + 1):
         t = float(times[n])
         if track_radial:
-            d_o, toward_o = model.depart(t, X, o)
+            d_o, toward_o = model.toward(t, X, o)
         elif track_exit:
             d_o = model.distance(t, o, X)
         if track_exit:

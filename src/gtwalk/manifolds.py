@@ -6,11 +6,12 @@ space forms: each states its geometry at factor 1 in a few hooks, and the
 base class states the metric methods and the geodesic maps of g(t) once,
 applying the time factor in one place. A constant-conformal rescaling is a
 time factor over its base's hooks. The sphere keeps its own distance,
-depart and lift, whose bits the seeded walks replay: the first two round
-the factor in apart from the base's composition, and the lift skips the
-frame tensor. Its frame is a Gram-Schmidt of the axes in closed form, a
-constant number of array operations per frame vector. The numeric-chart
-fallback is defined elsewhere. Points live in embedding coordinates for
+depart, toward and lift, whose bits the seeded walks replay: the first
+two round the factor in apart from the base's composition, toward reuses
+the chord of its angle, and the lift skips the frame tensor. Its frame
+is a Gram-Schmidt of the axes in closed form, a constant number of array
+operations per frame vector. The numeric-chart fallback is defined
+elsewhere. Points live in embedding coordinates for
 spheres and the hyperboloid, chart coordinates otherwise. All model
 methods accept arrays with shape (..., ambient_dim) and broadcast over
 leading axes, in any memory layout (``_lead``); the dataclass wrappers
@@ -43,6 +44,11 @@ def _lead(*arrays: np.ndarray) -> list:
     """The coordinate-leading views (d, ...) of (..., d) arrays, batch axes
     aligned as the arrays broadcast: for a block stored coordinate-major,
     one contiguous row per coordinate, so a vector operation is one call."""
+    for a in arrays:
+        if a.ndim != 2:
+            break
+    else:  # all (B, d), as in most kernel calls: the transposes alone
+        return [a.T for a in arrays]
     nd = max([a.ndim for a in arrays])
     return [a.T if a.ndim == nd == 2 else
             (a.T if a.ndim <= 2 else np.moveaxis(a, -1, 0)).reshape(
@@ -336,6 +342,43 @@ class ManifoldModel(abc.ABC):
         dist = np.sqrt(self._factor(t)) * d
         return dist, _trail(v / np.where(dist < 1e-300, 1.0, dist))
 
+    def toward(self, t: float, x: np.ndarray, o: np.ndarray):
+        """(dist, q): ``distance(t, x, o)`` bit for bit, and a field q whose
+        g(t)-product with every tangent v at x is that of ``depart``'s u0,
+        up to rounding: the radial rate at x with no direction field.
+
+        On a space form q = (o - x) / (s sn(theta)), with s the square root
+        of the factor and theta the factor-1 distance, sn(theta) = theta,
+        R sin(theta / R) or R sinh(theta / R) by ``_r2``: o - x less its
+        normal part is the log direction at length s sn(theta). q is not
+        tangent; coincident rows get 0, and rows at or near a sphere's
+        antipode get depart's u0, its tie-break included.
+        """
+        if self._product is None:
+            return self.depart(t, x, o)
+        dist = self.distance(t, x, o)
+        s = np.sqrt(self._factor(t))
+        theta = dist / s
+        R = np.sqrt(abs(self._r2))
+        if R == np.inf:
+            sn = theta
+        else:
+            sn = R * (np.sin if self._r2 > 0.0 else np.sinh)(theta / R)
+        x, o = _lead(x, o)
+        den = s * sn
+        q = (o - x) / np.where(den > 0.0, den, np.inf)
+        if 0.0 < self._r2 < np.inf:
+            self._fold_to_depart(t, x, o, q, (theta > R) & (sn < 1e-7 * R))
+        return dist, _trail(q)
+
+    def _fold_to_depart(self, t, x, o, q, fold):
+        """Writes depart's u0 into q, coordinate-leading, on the ``fold``
+        rows alone: where sn is near 0 away from coincidence, the antipode
+        and its tie-break."""
+        if fold.any():
+            x, o = (_trail(np.broadcast_to(a, q.shape)) for a in (x, o))
+            _trail(q)[fold] = self.depart(t, x[fold], o[fold])[1]
+
     def mirror(self, t: float, x: np.ndarray, y: np.ndarray,
                v: np.ndarray) -> np.ndarray:
         """The reflection coupling's map from T_x to T_y: v transported
@@ -464,12 +507,17 @@ class RoundSphere(ManifoldModel):
         u = e - xhat * np.take_along_axis(xhat, idx[..., None], axis=-1)
         return u / np.linalg.norm(u, axis=-1, keepdims=True)
 
+    def _chord(self, x, y):
+        """(d, |d|, |y + x|), d = y - x, of coordinate-leading x and y."""
+        d, s = y - x, y + x
+        return d, np.sqrt(_cdot(d, d)), np.sqrt(_cdot(s, s))
+
     def _angle(self, x, y):
         """The angle between coordinate-leading x and y on the representation
         sphere: 2 atan2(|y - x|, |y + x|) keeps full precision near 0 and
         near pi, where arcsin and arccos lose digits."""
-        d, s = y - x, y + x
-        return 2.0 * np.arctan2(np.sqrt(_cdot(d, d)), np.sqrt(_cdot(s, s)))
+        _, dn, pn = self._chord(x, y)
+        return 2.0 * np.arctan2(dn, pn)
 
     def _direction(self, x, y):
         """(theta, e): the angle and the unit embedding direction, both
@@ -511,6 +559,18 @@ class RoundSphere(ManifoldModel):
         s = np.sqrt(self._factor(t))
         return s * self.radius * theta, _trail(e / s)
 
+    def toward(self, t, x, o):
+        # The chord gives both the angle, as in _angle, and
+        # R sin(angle) = |o - x| |o + x| / 2R, with no sin call.
+        r = self.radius
+        x, o = _lead(x, o)
+        d, dn, pn = self._chord(x, o)
+        s = np.sqrt(self._factor(t))
+        den = dn * pn * (s / (2.0 * r))
+        q = d / np.where(den > 0.0, den, np.inf)
+        self._fold_to_depart(t, x, o, q, pn < 1e-7 * r)
+        return s * r * (2.0 * np.arctan2(dn, pn)), _trail(q)
+
     def _transport(self, x, e, length, v):
         # rotation by the angle length / radius in the plane of x and e
         theta = length / self.radius
@@ -527,27 +587,31 @@ class RoundSphere(ManifoldModel):
         one stays in it) and g = |a| / |a - y_k e_k|. Zeros are +0."""
         m = self.dim
         y = x / self.radius
-        head = np.abs(y)  # the dropped axis is the first top of its maxima
+        # Each buffer is reused once its contents are spent, so the loop
+        # holds a, h, the masks and the two diagonal terms alone.
+        t = np.abs(y)  # the dropped axis is the first top of its maxima
         for c in range(m):
-            head[c + 1] = np.maximum(head[c], head[c + 1])
-        past = (head[:m] == head[m]) * 1.0  # 1: dropped axis <= i, k = i + 1
-        yk = np.where(past, y[1:], y[:-1])
-        t = np.empty(y.shape)  # |a|^2: suffix sums of the kept squares
-        t[m] = head[m] * head[m]
+            t[c + 1] = np.maximum(t[c], t[c + 1])
+        past = (t[:m] == t[m]) * 1.0  # 1: dropped axis <= i, k = i + 1
+        h = np.where(past, y[1:], y[:-1])  # y_k, until it becomes h
+        t[m] *= t[m]  # |a|^2: suffix sums of the kept squares
         for i in range(m - 1, -1, -1):
-            t[i] = yk[i] * yk[i] + t[i + 1]
-        g = np.sqrt(t[:m] / t[1:])
-        h = g * yk / t[:m]
-        stay = 1.0 - past
-        on_i, on_next = stay * g, past * g
+            t[i] = h[i] * h[i] + t[i + 1]
+        g = t[:m] / t[1:]
+        np.sqrt(g, out=g)
+        h *= g
+        h /= t[:m]
+        stay = np.subtract(1.0, past, out=t[:m])
+        on_i, on_next = stay * g, np.multiply(past, g, out=g)
         a = y
         for i in range(m):
             w = np.subtract(0.0, h[i] * a)
             w[i] += on_i[i]
             w[i + 1] += on_next[i]
-            a[i] *= past[i]  # row k leaves a
-            a[i + 1] *= stay[i]
             yield w
+            if i + 1 < m:  # row k leaves a, which the last vector spends
+                a[i] *= past[i]
+                a[i + 1] *= stay[i]
 
     def _frame(self, x):
         out = np.empty(x.shape[1:] + (self.dim, self.ambient_dim))

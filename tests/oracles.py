@@ -318,14 +318,15 @@ def reference_coupled_chunk(model: ManifoldModel, sched, x1, x2, seed: int,
 
 def reference_walk_chunk(model: ManifoldModel, sched, x0, seed: int,
                          paths: range, *, origin=None, exit_radius=None,
-                         radial=None) -> dict:
+                         radial=None, rate: str = "toward") -> dict:
     """The walk kernel as a plain loop over C-ordered (B, ambient) blocks:
-    each step measures from the origin (``depart`` with a radial replay,
-    ``distance`` without), runs the exit check and the violation flags,
-    lifts the step's noise, moves rho by ``spec.step`` and takes the exp.
-    Returns every record whose setting is given; each output of
-    ``engine.walk_chunk`` must have the bits of the one here under the same
-    name."""
+    each step measures from the origin (the model method named ``rate``,
+    ``toward`` or ``depart``, with a radial replay, ``distance`` without),
+    runs the exit check and the violation flags, lifts the step's noise,
+    moves rho by ``spec.step`` and takes the exp. Returns every record
+    whose setting is given; each output of ``engine.walk_chunk`` must have
+    the bits of the one here under the same name, with ``rate`` "toward".
+    With "depart" the radial rate differs by rounding alone."""
     B = len(paths)
     times, fracs = sched.times, sched.fracs
     n_steps = len(fracs)
@@ -346,7 +347,7 @@ def reference_walk_chunk(model: ManifoldModel, sched, x0, seed: int,
     for n in range(n_steps + 1):
         t = float(times[n])
         if radial is not None:
-            d_o, toward = model.depart(t, X, o)
+            d_o, toward = getattr(model, rate)(t, X, o)
         elif exit_radius is not None:
             d_o = model.distance(t, o, X)
         if exit_radius is not None:

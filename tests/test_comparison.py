@@ -405,8 +405,9 @@ def test_builtin_b_refuses_unread_keys_and_unsorted_tables(spec, words):
 @pytest.mark.parametrize("b", B_PROFILES)
 def test_walk_chunk_rho_trace_is_the_connect_interp_replay(model, b):
     """The kernel's traced comparison path and flags equal a replay built
-    step by step from depart, np.interp on the spec's table and the
-    traced skeleton and noise."""
+    step by step from toward, np.interp on the spec's table and the
+    traced skeleton and noise. The same replay with depart's direction
+    moves rho by rounding alone, within 1e-12, and flags the same paths."""
     sched = Schedule(0.0, 0.3, 0.05)
     o = model.origin()
     spec = RadialComparisonSpec(builtin_b(b), c0=1.0, r0=0.5)
@@ -418,24 +419,35 @@ def test_walk_chunk_rho_trace_is_the_connect_interp_replay(model, b):
                                      "radial_violation"})
     # the table now reaches every rho the kernel looked up
     grid, _, cum, _ = spec._table
-    rho = np.full(B, 1.5)
-    violated = np.zeros(B, dtype=bool)
-    for n in range(sched.n_steps + 1):
-        t, X = float(sched.times[n]), out["skeleton"][:, n]
-        d_o, toward_o = model.depart(t, X, o)
-        violated |= d_o > rho + margin
-        assert same_bits(out["rho_trace"][:, n], rho)
-        if n == sched.n_steps:
-            break
-        xi = out["noise"][:, n]
-        lift = model.lift(t, X, xi)
-        lam = np.where(d_o >= spec.r0, -model.inner(t, X, lift, toward_o),
-                       math.sqrt(model.dim + 2.0) * xi[:, 0])
-        drift = spec.c0 + 0.5 * table_interp(rho, grid, cum) + spec.psi(rho)
-        rho = rho + float(sched.fracs[n]) * (sched.alpha * lam
-                                             + sched.alpha ** 2 * drift)
+
+    def replay(rate):
+        rho = np.full(B, 1.5)
+        trace, violated = [], np.zeros(B, dtype=bool)
+        for n in range(sched.n_steps + 1):
+            t, X = float(sched.times[n]), out["skeleton"][:, n]
+            d_o, toward_o = rate(t, X, o)
+            violated |= d_o > rho + margin
+            trace.append(rho)
+            if n == sched.n_steps:
+                break
+            xi = out["noise"][:, n]
+            lift = model.lift(t, X, xi)
+            lam = np.where(d_o >= spec.r0,
+                           -model.inner(t, X, lift, toward_o),
+                           math.sqrt(model.dim + 2.0) * xi[:, 0])
+            drift = (spec.c0 + 0.5 * table_interp(rho, grid, cum)
+                     + spec.psi(rho))
+            rho = rho + float(sched.fracs[n]) * (sched.alpha * lam
+                                                 + sched.alpha ** 2 * drift)
+        return np.stack(trace, axis=1), violated
+
+    rho_trace, violated = replay(model.toward)
+    assert same_bits(out["rho_trace"], rho_trace)
     assert np.array_equal(out["radial_violation"], violated)
     assert 0.0 < violated.mean() < 1.0
+    via_depart, flags = replay(model.depart)
+    assert np.allclose(via_depart, rho_trace, rtol=0.0, atol=1e-12)
+    assert np.array_equal(flags, violated)
 
 
 def test_radial_discrete_stays_above_floor():

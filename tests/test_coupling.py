@@ -628,7 +628,9 @@ def test_walk_chunk_matches_reference_loop(request, name, records):
     steps C-ordered blocks: the exit check, the radial replay with a
     negative margin that flags some paths before they exit, and every
     trace. The untraced runs also drop each setting in turn, so a replay
-    measures by depart alone and an exit check by distance alone."""
+    measures by toward alone and an exit check by distance alone. The
+    reference replayed with depart's direction moves rho by rounding
+    alone, within 1e-12, and flags the same paths."""
     model = request.getfixturevalue(name)
     sched, o, options = _walk_settings(model)
     paths = range(7, 307)
@@ -646,6 +648,12 @@ def test_walk_chunk_matches_reference_loop(request, name, records):
         if settings is options:
             assert 0 < want["radial_violation"].mean() < 1
             assert 0 < np.mean(want["exit_step"] >= 0) < 1
+            via_depart = reference_walk_chunk(model, sched, o, 23, paths,
+                                              rate="depart", **settings)
+            assert np.allclose(via_depart["rho_trace"], want["rho_trace"],
+                               rtol=0.0, atol=1e-12)
+            assert np.array_equal(via_depart["radial_violation"],
+                                  want["radial_violation"])
 
 
 def test_walk_chunk_rejects_unknown_records(euclid2):

@@ -929,6 +929,34 @@ _PROPERTY_MODELS = {
 }
 
 
+def _draw_point(model, t, data, reach):
+    """(x, cap): a drawn point of a ``_PROPERTY_MODELS`` model, anywhere on
+    the sphere, coordinates in [-10, 10] on the plane and spatial
+    coordinates in [-3, 3] on the hyperboloid, and the largest separation
+    to draw from it, 3, or ``reach`` pi times the sphere's g(t) radius."""
+    base = getattr(model, "base", model)
+    coords = np.array(data.draw(st.lists(
+        st.floats(-10.0, 10.0) if base.kind == "euclidean"
+        else st.floats(-3.0, 3.0), min_size=base.ambient_dim,
+        max_size=base.ambient_dim)))
+    if base.kind == "sphere":
+        assume(np.linalg.norm(coords) > 0.1)
+        return (base.radius * coords / np.linalg.norm(coords),
+                reach * np.pi * base.radius * np.sqrt(model._factor(t)))
+    if base.kind == "hyperbolic":
+        return np.concatenate([[np.sqrt(1.0 + coords[1:] @ coords[1:])],
+                               coords[1:]]), 3.0
+    return coords, 3.0
+
+
+def _draw_unit_tangent(model, t, x, data):
+    """A g(t)-unit tangent at x, from drawn frame coordinates."""
+    xi = np.array(data.draw(st.lists(st.floats(-1.0, 1.0),
+                                     min_size=model.dim, max_size=model.dim)))
+    assume(np.linalg.norm(xi) > 0.1)
+    return xi @ model.frame(t, x) / np.linalg.norm(xi)
+
+
 @pytest.mark.parametrize("name", _PROPERTY_MODELS)
 @settings(max_examples=100, derandomize=True, deadline=None)
 @given(data=st.data())
@@ -951,24 +979,8 @@ def test_maps_stated_once_are_geodesic(name, data):
     model = _PROPERTY_MODELS[name]()
     base = getattr(model, "base", model)
     t = data.draw(st.floats(*model.time_window))
-    coords = np.array(data.draw(st.lists(
-        st.floats(-10.0, 10.0) if base.kind == "euclidean"
-        else st.floats(-3.0, 3.0), min_size=base.ambient_dim,
-        max_size=base.ambient_dim)))
-    if base.kind == "sphere":
-        assume(np.linalg.norm(coords) > 0.1)
-        x = base.radius * coords / np.linalg.norm(coords)
-        cap = 0.9 * np.pi * base.radius * np.sqrt(model._factor(t))
-    elif base.kind == "hyperbolic":
-        x = np.concatenate([[np.sqrt(1.0 + coords[1:] @ coords[1:])],
-                            coords[1:]])
-        cap = 3.0
-    else:
-        x, cap = coords, 3.0
-    xi = np.array(data.draw(st.lists(st.floats(-1.0, 1.0),
-                                     min_size=model.dim, max_size=model.dim)))
-    assume(np.linalg.norm(xi) > 0.1)
-    u = xi @ model.frame(t, x) / np.linalg.norm(xi)
+    x, cap = _draw_point(model, t, data, 0.9)
+    u = _draw_unit_tangent(model, t, x, data)
     sep = data.draw(st.one_of(
         st.just(0.0), st.floats(-12.0, -3.0).map(lambda e: 10.0 ** e),
         st.floats(1e-3, cap)))
@@ -985,6 +997,136 @@ def test_maps_stated_once_are_geodesic(name, data):
         u1 = model.transport_along(t, x, u0, dist, u0)
         assert abs(model.norm(t, y, u1) - 1.0) <= tol
         assert model.tangency_residual(y, u1) * min(dist, 1.0) <= tol
+
+
+@pytest.mark.parametrize("name", _PROPERTY_MODELS)
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_toward_gives_departs_radial_rate(name, data):
+    """On drawn pairs x, o: coincident, 1e-3 to 3 apart (to 0.999 pi times
+    the g(t) radius on spheres), and on spheres also antipodal or 1e-9 or
+    1e-8 to 1e-3 off the antipode. toward's distance is distance's bit for
+    bit, coincident rows get q = 0, rows at or 1e-9 off the antipode get
+    depart's u0 bit for bit, and at a drawn tangent v the rate <v, q>
+    differs from <v, u0> by at most tol |v|: tol = 1e-12, raised to
+    64 eps cosh^2(r) on the hyperboloid, cosh r the larger time coordinate
+    of x and o, and to 64 eps / sin(angle) on spheres.
+
+    Measured over 4000 draws per model: 0 on the plane, within
+    3.6 eps / sin(angle) on spheres and 105 eps cosh^2(r), 1.1e-13, on the
+    hyperboloid. Closer than 1e-3 both fields carry rounding of order
+    eps / dist, depart's the larger; the radial replay reads the rate only
+    past its r0.
+    """
+    model = _PROPERTY_MODELS[name]()
+    base = getattr(model, "base", model)
+    t = data.draw(st.floats(*model.time_window))
+    x, cap = _draw_point(model, t, data, 0.999)
+    u = _draw_unit_tangent(model, t, x, data)
+    v = _draw_unit_tangent(model, t, x, data)
+    sep = data.draw(st.one_of(st.just(0.0), st.floats(1e-3, cap)))
+    o = model.exp(t, x, sep * u)
+    folded = False
+    if base.kind == "sphere" and data.draw(st.booleans()):
+        off = data.draw(st.one_of(st.just(0.0), st.just(1e-9),
+                                  st.floats(-8.0, -3.0).map(
+                                      lambda e: 10.0 ** e)))
+        o = model.exp(t, -x, off * _draw_unit_tangent(model, t, -x, data))
+        folded = off <= 1e-9
+
+    dist, q = model.toward(t, x, o)
+    d_depart, u0 = model.depart(t, x, o)
+    assert same_bits(dist, model.distance(t, x, o))
+    assert same_bits(dist, d_depart)
+    if sep == 0.0 and not folded and np.all(o == x):
+        assert not np.any(q)
+    if folded:
+        assert same_bits(q, u0)
+    tol, eps = 1e-12, np.finfo(float).eps
+    if base.kind == "hyperbolic":
+        tol = max(tol, 64 * eps * max(x[0], o[0]) ** 2)
+    elif base.kind == "sphere" and dist > 0.0:
+        angle = dist / (np.sqrt(model._factor(t)) * base.radius)
+        tol = max(tol, 64 * eps / np.sin(angle))
+    assert (abs(model.inner(t, x, v, q) - model.inner(t, x, v, u0))
+            <= tol * model.norm(t, x, v))
+
+
+@pytest.mark.bits
+@pytest.mark.parametrize("name", CONNECT_MODELS)
+def test_toward_measures_as_distance_and_folds_to_depart(request, name,
+                                                          rng):
+    """toward's distance is distance's bit for bit, and both outputs have
+    the same bits whether a side is one point or that point repeated on
+    every row. Coincident rows get q = 0; on spheres antipodal rows and
+    rows 1e-9 off them get depart's u0, tie-break included, bit for bit."""
+    model = request.getfixturevalue(name)
+    t = model.time_window[0] + 0.3
+    if model.kind == "sphere":
+        x, y = _sphere_pairs(model, t, rng)
+        off = np.stack([random_tangent(model, t, -p, rng) for p in x[:10]])
+        off *= (1e-9 / model.norm(t, -x[:10], off))[:, None]
+        x = np.concatenate([x, x[:10]])
+        y = np.concatenate([y, model.exp(t, -x[:10], off)])
+        folded = np.r_[10:20, 40:50]
+    else:
+        x = np.stack([random_point(model, rng) for _ in range(40)])
+        y = np.stack([random_point(model, rng) for _ in range(40)])
+        y[:5] = x[:5]
+        folded = []
+    y[1] = x[0]
+    for a, b in ((x, y), (x[0], y), (y, x[0])):
+        dist, q = model.toward(t, a, b)
+        assert same_bits(dist, model.distance(t, a, b))
+        want = model.toward(t, *np.broadcast_arrays(a, b))
+        assert same_bits(dist, want[0]) and same_bits(q, want[1])
+        same = np.all(a == b, axis=-1)
+        assert same.sum() >= 1 and not np.any(q[same])
+    dist, q = model.toward(t, x, y)
+    assert same_bits(q[folded], model.depart(t, x, y)[1][folded])
+
+
+@pytest.mark.bits
+@pytest.mark.parametrize("name", _PROPERTY_MODELS)
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_distance_is_symmetric_bit_for_bit(name, data):
+    """distance(t, x, y) and distance(t, y, x) have the same bits on drawn
+    pairs: coincident, 1e-12 to 1e-3 apart, 1e-3 to 3 apart (to 0.999 pi
+    times the g(t) radius on spheres), and on spheres also 0 or 1e-12 to
+    1e-3 off the antipode."""
+    model = _PROPERTY_MODELS[name]()
+    base = getattr(model, "base", model)
+    t = data.draw(st.floats(*model.time_window))
+    x, cap = _draw_point(model, t, data, 0.999)
+    u = _draw_unit_tangent(model, t, x, data)
+    small = st.floats(-12.0, -3.0).map(lambda e: 10.0 ** e)
+    sep = data.draw(st.one_of(st.just(0.0), small, st.floats(1e-3, cap)))
+    y = model.exp(t, x, sep * u)
+    if base.kind == "sphere" and data.draw(st.booleans()):
+        off = data.draw(st.one_of(st.just(0.0), small))
+        y = model.exp(t, -x, off * _draw_unit_tangent(model, t, -x, data))
+    assert same_bits(model.distance(t, x, y), model.distance(t, y, x))
+
+
+@pytest.mark.parametrize("name", _PROPERTY_MODELS)
+def test_residual_is_the_closed_form_on_space_forms(name, rng):
+    """With no drift, curvature_condition_residual on a space form is
+    p(v, v) ((m - 1) / r2 + k factor(t) - factor_dt(t)), p the ambient
+    product and r2 the squared curvature radius: at random (t, x, v, k),
+    within 1e-12 of p(v, v) times the sum of the three terms' sizes."""
+    model = _PROPERTY_MODELS[name]()
+    assert not model.has_drift
+    for _ in range(20):
+        t = float(rng.uniform(*model.time_window))
+        k = float(rng.uniform(-2.0, 2.0))
+        x = random_point(model, rng)
+        v = random_tangent(model, t, x, rng)
+        p = float(model._product(*_lead(v, v)))
+        terms = ((model.dim - 1) / model._r2, k * model._factor(t),
+                 -model._factor_dt(t))
+        got = curvature_condition_residual(model, t, x, v, k)
+        assert abs(got - p * sum(terms)) <= 1e-12 * p * sum(map(abs, terms))
 
 
 def test_sphere_connect_special_rows(rng):
@@ -1181,7 +1323,8 @@ def test_model_methods_keep_their_bits_in_either_layout(request, name, rng):
     """Every model method the kernels call gives the same bits on a
     C-ordered block and on the same block stored coordinate-major, with
     coincident rows, antipodal rows on the sphere and zero vectors. The
-    numeric chart has no log, so no depart, distance or mirror."""
+    numeric chart has no log, so no depart, toward, distance or
+    mirror."""
     model = (_LAYOUT_MODELS[name]() if name in _LAYOUT_MODELS
              else request.getfixturevalue(name))
     t = model.time_window[0] + 0.3
@@ -1209,6 +1352,7 @@ def test_model_methods_keep_their_bits_in_either_layout(request, name, rng):
     if model.kind != "numeric-chart":
         calls.update({
             "depart": lambda x, y, v, w, xi, u: model.depart(t, x, y),
+            "toward": lambda x, y, v, w, xi, u: model.toward(t, x, y),
             "distance": lambda x, y, v, w, xi, u: model.distance(t, x, y),
             "mirror": lambda x, y, v, w, xi, u: model.mirror(t, x, y, v)})
     blocks = (x, y, v, w, xi, unit)
