@@ -32,7 +32,8 @@ distance or endpoint raises SingularConfiguration instead of being
 counted. The radial replay reads only the distance to the origin and the
 rate at which the lift moves the walker toward it, so it calls
 ``model.toward``: the distance bit for bit and a field whose product with
-the lift is that rate, with no direction field.
+the lift is that rate (depart's direction, but on the sphere a field built
+from the chord).
 
 ``coupled_chunk`` keeps the pair in one stacked (2B, ambient) state, X1
 and X2 being its halves, and ``reflect_step`` writes both lifts into one

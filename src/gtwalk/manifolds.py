@@ -44,11 +44,6 @@ def _lead(*arrays: np.ndarray) -> list:
     """The coordinate-leading views (d, ...) of (..., d) arrays, batch axes
     aligned as the arrays broadcast: for a block stored coordinate-major,
     one contiguous row per coordinate, so a vector operation is one call."""
-    for a in arrays:
-        if a.ndim != 2:
-            break
-    else:  # all (B, d), as in most kernel calls: the transposes alone
-        return [a.T for a in arrays]
     nd = max([a.ndim for a in arrays])
     return [a.T if a.ndim == nd == 2 else
             (a.T if a.ndim <= 2 else np.moveaxis(a, -1, 0)).reshape(
@@ -345,39 +340,10 @@ class ManifoldModel(abc.ABC):
     def toward(self, t: float, x: np.ndarray, o: np.ndarray):
         """(dist, q): ``distance(t, x, o)`` bit for bit, and a field q whose
         g(t)-product with every tangent v at x is that of ``depart``'s u0,
-        up to rounding: the radial rate at x with no direction field.
-
-        On a space form q = (o - x) / (s sn(theta)), with s the square root
-        of the factor and theta the factor-1 distance, sn(theta) = theta,
-        R sin(theta / R) or R sinh(theta / R) by ``_r2``: o - x less its
-        normal part is the log direction at length s sn(theta). q is not
-        tangent; coincident rows get 0, and rows at or near a sphere's
-        antipode get depart's u0, its tie-break included.
+        up to rounding: all that the radial replay reads. Here q is u0; the
+        sphere overrides it with a field that is not tangent.
         """
-        if self._product is None:
-            return self.depart(t, x, o)
-        dist = self.distance(t, x, o)
-        s = np.sqrt(self._factor(t))
-        theta = dist / s
-        R = np.sqrt(abs(self._r2))
-        if R == np.inf:
-            sn = theta
-        else:
-            sn = R * (np.sin if self._r2 > 0.0 else np.sinh)(theta / R)
-        x, o = _lead(x, o)
-        den = s * sn
-        q = (o - x) / np.where(den > 0.0, den, np.inf)
-        if 0.0 < self._r2 < np.inf:
-            self._fold_to_depart(t, x, o, q, (theta > R) & (sn < 1e-7 * R))
-        return dist, _trail(q)
-
-    def _fold_to_depart(self, t, x, o, q, fold):
-        """Writes depart's u0 into q, coordinate-leading, on the ``fold``
-        rows alone: where sn is near 0 away from coincidence, the antipode
-        and its tie-break."""
-        if fold.any():
-            x, o = (_trail(np.broadcast_to(a, q.shape)) for a in (x, o))
-            _trail(q)[fold] = self.depart(t, x[fold], o[fold])[1]
+        return self.depart(t, x, o)
 
     def mirror(self, t: float, x: np.ndarray, y: np.ndarray,
                v: np.ndarray) -> np.ndarray:
@@ -568,7 +534,10 @@ class RoundSphere(ManifoldModel):
         s = np.sqrt(self._factor(t))
         den = dn * pn * (s / (2.0 * r))
         q = d / np.where(den > 0.0, den, np.inf)
-        self._fold_to_depart(t, x, o, q, pn < 1e-7 * r)
+        fold = pn < 1e-7 * r  # at or near the antipode: depart's u0
+        if fold.any():
+            x, o = (_trail(np.broadcast_to(a, q.shape)) for a in (x, o))
+            _trail(q)[fold] = self.depart(t, x[fold], o[fold])[1]
         return s * r * (2.0 * np.arctan2(dn, pn)), _trail(q)
 
     def _transport(self, x, e, length, v):
