@@ -72,29 +72,32 @@ def _common_flags(p: argparse.ArgumentParser):
     p.add_argument("--manifold", type=str, default=None)
 
 
-def _experiment_flags(p: argparse.ArgumentParser):
+def _walk_flags(p: argparse.ArgumentParser):
     _common_flags(p)
     p.add_argument("--t1", type=float, default=0.0)
     p.add_argument("--t2", type=float, default=1.0)
-    p.add_argument("--d0", type=float, default=None)
-    p.add_argument("--delta-couple", type=float, default=None)
-    p.add_argument("--k", type=float, default=None)
-    p.add_argument("--coupling", choices=["reflection", "parallel"],
-                   default=None)
-    p.add_argument("--dump", type=int, default=None,
-                   help="number of path CSVs to write")
+    p.add_argument("--dump", type=int, help="number of path CSVs to write")
 
 
-# The config key each override flag sets.
-_OVERRIDE_KEYS = {"alpha": "alpha", "samples": "n_paths", "seed": "seed",
-                  "manifold": "manifold"}
+def _pair_flags(p: argparse.ArgumentParser):
+    _walk_flags(p)
+    p.add_argument("--d0", type=float, default=1.0)
+    p.add_argument("--delta-couple", type=float)
 
 
-def _overrides_from(args) -> dict:
-    """The config values given by those of --alpha, --samples, --seed and
-    --manifold that the subcommand has and the user set."""
+# The config key each flag sets; a subcommand has only the flags its
+# experiment reads.
+_FLAG_KEYS = {"alpha": "alpha", "samples": "n_paths", "seed": "seed",
+              "manifold": "manifold", "t1": "t1", "t2": "t2",
+              "dump": "n_dump", "d0": "d0", "delta_couple": "delta_couple",
+              "k": "k", "coupling": "coupling"}
+
+
+def _config_values(args) -> dict:
+    """The config values of the flags the subcommand has and that are set,
+    by the user or by the flag's default."""
     values = {key: getattr(args, flag, None)
-              for flag, key in _OVERRIDE_KEYS.items()}
+              for flag, key in _FLAG_KEYS.items()}
     if values["manifold"] is not None:
         values["manifold"] = parse_manifold_spec(values["manifold"])
     return {key: value for key, value in values.items() if value is not None}
@@ -112,16 +115,18 @@ def _build_parser() -> argparse.ArgumentParser:
     _common_flags(p_run)
 
     p_walk = sub.add_parser("walk", help="single-walk experiment from flags")
-    _experiment_flags(p_walk)
+    _walk_flags(p_walk)
 
     p_couple = sub.add_parser("couple", help="coupled-walk experiment from flags")
-    _experiment_flags(p_couple)
+    _pair_flags(p_couple)
+    p_couple.add_argument("--coupling", choices=["reflection", "parallel"])
 
     p_verify = sub.add_parser("verify", help="bound verification from flags")
     p_verify.add_argument("check", choices=[
         kind.removeprefix("verify-") for kind in config.EXPERIMENT_KINDS
         if kind.startswith("verify-")])
-    _experiment_flags(p_verify)
+    _pair_flags(p_verify)
+    p_verify.add_argument("--k", type=float)
 
     sub.add_parser("list-models", help="list manifold kinds")
 
@@ -150,14 +155,14 @@ def main(argv: list[str] | None = None) -> int:
 
         if args.command == "run":
             _, reports = run_document(
-                Path(args.config).read_text(), overrides=_overrides_from(args),
+                Path(args.config).read_text(), overrides=_config_values(args),
                 workers=_threads(args), out_dir=args.out)
             return _report_outcome(reports)
 
         if args.command == "dump-paths":
             out = Path(args.out or "paths")
             for cfg in config.parse_suite(Path(args.config).read_text(),
-                                          _overrides_from(args)):
+                                          _config_values(args)):
                 for f in dump_paths(cfg, cfg.build_model(), args.count, out):
                     print(f)
             return 0
@@ -174,22 +179,13 @@ def main(argv: list[str] | None = None) -> int:
 def _document_from_flags(args) -> dict:
     if not args.manifold:
         raise GtwalkError("--manifold is required for flag-built experiments")
-    doc: dict = {
-        "kind": f"verify-{args.check}" if args.command == "verify"
-        else args.command,
-        "t1": args.t1, "t2": args.t2, "alpha": 0.05, "n_dump": args.dump,
-        **_overrides_from(args),
-    }
-    if args.command != "walk":
-        doc.update(d0=args.d0 if args.d0 is not None else 1.0,
-                   delta_couple=args.delta_couple, k=args.k,
-                   coupling=args.coupling if args.command == "couple"
-                   else None)
-    if doc["kind"] == "verify-gradient":
+    kind = f"verify-{args.check}" if args.command == "verify" \
+        else args.command
+    doc = {"kind": kind, "alpha": 0.05, **_config_values(args)}
+    if kind == "verify-gradient":
         doc["f"] = {"type": "halfspace", "normal": _first_axis(doc),
                     "offset": -0.5}
-    # an unset flag leaves its key to the config defaults
-    return {key: value for key, value in doc.items() if value is not None}
+    return doc
 
 
 def _first_axis(doc: dict) -> list | None:

@@ -22,22 +22,24 @@ from .coupling import CouplingConfig, CouplingKind
 from .errors import ConfigError, InvalidInput, check_json_type, is_number
 from .manifolds import ManifoldModel, make_model
 
-_COMMON_KEYS = {"kind", "manifold", "t1", "t2", "seed", "out"}
+# Every run reports its seed; a kind takes only the other keys its run
+# reads, so the one-dimensional comparison kinds name no manifold.
+_COMMON_KEYS = {"kind", "seed", "out"}
+_SPACE = {"manifold", "t1", "t2"}
+_PAIR = _SPACE | {"alpha", "n_paths", "start1", "start2", "d0",
+                  "delta_couple"}
 _KEYS_BY_KIND = {
-    "walk": {"alpha", "n_paths", "start", "origin", "exit_radius"},
-    "couple": {"alpha", "n_paths", "start1", "start2", "d0", "delta_couple",
-               "k", "coupling", "origin", "exit_radius"},
-    "verify-coupling-bound": {"alpha", "n_paths", "start1", "start2", "d0",
-                              "delta_couple", "k", "bias"},
-    "verify-contraction": {"alpha", "n_paths", "start1", "start2", "d0",
-                           "delta_couple", "k", "contraction_coefficient"},
-    "verify-gradient": {"alpha", "n_paths", "start1", "start2", "d0",
-                        "delta_couple", "k", "f", "osc"},
-    "convergence": {"alphas", "n_paths", "start", "reference"},
+    "walk": _SPACE | {"alpha", "n_paths", "start", "origin", "exit_radius"},
+    "couple": _PAIR | {"coupling", "origin", "exit_radius"},
+    "verify-coupling-bound": _PAIR | {"k", "bias"},
+    "verify-contraction": _PAIR | {"k", "contraction_coefficient"},
+    "verify-gradient": _PAIR | {"k", "f", "osc"},
+    "convergence": _SPACE | {"alphas", "n_paths", "start", "reference"},
     "feller-test": {"b", "C", "y_max", "expect"},
-    "ou-survival": {"a", "k", "ou_h", "n_paths"},
-    "radial-domination": {"alpha", "n_paths", "start", "origin",
-                          "exit_radius", "b", "c0", "r0", "margin"},
+    "ou-survival": {"t1", "t2", "a", "k", "ou_h", "n_paths"},
+    "radial-domination": _SPACE | {"alpha", "n_paths", "start", "origin",
+                                   "exit_radius", "b", "c0", "r0",
+                                   "margin"},
 }
 EXPERIMENT_KINDS = tuple(_KEYS_BY_KIND)
 # Kinds that simulate walk paths at one alpha; only these take n_dump.
@@ -87,7 +89,10 @@ class ExperimentConfig:
     def get(self, key: str, default=None):
         return self.data.get(key, default)
 
-    def build_model(self) -> ManifoldModel:
+    def build_model(self) -> ManifoldModel | None:
+        """The config's model; None for a kind on no manifold."""
+        if "manifold" not in self.data:
+            return None
         return make_model(self.data["manifold"],
                           (self.data["t1"], self.data["t2"]))
 
@@ -135,7 +140,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if extra:
         _fail(extra[0], f"unknown key for kind {kind!r}")
 
-    for req in ("manifold", "t1", "t2"):
+    for req in sorted(_SPACE & allowed):
         if req not in raw:
             _fail(req, "missing")
     for key, value in raw.items():
@@ -143,18 +148,19 @@ def parse_config(raw: dict) -> ExperimentConfig:
             else None
         if number and not (value is None and key in _NULLABLE_KEYS):
             _built("", check_json_type, key, value, number)
-    t1, t2 = float(raw["t1"]), float(raw["t2"])
-    if not t1 < t2:
-        _fail("t2", "must exceed t1")
-    model = _built("manifold", make_model, raw["manifold"], (t1, t2))
-    data: dict[str, Any] = {"kind": kind, "manifold": dict(raw["manifold"]),
-                            "t1": t1, "t2": t2}
-
-    for key in sorted(allowed - {"kind", "manifold", "t1", "t2"}):
+    data: dict[str, Any] = {"kind": kind}
+    for key in sorted(allowed - {"kind"}):
         if key in raw:
             data[key] = raw[key]
         elif key in _DEFAULTS:
             data[key] = _DEFAULTS[key]
+    if "t1" in data:
+        t1 = data["t1"] = float(data["t1"])
+        t2 = data["t2"] = float(data["t2"])
+        if not t1 < t2:
+            _fail("t2", "must exceed t1")
+    model = _built("manifold", make_model, data["manifold"], (t1, t2)) \
+        if "manifold" in data else None
 
     if kind == "convergence":
         alphas = data.get("alphas")
@@ -170,8 +176,6 @@ def parse_config(raw: dict) -> ExperimentConfig:
         data["alpha"] = float(data["alpha"])
         _built("", walk.Schedule, t1, t2, data["alpha"])
 
-    if kind == "couple" and float(data["k"]) != 0.0:
-        _fail("k", "couple checks no bound; k applies to the verify kinds")
     if kind == "couple" and data["coupling"] not in ("reflection", "parallel"):
         _fail("coupling", f"must be 'reflection' or 'parallel', not "
               f"{data['coupling']!r}")
@@ -234,10 +238,10 @@ def check_dump(kind: str, count: int) -> None:
         _fail("n_dump", f"a dump writes at least 1 path, not {count}")
 
 
-def _check_points(data: dict, model: ManifoldModel) -> None:
+def _check_points(data: dict, model: ManifoldModel | None) -> None:
     """Reject a given start, start1/start2, origin or halfspace normal that
     is not a list of the manifold's ambient coordinates, each a finite
-    JSON number (``is_number``)."""
+    JSON number (``is_number``); a kind on no manifold takes none."""
     points = {key: data[key] for key in ("start", "start1", "start2", "origin")
               if data.get(key) is not None}
     if data["kind"] == "verify-gradient":
@@ -332,7 +336,7 @@ def coupling_config(config: ExperimentConfig,
         seed=config["seed"], start1=x1, start2=x2,
         kind=CouplingKind.PARALLEL_TRANSPORT if parallel
         else CouplingKind.REFLECTION,
-        delta_couple=config.get("delta_couple"), k=config["k"],
+        delta_couple=config.get("delta_couple"), k=config.get("k", 0.0),
         origin=config.get("origin"), exit_radius=config.get("exit_radius"))
 
 

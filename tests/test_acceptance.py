@@ -246,9 +246,8 @@ def test_criterion_7_ou_identity():
     ok = True
     for k in (0.0, 1.0):
         _, [report] = run_document({
-            "kind": "ou-survival", "manifold": {"kind": "euclidean", "dim": 1},
-            "t1": 0.0, "t2": 1.0, "a": 1.0, "k": k, "ou_h": h,
-            "n_paths": 10_000, "seed": 707})
+            "kind": "ou-survival", "t1": 0.0, "t2": 1.0, "a": 1.0, "k": k,
+            "ou_h": h, "n_paths": 10_000, "seed": 707})
         params = report.metadata["params"]
         target = gaussian_mass(1.0 / (2.0 * math.sqrt(beta(1.0, k))))
         assert params["analytic"] == pytest.approx(target, abs=1e-12)
@@ -419,9 +418,8 @@ def test_criterion_11_determinism(tmp_path):
          "manifold": {"kind": "sphere", "dim": 2, "flow": True},
          "alpha": 0.05, "t1": 0.0, "t2": 0.5, "seed": 9, "n_paths": 1000,
          "b": {"name": "zero"}, "margin": 0.1},
-        {"kind": "ou-survival", "manifold": {"kind": "euclidean", "dim": 1},
-         "t1": 0.0, "t2": 1.0, "seed": 9, "a": 1.0, "k": 0.0,
-         "ou_h": 1e-3, "n_paths": 2000},
+        {"kind": "ou-survival", "t1": 0.0, "t2": 1.0, "seed": 9, "a": 1.0,
+         "k": 0.0, "ou_h": 1e-3, "n_paths": 2000},
     ]
     ok = True
     for i, doc in enumerate(docs):

@@ -128,9 +128,7 @@ def test_ou_kernel_whole_steps_keep_their_bits(h, n_steps):
 
 
 def _ou_doc(**extra):
-    return {"kind": "ou-survival", "manifold": {"kind": "euclidean",
-                                                "dim": 1},
-            "t1": 0.0, "t2": 1.0, "k": 0.0, **extra}
+    return {"kind": "ou-survival", "t1": 0.0, "t2": 1.0, "k": 0.0, **extra}
 
 
 def test_ou_chunk_zero_start_is_dead():

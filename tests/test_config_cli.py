@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import dataclasses
@@ -16,9 +17,9 @@ from gtwalk.cli import (_PARSER, _document_from_flags, main,
                         parse_manifold_spec)
 from gtwalk.comparison import (FellerResult, OUParams, builtin_b,
                                feller_explosion_test, ou_kernel)
-from gtwalk.config import (_KEYS_BY_KIND, EXPERIMENT_KINDS, coupling_config,
-                           parse_config, parse_suite, resolve_start,
-                           resolve_start_points)
+from gtwalk.config import (_COMMON_KEYS, _KEYS_BY_KIND, EXPERIMENT_KINDS,
+                           coupling_config, parse_config, parse_suite,
+                           resolve_start, resolve_start_points)
 from gtwalk.coupling import CouplingConfig, run_coupled
 from gtwalk.errors import ConfigError, GtwalkError, InvalidInput
 from gtwalk.manifolds import list_model_kinds, make_model
@@ -293,8 +294,7 @@ def test_dump_paths_bytes_match_single_path_runs(tmp_path):
                for n, t in enumerate(path.schedule.times)])
 
 
-FELLER = {"kind": "feller-test", "manifold": {"kind": "euclidean", "dim": 1},
-          "t1": 0.0, "t2": 1.0, "b": {"name": "linear"}}
+FELLER = {"kind": "feller-test", "b": {"name": "linear"}}
 
 
 @pytest.mark.parametrize("expect, code", [("explodes", 0), ("survives", 2),
@@ -400,6 +400,58 @@ def test_dump_paths_rejects_flags_it_would_ignore(flag, value, tmp_path,
     assert not (tmp_path / "d").exists()
 
 
+# A value for each flag of the flag-built subcommands, unlike its default.
+# --threads must not change a report (criterion 11), and --out only picks
+# the directory the artefacts go to.
+_FLAG_VALUES = {"--seed": "5", "--alpha": "0.1", "--samples": "64",
+                "--manifold": "euclidean:3", "--t1": "0.25", "--t2": "0.75",
+                "--dump": "2", "--d0": "0.5", "--delta-couple": "0.3",
+                "--k": "0.5", "--coupling": "parallel"}
+_RUNTIME_FLAGS = {"-h", "--help", "--threads", "--out"}
+_FLAG_BUILT = {"walk": ["walk"], "couple": ["couple"],
+               "verify": ["verify", "coupling-bound"]}
+
+
+def _subcommand_flags(command: str) -> set[str]:
+    sub = next(action for action in _PARSER._actions
+               if isinstance(action, argparse._SubParsersAction))
+    return {flag for action in sub.choices[command]._actions
+            for flag in action.option_strings}
+
+
+def _flag_built_output(argv: list[str], out) -> tuple | None:
+    """What a flag-built run writes: its report without runtime and config
+    hash, and the names of the files; None for a usage error."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            main([*argv, "--out", str(out)])
+        except SystemExit as e:
+            assert e.code == 2
+            return None
+    [report] = [p for p in out.glob("*.json") if p.name != "manifest.json"]
+    doc = strip_runtime(json.loads(report.read_text()))
+    doc["params"].pop("config_hash")
+    return doc, sorted(str(p.relative_to(out)) for p in out.rglob("*"))
+
+
+@pytest.mark.parametrize("command", sorted(_FLAG_BUILT))
+def test_every_flag_takes_effect_or_is_a_usage_error(command, tmp_path):
+    """Each flag of walk, couple and verify, set to a value unlike its
+    default, either changes what the run writes or is a usage error
+    (exit 2): a subcommand has only the flags its experiment reads."""
+    flags = _subcommand_flags(command)
+    assert flags - _RUNTIME_FLAGS <= set(_FLAG_VALUES)
+    base = [*_FLAG_BUILT[command], "--manifold", "euclidean:2",
+            "--samples", "200", "--seed", "1"]
+    reference = _flag_built_output(base, tmp_path / "base")
+    assert reference is not None
+    for flag, value in _FLAG_VALUES.items():
+        got = _flag_built_output([*base, flag, value], tmp_path / flag)
+        assert got != reference, flag
+        assert (got is None) == (flag not in flags), flag
+
+
 def test_cli_flag_built_walk(capsys):
     assert main(["walk", "--manifold", "euclidean:2", "--alpha", "0.1",
                  "--samples", "200", "--seed", "3"]) == 0
@@ -462,6 +514,12 @@ def test_exit_fraction_is_null_without_exit_check(kind):
     assert params["exit_fraction"] is None
 
 
+def _taken(kind: str, doc: dict) -> dict:
+    """``doc`` without the keys ``kind`` does not take."""
+    return {key: value for key, value in doc.items()
+            if key in _COMMON_KEYS | _KEYS_BY_KIND[kind]}
+
+
 # One small config per experiment kind, for the n_dump check.
 _EUCLID1 = {"manifold": {"kind": "euclidean", "dim": 1}, "t1": 0.0,
             "t2": 1.0, "seed": 1}
@@ -486,7 +544,7 @@ _PATH_KINDS = {"walk", "couple", "verify-coupling-bound", "verify-contraction",
 def test_n_dump_writes_paths_or_is_rejected(kind, tmp_path):
     """Kinds that simulate paths dump them; the others reject n_dump, both
     as a config key and in dump_paths."""
-    doc = {"kind": kind, **_EUCLID1, **_DUMP_DOCS[kind]}
+    doc = {"kind": kind, **_taken(kind, _EUCLID1), **_DUMP_DOCS[kind]}
     cfg = parse_config(doc)
     if kind in _PATH_KINDS:
         run_document({**doc, "n_dump": 2}, out_dir=tmp_path / "run")
@@ -519,10 +577,8 @@ _KEY_BASES = {
                               "offset": 0.0}},
     "convergence": {"manifold": {"kind": "euclidean", "dim": 1},
                     "alphas": [0.4, 0.2], "n_paths": 100},
-    "feller-test": {"manifold": {"kind": "euclidean", "dim": 1},
-                    "b": {"name": "zero"}},
-    "ou-survival": {"manifold": {"kind": "euclidean", "dim": 1}, "a": 1.0,
-                    "ou_h": 1e-3, "n_paths": 1000},
+    "feller-test": {"b": {"name": "zero"}},
+    "ou-survival": {"a": 1.0, "ou_h": 1e-3, "n_paths": 1000},
     "radial-domination": {"manifold": _FLOW_SPHERE, "t2": 0.5, "alpha": 0.1,
                           "n_paths": 48, "b": {"name": "zero"},
                           "margin": -1.0},
@@ -530,7 +586,8 @@ _KEY_BASES = {
 
 
 def _key_base(kind: str) -> dict:
-    return {"kind": kind, "t1": 0.0, "t2": 1.0, "seed": 2, **_KEY_BASES[kind]}
+    return {**_taken(kind, {"kind": kind, "t1": 0.0, "t2": 1.0, "seed": 2}),
+            **_KEY_BASES[kind]}
 
 
 def test_origin_without_exit_check_is_refused_by_the_library():
@@ -596,6 +653,9 @@ def test_exit_radius_at_most_one_rejected(kind):
 
 
 _KEY_VALUES = {
+    "manifold": {"kind": "scaled", "k": 0.5,
+                 "base": {"kind": "euclidean", "dim": 2}},
+    "t1": 0.25, "t2": 0.75, "seed": 5,
     "alpha": 0.05, "n_paths": 32, "start": [6.9, 0.0], "origin": [7.5, 0.0],
     "exit_radius": 1.5, "start1": [0.0, 0.0],
     "start2": [1.0, 0.0], "d0": 0.5, "delta_couple": 1.0, "k": 0.5,
@@ -608,7 +668,8 @@ _KEY_VALUES = {
     "margin": 0.2,
 }
 _KEY_VALUES_BY_KIND = {
-    "convergence": {"start": [0.5], "n_paths": 120},
+    "convergence": {"manifold": {"kind": "sphere", "dim": 1},
+                    "start": [0.5], "n_paths": 120},
     "ou-survival": {"n_paths": 1200},
     "radial-domination": {"start": [0.0, 1.0, 0.0], "origin": [0.0, 1.0, 0.0]},
 }
@@ -638,11 +699,15 @@ def _report_without_hash(doc: dict) -> dict:
 
 @pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
 def test_every_key_takes_effect_or_is_rejected(kind):
-    """Each key of _KEYS_BY_KIND, set to a valid non-default value, either
-    changes the report (or its params) or is rejected at parse."""
+    """Each key any kind takes, the common keys included, set to a valid
+    non-default value, either changes the report (or its params) or is
+    rejected at parse. ``kind`` names the experiment the other keys belong
+    to, and ``out`` only picks the directory the artefacts go to, so
+    neither is a value of the run."""
     base = _key_base(kind)
     reference = _report_without_hash(base)
-    for key in sorted(set().union(*_KEYS_BY_KIND.values())):
+    for key in sorted((_COMMON_KEYS - {"kind", "out"})
+                      | set().union(*_KEYS_BY_KIND.values())):
         value = _KEY_VALUES_BY_KIND.get(kind, {}).get(key, _KEY_VALUES[key])
         assert value != parse_config(base).get(key), key
         doc = {**base, key: value}
@@ -834,6 +899,12 @@ _REFUSED = [
     ("verify-coupling-bound", {"n_dump": -1}, "n_dump"),
     ("walk", {"exit_radius": None, "origin": [5.0, 5.0]}, "origin"),
     ("couple", {"exit_radius": None, "origin": [5.0, 5.0]}, "origin"),
+    ("feller-test", {"manifold": {"kind": "euclidean", "dim": 1}},
+     "manifold"),
+    ("feller-test", {"t1": 0.0}, "t1"),
+    ("ou-survival", {"manifold": {"kind": "euclidean", "dim": 1}},
+     "manifold"),
+    ("couple", {"k": 0.0}, "k"),
 ]
 
 
@@ -853,7 +924,8 @@ _REFUSED = [
         "alphas-empty", "no-alpha", "start1-alone", "feller-no-b",
         "ou-no-a", "reference-unknown", "json-invalid", "json-int-digits",
         "walk-n_dump-negative", "verify-n_dump-negative",
-        "walk-origin-without-exit", "couple-origin-without-exit"])
+        "walk-origin-without-exit", "couple-origin-without-exit",
+        "feller-manifold", "feller-t1", "ou-manifold", "couple-k"])
 def test_value_the_run_refuses_is_rejected_at_parse(kind, patch, key,
                                                     tmp_path, capsys):
     """A value the run would refuse, crash on or ignore exits 1 with one
@@ -872,7 +944,7 @@ def test_value_the_run_refuses_is_rejected_at_parse(kind, patch, key,
 # fault names.
 _BAD_DESCRIPTORS = [
     *[(patch["manifold"], key) for _, patch, key in _REFUSED
-      if isinstance(patch, dict) and "manifold" in patch],
+      if isinstance(patch, dict) and key.startswith("manifold.")],
     *[({"kind": "sphere", "dim": 2, key.split(".")[1]: value}, key)
       for _, key, value in _NOT_NUMBERS if key.startswith("manifold.")],
     *[({"kind": "sphere", "dim": 2, "flow": value}, "manifold.flow")

@@ -77,9 +77,8 @@ CONFIGS = {
         "seed": 10},
     # More paths than stats.CHUNK, so the estimate spans three chunks.
     "ou-survival": {
-        "kind": "ou-survival", "manifold": {"kind": "euclidean", "dim": 1},
-        "t1": 0.0, "t2": 1.0, "a": 1.0, "k": 0.5, "ou_h": 2e-3,
-        "n_paths": 5000, "seed": 11},
+        "kind": "ou-survival", "t1": 0.0, "t2": 1.0, "a": 1.0, "k": 0.5,
+        "ou_h": 2e-3, "n_paths": 5000, "seed": 11},
 }
 
 # Kinds whose estimate is a success fraction: its mean is an exact ratio.
@@ -168,8 +167,8 @@ def _refuse_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 
 
-FELLER = {"kind": "feller-test", "manifold": {"kind": "euclidean", "dim": 1},
-          "t1": 0.0, "t2": 1.0, "b": {"name": "linear"}, "expect": "explodes"}
+FELLER = {"kind": "feller-test", "b": {"name": "linear"},
+          "expect": "explodes"}
 
 
 def test_reports_are_strict_json(tmp_path):
