@@ -21,7 +21,8 @@ from pathlib import Path
 from . import config
 from .errors import GtwalkError
 from .manifolds import list_model_kinds, make_model
-from .runner import dump_paths, run_document
+from .runner import (dump_name, dump_paths, refuse_shared_files,
+                     run_document)
 
 
 def _number(text: str, convert, name: str):
@@ -34,10 +35,12 @@ def _number(text: str, convert, name: str):
 
 
 def _threads(args) -> int:
-    if args.threads is not None:
-        return max(1, int(args.threads))
-    env = os.environ.get("GTWALK_THREADS")
-    return max(1, _number(env, int, "GTWALK_THREADS")) if env else 1
+    name, text = ("--threads", args.threads) if args.threads is not None \
+        else ("GTWALK_THREADS", os.environ.get("GTWALK_THREADS") or "1")
+    count = _number(text, int, name)
+    if count < 1:
+        raise GtwalkError(f"{name}: must be at least 1, not {count}")
+    return count
 
 
 def parse_manifold_spec(spec: str) -> dict:
@@ -161,9 +164,13 @@ def main(argv: list[str] | None = None) -> int:
 
         if args.command == "dump-paths":
             out = Path(args.out or "paths")
-            for cfg in config.parse_suite(Path(args.config).read_text(),
-                                          _config_values(args)):
-                for f in dump_paths(cfg, cfg.build_model(), args.count, out):
+            configs = config.parse_suite(Path(args.config).read_text(),
+                                         _config_values(args))
+            refuse_shared_files([{out / dump_name(cfg.kind, 0)}
+                                 for cfg in configs
+                                 if cfg.kind in config.DUMP_KINDS])
+            for cfg in configs:
+                for f in dump_paths(cfg, args.count, out):
                     print(f)
             return 0
 

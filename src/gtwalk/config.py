@@ -1,26 +1,34 @@
-"""Declarative experiment configuration.
+"""Declarative experiment configuration, and the run each config builds.
 
 Experiments are described by JSON documents of known keys; unknown keys are
 rejected with the offending key path. A config normalizes to a canonical
 dict (defaults applied, key order fixed) whose serialization hashes stably
-across platforms.
+across platforms. One table, ``_KINDS``, gives each kind its keys and its
+builder: the parse ends by building the config's model, report and dump
+kernel once, so a value the run would refuse fails at parse with the
+error of the library object that holds its rule.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
-from typing import Any
+from functools import partial
+from typing import Any, Callable
 
 import numpy as np
 
-from . import engine, rng, stats, walk
-from .comparison import (OUParams, RadialComparisonSpec, builtin_b,
-                         check_feller_range, ou_kernel)
-from .coupling import CouplingConfig, CouplingKind
+from . import engine, rng, stats
+from .comparison import (OUParams, RadialComparisonSpec, beta, builtin_b,
+                         check_feller_range, chi, feller_explosion_test,
+                         ou_kernel)
+from .coupling import CouplingConfig, CouplingKind, coupled_kernel
 from .errors import ConfigError, InvalidInput, check_json_type, is_number
 from .manifolds import ManifoldModel, make_model
+from .stats import McEstimate, VerificationReport, mc_report, proportion
+from .walk import Schedule, walk_kernel
 
 # Every run reports its seed; a kind takes only the other keys its run
 # reads, so the one-dimensional comparison kinds name no manifold.
@@ -28,24 +36,6 @@ _COMMON_KEYS = {"kind", "seed", "out"}
 _SPACE = {"manifold", "t1", "t2"}
 _PAIR = _SPACE | {"alpha", "n_paths", "start1", "start2", "d0",
                   "delta_couple"}
-_KEYS_BY_KIND = {
-    "walk": _SPACE | {"alpha", "n_paths", "start", "origin", "exit_radius"},
-    "couple": _PAIR | {"coupling", "origin", "exit_radius"},
-    "verify-coupling-bound": _PAIR | {"k", "bias"},
-    "verify-contraction": _PAIR | {"k", "contraction_coefficient"},
-    "verify-gradient": _PAIR | {"k", "f", "osc"},
-    "convergence": _SPACE | {"alphas", "n_paths", "start", "reference"},
-    "feller-test": {"b", "C", "y_max", "expect"},
-    "ou-survival": {"t1", "t2", "a", "k", "ou_h", "n_paths"},
-    "radial-domination": _SPACE | {"alpha", "n_paths", "start", "origin",
-                                   "exit_radius", "b", "c0", "r0",
-                                   "margin"},
-}
-EXPERIMENT_KINDS = tuple(_KEYS_BY_KIND)
-# Kinds that simulate walk paths at one alpha; only these take n_dump.
-DUMP_KINDS = tuple(k for k, keys in _KEYS_BY_KIND.items() if "alpha" in keys)
-# Kinds that run a coupled pair, built by coupling_config.
-COUPLED_KINDS = tuple(k for k, keys in _KEYS_BY_KIND.items() if "d0" in keys)
 # Numeric keys: integer keys take JSON integers, float keys finite JSON
 # numbers (bools and strings are neither). The parser stores them as given,
 # so config_hash does not move.
@@ -79,9 +69,15 @@ _DEFAULTS: dict[str, Any] = {
 
 @dataclass
 class ExperimentConfig:
-    """A validated experiment description with defaults applied."""
+    """A validated experiment description with defaults applied, and the
+    run the parse built from it: ``model`` (None for a kind on no
+    manifold), ``report(workers=)`` and ``kernel``, the path kernel a dump
+    replays (None for a kind without one)."""
     kind: str
     data: dict
+    model: ManifoldModel | None = None
+    report: Callable[..., VerificationReport] | None = None
+    kernel: engine.PathKernel | None = None
 
     def __getitem__(self, key: str):
         return self.data[key]
@@ -90,17 +86,190 @@ class ExperimentConfig:
         return self.data.get(key, default)
 
     def build_model(self) -> ManifoldModel | None:
-        """The config's model; None for a kind on no manifold."""
-        if "manifold" not in self.data:
-            return None
-        return make_model(self.data["manifold"],
-                          (self.data["t1"], self.data["t2"]))
+        """The model the parse built; None for a kind on no manifold."""
+        return self.model
 
     def canonical_json(self) -> str:
         return json.dumps(self.data, sort_keys=True, separators=(",", ":"))
 
     def config_hash(self) -> str:
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()
+
+
+def _walk_kernel(cfg: ExperimentConfig, start, radial=None):
+    schedule = Schedule(cfg["t1"], cfg["t2"], cfg["alpha"])
+    return walk_kernel(cfg.model, schedule, start, cfg["seed"],
+                       int(cfg["n_paths"]), origin=cfg.get("origin"),
+                       exit_radius=cfg["exit_radius"], radial=radial)
+
+
+def _build_walk(cfg):
+    model, start = cfg.model, resolve_start(cfg, cfg.model)
+    exits = cfg["exit_radius"] is not None
+    kernel = _walk_kernel(cfg, start)
+    return kernel, partial(
+        mc_report, "walk", kernel,
+        {"end"} | ({"exit_step"} if exits else set()),
+        lambda res: (McEstimate.from_samples(
+            model.distance(cfg["t2"], start, res["end"])), {
+            "exit_fraction": float(np.mean(res["exit_step"] >= 0))
+            if exits else None,
+            "observable": "displacement-distance"}))
+
+
+def _build_pair(cfg):
+    """A coupled kind: its estimator on the config's coupled pair."""
+    model, n_paths = cfg.model, int(cfg["n_paths"])
+    cc = coupling_config(cfg, model)
+    cfg.data.setdefault("delta_couple", cc.delta_couple)   # 2 alpha if unset
+    kernel = coupled_kernel(model, cc, n_paths)
+    exits = cc.exit_radius is not None
+    if cfg.kind == "couple":   # a kind that checks nothing
+        return kernel, partial(
+            mc_report, "couple", kernel, {"couple_step", "final_distance"}
+            | ({"exited"} if exits else set()),
+            lambda res: (proportion(res["couple_step"] >= 0), {
+                "exit_radius": cc.exit_radius,
+                "exit_fraction":
+                    float(np.mean(res["exited"])) if exits else None,
+                "mean_final_distance": float(np.mean(res["final_distance"]))}))
+    if cfg.kind == "verify-coupling-bound":
+        report = partial(stats.estimate_coupling_survival, model, cc,
+                         n_paths, bias=float(cfg["bias"]))
+    elif cfg.kind == "verify-contraction":
+        report = partial(stats.check_contraction, model, cc, n_paths,
+                         coefficient=float(cfg["contraction_coefficient"]))
+    else:   # f is the indicator of the half-space <normal, x> <= offset
+        f = cfg["f"]
+        normal, offset = np.asarray(f["normal"], float), float(f["offset"])
+        report = partial(stats.check_gradient_estimate, model, cc,
+                         lambda x: (x @ normal <= offset).astype(float),
+                         float(cfg["osc"]), n_paths)
+    return kernel, partial(report, experiment_id=cfg.kind)
+
+
+def _build_convergence(cfg):
+    model, start = cfg.model, resolve_start(cfg, cfg.model)
+    alphas, n_paths = list(cfg["alphas"]), int(cfg["n_paths"])
+    horizon = cfg["t2"] - cfg["t1"]
+    reference = convergence_reference(cfg["reference"], cfg["manifold"])
+    if reference == "gauss":
+        cdf = stats.gaussian_cdf(float(start[0]), horizon)
+        support = (float(start[0]) - 8 * math.sqrt(horizon),
+                   float(start[0]) + 8 * math.sqrt(horizon))
+        observable = lambda ends: ends[:, 0]
+    else:
+        mu = float(np.arctan2(start[1], start[0]))
+        cdf = stats.wrapped_gaussian_cdf(mu, horizon)
+        support = (-math.pi, math.pi)
+        observable = stats.circle_angles
+
+    def report(workers: int = 1) -> VerificationReport:
+        rows = stats.convergence_diagnostic(
+            model, cfg["t1"], cfg["t2"], start, alphas, n_paths, cfg["seed"],
+            observable, cdf, support, workers)
+        w1 = [row["w1"] for row in rows]
+        trend_ok = all(b <= a * 1.25 + 1e-12 for a, b in zip(w1, w1[1:])) \
+            and w1[-1] <= w1[0] + 1e-12
+        return VerificationReport("convergence", None, {
+            "params": {"alphas": alphas, "reference": reference,
+                       "rows": rows, "trend_pass": trend_ok,
+                       "n_paths": n_paths, "manifold": model.describe()},
+            "seed": cfg["seed"]}, passed=trend_ok and rows[-1]["ks_pass"],
+            check={"statistic": "w1 to the reference at each alpha and the "
+                                "KS statistic at the last (params.rows)",
+                   "rule": "each w1 <= 1.25 x the one before + 1e-12, the "
+                           "last w1 <= the first + 1e-12, and the last "
+                           "ks_pass"})
+    return None, report
+
+
+def _build_feller(cfg):
+    b, C, y_max = _built("b", builtin_b, cfg["b"]), cfg["C"], cfg["y_max"]
+    check_feller_range(float(C), float(y_max))
+    expect = cfg.get("expect")
+
+    def report(workers: int = 1) -> VerificationReport:
+        result = feller_explosion_test(b, float(C), float(y_max))
+        # classify gives no exponent (inf or nan) when the outer integrand
+        # vanishes or the integral is not finite; the report says which.
+        integral, exponent = (value if math.isfinite(value) else None for
+                              value in (result.integral, result.decay_exponent))
+        reason = ("the integral is not finite" if integral is None else
+                  "the outer integrand reaches 0 before y_max"
+                  if exponent is None else None)
+        return VerificationReport("feller-test", None, {
+            "params": {"b": cfg["b"], "C": C, "y_max": y_max,
+                       "verdict": result.verdict, "verdict_reason": reason,
+                       "integral": integral, "decay_exponent": exponent,
+                       "expect": expect},
+            "seed": cfg["seed"]},
+            passed=result.verdict == expect if expect
+            else result.verdict != "inconclusive",
+            check={"statistic": "verdict of the explosion integral test",
+                   "rule": f"verdict == {expect!r}" if expect
+                   else "verdict != 'inconclusive'"})
+    return None, report
+
+
+def _build_ou(cfg):
+    params = OUParams(a=float(cfg["a"]), k=float(cfg["k"]))
+    horizon, h = cfg["t2"] - cfg["t1"], float(cfg["ou_h"])
+    analytic = chi(params.a / (2.0 * math.sqrt(beta(horizon, params.k))))
+    kernel = ou_kernel(params, horizon, h, int(cfg["seed"]),
+                       int(cfg["n_paths"]))
+
+    def reduce(res):
+        survival = proportion(res["alive"])
+        return survival.abs_deviation(analytic), {
+            "estimate": survival.mean, "analytic": analytic}
+
+    return kernel, partial(
+        mc_report, "ou-survival", kernel, {"alive"}, reduce, bound=0.0,
+        bias=2.0 * math.sqrt(h),
+        statistic="|survival estimate - analytic value|")
+
+
+def _build_radial(cfg):
+    model, start = cfg.model, resolve_start(cfg, cfg.model)
+    spec = RadialComparisonSpec(_built("b", builtin_b, cfg["b"]),
+                                c0=float(cfg["c0"]), r0=float(cfg["r0"]))
+    origin = engine.origin_point(model, cfg.get("origin"))
+    rho0 = float(model.distance(cfg["t1"], origin, start)) + 3.0 * spec.r0
+    kernel = _walk_kernel(cfg, start, {"spec": spec, "rho0": rho0,
+                                       "margin": float(cfg["margin"])})
+    return kernel, partial(
+        mc_report, "radial-domination", kernel, {"radial_violation"},
+        lambda res: (proportion(res["radial_violation"]), {
+            "margin": cfg["margin"], "c0": spec.c0, "r0": spec.r0,
+            "rho0": rho0, "b": cfg["b"]}), bound=0.05,
+        statistic="fraction of paths that pass the comparison radius + margin")
+
+
+# Each kind's keys beside _COMMON_KEYS, and its builder, which gives the
+# run: (the path kernel a dump replays or None, report(workers=)).
+_KINDS = {
+    "walk": (_SPACE | {"alpha", "n_paths", "start", "origin", "exit_radius"},
+             _build_walk),
+    "couple": (_PAIR | {"coupling", "origin", "exit_radius"}, _build_pair),
+    "verify-coupling-bound": (_PAIR | {"k", "bias"}, _build_pair),
+    "verify-contraction": (_PAIR | {"k", "contraction_coefficient"},
+                           _build_pair),
+    "verify-gradient": (_PAIR | {"k", "f", "osc"}, _build_pair),
+    "convergence": (_SPACE | {"alphas", "n_paths", "start", "reference"},
+                    _build_convergence),
+    "feller-test": ({"b", "C", "y_max", "expect"}, _build_feller),
+    "ou-survival": ({"t1", "t2", "a", "k", "ou_h", "n_paths"}, _build_ou),
+    "radial-domination": (_SPACE | {"alpha", "n_paths", "start", "origin",
+                                    "exit_radius", "b", "c0", "r0",
+                                    "margin"}, _build_radial),
+}
+_KEYS_BY_KIND = {kind: keys for kind, (keys, _) in _KINDS.items()}
+EXPERIMENT_KINDS = tuple(_KINDS)
+# Kinds that simulate walk paths at one alpha; only these take n_dump.
+DUMP_KINDS = tuple(k for k, keys in _KEYS_BY_KIND.items() if "alpha" in keys)
+# Kinds that run a coupled pair, built by coupling_config.
+COUPLED_KINDS = tuple(k for k, keys in _KEYS_BY_KIND.items() if "d0" in keys)
 
 
 def _fail(path: str, message: str):
@@ -118,11 +287,12 @@ def _built(key: str, make, *args, **kwargs):
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
-    """Validate one experiment's decoded document and apply defaults.
+    """Validate one experiment's decoded document, apply defaults and
+    build its run (``_KINDS``).
 
     Unknown keys, missing required keys and every value the run would
     refuse raise ConfigError naming the key path; a value rule is checked
-    by building the library object that holds it (``_built``).
+    by building the run that obeys it (``_built``).
     """
     if not isinstance(raw, dict):
         _fail("config", "top level must be an object")
@@ -140,8 +310,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if extra:
         _fail(extra[0], f"unknown key for kind {kind!r}")
 
-    for req in sorted(_SPACE & allowed):
-        if req not in raw:
+    for req in ("manifold", "t1", "t2", "alpha", "b", "a"):
+        if req in allowed and req not in raw:
             _fail(req, "missing")
     for key, value in raw.items():
         number = int if key in _INT_KEYS else float if key in _FLOAT_KEYS \
@@ -154,9 +324,10 @@ def parse_config(raw: dict) -> ExperimentConfig:
             data[key] = raw[key]
         elif key in _DEFAULTS:
             data[key] = _DEFAULTS[key]
+    for key in {"t1", "t2", "alpha", "a"} & set(data):
+        data[key] = float(data[key])
     if "t1" in data:
-        t1 = data["t1"] = float(data["t1"])
-        t2 = data["t2"] = float(data["t2"])
+        t1, t2 = data["t1"], data["t2"]
         if not t1 < t2:
             _fail("t2", "must exceed t1")
     model = _built("manifold", make_model, data["manifold"], (t1, t2)) \
@@ -170,20 +341,11 @@ def parse_config(raw: dict) -> ExperimentConfig:
             _fail("alphas", f"must list finite numbers, not {alphas!r}")
         data["alphas"] = [float(a) for a in alphas]
         _built("", stats.alpha_schedules, t1, t2, data["alphas"])
-    elif "alpha" in allowed:
-        if "alpha" not in data:
-            _fail("alpha", "missing")
-        data["alpha"] = float(data["alpha"])
-        _built("", walk.Schedule, t1, t2, data["alpha"])
 
     if kind == "couple" and data["coupling"] not in ("reflection", "parallel"):
         _fail("coupling", f"must be 'reflection' or 'parallel', not "
               f"{data['coupling']!r}")
     _built("", rng.check_seed, data["seed"])
-    _built("", engine.check_exit_radius, data.get("exit_radius"),
-           None if kind == "radial-domination" else data.get("origin"))
-    if kind == "convergence":
-        convergence_reference(data["reference"], data["manifold"])
     if kind in COUPLED_KINDS:
         starts = [key for key in ("start1", "start2") if key in data]
         if "d0" in data and starts:
@@ -199,22 +361,6 @@ def parse_config(raw: dict) -> ExperimentConfig:
             _fail("f", "needs {'type': 'halfspace', 'normal': [...], 'offset': h}")
         if not is_number(f["offset"]):
             _fail("f.offset", f"must be a finite number, not {f['offset']!r}")
-    if "b" in allowed:
-        if "b" not in data:
-            _fail("b", "missing")
-        b = _built("b", builtin_b, data["b"])
-    if kind == "feller-test":
-        _built("", check_feller_range, float(data["C"]), float(data["y_max"]))
-    if kind == "radial-domination":
-        _built("", RadialComparisonSpec, b, c0=float(data["c0"]),
-               r0=float(data["r0"]))
-    if kind == "ou-survival":
-        if "a" not in data:
-            _fail("a", "missing")
-        data["a"] = float(data["a"])
-        params = _built("", OUParams, data["a"], float(data["k"]))
-        _built("", ou_kernel, params, t2 - t1, float(data["ou_h"]),
-               data["seed"], int(data["n_paths"]))
     if data.get("n_dump"):   # 0 and null dump nothing
         check_dump(kind, data["n_dump"])
     if "n_paths" in data:
@@ -222,11 +368,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if kind == "convergence":
         _built("", stats.check_ks_size, data["n_paths"])
     _check_points(data, model)
-    cfg = ExperimentConfig(kind, data)
-    if kind in COUPLED_KINDS:
-        # the run's CouplingConfig holds delta_couple's rule and default
-        cc = _built("", coupling_config, cfg, model)
-        data.setdefault("delta_couple", cc.delta_couple)
+    cfg = ExperimentConfig(kind, data, model)
+    cfg.kernel, cfg.report = _built("", _KINDS[kind][1], cfg)
     return cfg
 
 

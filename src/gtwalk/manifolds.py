@@ -396,7 +396,7 @@ class Euclidean(ManifoldModel):
         return np.sqrt(_dot(v, v))
 
     def _transport(self, x, e, length, v):
-        return np.broadcast_to(v, np.broadcast(x, v).shape).copy()
+        return np.broadcast_to(v, np.broadcast(x, e, length, v).shape).copy()
 
     def _frame(self, x):
         eye = np.eye(self.dim)

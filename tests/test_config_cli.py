@@ -1,10 +1,12 @@
 import argparse
+import collections
 import contextlib
 import csv
 import dataclasses
 import io
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -12,12 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import strip_runtime
-from gtwalk import rng, runner
+from gtwalk import config, rng
 from gtwalk.cli import (_PARSER, _document_from_flags, main,
                         parse_manifold_spec)
-from gtwalk.comparison import (FellerResult, OUParams, builtin_b,
-                               feller_explosion_test, ou_kernel)
-from gtwalk.config import (_COMMON_KEYS, _KEYS_BY_KIND, EXPERIMENT_KINDS,
+from gtwalk.comparison import (FellerResult, OUParams, RadialComparisonSpec,
+                               builtin_b, feller_explosion_test, ou_kernel)
+from gtwalk.config import (_COMMON_KEYS, _KEYS_BY_KIND, DUMP_KINDS,
+                           EXPERIMENT_KINDS, convergence_reference,
                            coupling_config, parse_config, parse_suite,
                            resolve_start, resolve_start_points)
 from gtwalk.coupling import CouplingConfig, run_coupled
@@ -261,7 +264,7 @@ def test_dump_paths_bytes_match_single_path_runs(tmp_path):
                          "alpha": 0.1, "t1": 0.0, "t2": 0.5, "seed": 2,
                          "d0": 0.5})
     model = pair.build_model()
-    files = dump_paths(pair, model, 3, tmp_path / "pair")
+    files = dump_paths(pair, 3, tmp_path / "pair")
     assert [f.name for f in files] == [f"coupled_{i:04d}.csv" for i in range(3)]
     flags = []
     for idx, fname in enumerate(files):
@@ -282,7 +285,7 @@ def test_dump_paths_bytes_match_single_path_runs(tmp_path):
 
     walk = parse_config({**MINIMAL_WALK, "manifold": FLOW_SPHERE, "t2": 0.5})
     model = walk.build_model()
-    files = dump_paths(walk, model, 2, tmp_path / "walk")
+    files = dump_paths(walk, 2, tmp_path / "walk")
     for idx, fname in enumerate(files):
         path = run_walk(model, WalkConfig(
             alpha=walk["alpha"], t1=walk["t1"], t2=walk["t2"],
@@ -318,7 +321,7 @@ def test_feller_non_finite_numbers_become_null(monkeypatch, tmp_path,
                                                 integral, exponent, reason):
     """The report gives no number the test could not compute, and says
     why; it stays strict JSON."""
-    monkeypatch.setattr(runner, "feller_explosion_test", lambda *args:
+    monkeypatch.setattr(config, "feller_explosion_test", lambda *args:
                         FellerResult("explodes", integral, exponent))
     run_document({**FELLER, "expect": "explodes"}, out_dir=tmp_path)
     params = json.loads((tmp_path / "feller-test.json").read_text())["params"]
@@ -549,12 +552,12 @@ def test_n_dump_writes_paths_or_is_rejected(kind, tmp_path):
     if kind in _PATH_KINDS:
         run_document({**doc, "n_dump": 2}, out_dir=tmp_path / "run")
         assert len(list((tmp_path / "run" / "paths").glob("*.csv"))) == 2
-        assert len(dump_paths(cfg, cfg.build_model(), 1, tmp_path / "d")) == 1
+        assert len(dump_paths(cfg, 1, tmp_path / "d")) == 1
     else:
         with pytest.raises(ConfigError, match="n_dump"):
             run_document({**doc, "n_dump": 2}, out_dir=tmp_path / "run")
         with pytest.raises(ConfigError, match="n_dump"):
-            dump_paths(cfg, cfg.build_model(), 1, tmp_path / "d")
+            dump_paths(cfg, 1, tmp_path / "d")
 
 
 _FLOW_SPHERE = {"kind": "sphere", "dim": 2, "radius_c0": 1.0, "flow": True}
@@ -624,7 +627,7 @@ def test_dump_paths_count_below_one_is_refused(count, tmp_path, capsys):
     assert not (tmp_path / "d").exists()
     cfg = parse_config(MINIMAL_WALK)
     with pytest.raises(ConfigError, match="^n_dump: "):
-        dump_paths(cfg, cfg.build_model(), int(count), tmp_path / "d")
+        dump_paths(cfg, int(count), tmp_path / "d")
 
 
 def test_n_dump_zero_or_null_dumps_nothing(tmp_path):
@@ -1187,3 +1190,92 @@ def test_run_flag_edits_the_document_as_written(kind, flag, data,
     assert flagged == edited
     if flagged[0] != 1:
         assert flagged[2] == flagged[1]["params"]["config_hash"]
+
+
+@pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
+def test_each_run_builds_its_objects_once(kind, monkeypatch, tmp_path):
+    """One run_document, with a path dump where the kind has one, builds
+    the model and each object of its run at most once: the parse builds
+    them, and the run and the dump use what it built."""
+    counts = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    modules = [module for name, module in sys.modules.items()
+               if name.split(".")[0] == "gtwalk"]
+    for fn in (make_model, coupling_config, builtin_b, ou_kernel,
+               convergence_reference):
+        for module in modules:
+            if getattr(module, fn.__name__, None) is fn:
+                monkeypatch.setattr(module, fn.__name__,
+                                    counted(fn.__name__, fn))
+    for cls in (CouplingConfig, RadialComparisonSpec):
+        monkeypatch.setattr(cls, "__post_init__",
+                            counted(cls.__name__, cls.__post_init__))
+    doc = {**_key_base(kind), **({"n_dump": 2} if kind in DUMP_KINDS else {})}
+    run_document(doc, out_dir=tmp_path)
+    assert counts["make_model"] == ("manifold" in doc)
+    assert max(counts.values()) == 1, counts
+    if kind in DUMP_KINDS:
+        assert len(list((tmp_path / "paths").glob("*.csv"))) == 2
+
+
+def _walks(**changes) -> dict:
+    """A suite of two small walks, with ``changes`` in the second."""
+    walk = {**MINIMAL_WALK, "n_paths": 8, "n_dump": 1}
+    return {"experiments": [walk, {**walk, "seed": 8, **changes}]}
+
+
+def test_experiments_that_share_a_file_are_refused(tmp_path, capsys):
+    """A suite two of whose experiments would write one file (a report or
+    a path dump) exits 1 with one 'experiments:' line before any runs,
+    from run --out, from each experiment's out and from dump-paths.
+    Experiments that write apart all run."""
+    shared = str(tmp_path / "d")
+    suite = tmp_path / "suite.json"
+    for doc, argv in [
+            (_walks(), ["run", str(suite), "--out", shared]),
+            ({"experiments": [{**MINIMAL_WALK, "out": shared}] * 2},
+             ["run", str(suite)]),
+            (_walks(), ["dump-paths", str(suite), "--count", "1", "--out",
+                        shared])]:
+        suite.write_text(json.dumps(doc))
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: experiments: ") \
+            and err.count("\n") == 1, err
+        assert not (tmp_path / "d").exists()
+    _, reports = run_document(_walks(out=str(tmp_path / "b")))
+    assert len(reports) == 2 and (tmp_path / "b" / "walk.json").exists()
+    couple = {**_key_base("couple"), "n_dump": 1}
+    manifest, _ = run_document(
+        {"experiments": [_walks()["experiments"][0], couple]}, out_dir=shared)
+    assert manifest.reports == ["walk.json", "couple.json"]
+    assert sorted(f.name for f in (tmp_path / "d" / "paths").iterdir()) == [
+        "coupled_0000.csv", "path_0000.csv"]
+
+
+@pytest.mark.parametrize("argv, env, name", [
+    (["--threads", "0"], None, "--threads"),
+    (["--threads", "-3"], "2", "--threads"),
+    ([], "-2", "GTWALK_THREADS"),
+    ([], "0", "GTWALK_THREADS")])
+def test_worker_count_below_one_is_refused(argv, env, name, tmp_path,
+                                           monkeypatch, capsys):
+    """--threads, and GTWALK_THREADS without it, must be at least 1: a
+    lower count exits 1 with one error line naming where it came from,
+    instead of running one worker."""
+    if env is None:
+        monkeypatch.delenv("GTWALK_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("GTWALK_THREADS", env)
+    assert main(["walk", "--manifold", "euclidean:2", "--samples", "50",
+                 "--out", str(tmp_path / "d"), *argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {name}: must be at least 1") \
+        and err.count("\n") == 1, err
+    assert not (tmp_path / "d").exists()

@@ -1360,6 +1360,24 @@ _LAYOUT_MODELS = {
 
 
 @pytest.mark.bits
+@pytest.mark.parametrize("name", ALL_MODEL_NAMES + ["chart2"])
+def test_transport_along_broadcasts_over_lengths(request, name, rng):
+    """transport_along broadcasts over the batch axes of ``length`` as over
+    those of x, u and v: n lengths with one x, u and v give n rows, each
+    the call with that one length, bit for bit."""
+    model = (_LAYOUT_MODELS[name]() if name in _LAYOUT_MODELS
+             else request.getfixturevalue(name))
+    t = model.time_window[0] + 0.3
+    x = random_point(model, rng, 0.5)
+    u, v = model.frame(t, x)[0], random_tangent(model, t, x, rng, 0.8)
+    lengths = [0.1, 0.2, 0.3]
+    rows = model.transport_along(t, x, u, lengths, v)
+    assert rows.shape == (len(lengths), model.ambient_dim)
+    for row, length in zip(rows, lengths):
+        assert same_bits(row, model.transport_along(t, x, u, length, v))
+
+
+@pytest.mark.bits
 @pytest.mark.parametrize("name", ALL_MODEL_NAMES + sorted(_LAYOUT_MODELS))
 def test_model_methods_keep_their_bits_in_either_layout(request, name, rng):
     """Every model method the kernels call gives the same bits on a
