@@ -166,9 +166,10 @@ def main(argv: list[str] | None = None) -> int:
             out = Path(args.out or "paths")
             configs = config.parse_suite(Path(args.config).read_text(),
                                          _config_values(args))
+            for cfg in configs:   # before the first file is written
+                config.check_dump(cfg.kind, args.count)
             refuse_shared_files([{out / dump_name(cfg.kind, 0)}
-                                 for cfg in configs
-                                 if cfg.kind in config.DUMP_KINDS])
+                                 for cfg in configs])
             for cfg in configs:
                 for f in dump_paths(cfg, args.count, out):
                     print(f)

@@ -4,9 +4,10 @@ Experiments are described by JSON documents of known keys; unknown keys are
 rejected with the offending key path. A config normalizes to a canonical
 dict (defaults applied, key order fixed) whose serialization hashes stably
 across platforms. One table, ``_KINDS``, gives each kind its keys and its
-builder: the parse ends by building the config's model, report and dump
-kernel once, so a value the run would refuse fails at parse with the
-error of the library object that holds its rule.
+builder. The parser checks what every kind shares and reads the kind only
+to find its row; the builder checks the values only its kind reads and
+builds the report and the dump kernel once, so a value the run would
+refuse fails at parse with the error of the object that holds its rule.
 """
 
 from __future__ import annotations
@@ -34,8 +35,10 @@ from .walk import Schedule, walk_kernel
 # reads, so the one-dimensional comparison kinds name no manifold.
 _COMMON_KEYS = {"kind", "seed", "out"}
 _SPACE = {"manifold", "t1", "t2"}
-_PAIR = _SPACE | {"alpha", "n_paths", "start1", "start2", "d0",
-                  "delta_couple"}
+# A kind that simulates paths at one alpha, which n_dump replays.
+_PATHS = _SPACE | {"alpha", "n_paths", "n_dump"}
+_WALK = _PATHS | {"start", "origin", "exit_radius"}
+_PAIR = _PATHS | {"start1", "start2", "d0", "delta_couple"}
 # Numeric keys: integer keys take JSON integers, float keys finite JSON
 # numbers (bools and strings are neither). The parser stores them as given,
 # so config_hash does not move.
@@ -119,10 +122,9 @@ def _build_walk(cfg):
 
 def _build_pair(cfg):
     """A coupled kind: its estimator on the config's coupled pair."""
-    model, n_paths = cfg.model, int(cfg["n_paths"])
-    cc = coupling_config(cfg, model)
+    cc = coupling_config(cfg, cfg.model)
     cfg.data.setdefault("delta_couple", cc.delta_couple)   # 2 alpha if unset
-    kernel = coupled_kernel(model, cc, n_paths)
+    kernel = coupled_kernel(cfg.model, cc, int(cfg["n_paths"]))
     exits = cc.exit_radius is not None
     if cfg.kind == "couple":   # a kind that checks nothing
         return kernel, partial(
@@ -134,23 +136,39 @@ def _build_pair(cfg):
                     float(np.mean(res["exited"])) if exits else None,
                 "mean_final_distance": float(np.mean(res["final_distance"]))}))
     if cfg.kind == "verify-coupling-bound":
-        report = partial(stats.estimate_coupling_survival, model, cc,
-                         n_paths, bias=float(cfg["bias"]))
+        report = partial(stats.estimate_coupling_survival, kernel,
+                         bias=float(cfg["bias"]))
     elif cfg.kind == "verify-contraction":
-        report = partial(stats.check_contraction, model, cc, n_paths,
+        report = partial(stats.check_contraction, kernel,
                          coefficient=float(cfg["contraction_coefficient"]))
     else:   # f is the indicator of the half-space <normal, x> <= offset
-        f = cfg["f"]
-        normal, offset = np.asarray(f["normal"], float), float(f["offset"])
-        report = partial(stats.check_gradient_estimate, model, cc,
+        f = cfg.get("f")
+        if not isinstance(f, dict) or f.get("type") != "halfspace" \
+                or set(f) != {"type", "normal", "offset"}:
+            _fail("f", "needs {'type': 'halfspace', 'normal': [...], 'offset': h}")
+        if not is_number(f["offset"]):
+            _fail("f.offset", f"must be a finite number, not {f['offset']!r}")
+        normal = _coordinates("f.normal", f["normal"], cfg.model)
+        offset = float(f["offset"])
+        report = partial(stats.check_gradient_estimate, kernel,
                          lambda x: (x @ normal <= offset).astype(float),
-                         float(cfg["osc"]), n_paths)
+                         float(cfg["osc"]))
     return kernel, partial(report, experiment_id=cfg.kind)
 
 
 def _build_convergence(cfg):
+    """A walk kernel per alpha of ``alphas``, each at least 100 paths."""
     model, start = cfg.model, resolve_start(cfg, cfg.model)
-    alphas, n_paths = list(cfg["alphas"]), int(cfg["n_paths"])
+    alphas, n_paths = cfg.get("alphas"), int(cfg["n_paths"])
+    if not isinstance(alphas, list) or not alphas:
+        _fail("alphas", "must be a nonempty list")
+    if not all(is_number(a) for a in alphas):
+        _fail("alphas", f"must list finite numbers, not {alphas!r}")
+    cfg.data["alphas"] = alphas = [float(a) for a in alphas]
+    stats.check_ks_size(n_paths)
+    kernels = [walk_kernel(model, schedule, start, cfg["seed"], n_paths)
+               for schedule in stats.alpha_schedules(cfg["t1"], cfg["t2"],
+                                                     alphas)]
     horizon = cfg["t2"] - cfg["t1"]
     reference = convergence_reference(cfg["reference"], cfg["manifold"])
     if reference == "gauss":
@@ -165,9 +183,8 @@ def _build_convergence(cfg):
         observable = stats.circle_angles
 
     def report(workers: int = 1) -> VerificationReport:
-        rows = stats.convergence_diagnostic(
-            model, cfg["t1"], cfg["t2"], start, alphas, n_paths, cfg["seed"],
-            observable, cdf, support, workers)
+        rows = stats.convergence_diagnostic(kernels, observable, cdf, support,
+                                            workers)
         w1 = [row["w1"] for row in rows]
         trend_ok = all(b <= a * 1.25 + 1e-12 for a, b in zip(w1, w1[1:])) \
             and w1[-1] <= w1[0] + 1e-12
@@ -249,8 +266,7 @@ def _build_radial(cfg):
 # Each kind's keys beside _COMMON_KEYS, and its builder, which gives the
 # run: (the path kernel a dump replays or None, report(workers=)).
 _KINDS = {
-    "walk": (_SPACE | {"alpha", "n_paths", "start", "origin", "exit_radius"},
-             _build_walk),
+    "walk": (_WALK, _build_walk),
     "couple": (_PAIR | {"coupling", "origin", "exit_radius"}, _build_pair),
     "verify-coupling-bound": (_PAIR | {"k", "bias"}, _build_pair),
     "verify-contraction": (_PAIR | {"k", "contraction_coefficient"},
@@ -260,14 +276,13 @@ _KINDS = {
                     _build_convergence),
     "feller-test": ({"b", "C", "y_max", "expect"}, _build_feller),
     "ou-survival": ({"t1", "t2", "a", "k", "ou_h", "n_paths"}, _build_ou),
-    "radial-domination": (_SPACE | {"alpha", "n_paths", "start", "origin",
-                                    "exit_radius", "b", "c0", "r0",
-                                    "margin"}, _build_radial),
+    "radial-domination": (_WALK | {"b", "c0", "r0", "margin"},
+                          _build_radial),
 }
 _KEYS_BY_KIND = {kind: keys for kind, (keys, _) in _KINDS.items()}
 EXPERIMENT_KINDS = tuple(_KINDS)
-# Kinds that simulate walk paths at one alpha; only these take n_dump.
-DUMP_KINDS = tuple(k for k, keys in _KEYS_BY_KIND.items() if "alpha" in keys)
+# Kinds whose paths a dump replays: those that take n_dump.
+DUMP_KINDS = tuple(k for k, keys in _KEYS_BY_KIND.items() if "n_dump" in keys)
 # Kinds that run a coupled pair, built by coupling_config.
 COUPLED_KINDS = tuple(k for k, keys in _KEYS_BY_KIND.items() if "d0" in keys)
 
@@ -291,8 +306,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
     build its run (``_KINDS``).
 
     Unknown keys, missing required keys and every value the run would
-    refuse raise ConfigError naming the key path; a value rule is checked
-    by building the run that obeys it (``_built``).
+    refuse raise ConfigError naming the key path. The rules every kind
+    shares are checked here, the rest by the kind's builder; a value rule
+    is checked by building the run that obeys it (``_built``).
     """
     if not isinstance(raw, dict):
         _fail("config", "top level must be an object")
@@ -304,8 +320,6 @@ def parse_config(raw: dict) -> ExperimentConfig:
         _fail("kind", f"unknown experiment kind {kind!r}")
 
     allowed = _COMMON_KEYS | _KEYS_BY_KIND[kind]
-    if kind in DUMP_KINDS:
-        allowed = allowed | {"n_dump"}
     extra = sorted(set(raw) - allowed)
     if extra:
         _fail(extra[0], f"unknown key for kind {kind!r}")
@@ -333,41 +347,15 @@ def parse_config(raw: dict) -> ExperimentConfig:
     model = _built("manifold", make_model, data["manifold"], (t1, t2)) \
         if "manifold" in data else None
 
-    if kind == "convergence":
-        alphas = data.get("alphas")
-        if not isinstance(alphas, list) or not alphas:
-            _fail("alphas", "must be a nonempty list")
-        if not all(is_number(a) for a in alphas):
-            _fail("alphas", f"must list finite numbers, not {alphas!r}")
-        data["alphas"] = [float(a) for a in alphas]
-        _built("", stats.alpha_schedules, t1, t2, data["alphas"])
-
-    if kind == "couple" and data["coupling"] not in ("reflection", "parallel"):
-        _fail("coupling", f"must be 'reflection' or 'parallel', not "
-              f"{data['coupling']!r}")
     _built("", rng.check_seed, data["seed"])
-    if kind in COUPLED_KINDS:
-        starts = [key for key in ("start1", "start2") if key in data]
-        if "d0" in data and starts:
-            _fail(starts[0], "give start1/start2 or d0, not both")
-        if len(starts) == 1:
-            _fail(starts[0], "start1 and start2 go together")
-        if not starts and "d0" not in data:
-            _fail("start1", "couple kinds need start1/start2 or d0")
-    if kind == "verify-gradient":
-        f = data.get("f")
-        if not isinstance(f, dict) or f.get("type") != "halfspace" \
-                or set(f) != {"type", "normal", "offset"}:
-            _fail("f", "needs {'type': 'halfspace', 'normal': [...], 'offset': h}")
-        if not is_number(f["offset"]):
-            _fail("f.offset", f"must be a finite number, not {f['offset']!r}")
     if data.get("n_dump"):   # 0 and null dump nothing
         check_dump(kind, data["n_dump"])
     if "n_paths" in data:
         _built("", stats.path_ranges, data["n_paths"])
-    if kind == "convergence":
-        _built("", stats.check_ks_size, data["n_paths"])
-    _check_points(data, model)
+    for key in ("start", "start1", "start2", "origin"):
+        if data.get(key) is not None:   # a point of the model
+            _built(key, model.check_point,
+                   _coordinates(key, data[key], model))
     cfg = ExperimentConfig(kind, data, model)
     cfg.kernel, cfg.report = _built("", _KINDS[kind][1], cfg)
     return cfg
@@ -381,19 +369,15 @@ def check_dump(kind: str, count: int) -> None:
         _fail("n_dump", f"a dump writes at least 1 path, not {count}")
 
 
-def _check_points(data: dict, model: ManifoldModel | None) -> None:
-    """Reject a given start, start1/start2, origin or halfspace normal that
-    is not a list of the manifold's ambient coordinates, each a finite
-    JSON number (``is_number``); a kind on no manifold takes none."""
-    points = {key: data[key] for key in ("start", "start1", "start2", "origin")
-              if data.get(key) is not None}
-    if data["kind"] == "verify-gradient":
-        points["f.normal"] = data["f"]["normal"]
-    for key, point in points.items():
-        if not (isinstance(point, list) and len(point) == model.ambient_dim
-                and all(is_number(c) for c in point)):
-            _fail(key, f"must list {model.ambient_dim} finite numbers, the "
-                  f"ambient coordinates of {model.model_id}, not {point!r}")
+def _coordinates(key: str, value, model: ManifoldModel) -> np.ndarray:
+    """``value`` as an array, refused naming ``key`` unless it lists the
+    manifold's ambient coordinates, each a finite JSON number
+    (``is_number``)."""
+    if not (isinstance(value, list) and len(value) == model.ambient_dim
+            and all(is_number(c) for c in value)):
+        _fail(key, f"must list {model.ambient_dim} finite numbers, the "
+              f"ambient coordinates of {model.model_id}, not {value!r}")
+    return np.asarray(value, dtype=float)
 
 
 def convergence_reference(reference: Any, manifold: dict) -> str:
@@ -447,9 +431,18 @@ def parse_suite(document: str | dict,
 
 
 def resolve_start_points(config: ExperimentConfig, model: ManifoldModel):
-    """start1/start2 arrays, built from d0 around the origin when needed."""
+    """start1/start2 arrays, or a pair built from d0 around the origin; a
+    config gives one or the other (a null start is not given)."""
     data = config.data
-    if "start1" in data and "start2" in data:
+    starts = [key for key in ("start1", "start2")
+              if data.get(key) is not None]
+    if "d0" in data and starts:
+        _fail(starts[0], "give start1/start2 or d0, not both")
+    if len(starts) == 1:
+        _fail(starts[0], "start1 and start2 go together")
+    if not starts and "d0" not in data:
+        _fail("start1", "couple kinds need start1/start2 or d0")
+    if starts:
         return (np.asarray(data["start1"], dtype=float),
                 np.asarray(data["start2"], dtype=float))
     d0 = float(data["d0"])
@@ -471,9 +464,12 @@ def coupling_config(config: ExperimentConfig,
     """The CouplingConfig of a coupled kind: verify-contraction and a
     ``couple`` config with ``coupling: parallel`` use parallel transport,
     the rest reflection."""
+    coupling = config.get("coupling", "reflection")
+    if coupling not in ("reflection", "parallel"):
+        _fail("coupling", f"must be 'reflection' or 'parallel', not "
+              f"{coupling!r}")
     x1, x2 = resolve_start_points(config, model)
-    parallel = config.kind == "verify-contraction" \
-        or config.get("coupling") == "parallel"
+    parallel = config.kind == "verify-contraction" or coupling == "parallel"
     return CouplingConfig(
         alpha=config["alpha"], t1=config["t1"], t2=config["t2"],
         seed=config["seed"], start1=x1, start2=x2,

@@ -313,6 +313,16 @@ class ManifoldModel(abc.ABC):
         """Inner product of v with the constraint gradient at x (0 = tangent)."""
         return np.zeros(x.shape[:-1])
 
+    def check_point(self, x: np.ndarray) -> None:
+        """Refuse ambient coordinates x more than POINT_TOL (1 + |x|^2) off
+        the embedding constraint, which are no point of the model."""
+        residual = float(self.constraint_residual(x))
+        if not residual <= POINT_TOL * (1.0 + float(x @ x)):
+            raise InvalidInput(f"{x.tolist()} is not a point of "
+                               f"{self.model_id}: its constraint residual "
+                               f"{residual:.3g} exceeds {POINT_TOL:g} "
+                               f"(1 + |x|^2)")
+
     def origin(self) -> np.ndarray:
         """Canonical reference point."""
         return np.zeros(self.ambient_dim)
@@ -659,6 +669,9 @@ class ScaledMetric(ManifoldModel):
     def constraint_residual(self, x):
         return self.base.constraint_residual(x)
 
+    def check_point(self, x):
+        self.base.check_point(x)
+
     def tangency_residual(self, x, v):
         return self.base.tangency_residual(x, v)
 
@@ -743,6 +756,12 @@ class Hyperbolic(ManifoldModel):
 
     def constraint_residual(self, x):
         return np.abs(self._ldot(x, x) + 1.0)
+
+    def check_point(self, x):
+        super().check_point(x)
+        if x[0] < 0.0:
+            raise InvalidInput(f"{x.tolist()} is on the lower sheet of "
+                               f"{self.model_id}'s hyperboloid")
 
     def tangency_residual(self, x, v):
         return np.abs(self._ldot(x, v))

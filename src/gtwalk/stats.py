@@ -7,9 +7,11 @@ identical for any worker count. The path-kernel experiments share one
 skeleton, ``mc_report``: an ``engine.PathKernel`` (``coupled_kernel``,
 ``walk_kernel`` or ``comparison.ou_kernel``, each with the params block of
 its kinds), the records the experiment reads, and a reduction to the
-estimate and the params it adds. Every estimate-against-bound kind passes
-by one rule, ``bound_report``'s: estimate <= bound + 3 stderr + declared
-bias. An estimate of an absolute difference takes its interval from
+estimate and the params it adds; the estimators and the convergence
+diagnostic run the kernels their caller built, with the settings in their
+params. Every estimate-against-bound kind passes by one rule,
+``bound_report``'s: estimate <= bound + 3 stderr + declared bias. An
+estimate of an absolute difference takes its interval from
 ``McEstimate.abs_deviation``.
 
 Only the convergence diagnostics need scipy; they import ``scipy.special``
@@ -27,11 +29,10 @@ import numpy as np
 
 from . import engine
 from .comparison import beta
-from .coupling import (CouplingConfig, CouplingKind, coupled_kernel,
-                       coupling_probability_bound)
+from .coupling import coupling_probability_bound
+from .engine import CouplingKind
 from .errors import InvalidInput
-from .manifolds import ManifoldModel
-from .walk import Schedule, walk_kernel
+from .walk import Schedule
 
 CHUNK = 2048
 QUANTILE_GRID = 20001   # nodes of reference_quantiles' CDF table
@@ -246,36 +247,35 @@ def proportion(flags: np.ndarray) -> McEstimate:
 # Verification estimators
 # ---------------------------------------------------------------------------
 
-def estimate_coupling_survival(model: ManifoldModel, config: CouplingConfig,
-                               n_paths: int, *, workers: int = 1,
-                               bias: float = 0.0,
+def estimate_coupling_survival(kernel: engine.PathKernel, *,
+                               workers: int = 1, bias: float = 0.0,
                                experiment_id: str = "coupling-survival"
                                ) -> VerificationReport:
-    """Fraction of reflection-coupled pairs that never meet by the horizon,
-    against the normal-mass bound at d0 / (2 sqrt(beta(T - t1)))."""
-    if config.kind is not CouplingKind.REFLECTION:
+    """Fraction of the reflection-coupled pairs of a ``coupled_kernel``
+    that never meet by the horizon, against the normal-mass bound at
+    d0 / (2 sqrt(beta(T - t1)))."""
+    p = kernel.params
+    if p["coupling"] != CouplingKind.REFLECTION.value:
         raise InvalidInput("survival estimate requires the reflection kind")
-    kernel = coupled_kernel(model, config, n_paths)
-    bound = coupling_probability_bound(kernel.params["d0"], config.k,
-                                       kernel.params["horizon"])
+    bound = coupling_probability_bound(p["d0"], p["k"], p["horizon"])
     return mc_report(experiment_id, kernel, {"couple_step"},
                      lambda res: (proportion(res["couple_step"] < 0), {}),
                      bound=bound, bias=bias, workers=workers,
                      statistic="fraction of pairs not coupled by t2")
 
 
-def check_contraction(model: ManifoldModel, config: CouplingConfig,
-                      n_paths: int, *, coefficient: float = 5.0,
+def check_contraction(kernel: engine.PathKernel, *, coefficient: float = 5.0,
                       workers: int = 1,
                       experiment_id: str = "contraction") -> VerificationReport:
     """Largest increase of e^{k(t-t1)/2} d_{g(t)} over skeleton pairs s <= t,
-    across all paths, against coefficient * alpha.
+    across the paths of a parallel ``coupled_kernel``, against
+    coefficient * alpha.
 
     A maximum is no sample mean, so the report has no estimate: it gives
     the maximum as ``params.max_rise`` and the mean of the per-path maxima
     as ``params.per_path_mean``, and passes when max_rise <= bound.
     """
-    if config.kind is not CouplingKind.PARALLEL_TRANSPORT:
+    if kernel.params["coupling"] != CouplingKind.PARALLEL_TRANSPORT.value:
         raise InvalidInput("contraction check requires the parallel kind")
 
     def reduce(res):
@@ -284,9 +284,9 @@ def check_contraction(model: ManifoldModel, config: CouplingConfig,
                       "max_rise": float(np.max(maxima)),
                       "per_path_mean": float(np.mean(maxima))}
 
-    report = mc_report(experiment_id, coupled_kernel(model, config, n_paths),
-                       {"contraction_max"}, reduce, workers=workers)
-    report.bound = coefficient * config.alpha
+    report = mc_report(experiment_id, kernel, {"contraction_max"}, reduce,
+                       workers=workers)
+    report.bound = coefficient * kernel.params["alpha"]
     report.passed = report.metadata["params"]["max_rise"] <= report.bound
     report.check = {
         "statistic": "largest rise of e^{k(t-t1)/2} d over paths",
@@ -294,15 +294,14 @@ def check_contraction(model: ManifoldModel, config: CouplingConfig,
     return report
 
 
-def check_gradient_estimate(model: ManifoldModel, config: CouplingConfig,
+def check_gradient_estimate(kernel: engine.PathKernel,
                             f: Callable[[np.ndarray], np.ndarray],
-                            osc: float, n_paths: int, *, workers: int = 1,
+                            osc: float, *, workers: int = 1,
                             experiment_id: str = "gradient"
                             ) -> VerificationReport:
-    """|E f(X1(T)) - E f(X2(T))| via the common-noise coupled pair, against
-    d0 osc / sqrt(2 pi beta(T - t1))."""
-    kernel = coupled_kernel(model, config, n_paths)
-    d0, horizon = kernel.params["d0"], kernel.params["horizon"]
+    """|E f(X1(T)) - E f(X2(T))| over the common-noise pairs of a
+    ``coupled_kernel``, against d0 osc / sqrt(2 pi beta(T - t1))."""
+    d0, horizon, k = (kernel.params[key] for key in ("d0", "horizon", "k"))
 
     def reduce(res):
         signed = McEstimate.from_samples(
@@ -311,7 +310,7 @@ def check_gradient_estimate(model: ManifoldModel, config: CouplingConfig,
         return (signed.abs_deviation(),
                 {"osc": osc, "signed_mean": signed.mean})
 
-    bound = d0 * osc / math.sqrt(2.0 * math.pi * beta(horizon, config.k))
+    bound = d0 * osc / math.sqrt(2.0 * math.pi * beta(horizon, k))
     return mc_report(experiment_id, kernel, {"end"}, reduce, bound=bound,
                      workers=workers,
                      statistic="|E f(X1(t2)) - E f(X2(t2))|")
@@ -429,28 +428,27 @@ def alpha_schedules(t1: float, t2: float, alphas) -> list[Schedule]:
     return schedules
 
 
-def convergence_diagnostic(model: ManifoldModel,
-                           t1: float, t2: float, start: np.ndarray,
-                           alphas: Sequence[float], n_paths: int, seed: int,
+def convergence_diagnostic(kernels: Sequence[engine.PathKernel],
                            observable: Callable[[np.ndarray], np.ndarray],
                            reference_cdf: Callable[[np.ndarray], np.ndarray],
                            reference_support: tuple[float, float],
                            workers: int = 1) -> list[dict]:
-    """Per-alpha endpoint-law diagnostics against a reference distribution.
+    """Endpoint-law diagnostics against a reference distribution, one row
+    per ``walk_kernel`` (one per alpha, from ``alpha_schedules``).
 
-    Returns one row per alpha with the transport distance to the reference
-    quantiles and the KS statistic at level 0.01.
+    Each row gives the kernel's alpha, the transport distance to the
+    reference quantiles and the KS statistic at level 0.01.
     """
     rows = []
-    for schedule in alpha_schedules(t1, t2, alphas):
-        kernel = walk_kernel(model, schedule, start, seed, n_paths)
-        ends = map_path_chunks(n_paths, partial(kernel.fn, records={"end"}),
+    for kernel in kernels:
+        ends = map_path_chunks(kernel.params["n_paths"],
+                               partial(kernel.fn, records={"end"}),
                                workers)["end"]
         samples = np.asarray(observable(ends), dtype=float)
         ref_q = reference_quantiles(reference_cdf, len(samples),
                                     *reference_support)
         ks = ks_statistic(samples, reference_cdf)
-        rows.append({"alpha": schedule.alpha, "n": len(samples),
+        rows.append({"alpha": kernel.params["alpha"], "n": len(samples),
                      "w1": wasserstein1_1d(samples, ref_q),
                      "ks_statistic": ks.statistic,
                      "ks_threshold": ks.threshold, "ks_pass": ks.passed})

@@ -18,7 +18,8 @@ from oracles import gaussian_mass, normal_cdf, wrapped_gaussian_cdf_fourier
 from gtwalk import engine
 from gtwalk.comparison import (RadialComparisonSpec, beta, builtin_b,
                                feller_explosion_test)
-from gtwalk.coupling import CouplingConfig, CouplingKind, dominating_process, run_coupled
+from gtwalk.coupling import (CouplingConfig, CouplingKind, coupled_kernel,
+                             dominating_process, run_coupled)
 from gtwalk.manifolds import (Euclidean, Hyperbolic, RoundSphere,
                               ScaledMetric, curvature_condition_residual,
                               minimal_geodesic)
@@ -50,8 +51,8 @@ def test_criterion_1_flat_mirror_equality():
     x1, x2 = np.array([-0.5, 0.0]), np.array([0.5, 0.0])
     cfg = CouplingConfig(alpha=0.02, t1=0.0, t2=1.0, seed=101, start1=x1,
                          start2=x2, delta_couple=0.04)
-    report = estimate_coupling_survival(model, cfg, 20_000, workers=2,
-                                        bias=0.02,
+    report = estimate_coupling_survival(coupled_kernel(model, cfg, 20_000),
+                                        workers=2, bias=0.02,
                                         experiment_id="flat-mirror")
     target = gaussian_mass(0.5)
     assert target == pytest.approx(0.38292, abs=5e-6)
@@ -67,7 +68,7 @@ def test_criterion_1_flat_mirror_equality():
     for delta in (0.02, 0.08):
         cfg_d = CouplingConfig(alpha=0.02, t1=0.0, t2=1.0, seed=101,
                                start1=x1, start2=x2, delta_couple=delta)
-        rep = estimate_coupling_survival(model, cfg_d, 4000)
+        rep = estimate_coupling_survival(coupled_kernel(model, cfg_d, 4000))
         assert abs(rep.estimate.mean - target) \
             <= 3.0 * rep.estimate.stderr + 0.04
 
@@ -81,7 +82,8 @@ def test_criterion_2_static_sphere_bound():
     x1, x2 = _pair_on(model, 0.0, 1.0)
     cfg = CouplingConfig(alpha=0.02, t1=0.0, t2=0.5, seed=202, start1=x1,
                          start2=x2, delta_couple=0.04)
-    report = estimate_coupling_survival(model, cfg, 10_000, workers=2,
+    report = estimate_coupling_survival(coupled_kernel(model, cfg, 10_000),
+                                        workers=2,
                                         experiment_id="sphere-bound")
     bound = gaussian_mass(1.0 / math.sqrt(2.0))
     assert bound == pytest.approx(0.5205, abs=5e-5)
@@ -110,7 +112,8 @@ def test_criterion_3_flow_sphere():
     x1, x2 = _pair_on(model, 0.0, 1.0)
     cfg = CouplingConfig(alpha=0.02, t1=0.0, t2=0.5, seed=303, start1=x1,
                          start2=x2, delta_couple=0.04)
-    report = estimate_coupling_survival(model, cfg, 10_000, workers=2,
+    report = estimate_coupling_survival(coupled_kernel(model, cfg, 10_000),
+                                        workers=2,
                                         experiment_id="flow-sphere-bound")
     bound = gaussian_mass(1.0 / math.sqrt(2.0))
     bound_ok = report.estimate.mean <= bound + 3.0 * report.estimate.stderr
@@ -131,7 +134,8 @@ def test_criterion_4_parallel_transport_contraction():
     cfg = CouplingConfig(alpha=0.02, t1=0.0, t2=1.0, seed=404, start1=x1,
                          start2=x2, kind=CouplingKind.PARALLEL_TRANSPORT,
                          k=1.0, delta_couple=0.0)
-    exact = check_contraction(scaled, cfg, 200, experiment_id="scaled")
+    exact = check_contraction(coupled_kernel(scaled, cfg, 200),
+                              experiment_id="scaled")
     exact_max = exact.metadata["params"]["max_rise"]
     exact_ok = exact_max <= 1e-10
 
@@ -143,7 +147,8 @@ def test_criterion_4_parallel_transport_contraction():
                                start1=y1, start2=y2,
                                kind=CouplingKind.PARALLEL_TRANSPORT, k=0.0,
                                delta_couple=0.0)
-        rep = check_contraction(flow, cfg_f, 400, coefficient=5.0,
+        rep = check_contraction(coupled_kernel(flow, cfg_f, 400),
+                                coefficient=5.0,
                                 experiment_id=f"flow-{alpha}")
         rough[alpha] = (rep.metadata["params"]["max_rise"], rep.passed)
     flow_ok = all(passed for _, passed in rough.values())
@@ -166,7 +171,8 @@ def test_criterion_5_gradient_estimate():
                          delta_couple=0.01)
     offset = -0.5
     f = lambda pts: (pts[:, 0] <= offset).astype(float)
-    report = check_gradient_estimate(model, cfg, f, 1.0, 20_000, workers=2,
+    report = check_gradient_estimate(coupled_kernel(model, cfg, 20_000), f,
+                                     1.0, workers=2,
                                      experiment_id="gradient")
     exact = normal_cdf(offset - 0.0) - normal_cdf(offset - 0.2)
     bound = 0.2 / math.sqrt(2.0 * math.pi)

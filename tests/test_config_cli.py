@@ -23,11 +23,11 @@ from gtwalk.config import (_COMMON_KEYS, _KEYS_BY_KIND, DUMP_KINDS,
                            EXPERIMENT_KINDS, convergence_reference,
                            coupling_config, parse_config, parse_suite,
                            resolve_start, resolve_start_points)
-from gtwalk.coupling import CouplingConfig, run_coupled
+from gtwalk.coupling import CouplingConfig, coupled_kernel, run_coupled
 from gtwalk.errors import ConfigError, GtwalkError, InvalidInput
 from gtwalk.manifolds import list_model_kinds, make_model
 from gtwalk.runner import dump_paths, run_document
-from gtwalk.stats import convergence_diagnostic, ks_statistic, map_path_chunks
+from gtwalk.stats import alpha_schedules, ks_statistic, map_path_chunks
 from gtwalk.walk import Schedule, WalkConfig, run_walk, walk_kernel
 
 
@@ -705,12 +705,13 @@ def test_every_key_takes_effect_or_is_rejected(kind):
     """Each key any kind takes, the common keys included, set to a valid
     non-default value, either changes the report (or its params) or is
     rejected at parse. ``kind`` names the experiment the other keys belong
-    to, and ``out`` only picks the directory the artefacts go to, so
-    neither is a value of the run."""
+    to, ``out`` only picks the directory the artefacts go to and ``n_dump``
+    how many path files go beside the report (its own tests check them),
+    so none is a value of the run."""
     base = _key_base(kind)
     reference = _report_without_hash(base)
     for key in sorted((_COMMON_KEYS - {"kind", "out"})
-                      | set().union(*_KEYS_BY_KIND.values())):
+                      | set().union(*_KEYS_BY_KIND.values()) - {"n_dump"}):
         value = _KEY_VALUES_BY_KIND.get(kind, {}).get(key, _KEY_VALUES[key])
         assert value != parse_config(base).get(key), key
         doc = {**base, key: value}
@@ -1006,8 +1007,7 @@ _RULES = [
     ("alpha", lambda: _coupling(alpha=2.0), "couple", {"alpha": 2.0}),
     ("alpha", lambda: Schedule(0.0, 1.0, 2.0), "convergence",
      {"alphas": [2.0, 0.1]}),
-    ("alphas", lambda: convergence_diagnostic(
-        None, 0.0, 1.0, None, [0.2, 0.4], 100, 2, None, None, None),
+    ("alphas", lambda: alpha_schedules(0.0, 1.0, [0.2, 0.4]),
      "convergence", {"alphas": [0.2, 0.4]}),
     ("delta_couple", lambda: _coupling(delta_couple=0.05), "couple",
      {"delta_couple": 0.05}),
@@ -1111,6 +1111,71 @@ def test_point_coordinates_are_finite_json_numbers(key, bad):
         parse_config(_with_point(key, [bad] + good[1:]))
 
 
+_HYPERBOLIC = {"kind": "hyperbolic", "dim": 2}
+_SCALED_HYPERBOLIC = {"kind": "scaled", "k": 0.5, "base": _HYPERBOLIC}
+_APEX = [1.0, 0.0, 0.0]   # the hyperboloid's origin
+# Points off their manifold, under a key of a kind that takes it, beside
+# the points the kind needs with it: off the sphere, at the origin of
+# Minkowski space, on the hyperboloid's lower sheet (also under a scaled
+# metric), beyond the hyperboloid, and an origin 1e-6 off the flow sphere.
+_OFF_MANIFOLD = [
+    ("walk", {"kind": "sphere", "dim": 2}, {"start": [0.0, 0.0, 2.0]}),
+    ("verify-coupling-bound", _HYPERBOLIC,
+     {"start1": [0.0, 0.0, 0.0], "start2": _APEX}),
+    ("verify-coupling-bound", _HYPERBOLIC,
+     {"start1": [-1.0, 0.0, 0.0], "start2": _APEX}),
+    ("couple", _SCALED_HYPERBOLIC,
+     {"start2": [-1.0, 0.0, 0.0], "start1": _APEX}),
+    ("walk", _HYPERBOLIC, {"start": [5.0, 0.0, 0.0]}),
+    ("radial-domination", _FLOW_SPHERE, {"origin": [0.0, 0.0, 1.0 + 1e-6]}),
+]
+
+
+def _without_d0(kind: str, **changes) -> dict:
+    return {**{k: v for k, v in _key_base(kind).items() if k != "d0"},
+            **changes}
+
+
+@pytest.mark.parametrize("kind, manifold, points", _OFF_MANIFOLD)
+def test_point_off_the_manifold_is_refused(kind, manifold, points,
+                                           tmp_path, capsys):
+    """A start, start1, start2 or origin off the manifold exits 1 with
+    one 'error: <key>:' line naming it, where the run would start from it
+    and report a meaningless result (a bound check of d0 0 that passes)."""
+    key = next(iter(points))
+    (tmp_path / "cfg.json").write_text(json.dumps(
+        _without_d0(kind, manifold=manifold, **points)))
+    assert main(["run", str(tmp_path / "cfg.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key}: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("manifold", [_HYPERBOLIC, _SCALED_HYPERBOLIC])
+def test_points_exp_reaches_are_accepted(manifold):
+    """Points that exp reaches from the origin, out to distance 12, parse
+    as a walk's start and as a coupled pair's (the models' own test checks
+    many more)."""
+    model = make_model(manifold, (0.0, 1.0))
+    o = model.origin()
+    for r in (0.5, 3.0, 12.0):
+        x, y = (model.exp(0.0, o, sign * r * model.frame(0.0, o)[-1]).tolist()
+                for sign in (1.0, -1.0))
+        parse_config(_without_d0("walk", manifold=manifold, start=x))
+        parse_config(_without_d0("couple", manifold=manifold, start1=x,
+                                 start2=y))
+
+
+def test_null_starts_are_not_given():
+    """A null start1 and start2 are not given, as a null start is: with d0
+    the pair is built from d0, and without it the parse names start1
+    instead of failing on the distance between two nulls."""
+    doc = {**_key_base("couple"), "start1": None, "start2": None}
+    assert _report_without_hash(doc) == _report_without_hash(
+        _key_base("couple"))
+    with pytest.raises(ConfigError, match="^start1: couple kinds need"):
+        parse_config(_without_d0("couple", start1=None, start2=None))
+
+
 # Each number a drift profile reads, in a profile that reads it.
 _PROFILE_NUMBERS = {
     "c": {"name": "constant", "c": 1.0},
@@ -1196,19 +1261,23 @@ def test_run_flag_edits_the_document_as_written(kind, flag, data,
 def test_each_run_builds_its_objects_once(kind, monkeypatch, tmp_path):
     """One run_document, with a path dump where the kind has one, builds
     the model and each object of its run at most once: the parse builds
-    them, and the run and the dump use what it built."""
+    them, and the run and the dump use what it built. The estimators take
+    the parsed kernel, and convergence builds one walk kernel per alpha."""
     counts = collections.Counter()
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
-            counts[name] += 1
+            # a walk kernel is counted per alpha of its schedule
+            counts[(name, args[1].alpha) if name == "walk_kernel"
+                   else name] += 1
             return fn(*args, **kwargs)
         return wrapper
 
     modules = [module for name, module in sys.modules.items()
                if name.split(".")[0] == "gtwalk"]
     for fn in (make_model, coupling_config, builtin_b, ou_kernel,
-               convergence_reference):
+               convergence_reference, coupled_kernel, walk_kernel,
+               alpha_schedules):
         for module in modules:
             if getattr(module, fn.__name__, None) is fn:
                 monkeypatch.setattr(module, fn.__name__,
@@ -1228,6 +1297,22 @@ def _walks(**changes) -> dict:
     """A suite of two small walks, with ``changes`` in the second."""
     walk = {**MINIMAL_WALK, "n_paths": 8, "n_dump": 1}
     return {"experiments": [walk, {**walk, "seed": 8, **changes}]}
+
+
+def test_dump_paths_refuses_a_suite_before_writing(tmp_path, capsys):
+    """dump-paths checks the dump of every experiment before it writes the
+    first file: a suite of a walk and a feller-test, which has no paths,
+    exits 1 naming n_dump and leaves no directory behind."""
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps({"experiments": [
+        {**MINIMAL_WALK, "n_paths": 8}, _key_base("feller-test")]}))
+    out = tmp_path / "d"
+    assert main(["dump-paths", str(suite), "--count", "2", "--out",
+                 str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: n_dump: kind 'feller-test' simulates no walk " \
+        "paths to dump\n", err
+    assert not out.exists()
 
 
 def test_experiments_that_share_a_file_are_refused(tmp_path, capsys):

@@ -775,6 +775,52 @@ def test_point_invariants(sphere2):
         Point(np.array([np.inf, 0.0, 0.0]), sphere2.model_id)
 
 
+# Models the parser checks points on: a sphere of radius 2, the 30-sphere,
+# and the hyperboloid alone and under a scaled metric.
+_POINT_MODELS = [{"kind": "sphere", "dim": 2, "radius_c0": 4.0},
+                 {"kind": "sphere", "dim": 30},
+                 {"kind": "hyperbolic", "dim": 2},
+                 {"kind": "scaled", "k": 0.5,
+                  "base": {"kind": "hyperbolic", "dim": 3}}]
+
+
+@pytest.mark.parametrize("desc", _POINT_MODELS)
+def test_check_point_takes_the_points_exp_reaches(desc, rng):
+    """check_point takes every point exp reaches from the origin, in 200
+    random directions per distance out to 12, where the hyperboloid's
+    coordinates reach e^12 and their rounding grows with |x|^2."""
+    model = make_model(desc, (0.0, 1.0))
+    o = model.origin()
+    for r in (0.5, 3.0, 6.0, 12.0):
+        dirs = rng.normal(size=(200, model.dim))
+        dirs *= r / np.linalg.norm(dirs, axis=1, keepdims=True)
+        for x in model.exp(0.0, np.tile(o, (200, 1)),
+                           dirs @ model.frame(0.0, o)):
+            model.check_point(x)
+
+
+@pytest.mark.parametrize("desc, x", [
+    ({"kind": "sphere", "dim": 2}, [0.0, 0.0, 2.0]),
+    ({"kind": "sphere", "dim": 2, "radius_c0": 4.0}, [0.0, 0.0, 1.0]),
+    ({"kind": "sphere", "dim": 2}, [0.0, 1e-4, 1.0]),
+    ({"kind": "hyperbolic", "dim": 2}, [0.0, 0.0, 0.0]),
+    ({"kind": "hyperbolic", "dim": 2}, [5.0, 0.0, 0.0]),
+    ({"kind": "hyperbolic", "dim": 2}, [-1.0, 0.0, 0.0]),
+    ({"kind": "hyperbolic", "dim": 2}, [-np.cosh(2.0), np.sinh(2.0), 0.0]),
+    ({"kind": "scaled", "k": 0.5, "base": {"kind": "hyperbolic", "dim": 2}},
+     [-1.0, 0.0, 0.0]),
+])
+def test_check_point_refuses_points_off_the_model(desc, x):
+    """A point off the embedding, or on the hyperboloid's lower sheet,
+    where the constraint holds but the model's maps do not, is refused;
+    the plane takes every point."""
+    model = make_model(desc, (0.0, 1.0))
+    with pytest.raises(InvalidInput, match=r"^\[.*\] is "):
+        model.check_point(np.array(x))
+    make_model({"kind": "euclidean", "dim": 3}, (0.0, 1.0)).check_point(
+        np.array(x))
+
+
 def test_tangency_residual(sphere2):
     x = np.array([0.0, 0.0, 1.0])
     assert float(sphere2.tangency_residual(x, np.array([1.0, 0.0, 0.0]))) \

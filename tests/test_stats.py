@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gtwalk.coupling import CouplingConfig, CouplingKind
+from gtwalk.coupling import CouplingConfig, CouplingKind, coupled_kernel
 from gtwalk.errors import InvalidInput, SingularConfiguration
 from gtwalk.stats import (McEstimate, bound_report,
                           check_contraction, check_gradient_estimate,
@@ -219,8 +219,9 @@ def test_survival_report_deterministic_across_workers(euclid2):
     cfg = CouplingConfig(alpha=0.1, t1=0.0, t2=1.0, seed=5,
                          start1=np.array([-0.5, 0.0]),
                          start2=np.array([0.5, 0.0]))
-    r1 = estimate_coupling_survival(euclid2, cfg, 3000, workers=1)
-    r4 = estimate_coupling_survival(euclid2, cfg, 3000, workers=4)
+    kernel = coupled_kernel(euclid2, cfg, 3000)
+    r1 = estimate_coupling_survival(kernel, workers=1)
+    r4 = estimate_coupling_survival(kernel, workers=4)
     assert r1.estimate.mean == r4.estimate.mean
     assert r1.estimate.stderr == r4.estimate.stderr
 
@@ -230,11 +231,11 @@ def test_estimator_kind_validation(euclid2):
                          start1=np.zeros(2), start2=np.ones(2),
                          kind=CouplingKind.PARALLEL_TRANSPORT)
     with pytest.raises(InvalidInput):
-        estimate_coupling_survival(euclid2, cfg, 1000)
+        estimate_coupling_survival(coupled_kernel(euclid2, cfg, 1000))
     cfg_r = CouplingConfig(alpha=0.1, t1=0.0, t2=1.0, seed=5,
                            start1=np.zeros(2), start2=np.ones(2))
     with pytest.raises(InvalidInput):
-        check_contraction(euclid2, cfg_r, 100)
+        check_contraction(coupled_kernel(euclid2, cfg_r, 100))
 
 
 def test_gradient_report_is_the_same_for_f_and_one_minus_f(flow_sphere):
@@ -250,7 +251,8 @@ def test_gradient_report_is_the_same_for_f_and_one_minus_f(flow_sphere):
     def f(points):
         return (points[:, 0] <= 0.0).astype(float)
 
-    reports = [check_gradient_estimate(flow_sphere, cfg, h, 1.0, 600)
+    kernel = coupled_kernel(flow_sphere, cfg, 600)
+    reports = [check_gradient_estimate(kernel, h, 1.0)
                for h in (f, lambda points: 1.0 - f(points))]
     signed = [r.metadata["params"]["signed_mean"] for r in reports]
     assert signed[0] == -signed[1] != 0.0
@@ -259,12 +261,10 @@ def test_gradient_report_is_the_same_for_f_and_one_minus_f(flow_sphere):
     assert est[0]["ci95"][0] <= est[0]["mean"] <= est[0]["ci95"][1]
 
 
-def test_convergence_diagnostic_requires_decreasing(euclid1):
-    from gtwalk.stats import convergence_diagnostic
+def test_convergence_diagnostic_requires_decreasing():
+    from gtwalk.stats import alpha_schedules
     with pytest.raises(InvalidInput):
-        convergence_diagnostic(lambda a: euclid1, 0.0, 1.0, np.zeros(1),
-                               [0.1, 0.2], 100, 0, lambda e: e[:, 0],
-                               gaussian_cdf(0.0, 1.0), (-8.0, 8.0))
+        alpha_schedules(0.0, 1.0, [0.1, 0.2])
 
 
 def test_convergence_independent_runs_agree(euclid1):
