@@ -10,9 +10,8 @@ __version__ = "0.1.0"
 
 from .comparison import (OUParams, RadialComparisonSpec, beta, builtin_b,
                          chi, feller_explosion_test)
-from .coupling import (CoupledPath, CouplingConfig, CouplingKind,
-                       coupled_step, coupling_probability_bound,
-                       dominating_process, run_coupled)
+from .coupling import (CouplingKind, coupled_kernel, coupled_step,
+                       coupling_probability_bound, dominating_process)
 from .errors import (ConfigError, DegenerateGeodesic, GtwalkError,
                      InvalidInput, SingularConfiguration,
                      UnsupportedOperation)
@@ -28,4 +27,4 @@ from .stats import (KsResult, McEstimate, VerificationReport,
 from .variation import (GreenSolution, SampledField, VariationTerms,
                         coupled_variation_terms, dagger_field, dt_distance,
                         index_form, solve_green)
-from .walk import Schedule, WalkConfig, WalkPath, run_walk, step
+from .walk import Schedule, step, walk_kernel

@@ -25,7 +25,7 @@ from . import engine, rng, stats
 from .comparison import (OUParams, RadialComparisonSpec, beta, builtin_b,
                          check_feller_range, chi, feller_explosion_test,
                          ou_kernel)
-from .coupling import CouplingConfig, CouplingKind, coupled_kernel
+from .coupling import CouplingKind, coupled_kernel
 from .errors import ConfigError, InvalidInput, check_json_type, is_number
 from .manifolds import ManifoldModel, make_model
 from .stats import McEstimate, VerificationReport, mc_report, proportion
@@ -121,17 +121,30 @@ def _build_walk(cfg):
 
 
 def _build_pair(cfg):
-    """A coupled kind: its estimator on the config's coupled pair."""
-    cc = coupling_config(cfg, cfg.model)
-    cfg.data.setdefault("delta_couple", cc.delta_couple)   # 2 alpha if unset
-    kernel = coupled_kernel(cfg.model, cc, int(cfg["n_paths"]))
-    exits = cc.exit_radius is not None
+    """A coupled kind: its estimator on the config's pair, coupled by
+    parallel transport on verify-contraction and a ``couple`` config with
+    ``coupling: parallel``, by reflection on the rest. An unset
+    delta_couple takes the kernel's default, 2 alpha."""
+    coupling = cfg.get("coupling", "reflection")
+    if coupling not in ("reflection", "parallel"):
+        _fail("coupling", f"must be 'reflection' or 'parallel', not "
+              f"{coupling!r}")
+    x1, x2 = resolve_start_points(cfg, cfg.model)
+    kernel = coupled_kernel(
+        cfg.model, Schedule(cfg["t1"], cfg["t2"], cfg["alpha"]), x1, x2,
+        cfg["seed"], int(cfg["n_paths"]),
+        kind=CouplingKind.PARALLEL_TRANSPORT
+        if cfg.kind == "verify-contraction" else CouplingKind(coupling),
+        delta_couple=cfg.get("delta_couple"), k=cfg.get("k", 0.0),
+        origin=cfg.get("origin"), exit_radius=cfg.get("exit_radius"))
+    cfg.data.setdefault("delta_couple", kernel.params["delta_couple"])
     if cfg.kind == "couple":   # a kind that checks nothing
+        exits = cfg["exit_radius"] is not None
         return kernel, partial(
             mc_report, "couple", kernel, {"couple_step", "final_distance"}
             | ({"exited"} if exits else set()),
             lambda res: (proportion(res["couple_step"] >= 0), {
-                "exit_radius": cc.exit_radius,
+                "exit_radius": cfg["exit_radius"],
                 "exit_fraction":
                     float(np.mean(res["exited"])) if exits else None,
                 "mean_final_distance": float(np.mean(res["final_distance"]))}))
@@ -283,7 +296,7 @@ _KEYS_BY_KIND = {kind: keys for kind, (keys, _) in _KINDS.items()}
 EXPERIMENT_KINDS = tuple(_KINDS)
 # Kinds whose paths a dump replays: those that take n_dump.
 DUMP_KINDS = tuple(k for k, keys in _KEYS_BY_KIND.items() if "n_dump" in keys)
-# Kinds that run a coupled pair, built by coupling_config.
+# Kinds that run a coupled pair, built by _build_pair.
 COUPLED_KINDS = tuple(k for k, keys in _KEYS_BY_KIND.items() if "d0" in keys)
 
 
@@ -457,26 +470,6 @@ def resolve_start(config: ExperimentConfig, model: ManifoldModel) -> np.ndarray:
     if config.get("start") is not None:
         return np.asarray(config["start"], dtype=float)
     return model.origin()
-
-
-def coupling_config(config: ExperimentConfig,
-                    model: ManifoldModel) -> CouplingConfig:
-    """The CouplingConfig of a coupled kind: verify-contraction and a
-    ``couple`` config with ``coupling: parallel`` use parallel transport,
-    the rest reflection."""
-    coupling = config.get("coupling", "reflection")
-    if coupling not in ("reflection", "parallel"):
-        _fail("coupling", f"must be 'reflection' or 'parallel', not "
-              f"{coupling!r}")
-    x1, x2 = resolve_start_points(config, model)
-    parallel = config.kind == "verify-contraction" or coupling == "parallel"
-    return CouplingConfig(
-        alpha=config["alpha"], t1=config["t1"], t2=config["t2"],
-        seed=config["seed"], start1=x1, start2=x2,
-        kind=CouplingKind.PARALLEL_TRANSPORT if parallel
-        else CouplingKind.REFLECTION,
-        delta_couple=config.get("delta_couple"), k=config.get("k", 0.0),
-        origin=config.get("origin"), exit_radius=config.get("exit_radius"))
 
 
 @dataclass

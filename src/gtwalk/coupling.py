@@ -11,12 +11,14 @@ coupling. Discrete walks almost surely never meet exactly, so pairs are
 declared coupled at distance <= delta_couple and the second particle
 follows the first from then on, which preserves the marginal transition
 rule because the declaration time is a stopping time of the pair.
+``coupled_step`` is one transition of a pair; ``coupled_kernel`` runs a
+block of pairs, and its ``trace`` one pair's records, whose coupling time
+is ``schedule.times[couple_step]`` (none when ``couple_step`` is -1).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -27,65 +29,6 @@ from .engine import CouplingKind
 from .errors import InvalidInput
 from .manifolds import COINCIDE_TOL, ManifoldModel, Point, _coords
 from .walk import Schedule, _ball_sample
-
-
-@dataclass(frozen=True)
-class CouplingConfig:
-    """Parameters of one coupled run."""
-    alpha: float
-    t1: float
-    t2: float
-    seed: int
-    start1: np.ndarray
-    start2: np.ndarray
-    kind: CouplingKind = CouplingKind.REFLECTION
-    delta_couple: float | None = None   # default 2 alpha
-    k: float = 0.0
-    origin: np.ndarray | None = None
-    exit_radius: float | None = None
-    path_index: int = 0
-
-    def __post_init__(self):
-        self.schedule()   # refuses an alpha outside the window
-        delta = 2.0 * self.alpha if self.delta_couple is None \
-            else self.delta_couple
-        if delta > 0.0 and delta < self.alpha:
-            raise InvalidInput("delta_couple must be >= alpha (or 0 to "
-                               "disable)", key="delta_couple")
-        engine.check_exit_radius(self.exit_radius, self.origin)
-        object.__setattr__(self, "delta_couple", float(delta))
-        object.__setattr__(self, "start1", np.asarray(self.start1, dtype=float))
-        object.__setattr__(self, "start2", np.asarray(self.start2, dtype=float))
-        if self.origin is not None:
-            object.__setattr__(self, "origin",
-                               np.asarray(self.origin, dtype=float))
-
-    def schedule(self) -> Schedule:
-        return Schedule(self.t1, self.t2, self.alpha)
-
-
-@dataclass
-class CoupledPath:
-    """Synchronized pair of skeletons with the distance and noise records.
-
-    ``lambda_star_record[n]`` is the signed first-variation rate of the
-    distance over step n (2 <xi~2, gdot(d)> = -2 <xi~1, gdot(0)>): in flat
-    space distance_process[n+1] = |distance_process[n] + alpha lambda*[n]|
-    exactly. ``noise_record`` holds the shared ball samples; replaying them
-    through the single-walk step reproduces skeleton1, and
-    ``noise_record_2`` (the second particle's effective ball coordinates)
-    reproduces skeleton2.
-    """
-    model_id: str
-    schedule: Schedule
-    skeleton1: np.ndarray
-    skeleton2: np.ndarray
-    distance_process: np.ndarray
-    lambda_star_record: np.ndarray
-    coupled_flags: np.ndarray
-    coupling_time: float
-    noise_record: np.ndarray
-    noise_record_2: np.ndarray
 
 
 def coupled_step(model: ManifoldModel, t: float, x1, x2, xi: np.ndarray,
@@ -110,47 +53,31 @@ def coupled_step(model: ManifoldModel, t: float, x1, x2, xi: np.ndarray,
             float(lam[0]))
 
 
-def coupled_kernel(model: ManifoldModel, cc: CouplingConfig,
-                   n_paths: int = 1) -> engine.PathKernel:
-    """``engine.coupled_chunk`` with the settings of ``cc``, and the params
-    every coupled kind reports for ``n_paths`` pairs.
-
-    The one place a CouplingConfig becomes kernel arguments; estimators map
-    its ``fn`` over path chunks with the records they read, from
-    ``engine.COUPLED_RECORDS``. A caller that reads only ``couple_step``
-    lets pairs retire when they couple.
-    """
-    d0 = float(model.distance(cc.t1, cc.start1, cc.start2))
+def coupled_kernel(model: ManifoldModel, schedule: Schedule, start1, start2,
+                   seed: int, n_paths: int = 1, *,
+                   kind: CouplingKind = CouplingKind.REFLECTION,
+                   delta_couple: float | None = None, k: float = 0.0,
+                   origin: np.ndarray | None = None,
+                   exit_radius: float | None = None) -> engine.PathKernel:
+    """``engine.coupled_chunk`` of the pair from (start1, start2) with
+    these settings, and the params every coupled kind reports for
+    ``n_paths`` pairs. ``delta_couple`` defaults to 2 alpha and is at
+    least alpha, or 0 to couple no pair."""
+    alpha = schedule.alpha
+    delta = 2.0 * alpha if delta_couple is None else float(delta_couple)
+    if 0.0 < delta < alpha:
+        raise InvalidInput("delta_couple must be >= alpha (or 0 to "
+                           "disable)", key="delta_couple")
+    engine.check_exit_radius(exit_radius, origin)
+    start1, start2 = np.asarray(start1, float), np.asarray(start2, float)
+    d0 = float(model.distance(schedule.t1, start1, start2))
     return engine.PathKernel(partial(
-        engine.coupled_chunk, model, cc.schedule(), cc.start1, cc.start2,
-        cc.seed, kind=cc.kind, delta_couple=cc.delta_couple, k=cc.k,
-        origin=cc.origin, exit_radius=cc.exit_radius), {
-        "alpha": cc.alpha, "delta_couple": cc.delta_couple, "k": cc.k,
-        "d0": d0, "horizon": cc.t2 - cc.t1, "coupling": cc.kind.value,
-        "n_paths": n_paths, "manifold": model.describe()}, cc.seed)
-
-
-def run_coupled(model: ManifoldModel, config: CouplingConfig) -> CoupledPath:
-    """Simulate one coupled pair over the full schedule."""
-    sched = config.schedule()
-    res = coupled_kernel(model, config).fn(
-        range(config.path_index, config.path_index + 1),
-        records={"couple_step", "skeleton", "distance", "lambda_star",
-                 "noise", "lift2"})
-    step = int(res["couple_step"][0])
-    coupling_time = math.inf if step < 0 else float(sched.times[step])
-    skel2, lift2 = res["skeleton2"][0], res["lift2"][0]
-    # The kernel traces the second particle's lifted noise; its ball
-    # coordinates need a frame per step, paid here for this one path.
-    noise2 = np.empty((sched.n_steps, model.dim))
-    for n in range(sched.n_steps):
-        noise2[n] = engine.frame_coordinates(
-            model, float(sched.times[n]), skel2[n:n + 1], lift2[n:n + 1])[0]
-    return CoupledPath(model.model_id, sched, res["skeleton1"][0], skel2,
-                       res["distance"][0], res["lambda_star"][0],
-                       engine.coupled_flags(res["couple_step"],
-                                            sched.n_steps)[0],
-                       coupling_time, res["noise"][0], noise2)
+        engine.coupled_chunk, model, schedule, start1, start2, seed,
+        kind=kind, delta_couple=delta, k=k, origin=origin,
+        exit_radius=exit_radius), {
+        "alpha": alpha, "delta_couple": delta, "k": k, "d0": d0,
+        "horizon": schedule.t2 - schedule.t1, "coupling": kind.value,
+        "n_paths": n_paths, "manifold": model.describe()}, seed, schedule)
 
 
 def coupling_probability_bound(d0: float, k: float, horizon: float) -> float:

@@ -57,20 +57,25 @@ block split, so retirement keeps every bit. ``walk_chunk`` keeps its
 not-yet-exited rows as a mask that changes only when a row exits, and
 takes ``records=`` too; both kernels check the names with one helper.
 ``PathKernel`` is a kernel partial with the params block its reports
-share; the estimators map its ``fn`` over path chunks with the records
-they read, looking the kernel up when they build it, never at import.
+share and the schedule it steps on; the estimators map its ``fn`` over
+path chunks with the records they read, looking the kernel up when they
+build it, never at import, and ``PathKernel.trace`` gives one path's
+records, the trace API beside the single-step API and the bulk kernels.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
 from . import rng
 from .errors import InvalidInput, SingularConfiguration
 from .manifolds import ManifoldModel
+
+if TYPE_CHECKING:
+    from .walk import Schedule
 
 
 class CouplingKind(enum.Enum):
@@ -103,10 +108,18 @@ def coupled_flags(couple_step: np.ndarray, n_steps: int) -> np.ndarray:
 
 class PathKernel(NamedTuple):
     """A kernel partial, ``fn(paths, records=...)``, with the ``params``
-    block of the runs it makes (``n_paths`` among them) and their seed."""
+    block of the runs it makes (``n_paths`` among them), their seed and
+    the ``walk.Schedule`` they step on (None for a kernel off it)."""
     fn: Callable[..., dict]
     params: dict
     seed: int
+    schedule: Schedule | None = None
+
+    def trace(self, i: int, records) -> dict:
+        """Path ``i``'s ``records`` as a run of that path alone gives
+        them: each record's row for the path."""
+        return {name: value[0] for name, value in
+                self.fn(range(i, i + 1), records=records).items()}
 
 
 def origin_point(model: ManifoldModel, origin) -> np.ndarray:
@@ -139,16 +152,6 @@ def _checked_records(kernel: str, records, allowed: frozenset,
     for name in sorted(records & unset):
         raise InvalidInput(f"record {name!r} needs {needs[name][0]}")
     return records
-
-
-def frame_coordinates(model: ManifoldModel, t: float, x: np.ndarray,
-                      v: np.ndarray) -> np.ndarray:
-    """Ball-sample coordinates of a lifted vector: inverse of model.lift."""
-    fr = model.frame(t, x)
-    coords = np.empty((x.shape[0], model.dim))
-    for j in range(model.dim):
-        coords[:, j] = model.inner(t, x, fr[:, j, :], v)
-    return coords / np.sqrt(model.dim + 2.0)
 
 
 def _block(B: int, d: int) -> np.ndarray:
@@ -356,8 +359,7 @@ def coupled_chunk(model: ManifoldModel, sched, x1: np.ndarray, x2: np.ndarray,
     2 <xi~2, gdot(dist)> = -2 <xi~1, gdot(0)>, so in flat space the distance
     obeys d_{n+1} = |d_n + alpha lambda*| exactly. The ``distance`` and
     ``lambda_star`` records give ``coupling.dominating_process``; ``lift2``
-    is the second particle's tangent noise, which ``frame_coordinates``
-    turns into ball coordinates.
+    is the second particle's tangent noise, the first's lift mapped to X2.
     """
     records = _checked_records("coupled_chunk", records, COUPLED_RECORDS,
                                _UNTRACED,

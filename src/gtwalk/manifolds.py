@@ -313,15 +313,21 @@ class ManifoldModel(abc.ABC):
         """Inner product of v with the constraint gradient at x (0 = tangent)."""
         return np.zeros(x.shape[:-1])
 
+    def _point_scale(self, x: np.ndarray) -> tuple[float, str]:
+        """POINT_TOL's scale at x and its formula: 1 + |x|^2, as the
+        rounding of a quadratic constraint grows."""
+        return 1.0 + float(x @ x), "1 + |x|^2"
+
     def check_point(self, x: np.ndarray) -> None:
-        """Refuse ambient coordinates x more than POINT_TOL (1 + |x|^2) off
-        the embedding constraint, which are no point of the model."""
+        """Refuse ambient coordinates x more than POINT_TOL times their
+        ``_point_scale`` off the embedding constraint: no point of it."""
         residual = float(self.constraint_residual(x))
-        if not residual <= POINT_TOL * (1.0 + float(x @ x)):
+        scale, formula = self._point_scale(x)
+        if not residual <= POINT_TOL * scale:
             raise InvalidInput(f"{x.tolist()} is not a point of "
                                f"{self.model_id}: its constraint residual "
                                f"{residual:.3g} exceeds {POINT_TOL:g} "
-                               f"(1 + |x|^2)")
+                               f"({formula}) = {POINT_TOL * scale:.3g}")
 
     def origin(self) -> np.ndarray:
         """Canonical reference point."""
@@ -608,6 +614,9 @@ class RoundSphere(ManifoldModel):
 
     def constraint_residual(self, x):
         return np.abs(np.linalg.norm(x, axis=-1) - self.radius)
+
+    def _point_scale(self, x):   # the residual grows with |x|, not |x|^2
+        return 1.0 + self.radius ** 2, "1 + radius^2"
 
     def tangency_residual(self, x, v):
         return np.abs(_dot(x, v)) / self.radius

@@ -14,7 +14,6 @@ from . import __version__, config as _config, engine
 from .config import COUPLED_KINDS, ExperimentConfig, RunManifest, check_dump
 from .errors import ConfigError
 from .stats import VerificationReport
-from .walk import Schedule
 
 
 def execute(config: ExperimentConfig, workers: int = 1,
@@ -88,7 +87,7 @@ def dump_paths(config: ExperimentConfig, count: int, out: Path) -> list[Path]:
     check_dump(kind, count)
     out.mkdir(parents=True, exist_ok=True)
     d, paths = config.model.ambient_dim, range(count)
-    times = Schedule(config["t1"], config["t2"], config["alpha"]).times
+    times = config.kernel.schedule.times
     if kind in COUPLED_KINDS:
         res = config.kernel.fn(paths, records={
             "skeleton", "distance", "lambda_star", "couple_step"})

@@ -8,11 +8,11 @@ skeleton, ``mc_report``: an ``engine.PathKernel`` (``coupled_kernel``,
 ``walk_kernel`` or ``comparison.ou_kernel``, each with the params block of
 its kinds), the records the experiment reads, and a reduction to the
 estimate and the params it adds; the estimators and the convergence
-diagnostic run the kernels their caller built, with the settings in their
-params. Every estimate-against-bound kind passes by one rule,
-``bound_report``'s: estimate <= bound + 3 stderr + declared bias. An
-estimate of an absolute difference takes its interval from
-``McEstimate.abs_deviation``.
+diagnostic run the kernels their caller built, each on its own schedule,
+and read the settings from their params. Every estimate-against-bound
+kind passes by one rule, ``bound_report``'s: estimate <= bound + 3 stderr
++ declared bias. An estimate of an absolute difference takes its interval
+from ``McEstimate.abs_deviation``.
 
 Only the convergence diagnostics need scipy; they import ``scipy.special``
 when called, so importing this module loads numpy alone.

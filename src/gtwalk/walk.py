@@ -6,13 +6,14 @@ frame, scaled by sqrt(m+2) alpha, the model's drift field (if
 ``model.has_drift``) is added at order alpha^2, and the exponential map is
 applied; the final step, possibly partial, traverses its defining geodesic
 only to the fraction (t2 - t_n)/alpha^2. Paths are reproducible bit for
-bit from (seed, path_index) and embarrassingly parallel.
+bit from (seed, path index) and embarrassingly parallel. ``step`` is one
+transition; ``walk_kernel`` runs a block of paths, and its ``trace`` one
+path's records.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -42,34 +43,6 @@ class Schedule:
         return len(self.times) - 1
 
 
-@dataclass(frozen=True)
-class WalkConfig:
-    """Parameters of one walk: scale, window, seed and start."""
-    alpha: float
-    t1: float
-    t2: float
-    seed: int
-    start: np.ndarray
-    path_index: int = 0
-
-    def __post_init__(self):
-        self.schedule()   # refuses an alpha outside the window
-        object.__setattr__(self, "start", np.asarray(self.start, dtype=float))
-
-    def schedule(self) -> Schedule:
-        return Schedule(self.t1, self.t2, self.alpha)
-
-
-@dataclass
-class WalkPath:
-    """Discrete skeleton of one walk, its step vectors and its noise."""
-    model_id: str
-    schedule: Schedule
-    skeleton: np.ndarray        # (n_steps + 1, ambient_dim)
-    step_vectors: np.ndarray    # (n_steps, ambient_dim), alpha xi~ + alpha^2 Z
-    noise_record: np.ndarray    # (n_steps, dim) ball samples
-
-
 def _ball_sample(xi) -> np.ndarray:
     """xi as an array, refused unless |xi| <= 1 up to rounding."""
     xi = np.asarray(xi, dtype=float)
@@ -94,20 +67,9 @@ def step(model: ManifoldModel, t: float, x, xi: np.ndarray, alpha: float,
             TangentVector(Point(xc, model.model_id), lift[0]))
 
 
-def run_walk(model: ManifoldModel, config: WalkConfig) -> WalkPath:
-    """Simulate one full walk; identical output for identical inputs."""
-    sched = config.schedule()
-    # every record of a walk with no exit check and no radial replay
-    res = engine.walk_chunk(model, sched, config.start, config.seed,
-                            range(config.path_index, config.path_index + 1),
-                            records={"end", "skeleton", "step_vectors",
-                                     "noise"})
-    return WalkPath(model.model_id, sched, res["skeleton"][0],
-                    res["step_vectors"][0], res["noise"][0])
-
-
 def walk_kernel(model: ManifoldModel, schedule: Schedule, start: np.ndarray,
-                seed: int, n_paths: int, *, origin: np.ndarray | None = None,
+                seed: int, n_paths: int = 1, *,
+                origin: np.ndarray | None = None,
                 exit_radius: float | None = None,
                 radial: dict | None = None) -> engine.PathKernel:
     """``engine.walk_chunk`` from ``start`` with these settings, and the
@@ -117,5 +79,6 @@ def walk_kernel(model: ManifoldModel, schedule: Schedule, start: np.ndarray,
         partial(engine.walk_chunk, model, schedule, start, seed,
                 origin=origin, exit_radius=exit_radius, radial=radial),
         {"alpha": schedule.alpha, "n_paths": n_paths,
-         "exit_radius": exit_radius, "manifold": model.describe()}, seed)
+         "exit_radius": exit_radius, "manifold": model.describe()}, seed,
+        schedule)
 

@@ -1,3 +1,4 @@
+import math
 import os
 import sys
 
@@ -6,7 +7,12 @@ import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
 
+from gtwalk import engine
 from gtwalk.manifolds import Euclidean, Hyperbolic, RoundSphere, ScaledMetric
+
+# Every per-step record of a coupled pair, and its couple_step.
+PAIR_RECORDS = {"couple_step", "skeleton", "distance", "lambda_star", "noise",
+                "lift2"}
 
 
 @pytest.fixture(scope="session")
@@ -83,3 +89,14 @@ def random_tangent(model, t, x, rng, scale=1.0):
     fr = model.frame(t, x)
     z = rng.normal(size=model.dim) * scale
     return np.einsum("j,jd->d", z, fr)
+
+
+def pair_trace(kernel, i: int = 0) -> dict:
+    """Pair ``i``'s ``PAIR_RECORDS`` from a ``coupled_kernel``, with its
+    per-step ``coupled_flags`` and its ``coupling_time``, the schedule time
+    of its couple_step (inf when the pair never couples)."""
+    path = kernel.trace(i, PAIR_RECORDS)
+    step, times = int(path["couple_step"]), kernel.schedule.times
+    path["coupled_flags"] = engine.coupled_flags([step], len(times) - 1)[0]
+    path["coupling_time"] = math.inf if step < 0 else float(times[step])
+    return path

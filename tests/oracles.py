@@ -20,7 +20,9 @@ reflection map, on a geodesic and on arrays of pairs
 parallel transport; ``model.mirror``'s ambient reflections must agree
 with it. The hyperboloid frame's Gram-Schmidt is the frame the walk once
 used: the closed-form frame must equal it up to a rotation, which keeps
-the law of a step.
+the law of a step. ``frame_coordinates`` inverts ``model.lift`` through
+the frame, one inner product per frame vector, so ``ball_noise`` turns a
+coupled pair's ``lift2`` trace into the second particle's ball samples.
 """
 
 import numpy as np
@@ -433,3 +435,26 @@ def reference_chart_transport(chart, t: float, x0, v0, w0):
         x, v, w = (a + (h / 6.0) * (b1 + 2 * b2 + 2 * b3 + b4)
                    for a, b1, b2, b3, b4 in zip(s0, k1, k2, k3, k4))
     return w
+
+
+def frame_coordinates(model: ManifoldModel, t: float, x: np.ndarray,
+                      v: np.ndarray) -> np.ndarray:
+    """Ball-sample coordinates of a lifted vector: inverse of model.lift."""
+    fr = model.frame(t, x)
+    coords = np.empty((x.shape[0], model.dim))
+    for j in range(model.dim):
+        coords[:, j] = model.inner(t, x, fr[:, j, :], v)
+    return coords / np.sqrt(model.dim + 2.0)
+
+
+def ball_noise(model: ManifoldModel, sched, skeleton: np.ndarray,
+               lift: np.ndarray) -> np.ndarray:
+    """The ball samples whose lifts at one path's skeleton points are
+    ``lift``, one per step: the second particle's noise from a coupled
+    pair's ``skeleton2`` and ``lift2`` traces. It needs a frame per step,
+    paid here for one path."""
+    noise = np.empty((sched.n_steps, model.dim))
+    for n in range(sched.n_steps):
+        noise[n] = frame_coordinates(model, float(sched.times[n]),
+                                     skeleton[n:n + 1], lift[n:n + 1])[0]
+    return noise

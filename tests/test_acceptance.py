@@ -12,14 +12,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_point, random_tangent, strip_runtime
+from conftest import pair_trace, random_point, random_tangent, strip_runtime
 from oracles import gaussian_mass, normal_cdf, wrapped_gaussian_cdf_fourier
 
 from gtwalk import engine
 from gtwalk.comparison import (RadialComparisonSpec, beta, builtin_b,
                                feller_explosion_test)
-from gtwalk.coupling import (CouplingConfig, CouplingKind, coupled_kernel,
-                             dominating_process, run_coupled)
+from gtwalk.coupling import CouplingKind, coupled_kernel, dominating_process
 from gtwalk.manifolds import (Euclidean, Hyperbolic, RoundSphere,
                               ScaledMetric, curvature_condition_residual,
                               minimal_geodesic)
@@ -49,10 +48,10 @@ def _pair_on(model, t1, d0):
 def test_criterion_1_flat_mirror_equality():
     model = Euclidean(2)
     x1, x2 = np.array([-0.5, 0.0]), np.array([0.5, 0.0])
-    cfg = CouplingConfig(alpha=0.02, t1=0.0, t2=1.0, seed=101, start1=x1,
-                         start2=x2, delta_couple=0.04)
-    report = estimate_coupling_survival(coupled_kernel(model, cfg, 20_000),
-                                        workers=2, bias=0.02,
+    sched = Schedule(0.0, 1.0, 0.02)
+    kernel = coupled_kernel(model, sched, x1, x2, 101, 20_000,
+                            delta_couple=0.04)
+    report = estimate_coupling_survival(kernel, workers=2, bias=0.02,
                                         experiment_id="flat-mirror")
     target = gaussian_mass(0.5)
     assert target == pytest.approx(0.38292, abs=5e-6)
@@ -66,9 +65,8 @@ def test_criterion_1_flat_mirror_equality():
 
     # declared-threshold sensitivity: the estimate moves only within noise
     for delta in (0.02, 0.08):
-        cfg_d = CouplingConfig(alpha=0.02, t1=0.0, t2=1.0, seed=101,
-                               start1=x1, start2=x2, delta_couple=delta)
-        rep = estimate_coupling_survival(coupled_kernel(model, cfg_d, 4000))
+        rep = estimate_coupling_survival(coupled_kernel(
+            model, sched, x1, x2, 101, 4000, delta_couple=delta))
         assert abs(rep.estimate.mean - target) \
             <= 3.0 * rep.estimate.stderr + 0.04
 
@@ -80,10 +78,9 @@ def test_criterion_1_flat_mirror_equality():
 def test_criterion_2_static_sphere_bound():
     model = RoundSphere(2, 1.0, time_window=(0.0, 0.5))
     x1, x2 = _pair_on(model, 0.0, 1.0)
-    cfg = CouplingConfig(alpha=0.02, t1=0.0, t2=0.5, seed=202, start1=x1,
-                         start2=x2, delta_couple=0.04)
-    report = estimate_coupling_survival(coupled_kernel(model, cfg, 10_000),
-                                        workers=2,
+    kernel = coupled_kernel(model, Schedule(0.0, 0.5, 0.02), x1, x2, 202,
+                            10_000, delta_couple=0.04)
+    report = estimate_coupling_survival(kernel, workers=2,
                                         experiment_id="sphere-bound")
     bound = gaussian_mass(1.0 / math.sqrt(2.0))
     assert bound == pytest.approx(0.5205, abs=5e-5)
@@ -110,10 +107,9 @@ def test_criterion_3_flow_sphere():
     residual_ok = worst <= 1e-8
 
     x1, x2 = _pair_on(model, 0.0, 1.0)
-    cfg = CouplingConfig(alpha=0.02, t1=0.0, t2=0.5, seed=303, start1=x1,
-                         start2=x2, delta_couple=0.04)
-    report = estimate_coupling_survival(coupled_kernel(model, cfg, 10_000),
-                                        workers=2,
+    kernel = coupled_kernel(model, Schedule(0.0, 0.5, 0.02), x1, x2, 303,
+                            10_000, delta_couple=0.04)
+    report = estimate_coupling_survival(kernel, workers=2,
                                         experiment_id="flow-sphere-bound")
     bound = gaussian_mass(1.0 / math.sqrt(2.0))
     bound_ok = report.estimate.mean <= bound + 3.0 * report.estimate.stderr
@@ -131,11 +127,10 @@ def test_criterion_3_flow_sphere():
 def test_criterion_4_parallel_transport_contraction():
     scaled = ScaledMetric(Euclidean(2), 1.0, (0.0, 1.0))
     x1, x2 = np.array([-0.5, 0.0]), np.array([0.5, 0.0])
-    cfg = CouplingConfig(alpha=0.02, t1=0.0, t2=1.0, seed=404, start1=x1,
-                         start2=x2, kind=CouplingKind.PARALLEL_TRANSPORT,
-                         k=1.0, delta_couple=0.0)
-    exact = check_contraction(coupled_kernel(scaled, cfg, 200),
-                              experiment_id="scaled")
+    kernel = coupled_kernel(scaled, Schedule(0.0, 1.0, 0.02), x1, x2, 404,
+                            200, kind=CouplingKind.PARALLEL_TRANSPORT, k=1.0,
+                            delta_couple=0.0)
+    exact = check_contraction(kernel, experiment_id="scaled")
     exact_max = exact.metadata["params"]["max_rise"]
     exact_ok = exact_max <= 1e-10
 
@@ -143,12 +138,10 @@ def test_criterion_4_parallel_transport_contraction():
     y1, y2 = _pair_on(flow, 0.0, 0.5)
     rough = {}
     for alpha in (0.05, 0.02):
-        cfg_f = CouplingConfig(alpha=alpha, t1=0.0, t2=0.5, seed=405,
-                               start1=y1, start2=y2,
-                               kind=CouplingKind.PARALLEL_TRANSPORT, k=0.0,
-                               delta_couple=0.0)
-        rep = check_contraction(coupled_kernel(flow, cfg_f, 400),
-                                coefficient=5.0,
+        kernel = coupled_kernel(flow, Schedule(0.0, 0.5, alpha), y1, y2, 405,
+                                400, kind=CouplingKind.PARALLEL_TRANSPORT,
+                                k=0.0, delta_couple=0.0)
+        rep = check_contraction(kernel, coefficient=5.0,
                                 experiment_id=f"flow-{alpha}")
         rough[alpha] = (rep.metadata["params"]["max_rise"], rep.passed)
     flow_ok = all(passed for _, passed in rough.values())
@@ -166,13 +159,11 @@ def test_criterion_4_parallel_transport_contraction():
 
 def test_criterion_5_gradient_estimate():
     model = Euclidean(1)
-    cfg = CouplingConfig(alpha=0.01, t1=0.0, t2=1.0, seed=102,
-                         start1=np.array([0.0]), start2=np.array([0.2]),
-                         delta_couple=0.01)
+    kernel = coupled_kernel(model, Schedule(0.0, 1.0, 0.01), np.array([0.0]),
+                            np.array([0.2]), 102, 20_000, delta_couple=0.01)
     offset = -0.5
     f = lambda pts: (pts[:, 0] <= offset).astype(float)
-    report = check_gradient_estimate(coupled_kernel(model, cfg, 20_000), f,
-                                     1.0, workers=2,
+    report = check_gradient_estimate(kernel, f, 1.0, workers=2,
                                      experiment_id="gradient")
     exact = normal_cdf(offset - 0.0) - normal_cdf(offset - 0.2)
     bound = 0.2 / math.sqrt(2.0 * math.pi)
@@ -347,24 +338,23 @@ def test_criterion_9_feller_test():
 def test_criterion_10_domination():
     # (a) the recorded lambda* reproduces the flat recursion exactly
     euclid = Euclidean(2)
-    cfg = CouplingConfig(alpha=0.02, t1=0.0, t2=1.0, seed=11,
-                         start1=np.array([-0.5, 0.0]),
-                         start2=np.array([0.5, 0.0]), delta_couple=0.04)
+    kernel = coupled_kernel(euclid, Schedule(0.0, 1.0, 0.02),
+                            np.array([-0.5, 0.0]), np.array([0.5, 0.0]), 11,
+                            delta_couple=0.04)
+    sched = kernel.schedule
     worst = 0.0
     for idx in range(8):
-        path = run_coupled(euclid, CouplingConfig(
-            **{**cfg.__dict__, "path_index": idx}))
-        U = dominating_process(path.schedule, path.distance_process,
-                               path.lambda_star_record, 0.0)
-        stop = len(path.schedule.times) if math.isinf(path.coupling_time) \
-            else int(np.searchsorted(path.schedule.times,
-                                     path.coupling_time))
-        rec = path.distance_process[0]
+        path = pair_trace(kernel, idx)
+        U = dominating_process(sched, path["distance"], path["lambda_star"],
+                               0.0)
+        stop = len(sched.times) if math.isinf(path["coupling_time"]) \
+            else int(np.searchsorted(sched.times, path["coupling_time"]))
+        rec = path["distance"][0]
         for n in range(stop - 1):
-            rec = abs(rec + cfg.alpha * path.lambda_star_record[n])
-            worst = max(worst, abs(rec - path.distance_process[n + 1]))
+            rec = abs(rec + sched.alpha * path["lambda_star"][n])
+            worst = max(worst, abs(rec - path["distance"][n + 1]))
         # and the distance never exceeds the dominating path before folding
-        worst_dom = np.max(path.distance_process[:stop] - U[:stop])
+        worst_dom = np.max(path["distance"][:stop] - U[:stop])
         worst = max(worst, worst_dom)
     recursion_ok = worst <= 1e-10
 

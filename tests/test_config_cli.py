@@ -2,7 +2,6 @@ import argparse
 import collections
 import contextlib
 import csv
-import dataclasses
 import io
 import json
 import math
@@ -13,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import strip_runtime
+from conftest import pair_trace, strip_runtime
 from gtwalk import config, rng
 from gtwalk.cli import (_PARSER, _document_from_flags, main,
                         parse_manifold_spec)
@@ -21,14 +20,13 @@ from gtwalk.comparison import (FellerResult, OUParams, RadialComparisonSpec,
                                builtin_b, feller_explosion_test, ou_kernel)
 from gtwalk.config import (_COMMON_KEYS, _KEYS_BY_KIND, DUMP_KINDS,
                            EXPERIMENT_KINDS, convergence_reference,
-                           coupling_config, parse_config, parse_suite,
-                           resolve_start, resolve_start_points)
-from gtwalk.coupling import CouplingConfig, coupled_kernel, run_coupled
+                           parse_config, parse_suite, resolve_start_points)
+from gtwalk.coupling import coupled_kernel
 from gtwalk.errors import ConfigError, GtwalkError, InvalidInput
 from gtwalk.manifolds import list_model_kinds, make_model
 from gtwalk.runner import dump_paths, run_document
 from gtwalk.stats import alpha_schedules, ks_statistic, map_path_chunks
-from gtwalk.walk import Schedule, WalkConfig, run_walk, walk_kernel
+from gtwalk.walk import Schedule, walk_kernel
 
 
 MINIMAL_WALK = {"kind": "walk", "manifold": {"kind": "euclidean", "dim": 2},
@@ -258,43 +256,39 @@ FLOW_SPHERE = {"kind": "sphere", "dim": 2, "radius_c0": 1.0, "flow": True}
 
 def test_dump_paths_bytes_match_single_path_runs(tmp_path):
     """dump_paths runs its paths in one kernel call with only the records
-    it writes; each file holds the rows of that path's run_coupled or
-    run_walk, byte for byte."""
+    it writes; each file holds the rows of that path's trace, which runs
+    it alone with every per-step record, byte for byte."""
     pair = parse_config({"kind": "couple", "manifold": FLOW_SPHERE,
                          "alpha": 0.1, "t1": 0.0, "t2": 0.5, "seed": 2,
                          "d0": 0.5})
-    model = pair.build_model()
     files = dump_paths(pair, 3, tmp_path / "pair")
     assert [f.name for f in files] == [f"coupled_{i:04d}.csv" for i in range(3)]
     flags = []
     for idx, fname in enumerate(files):
-        path = run_coupled(model, dataclasses.replace(
-            coupling_config(pair, model), path_index=idx))
-        lam = [0.0, *path.lambda_star_record]
-        flags += list(path.coupled_flags)
+        path = pair_trace(pair.kernel, idx)
+        lam = [0.0, *path["lambda_star"]]
+        flags += list(path["coupled_flags"])
         assert fname.read_bytes() == _csv_bytes(
             [["n", "t", "x1_0", "x1_1", "x1_2", "x2_0", "x2_1", "x2_2",
               "dist", "lambda_star", "coupled"]]
             + [[n, repr(float(t))]
-               + [repr(float(v)) for v in path.skeleton1[n]]
-               + [repr(float(v)) for v in path.skeleton2[n]]
-               + [repr(float(path.distance_process[n])), repr(float(lam[n])),
-                  int(path.coupled_flags[n])]
-               for n, t in enumerate(path.schedule.times)])
+               + [repr(float(v)) for v in path["skeleton1"][n]]
+               + [repr(float(v)) for v in path["skeleton2"][n]]
+               + [repr(float(path["distance"][n])), repr(float(lam[n])),
+                  int(path["coupled_flags"][n])]
+               for n, t in enumerate(pair.kernel.schedule.times)])
     assert any(flags) and not all(flags)
 
     walk = parse_config({**MINIMAL_WALK, "manifold": FLOW_SPHERE, "t2": 0.5})
-    model = walk.build_model()
     files = dump_paths(walk, 2, tmp_path / "walk")
     for idx, fname in enumerate(files):
-        path = run_walk(model, WalkConfig(
-            alpha=walk["alpha"], t1=walk["t1"], t2=walk["t2"],
-            seed=walk["seed"], start=resolve_start(walk, model),
-            path_index=idx))
+        path = walk.kernel.trace(idx, {"end", "skeleton", "step_vectors",
+                                       "noise"})
         assert fname.read_bytes() == _csv_bytes(
             [["n", "t", "coord_0", "coord_1", "coord_2"]]
-            + [[n, repr(float(t))] + [repr(float(v)) for v in path.skeleton[n]]
-               for n, t in enumerate(path.schedule.times)])
+            + [[n, repr(float(t))]
+               + [repr(float(v)) for v in path["skeleton"][n]]
+               for n, t in enumerate(walk.kernel.schedule.times)])
 
 
 FELLER = {"kind": "feller-test", "b": {"name": "linear"}}
@@ -604,8 +598,8 @@ def test_origin_without_exit_check_is_refused_by_the_library():
                     origin=o)
     assert e.value.key == "origin"
     with pytest.raises(InvalidInput, match="exit_radius") as e:
-        CouplingConfig(alpha=0.1, t1=0.0, t2=1.0, seed=1, start1=np.zeros(2),
-                       start2=np.ones(2), origin=o)
+        coupled_kernel(plane, Schedule(0.0, 1.0, 0.1), np.zeros(2),
+                       np.ones(2), 1, origin=o)
     assert e.value.key == "origin"
     base = {**_key_base("radial-domination"), "exit_radius": None}
     far = [0.0, 1.0, 0.0]
@@ -990,10 +984,10 @@ def test_each_listed_model_kind_parses(kind):
     assert model.kind == kind
 
 
-def _coupling(**changes):
-    return CouplingConfig(**{"alpha": 0.1, "t1": 0.0, "t2": 1.0, "seed": 2,
-                             "start1": [0.0, 0.0], "start2": [1.0, 0.0],
-                             **changes})
+def _coupling(alpha=0.1, **settings):
+    return coupled_kernel(make_model({"kind": "euclidean", "dim": 2},
+                                     (0.0, 1.0)), Schedule(0.0, 1.0, alpha),
+                          [0.0, 0.0], [1.0, 0.0], 2, **settings)
 
 
 # Each value rule, written once in the library: the key it refuses, a call
@@ -1002,7 +996,7 @@ def _coupling(**changes):
 _RULES = [
     ("alpha", lambda: Schedule(0.0, 1.0, 2.0), "walk", {"alpha": 2.0}),
     ("alpha", lambda: Schedule(0.0, 1.0, -0.1), "walk", {"alpha": -0.1}),
-    ("alpha", lambda: WalkConfig(2.0, 0.0, 1.0, 2, [0.0, 0.0]), "walk",
+    ("alpha", lambda: Schedule(0.0, 0.5, 2.0), "radial-domination",
      {"alpha": 2.0}),
     ("alpha", lambda: _coupling(alpha=2.0), "couple", {"alpha": 2.0}),
     ("alpha", lambda: Schedule(0.0, 1.0, 2.0), "convergence",
@@ -1262,29 +1256,30 @@ def test_each_run_builds_its_objects_once(kind, monkeypatch, tmp_path):
     """One run_document, with a path dump where the kind has one, builds
     the model and each object of its run at most once: the parse builds
     them, and the run and the dump use what it built. The estimators take
-    the parsed kernel, and convergence builds one walk kernel per alpha."""
+    the parsed kernel, the dump reads the kernel's schedule, and
+    convergence builds one schedule and one walk kernel per alpha."""
     counts = collections.Counter()
 
-    def counted(name, fn):
+    def counted(name, fn, alpha_of=None):
         def wrapper(*args, **kwargs):
-            # a walk kernel is counted per alpha of its schedule
-            counts[(name, args[1].alpha) if name == "walk_kernel"
-                   else name] += 1
+            # a walk kernel and a schedule are counted per alpha
+            counts[name if alpha_of is None else (name, alpha_of(args))] += 1
             return fn(*args, **kwargs)
         return wrapper
 
     modules = [module for name, module in sys.modules.items()
                if name.split(".")[0] == "gtwalk"]
-    for fn in (make_model, coupling_config, builtin_b, ou_kernel,
-               convergence_reference, coupled_kernel, walk_kernel,
-               alpha_schedules):
+    for fn in (make_model, builtin_b, ou_kernel, convergence_reference,
+               coupled_kernel, walk_kernel, alpha_schedules):
         for module in modules:
             if getattr(module, fn.__name__, None) is fn:
-                monkeypatch.setattr(module, fn.__name__,
-                                    counted(fn.__name__, fn))
-    for cls in (CouplingConfig, RadialComparisonSpec):
-        monkeypatch.setattr(cls, "__post_init__",
-                            counted(cls.__name__, cls.__post_init__))
+                monkeypatch.setattr(module, fn.__name__, counted(
+                    fn.__name__, fn, (lambda args: args[1].alpha)
+                    if fn is walk_kernel else None))
+    monkeypatch.setattr(RadialComparisonSpec, "__post_init__", counted(
+        "RadialComparisonSpec", RadialComparisonSpec.__post_init__))
+    monkeypatch.setattr(Schedule, "__init__", counted(
+        "Schedule", Schedule.__init__, lambda args: args[3]))
     doc = {**_key_base(kind), **({"n_dump": 2} if kind in DUMP_KINDS else {})}
     run_document(doc, out_dir=tmp_path)
     assert counts["make_model"] == ("manifold" in doc)

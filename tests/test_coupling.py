@@ -3,15 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_point, random_tangent, same_bits
-from oracles import (gaussian_mass, reference_coupled_chunk, reference_mirror,
-                     reference_walk_chunk, reflection_map, transport_mirror)
+from conftest import pair_trace, random_point, random_tangent, same_bits
+from oracles import (ball_noise, gaussian_mass, reference_coupled_chunk,
+                     reference_mirror, reference_walk_chunk, reflection_map,
+                     transport_mirror)
 
 from gtwalk import engine
 from gtwalk.comparison import RadialComparisonSpec, builtin_b
-from gtwalk.coupling import (CouplingConfig, CouplingKind,
-                             coupled_step, coupling_probability_bound,
-                             dominating_process, run_coupled)
+from gtwalk.coupling import (CouplingKind, coupled_kernel, coupled_step,
+                             coupling_probability_bound, dominating_process)
 from gtwalk.errors import (DegenerateGeodesic, InvalidInput,
                            SingularConfiguration)
 from gtwalk.manifolds import (Euclidean, RoundSphere, ScaledMetric,
@@ -247,72 +247,71 @@ def test_coupled_step_diagonal_moves_together(sphere2):
 
 
 # ---------------------------------------------------------------------------
-# run_coupled
+# coupled_kernel traces
 # ---------------------------------------------------------------------------
 
-def _config(model, alpha=0.05, t2=1.0, kind=CouplingKind.REFLECTION,
-            start_scale=0.5, seed=77, **kw):
+def _kernel(model, alpha=0.05, t2=1.0, kind=CouplingKind.REFLECTION,
+            start_scale=0.5, seed=77, coincident=False, **kw):
     t1 = model.time_window[0]
     o = model.origin()
     e1 = model.frame(t1, o)[0]
     x1 = model.exp(t1, o, -start_scale * e1)
-    x2 = model.exp(t1, o, +start_scale * e1)
-    return CouplingConfig(alpha=alpha, t1=t1, t2=t2, seed=seed, start1=x1,
-                          start2=x2, kind=kind, **kw)
+    x2 = x1 if coincident else model.exp(t1, o, +start_scale * e1)
+    return coupled_kernel(model, Schedule(t1, t2, alpha), x1, x2, seed,
+                          kind=kind, **kw)
 
 
-def test_coupling_config_rejects_exit_radius_at_most_one():
+def test_coupled_kernel_rejects_exit_radius_at_most_one():
     for radius in (0.5, 1.0):
         with pytest.raises(InvalidInput, match="exit radius"):
-            CouplingConfig(alpha=0.1, t1=0.0, t2=1.0, seed=1,
-                           start1=np.zeros(2), start2=np.ones(2),
-                           exit_radius=radius)
+            coupled_kernel(Euclidean(2), Schedule(0.0, 1.0, 0.1),
+                           np.zeros(2), np.ones(2), 1, exit_radius=radius)
 
 
-def test_run_coupled_identical_starts(euclid2):
-    cfg = CouplingConfig(alpha=0.1, t1=0.0, t2=1.0, seed=1,
-                         start1=np.zeros(2), start2=np.zeros(2))
-    path = run_coupled(euclid2, cfg)
-    assert path.coupling_time == 0.0
-    assert np.array_equal(path.skeleton1, path.skeleton2)
-    assert np.all(path.distance_process == 0.0)
-    assert np.all(path.coupled_flags)
+def test_coupled_trace_identical_starts(euclid2):
+    path = pair_trace(coupled_kernel(euclid2, Schedule(0.0, 1.0, 0.1),
+                                     np.zeros(2), np.zeros(2), 1))
+    assert path["coupling_time"] == 0.0
+    assert np.array_equal(path["skeleton1"], path["skeleton2"])
+    assert np.all(path["distance"] == 0.0)
+    assert np.all(path["coupled_flags"])
 
 
 @pytest.mark.bits
 @pytest.mark.parametrize("name", MODEL_NAMES)
-def test_run_coupled_marginal_replay(request, name):
+def test_coupled_trace_marginal_replay(request, name):
     """Replaying either coordinate's noise through the single-walk step
     reproduces that coordinate's skeleton."""
     model = request.getfixturevalue(name)
     t2 = model.time_window[1]
-    cfg = _config(model, alpha=0.1, t2=t2, seed=13)
-    path = run_coupled(model, cfg)
-    sched = path.schedule
+    kernel = _kernel(model, alpha=0.1, t2=t2, seed=13)
+    path, sched = pair_trace(kernel), kernel.schedule
+    noise2 = ball_noise(model, sched, path["skeleton2"], path["lift2"])
     # X1 always follows the single-walk rule; X2 does until the declaration
     # time, where the sticking construction replaces it by X1.
-    stop2 = sched.n_steps if math.isinf(path.coupling_time) else \
-        max(int(np.searchsorted(sched.times, path.coupling_time)) - 1, 0)
+    stop2 = sched.n_steps if math.isinf(path["coupling_time"]) else \
+        max(int(np.searchsorted(sched.times, path["coupling_time"])) - 1, 0)
     for n in range(sched.n_steps):
         t = float(sched.times[n])
         frac = float(sched.fracs[n])
-        p1, _ = step(model, t, path.skeleton1[n], path.noise_record[n],
-                     cfg.alpha, frac=frac)
-        assert np.array_equal(p1.coords, path.skeleton1[n + 1])
+        p1, _ = step(model, t, path["skeleton1"][n], path["noise"][n],
+                     sched.alpha, frac=frac)
+        assert np.array_equal(p1.coords, path["skeleton1"][n + 1])
         if n < stop2:
-            p2, _ = step(model, t, path.skeleton2[n], path.noise_record_2[n],
-                         cfg.alpha, frac=frac)
-            assert np.allclose(p2.coords, path.skeleton2[n + 1], atol=1e-12)
+            p2, _ = step(model, t, path["skeleton2"][n], noise2[n],
+                         sched.alpha, frac=frac)
+            assert np.allclose(p2.coords, path["skeleton2"][n + 1],
+                               atol=1e-12)
 
 
-def test_run_coupled_sticks_and_stays(euclid2):
-    cfg = _config(euclid2, alpha=0.05, seed=3, delta_couple=0.2)
-    path = run_coupled(euclid2, cfg)
-    assert not math.isinf(path.coupling_time)
-    start = int(np.searchsorted(path.schedule.times, path.coupling_time))
-    assert np.array_equal(path.skeleton1[start:], path.skeleton2[start:])
-    assert np.all(path.distance_process[start:] == 0.0)
-    flags = path.coupled_flags
+def test_coupled_trace_sticks_and_stays(euclid2):
+    kernel = _kernel(euclid2, alpha=0.05, seed=3, delta_couple=0.2)
+    path = pair_trace(kernel)
+    assert not math.isinf(path["coupling_time"])
+    start = int(np.searchsorted(kernel.schedule.times, path["coupling_time"]))
+    assert np.array_equal(path["skeleton1"][start:], path["skeleton2"][start:])
+    assert np.all(path["distance"][start:] == 0.0)
+    flags = path["coupled_flags"]
     assert np.all(flags[start:]) and not np.any(flags[:start])
     # monotone: once coupled, forever coupled
     assert np.all(np.diff(flags.astype(int)) >= 0)
@@ -345,22 +344,21 @@ def test_coupled_pairs_stick_on_every_model(request, name, kind):
             assert np.any(res["couple_step"] > 0)
 
 
-def test_run_coupled_parallel_scaled_metric_identity(scaled_euclid2):
+def test_coupled_trace_parallel_scaled_metric_identity(scaled_euclid2):
     """Conformal flat model: the weighted distance is exactly constant."""
-    cfg = _config(scaled_euclid2, alpha=0.02, seed=3,
-                  kind=CouplingKind.PARALLEL_TRANSPORT, k=1.0,
-                  delta_couple=0.0)
-    path = run_coupled(scaled_euclid2, cfg)
-    times = path.schedule.times
-    expected = path.distance_process[0] * np.exp(-1.0 * (times - times[0]) / 2)
-    assert np.max(np.abs(path.distance_process - expected)) <= 1e-10
+    kernel = _kernel(scaled_euclid2, alpha=0.02, seed=3,
+                     kind=CouplingKind.PARALLEL_TRANSPORT, k=1.0,
+                     delta_couple=0.0)
+    distance = pair_trace(kernel)["distance"]
+    times = kernel.schedule.times
+    expected = distance[0] * np.exp(-1.0 * (times - times[0]) / 2)
+    assert np.max(np.abs(distance - expected)) <= 1e-10
 
 
 def test_lambda_star_zero_for_parallel(flow_sphere):
-    cfg = _config(flow_sphere, alpha=0.1, t2=0.5, seed=21,
-                  kind=CouplingKind.PARALLEL_TRANSPORT, delta_couple=0.0)
-    path = run_coupled(flow_sphere, cfg)
-    assert np.all(path.lambda_star_record == 0.0)
+    kernel = _kernel(flow_sphere, alpha=0.1, t2=0.5, seed=21,
+                     kind=CouplingKind.PARALLEL_TRANSPORT, delta_couple=0.0)
+    assert np.all(pair_trace(kernel)["lambda_star"] == 0.0)
 
 
 @pytest.mark.bits
@@ -371,29 +369,29 @@ def test_coupled_step_is_a_kernel_step(request, name, kind):
     and after the pair couples, and for a pair that starts coincident."""
     model = request.getfixturevalue(name)
     t2 = model.time_window[1] - 0.03
-    separated = _config(model, alpha=0.1, t2=t2, kind=kind, seed=13,
-                        start_scale=0.2, delta_couple=0.15)
-    coincident = CouplingConfig(**{**separated.__dict__,
-                                   "start2": separated.start1})
-    for cfg in (separated, coincident):
-        path = run_coupled(model, cfg)
-        sched = path.schedule
+    separated, coincident = (
+        _kernel(model, alpha=0.1, t2=t2, kind=kind, seed=13, start_scale=0.2,
+                delta_couple=0.15, coincident=coincident)
+        for coincident in (False, True))
+    for kernel in (separated, coincident):
+        path, sched = pair_trace(kernel), kernel.schedule
         for n in range(sched.n_steps):
             y1, y2, lam = coupled_step(
-                model, float(sched.times[n]), path.skeleton1[n],
-                path.skeleton2[n], path.noise_record[n], cfg.alpha, kind,
+                model, float(sched.times[n]), path["skeleton1"][n],
+                path["skeleton2"][n], path["noise"][n], sched.alpha, kind,
                 frac=float(sched.fracs[n]))
-            assert np.array_equal(y1.coords, path.skeleton1[n + 1])
-            assert lam == path.lambda_star_record[n]
-            if path.coupled_flags[n + 1] and not path.coupled_flags[n]:
+            assert np.array_equal(y1.coords, path["skeleton1"][n + 1])
+            assert lam == path["lambda_star"][n]
+            flags = path["coupled_flags"]
+            if flags[n + 1] and not flags[n]:
                 # declared coupled at n+1: the skeleton records X2 := X1
-                assert np.array_equal(path.skeleton2[n + 1],
-                                      path.skeleton1[n + 1])
+                assert np.array_equal(path["skeleton2"][n + 1],
+                                      path["skeleton1"][n + 1])
             else:
-                assert np.array_equal(y2.coords, path.skeleton2[n + 1])
-    assert run_coupled(model, coincident).coupling_time == cfg.t1
+                assert np.array_equal(y2.coords, path["skeleton2"][n + 1])
+    assert pair_trace(coincident)["coupling_time"] == sched.t1
     if kind is CouplingKind.REFLECTION:
-        assert math.isfinite(run_coupled(model, separated).coupling_time)
+        assert math.isfinite(pair_trace(separated)["coupling_time"])
 
 
 SPLIT = (1, 7, 249, 343)
@@ -762,16 +760,15 @@ def test_ball_sample_rule_is_shared(caller, euclid2):
 # ---------------------------------------------------------------------------
 
 def test_dominating_flat_recursion_equality(euclid2):
-    cfg = _config(euclid2, alpha=0.05, seed=29, delta_couple=0.1)
-    path = run_coupled(euclid2, cfg)
-    U = dominating_process(path.schedule, path.distance_process,
-                           path.lambda_star_record, 0.0)
-    assert U[0] == path.distance_process[0]
-    stop = len(path.schedule.times) if math.isinf(path.coupling_time) \
-        else int(np.searchsorted(path.schedule.times, path.coupling_time))
+    kernel = _kernel(euclid2, alpha=0.05, seed=29, delta_couple=0.1)
+    path, sched = pair_trace(kernel), kernel.schedule
+    U = dominating_process(sched, path["distance"], path["lambda_star"], 0.0)
+    assert U[0] == path["distance"][0]
+    stop = len(sched.times) if math.isinf(path["coupling_time"]) \
+        else int(np.searchsorted(sched.times, path["coupling_time"]))
     # before any fold of |.| at zero, the distance equals U exactly; in
     # general it never exceeds U before the coupling time
-    d = path.distance_process
+    d = path["distance"]
     assert np.all(d[:stop] <= U[:stop] + 1e-12)
     folds = np.abs(d[:stop] - U[:stop]) > 1e-12
     if folds.any():
@@ -780,20 +777,18 @@ def test_dominating_flat_recursion_equality(euclid2):
 
 
 def test_dominating_with_decay_weights(euclid2):
-    cfg = _config(euclid2, alpha=0.1, seed=31, delta_couple=0.2, k=0.8)
-    path = run_coupled(euclid2, cfg)
-    U = dominating_process(path.schedule, path.distance_process,
-                           path.lambda_star_record, 0.8)
-    sched = path.schedule
+    kernel = _kernel(euclid2, alpha=0.1, seed=31, delta_couple=0.2, k=0.8)
+    path, sched = pair_trace(kernel), kernel.schedule
+    U = dominating_process(sched, path["distance"], path["lambda_star"], 0.8)
     rel = sched.times - sched.t1
     manual = np.empty(len(rel))
     acc = 0.0
-    manual[0] = path.distance_process[0]
+    manual[0] = path["distance"][0]
     for n in range(sched.n_steps):
         acc += float(sched.fracs[n]) * math.exp(0.8 * rel[n + 1] / 2.0) \
-            * path.lambda_star_record[n]
+            * path["lambda_star"][n]
         manual[n + 1] = math.exp(-0.8 * rel[n + 1] / 2.0) \
-            * (path.distance_process[0] + cfg.alpha * acc)
+            * (path["distance"][0] + sched.alpha * acc)
     assert np.allclose(U, manual, atol=1e-12)
 
 
@@ -810,11 +805,9 @@ def test_survival_matches_mirror_law(euclid2):
         + 0.05
 
 
-def test_delta_couple_validation():
+def test_delta_couple_validation(euclid2):
+    pair = (euclid2, Schedule(0.0, 1.0, 0.1), np.zeros(2), np.ones(2), 0)
     with pytest.raises(InvalidInput):
-        CouplingConfig(alpha=0.1, t1=0.0, t2=1.0, seed=0,
-                       start1=np.zeros(2), start2=np.ones(2),
-                       delta_couple=0.05)
-    cfg = CouplingConfig(alpha=0.1, t1=0.0, t2=1.0, seed=0,
-                         start1=np.zeros(2), start2=np.ones(2))
-    assert cfg.delta_couple == pytest.approx(0.2)
+        coupled_kernel(*pair, delta_couple=0.05)
+    kernel = coupled_kernel(*pair)
+    assert kernel.params["delta_couple"] == pytest.approx(0.2)

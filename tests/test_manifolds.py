@@ -803,6 +803,7 @@ def test_check_point_takes_the_points_exp_reaches(desc, rng):
     ({"kind": "sphere", "dim": 2}, [0.0, 0.0, 2.0]),
     ({"kind": "sphere", "dim": 2, "radius_c0": 4.0}, [0.0, 0.0, 1.0]),
     ({"kind": "sphere", "dim": 2}, [0.0, 1e-4, 1.0]),
+    ({"kind": "sphere", "dim": 2}, [2e9, 0.0, 0.0]),
     ({"kind": "hyperbolic", "dim": 2}, [0.0, 0.0, 0.0]),
     ({"kind": "hyperbolic", "dim": 2}, [5.0, 0.0, 0.0]),
     ({"kind": "hyperbolic", "dim": 2}, [-1.0, 0.0, 0.0]),
@@ -819,6 +820,21 @@ def test_check_point_refuses_points_off_the_model(desc, x):
         model.check_point(np.array(x))
     make_model({"kind": "euclidean", "dim": 3}, (0.0, 1.0)).check_point(
         np.array(x))
+
+
+@pytest.mark.parametrize("desc, x, formula", [
+    ({"kind": "sphere", "dim": 2, "radius_c0": 4.0}, [0.0, 0.0, 1.0],
+     "(1 + radius^2) = 5e-09"),
+    ({"kind": "hyperbolic", "dim": 2}, [2.0, 0.0, 0.0],
+     "(1 + |x|^2) = 5e-09"),
+])
+def test_check_point_states_its_scale(desc, x, formula):
+    """The refusal states the scale of the tolerance that applied: the
+    sphere's radius, which does not grow with a point far off it, and
+    elsewhere |x|."""
+    with pytest.raises(InvalidInput) as refused:
+        make_model(desc, (0.0, 1.0)).check_point(np.array(x))
+    assert str(refused.value).endswith(f"exceeds 1e-09 {formula}")
 
 
 def test_tangency_residual(sphere2):

@@ -4,7 +4,7 @@ import pytest
 from gtwalk.errors import UnsupportedOperation
 from gtwalk.manifolds import RoundSphere, minimal_geodesic, parallel_transport
 from gtwalk.numeric import MAX_STEP, MIN_STEPS, NumericChart
-from gtwalk.walk import WalkConfig, run_walk
+from gtwalk.walk import Schedule, walk_kernel
 from oracles import reference_chart_geodesic, reference_chart_transport
 
 
@@ -119,10 +119,11 @@ def test_numeric_walk_stays_consistent(flat_chart):
     """Walks on the trivial chart match the closed-form Euclidean walk."""
     from gtwalk.manifolds import Euclidean
 
-    cfg = WalkConfig(alpha=0.2, t1=0.0, t2=1.0, seed=12, start=np.zeros(2))
-    p_chart = run_walk(flat_chart, cfg)
-    p_exact = run_walk(Euclidean(2), cfg)
-    assert np.allclose(p_chart.skeleton, p_exact.skeleton, atol=1e-4)
+    p_chart, p_exact = (
+        walk_kernel(model, Schedule(0.0, 1.0, 0.2), np.zeros(2),
+                    12).trace(0, {"skeleton"})["skeleton"]
+        for model in (flat_chart, Euclidean(2)))
+    assert np.allclose(p_chart, p_exact, atol=1e-4)
 
 
 @pytest.mark.bits

@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gtwalk.coupling import CouplingConfig, CouplingKind, coupled_kernel
+from gtwalk.coupling import CouplingKind, coupled_kernel
 from gtwalk.errors import InvalidInput, SingularConfiguration
 from gtwalk.stats import (McEstimate, bound_report,
                           check_contraction, check_gradient_estimate,
                           estimate_coupling_survival,
                           gaussian_cdf, ks_statistic, map_path_chunks,
                           wasserstein1_1d, wrapped_gaussian_cdf)
+from gtwalk.walk import Schedule
 from oracles import wrapped_gaussian_cdf_fourier
 
 
@@ -216,10 +217,9 @@ def test_map_chunks_serial_without_fork(monkeypatch):
 
 
 def test_survival_report_deterministic_across_workers(euclid2):
-    cfg = CouplingConfig(alpha=0.1, t1=0.0, t2=1.0, seed=5,
-                         start1=np.array([-0.5, 0.0]),
-                         start2=np.array([0.5, 0.0]))
-    kernel = coupled_kernel(euclid2, cfg, 3000)
+    kernel = coupled_kernel(euclid2, Schedule(0.0, 1.0, 0.1),
+                            np.array([-0.5, 0.0]), np.array([0.5, 0.0]), 5,
+                            3000)
     r1 = estimate_coupling_survival(kernel, workers=1)
     r4 = estimate_coupling_survival(kernel, workers=4)
     assert r1.estimate.mean == r4.estimate.mean
@@ -227,15 +227,12 @@ def test_survival_report_deterministic_across_workers(euclid2):
 
 
 def test_estimator_kind_validation(euclid2):
-    cfg = CouplingConfig(alpha=0.1, t1=0.0, t2=1.0, seed=5,
-                         start1=np.zeros(2), start2=np.ones(2),
-                         kind=CouplingKind.PARALLEL_TRANSPORT)
+    pair = (euclid2, Schedule(0.0, 1.0, 0.1), np.zeros(2), np.ones(2), 5)
     with pytest.raises(InvalidInput):
-        estimate_coupling_survival(coupled_kernel(euclid2, cfg, 1000))
-    cfg_r = CouplingConfig(alpha=0.1, t1=0.0, t2=1.0, seed=5,
-                           start1=np.zeros(2), start2=np.ones(2))
+        estimate_coupling_survival(coupled_kernel(
+            *pair, 1000, kind=CouplingKind.PARALLEL_TRANSPORT))
     with pytest.raises(InvalidInput):
-        check_contraction(coupled_kernel(euclid2, cfg_r, 100))
+        check_contraction(coupled_kernel(*pair, 100))
 
 
 def test_gradient_report_is_the_same_for_f_and_one_minus_f(flow_sphere):
@@ -244,14 +241,13 @@ def test_gradient_report_is_the_same_for_f_and_one_minus_f(flow_sphere):
     which contains it, not the signed mean's."""
     o = flow_sphere.origin()
     e1 = flow_sphere.frame(0.0, o)[0]
-    cfg = CouplingConfig(alpha=0.05, t1=0.0, t2=0.5, seed=8,
-                         start1=flow_sphere.exp(0.0, o, -0.25 * e1),
-                         start2=flow_sphere.exp(0.0, o, 0.25 * e1))
 
     def f(points):
         return (points[:, 0] <= 0.0).astype(float)
 
-    kernel = coupled_kernel(flow_sphere, cfg, 600)
+    kernel = coupled_kernel(flow_sphere, Schedule(0.0, 0.5, 0.05),
+                            flow_sphere.exp(0.0, o, -0.25 * e1),
+                            flow_sphere.exp(0.0, o, 0.25 * e1), 8, 600)
     reports = [check_gradient_estimate(kernel, h, 1.0)
                for h in (f, lambda points: 1.0 - f(points))]
     signed = [r.metadata["params"]["signed_mean"] for r in reports]
@@ -271,7 +267,6 @@ def test_convergence_independent_runs_agree(euclid1):
     """Two independent seeds at the same alpha differ within bootstrap noise."""
     from gtwalk import engine
     from gtwalk.stats import reference_quantiles
-    from gtwalk.walk import Schedule
 
     cdf = gaussian_cdf(0.0, 1.0)
     sched = Schedule(0.0, 1.0, 0.1)

@@ -11,7 +11,7 @@ from gtwalk import engine, rng
 from gtwalk.errors import InvalidInput
 from gtwalk.manifolds import Euclidean, ManifoldModel, RoundSphere
 from gtwalk.stats import gaussian_cdf, ks_statistic
-from gtwalk.walk import Schedule, WalkConfig, run_walk, step
+from gtwalk.walk import Schedule, step, walk_kernel
 
 
 # ---------------------------------------------------------------------------
@@ -48,7 +48,7 @@ def test_schedule_invariants(alpha, t1, span):
 
 def test_config_validation():
     with pytest.raises(InvalidInput):
-        WalkConfig(alpha=2.0, t1=0.0, t2=1.0, seed=0, start=np.zeros(1))
+        Schedule(0.0, 1.0, 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -137,30 +137,33 @@ def test_step_rejects_big_sample(euclid2):
 
 
 # ---------------------------------------------------------------------------
-# run_walk
+# walk_kernel traces
 # ---------------------------------------------------------------------------
 
+# Every record of a walk with no exit check and no radial replay.
+TRACE = {"end", "skeleton", "step_vectors", "noise"}
+
+
 def test_walk_shapes_and_determinism(euclid2):
-    cfg = WalkConfig(alpha=0.1, t1=0.0, t2=1.0, seed=7, start=np.zeros(2))
-    path = run_walk(euclid2, cfg)
-    assert path.skeleton.shape == (cfg.schedule().n_steps + 1, 2)
-    again = run_walk(euclid2, cfg)
-    assert np.array_equal(path.skeleton, again.skeleton)
-    assert np.array_equal(path.noise_record, again.noise_record)
+    kernel = walk_kernel(euclid2, Schedule(0.0, 1.0, 0.1), np.zeros(2), 7)
+    path = kernel.trace(0, TRACE)
+    assert path["skeleton"].shape == (kernel.schedule.n_steps + 1, 2)
+    again = kernel.trace(0, TRACE)
+    assert np.array_equal(path["skeleton"], again["skeleton"])
+    assert np.array_equal(path["noise"], again["noise"])
 
 
 @pytest.mark.bits
 def test_walk_markov_replay(flow_sphere):
     """Each skeleton point is exactly the step applied to its predecessor."""
-    cfg = WalkConfig(alpha=0.1, t1=0.0, t2=0.5, seed=11,
-                     start=flow_sphere.origin())
-    path = run_walk(flow_sphere, cfg)
-    sched = path.schedule
+    sched = Schedule(0.0, 0.5, 0.1)
+    path = walk_kernel(flow_sphere, sched, flow_sphere.origin(),
+                       11).trace(0, TRACE)
     for n in range(sched.n_steps):
-        p, _ = step(flow_sphere, float(sched.times[n]), path.skeleton[n],
-                    path.noise_record[n], cfg.alpha,
+        p, _ = step(flow_sphere, float(sched.times[n]), path["skeleton"][n],
+                    path["noise"][n], sched.alpha,
                     frac=float(sched.fracs[n]))
-        assert np.array_equal(p.coords, path.skeleton[n + 1])
+        assert np.array_equal(p.coords, path["skeleton"][n + 1])
 
 
 @pytest.mark.bits
@@ -170,20 +173,19 @@ def test_step_is_a_kernel_step(drift):
     partial step included."""
     model = Euclidean(2, (0.0, 1.0), drift=lambda t, x: -x) if drift \
         else RoundSphere(3, 2.0, flow=True, time_window=(0.0, 1.0))
-    cfg = WalkConfig(alpha=0.1, t1=0.0, t2=0.97, seed=4,
-                     start=model.origin() + (0.3 if drift else 0.0))
-    path = run_walk(model, cfg)
-    sched = path.schedule
+    sched = Schedule(0.0, 0.97, 0.1)
+    path = walk_kernel(model, sched, model.origin() + (0.3 if drift else 0.0),
+                       4).trace(0, TRACE)
     assert sched.fracs[-1] < 1.0
     for n in range(sched.n_steps):
         t = float(sched.times[n])
-        p, lift = step(model, t, path.skeleton[n], path.noise_record[n],
-                       cfg.alpha, frac=float(sched.fracs[n]))
-        assert np.array_equal(p.coords, path.skeleton[n + 1])
-        w = cfg.alpha * lift.components
+        p, lift = step(model, t, path["skeleton"][n], path["noise"][n],
+                       sched.alpha, frac=float(sched.fracs[n]))
+        assert np.array_equal(p.coords, path["skeleton"][n + 1])
+        w = sched.alpha * lift.components
         if drift:
-            w = w + cfg.alpha ** 2 * model.drift(t, path.skeleton[n])
-        assert np.array_equal(w, path.step_vectors[n])
+            w = w + sched.alpha ** 2 * model.drift(t, path["skeleton"][n])
+        assert np.array_equal(w, path["step_vectors"][n])
 
 
 def test_walk_endpoint_variance(euclid1):
@@ -207,10 +209,9 @@ def test_walk_endpoint_ks_gaussian(euclid1):
 
 
 def test_walk_embedding_constraint(flow_sphere):
-    cfg = WalkConfig(alpha=0.1, t1=0.0, t2=0.5, seed=2,
-                     start=flow_sphere.origin())
-    path = run_walk(flow_sphere, cfg)
-    assert float(np.max(flow_sphere.constraint_residual(path.skeleton))) \
+    skeleton = walk_kernel(flow_sphere, Schedule(0.0, 0.5, 0.1),
+                           flow_sphere.origin(), 2).trace(0, TRACE)["skeleton"]
+    assert float(np.max(flow_sphere.constraint_residual(skeleton))) \
         <= 1e-9
 
 
@@ -250,29 +251,28 @@ def test_frame_section_independence_of_summaries(sphere2):
 # exit time: the kernel's exit_step
 # ---------------------------------------------------------------------------
 
-def kernel_exit_time(model, cfg: WalkConfig, origin, radius: float) -> float:
-    """The schedule time of walk_chunk's exit_step for the walk of cfg;
-    infinity if the walk never exits."""
-    sched = cfg.schedule()
-    n = int(engine.walk_chunk(model, sched, cfg.start, cfg.seed,
-                              range(cfg.path_index, cfg.path_index + 1),
+def kernel_exit_time(model, sched, start, seed: int, origin,
+                     radius: float) -> float:
+    """The schedule time of walk_chunk's exit_step for path 0 of the walk
+    from ``start``; infinity if the walk never exits."""
+    n = int(engine.walk_chunk(model, sched, start, seed, range(1),
                               origin=origin, exit_radius=radius)
             ["exit_step"][0])
     return math.inf if n < 0 else float(sched.times[n])
 
 
 def test_exit_time_confined_is_infinite(euclid2):
-    cfg = WalkConfig(alpha=0.05, t1=0.0, t2=1.0, seed=13, start=np.zeros(2))
-    assert kernel_exit_time(euclid2, cfg, np.zeros(2), 8.0) == math.inf
+    assert kernel_exit_time(euclid2, Schedule(0.0, 1.0, 0.05), np.zeros(2),
+                            13, np.zeros(2), 8.0) == math.inf
 
 
 def test_exit_time_matches_definition(euclid1):
-    cfg = WalkConfig(alpha=0.3, t1=0.0, t2=1.0, seed=3, start=np.zeros(1))
-    path = run_walk(euclid1, cfg)
+    sched = Schedule(0.0, 1.0, 0.3)
+    path = walk_kernel(euclid1, sched, np.zeros(1), 3).trace(0, TRACE)
     R = 1.2
-    got = kernel_exit_time(euclid1, cfg, np.zeros(1), R)
-    crossing = [t for n, t in enumerate(path.schedule.times)
-                if abs(path.skeleton[n, 0]) > R - 1.0]
+    got = kernel_exit_time(euclid1, sched, np.zeros(1), 3, np.zeros(1), R)
+    crossing = [t for n, t in enumerate(sched.times)
+                if abs(path["skeleton"][n, 0]) > R - 1.0]
     assert got == (crossing[0] if crossing else math.inf)
 
 
